@@ -7,19 +7,17 @@ audit / fsck) dispatched on the ``rpc`` executor must produce
 per-member reports **byte-identical** to the ``serial`` reference,
 including line hashes and simulated device time.  That is the floor
 this bench enforces, against two real worker daemons spawned on
-loopback — in the classic snapshot mode *and* in the session-pinned,
-pipelined mode (``RpcExecutor(sessions=True)``).
+loopback.
 
 Alongside it, the bench records the quantities an operator sizes a
 real deployment with:
 
-* **transport bytes** — the compact member snapshot a mutating pass
-  ships each way, the ~kB :class:`StoreStatePatch` a read-only pass
-  sends home, and the measured steady-state audit traffic in session
-  mode (descriptor out, patch back) vs snapshot mode — floored at a
-  >= 50x bytes-out reduction;
-* **walls** — serial vs rpc audit wall clock, pipelined vs blocking
-  session dispatch (floored: pipelining must not be slower), and the
+* **transport bytes** — the compact member snapshot a pinning pass
+  ships out, the ~kB :class:`StoreStatePatch` a read-only pass sends
+  home, and the measured audit traffic of a *cold* pass (every member
+  re-pinned: snapshots out) vs a *steady* one (pins warm: descriptors
+  out) on the same fleet — floored at a >= 50x bytes-out reduction;
+* **walls** — serial vs cold vs steady rpc audit wall clock, and the
   simulated rack makespan under per-host dispatch.
 
 Results land in ``BENCH_rpc.json`` at the repo root.
@@ -34,6 +32,7 @@ from repro.analysis.report import format_table
 from repro.api.store import StoreStatePatch
 from repro.parallel import RpcExecutor, close_connection_pools, \
     spawn_local_worker
+from repro.parallel.session import invalidate
 from repro.workloads.fleet import FleetScheduler
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -44,8 +43,7 @@ LINES_PER_DEVICE = 20
 LINE_BLOCKS = 2
 N_WORKERS = 2
 FLOORS = {"byte_identity": True,
-          "session_audit_bytes_out_reduction": 50.0,
-          "pipelined_not_slower_tolerance": 1.10}
+          "session_audit_bytes_out_reduction": 50.0}
 
 
 def _fleet(executor):
@@ -89,36 +87,27 @@ def test_rpc_byte_identity_floor(benchmark, show):
         remote_prints, remote_audit = benchmark.pedantic(
             lambda: _drive(remote), rounds=1, iterations=1)
 
-        session = _fleet(RpcExecutor(hosts, sessions=True))
-        session_prints, _session_audit = _drive(session)
-
-        blocking = _fleet(RpcExecutor(hosts, sessions=True,
-                                      pipeline=False))
-        blocking_prints, _blocking_audit = _drive(blocking)
-
-        # THE floor: remote dispatch — snapshot, session+pipelined and
-        # session+blocking alike — must not change a single byte of
+        # THE floor: remote dispatch must not change a single byte of
         # any per-member report, across all four passes
         for op in ("format", "seal", "audit", "fsck"):
             assert remote_prints[op] == serial_prints[op], \
                 f"rpc {op} pass diverged from the serial reference"
-            assert session_prints[op] == serial_prints[op], \
-                f"session {op} pass diverged from the serial reference"
-            assert blocking_prints[op] == serial_prints[op], \
-                f"blocking-session {op} pass diverged from serial"
 
         serial_wall, _ = _best_audit_wall(serial)
-        rpc_wall, snap_steady = _best_audit_wall(remote)
-        session_wall, sess_steady = _best_audit_wall(session)
-        blocking_wall, _ = _best_audit_wall(blocking)
-
-        # steady-state wire traffic: pins are warm, so a session audit
-        # sends task descriptors where snapshot mode re-ships members
-        snap_out = sum(snap_steady.bytes_out.values())
-        snap_back = sum(snap_steady.bytes_back.values())
-        sess_out = sum(sess_steady.bytes_out.values())
-        sess_back = sum(sess_steady.bytes_back.values())
-        out_reduction = snap_out / max(sess_out, 1)
+        # cold: every pin dropped, so this audit re-ships each member
+        # snapshot before running; steady: the pins it left are warm
+        # and the same audit sends task descriptors only
+        for store in remote.stores:
+            invalidate(store)
+        t0 = time.perf_counter()
+        cold = remote.audit_fleet()
+        cold_wall = time.perf_counter() - t0
+        steady_wall, steady = _best_audit_wall(remote)
+        cold_out = sum(cold.bytes_out.values())
+        cold_back = sum(cold.bytes_back.values())
+        steady_out = sum(steady.bytes_out.values())
+        steady_back = sum(steady.bytes_back.values())
+        out_reduction = cold_out / max(steady_out, 1)
 
         # transport accounting on a provisioned member
         member = remote.stores[0]
@@ -129,12 +118,10 @@ def test_rpc_byte_identity_floor(benchmark, show):
 
         rows = [
             ["serial", 1, round(serial_wall * 1e3, 2), "-", "-"],
-            [f"rpc snapshot x{len(hosts)}", remote_audit.workers,
-             round(rpc_wall * 1e3, 2), snap_out, snap_back],
-            [f"rpc session x{len(hosts)}", sess_steady.workers,
-             round(session_wall * 1e3, 2), sess_out, sess_back],
-            [f"rpc session (blocking) x{len(hosts)}", sess_steady.workers,
-             round(blocking_wall * 1e3, 2), "-", "-"],
+            [f"rpc cold x{len(hosts)}", cold.workers,
+             round(cold_wall * 1e3, 2), cold_out, cold_back],
+            [f"rpc steady x{len(hosts)}", steady.workers,
+             round(steady_wall * 1e3, 2), steady_out, steady_back],
         ]
         show(format_table(
             ["dispatch", "workers", "audit wall [ms]",
@@ -142,13 +129,13 @@ def test_rpc_byte_identity_floor(benchmark, show):
             rows,
             title=f"rpc fleet audit, {N_DEVICES} devices x "
                   f"{BLOCKS_PER_DEVICE} blocks over {len(hosts)} "
-                  f"loopback workers (steady state)"))
+                  f"loopback workers"))
         show(f"transport per member: snapshot out "
              f"{snapshot_bytes / 1024:.1f} kB, read-only patch back "
              f"{patch_bytes / 1024:.1f} kB "
              f"({snapshot_bytes / max(patch_bytes, 1):.0f}x asymmetry); "
-             f"steady-state audit bytes-out reduction "
-             f"{out_reduction:.0f}x (session vs snapshot)")
+             f"audit bytes-out reduction {out_reduction:.0f}x "
+             f"(steady vs cold pass)")
 
         payload = {
             "bench": "rpc",
@@ -158,22 +145,19 @@ def test_rpc_byte_identity_floor(benchmark, show):
             "workers": len(hosts),
             "hosts": sorted(hosts),
             "byte_identical_passes": ["format", "seal", "audit", "fsck"],
-            "byte_identical_modes": ["snapshot", "session_pipelined",
-                                     "session_blocking"],
             "serial_audit_wall_s": round(serial_wall, 6),
-            "rpc_audit_wall_s": round(rpc_wall, 6),
-            "session_audit_wall_s": round(session_wall, 6),
-            "session_blocking_audit_wall_s": round(blocking_wall, 6),
+            "cold_audit_wall_s": round(cold_wall, 6),
+            "steady_audit_wall_s": round(steady_wall, 6),
             "serial_makespan_s": round(
                 serial_audit.simulated_makespan_seconds, 6),
             "rpc_makespan_s": round(
                 remote_audit.simulated_makespan_seconds, 6),
             "snapshot_out_bytes": snapshot_bytes,
             "patch_back_bytes": patch_bytes,
-            "steady_audit_out_bytes_snapshot": snap_out,
-            "steady_audit_back_bytes_snapshot": snap_back,
-            "steady_audit_out_bytes_session": sess_out,
-            "steady_audit_back_bytes_session": sess_back,
+            "cold_audit_out_bytes": cold_out,
+            "cold_audit_back_bytes": cold_back,
+            "steady_audit_out_bytes": steady_out,
+            "steady_audit_back_bytes": steady_back,
             "steady_audit_out_reduction": round(out_reduction, 1),
             "floors": FLOORS,
         }
@@ -185,14 +169,10 @@ def test_rpc_byte_identity_floor(benchmark, show):
         # the read-only return leg must stay orders smaller than the
         # outbound snapshot (the network-shaped property PR 4 built)
         assert patch_bytes * 10 < snapshot_bytes
-        # the session floor: steady-state audit traffic out drops by
-        # >= 50x once members are pinned
+        # the session floor: audit traffic out drops by >= 50x once
+        # members are pinned
         assert out_reduction >= \
             FLOORS["session_audit_bytes_out_reduction"]
-        # pipelining must not lose to one-round-trip-at-a-time
-        # dispatch (tolerance for loopback wall noise)
-        assert session_wall <= blocking_wall * \
-            FLOORS["pipelined_not_slower_tolerance"]
     finally:
         for worker in workers:
             worker.stop()

@@ -37,7 +37,6 @@ from .policy import (
     FLEET_ON_FAILURE_MODES,
     FLEET_RETRIES_ENV_VAR,
     FLEET_SECRET_ENV_VAR,
-    FLEET_SESSIONS_ENV_VAR,
     FLEET_TIMEOUT_ENV_VAR,
     FLEET_WORKERS_ENV_VAR,
     GATEWAY_BIND_ENV_VAR,
@@ -62,7 +61,6 @@ from .policy import (
     resolve_fleet_on_failure,
     resolve_fleet_retries,
     resolve_fleet_secret,
-    resolve_fleet_sessions,
     resolve_fleet_timeout,
     resolve_gateway_bind,
     resolve_gateway_token_file,
@@ -88,8 +86,8 @@ from ..parallel import (
 
 #: Store-layer names, imported lazily (PEP 562) so that the policy
 #: layer stays importable from the bottom of the package's import
-#: graph (``repro.vectorize`` and ``repro.crypto`` resolve through it
-#: while the device/fs modules the store needs are still loading).
+#: graph (``repro.crypto`` resolves through it while the device/fs
+#: modules the store needs are still loading).
 _STORE_EXPORTS = (
     "TamperEvidentStore",
     "StoreConfig",
@@ -144,7 +142,6 @@ __all__ = [
     "resolve_fleet_on_failure",
     "resolve_fleet_retries",
     "resolve_fleet_secret",
-    "resolve_fleet_sessions",
     "resolve_fleet_timeout",
     "resolve_max_workers",
     "resolve_fleet_executor",
@@ -154,7 +151,6 @@ __all__ = [
     "FLEET_ON_FAILURE_MODES",
     "FLEET_RETRIES_ENV_VAR",
     "FLEET_SECRET_ENV_VAR",
-    "FLEET_SESSIONS_ENV_VAR",
     "FLEET_TIMEOUT_ENV_VAR",
     "FLEET_WORKERS_ENV_VAR",
     "DEFAULT_EXECUTOR",

@@ -35,8 +35,7 @@ per-member groups in ascending index order, and whole-fleet passes
 (``audit``/``format_devices``/``add_member``/``migrate_unsealed``)
 take an exclusive mode that excludes everything.  Calls on disjoint
 members therefore overlap on real cores while per-member results stay
-byte-identical to a serialized run; ``lock_mode="single"`` forces the
-old one-big-lock behaviour for baseline measurements.
+byte-identical to a serialized run.
 
 The per-member fan-out functions live at module level so the
 ``process`` executor can pickle them.
@@ -191,8 +190,8 @@ class FleetOpStats:
     ``hosts`` names the remote workers an ``rpc`` pass fanned out to
     (empty for in-host executors); ``worker_walls`` carries the
     per-worker — for rpc, per-host — wall breakdown.  ``bytes_out`` /
-    ``bytes_back`` record the wire payload per remote host, which is
-    where the session transport's snapshot→descriptor win shows up.
+    ``bytes_back`` record the wire payload per remote host: snapshot-
+    sized on a cold (pinning) pass, descriptor-sized once pinned.
     ``failures`` holds the :class:`~repro.parallel.MemberFailure`
     records of a degraded rpc pass (members that folded nothing);
     ``retries`` / ``timeouts`` count failover re-dispatches and
@@ -259,32 +258,21 @@ class FleetStore:
         max_workers: worker bound for pool executors (None resolves
             through the chain / one per core).
         replicas: virtual nodes per member on the hash ring.
-        lock_mode: ``"shard"`` (default) locks each operation's member
-            footprint only, so concurrent calls on disjoint members
-            overlap; ``"single"`` serialises every call on the
-            whole-fleet exclusive mode — the pre-shard behaviour, kept
-            selectable as the concurrency bench's baseline.
-    """
 
-    #: Operations' member footprints, for the docs and the curious:
-    #: object-grain calls lock the holding member; ``seal_many`` /
-    #: ``export_evidence`` lock their per-member groups in ascending
-    #: index order; ``audit`` / ``format_devices`` / ``add_member`` /
-    #: ``migrate_unsealed`` / ``capacity`` take the exclusive mode.
-    LOCK_MODES = ("shard", "single")
+    Operations' member footprints: object-grain calls lock the holding
+    member; ``seal_many`` / ``export_evidence`` lock their per-member
+    groups in ascending index order; ``audit`` / ``format_devices`` /
+    ``add_member`` / ``migrate_unsealed`` / ``capacity`` take the
+    exclusive mode.
+    """
 
     def __init__(self, members: Sequence[Union[TamperEvidentStore,
                                                SERODevice]], *,
                  executor: Union[None, str, FleetExecutor] = None,
                  max_workers: Optional[int] = None,
-                 replicas: int = 64,
-                 lock_mode: str = "shard") -> None:
+                 replicas: int = 64) -> None:
         if not members:
             raise ConfigurationError("a FleetStore needs at least one member")
-        if lock_mode not in self.LOCK_MODES:
-            raise ConfigurationError(
-                f"lock_mode must be one of {self.LOCK_MODES}, "
-                f"got {lock_mode!r}")
         self.members: List[TamperEvidentStore] = []
         for member in members:  # plain loop: the deprecation warning
             # must attribute to the caller on every Python version
@@ -298,9 +286,7 @@ class FleetStore:
         # add_member; successors() is lazy, so walks materialise under
         # this mutex (never held together with member locks)
         self._ring_lock = threading.Lock()
-        self.lock_mode = lock_mode
-        self._locks = MemberLockSet(len(self.members),
-                                    serialize=lock_mode == "single")
+        self._locks = MemberLockSet(len(self.members))
         self._archive_homes: Dict[str, int] = {}
         self._grown = False
         # dispatch stats are per handler thread: two concurrent passes
@@ -354,7 +340,6 @@ class FleetStore:
                executor: Union[None, str, FleetExecutor] = None,
                max_workers: Optional[int] = None,
                replicas: int = 64,
-               lock_mode: str = "shard",
                **overrides) -> "FleetStore":
         """Provision ``n_members`` fresh full stores.
 
@@ -375,7 +360,7 @@ class FleetStore:
             members.append(TamperEvidentStore.create(
                 dataclasses.replace(base, medium_config=medium_config)))
         return cls(members, executor=executor, max_workers=max_workers,
-                   replicas=replicas, lock_mode=lock_mode)
+                   replicas=replicas)
 
     # -- routing -----------------------------------------------------------------
 
@@ -957,7 +942,6 @@ class FleetStore:
             "members": len(self.members),
             "ring_nodes": self._ring.nodes,
             "replicas": self._ring.replicas,
-            "lock_mode": self.lock_mode,
             "executor_pin": (self._executor.name
                              if isinstance(self._executor, FleetExecutor)
                              else self._executor),

@@ -71,10 +71,6 @@ FLEET_WORKERS_ENV_VAR = "REPRO_FLEET_WORKERS"
 #: ``rpc`` executor (comma-separated ``host:port`` items, lazy).
 FLEET_HOSTS_ENV_VAR = "REPRO_FLEET_HOSTS"
 
-#: Environment variable enabling the ``rpc`` executor's session mode
-#: (pin-once member snapshots + pipelined dispatch, lazy).
-FLEET_SESSIONS_ENV_VAR = "REPRO_FLEET_SESSIONS"
-
 #: Environment variable setting the ``rpc`` executor's per-request
 #: socket deadline in seconds (lazy; ``0`` or negative disables).
 FLEET_TIMEOUT_ENV_VAR = "REPRO_FLEET_TIMEOUT"
@@ -238,11 +234,6 @@ class ExecutionPolicy:
             stored canonicalised (validated, de-duplicated, sorted) so
             two policies naming the same hosts in different orders are
             the same policy.
-        fleet_sessions: whether the ``rpc`` executor runs in session
-            mode — members pinned once on their ring-assigned worker,
-            task descriptors (not snapshots) per pass, pipelined
-            dispatch.  A plain bool by design: resolving it must never
-            load the wire-protocol module.
         fleet_timeout: per-request socket deadline in seconds for the
             ``rpc`` executor (None = no deadline; a hung worker blocks
             until the fault is external).
@@ -252,13 +243,13 @@ class ExecutionPolicy:
             is 0, fail fast).
         fleet_on_failure: ``"raise"`` or ``"degrade"`` — what an rpc
             pass does with members that exhausted their retries.
-            Plain values by design, like ``fleet_sessions``: resolving
-            any of the three never loads the wire-protocol module.
+            Plain values by design: resolving any of the three never
+            loads the wire-protocol module.
         fleet_secret: shared HMAC secret for the ``rpc`` executor's
             wire frames.  When any layer resolves a secret, every
             frame both directions is HMAC-SHA256-signed and unsigned
             frames are rejected (see :mod:`repro.parallel.remote`).
-            A plain string by design, like ``fleet_sessions``.
+            A plain string by design, like the three above.
         gateway_bind: ``host:port`` the HTTP gateway binds
             (:mod:`repro.gateway`); stored canonicalised.
         gateway_token_file: path to the gateway's bearer-token file
@@ -276,7 +267,6 @@ class ExecutionPolicy:
     executor: Optional[str] = None
     max_workers: Optional[int] = None
     fleet_hosts: Optional[Tuple[str, ...]] = None
-    fleet_sessions: Optional[bool] = None
     fleet_timeout: Optional[float] = None
     fleet_retries: Optional[int] = None
     fleet_on_failure: Optional[str] = None
@@ -303,9 +293,6 @@ class ExecutionPolicy:
             parallel.get_executor_spec(self.executor)  # validates
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if self.fleet_sessions is not None and \
-                not isinstance(self.fleet_sessions, bool):
-            raise TypeError("fleet_sessions must be a bool or None")
         if self.fleet_timeout is not None:
             if isinstance(self.fleet_timeout, bool) or \
                     not isinstance(self.fleet_timeout, (int, float)):
@@ -394,7 +381,6 @@ def engine(name: Optional[str] = None, *,
            executor: Optional[str] = None,
            max_workers: Optional[int] = None,
            fleet_hosts: Optional[Tuple[str, ...]] = None,
-           fleet_sessions: Optional[bool] = None,
            fleet_timeout: Optional[float] = None,
            fleet_retries: Optional[int] = None,
            fleet_on_failure: Optional[str] = None,
@@ -421,7 +407,6 @@ def engine(name: Optional[str] = None, *,
                          executor=executor,
                          max_workers=max_workers,
                          fleet_hosts=fleet_hosts,
-                         fleet_sessions=fleet_sessions,
                          fleet_timeout=fleet_timeout,
                          fleet_retries=fleet_retries,
                          fleet_on_failure=fleet_on_failure,
@@ -479,8 +464,7 @@ def resolve_engine(explicit: Union[None, bool, str] = None) -> EngineSpec:
 def resolve_vectorized(explicit: Union[None, bool, str] = None) -> bool:
     """Whether the active engine runs the vectorized fast paths.
 
-    This is the call every former ``span_engine_default()`` site goes
-    through; it is evaluated lazily at each decision point.
+    Evaluated lazily at each decision point.
     """
     if explicit is None:
         # fast path: no explicit pin, walk the chain inline
@@ -611,28 +595,6 @@ def resolve_fleet_hosts(
 
         return remote.parse_hosts(value), "env"
     return None, "default"
-
-
-def resolve_fleet_sessions(
-        explicit: Optional[bool] = None) -> Tuple[bool, str]:
-    """(session mode on?, deciding layer) for the ``rpc`` executor.
-
-    The value is a plain bool through every layer — resolving it (and
-    therefore :func:`describe_policy`) never loads the wire-protocol
-    module.  ``REPRO_FLEET_SESSIONS`` is read *now*; any value outside
-    the falsey tokens enables sessions.  Default: off.
-    """
-    if explicit is not None:
-        return bool(explicit), "explicit"
-    for frame in reversed(_OVERRIDES.get()):
-        if frame.fleet_sessions is not None:
-            return frame.fleet_sessions, "context"
-    if _POLICY is not None and _POLICY.fleet_sessions is not None:
-        return _POLICY.fleet_sessions, "policy"
-    value = os.environ.get(FLEET_SESSIONS_ENV_VAR)
-    if value is not None and value.strip():
-        return value.strip().lower() not in _FALSEY, "env"
-    return False, "default"
 
 
 def resolve_fleet_timeout(
@@ -876,7 +838,6 @@ def describe_policy() -> Dict[str, object]:
     executor, executor_source = resolve_executor_name()
     max_workers, workers_source = resolve_max_workers()
     fleet_hosts, hosts_source = resolve_fleet_hosts()
-    fleet_sessions, sessions_source = resolve_fleet_sessions()
     fleet_timeout, timeout_source = resolve_fleet_timeout()
     fleet_retries, retries_source = resolve_fleet_retries()
     fleet_on_failure, on_failure_source = resolve_fleet_on_failure()
@@ -901,8 +862,6 @@ def describe_policy() -> Dict[str, object]:
         "max_workers_source": workers_source,
         "fleet_hosts": fleet_hosts,
         "fleet_hosts_source": hosts_source,
-        "fleet_sessions": fleet_sessions,
-        "fleet_sessions_source": sessions_source,
         "fleet_timeout": fleet_timeout,
         "fleet_timeout_source": timeout_source,
         "fleet_retries": fleet_retries,

@@ -10,9 +10,7 @@ shard-grained footprint locks
 disjoint members overlap on real cores — the self-securing log
 discipline demands a total instruction order *per member*, not per
 fleet.  Admin passes (audit/format/history) take the fleet's
-whole-fleet exclusive mode; ``lock_mode="single"``
-(``REPRO_GATEWAY_LOCK_MODE=single``) restores the original
-serialise-everything gateway as the concurrency baseline.
+whole-fleet exclusive mode.
 
 Endpoints (all under ``/v1``; bodies are JSON, bulk bytes base64):
 
@@ -65,18 +63,15 @@ executors and pooled rpc connections.
 from __future__ import annotations
 
 import json
-import os
 import socket
 import threading
 import time
-from contextlib import nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..api.fleet import FleetStore
 from ..errors import (
-    ConfigurationError,
     FileExistsError_,
     FileNotFoundError_,
     HeatError,
@@ -89,11 +84,7 @@ from ..search import EvidenceIndex, Query, as_query
 from . import auth as _auth
 from . import schemas as _schemas
 from .auth import AuthError, PathError, Principal, TokenTable
-from .settings import (
-    DEFAULT_GATEWAY_LOCK_MODE,
-    GATEWAY_LOCK_MODE_ENV_VAR,
-    GatewaySettings,
-)
+from .settings import GatewaySettings
 
 #: Refuse request bodies beyond this (a desynchronised or abusive
 #: client must fail fast, like MAX_FRAME_BYTES on the rpc wire).
@@ -145,7 +136,6 @@ class GatewayApp:
 
     def __init__(self, fleet: FleetStore, tokens: TokenTable, *,
                  settings: Optional[GatewaySettings] = None,
-                 lock_mode: Optional[str] = None,
                  index: Optional[EvidenceIndex] = None) -> None:
         self.fleet = fleet
         self.tokens = tokens
@@ -155,33 +145,9 @@ class GatewayApp:
         #: consumers; by default the app owns a fresh one.
         self.index = index if index is not None else EvidenceIndex()
         fleet.attach_indexer(self.index)
-        if lock_mode is None:
-            if settings is not None:
-                lock_mode = settings.lock_mode
-            else:
-                lock_mode = os.environ.get(
-                    GATEWAY_LOCK_MODE_ENV_VAR,
-                    DEFAULT_GATEWAY_LOCK_MODE).strip().lower() \
-                    or DEFAULT_GATEWAY_LOCK_MODE
-        if lock_mode not in FleetStore.LOCK_MODES:
-            raise ConfigurationError(
-                f"gateway lock_mode must be one of "
-                f"{FleetStore.LOCK_MODES}, got {lock_mode!r}")
-        #: ``shard``: handlers dispatch under the fleet's footprint
-        #: locks only; ``single``: every fleet call additionally
-        #: serialises on one app-level lock (the measured baseline).
-        self.lock_mode = lock_mode
-        self._lock = threading.RLock()
         self._state = threading.Condition()
         self._inflight = 0
         self._draining = False
-
-    def _fleet_guard(self):
-        """What a handler wraps its fleet call in: the app-wide lock
-        in ``single`` mode, nothing in ``shard`` mode (the fleet's own
-        footprint locks are the concurrency contract)."""
-        return self._lock if self.lock_mode == "single" \
-            else nullcontext()
 
     # -- request lifecycle (draining) ---------------------------------------
 
@@ -355,29 +321,25 @@ class GatewayApp:
         path = self._confine(tenant, payload)
         data = _schemas.b64decode(payload.get("data", ""), what="data")
         overwrite = bool(payload.get("overwrite", False))
-        with self._fleet_guard():
-            info = self.fleet.put(path, data, overwrite=overwrite,
-                                  make_parents=True)
+        info = self.fleet.put(path, data, overwrite=overwrite,
+                              make_parents=True)
         return 200, {}, _schemas.object_info_to_wire(info)
 
     def _op_get(self, tenant: str, payload: Dict[str, Any]):
         path = self._confine(tenant, payload)
-        with self._fleet_guard():
-            data = self.fleet.get(path)
+        data = self.fleet.get(path)
         return 200, {}, {"path": payload["path"],
                          "data": _schemas.b64encode(data)}
 
     def _op_info(self, tenant: str, payload: Dict[str, Any]):
         path = self._confine(tenant, payload)
-        with self._fleet_guard():
-            info = self.fleet.info(path)
+        info = self.fleet.info(path)
         return 200, {}, _schemas.object_info_to_wire(info)
 
     def _op_seal(self, tenant: str, payload: Dict[str, Any]):
         path = self._confine(tenant, payload)
         timestamp = self._timestamp(payload)
-        with self._fleet_guard():
-            receipt = self.fleet.seal(path, timestamp=timestamp)
+        receipt = self.fleet.seal(path, timestamp=timestamp)
         return 200, {}, _schemas.seal_receipt_to_wire(receipt)
 
     def _op_seal_many(self, tenant: str, payload: Dict[str, Any]):
@@ -390,9 +352,8 @@ class GatewayApp:
         timestamp = self._timestamp(payload)
         # fleet.last_op is thread-local: reading it after the call is
         # race-free even with other handlers mid-pass.
-        with self._fleet_guard():
-            receipts = self.fleet.seal_many(paths, timestamp=timestamp)
-            degraded = self.fleet.last_op.degraded
+        receipts = self.fleet.seal_many(paths, timestamp=timestamp)
+        degraded = self.fleet.last_op.degraded
         slots = [_schemas.result_slot_to_wire(r) for r in receipts]
         failures = [s for s in slots if s["kind"] == "member_failure"]
         status = 207 if degraded else 200
@@ -401,8 +362,7 @@ class GatewayApp:
 
     def _op_verify(self, tenant: str, payload: Dict[str, Any]):
         path = self._confine(tenant, payload)
-        with self._fleet_guard():
-            report = self.fleet.verify(path)
+        report = self.fleet.verify(path)
         return 200, {}, _schemas.verify_report_to_wire(report)
 
     def _op_export(self, tenant: str, payload: Dict[str, Any]):
@@ -420,12 +380,11 @@ class GatewayApp:
                 data, what=f"exhibit {name!r}")
         fleet_case = _auth.evidence_case(tenant, case)
         timestamp = self._timestamp(payload)
-        with self._fleet_guard():
-            export = self.fleet.export_evidence(
-                fleet_case, exhibits, timestamp=timestamp)
-            degraded = self.fleet.last_op.degraded
-            failures = [_schemas.member_failure_to_wire(f)
-                        for f in self.fleet.last_op.failures]
+        export = self.fleet.export_evidence(
+            fleet_case, exhibits, timestamp=timestamp)
+        degraded = self.fleet.last_op.degraded
+        failures = [_schemas.member_failure_to_wire(f)
+                    for f in self.fleet.last_op.failures]
         status = 207 if degraded else 200
         return status, {}, {
             "case": case, "fleet_case": export.case,
@@ -513,11 +472,10 @@ class GatewayApp:
         deep = query.get("deep", "") not in ("", "0", "false", "no")
         # fleet.audit takes the fleet's exclusive mode internally: it
         # waits for in-flight shard requests, then runs alone.
-        with self._fleet_guard():
-            report = self.fleet.audit(deep=deep)
-            degraded = self.fleet.last_op.degraded
-            failures = [_schemas.member_failure_to_wire(f)
-                        for f in self.fleet.last_op.failures]
+        report = self.fleet.audit(deep=deep)
+        degraded = self.fleet.last_op.degraded
+        failures = [_schemas.member_failure_to_wire(f)
+                    for f in self.fleet.last_op.failures]
         wire = _schemas.audit_report_to_wire(report)
         wire["degraded"] = degraded
         wire["failures"] = failures
@@ -526,13 +484,13 @@ class GatewayApp:
     def _op_history(self, _query: Dict[str, str], _body: bytes = b""):
         # no single fleet op wraps this member walk, so take the
         # fleet's exclusive mode here to freeze every per-member log
-        with self._fleet_guard(), self.fleet.exclusive():
+        with self.fleet.exclusive():
             members = [_schemas.history_to_wire(member.history())
                        for member in self.fleet.members]
         return 200, {}, {"members": members}
 
     def _op_describe(self, _query: Dict[str, str], _body: bytes = b""):
-        with self._fleet_guard(), self.fleet.exclusive():
+        with self.fleet.exclusive():
             fleet_desc = {
                 key: (list(value) if isinstance(value, tuple) else value)
                 for key, value in self.fleet.describe().items()}
@@ -543,9 +501,8 @@ class GatewayApp:
         return 200, {}, body
 
     def _op_format(self, _query: Dict[str, str], _body: bytes = b""):
-        with self._fleet_guard():
-            reports = self.fleet.format_devices()
-            degraded = self.fleet.last_op.degraded
+        reports = self.fleet.format_devices()
+        degraded = self.fleet.last_op.degraded
         slots: List[Dict[str, Any]] = []
         for report in reports:
             if isinstance(report, MemberFailure):

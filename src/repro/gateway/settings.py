@@ -18,9 +18,9 @@ the gateway's answer to :func:`repro.api.describe_policy`:
 * **fleet shape** — gateway-local variables
   (:data:`GATEWAY_MEMBERS_ENV_VAR` and friends) size the
   ``FleetStore`` the service fronts; the *dispatch* of that fleet
-  (executor, worker hosts, sessions, timeouts, degrade mode, HMAC
-  secret) is deliberately NOT re-plumbed here — ``FleetStore``
-  resolves all of it through the existing policy chain at each pass,
+  (executor, worker hosts, timeouts, degrade mode, HMAC secret) is
+  deliberately NOT re-plumbed here — ``FleetStore`` resolves all of
+  it through the existing policy chain at each pass,
   so ``REPRO_FLEET_HOSTS=... REPRO_FLEET_EXECUTOR=rpc python -m
   repro.gateway serve`` is a remote-fleet deployment with zero
   gateway-specific wiring.
@@ -44,15 +44,9 @@ GATEWAY_MEMBERS_ENV_VAR = "REPRO_GATEWAY_MEMBERS"
 GATEWAY_SEED_ENV_VAR = "REPRO_GATEWAY_SEED"
 GATEWAY_BLOCKS_ENV_VAR = "REPRO_GATEWAY_BLOCKS"
 
-#: ``shard`` (default) dispatches tenant requests under per-member
-#: footprint locks so disjoint-member traffic overlaps; ``single``
-#: restores the one-big-lock gateway (the concurrency baseline).
-GATEWAY_LOCK_MODE_ENV_VAR = "REPRO_GATEWAY_LOCK_MODE"
-
 DEFAULT_GATEWAY_MEMBERS = 4
 DEFAULT_GATEWAY_SEED = 2008
 DEFAULT_GATEWAY_BLOCKS = 512
-DEFAULT_GATEWAY_LOCK_MODE = "shard"
 
 
 def _env_int(name: str, default: int, *, minimum: int) -> int:
@@ -81,7 +75,6 @@ class GatewaySettings:
     members: int = DEFAULT_GATEWAY_MEMBERS
     seed: int = DEFAULT_GATEWAY_SEED
     total_blocks: int = DEFAULT_GATEWAY_BLOCKS
-    lock_mode: str = DEFAULT_GATEWAY_LOCK_MODE
     extra: Dict[str, Any] = field(default_factory=dict)
 
     @classmethod
@@ -90,8 +83,7 @@ class GatewaySettings:
                 token_file: Optional[str] = None,
                 members: Optional[int] = None,
                 seed: Optional[int] = None,
-                total_blocks: Optional[int] = None,
-                lock_mode: Optional[str] = None) -> "GatewaySettings":
+                total_blocks: Optional[int] = None) -> "GatewaySettings":
         """Resolve every knob through its chain and record sources.
 
         ``tokens`` is an inline token spec string (the
@@ -102,17 +94,7 @@ class GatewaySettings:
         bind_value, bind_source = _policy.resolve_gateway_bind(bind)
         host, _sep, port_text = bind_value.rpartition(":")
         table, tokens_source = cls._resolve_tokens(tokens, token_file)
-        if lock_mode is None:
-            lock_mode = os.environ.get(
-                GATEWAY_LOCK_MODE_ENV_VAR,
-                DEFAULT_GATEWAY_LOCK_MODE).strip().lower() \
-                or DEFAULT_GATEWAY_LOCK_MODE
-        if lock_mode not in FleetStore.LOCK_MODES:
-            raise ConfigurationError(
-                f"{GATEWAY_LOCK_MODE_ENV_VAR} must be one of "
-                f"{FleetStore.LOCK_MODES}, got {lock_mode!r}")
         return cls(
-            lock_mode=lock_mode,
             host=host, port=int(port_text), bind_source=bind_source,
             tokens=table, tokens_source=tokens_source,
             members=members if members is not None else _env_int(
@@ -171,7 +153,7 @@ class GatewaySettings:
         return FleetStore.create(
             self.members,
             StoreConfig(total_blocks=self.total_blocks, audit_log=True),
-            seed=self.seed, lock_mode=self.lock_mode)
+            seed=self.seed)
 
     def describe(self) -> Dict[str, Any]:
         """Deployment diagnostics for the admin ``describe`` endpoint
@@ -185,7 +167,6 @@ class GatewaySettings:
             "members": self.members,
             "seed": self.seed,
             "total_blocks": self.total_blocks,
-            "lock_mode": self.lock_mode,
             "policy": {
                 key: value
                 for key, value in _policy.describe_policy().items()

@@ -452,10 +452,12 @@ def make_executor(name: str,
 
 def _rpc_factory(max_workers: Optional[int] = None) -> FleetExecutor:
     """Build the remote executor (imported lazily so the wire-protocol
-    module only loads when rpc dispatch is actually selected)."""
+    module only loads when rpc dispatch is actually selected).
+    ``max_workers`` is the registry's shared factory signature and a
+    no-op here: an rpc pass runs one thread per worker host."""
     from .remote import RpcExecutor
 
-    return RpcExecutor(max_workers=max_workers)
+    return RpcExecutor()
 
 
 register_executor(ExecutorSpec(

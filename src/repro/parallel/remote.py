@@ -9,7 +9,7 @@ read-only pass sends home a ~1 kB
 loop: the same member tasks, dispatched over TCP to worker daemons on
 other hosts, byte-identical to the ``serial`` reference.
 
-Three pieces:
+Four pieces:
 
 * **wire protocol** — length-prefixed pickle frames
   (:func:`send_frame` / :func:`recv_frame`): a 4-byte magic, an 8-byte
@@ -36,23 +36,24 @@ Three pieces:
   nobody (bare ``SRPC`` frames): reserve unsigned mode for loopback
   development (documented in API.md).
 
-* **sessions** — the ``pin``/``unpin``/``run_pinned`` verbs.  A pin
-  ships a member snapshot once and caches it on the worker under a
-  ``(client, member)`` key and a client-assigned *generation*; later
-  passes send only a task descriptor (the store swapped for a
-  placeholder, see :mod:`repro.parallel.session`) and fold the
-  returned :class:`~repro.api.store.StoreStatePatch` — or, for a
-  mutating pass, the returned snapshot — into the caller-held store.
-  A ``run_pinned`` that finds no pin of the requested generation
+* **sessions** — the ``pin``/``run_pinned`` verbs, the one way a
+  member store crosses the wire.  A pin ships a member snapshot once
+  and caches it on the worker under a ``(client, member)`` key and a
+  client-assigned *generation*; later passes send only a task
+  descriptor (the store swapped for a placeholder, see
+  :mod:`repro.parallel.session`) and fold the returned
+  :class:`~repro.api.store.StoreStatePatch` — or, for a mutating pass,
+  the returned snapshot — into the caller-held store.  A
+  ``run_pinned`` that finds no pin of the requested generation
   (worker restarted, cache evicted, client-side mutation bumped the
   generation) answers ``("nopin",)`` **without running the task**, so
   the client can re-pin and resend without ever violating the
-  never-retry-after-delivery rule.  Session mode also *pipelines*: one
-  socket per host per pass, all frames written by a writer thread
-  while replies drain in order, so N members on one host cost ~one
-  round trip plus compute.  Enable with
-  ``repro.engine(fleet_sessions=True)`` / ``REPRO_FLEET_SESSIONS=1``
-  or ``RpcExecutor(sessions=True)``.
+  never-retry-after-delivery rule.  Abandoned pins are bounded by the
+  worker's :data:`PIN_CACHE_CAP` LRU.  A pass *pipelines*: one socket
+  per host, all frames written by a writer thread while replies drain
+  in order, so N members on one host cost ~one round trip plus
+  compute.  Tasks that do not close over exactly one member store
+  travel as plain ``("run", task)`` requests on the same socket.
 
 * **worker daemon** — :func:`serve`, exposed as
   ``python -m repro.parallel.remote serve --bind HOST:PORT``.  A
@@ -70,12 +71,13 @@ Three pieces:
   ``REPRO_FLEET_HOSTS``), assigns member *i* to the host a
   :class:`~repro.parallel.ring.HashRing` over the host set owns —
   deterministic and stable under host lists given in any order — and
-  drives the per-host connections from a thread pool.  Connections are
+  drives each host's connection from its own thread.  Connections are
   pooled module-wide (:data:`_POOL`) so repeated passes reuse warm
   sockets; a stale pooled connection is redialled once *before* the
-  request is delivered, while any failure after delivery raises
-  :class:`RpcConnectionError` — a task that may have executed is never
-  silently retried (a seal pass must not heat a line twice).
+  request is delivered, while any failure after a plain ``run`` was
+  delivered raises :class:`RpcConnectionError` — a task that may have
+  executed is never silently retried (a seal pass must not heat a
+  line twice).
 
 Failure semantics (the fault-injection contract):
 
@@ -88,13 +90,12 @@ Failure semantics (the fault-injection contract):
   interpreted;
 * member raising inside a pass → the original exception re-raised at
   the caller, ``__cause__``-chained to a :class:`RemoteTaskError`
-  carrying the remote traceback and host — and in session mode the
-  worker *drops the pin* (its copy may be half-mutated) while the
-  client folds nothing;
-* session pass failing on any host → no member state folded anywhere,
-  every session touched by the pass invalidated (the pinned copies may
-  have advanced without a client fold), so the next pass re-pins from
-  the caller-held state — degraded to re-shipping, never to a stale
+  carrying the remote traceback and host — and the worker *drops the
+  pin* (its copy may be half-mutated) while the client folds nothing;
+* pass failing on any host → no member state folded anywhere, every
+  session touched by the pass invalidated (the pinned copies may have
+  advanced without a client fold), so the next pass re-pins from the
+  caller-held state — degraded to re-shipping, never to a stale
   result.
 """
 
@@ -115,10 +116,10 @@ import threading
 import time
 import traceback
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError, ReproError
+from . import session as _session
 from .executor import (
     ExecutionOutcome,
     FleetExecutor,
@@ -143,7 +144,9 @@ _HEADER = struct.Struct(">4sQ")
 _DIGEST_BYTES = 32
 
 #: Refuse absurd frames (a desynchronised peer must fail fast, not
-#: allocate gigabytes).  Generous: a bench member snapshot is ~1.3 MB.
+#: allocate gigabytes).  Bounds one frame's body *plus* all of its
+#: out-of-band segments — everything a receiver allocates before the
+#: HMAC check.  Generous: a bench member snapshot is ~1.3 MB.
 MAX_FRAME_BYTES = 1 << 30
 
 #: Buffers below this stay inside the pickle body; at or above it they
@@ -408,10 +411,13 @@ def _recv_frame_counted(sock: socket.socket, *,
     for _ in range(count):
         raw_len = _recv_exact(sock, _BUF_LEN.size, "buffer header")
         nbytes = _BUF_LEN.unpack(raw_len)[0]
-        if nbytes > MAX_FRAME_BYTES:
+        # the running total, not each segment alone: these lengths are
+        # unauthenticated until the digest below, and 65 536 segments
+        # of 1 GiB each must not be allocated on a stranger's say-so
+        if payload + nbytes > MAX_FRAME_BYTES:
             raise RpcProtocolError(
-                f"out-of-band buffer of {nbytes} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte cap")
+                f"out-of-band buffer of {nbytes} bytes takes the frame "
+                f"past the {MAX_FRAME_BYTES}-byte cap")
         segment = bytearray(int(nbytes))
         _recv_exact_into(sock, memoryview(segment), "buffer segment")
         if mac is not None:
@@ -435,9 +441,9 @@ def recv_frame(sock: socket.socket, *, secret: Any = _AMBIENT) -> Any:
     Raises :class:`RpcConnectionError` on a truncated frame and
     :class:`RpcProtocolError` on bad framing — including a missing,
     unverifiable, or wrong HMAC signature when a secret is in force
-    (see :func:`_recv_frame_counted`).  Returns the sentinel ``None``
-    is a valid message; end-of-stream *between* frames raises
-    ``EOFError`` (the orderly-shutdown signal the server loop uses).
+    (see :func:`_recv_frame_counted`).  ``None`` is a valid message,
+    not a sentinel: end-of-stream *between* frames raises ``EOFError``
+    (the orderly-shutdown signal the server loop uses).
     """
     return _recv_frame_counted(sock, secret=secret)[0]
 
@@ -501,10 +507,6 @@ def _execute_request(request: Any) -> Tuple[Any, bool]:
             while len(_PINS) > PIN_CACHE_CAP:
                 _PINS.popitem(last=False)
         return ("pinned",), True
-    if op == "unpin":
-        with _PINS_LOCK:
-            dropped = _PINS.pop(request[1], None) is not None
-        return ("unpinned", dropped), True
     if op == "run_pinned":
         _op, key, generation, task = request
         with _PINS_LOCK:
@@ -518,9 +520,7 @@ def _execute_request(request: Any) -> Tuple[Any, bool]:
             # missing or stale pin: the task did NOT run, which is
             # what makes a client-side re-pin + resend safe
             return ("nopin",), True
-        from .session import bind_pinned
-
-        response, keep = _run_task(bind_pinned(task, pinned))
+        response, keep = _run_task(_session.bind_pinned(task, pinned))
         if response[0] == "err":
             # the pinned copy may be half-mutated: never serve it again
             with _PINS_LOCK:
@@ -678,8 +678,9 @@ def _dial(addr: str, *, retries: int = DIAL_RETRIES,
         f"cannot reach fleet worker at {addr}: {last}") from last
 
 
-def _borrow(addr: str,
-            deadline: Optional[float] = None) -> Tuple[socket.socket, bool]:
+def _borrow(addr: str, deadline: Optional[float] = None, *,
+            dial_retries: int = DIAL_RETRIES
+            ) -> Tuple[socket.socket, bool]:
     """A connection to ``addr``: pooled (True) or freshly dialled.
 
     ``deadline`` is the per-request socket timeout in seconds (None =
@@ -693,7 +694,8 @@ def _borrow(addr: str,
             sock = pooled.pop()
             sock.settimeout(deadline)
             return sock, True
-    sock = _dial(addr, timeout=deadline if deadline else None)
+    sock = _dial(addr, retries=dial_retries,
+                 timeout=deadline if deadline else None)
     sock.settimeout(deadline)
     return sock, False
 
@@ -742,14 +744,23 @@ def _recv_reply(addr: str, sock: socket.socket, *,
             f"{exc}") from exc
 
 
-def _call_worker_counted(addr: str, request: Any,
-                         deadline: Optional[float] = None,
-                         secret: Any = _AMBIENT
-                         ) -> Tuple[Any, int, int]:
-    """(reply, bytes out, bytes back) for one pooled round trip."""
+def call_worker(addr: str, request: Any, *,
+                deadline: Optional[float] = None,
+                secret: Any = _AMBIENT) -> Any:
+    """One request/response round trip with ``addr``, via the pool.
+
+    A *stale* pooled connection (the worker restarted since the last
+    pass) fails while the request is being sent; since an undelivered
+    request cannot have executed, it is retried once on a fresh
+    connection.  Any failure after the request was delivered — EOF or
+    a truncated reply — raises :class:`RpcConnectionError` instead:
+    the task may have run, and mutating passes must never run twice.
+    ``deadline`` bounds every blocking socket operation of the round
+    trip; expiry raises :class:`RpcTimeoutError`.
+    """
     sock, from_pool = _borrow(addr, deadline)
     try:
-        sent = send_frame(sock, request, secret=secret)
+        send_frame(sock, request, secret=secret)
     except TimeoutError as exc:
         _discard(sock)
         raise RpcTimeoutError(
@@ -765,32 +776,15 @@ def _call_worker_counted(addr: str, request: Any,
         sock = _dial(addr, timeout=deadline if deadline else None)
         sock.settimeout(deadline)
         try:
-            sent = send_frame(sock, request, secret=secret)
+            send_frame(sock, request, secret=secret)
         except (ConnectionError, OSError) as exc2:
             _discard(sock)
             raise RpcConnectionError(
                 f"fleet worker at {addr} rejected the request after "
                 f"reconnect: {exc2}") from exc2
-    response, received = _recv_reply(addr, sock, secret=secret)
+    response, _received = _recv_reply(addr, sock, secret=secret)
     _give_back(addr, sock)
-    return response, sent, received
-
-
-def call_worker(addr: str, request: Any, *,
-                deadline: Optional[float] = None,
-                secret: Any = _AMBIENT) -> Any:
-    """One request/response round trip with ``addr``, via the pool.
-
-    A *stale* pooled connection (the worker restarted since the last
-    pass) fails while the request is being sent; since an undelivered
-    request cannot have executed, it is retried once on a fresh
-    connection.  Any failure after the request was delivered — EOF or
-    a truncated reply — raises :class:`RpcConnectionError` instead:
-    the task may have run, and mutating passes must never run twice.
-    ``deadline`` bounds every blocking socket operation of the round
-    trip; expiry raises :class:`RpcTimeoutError`.
-    """
-    return _call_worker_counted(addr, request, deadline, secret)[0]
+    return response
 
 
 def ping(addr: str, *, timeout: float = 5.0,
@@ -947,7 +941,9 @@ def _worker_label(addr: str) -> str:
 
 
 class _TaskPlan:
-    """One member task's dispatch plan inside a session pass."""
+    """One member task's dispatch plan inside a pass.  ``store`` is
+    None for a task :func:`~repro.parallel.session.split_task` cannot
+    split: it travels whole, as a plain ``("run", task)`` request."""
 
     __slots__ = ("index", "task", "store", "stripped", "session")
 
@@ -987,17 +983,6 @@ class RpcExecutor(FleetExecutor):
             (``repro.engine(fleet_hosts=...)`` > installed policy >
             ``REPRO_FLEET_HOSTS``), so exporting the variable after the
             scheduler exists still works.
-        max_workers: bound on concurrent in-flight tasks (default: one
-            per resolved host).
-        sessions: pin members on their assigned workers and dispatch
-            passes as pipelined task descriptors instead of re-shipped
-            snapshots.  None resolves lazily through the policy chain
-            (``repro.engine(fleet_sessions=...)`` > installed policy >
-            ``REPRO_FLEET_SESSIONS``; default off).
-        pipeline: in session mode, keep every request of a host's
-            batch in flight on one socket (default).  ``False`` falls
-            back to one blocking round trip per request — the bench's
-            comparison baseline.  Ignored outside session mode.
         timeout: per-request socket deadline in seconds; a worker that
             stops sending for this long surfaces as
             :class:`RpcTimeoutError` instead of blocking the pass
@@ -1027,7 +1012,7 @@ class RpcExecutor(FleetExecutor):
             *once* per pass and threaded explicitly through every
             dispatch thread and health probe — a context-scoped
             secret must hold even though context variables do not
-            cross into the executor's thread pool.
+            cross into the executor's per-host threads.
 
     Member *i* goes to the host that owns ``"member-i"`` on a
     consistent-hash ring over the host set — a pure function of the
@@ -1043,18 +1028,12 @@ class RpcExecutor(FleetExecutor):
     name = "rpc"
     crosses_process = True  # results cross a machine boundary
 
-    def __init__(self, hosts: Union[None, str, Sequence[str]] = None,
-                 max_workers: Optional[int] = None, *,
-                 sessions: Optional[bool] = None,
-                 pipeline: Optional[bool] = None,
+    def __init__(self, hosts: Union[None, str, Sequence[str]] = None, *,
                  timeout: Optional[float] = None,
                  retries: Optional[int] = None,
                  on_failure: Optional[str] = None,
                  secret: Optional[str] = None) -> None:
         self.hosts = parse_hosts(hosts) if hosts is not None else None
-        self.max_workers = max_workers
-        self.sessions = sessions
-        self.pipeline = pipeline
         self.timeout = timeout
         self.retries = retries
         self.on_failure = on_failure
@@ -1121,34 +1100,25 @@ class RpcExecutor(FleetExecutor):
         time.sleep(delay * (1.0 + FAILOVER_BACKOFF_JITTER
                             * random.random()))
 
-    @staticmethod
-    def _run_one(addr: str, task: MemberTask,
-                 deadline: Optional[float] = None,
-                 secret: Any = _AMBIENT
-                 ) -> Tuple[str, float, Any, int, int]:
-        response, sent, received = _call_worker_counted(
-            addr, ("run", task), deadline, secret)
-        if not isinstance(response, tuple) or not response:
-            raise RpcProtocolError(
-                f"malformed reply from fleet worker at {addr}: "
-                f"{type(response).__name__}")
-        if response[0] == "ok":
-            _tag, wall, result = response
-            return addr, float(wall), result, sent, received
-        if response[0] == "err":
-            raise RpcExecutor._member_error(addr, response)
-        raise RpcProtocolError(
-            f"unknown reply tag {response[0]!r} from worker at {addr}")
-
     def run(self, tasks: Sequence[MemberTask]) -> ExecutionOutcome:
-        n = len(tasks)
-        hosts = self._resolve_hosts()
-        if n == 0:
-            return ExecutionOutcome(workers=0, hosts=hosts)
-        from ..api import policy as _policy
+        """One pass: a dedicated pipelined socket per host, member
+        state folded only after *every* host round settled, every
+        touched session invalidated on any raise-mode failure.
 
-        use_sessions, _source = _policy.resolve_fleet_sessions(
-            self.sessions)
+        Failover works per *host round* in bounded waves: wave *k*
+        places every still-pending member on a :class:`HashRing` over
+        the hosts that survived waves ``0..k-1``.  Safe because a host
+        whose wire round died folds zero partial state (the fold is
+        the client-side ``_fold_result``, which never ran) — the
+        caller still holds the only authoritative copy — so its
+        members' sessions invalidate and the members re-pin from
+        caller-held state on another host and re-run byte-identically.
+        Member *task* errors are deterministic and never requeue; they
+        raise (or degrade) as they are.
+        """
+        hosts = self._resolve_hosts()
+        if not tasks:
+            return ExecutionOutcome(workers=0, hosts=hosts)
         deadline, retries, on_failure, secret = \
             self._resolve_fault_policy()
         live = list(usable_hosts(hosts, secret=secret))
@@ -1162,161 +1132,7 @@ class RpcExecutor(FleetExecutor):
                 "no usable fleet worker hosts: every host's circuit "
                 f"breaker is open ({', '.join(hosts)}) and none "
                 "answered a probe; restart the workers")
-        if use_sessions:
-            return self._run_session_pass(
-                tasks, hosts, live, deadline, retries, on_failure,
-                secret)
-        return self._run_snapshot_pass(
-            tasks, hosts, live, deadline, retries, on_failure, secret)
 
-    def _run_snapshot_pass(self, tasks: Sequence[MemberTask],
-                           hosts: Tuple[str, ...], live: List[str],
-                           deadline: Optional[float], retries: int,
-                           on_failure: str,
-                           secret: Optional[str] = None
-                           ) -> ExecutionOutcome:
-        """Snapshot dispatch with bounded failover waves.
-
-        Wave *k* places every still-pending member on a
-        :class:`HashRing` over the hosts that survived waves
-        ``0..k-1``.  Safe because a failed ``run`` request folds
-        nothing anywhere — the member snapshot travelled by value and
-        the caller still holds the only authoritative copy — so a
-        re-dispatch to another host is byte-identical to a first
-        dispatch.  Member *task* exceptions are deterministic and are
-        never retried; they raise (or degrade) immediately.
-        """
-        n = len(tasks)
-        bound = self.max_workers if self.max_workers is not None \
-            else len(hosts)
-        workers = max(1, min(bound, n))
-        outcome = ExecutionOutcome(workers=workers, hosts=hosts)
-        results: List[Any] = [None] * n
-        labels: List[str] = [""] * n
-        per_worker: Dict[str, List[float]] = {}
-        tried: Dict[int, List[str]] = {i: [] for i in range(n)}
-        last_error: Dict[int, BaseException] = {}
-        pending = list(range(n))
-        wave = 0
-        with ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix="rpc-client") as pool:
-            while pending:
-                ring = HashRing(tuple(live))
-                placement = {i: ring.lookup(f"member-{i}")
-                             for i in pending}
-                futures = {
-                    i: pool.submit(self._run_one, placement[i],
-                                   tasks[i], deadline, secret)
-                    for i in pending}
-                failed: List[int] = []
-                failed_hosts: set = set()
-                for i in pending:
-                    addr = placement[i]
-                    try:
-                        _addr, wall, result, sent, received = \
-                            futures[i].result()
-                    except RpcConnectionError as exc:
-                        timed_out = isinstance(exc, RpcTimeoutError)
-                        record_host_failure(addr, timed_out=timed_out)
-                        if timed_out:
-                            outcome.timeouts[addr] = \
-                                outcome.timeouts.get(addr, 0) + 1
-                        tried[i].append(addr)
-                        last_error[i] = exc
-                        failed.append(i)
-                        failed_hosts.add(addr)
-                        continue
-                    except RpcProtocolError:
-                        raise  # a bug, not a fault: never degrade
-                    except BaseException as exc:  # noqa: BLE001
-                        # the member task itself raised: the wire
-                        # round trip worked, so the host is healthy —
-                        # and the error is deterministic, so a retry
-                        # would only reproduce it
-                        record_host_success(addr)
-                        if on_failure != "degrade":
-                            raise
-                        results[i] = MemberFailure(
-                            index=i, error_type=type(exc).__name__,
-                            message=str(exc),
-                            hosts_tried=tuple(tried[i]) + (addr,),
-                            attempts=len(tried[i]) + 1)
-                        labels[i] = _worker_label(addr)
-                        continue
-                    record_host_success(addr)
-                    label = _worker_label(addr)
-                    results[i] = result
-                    labels[i] = label
-                    per_worker.setdefault(label, []).append(wall)
-                    outcome.bytes_out[addr] = \
-                        outcome.bytes_out.get(addr, 0) + sent
-                    outcome.bytes_back[addr] = \
-                        outcome.bytes_back.get(addr, 0) + received
-                pending = failed
-                if not pending:
-                    break
-                survivors = [h for h in live if h not in failed_hosts]
-                if not survivors and wave < retries:
-                    # every admitted host just failed: desperation
-                    # probe — a restarted worker still waiting out
-                    # its probation window beats aborting the pass
-                    survivors = [
-                        h for h in usable_hosts(hosts,
-                                                force_probe=True,
-                                                secret=secret)
-                        if h not in failed_hosts]
-                if wave >= retries or not survivors:
-                    break
-                for i in pending:
-                    addr = tried[i][-1]
-                    outcome.retries[addr] = \
-                        outcome.retries.get(addr, 0) + 1
-                live = survivors
-                self._backoff_sleep(wave)
-                wave += 1
-        if pending:
-            if on_failure != "degrade":
-                raise last_error[min(pending)]
-            for i in pending:
-                exc = last_error[i]
-                results[i] = MemberFailure(
-                    index=i, error_type=type(exc).__name__,
-                    message=str(exc), hosts_tried=tuple(tried[i]),
-                    attempts=len(tried[i]),
-                    timed_out=isinstance(exc, RpcTimeoutError))
-                labels[i] = _worker_label(tried[i][-1])
-        outcome.results = results
-        outcome.assignments = labels
-        outcome.failures = [r for r in results
-                            if isinstance(r, MemberFailure)]
-        outcome.worker_walls = _collect_walls(per_worker)
-        return outcome
-
-    # -- session mode -----------------------------------------------------------
-
-    def _run_session_pass(self, tasks: Sequence[MemberTask],
-                          hosts: Tuple[str, ...], live: List[str],
-                          deadline: Optional[float], retries: int,
-                          on_failure: str,
-                          secret: Optional[str] = None
-                          ) -> ExecutionOutcome:
-        """One pass in pinned-session mode: a dedicated (pipelined)
-        socket per host, member state folded only after *every* host
-        round settled, every touched session invalidated on any
-        raise-mode failure.
-
-        Failover works per *host round*: a host whose wire round died
-        folds zero partial state (the fold is the client-side
-        ``_fold_result``, which never ran), so its members' sessions
-        invalidate and the members re-place on a ring over the
-        surviving hosts — where they re-pin from caller-held state and
-        re-run byte-identically.  Member *task* errors are
-        deterministic and never requeue.
-        """
-        from . import session as _session
-
-        pipeline = self.pipeline if self.pipeline is not None else True
         plans: List[_TaskPlan] = []
         for index, task in enumerate(tasks):
             split = _session.split_task(task)
@@ -1353,7 +1169,7 @@ class RpcExecutor(FleetExecutor):
             def drive(addr: str, host_plans: List[_TaskPlan]) -> None:
                 try:
                     result = self._drive_host(
-                        addr, host_plans, pipeline, deadline, secret)
+                        addr, host_plans, deadline, secret)
                 except RpcConnectionError as exc:
                     with gate:
                         round_errors[addr] = exc
@@ -1365,7 +1181,7 @@ class RpcExecutor(FleetExecutor):
                         round_results[addr] = result
 
             threads = [threading.Thread(target=drive, args=item,
-                                        name=f"rpc-session-{item[0]}",
+                                        name=f"rpc-client-{item[0]}",
                                         daemon=True)
                        for item in by_host.items()]
             for thread in threads:
@@ -1407,9 +1223,9 @@ class RpcExecutor(FleetExecutor):
                 break
             survivors = [h for h in live if h not in round_errors]
             if not survivors and wave < retries:
-                # desperation probe, as in the snapshot pass: re-admit
-                # a restarted worker ahead of its probation window
-                # rather than abort with live hosts in reach
+                # every admitted host just failed: desperation probe —
+                # re-admit a restarted worker ahead of its probation
+                # window rather than abort with live hosts in reach
                 survivors = [
                     h for h in usable_hosts(hosts, force_probe=True,
                                             secret=secret)
@@ -1491,8 +1307,6 @@ class RpcExecutor(FleetExecutor):
         store and re-arm the session for the next pass."""
         if plan.store is None:
             return result
-        from . import session as _session
-
         if not (isinstance(result, tuple) and len(result) == 2):
             # not the (payload, state) member contract: nothing to
             # fold, and the pinned copy's state is unknowable
@@ -1511,7 +1325,7 @@ class RpcExecutor(FleetExecutor):
         return payload, plan.store
 
     def _drive_host(self, addr: str, plans: List[_TaskPlan],
-                    pipeline: bool, deadline: Optional[float] = None,
+                    deadline: Optional[float] = None,
                     secret: Any = _AMBIENT
                     ) -> Tuple[List, List, int, int]:
         """All of one host's requests for a pass, with one same-host
@@ -1522,10 +1336,14 @@ class RpcExecutor(FleetExecutor):
         expiries never retry on the same host: a hung worker would
         just eat a second deadline — failover handles it instead."""
         for attempt in (0, 1):
-            sock, from_pool = _borrow(addr, deadline)
+            # the dial grace is for a worker still starting up; a host
+            # that just dropped an established round gets one redial,
+            # so a dead one costs a refusal, not the whole grace
+            sock, from_pool = _borrow(
+                addr, deadline,
+                dial_retries=DIAL_RETRIES if attempt == 0 else 1)
             try:
-                return self._host_round(addr, sock, plans, pipeline,
-                                        secret)
+                return self._host_round(addr, sock, plans, secret)
             except _RoundFailed as failure:
                 retriable = (failure.retry_safe or
                              (failure.nothing_delivered and from_pool)) \
@@ -1539,11 +1357,9 @@ class RpcExecutor(FleetExecutor):
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _host_round(self, addr: str, sock: socket.socket,
-                    plans: List[_TaskPlan], pipeline: bool,
+                    plans: List[_TaskPlan],
                     secret: Any = _AMBIENT
                     ) -> Tuple[List, List, int, int]:
-        from . import session as _session
-
         requests: List[Tuple[str, _TaskPlan, Tuple]] = []
         for plan in plans:
             if plan.store is None:
@@ -1624,7 +1440,7 @@ class RpcExecutor(FleetExecutor):
                 f"unknown reply tag {tag!r} from worker at {addr}")
 
         def run_round(batch: List[Tuple[str, _TaskPlan, Tuple]]) -> None:
-            if pipeline and len(batch) > 1:
+            if len(batch) > 1:
                 send_error: List[BaseException] = []
 
                 def pump() -> None:
@@ -1647,7 +1463,7 @@ class RpcExecutor(FleetExecutor):
                 if send_error and not isinstance(
                         send_error[0], _RoundFailed):
                     raise send_error[0]
-            else:
+            else:  # a lone request needs no writer thread
                 for rid, (kind, plan, payload) in enumerate(batch):
                     send_one(rid, payload)
                     recv_one(rid, kind, plan)

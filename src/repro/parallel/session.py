@@ -1,6 +1,6 @@
-"""Client-side member sessions for the ``rpc`` executor's pinned mode.
+"""Client-side member sessions for the ``rpc`` executor.
 
-Session mode ships a member's snapshot to its ring-assigned worker
+The executor ships a member's snapshot to its ring-assigned worker
 *once* (``pin``); every later pass sends only a small ``run_pinned``
 task descriptor and folds the returned
 :class:`~repro.api.store.StoreStatePatch` (or, for a mutating pass,
@@ -79,8 +79,8 @@ def _is_store(obj: Any) -> bool:
 
 def split_task(task: Any) -> Optional[Tuple[Any, Any]]:
     """``(stripped_task, store)`` when ``task`` is a partial closing
-    over exactly one member store, else None (the task then travels on
-    the plain snapshot path).
+    over exactly one member store, else None (the task then travels
+    whole, as a plain ``run`` request).
 
     The stripped task is the same callable with the store replaced by
     the :class:`PinnedStoreRef` placeholder — a few hundred bytes on

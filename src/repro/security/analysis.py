@@ -12,14 +12,12 @@ test suite and by ``benchmarks/bench_security_matrix.py``.
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ..api.store import TamperEvidentStore
-from ..device.sero import DeviceConfig, SERODevice, VerifyStatus
+from ..device.sero import DeviceConfig, VerifyStatus
 from ..errors import ImmutableFileError, ReadError
 from ..fs.fsck import deep_scan
-from ..fs.lfs import FSConfig, SeroFS
 from . import attacks
 from .detection import AttackOutcome, Expectation, SecurityReport
 
@@ -36,19 +34,6 @@ def _fresh_store(total_blocks: int = 256,
     store.put(TARGET, b"incriminating-record " * 100)
     store.seal(TARGET, timestamp=1)
     return store
-
-
-def _fresh_fs(total_blocks: int = 256,
-              include_addresses: bool = True
-              ) -> Tuple[SERODevice, SeroFS, int]:
-    """Deprecated shim for the pre-façade helper: device + FS with one
-    heated target file; returns its line start."""
-    warnings.warn(
-        "repro.security.analysis._fresh_fs is deprecated; use "
-        "_fresh_store() and the TamperEvidentStore façade",
-        DeprecationWarning, stacklevel=2)
-    store = _fresh_store(total_blocks, include_addresses)
-    return store.device, store.fs, store.receipts[TARGET].line_start
 
 
 def scenario_mwb_hash() -> AttackOutcome:

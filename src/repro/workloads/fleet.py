@@ -123,9 +123,8 @@ class FleetReport:
         hosts: remote worker addresses the pass dispatched to (empty
             for in-host executors).
         bytes_out: wire payload bytes sent per remote host this pass
-            (empty for in-host executors) — in session mode the
-            steady-state audit figure drops from snapshot-sized to
-            descriptor-sized, and this is where that win is visible.
+            (empty for in-host executors) — snapshot-sized on a
+            cold (pinning) pass, descriptor-sized on a steady one.
         bytes_back: wire payload bytes received per remote host.
         failures: members the pass could not complete, as typed
             :class:`~repro.parallel.MemberFailure` records — non-empty

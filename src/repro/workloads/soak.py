@@ -96,7 +96,6 @@ class SoakConfig:
     checkpoint_every: int = 12
     retries: int = 3
     timeout: Optional[float] = 30.0
-    sessions: Optional[bool] = None
     faults: Optional[Tuple[SoakFault, ...]] = None
     partial_fold_probe: bool = True
     #: LFS cleaner churn inside the trace (delete + segment-clean ops
@@ -323,8 +322,7 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
     t0 = time.perf_counter()
     try:
         executor = RpcExecutor(
-            addresses, sessions=config.sessions,
-            timeout=config.timeout, retries=config.retries,
+            addresses, timeout=config.timeout, retries=config.retries,
             on_failure="raise")
         fleet = FleetStore.create(
             config.members, seed=config.seed, executor=executor,
@@ -403,8 +401,8 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
             happened to avoid the dead host) complete wholly."""
             before = _fingerprints(fleet)
             fleet._executor = RpcExecutor(
-                addresses, sessions=config.sessions,
-                timeout=config.timeout, retries=0, on_failure="raise")
+                addresses, timeout=config.timeout, retries=0,
+                on_failure="raise")
             try:
                 fleet.audit()
             except RpcConnectionError:
@@ -615,9 +613,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--checkpoint-every", type=int, default=12)
     parser.add_argument("--retries", type=int, default=3)
     parser.add_argument("--timeout", type=float, default=30.0)
-    parser.add_argument("--sessions", action="store_true", default=None,
-                        help="force rpc session mode (default: resolve "
-                             "through the policy chain / env)")
     parser.add_argument("--no-churn", dest="churn",
                         action="store_false", default=True,
                         help="disable LFS cleaner churn in the trace")
@@ -634,8 +629,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = SoakConfig(
         members=args.members, workers=args.workers, ops=args.ops,
         seed=args.seed, checkpoint_every=args.checkpoint_every,
-        retries=args.retries, timeout=args.timeout,
-        sessions=args.sessions, churn=args.churn,
+        retries=args.retries, timeout=args.timeout, churn=args.churn,
         race_auditors=args.race_auditors, race_ops=args.race_ops,
         tamper_probe=args.tamper_probe)
     report = run_soak(config)
@@ -645,7 +639,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "ops": config.ops, "seed": config.seed,
         "checkpoint_every": config.checkpoint_every,
         "retries": config.retries, "timeout": config.timeout,
-        "sessions": bool(config.sessions),
         "churn": config.churn,
         "race_auditors": config.race_auditors,
         "race_ops": config.race_ops,

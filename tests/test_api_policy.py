@@ -1,5 +1,5 @@
 """Execution-policy tests: resolution precedence, nested contexts,
-lazy environment reads, sha256 backend routing, deprecation shims."""
+lazy environment reads, sha256 backend routing, the deprecation shim."""
 
 import warnings
 
@@ -255,19 +255,7 @@ def test_line_hash_identical_across_backends():
         assert line_hash(addresses, blocks) == fast
 
 
-# -- deprecation shims --------------------------------------------------------
-
-
-def test_span_engine_default_shim_warns_and_matches(monkeypatch):
-    from repro.vectorize import span_engine_default
-
-    with pytest.warns(DeprecationWarning):
-        assert span_engine_default() is True
-    monkeypatch.setenv(pol.ENGINE_ENV_VAR, "0")
-    with pytest.warns(DeprecationWarning):
-        assert span_engine_default() is False
-    with engine("vectorized"), pytest.warns(DeprecationWarning):
-        assert span_engine_default() is True
+# -- deprecation shim ---------------------------------------------------------
 
 
 def test_fleet_scheduler_raw_device_shim_warns():
@@ -281,17 +269,6 @@ def test_fleet_scheduler_raw_device_shim_warns():
     report = fleet.format_fleet()
     assert report.device_count == 2
     assert report.blocks_processed == 32
-
-
-def test_fresh_fs_shim_warns_and_matches_store():
-    from repro.security.analysis import TARGET, _fresh_fs, _fresh_store
-
-    with pytest.warns(DeprecationWarning):
-        device, fs, line = _fresh_fs(total_blocks=256)
-    store = _fresh_store(total_blocks=256)
-    assert line == store.receipts[TARGET].line_start
-    assert fs.read(TARGET) == store.get(TARGET)
-    assert device.verify_line(line).status.value == "intact"
 
 
 def test_top_level_engine_export():

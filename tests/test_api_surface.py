@@ -27,8 +27,8 @@ EXPECTED_API = sorted([
     "resolve_vectorized",
     "set_policy",
     "unregister_engine",
-    # fleet executors (PR 4; remote hosts PR 5; sessions PR 6;
-    # fault tolerance PR 7; signed frames PR 8)
+    # fleet executors (PR 4; remote hosts PR 5; fault tolerance PR 7;
+    # signed frames PR 8)
     "DEFAULT_EXECUTOR",
     "EXECUTOR_ENV_VAR",
     "ExecutorSpec",
@@ -37,7 +37,6 @@ EXPECTED_API = sorted([
     "FLEET_ON_FAILURE_MODES",
     "FLEET_RETRIES_ENV_VAR",
     "FLEET_SECRET_ENV_VAR",
-    "FLEET_SESSIONS_ENV_VAR",
     "FLEET_TIMEOUT_ENV_VAR",
     "FLEET_WORKERS_ENV_VAR",
     "FleetExecutor",
@@ -51,7 +50,6 @@ EXPECTED_API = sorted([
     "resolve_fleet_on_failure",
     "resolve_fleet_retries",
     "resolve_fleet_secret",
-    "resolve_fleet_sessions",
     "resolve_fleet_timeout",
     "resolve_max_workers",
     "unregister_executor",
@@ -120,5 +118,5 @@ def test_top_level_reexports():
         assert getattr(repro, name) is getattr(api, name)
 
 
-def test_version_is_v2():
-    assert repro.__version__ == "2.1.0"
+def test_version_is_v3():
+    assert repro.__version__ == "3.0.0"

@@ -224,7 +224,7 @@ def test_rpc_worker_killed_between_passes_fails_cleanly():
 
 
 def test_session_worker_kill_and_restart_repins():
-    """Session mode under a worker SIGKILL: the failed pass folds
+    """Pinned members under a worker SIGKILL: the failed pass folds
     nothing (members keep their pre-pass state), and once a worker
     listens on that address again the next pass re-pins from the
     caller-held state and completes byte-identical to the serial twin
@@ -242,7 +242,7 @@ def test_session_worker_kill_and_restart_repins():
     try:
         fleet = FleetScheduler.build(
             3, 32, switching_sigma=0.02,
-            executor=RpcExecutor(list(hosts), sessions=True))
+            executor=RpcExecutor(list(hosts)))
         twin = FleetScheduler.build(3, 32, switching_sigma=0.02,
                                     executor="serial")
         for f in (fleet, twin):
@@ -287,8 +287,7 @@ def test_session_generation_bump_after_client_side_mutation():
     try:
         fleet = FleetScheduler.build(
             2, 32, switching_sigma=0.02,
-            executor=RpcExecutor([w.address for w in workers],
-                                 sessions=True))
+            executor=RpcExecutor([w.address for w in workers]))
         twin = FleetScheduler.build(2, 32, switching_sigma=0.02,
                                     executor="serial")
         for f in (fleet, twin):
@@ -434,7 +433,7 @@ def test_thread_executor_member_exception_keeps_members_consistent():
 
 
 def test_session_failover_with_retries_byte_identical():
-    """Session mode with a retry budget: SIGKILL the host pinning
+    """A retry budget: SIGKILL the host pinning
     member-0 mid-sequence — the very same pass re-pins the orphaned
     members on the survivor and completes byte-identical to the
     serial twin, RNG continuation included."""
@@ -452,7 +451,7 @@ def test_session_failover_with_retries_byte_identical():
     try:
         fleet = FleetScheduler.build(
             3, 32, switching_sigma=0.02,
-            executor=RpcExecutor(list(hosts), sessions=True, retries=2))
+            executor=RpcExecutor(list(hosts), retries=2))
         twin = FleetScheduler.build(3, 32, switching_sigma=0.02,
                                     executor="serial")
         for f in (fleet, twin):
@@ -469,6 +468,82 @@ def test_session_failover_with_retries_byte_identical():
         # RNG continuation: the next pass still agrees
         assert fleet.fsck_fleet().fingerprints() == \
             twin.fsck_fleet().fingerprints()
+    finally:
+        survivor.stop()
+        victim.stop()
+        close_connection_pools()
+        reset_host_health()
+
+
+def test_mixed_pass_failover_replaces_both_task_kinds():
+    """One pass mixing store-closing tasks (pinned) and unsplittable
+    plain partials on the same host, that host SIGKILLed mid-pass
+    with one retry wave: both kinds re-place on the survivor, results
+    land in their slots, the stores match the serial twin, and nothing
+    from the dead round — whose earlier replies had already arrived —
+    was folded (a double-run audit would advance the RNG twice)."""
+    import signal
+
+    from repro.api.fleet import _audit_member
+    from repro.api.store import TamperEvidentStore
+    from repro.parallel import HashRing, RpcExecutor, SerialExecutor, \
+        close_connection_pools, parse_hosts, reset_host_health, \
+        spawn_local_worker
+    from repro.parallel.session import store_fingerprint
+
+    victim, survivor = spawn_local_worker(), spawn_local_worker()
+    hosts = parse_hosts([victim.address, survivor.address])
+    ring = HashRing(hosts)
+    on_victim, slots = [], 0
+    while len(on_victim) < 3 or slots - len(on_victim) < 2:
+        if ring.lookup(f"member-{slots}") == victim.address:
+            on_victim.append(slots)
+        slots += 1
+    # on the victim, in wire order: a pinned audit and a plain partial
+    # whose replies come home, then the plain task that kills the host
+    killer = on_victim[2]
+    plain = {on_victim[1], killer,
+             next(i for i in range(slots) if i not in on_victim)}
+
+    def build():
+        stores = {i: TamperEvidentStore.create(
+                      total_blocks=64, medium_config=MediumConfig(seed=40 + i))
+                  for i in range(slots) if i not in plain}
+        for i, store in stores.items():
+            store.put("/sealed", bytes([i + 1]) * 200)
+            store.seal("/sealed")
+        return stores
+
+    def tasks_over(stores):
+        return [partial(_audit_member, stores[i], True, True)
+                if i in stores else partial(divmod, 7 + i, 3)
+                for i in range(slots)]
+
+    reset_host_health()
+    try:
+        stores, twins = build(), build()
+        tasks = tasks_over(stores)
+        # SIGKILL needs no cooperation; re-placed on the survivor the
+        # same call signals the unreaped victim again, harmlessly
+        tasks[killer] = partial(os.kill, victim.process.pid,
+                                signal.SIGKILL)
+        outcome = RpcExecutor(list(hosts), retries=1).run(tasks)
+        reference = SerialExecutor().run(tasks_over(twins))
+
+        assert not outcome.failures
+        assert outcome.retries == {victim.address: len(on_victim)}
+        assert set(outcome.assignments) == {f"rpc-{survivor.address}"}
+        for i in range(slots):
+            if i == killer:
+                assert outcome.results[i] is None
+            elif i in plain:
+                assert outcome.results[i] == divmod(7 + i, 3)
+            else:
+                report, state = outcome.results[i]
+                assert state is stores[i]  # folded into the caller's
+                assert report == reference.results[i][0]
+                assert store_fingerprint(stores[i]) == \
+                    store_fingerprint(twins[i])
     finally:
         survivor.stop()
         victim.stop()
@@ -494,8 +569,7 @@ def _dead_host_splitting(live_addr, member_keys):
     raise AssertionError("no splitting dead host found in 64 draws")
 
 
-@pytest.mark.parametrize("sessions", [False, True])
-def test_degrade_mode_yields_partial_report(sessions):
+def test_degrade_mode_yields_partial_report():
     """on_failure='degrade' with an unreachable host and no retry
     budget: the pass completes partial — surviving members fold
     byte-identical to serial, dead-host members appear as typed
@@ -515,8 +589,8 @@ def test_degrade_mode_yields_partial_report(sessions):
     try:
         fleet = FleetScheduler.build(
             n, 32, switching_sigma=0.02,
-            executor=RpcExecutor(list(hosts), sessions=sessions,
-                                 retries=0, on_failure="degrade"))
+            executor=RpcExecutor(list(hosts), retries=0,
+                                 on_failure="degrade"))
         twin = FleetScheduler.build(n, 32, switching_sigma=0.02,
                                     executor="serial")
         before = _member_snapshots(fleet)

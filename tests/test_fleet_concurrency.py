@@ -31,7 +31,6 @@ import pytest
 from repro.api.fleet import FleetStore
 from repro.api.store import StoreConfig
 from repro.device.sero import VerifyStatus
-from repro.errors import ConfigurationError
 from repro.gateway import GatewayApp, GatewayClient, GatewayServer, TokenTable, confine
 from repro.parallel import MemberLockSet
 from repro.parallel.session import store_fingerprint
@@ -270,9 +269,16 @@ def _hammer_member(fleet: FleetStore, paths: List[str],
         assert report.status is VerifyStatus.INTACT
 
 
+def _serialized(fleet: FleetStore) -> FleetStore:
+    """Swap in the one-big-lock discipline: the serialized reference
+    the shard locks are checked against."""
+    fleet._locks = MemberLockSet(len(fleet.members), serialize=True)
+    return fleet
+
+
 def test_disjoint_member_hammer_matches_serialized_twin():
-    fleet = FleetStore.create(3, CONFIG, lock_mode="shard")
-    twin = FleetStore.create(3, CONFIG, lock_mode="single")
+    fleet = FleetStore.create(3, CONFIG)
+    twin = _serialized(FleetStore.create(3, CONFIG))
     pinned = _pin_paths(fleet, 3)
     payloads = {m: bytes([m + 1]) * 96 for m in pinned}
 
@@ -286,13 +292,6 @@ def test_disjoint_member_hammer_matches_serialized_twin():
         [store_fingerprint(s) for s in twin.members]
 
 
-def test_lock_mode_validation_and_describe():
-    with pytest.raises(ConfigurationError):
-        FleetStore.create(2, CONFIG, lock_mode="banana")
-    fleet = FleetStore.create(2, CONFIG, lock_mode="single")
-    assert fleet.describe()["lock_mode"] == "single"
-
-
 # -- byte-identity through the live gateway -------------------------------------
 
 
@@ -301,7 +300,6 @@ def gateway_stack():
     fleet = FleetStore.create(3, CONFIG)
     twin = FleetStore.create(3, CONFIG)
     app = GatewayApp(fleet, TokenTable.from_spec(SPEC))
-    assert app.lock_mode == "shard"
     with GatewayServer(app) as server:
         yield server, fleet, twin
 
@@ -372,34 +370,15 @@ def test_gateway_overlapping_hammer_keeps_invariants(gateway_stack):
             assert client.get(name) == b"v" * (40 + i)
 
 
-def test_gateway_single_lock_mode_still_serves(gateway_stack):
-    server, fleet, _twin = gateway_stack
-    app = GatewayApp(fleet, TokenTable.from_spec(SPEC),
-                     lock_mode="single")
-    with GatewayServer(app) as single:
-        client = GatewayClient(single.address, "acme-rw", tenant="acme")
-        with client:
-            client.put("/solo", b"data")
-            receipt = client.seal("/solo")
-            assert receipt.path == confine("acme", "/solo")
-
-
-def test_gateway_rejects_unknown_lock_mode():
-    fleet = FleetStore.create(2, CONFIG)
-    with pytest.raises(ConfigurationError):
-        GatewayApp(fleet, TokenTable.from_spec(SPEC),
-                   lock_mode="banana")
-
-
-# -- typed member verdicts under both lock modes --------------------------------
+# -- typed member verdicts under both lock disciplines --------------------------
 
 
 def test_member_records_identical_across_lock_modes():
     """A fleet audit exposes the same typed per-member verdict
-    records whether members are locked per-shard or behind the
-    single fleet lock, with member-local (unprefixed) labels."""
-    shard = FleetStore.create(3, CONFIG, lock_mode="shard")
-    single = FleetStore.create(3, CONFIG, lock_mode="single")
+    records whether members are locked per-shard or behind a
+    serializing lock set, with member-local (unprefixed) labels."""
+    shard = FleetStore.create(3, CONFIG)
+    single = _serialized(FleetStore.create(3, CONFIG))
     pinned = _pin_paths(shard, 2)
     for fleet in (shard, single):
         for member, paths in pinned.items():
@@ -429,7 +408,9 @@ def test_index_feed_identical_across_lock_modes():
 
     states = {}
     for mode in ("shard", "single"):
-        fleet = FleetStore.create(3, CONFIG, lock_mode=mode)
+        fleet = FleetStore.create(3, CONFIG)
+        if mode == "single":
+            _serialized(fleet)
         index = EvidenceIndex()
         fleet.attach_indexer(index)
         pinned = _pin_paths(fleet, 2)

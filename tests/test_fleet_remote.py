@@ -3,7 +3,7 @@
 Four layers under test:
 
 * **wire protocol** — framed pickle round trips, host parsing, the
-  truncated-frame contract;
+  truncated-frame contract, the pre-authentication allocation bound;
 * **resolution** — ``fleet_hosts`` through the full policy chain
   (explicit > ``repro.engine(fleet_hosts=...)`` > installed policy >
   ``REPRO_FLEET_HOSTS`` read lazily at dispatch) and
@@ -46,6 +46,7 @@ from repro.parallel import (
     parse_hosts,
     spawn_local_worker,
 )
+from repro.parallel import remote as remote_mod
 from repro.parallel.remote import (
     _pooled_connections,
     ping,
@@ -139,6 +140,35 @@ def test_truncated_frame_raises_connection_error():
         a.close()
         with pytest.raises(RpcConnectionError, match="mid-frame"):
             recv_frame(b)
+    finally:
+        b.close()
+
+
+@pytest.mark.parametrize("secret", [None, "hunter2"])
+def test_oversized_segment_total_refused_before_allocation(
+        monkeypatch, secret):
+    """The frame cap bounds body *plus* segments: a header whose
+    segment lengths only add up past it is refused before the
+    receiver allocates a byte for them — signed or not, since the
+    lengths are read ahead of the HMAC check either way."""
+    from repro.parallel import RpcProtocolError
+
+    allocated = []
+    monkeypatch.setattr(remote_mod, "MAX_FRAME_BYTES", 4096)
+    monkeypatch.setattr(
+        remote_mod, "bytearray",
+        lambda n: allocated.append(n) or bytearray(n), raising=False)
+    magic = b"SRPC" if secret is None else b"SRPH"
+    body = b"\x00" * 3000
+    a, b = socket.socketpair()
+    try:
+        # each length alone is under the cap; body + segment is not
+        a.sendall(magic + len(body).to_bytes(8, "big") + body
+                  + (1).to_bytes(4, "big") + (2000).to_bytes(8, "big"))
+        a.close()
+        with pytest.raises(RpcProtocolError, match="cap"):
+            recv_frame(b, secret=secret)
+        assert allocated == []
     finally:
         b.close()
 
@@ -286,34 +316,11 @@ def test_fleet_store_surface_over_rpc(workers):
 # -- sessions ------------------------------------------------------------------
 
 
-def test_fleet_sessions_resolution_layers(monkeypatch):
-    monkeypatch.delenv(api.FLEET_SESSIONS_ENV_VAR, raising=False)
-    assert api.resolve_fleet_sessions() == (False, "default")
-
-    monkeypatch.setenv(api.FLEET_SESSIONS_ENV_VAR, "1")
-    assert api.resolve_fleet_sessions() == (True, "env")
-    monkeypatch.setenv(api.FLEET_SESSIONS_ENV_VAR, "off")
-    assert api.resolve_fleet_sessions() == (False, "env")
-
-    api.set_policy(ExecutionPolicy(fleet_sessions=True))
-    assert api.resolve_fleet_sessions() == (True, "policy")
-
-    with repro.engine(fleet_sessions=False):
-        assert api.resolve_fleet_sessions() == (False, "context")
-        d = api.describe_policy()
-        assert d["fleet_sessions"] is False
-        assert d["fleet_sessions_source"] == "context"
-
-    assert api.resolve_fleet_sessions(True) == (True, "explicit")
-    with pytest.raises(TypeError):
-        ExecutionPolicy(fleet_sessions="yes")
-
-
 def test_session_passes_byte_identical_vs_serial(workers):
-    """Acceptance: all four passes in session+pipelined mode match the
-    serial reference byte for byte, and steady-state audit traffic is
-    descriptor-sized, not snapshot-sized."""
-    serial, pinned = _build_pair(RpcExecutor(workers, sessions=True))
+    """Acceptance: all four passes match the serial reference byte for
+    byte, and steady-state audit traffic is descriptor-sized, not
+    snapshot-sized."""
+    serial, pinned = _build_pair(RpcExecutor(workers))
     assert _all_passes(serial) == _all_passes(pinned)
     # pins were shipped during format; the audit that just ran sent
     # only task descriptors
@@ -325,14 +332,15 @@ def test_session_passes_byte_identical_vs_serial(workers):
 
 
 def test_session_rng_continuation(workers):
-    """After pinned passes the caller-held members carry the exact
-    medium arrays and RNG position of the serial twin — and the next
-    pass continues from them identically."""
-    serial, pinned = _build_pair(RpcExecutor(workers, sessions=True), n=2)
+    """After steady (already pinned) passes the caller-held members
+    carry the exact medium arrays and RNG position of the serial twin
+    — and the next pass continues from them identically."""
+    serial, pinned = _build_pair(RpcExecutor(workers), n=2)
     for fleet in (serial, pinned):
         fleet.format_fleet()
         fleet.seal_fleet(lines_per_device=2, line_blocks=4)
-        fleet.audit_fleet()
+        for _ in range(3):  # the second and third ride warm pins
+            fleet.audit_fleet()
     for s_dev, p_dev in zip(serial.devices, pinned.devices):
         assert s_dev.heated_lines == p_dev.heated_lines
         assert np.array_equal(s_dev.medium._mag, p_dev.medium._mag)
@@ -342,41 +350,24 @@ def test_session_rng_continuation(workers):
         pinned.audit_fleet().fingerprints()
 
 
-def test_pipelined_matches_blocking_dispatch(workers):
-    """Pipelining is a transport optimisation only: per-member results
-    and folded state must match the one-round-trip-at-a-time client."""
-    blocking = FleetScheduler.build(
-        3, 32, switching_sigma=0.02,
-        executor=RpcExecutor(workers, sessions=True, pipeline=False))
-    piped = FleetScheduler.build(
-        3, 32, switching_sigma=0.02,
-        executor=RpcExecutor(workers, sessions=True, pipeline=True))
-    assert _all_passes(blocking) == _all_passes(piped)
-
-
 def test_session_reports_wire_traffic(workers):
     """FleetOpStats/FleetReport expose per-host bytes: snapshot-sized
     while pinning, then orders of magnitude down once pinned."""
     fleet = FleetScheduler.build(2, 32, switching_sigma=0.02,
-                                 executor=RpcExecutor(workers,
-                                                      sessions=True))
+                                 executor=RpcExecutor(workers))
     first = fleet.format_fleet()
     pin_bytes = sum(first.bytes_out.values())
+    assert set(first.bytes_back) <= set(workers)
     fleet.seal_fleet(lines_per_device=2, line_blocks=4)
     steady = fleet.audit_fleet()
     steady_bytes = sum(steady.bytes_out.values())
     assert pin_bytes > 50 * steady_bytes
-    # and the plain snapshot executor reports its traffic too
-    snap_fleet = FleetScheduler.build(2, 32, switching_sigma=0.02,
-                                      executor=RpcExecutor(workers))
-    snap = snap_fleet.format_fleet()
-    assert sum(snap.bytes_out.values()) > 0
-    assert set(snap.bytes_back) <= set(workers)
 
 
 def test_session_fleet_store_surface(workers):
     """The FleetStore object surface (seal_many/audit) rides sessions
-    transparently and records byte counters in last_op."""
+    transparently and records byte counters in last_op: the pinning
+    seal_many ships snapshots, the audit after it only descriptors."""
     def build():
         fleet = FleetStore.create(2, total_blocks=192, seed=33)
         paths = [f"/obj-{i}" for i in range(8)]
@@ -389,16 +380,16 @@ def test_session_fleet_store_surface(workers):
     audit_serial = fleet_a.audit()
 
     fleet_b, _ = build()
-    with repro.engine(executor="rpc", fleet_hosts=workers,
-                      fleet_sessions=True):
+    with repro.engine(executor="rpc", fleet_hosts=workers):
         receipts_rpc = fleet_b.seal_many(paths)
+        cold_bytes = sum(fleet_b.last_op.bytes_out.values())
         audit_rpc = fleet_b.audit()
     assert [r.line_hash for r in receipts_rpc] == \
         [r.line_hash for r in receipts_serial]
     key = lambda rep: [(r.status, r.line_start, r.label, r.stored_hash)
                        for r in rep.reports]
     assert key(audit_rpc) == key(audit_serial)
-    assert sum(fleet_b.last_op.bytes_out.values()) > 0
+    assert 0 < sum(fleet_b.last_op.bytes_out.values()) < cold_bytes / 10
 
 
 # -- reporting plumbing --------------------------------------------------------
@@ -458,8 +449,6 @@ def test_call_worker_reconnects_after_stale_pooled_socket(workers):
     addr = workers[0]
     assert isinstance(ping(addr), int)  # leaves a pooled connection
     # sabotage: shut down every pooled socket to this worker locally
-    from repro.parallel import remote as remote_mod
-
     with remote_mod._POOL_LOCK:
         for sock in remote_mod._POOL.get(addr, []):
             sock.shutdown(socket.SHUT_RDWR)
@@ -766,7 +755,7 @@ def test_health_breaker_opens_and_reprobes(workers):
 
 
 def test_failover_members_replace_on_surviving_hosts():
-    """Snapshot-pass failover: with retries budgeted, a host killed
+    """Failover: with retries budgeted, a host killed
     before the pass loses its members to the survivors and the pass
     completes byte-identical to serial — the acceptance floor."""
     from repro.parallel import reset_host_health
@@ -864,8 +853,7 @@ def test_worker_with_secret_rejects_unsigned_and_wrong_secret():
         reset_host_health()
 
 
-@pytest.mark.parametrize("sessions", [False, True])
-def test_fleet_passes_byte_identical_over_signed_frames(sessions):
+def test_fleet_passes_byte_identical_over_signed_frames():
     from repro.parallel import reset_host_health
 
     spawned = [spawn_local_worker(secret="fleet-hmac-key")
@@ -874,8 +862,7 @@ def test_fleet_passes_byte_identical_over_signed_frames(sessions):
     try:
         hosts = [w.address for w in spawned]
         serial, fleet = _build_pair(
-            RpcExecutor(hosts, sessions=sessions,
-                        secret="fleet-hmac-key"))
+            RpcExecutor(hosts, secret="fleet-hmac-key"))
         assert _all_passes(fleet) == _all_passes(serial)
     finally:
         for worker in spawned:
