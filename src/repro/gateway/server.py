@@ -497,7 +497,6 @@ class GatewayApp:
         body: Dict[str, Any] = {"fleet": fleet_desc}
         if self.settings is not None:
             body["settings"] = self.settings.describe()
-            body["settings"]["policy"].pop("installed_policy", None)
         return 200, {}, body
 
     def _op_format(self, _query: Dict[str, str], _body: bytes = b""):

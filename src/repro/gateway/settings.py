@@ -48,6 +48,14 @@ DEFAULT_GATEWAY_MEMBERS = 4
 DEFAULT_GATEWAY_SEED = 2008
 DEFAULT_GATEWAY_BLOCKS = 512
 
+#: Policy rows the admin ``describe`` payload reports — how the fleet
+#: dispatches and where the gateway listens; engine, hash and search
+#: rows are not deployment state.
+_DESCRIBED_KNOBS = (
+    "executor", "max_workers", "fleet_hosts", "fleet_timeout",
+    "fleet_retries", "fleet_on_failure", "fleet_secret", "gateway_bind",
+    "gateway_token_file")
+
 
 def _env_int(name: str, default: int, *, minimum: int) -> int:
     raw = os.environ.get(name)
@@ -168,9 +176,7 @@ class GatewaySettings:
             "seed": self.seed,
             "total_blocks": self.total_blocks,
             "policy": {
-                key: value
-                for key, value in _policy.describe_policy().items()
-                if key.startswith(("executor", "fleet_", "gateway_",
-                                   "max_workers"))
+                key: value for name in _DESCRIBED_KNOBS
+                for key, value in _policy.describe_knob(name).items()
             },
         }

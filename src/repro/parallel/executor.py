@@ -495,13 +495,10 @@ def resolve_fleet_executor(
                 "a ready instance is used as-is and would silently "
                 "ignore a conflicting max_workers argument")
         return explicit
-    if max_workers is not None and max_workers < 1:
-        raise ValueError("max_workers must be >= 1")
     # lazy: this module must stay importable before repro.api finishes
     # initialising (repro.api re-exports the executor registry)
     from ..api import policy as _policy
 
     name, _source = _policy.resolve_executor_name(explicit)
-    if max_workers is None:
-        max_workers, _ = _policy.resolve_max_workers(None)
+    max_workers, _source = _policy.resolve_max_workers(max_workers)
     return make_executor(name, max_workers)

@@ -118,6 +118,7 @@ import traceback
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..api import policy as _policy
 from ..errors import ConfigurationError, ReproError
 from . import session as _session
 from .executor import (
@@ -131,7 +132,7 @@ from .ring import HashRing
 
 #: Environment variable naming the worker hosts (``host:port`` items,
 #: comma-separated), read lazily at each dispatch.
-HOSTS_ENV_VAR = "REPRO_FLEET_HOSTS"
+HOSTS_ENV_VAR = _policy.FLEET_HOSTS_ENV_VAR
 
 #: Frame header: magic + 8-byte big-endian payload length.  ``SRPC``
 #: frames are unsigned; ``SRPH`` frames carry a trailing HMAC-SHA256
@@ -243,8 +244,6 @@ _AMBIENT = _Ambient()
 
 def _resolve_secret(secret: Any) -> Optional[str]:
     if isinstance(secret, _Ambient):
-        from ..api import policy as _policy  # lazy: avoids a cycle
-
         return _policy.resolve_fleet_secret(None)[0]
     return secret
 
@@ -1043,8 +1042,6 @@ class RpcExecutor(FleetExecutor):
         if self.hosts is not None:
             return self.hosts
         # lazy, like every other policy switch: read at dispatch time
-        from ..api import policy as _policy
-
         hosts, _source = _policy.resolve_fleet_hosts(None)
         if not hosts:
             raise ConfigurationError(
@@ -1080,8 +1077,6 @@ class RpcExecutor(FleetExecutor):
         chain — the secret resolved here, on the caller's thread, so a
         ``repro.engine(fleet_secret=...)`` scope reaches the dispatch
         threads it would otherwise never propagate into."""
-        from ..api import policy as _policy
-
         deadline, _src = _policy.resolve_fleet_timeout(self.timeout)
         retries, _src = _policy.resolve_fleet_retries(self.retries)
         on_failure, _src = _policy.resolve_fleet_on_failure(
@@ -1563,9 +1558,7 @@ def spawn_local_worker(bind: str = "127.0.0.1:0", *,
     env["PYTHONPATH"] = package_root + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     if secret is not None:
-        from ..api.policy import FLEET_SECRET_ENV_VAR
-
-        env[FLEET_SECRET_ENV_VAR] = secret
+        env[_policy.FLEET_SECRET_ENV_VAR] = secret
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.parallel.remote", "serve",
          "--bind", bind],

@@ -5,8 +5,11 @@ If this test fails you changed the v1 public surface.  That is allowed
 the same change, and call out the addition/removal in the PR.
 """
 
+import pathlib
+
 import repro
 import repro.api as api
+from repro.api.policy import KNOBS
 
 #: The frozen surface.  Keep sorted.
 EXPECTED_API = sorted([
@@ -120,3 +123,29 @@ def test_top_level_reexports():
 
 def test_version_is_v3():
     assert repro.__version__ == "3.0.0"
+
+
+def _knob_table() -> str:
+    """API.md's consolidated knob table, rendered from the rows."""
+    lines = [
+        "| field | `engine()` keyword | env var | default "
+        "| unparsable export | secret | meaning |",
+        "|---|---|---|---|---|---|---|"]
+    for knob in KNOBS.values():
+        keyword = "`name` (positional)" if knob.name == "engine" \
+            else f"`{knob.kwarg or knob.name}`"
+        bad_env = "raises `ConfigurationError`" if knob.strict_env \
+            else "ignored"
+        lines.append(
+            f"| `{knob.name}` | {keyword} | `{knob.env_var}` "
+            f"| `{knob.default!r}` | {bad_env} "
+            f"| {'yes' if knob.secret else 'no'} | {knob.doc} |")
+    return "\n".join(lines)
+
+
+def test_api_md_knob_table_matches_rows():
+    api_md = pathlib.Path(__file__).resolve().parent.parent / "API.md"
+    table = _knob_table()
+    assert table in api_md.read_text(encoding="utf-8"), (
+        "API.md's knob table and repro.api.policy.KNOBS disagree; "
+        "the rows render as:\n" + table)

@@ -149,6 +149,24 @@ def test_describe_names_fleet_and_policy(stack):
     assert err.value.status == 403
 
 
+def test_describe_answers_under_an_invalid_hosts_export(monkeypatch):
+    """The misconfiguration an operator opens ``describe`` to find must
+    come back as 200 with the error named, not as a 500."""
+    monkeypatch.setenv(api.FLEET_HOSTS_ENV_VAR, "nonsense")
+    app = GatewayApp(FleetStore.create(2, CONFIG),
+                     TokenTable.from_spec(SPEC),
+                     settings=GatewaySettings.resolve(tokens=SPEC))
+    with GatewayServer(app) as server:
+        policy = GatewayClient(
+            server.address, "root-token").describe()["settings"]["policy"]
+    assert policy["fleet_hosts"] is None
+    assert policy["fleet_hosts_source"] == "env (invalid)"
+    assert "nonsense" in policy["fleet_hosts_error"]
+    assert policy["executor_source"] == "default"  # the rest still reports
+    assert not any(key.startswith(("engine", "sha256", "search_"))
+                   for key in policy)
+
+
 # -- degraded and unreachable fleets over HTTP ---------------------------------
 
 
