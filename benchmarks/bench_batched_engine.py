@@ -11,9 +11,7 @@ bench covers the layers batched on top of it:
   anneal/measurement per point (floor: >= 10x each);
 * **audit** — level-at-a-time venti tree builds and the batched
   ``verify_lines`` sweep (reported; the equivalence is asserted in
-  ``tests/test_batched_engine.py``);
-* **fleet** — aggregate format+audit throughput over a multi-device
-  fleet (reported).
+  ``tests/test_batched_engine.py``).
 
 Results are also written to ``BENCH_batched_engine.json`` at the repo
 root so the perf trajectory stays machine-readable.
@@ -42,7 +40,6 @@ from repro.physics.xrd import (
     low_angle_scan,
     low_angle_scan_set,
 )
-from repro.workloads.fleet import FleetScheduler
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PAYLOAD = bytes(range(256)) * 2
@@ -179,20 +176,6 @@ def _measure_verify_lines():
     return scalar, batched
 
 
-def _measure_fleet():
-    fleet = FleetScheduler.build(4, SCAN_BLOCKS, switching_sigma=0.02)
-    formatted = fleet.format_fleet()
-    for device in fleet.devices:
-        start = next(s for s in range(0, SCAN_BLOCKS, 2)
-                     if s not in device.bad_blocks
-                     and s not in device.fragile_blocks
-                     and s + 1 not in device.bad_blocks)
-        device.write_block(start + 1, PAYLOAD)
-        device.heat_line(start, 2)
-    audited = fleet.audit_fleet()
-    return formatted, audited
-
-
 def _sweep():
     rows = {}
     rows["scan_for_defects"] = _measure_defect_scan()
@@ -204,7 +187,6 @@ def _sweep():
 
 def test_batched_engine_speedups(benchmark, show):
     rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    formatted, audited = _measure_fleet()
     table = [[op, scalar * 1e3, batched * 1e3, scalar / batched]
              for op, (scalar, batched) in rows.items()]
     show(format_table(
@@ -212,11 +194,6 @@ def test_batched_engine_speedups(benchmark, show):
         [[r[0], round(r[1], 2), round(r[2], 2), round(r[3], 1)]
          for r in table],
         title="batched engine — scalar reference vs batched wall clock"))
-    show(f"fleet: formatted {formatted.blocks_processed} blocks on "
-         f"{formatted.device_count} devices at "
-         f"{formatted.blocks_per_second:.0f} blocks/s; audited "
-         f"{audited.lines_verified} lines "
-         f"({audited.intact_lines} intact)")
 
     payload = {
         "bench": "batched_engine",
@@ -224,13 +201,6 @@ def test_batched_engine_speedups(benchmark, show):
                   "batched_ms": round(r[2], 3),
                   "speedup": round(r[3], 1)} for r in table],
         "floors": FLOORS,
-        "fleet": {
-            "devices": formatted.device_count,
-            "blocks_formatted": formatted.blocks_processed,
-            "format_blocks_per_second": round(formatted.blocks_per_second, 1),
-            "lines_audited": audited.lines_verified,
-            "intact_lines": audited.intact_lines,
-        },
     }
     (REPO_ROOT / "BENCH_batched_engine.json").write_text(
         json.dumps(payload, indent=2) + "\n")

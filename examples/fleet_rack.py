@@ -2,23 +2,25 @@
 """Fleet rack walkthrough: shard, seal, parallelise, audit, tamper.
 
 A compliance service runs *racks* of tamper-evident devices, not one.
-This example drives the two rack-scale façades end to end:
+This example drives the one rack-scale façade,
+:class:`repro.FleetStore`, end to end at both grains:
 
-* :class:`repro.FleetStore` — one store-shaped front door over many
-  member stores; objects shard across members by content-addressed
-  consistent hashing, and fleet-wide passes fan out on the resolved
-  executor;
-* :class:`~repro.workloads.fleet.FleetScheduler` — the device-grain
-  provisioning/audit passes (format → seal → audit → fsck), with
-  per-worker reporting and byte-identical results whichever executor
-  dispatched them.
+* a store-shaped front door over many file-system-backed members;
+  objects shard across members by content-addressed consistent
+  hashing, and fleet-wide passes fan out on the resolved executor;
+* the same façade over bare devices (device-grain members): the
+  format → heat → audit → deep-audit provisioning passes, with
+  per-worker dispatch stats in ``fleet.last_op`` and byte-identical
+  results whichever executor dispatched them.
 
 Run:  python examples/fleet_rack.py
 """
 
 import repro
+from repro.device.sero import SERODevice
+from repro.medium.medium import MediumConfig
+from repro.parallel.session import store_fingerprint
 from repro.security import attacks
-from repro.workloads.fleet import FleetScheduler
 
 
 def sharded_store() -> None:
@@ -51,39 +53,58 @@ def sharded_store() -> None:
     assert not report.clean
 
 
-def provision(n_devices: int = 4, blocks: int = 32) -> FleetScheduler:
-    rack = FleetScheduler.build(n_devices, blocks, switching_sigma=0.02)
-    formatted = rack.format_fleet()
-    sealed = rack.seal_fleet(lines_per_device=2, line_blocks=4,
-                             timestamp=20080226)
-    print(f"   formatted {formatted.blocks_processed} blocks on "
-          f"{formatted.device_count} devices, sealed "
-          f"{sealed.lines_sealed} lines ({formatted.executor} executor)")
+def provision(n_devices: int = 4, blocks: int = 32) -> repro.FleetStore:
+    """A rack of bare devices: each joins the fleet device-grain
+    (``TamperEvidentStore.attach``), is format-scanned, and gets two
+    four-block lines written and heated through the device API."""
+    rack = repro.FleetStore([
+        repro.TamperEvidentStore.attach(SERODevice.create(
+            blocks, medium_config=MediumConfig(switching_sigma=0.02,
+                                               seed=2008 + i)))
+        for i in range(n_devices)])
+    formatted = rack.format_devices()
+    sealed = 0
+    for member in rack.members:
+        device = member.device
+        starts = [s for s in range(0, blocks, 4)
+                  if s not in device.fragile_blocks
+                  and device.bad_blocks.isdisjoint(range(s, s + 4))][:2]
+        for start in starts:
+            for pba in range(start + 1, start + 4):
+                device.write_block(pba, bytes([pba]) * 512)
+            device.heat_line(start, 4, timestamp=20080226)
+        sealed += len(starts)
+    print(f"   formatted {sum(r.blocks for r in formatted)} blocks on "
+          f"{len(formatted)} devices, sealed {sealed} lines "
+          f"({rack.last_op.executor} executor)")
     return rack
 
 
-def rack_scheduler() -> None:
-    print("== FleetScheduler: provision and audit a rack")
+def device_rack() -> None:
+    print("== FleetStore over bare devices: provision and audit a rack")
     rack = provision()
 
-    # the same audit under serial and parallel dispatch: identical
-    # per-device reports, the parallel rack just finishes sooner (two
-    # identically provisioned racks — each device consumes its own
-    # random sequence, so reports compare at the same pass index)
-    serial = rack.audit_fleet()
+    # the same audit under the ambient executor (serial by default)
+    # and under process dispatch: identical typed reports and identical
+    # member state afterwards (two identically provisioned racks —
+    # each device consumes its own random sequence, so reports compare
+    # at the same pass index)
+    serial = rack.audit()
     twin = provision()
     with repro.engine(executor="process", max_workers=4):
-        parallel = twin.audit_fleet()
-    assert serial.fingerprints() == parallel.fingerprints()
-    print(f"   audit x{serial.lines_verified} lines: serial makespan "
-          f"{serial.simulated_makespan_seconds * 1e3:.1f}ms, "
-          f"{parallel.executor} x{parallel.workers} makespan "
-          f"{parallel.simulated_makespan_seconds * 1e3:.1f}ms "
-          f"(byte-identical reports)")
+        parallel = twin.audit()
+    assert serial == parallel
+    assert [store_fingerprint(m) for m in rack.members] == \
+        [store_fingerprint(m) for m in twin.members]
+    print(f"   audit x{serial.lines_verified} lines, "
+          f"{serial.device_seconds * 1e3:.1f}ms of device time: "
+          f"{rack.last_op.executor} == "
+          f"{twin.last_op.executor} x{twin.last_op.workers} "
+          f"(byte-identical reports and member state)")
 
-    checked = rack.fsck_fleet()
-    print(f"   fsck: {checked.lines_verified} lines re-verified, "
-          f"{checked.fs_errors} errors")
+    checked = rack.audit(deep=True)
+    print(f"   deep audit: {checked.lines_verified} lines re-verified, "
+          f"{len(checked.fs_errors)} errors")
 
     policy = repro.api.describe_policy()
     print(f"   policy: executor={policy['executor']} "
@@ -93,7 +114,7 @@ def rack_scheduler() -> None:
 
 def main() -> None:
     sharded_store()
-    rack_scheduler()
+    device_rack()
     print("rack walkthrough complete.")
 
 

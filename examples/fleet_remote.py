@@ -8,12 +8,13 @@ serial reference.  This example:
 
 * spins up two loopback workers (or, when ``REPRO_FLEET_HOSTS`` is
   already exported — e.g. by the CI job — uses those instead);
-* provisions and audits a rack through :class:`FleetScheduler` on the
-  ``rpc`` executor, and proves the reports match a serially driven
-  twin byte for byte;
-* seals and audits sharded objects through :class:`repro.FleetStore`
-  over the same workers, reading the per-host wall breakdown back out
-  of the report.
+* provisions and audits a rack of bare devices (device-grain
+  :class:`repro.FleetStore` members) on the ``rpc`` executor, and
+  proves reports and member state match a serially driven twin byte
+  for byte, reading the per-host wall breakdown out of
+  ``fleet.last_op``;
+* seals and audits sharded objects through a file-system-backed
+  :class:`repro.FleetStore` over the same workers.
 
 Run:  python examples/fleet_remote.py
 """
@@ -21,16 +22,27 @@ Run:  python examples/fleet_remote.py
 import os
 
 import repro
+from repro.device.sero import SERODevice
+from repro.medium.medium import MediumConfig
 from repro.parallel import close_connection_pools, spawn_local_worker
-from repro.workloads.fleet import FleetScheduler
+from repro.parallel.session import store_fingerprint
 
 
-def provision(executor=None):
-    rack = FleetScheduler.build(3, 32, switching_sigma=0.02,
-                                executor=executor)
-    rack.format_fleet()
-    rack.seal_fleet(lines_per_device=2, line_blocks=4,
-                    timestamp=20080226)
+def provision(executor=None, n_devices=3, blocks=32):
+    """Bare devices behind ``TamperEvidentStore.attach`` (defect-free
+    media, so any aligned line is usable — ``examples/fleet_rack.py``
+    shows the defect-skipping idiom): format-scan the rack on
+    ``executor``, then heat two four-block lines per device."""
+    rack = repro.FleetStore([
+        repro.TamperEvidentStore.attach(SERODevice.create(
+            blocks, medium_config=MediumConfig(seed=2008 + i)))
+        for i in range(n_devices)], executor=executor)
+    rack.format_devices()
+    for member in rack.members:
+        for start in (0, 4):
+            for pba in range(start + 1, start + 4):
+                member.device.write_block(pba, bytes([pba]) * 512)
+            member.device.heat_line(start, 4, timestamp=20080226)
     return rack
 
 
@@ -53,16 +65,18 @@ def main() -> None:
                   f"(decided by {policy['executor_source']}), hosts by "
                   f"{policy['fleet_hosts_source']}")
 
-            print("== FleetScheduler over rpc: provision + audit")
+            print("== device rack over rpc: provision + audit")
             remote_rack = provision()
-            audited = remote_rack.audit_fleet()
+            audited = remote_rack.audit()
         serial_rack = provision(executor="serial")
-        reference = serial_rack.audit_fleet()
-        assert audited.fingerprints() == reference.fingerprints()
+        assert audited == serial_rack.audit()
+        assert [store_fingerprint(m) for m in remote_rack.members] == \
+            [store_fingerprint(m) for m in serial_rack.members]
+        stats = remote_rack.last_op
         print(f"   audited {audited.lines_verified} lines on "
-              f"{audited.executor} x{audited.workers} over hosts "
-              f"{list(audited.hosts)} — byte-identical to serial")
-        for wall in audited.worker_walls:
+              f"{stats.executor} x{stats.workers} over hosts "
+              f"{list(stats.hosts)} — byte-identical to serial")
+        for wall in stats.worker_walls:
             print(f"     {wall.worker}: {wall.tasks} member(s), "
                   f"{wall.wall_seconds * 1e3:.1f} ms")
 

@@ -108,7 +108,6 @@ _FLEET_EXPORTS = (
     "FleetEvidenceExport",
     "FleetOpStats",
     "MigrationReport",
-    "coerce_member",
 )
 
 __all__ = [

@@ -46,7 +46,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -61,7 +60,6 @@ from typing import (
     Union,
 )
 
-from ..device.sero import SERODevice
 from ..errors import ConfigurationError, FileExistsError_, FileNotFoundError_
 from ..fs.inode import FileType
 from ..medium.medium import MediumConfig
@@ -97,9 +95,9 @@ def fold_member_state(original: TamperEvidentStore, state: object) -> None:
     boundary — applied in place), or a mutated snapshot (mutating
     pass across a process boundary — absorbed in place via
     :meth:`TamperEvidentStore.adopt_state` so caller-held references
-    stay live).  One helper, shared by :class:`FleetStore` and
-    :class:`~repro.workloads.fleet.FleetScheduler`, so the absorption
-    protocol cannot diverge between the two fleet surfaces.
+    stay live).  One helper, shared by :meth:`FleetStore._fan_out` and
+    the ``rpc`` executor's pinned-pass fold, so the absorption protocol
+    cannot diverge between the in-host and remote dispatch paths.
     """
     if isinstance(state, StoreStatePatch):
         state.apply(original)
@@ -107,27 +105,15 @@ def fold_member_state(original: TamperEvidentStore, state: object) -> None:
         original.adopt_state(state)
 
 
-def coerce_member(member: Union[TamperEvidentStore, SERODevice], *,
-                  owner: str = "the fleet") -> TamperEvidentStore:
-    """Normalise one fleet member to a :class:`TamperEvidentStore`.
-
-    Bare :class:`SERODevice` members are wrapped in device-grain
-    stores — still supported, but deprecated (one warning path shared
-    by :class:`FleetStore` and
-    :class:`~repro.workloads.fleet.FleetScheduler`).
-    """
-    if isinstance(member, TamperEvidentStore):
-        return member
-    if isinstance(member, SERODevice):
-        warnings.warn(
-            f"passing bare SERODevice objects to {owner} is deprecated; "
-            "pass TamperEvidentStore members (e.g. "
-            "TamperEvidentStore.attach(device))",
-            DeprecationWarning, stacklevel=3)
-        return TamperEvidentStore.attach(member)
-    raise TypeError(
-        f"fleet members must be TamperEvidentStore or SERODevice, "
-        f"got {type(member).__name__}")
+def _require_store(member: object) -> TamperEvidentStore:
+    """Fleet members are :class:`TamperEvidentStore` instances; a bare
+    device joins as ``TamperEvidentStore.attach(device)``."""
+    if not isinstance(member, TamperEvidentStore):
+        raise TypeError(
+            f"fleet members must be TamperEvidentStore instances (wrap a "
+            f"bare device with TamperEvidentStore.attach(device)), got "
+            f"{type(member).__name__}")
+    return member
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +237,8 @@ class FleetStore:
 
     Args:
         members: the fleet — :class:`TamperEvidentStore` instances
-            (bare devices are wrapped with a deprecation warning).
+            (a bare device joins as
+            ``TamperEvidentStore.attach(device)``, device-grain).
         executor: fleet dispatch pin — a registered executor name or a
             ready :class:`~repro.parallel.FleetExecutor`; None resolves
             through the lazy policy chain *at each fleet-wide call*.
@@ -266,17 +253,14 @@ class FleetStore:
     exclusive mode.
     """
 
-    def __init__(self, members: Sequence[Union[TamperEvidentStore,
-                                               SERODevice]], *,
+    def __init__(self, members: Sequence[TamperEvidentStore], *,
                  executor: Union[None, str, FleetExecutor] = None,
                  max_workers: Optional[int] = None,
                  replicas: int = 64) -> None:
         if not members:
             raise ConfigurationError("a FleetStore needs at least one member")
-        self.members: List[TamperEvidentStore] = []
-        for member in members:  # plain loop: the deprecation warning
-            # must attribute to the caller on every Python version
-            self.members.append(coerce_member(member, owner="FleetStore"))
+        self.members: List[TamperEvidentStore] = [
+            _require_store(member) for member in members]
         self._executor = executor
         self._max_workers = max_workers
         self._ring = HashRing([self._node_name(i)
@@ -391,7 +375,7 @@ class FleetStore:
         """The member store that owns ``path``."""
         return self.members[self.route(path)]
 
-    def add_member(self, member: Union[TamperEvidentStore, SERODevice]) -> int:
+    def add_member(self, member: TamperEvidentStore) -> int:
         """Grow the fleet by one member; returns its index.
 
         Only ~1/(n+1) of the keyspace remaps to the newcomer (hash-ring
@@ -403,10 +387,10 @@ class FleetStore:
         call observes a half-grown fleet (new member appended, lock
         and ring arc not yet).
         """
-        coerced = coerce_member(member, owner="FleetStore")
+        _require_store(member)
         with self._locks.exclusive():
             index = len(self.members)
-            self.members.append(coerced)
+            self.members.append(member)
             self._locks.grow()
             with self._ring_lock:
                 self._ring.add_node(self._node_name(index))
@@ -915,9 +899,13 @@ class FleetStore:
 
     # -- device grain --------------------------------------------------------------
 
-    def format_devices(self) -> List[FormatReport]:
+    def format_devices(self) -> List[Union[FormatReport, MemberFailure]]:
         """Run the format-time surface scan on every member
-        (whole-fleet exclusive)."""
+        (whole-fleet exclusive); reports come back in member order.
+        In a degraded rpc pass (``on_failure="degrade"``) a failed
+        member's slot carries its
+        :class:`~repro.parallel.MemberFailure` record in place of a
+        report — that device was *not* scanned."""
         with self._locks.exclusive():
             member_indices = list(range(len(self.members)))
             return self._fan_out(

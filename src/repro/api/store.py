@@ -32,8 +32,9 @@ repro.engine("scalar"):``.
 
 A store can also wrap a bare device (:meth:`TamperEvidentStore.attach`
 with no file system) — the device-grain operations
-(``format_device``/``audit``/``verify_line``) still work, which is what
-the fleet scheduler uses to format and audit whole racks.
+(``format_device``/``audit``/``verify_line``) still work, which is how
+a :class:`~repro.api.fleet.FleetStore` formats and audits whole racks
+of bare devices.
 """
 
 from __future__ import annotations
@@ -394,7 +395,7 @@ class TamperEvidentStore:
 
         With ``fs=None`` the store is device-grain only: ``put`` and
         friends raise, but ``format_device``/``audit``/``verify_line``
-        work — the mode the fleet scheduler runs whole racks in.
+        work — the mode a ``FleetStore`` runs racks of bare devices in.
         """
         return cls(device, fs, **components)
 

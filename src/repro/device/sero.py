@@ -121,9 +121,11 @@ class LineRecord:
 class DeviceStatePatch:
     """The state a *read-only* device pass advances, captured portably.
 
-    An audit or fsck never writes the medium — its only side effects
-    are the RNG position (heated-dot read noise), the operation
-    counters, the cost account and the sled position.  A fleet worker
+    An audit or fsck leaves the medium's arrays as it found them — its
+    only side effects are the RNG position (heated-dot read noise), the
+    operation counters, the cost account, the sled position and, under
+    the scalar engine (whose electrical read writes each dot and
+    restores it), the medium's mutation epoch.  A fleet worker
     that ran such a pass can therefore send this ~1 kB patch home
     instead of re-shipping the whole member snapshot; applying it to
     the originating device leaves that device byte-identical to having
@@ -132,6 +134,7 @@ class DeviceStatePatch:
 
     rng_state: dict
     counters: Dict[str, int]
+    mut_epoch: int
     account_elapsed: float
     account_by_category: Dict[str, float]
     account_op_counts: Dict[str, int]
@@ -144,6 +147,7 @@ class DeviceStatePatch:
         return cls(
             rng_state=device.medium._rng.bit_generator.state,
             counters=dict(device.medium.counters),
+            mut_epoch=device.medium._mut_epoch,
             account_elapsed=device.account.elapsed,
             account_by_category=dict(device.account.by_category),
             account_op_counts=dict(device.account.op_counts),
@@ -156,6 +160,7 @@ class DeviceStatePatch:
         device.medium._rng.bit_generator.state = self.rng_state
         device.medium.counters.clear()
         device.medium.counters.update(self.counters)
+        device.medium._mut_epoch = self.mut_epoch
         device.account.elapsed = self.account_elapsed
         device.account.by_category = dict(self.account_by_category)
         device.account.op_counts = dict(self.account_op_counts)

@@ -1,7 +1,7 @@
 """Fleet executors: how a pass over many stores is dispatched.
 
-The scheduler and the :class:`~repro.api.fleet.FleetStore` express a
-fleet pass as a list of independent *member tasks* — zero-argument
+The :class:`~repro.api.fleet.FleetStore` expresses a fleet pass as a
+list of independent *member tasks* — zero-argument
 callables, one per fleet member, each returning ``(payload, state)``
 where ``payload`` is the typed per-member result and ``state`` is the
 (possibly relocated) member object to reinstall.  A
@@ -30,9 +30,10 @@ context > installed :class:`~repro.api.policy.ExecutionPolicy` >
 
 Every run returns an :class:`ExecutionOutcome` carrying, besides the
 in-order task results, the per-worker wall-clock breakdown and the
-task→worker assignment.  The scheduler folds those into its
-:class:`~repro.workloads.fleet.FleetReport` so an operator can see not
-just *that* a pass was parallel but how the work actually spread.
+task→worker assignment.  The fleet store folds the breakdown into its
+:class:`~repro.api.fleet.FleetOpStats` (``fleet.last_op``) so an
+operator can see not just *that* a pass was parallel but how the work
+actually spread.
 """
 
 from __future__ import annotations
@@ -57,9 +58,8 @@ class MemberFailure:
     (``on_failure="degrade"``): a member whose dispatch exhausted its
     failover retries — or whose task raised on a worker — comes back as
     this record in the task's result slot instead of aborting the whole
-    pass.  The fleet layers skip folding for it (the caller-held member
-    keeps its pre-pass state) and surface it in
-    :attr:`~repro.workloads.fleet.FleetReport.failures` /
+    pass.  The fleet store skips folding for it (the caller-held member
+    keeps its pre-pass state) and surfaces it in
     :attr:`~repro.api.fleet.FleetOpStats.failures`.
 
     Attributes:

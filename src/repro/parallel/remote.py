@@ -33,8 +33,8 @@ Four pieces:
   unpickled; unsigned frames are rejected outright, so a peer that
   does not hold the shared secret can neither issue requests nor
   forge replies.  Without a secret the protocol still authenticates
-  nobody (bare ``SRPC`` frames): reserve unsigned mode for loopback
-  development (documented in API.md).
+  nobody (bare ``SRPC`` frames), so :func:`serve` refuses to bind an
+  unsigned worker anywhere but loopback (documented in API.md).
 
 * **sessions** — the ``pin``/``run_pinned`` verbs, the one way a
   member store crosses the wire.  A pin ships a member snapshot once
@@ -104,6 +104,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import hmac
+import ipaddress
 import os
 import pickle
 import random
@@ -530,6 +531,13 @@ def _execute_request(request: Any) -> Tuple[Any, bool]:
 
 
 class _WorkerHandler(socketserver.BaseRequestHandler):
+    def setup(self) -> None:
+        # as _dial does on the client's end: a reply longer than one
+        # segment must not hold its tail for the client's delayed ACK
+        # (a 40 ms stall on most steady-state audit replies, and on
+        # which of them it fell differed from run to run)
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
     def handle(self) -> None:  # one connection: frames until EOF
         while True:
             try:
@@ -553,13 +561,34 @@ class _WorkerServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
 
+def _is_loopback(host: str) -> bool:
+    if host == "localhost":
+        return True
+    try:
+        return ipaddress.ip_address(host.strip("[]")).is_loopback
+    except ValueError:
+        return False  # any other name may resolve to any interface
+
+
 def serve(bind: str, *, announce=print) -> None:
     """Run a worker daemon on ``bind`` (``host:port``; port 0 picks a
     free one) until interrupted.  ``announce`` receives one
     ``"SRPC listening on host:port"`` line once the socket accepts —
     launchers parse it to learn an ephemeral port.
+
+    An unsigned worker unpickles frames from whoever can reach its
+    port, so a non-loopback ``bind`` is refused (before the socket
+    binds) unless a ``fleet_secret`` resolves.
     """
     host, port = parse_host(bind)
+    if not _is_loopback(host) \
+            and _policy.resolve_fleet_secret(None)[0] is None:
+        raise ConfigurationError(
+            f"refusing to serve unsigned SRPC on non-loopback {bind!r}: "
+            "frames are unpickled, so any peer that reaches the port "
+            "could run code here; export "
+            f"{_policy.FLEET_SECRET_ENV_VAR} on the worker and its "
+            "clients, or bind a loopback address")
     with _WorkerServer((host, port), _WorkerHandler) as server:
         bound_host, bound_port = server.server_address[:2]
         announce(f"SRPC listening on {bound_host}:{bound_port}")
@@ -981,7 +1010,7 @@ class RpcExecutor(FleetExecutor):
             dispatch through the policy chain
             (``repro.engine(fleet_hosts=...)`` > installed policy >
             ``REPRO_FLEET_HOSTS``), so exporting the variable after the
-            scheduler exists still works.
+            fleet exists still works.
         timeout: per-request socket deadline in seconds; a worker that
             stops sending for this long surfaces as
             :class:`RpcTimeoutError` instead of blocking the pass
@@ -1315,7 +1344,7 @@ class RpcExecutor(FleetExecutor):
         # byte-identity contract of the patch transport): re-capture
         # the fingerprint so the next pass reuses the pin
         plan.session.fingerprint = _session.store_fingerprint(plan.store)
-        # hand the *original* store back so the scheduler-level fold
+        # hand the *original* store back so the fleet-level fold
         # (fold_member_state(original, state)) is a no-op
         return payload, plan.store
 

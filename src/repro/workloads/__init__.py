@@ -5,15 +5,12 @@
   audit-snapshot application.
 * :mod:`~repro.workloads.archival` — SOX-style compliance retention.
 * :mod:`~repro.workloads.traces` — record / serialise / replay.
-* :mod:`~repro.workloads.fleet` — multi-device batch format/audit
-  scheduling with aggregate throughput reporting.
 * :mod:`~repro.workloads.soak` — trace-driven chaos soak: mixed fleet
   pressure under scheduled worker kills/restarts, invariant-checked
   against a serial shadow fleet.
 """
 
 from .archival import ComplianceArchive, RetentionBatch
-from .fleet import DeviceReport, FleetReport, FleetScheduler
 from .database import SimpleDatabase, oltp_then_snapshot
 from .synthetic import FileOp, OpKind, SyntheticWorkload, apply_op, payload_for, run_workload
 from .traces import Trace, record_workload
@@ -56,9 +53,6 @@ __all__ = [
     "RetentionBatch",
     "Trace",
     "record_workload",
-    "DeviceReport",
-    "FleetReport",
-    "FleetScheduler",
     "SoakConfig",
     "SoakFault",
     "SoakReport",

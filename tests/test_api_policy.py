@@ -255,22 +255,6 @@ def test_line_hash_identical_across_backends():
         assert line_hash(addresses, blocks) == fast
 
 
-# -- deprecation shim ---------------------------------------------------------
-
-
-def test_fleet_scheduler_raw_device_shim_warns():
-    from repro.device.sero import SERODevice
-    from repro.workloads.fleet import FleetScheduler
-
-    devices = [SERODevice.create(16) for _ in range(2)]
-    with pytest.warns(DeprecationWarning):
-        fleet = FleetScheduler(devices)
-    assert fleet.devices == devices
-    report = fleet.format_fleet()
-    assert report.device_count == 2
-    assert report.blocks_processed == 32
-
-
 def test_top_level_engine_export():
     with repro.engine("scalar"):
         assert repro.api.resolve_vectorized() is False

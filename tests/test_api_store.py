@@ -324,15 +324,16 @@ def test_describe_and_capacity(store):
 
 
 def test_fleet_scheduler_accepts_stores():
-    from repro.workloads.fleet import FleetScheduler
+    """(Test id kept from the 3.x scheduler.)  A fleet over
+    caller-built stores audits every one of them."""
+    from repro.api.fleet import FleetStore
 
     stores = [TamperEvidentStore.create(total_blocks=64, format_scan=False)
               for _ in range(2)]
     for i, s in enumerate(stores):
         s.put("/x", bytes([i]) * 600)
         s.seal("/x")
-    fleet = FleetScheduler(stores)
-    report = fleet.audit_fleet()
-    assert report.device_count == 2
+    report = FleetStore(stores).audit()
+    assert {rec.member for rec in report.member_records} == {0, 1}
     assert report.lines_verified == 2
-    assert report.intact_lines == 2
+    assert report.intact_count == 2

@@ -5,7 +5,10 @@ If this test fails you changed the v1 public surface.  That is allowed
 the same change, and call out the addition/removal in the PR.
 """
 
+import importlib.util
 import pathlib
+
+import pytest
 
 import repro
 import repro.api as api
@@ -86,7 +89,6 @@ EXPECTED_API = sorted([
     "FleetOpStats",
     "FleetStore",
     "MigrationReport",
-    "coerce_member",
 ])
 
 #: The top-level convenience re-exports the quick start relies on.
@@ -121,8 +123,27 @@ def test_top_level_reexports():
         assert getattr(repro, name) is getattr(api, name)
 
 
-def test_version_is_v3():
-    assert repro.__version__ == "3.0.0"
+def test_version_is_v4():
+    assert repro.__version__ == "4.0.0"
+
+
+def test_removed_fleet_doors_stay_shut():
+    """4.0: ``FleetStore`` is the only fleet façade and takes only
+    stores — no scheduler names, no bare-device wrap."""
+    import repro.workloads as workloads
+    from repro.device.sero import SERODevice
+
+    assert importlib.util.find_spec("repro.workloads.fleet") is None
+    assert not [name for name in dir(workloads)
+                if name.startswith(("Fleet", "Device"))]
+    assert not hasattr(api, "coerce_member")
+    with pytest.raises(TypeError, match=r"TamperEvidentStore\.attach"):
+        api.FleetStore([SERODevice.create(16)])
+    fleet = api.FleetStore(
+        [api.TamperEvidentStore.attach(SERODevice.create(16))])
+    with pytest.raises(TypeError, match=r"TamperEvidentStore\.attach"):
+        fleet.add_member(SERODevice.create(16))
+    assert fleet.member_count == 1
 
 
 def _knob_table() -> str:

@@ -10,6 +10,9 @@ and the batched line-verification sweep.
 import numpy as np
 import pytest
 
+from twin_racks import device_rack
+from repro.api.fleet import FleetStore
+from repro.api.store import TamperEvidentStore
 from repro.device.sero import DeviceConfig, SERODevice, VerifyStatus
 from repro.integrity.fossil import FossilizedIndex
 from repro.integrity.venti import VentiStore
@@ -26,7 +29,6 @@ from repro.physics.xrd import (
     low_angle_scan,
     low_angle_scan_set,
 )
-from repro.workloads.fleet import FleetScheduler
 
 PAYLOAD = bytes(range(256)) * 2
 
@@ -342,39 +344,41 @@ def test_fossil_audit_matches_per_node_verdicts():
 
 
 def test_fleet_format_and_audit():
-    fleet = FleetScheduler.build(3, 16, switching_sigma=0.02)
-    formatted = fleet.format_fleet()
-    assert formatted.operation == "format"
-    assert formatted.device_count == 3
-    assert formatted.blocks_processed == 48
-    assert formatted.blocks_per_second > 0
+    fleet = device_rack(blocks=16)
+    formatted = fleet.format_devices()
+    assert fleet.last_op.operation == "format_devices"
+    assert len(formatted) == 3
+    assert sum(report.blocks for report in formatted) == 48
+    assert fleet.last_op.wall_seconds > 0
 
-    for device in fleet.devices:
+    for device in (store.device for store in fleet.members):
         start = next(s for s in range(0, 16, 2)
                      if s not in device.bad_blocks
                      and s not in device.fragile_blocks
                      and s + 1 not in device.bad_blocks)
         device.write_block(start + 1, PAYLOAD)
         device.heat_line(start, 2)
-    audited = fleet.audit_fleet()
-    assert audited.operation == "audit"
+    audited = fleet.audit()
+    assert fleet.last_op.operation == "audit"
     assert audited.lines_verified == 3
-    assert audited.intact_lines == 3
-    assert audited.tampered_lines == 0
+    assert audited.intact_count == 3
+    assert not audited.tampered
 
 
 def test_fleet_audit_flags_tampered_device():
-    fleet = FleetScheduler.build(2, 16)
-    fleet.format_fleet()
-    for device in fleet.devices:
-        device.write_block(1, PAYLOAD)
-        device.heat_line(0, 2)
-    victim = fleet.devices[1]
+    fleet = FleetStore([TamperEvidentStore.attach(SERODevice.create(16))
+                        for _ in range(2)])
+    fleet.format_devices()
+    for store in fleet.members:
+        store.device.write_block(1, PAYLOAD)
+        store.device.heat_line(0, 2)
+    victim = fleet.members[1].device
     from repro.device.sector import encode_frame
 
     victim.medium.write_mag_span(
         victim.geometry.block_span(1)[0], encode_frame(1, b"\xff" * 512))
-    report = fleet.audit_fleet()
-    assert report.intact_lines == 1
-    assert report.tampered_lines == 1
-    assert report.devices[1].tampered_lines == 1
+    report = fleet.audit()
+    assert report.intact_count == 1
+    assert [r.label for r in report.tampered] == ["m1"]
+    assert [rec.member for rec in report.member_records
+            if rec.report.tamper_evident] == [1]

@@ -18,6 +18,7 @@ import pytest
 
 import repro
 import repro.api as api
+from twin_racks import device_rack, fingerprints, sealed_device_rack
 from repro.device.sero import DeviceConfig, SERODevice, VerifyStatus
 from repro.errors import (
     HeatError,
@@ -151,15 +152,6 @@ def test_erb_rounds_one_device_still_verifies():
 # Fleet executor layer under faults
 
 
-def _member_snapshots(fleet):
-    """Executor-invariant state of every caller-held member."""
-    return [(dict(dev.medium.counters),
-             dev.heated_lines,
-             dev.medium._rng.bit_generator.state,
-             dev.account.elapsed)
-            for dev in fleet.devices]
-
-
 def test_rpc_worker_killed_mid_task():
     """A worker that dies while executing a task (no reply ever sent)
     must surface as a raised RpcConnectionError, not a hang."""
@@ -184,7 +176,6 @@ def test_rpc_worker_killed_between_passes_fails_cleanly():
     usable for a follow-up pass."""
     from repro.parallel import HashRing, RpcConnectionError, RpcExecutor, \
         close_connection_pools, parse_hosts, spawn_local_worker
-    from repro.workloads.fleet import FleetScheduler
 
     worker_a, worker_b = spawn_local_worker(), spawn_local_worker()
     # kill a worker the ring actually assigned members to (the
@@ -195,28 +186,25 @@ def test_rpc_worker_killed_between_passes_fails_cleanly():
     victim, survivor = (worker_a, worker_b) \
         if worker_a.address == victim_addr else (worker_b, worker_a)
     try:
-        fleet = FleetScheduler.build(
-            3, 32, switching_sigma=0.02,
-            executor=RpcExecutor([survivor.address, victim.address]))
-        twin = FleetScheduler.build(3, 32, switching_sigma=0.02,
-                                    executor="serial")
-        assert fleet.format_fleet().fingerprints() == \
-            twin.format_fleet().fingerprints()
+        fleet = device_rack(
+            RpcExecutor([survivor.address, victim.address]))
+        twin = device_rack("serial")
+        assert fleet.format_devices() == twin.format_devices()
 
         victim.kill()
-        before = _member_snapshots(fleet)
+        before = fingerprints(fleet)
         with pytest.raises(RpcConnectionError):
-            fleet.audit_fleet()
+            fleet.audit()
         # no member state was folded back: caller references are
         # exactly as they were before the failed pass
-        assert _member_snapshots(fleet) == before
+        assert fingerprints(fleet) == before
 
         # the fleet (same member stores) carries on over the survivor,
         # byte-identical to the serial twin
-        rest = FleetScheduler(fleet.stores,
+        rest = api.FleetStore(fleet.members,
                               executor=RpcExecutor([survivor.address]))
-        assert rest.audit_fleet().fingerprints() == \
-            twin.audit_fleet().fingerprints()
+        assert rest.audit() == twin.audit()
+        assert fingerprints(rest) == fingerprints(twin)
     finally:
         survivor.stop()
         victim.stop()
@@ -231,7 +219,6 @@ def test_session_worker_kill_and_restart_repins():
     — no RemoteTaskError, no stale pinned state."""
     from repro.parallel import HashRing, RpcConnectionError, RpcExecutor, \
         close_connection_pools, parse_hosts, spawn_local_worker
-    from repro.workloads.fleet import FleetScheduler
 
     worker_a, worker_b = spawn_local_worker(), spawn_local_worker()
     hosts = parse_hosts([worker_a.address, worker_b.address])
@@ -240,31 +227,25 @@ def test_session_worker_kill_and_restart_repins():
         if worker_a.address == victim_addr else (worker_b, worker_a)
     replacement = None
     try:
-        fleet = FleetScheduler.build(
-            3, 32, switching_sigma=0.02,
-            executor=RpcExecutor(list(hosts)))
-        twin = FleetScheduler.build(3, 32, switching_sigma=0.02,
-                                    executor="serial")
-        for f in (fleet, twin):
-            f.format_fleet()
-            f.seal_fleet(lines_per_device=2, line_blocks=4)
+        fleet = sealed_device_rack(RpcExecutor(list(hosts)))
+        twin = sealed_device_rack("serial")
+        assert fleet.audit() == twin.audit()  # every member pinned
 
         victim.kill()
-        before = _member_snapshots(fleet)
+        before = fingerprints(fleet)
         with pytest.raises(RpcConnectionError):
-            fleet.audit_fleet()
+            fleet.audit()
         # the dead worker's pinned copies are gone, but nothing was
         # folded: caller members are exactly as before the failed pass
-        assert _member_snapshots(fleet) == before
+        assert fingerprints(fleet) == before
 
         # a worker comes back on the same address: the pass re-pins
         # (fresh daemon, empty pin cache) and simply succeeds
         replacement = spawn_local_worker(victim_addr)
-        assert fleet.audit_fleet().fingerprints() == \
-            twin.audit_fleet().fingerprints()
+        assert fleet.audit() == twin.audit()
         # and the pins are warm again: one more pass, still identical
-        assert fleet.audit_fleet().fingerprints() == \
-            twin.audit_fleet().fingerprints()
+        assert fleet.audit(deep=True) == twin.audit(deep=True)
+        assert fingerprints(fleet) == fingerprints(twin)
     finally:
         survivor.stop()
         victim.stop()
@@ -281,22 +262,16 @@ def test_session_generation_bump_after_client_side_mutation():
     from repro.parallel import RpcExecutor, close_connection_pools, \
         spawn_local_worker
     from repro.parallel.session import session_for
-    from repro.workloads.fleet import FleetScheduler
 
     workers = [spawn_local_worker() for _ in range(2)]
     try:
-        fleet = FleetScheduler.build(
-            2, 32, switching_sigma=0.02,
-            executor=RpcExecutor([w.address for w in workers]))
-        twin = FleetScheduler.build(2, 32, switching_sigma=0.02,
-                                    executor="serial")
-        for f in (fleet, twin):
-            f.format_fleet()
-            f.seal_fleet(lines_per_device=2, line_blocks=4)
-            f.audit_fleet()
+        fleet = sealed_device_rack(
+            RpcExecutor([w.address for w in workers]), n=2)
+        twin = sealed_device_rack("serial", n=2)
+        assert fleet.audit() == twin.audit()
 
         generations = [session_for(store).generation
-                       for store in fleet.stores]
+                       for store in fleet.members]
 
         def mutate(device):  # a legitimate write outside any line
             pba = next(p for p in range(device.total_blocks - 1, 0, -1)
@@ -305,16 +280,16 @@ def test_session_generation_bump_after_client_side_mutation():
             device.write_block(pba, PAYLOAD)
 
         for f in (fleet, twin):
-            for device in f.devices:
-                mutate(device)
+            for store in f.members:
+                mutate(store.device)
 
         # the post-mutation audit agrees with the serial twin — it
         # cannot have reused the stale pins...
-        assert fleet.audit_fleet().fingerprints() == \
-            twin.audit_fleet().fingerprints()
+        assert fleet.audit() == twin.audit()
+        assert fingerprints(fleet) == fingerprints(twin)
         # ...and indeed every session re-pinned under a new generation
         assert all(session_for(store).generation > gen
-                   for store, gen in zip(fleet.stores, generations))
+                   for store, gen in zip(fleet.members, generations))
     finally:
         close_connection_pools()
         for w in workers:
@@ -440,7 +415,6 @@ def test_session_failover_with_retries_byte_identical():
     from repro.parallel import HashRing, RpcExecutor, \
         close_connection_pools, parse_hosts, reset_host_health, \
         spawn_local_worker
-    from repro.workloads.fleet import FleetScheduler
 
     worker_a, worker_b = spawn_local_worker(), spawn_local_worker()
     hosts = parse_hosts([worker_a.address, worker_b.address])
@@ -449,25 +423,18 @@ def test_session_failover_with_retries_byte_identical():
         if worker_a.address == victim_addr else (worker_b, worker_a)
     reset_host_health()
     try:
-        fleet = FleetScheduler.build(
-            3, 32, switching_sigma=0.02,
-            executor=RpcExecutor(list(hosts), retries=2))
-        twin = FleetScheduler.build(3, 32, switching_sigma=0.02,
-                                    executor="serial")
-        for f in (fleet, twin):
-            f.format_fleet()
-            f.seal_fleet(lines_per_device=2, line_blocks=4)
+        fleet = sealed_device_rack(RpcExecutor(list(hosts), retries=2))
+        twin = sealed_device_rack("serial")
+        assert fleet.audit() == twin.audit()  # every member pinned
 
         victim.kill()
         # no raise: the pass itself absorbs the dead host
-        report = fleet.audit_fleet()
-        assert report.fingerprints() == \
-            twin.audit_fleet().fingerprints()
-        assert not report.failures
-        assert sum(report.retries.values()) >= 1
+        assert fleet.audit() == twin.audit()
+        assert not fleet.last_op.failures
+        assert sum(fleet.last_op.retries.values()) >= 1
         # RNG continuation: the next pass still agrees
-        assert fleet.fsck_fleet().fingerprints() == \
-            twin.fsck_fleet().fingerprints()
+        assert fleet.audit(deep=True) == twin.audit(deep=True)
+        assert fingerprints(fleet) == fingerprints(twin)
     finally:
         survivor.stop()
         victim.stop()
@@ -573,10 +540,10 @@ def test_degrade_mode_yields_partial_report():
     """on_failure='degrade' with an unreachable host and no retry
     budget: the pass completes partial — surviving members fold
     byte-identical to serial, dead-host members appear as typed
-    MemberFailure records and their caller-held state is untouched."""
+    MemberFailure records (in their ``format_devices`` slots and in
+    ``last_op.failures``) and their caller-held state is untouched."""
     from repro.parallel import HashRing, MemberFailure, RpcExecutor, \
         close_connection_pools, reset_host_health, spawn_local_worker
-    from repro.workloads.fleet import FleetScheduler
 
     worker = spawn_local_worker()
     n = 4
@@ -587,32 +554,31 @@ def test_degrade_mode_yields_partial_report():
     assert lost and len(lost) < n  # the ring split the members
     reset_host_health()
     try:
-        fleet = FleetScheduler.build(
-            n, 32, switching_sigma=0.02,
-            executor=RpcExecutor(list(hosts), retries=0,
-                                 on_failure="degrade"))
-        twin = FleetScheduler.build(n, 32, switching_sigma=0.02,
-                                    executor="serial")
-        before = _member_snapshots(fleet)
-        report = fleet.format_fleet()
-        reference = twin.format_fleet()
+        fleet = device_rack(
+            RpcExecutor(list(hosts), retries=0, on_failure="degrade"),
+            n=n)
+        twin = device_rack("serial", n=n)
+        before = fingerprints(fleet)
+        reports = fleet.format_devices()
+        reference = twin.format_devices()
 
-        assert report.degraded
-        assert {f.index for f in report.failures} == lost
-        for failure in report.failures:
+        assert fleet.last_op.degraded
+        assert {f.index for f in fleet.last_op.failures} == lost
+        for failure in fleet.last_op.failures:
             assert isinstance(failure, MemberFailure)
             assert failure.error_type == "RpcConnectionError"
             assert dead in failure.hosts_tried
-        # surviving members folded byte-identical to the twin (the
-        # partial report carries only *their* DeviceReports) ...
-        fp = {d.device_index: d.fingerprint() for d in report.devices}
-        ref = {d.device_index: d.fingerprint()
-               for d in reference.devices}
-        assert set(fp) == set(range(n)) - lost
-        assert all(fp[i] == ref[i] for i in fp)
-        # ... and failed members folded *nothing*
-        after = _member_snapshots(fleet)
-        assert all(after[i] == before[i] for i in lost)
+        # a failed member's slot *is* its failure record; surviving
+        # members folded byte-identical to the twin ...
+        after, expected = fingerprints(fleet), fingerprints(twin)
+        for i in range(n):
+            if i in lost:
+                assert reports[i] in fleet.last_op.failures
+                # ... and failed members folded *nothing*
+                assert after[i] == before[i]
+            else:
+                assert reports[i] == reference[i]
+                assert after[i] == expected[i]
     finally:
         worker.stop()
         close_connection_pools()

@@ -1,15 +1,13 @@
 """The sharded fleet execution layer.
 
-Three layers under test:
+Two layers under test:
 
 * **executors** (:mod:`repro.parallel`) — serial/thread/process
   dispatch must produce byte-identical per-member results, the
   registry must be policy-selectable, and ``REPRO_FLEET_EXECUTOR``
   must be read lazily at dispatch time;
-* **scheduler** (:class:`repro.workloads.fleet.FleetScheduler`) — the
-  four fleet passes on top of the executors, with per-worker
-  reporting;
-* **fleet store** (:class:`repro.api.fleet.FleetStore`) — the
+* **fleet store** (:class:`repro.api.fleet.FleetStore`) — the fleet
+  passes on top of the executors with per-worker reporting, and the
   consistent-hash shard router: deterministic routing, bounded
   remapping under growth, and store-surface equivalence.
 
@@ -27,7 +25,9 @@ import pytest
 
 import repro
 import repro.api as api
-from repro.api.fleet import FleetStore, coerce_member
+from twin_racks import (all_passes, fingerprints, object_rack,
+                        sealed_device_rack)
+from repro.api.fleet import FleetStore
 from repro.api.policy import ExecutionPolicy
 from repro.api.store import TamperEvidentStore
 from repro.device.sero import SERODevice
@@ -43,7 +43,6 @@ from repro.parallel import (
     resolve_fleet_executor,
     unregister_executor,
 )
-from repro.workloads.fleet import DeviceReport, FleetReport, FleetScheduler
 
 EXECUTORS = ("serial", "thread", "process")
 
@@ -52,28 +51,6 @@ EXECUTORS = ("serial", "thread", "process")
 def _no_installed_policy():
     yield
     api.set_policy(None)
-
-
-def _sealed_fleet(executor=None, n=3, blocks=32):
-    fleet = FleetScheduler.build(n, blocks, switching_sigma=0.02,
-                                 executor=executor)
-    fleet.format_fleet()
-    fleet.seal_fleet(lines_per_device=2, line_blocks=4)
-    return fleet
-
-
-# -- satellite: blocks_per_second must not be inf -----------------------------
-
-
-def test_blocks_per_second_zero_wall():
-    report = FleetReport(operation="audit",
-                         devices=[DeviceReport(device_index=0, blocks=64)])
-    report.wall_seconds = 0.0
-    assert report.blocks_per_second == 0.0
-    report.wall_seconds = -1.0
-    assert report.blocks_per_second == 0.0
-    report.wall_seconds = 2.0
-    assert report.blocks_per_second == 32.0
 
 
 # -- executor registry ---------------------------------------------------------
@@ -174,21 +151,24 @@ def test_max_workers_env(monkeypatch):
 
 def test_env_executor_read_lazily_after_scheduler_built(monkeypatch):
     """Exporting REPRO_FLEET_EXECUTOR after import *and* after the
-    scheduler exists must still select the executor at dispatch."""
+    fleet exists must still select the executor at dispatch."""
     monkeypatch.delenv(api.EXECUTOR_ENV_VAR, raising=False)
-    fleet = _sealed_fleet(n=2)
-    assert fleet.audit_fleet().executor == "serial"
+    fleet = sealed_device_rack(n=2)
+    fleet.audit()
+    assert fleet.last_op.executor == "serial"
     monkeypatch.setenv(api.EXECUTOR_ENV_VAR, "thread")
-    assert fleet.audit_fleet().executor == "thread"
+    fleet.audit()
+    assert fleet.last_op.executor == "thread"
 
 
 def test_engine_context_selects_executor():
-    fleet = _sealed_fleet(n=2)
+    fleet = sealed_device_rack(n=2)
     with repro.engine(executor="thread", max_workers=2):
-        report = fleet.audit_fleet()
-    assert report.executor == "thread"
-    assert report.workers == 2
-    assert fleet.audit_fleet().executor == "serial"
+        fleet.audit()
+    assert fleet.last_op.executor == "thread"
+    assert fleet.last_op.workers == 2
+    fleet.audit()
+    assert fleet.last_op.executor == "serial"
 
 
 def test_thread_executor_propagates_engine_context():
@@ -211,79 +191,69 @@ def test_thread_executor_propagates_engine_context():
 
 
 def test_fleet_passes_byte_identical_across_executors():
-    """format/seal/audit reports must be byte-identical whichever
-    executor dispatched them (the acceptance-criteria equivalence)."""
-    reports = {}
-    for name in EXECUTORS:
-        fleet = FleetScheduler.build(3, 32, switching_sigma=0.02,
-                                     executor=name, max_workers=2)
-        formatted = fleet.format_fleet()
-        sealed = fleet.seal_fleet(lines_per_device=2, line_blocks=4)
-        audited = fleet.audit_fleet()
-        assert formatted.executor == name
-        reports[name] = (formatted.fingerprints(), sealed.fingerprints(),
-                         audited.fingerprints())
-    assert reports["serial"] == reports["thread"] == reports["process"]
-    # the seal fingerprints carry real content: per-line hashes
-    assert any(r[4] for r in reports["serial"][1])  # lines_sealed > 0
+    """format/seal_many/audit/deep-audit reports and the member state
+    they leave must be byte-identical whichever executor dispatched
+    them (the acceptance-criteria equivalence)."""
+    witness = {name: all_passes(name, max_workers=2)
+               for name in EXECUTORS}
+    assert witness["serial"] == witness["thread"] == witness["process"]
+    # the witness carries real content: verdicts and per-line hashes
+    _formatted, audited, _deep, receipts, *_ = witness["serial"][0]
+    assert audited.lines_verified == 6 and audited.clean
+    assert all(receipt.line_hash for receipt in receipts)
 
 
 def test_process_executor_reinstalls_mutated_state():
-    """After a process-dispatched pass the scheduler's members carry
-    the worker-side state (RNG advanced, lines registered) exactly as
-    a serial pass would have left them."""
-    serial = _sealed_fleet(executor="serial")
-    procs = _sealed_fleet(executor="process")
-    for s_dev, p_dev in zip(serial.devices, procs.devices):
+    """After process-dispatched passes the fleet's members carry the
+    worker-side state (RNG advanced, lines registered) exactly as
+    serial passes would have left them."""
+    serial = sealed_device_rack("serial")
+    procs = sealed_device_rack("process")
+    assert serial.audit() == procs.audit()
+    for s_store, p_store in zip(serial.members, procs.members):
+        s_dev, p_dev = s_store.device, p_store.device
         assert s_dev.heated_lines == p_dev.heated_lines
         assert np.array_equal(s_dev.medium._mag, p_dev.medium._mag)
         assert np.array_equal(s_dev.medium._sharpness, p_dev.medium._sharpness)
         assert s_dev.medium._rng.bit_generator.state == \
             p_dev.medium._rng.bit_generator.state
-    # and the *next* pass (serial on both) still agrees byte for byte
-    assert serial.audit_fleet().fingerprints() == \
-        procs.audit_fleet().fingerprints()
+    # and the *next* pass still agrees byte for byte
+    assert serial.audit() == procs.audit()
+    assert fingerprints(serial) == fingerprints(procs)
 
 
-def test_fsck_fleet_device_grain_and_fs_members():
-    fleet = _sealed_fleet(n=2)
-    report = fleet.fsck_fleet()
-    assert report.operation == "fsck"
+def test_deep_audit_device_grain_and_fs_members():
+    fleet = sealed_device_rack(n=2)
+    report = fleet.audit(deep=True)
+    assert fleet.last_op.operation == "audit"
+    assert report.deep
     assert report.lines_verified == 4
-    assert report.fs_errors == 0
+    assert report.clean
 
     store = TamperEvidentStore.create(total_blocks=128)
     store.put("/a", b"x" * 100)
     store.seal("/a")
-    mixed = FleetScheduler([store])
-    fs_report = mixed.fsck_fleet()
-    assert fs_report.fs_errors == 0
-    assert fs_report.devices[0].lines_verified >= 1
+    fs_report = FleetStore([store]).audit(deep=True)
+    assert not fs_report.fs_errors
+    assert fs_report.lines_verified >= 1
 
 
 def test_worker_wall_breakdown_present():
-    fleet = _sealed_fleet(n=3)
-    report = fleet.audit_fleet()
-    assert report.executor == "serial"
-    assert sum(w.tasks for w in report.worker_walls) == 3
-    assert report.simulated_makespan_seconds == \
-        pytest.approx(report.device_seconds)
+    fleet = sealed_device_rack(n=3)
+    report = fleet.audit()
+    assert fleet.last_op.executor == "serial"
+    assert sum(w.tasks for w in fleet.last_op.worker_walls) == 3
+    assert report.device_seconds > 0
     with repro.engine(executor="thread", max_workers=3):
-        parallel_report = fleet.audit_fleet()
-    assert sum(w.tasks for w in parallel_report.worker_walls) == 3
-    # concurrent workers: the rack finishes before the summed device time
-    if parallel_report.workers > 1 and \
-            len({d.worker for d in parallel_report.devices}) > 1:
-        assert parallel_report.simulated_makespan_seconds < \
-            parallel_report.device_seconds
+        fleet.audit()
+    assert sum(w.tasks for w in fleet.last_op.worker_walls) == 3
 
 
 # -- snapshot transport --------------------------------------------------------
 
 
 def test_medium_snapshot_pickle_roundtrip_exact():
-    fleet = _sealed_fleet(n=1, blocks=32)
-    device = fleet.devices[0]
+    device = sealed_device_rack(n=1).members[0].device
     clone = pickle.loads(pickle.dumps(device, pickle.HIGHEST_PROTOCOL))
     assert np.array_equal(clone.medium._mag, device.medium._mag)
     assert np.array_equal(clone.medium._sharpness, device.medium._sharpness)
@@ -307,29 +277,13 @@ def test_snapshot_pickle_is_compact():
 
 
 def test_device_clone_is_independent():
-    fleet = _sealed_fleet(n=1, blocks=32)
-    device = fleet.devices[0]
+    device = sealed_device_rack(n=1).members[0].device
     clone = device.clone()
     clone.verify_all()
     # the original's RNG did not move
     assert clone.medium._rng.bit_generator.state != \
         device.medium._rng.bit_generator.state or \
         device.medium.heated_count() == 0
-
-
-# -- shared member coercion ----------------------------------------------------
-
-
-def test_coerce_member_shared_by_scheduler_and_fleet_store():
-    device = SERODevice.create(16)
-    with pytest.warns(DeprecationWarning):
-        scheduler = FleetScheduler([device])
-    assert scheduler.devices == [device]
-    with pytest.warns(DeprecationWarning):
-        fleet = FleetStore([SERODevice.create(16)])
-    assert fleet.members[0].fs is None
-    with pytest.raises(TypeError):
-        coerce_member("not a member")
 
 
 # -- hash ring -----------------------------------------------------------------
@@ -469,17 +423,6 @@ def test_fleet_store_needs_members():
 # -- review regressions --------------------------------------------------------
 
 
-def test_seal_fleet_refuses_fs_backed_members():
-    """A raw rack seal over an fs member would heat the superblock."""
-    from repro.errors import ConfigurationError
-
-    store = TamperEvidentStore.create(total_blocks=128)
-    mixed = FleetScheduler([store])
-    with pytest.raises(ConfigurationError, match="file system"):
-        mixed.seal_fleet(lines_per_device=1, line_blocks=2)
-    assert not store.device.heated_lines  # nothing was touched
-
-
 def test_mixed_fleet_routes_objects_to_fs_members():
     """Device-grain members must never receive object traffic."""
     from repro.errors import ConfigurationError
@@ -501,17 +444,16 @@ def test_mixed_fleet_routes_objects_to_fs_members():
 def test_process_pass_keeps_member_references_live():
     """Caller-held member/device objects must see mutating-pass
     results whichever executor ran the pass (in-place adoption)."""
-    fleet = FleetScheduler.build(2, 32, switching_sigma=0.02,
-                                 executor="process", max_workers=2)
-    held_store = fleet.stores[0]
+    fleet, paths = object_rack("process")
+    held_store = fleet.members[0]
     held_device = held_store.device
     held_medium = held_device.medium
-    fleet.format_fleet()
-    fleet.seal_fleet(lines_per_device=2, line_blocks=4)
-    assert fleet.stores[0] is held_store
+    fleet.seal_many(paths)
+    assert fleet.members[0] is held_store
     assert held_store.device is held_device
     assert held_device.medium is held_medium
-    assert len(held_device.heated_lines) == 2
+    assert len(held_device.heated_lines) == \
+        sum(fleet.route(path) == 0 for path in paths) > 0
     assert held_medium.heated_count() > 0
 
 
@@ -592,13 +534,3 @@ def test_executor_instance_with_conflicting_max_workers_raises():
                                max_workers=2)
     instance = ThreadExecutor(max_workers=2)
     assert resolve_fleet_executor(instance, max_workers=2) is instance
-
-
-def test_seal_fleet_validates_line_blocks_before_writing():
-    fleet = FleetScheduler.build(2, 16)
-    fleet.format_fleet()
-    counters_before = [dict(d.medium.counters) for d in fleet.devices]
-    with pytest.raises(ValueError, match="power of two"):
-        fleet.seal_fleet(line_blocks=3)
-    assert [dict(d.medium.counters)
-            for d in fleet.devices] == counters_before  # untouched

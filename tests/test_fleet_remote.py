@@ -8,11 +8,11 @@ Four layers under test:
   (explicit > ``repro.engine(fleet_hosts=...)`` > installed policy >
   ``REPRO_FLEET_HOSTS`` read lazily at dispatch) and
   ``describe_policy()`` naming the deciding layer;
-* **equivalence** — every fleet pass (format / seal / audit / fsck,
-  scheduler and :class:`FleetStore` surface) dispatched on ``rpc``
-  must be byte-identical to the ``serial`` reference, including RNG
+* **equivalence** — every :class:`FleetStore` pass (format /
+  seal_many / audit / deep audit) dispatched on ``rpc`` must be
+  byte-identical to the ``serial`` reference, including RNG
   continuation on the members afterwards;
-* **plumbing** — per-host walls and host naming in the reports,
+* **plumbing** — per-host walls and host naming in ``last_op``,
   connection-pool reuse, :func:`repro.parallel.close_executors`
   closing the pools, and :class:`HashRing` stability under permuted
   host lists.
@@ -33,6 +33,8 @@ import pytest
 
 import repro
 import repro.api as api
+from twin_racks import (all_passes, device_rack, fingerprints,
+                        object_rack, seal_lines, sealed_device_rack)
 from repro.api.fleet import FleetStore
 from repro.api.policy import ExecutionPolicy
 from repro.api.store import TamperEvidentStore
@@ -53,7 +55,6 @@ from repro.parallel.remote import (
     recv_frame,
     send_frame,
 )
-from repro.workloads.fleet import FleetScheduler
 
 
 @pytest.fixture(autouse=True)
@@ -77,24 +78,6 @@ def workers():
         for worker in spawned:
             worker.stop()
         close_connection_pools()
-
-
-def _build_pair(executor, n=3, blocks=32):
-    """Twin fleets (identical seeds): serial reference + one under
-    ``executor``."""
-    serial = FleetScheduler.build(n, blocks, switching_sigma=0.02,
-                                  executor="serial")
-    other = FleetScheduler.build(n, blocks, switching_sigma=0.02,
-                                 executor=executor)
-    return serial, other
-
-
-def _all_passes(fleet):
-    return (fleet.format_fleet().fingerprints(),
-            fleet.seal_fleet(lines_per_device=2,
-                             line_blocks=4).fingerprints(),
-            fleet.audit_fleet().fingerprints(),
-            fleet.fsck_fleet().fingerprints())
 
 
 # -- wire protocol -------------------------------------------------------------
@@ -210,105 +193,95 @@ def test_policy_validates_and_canonicalises_hosts():
 
 def test_rpc_without_hosts_is_a_descriptive_error(monkeypatch):
     monkeypatch.delenv(api.FLEET_HOSTS_ENV_VAR, raising=False)
-    fleet = FleetScheduler.build(2, 16, executor="rpc")
+    fleet = device_rack("rpc", n=2, blocks=16)
     with pytest.raises(ConfigurationError, match="REPRO_FLEET_HOSTS"):
-        fleet.format_fleet()
+        fleet.format_devices()
 
 
 def test_env_hosts_read_lazily_after_scheduler_built(workers, monkeypatch):
     """Exporting REPRO_FLEET_EXECUTOR=rpc + REPRO_FLEET_HOSTS after
-    the scheduler exists must still dispatch remotely."""
+    the fleet exists must still dispatch remotely."""
     monkeypatch.delenv(api.EXECUTOR_ENV_VAR, raising=False)
     monkeypatch.delenv(api.FLEET_HOSTS_ENV_VAR, raising=False)
-    fleet = FleetScheduler.build(2, 16)
-    assert fleet.format_fleet().executor == "serial"
+    fleet = device_rack(n=2, blocks=16)
+    fleet.format_devices()
+    assert fleet.last_op.executor == "serial"
     monkeypatch.setenv(api.EXECUTOR_ENV_VAR, "rpc")
     monkeypatch.setenv(api.FLEET_HOSTS_ENV_VAR, ",".join(workers))
-    report = fleet.audit_fleet()
-    assert report.executor == "rpc"
-    assert report.hosts == tuple(sorted(workers))
+    fleet.audit()
+    assert fleet.last_op.executor == "rpc"
+    assert fleet.last_op.hosts == tuple(sorted(workers))
 
 
 def test_engine_context_selects_rpc(workers):
-    fleet = FleetScheduler.build(2, 16)
+    fleet = device_rack(n=2, blocks=16)
     with repro.engine(executor="rpc", fleet_hosts=workers):
-        report = fleet.format_fleet()
-    assert report.executor == "rpc"
-    assert report.hosts == tuple(sorted(workers))
-    assert fleet.audit_fleet().executor == "serial"  # scope ended
+        fleet.format_devices()
+    assert fleet.last_op.executor == "rpc"
+    assert fleet.last_op.hosts == tuple(sorted(workers))
+    fleet.audit()
+    assert fleet.last_op.executor == "serial"  # scope ended
 
 
 # -- equivalence ---------------------------------------------------------------
 
 
 def test_rpc_passes_byte_identical_vs_serial(workers):
-    """The acceptance criterion: format/seal/audit/fsck per-member
-    fingerprints under ``rpc`` match the serial executor byte for
-    byte."""
-    serial, remote = _build_pair(RpcExecutor(workers))
-    assert _all_passes(serial) == _all_passes(remote)
+    """The acceptance criterion: format/seal_many/audit/deep-audit
+    reports and member fingerprints under ``rpc`` match the serial
+    executor byte for byte."""
+    assert all_passes("serial") == all_passes(RpcExecutor(workers))
 
 
 def test_rpc_reinstalls_member_state_exactly(workers):
     """After an rpc pass the caller's members carry the worker-side
     state (medium arrays, RNG position) exactly as a serial pass
     would have left them — and the *next* pass still agrees."""
-    serial, remote = _build_pair(RpcExecutor(workers), n=2)
-    for fleet in (serial, remote):
-        fleet.format_fleet()
-        fleet.seal_fleet(lines_per_device=2, line_blocks=4)
-        fleet.audit_fleet()
-    for s_dev, r_dev in zip(serial.devices, remote.devices):
+    serial = sealed_device_rack("serial", n=2)
+    remote = sealed_device_rack(RpcExecutor(workers), n=2)
+    assert serial.audit() == remote.audit()
+    for s_store, r_store in zip(serial.members, remote.members):
+        s_dev, r_dev = s_store.device, r_store.device
         assert s_dev.heated_lines == r_dev.heated_lines
         assert np.array_equal(s_dev.medium._mag, r_dev.medium._mag)
         assert np.array_equal(s_dev.medium._sharpness,
                               r_dev.medium._sharpness)
         assert s_dev.medium._rng.bit_generator.state == \
             r_dev.medium._rng.bit_generator.state
-    assert serial.audit_fleet().fingerprints() == \
-        remote.audit_fleet().fingerprints()
+    assert serial.audit() == remote.audit()
+    assert fingerprints(serial) == fingerprints(remote)
 
 
 def test_rpc_keeps_caller_references_live(workers):
     """Caller-held member/device/medium objects must see the mutating
     rpc-pass results in place (the adopt_state contract)."""
-    fleet = FleetScheduler.build(2, 32, switching_sigma=0.02,
-                                 executor=RpcExecutor(workers))
-    held_store = fleet.stores[0]
+    fleet, paths = object_rack(RpcExecutor(workers))
+    held_store = fleet.members[0]
     held_device = held_store.device
     held_medium = held_device.medium
-    fleet.format_fleet()
-    fleet.seal_fleet(lines_per_device=2, line_blocks=4)
-    assert fleet.stores[0] is held_store
+    fleet.seal_many(paths)
+    assert fleet.members[0] is held_store
     assert held_store.device is held_device
     assert held_device.medium is held_medium
-    assert len(held_device.heated_lines) == 2
+    assert len(held_device.heated_lines) == \
+        sum(fleet.route(path) == 0 for path in paths) > 0
     assert held_medium.heated_count() > 0
 
 
 def test_fleet_store_surface_over_rpc(workers):
     """FleetStore seal_many/audit through the rpc executor: same
     receipts and verdicts as serial, hosts named in last_op."""
-    def build():
-        fleet = FleetStore.create(2, total_blocks=192, seed=33)
-        paths = [f"/obj-{i}" for i in range(8)]
-        for path in paths:
-            fleet.put(path, path.encode() * 8)
-        return fleet, paths
-
-    fleet_a, paths = build()
+    fleet_a, paths = object_rack()
     receipts_serial = fleet_a.seal_many(paths)
     audit_serial = fleet_a.audit()
 
-    fleet_b, _ = build()
+    fleet_b, _ = object_rack()
     with repro.engine(executor="rpc", fleet_hosts=workers):
         receipts_rpc = fleet_b.seal_many(paths)
         audit_rpc = fleet_b.audit()
-    assert [r.line_hash for r in receipts_rpc] == \
-        [r.line_hash for r in receipts_serial]
-    key = lambda rep: [(r.status, r.line_start, r.label, r.stored_hash)
-                       for r in rep.reports]
-    assert key(audit_rpc) == key(audit_serial)
+    assert receipts_rpc == receipts_serial
+    assert audit_rpc == audit_serial
+    assert fingerprints(fleet_b) == fingerprints(fleet_a)
     assert fleet_b.last_op.executor == "rpc"
     assert fleet_b.last_op.hosts == tuple(sorted(workers))
 
@@ -317,50 +290,53 @@ def test_fleet_store_surface_over_rpc(workers):
 
 
 def test_session_passes_byte_identical_vs_serial(workers):
-    """Acceptance: all four passes match the serial reference byte for
-    byte, and steady-state audit traffic is descriptor-sized, not
-    snapshot-sized."""
-    serial, pinned = _build_pair(RpcExecutor(workers))
-    assert _all_passes(serial) == _all_passes(pinned)
-    # pins were shipped during format; the audit that just ran sent
-    # only task descriptors
-    report = pinned.audit_fleet()
-    assert set(report.bytes_out) <= set(workers)
-    assert sum(report.bytes_out.values()) < 8_000
-    assert sum(report.bytes_back.values()) > 0
-    assert serial.audit_fleet().fingerprints() == report.fingerprints()
+    """Acceptance: steady (already pinned) passes match the serial
+    reference byte for byte, and their audit traffic is
+    descriptor-sized, not snapshot-sized."""
+    serial = sealed_device_rack("serial")
+    pinned = sealed_device_rack(RpcExecutor(workers))
+    assert serial.audit() == pinned.audit()  # re-pins the sealed lines
+    # the pins are warm: this audit sends only task descriptors
+    report = pinned.audit(deep=True)
+    stats = pinned.last_op
+    assert set(stats.bytes_out) <= set(workers)
+    assert sum(stats.bytes_out.values()) < 8_000
+    assert sum(stats.bytes_back.values()) > 0
+    assert serial.audit(deep=True) == report
+    assert fingerprints(serial) == fingerprints(pinned)
 
 
 def test_session_rng_continuation(workers):
     """After steady (already pinned) passes the caller-held members
     carry the exact medium arrays and RNG position of the serial twin
     — and the next pass continues from them identically."""
-    serial, pinned = _build_pair(RpcExecutor(workers), n=2)
+    serial = sealed_device_rack("serial", n=2)
+    pinned = sealed_device_rack(RpcExecutor(workers), n=2)
     for fleet in (serial, pinned):
-        fleet.format_fleet()
-        fleet.seal_fleet(lines_per_device=2, line_blocks=4)
         for _ in range(3):  # the second and third ride warm pins
-            fleet.audit_fleet()
-    for s_dev, p_dev in zip(serial.devices, pinned.devices):
+            fleet.audit()
+    for s_store, p_store in zip(serial.members, pinned.members):
+        s_dev, p_dev = s_store.device, p_store.device
         assert s_dev.heated_lines == p_dev.heated_lines
         assert np.array_equal(s_dev.medium._mag, p_dev.medium._mag)
         assert s_dev.medium._rng.bit_generator.state == \
             p_dev.medium._rng.bit_generator.state
-    assert serial.audit_fleet().fingerprints() == \
-        pinned.audit_fleet().fingerprints()
+    assert serial.audit() == pinned.audit()
+    assert fingerprints(serial) == fingerprints(pinned)
 
 
 def test_session_reports_wire_traffic(workers):
-    """FleetOpStats/FleetReport expose per-host bytes: snapshot-sized
-    while pinning, then orders of magnitude down once pinned."""
-    fleet = FleetScheduler.build(2, 32, switching_sigma=0.02,
-                                 executor=RpcExecutor(workers))
-    first = fleet.format_fleet()
-    pin_bytes = sum(first.bytes_out.values())
-    assert set(first.bytes_back) <= set(workers)
-    fleet.seal_fleet(lines_per_device=2, line_blocks=4)
-    steady = fleet.audit_fleet()
-    steady_bytes = sum(steady.bytes_out.values())
+    """FleetOpStats exposes per-host bytes: snapshot-sized while
+    pinning, then orders of magnitude down once pinned."""
+    fleet = device_rack(RpcExecutor(workers), n=2)
+    fleet.format_devices()
+    pin_bytes = sum(fleet.last_op.bytes_out.values())
+    assert set(fleet.last_op.bytes_back) <= set(workers)
+    seal_lines(fleet)
+    fleet.audit()  # the client-side seal re-pins: snapshot-sized again
+    assert sum(fleet.last_op.bytes_out.values()) > pin_bytes / 2
+    fleet.audit()
+    steady_bytes = sum(fleet.last_op.bytes_out.values())
     assert pin_bytes > 50 * steady_bytes
 
 
@@ -368,27 +344,18 @@ def test_session_fleet_store_surface(workers):
     """The FleetStore object surface (seal_many/audit) rides sessions
     transparently and records byte counters in last_op: the pinning
     seal_many ships snapshots, the audit after it only descriptors."""
-    def build():
-        fleet = FleetStore.create(2, total_blocks=192, seed=33)
-        paths = [f"/obj-{i}" for i in range(8)]
-        for path in paths:
-            fleet.put(path, path.encode() * 8)
-        return fleet, paths
-
-    fleet_a, paths = build()
+    fleet_a, paths = object_rack()
     receipts_serial = fleet_a.seal_many(paths)
     audit_serial = fleet_a.audit()
 
-    fleet_b, _ = build()
+    fleet_b, _ = object_rack()
     with repro.engine(executor="rpc", fleet_hosts=workers):
         receipts_rpc = fleet_b.seal_many(paths)
         cold_bytes = sum(fleet_b.last_op.bytes_out.values())
         audit_rpc = fleet_b.audit()
-    assert [r.line_hash for r in receipts_rpc] == \
-        [r.line_hash for r in receipts_serial]
-    key = lambda rep: [(r.status, r.line_start, r.label, r.stored_hash)
-                       for r in rep.reports]
-    assert key(audit_rpc) == key(audit_serial)
+    assert receipts_rpc == receipts_serial
+    assert audit_rpc == audit_serial
+    assert fingerprints(fleet_b) == fingerprints(fleet_a)
     assert 0 < sum(fleet_b.last_op.bytes_out.values()) < cold_bytes / 10
 
 
@@ -396,23 +363,22 @@ def test_session_fleet_store_surface(workers):
 
 
 def test_report_names_hosts_and_per_host_walls(workers):
-    fleet = FleetScheduler.build(3, 32, switching_sigma=0.02,
-                                 executor=RpcExecutor(workers))
-    report = fleet.audit_fleet()
-    assert report.executor == "rpc"
-    assert report.hosts == tuple(sorted(workers))
-    assert sum(w.tasks for w in report.worker_walls) == 3
-    for wall in report.worker_walls:
+    fleet = device_rack(RpcExecutor(workers))
+    fleet.audit()
+    stats = fleet.last_op
+    assert stats.executor == "rpc"
+    assert stats.hosts == tuple(sorted(workers))
+    assert sum(w.tasks for w in stats.worker_walls) == 3
+    for wall in stats.worker_walls:
         host = wall.worker.removeprefix("rpc-")
         assert host in workers
         assert wall.wall_seconds >= 0.0
-    assert {d.worker.removeprefix("rpc-")
-            for d in report.devices} <= set(workers)
 
 
 def test_serial_reports_have_no_hosts():
-    fleet = FleetScheduler.build(1, 16)
-    assert fleet.format_fleet().hosts == ()
+    fleet = device_rack(n=1, blocks=16)
+    fleet.format_devices()
+    assert fleet.last_op.hosts == ()
 
 
 # -- connection pooling --------------------------------------------------------
@@ -420,11 +386,11 @@ def test_serial_reports_have_no_hosts():
 
 def test_connection_pool_reused_between_passes(workers):
     close_connection_pools()
-    fleet = FleetScheduler.build(4, 16, executor=RpcExecutor(workers))
-    fleet.format_fleet()
+    fleet = device_rack(RpcExecutor(workers), n=4, blocks=16)
+    fleet.format_devices()
     pooled_after_first = _pooled_connections()
     assert pooled_after_first >= 1
-    fleet.audit_fleet()
+    fleet.audit()
     # the second pass reuses the warm sockets instead of stacking more
     assert _pooled_connections() <= pooled_after_first + len(workers)
 
@@ -434,13 +400,14 @@ def test_close_executors_closes_rpc_pools(workers):
     connection pool even when no rpc instance was ever cached in the
     executor-instance registry (explicit instances bypass it)."""
     close_connection_pools()
-    fleet = FleetScheduler.build(2, 16, executor=RpcExecutor(workers))
-    fleet.format_fleet()
+    fleet = device_rack(RpcExecutor(workers), n=2, blocks=16)
+    fleet.format_devices()
     assert _pooled_connections() > 0
     close_executors()
     assert _pooled_connections() == 0
     # and the next pass simply dials fresh connections
-    assert fleet.audit_fleet().executor == "rpc"
+    fleet.audit()
+    assert fleet.last_op.executor == "rpc"
 
 
 def test_call_worker_reconnects_after_stale_pooled_socket(workers):
@@ -453,6 +420,25 @@ def test_call_worker_reconnects_after_stale_pooled_socket(workers):
         for sock in remote_mod._POOL.get(addr, []):
             sock.shutdown(socket.SHUT_RDWR)
     assert isinstance(ping(addr), int)  # reconnect, not an error
+
+
+def test_worker_replies_without_nagle():
+    """Both ends set TCP_NODELAY: a reply longer than one segment must
+    not hold its tail until the client's delayed ACK (40 ms)."""
+    seen = []
+    answered = threading.Event()
+
+    class Probe(remote_mod._WorkerHandler):
+        def handle(self):
+            seen.append(self.request.getsockopt(socket.IPPROTO_TCP,
+                                                socket.TCP_NODELAY))
+            answered.set()
+
+    with remote_mod._WorkerServer(("127.0.0.1", 0), Probe) as server:
+        with socket.create_connection(server.server_address):
+            server.handle_request()
+            assert answered.wait(5.0)
+    assert seen and seen[0]
 
 
 # -- host assignment stability -------------------------------------------------
@@ -763,20 +749,23 @@ def test_failover_members_replace_on_surviving_hosts():
     worker_a, worker_b = spawn_local_worker(), spawn_local_worker()
     reset_host_health()
     try:
-        serial, fleet = _build_pair(
-            RpcExecutor([worker_a.address, worker_b.address],
-                        retries=2))
-        reference = _all_passes(serial)
-        assert fleet.format_fleet().fingerprints() == reference[0]
+        executor = RpcExecutor([worker_a.address, worker_b.address],
+                               retries=2)
+        serial, fleet = device_rack("serial"), device_rack(executor)
+        twin_objects, paths = object_rack("serial")
+        objects, _ = object_rack(executor)
+        assert fleet.format_devices() == serial.format_devices()
         worker_b.kill()
-        assert fleet.seal_fleet(
-            lines_per_device=2, line_blocks=4).fingerprints() == \
-            reference[1]
-        audited = fleet.audit_fleet()
-        assert audited.fingerprints() == reference[2]
+        for rack in (serial, fleet):
+            seal_lines(rack)
+        assert fleet.audit() == serial.audit()
         # the failed host was charged its failover re-dispatches
-        assert sum(audited.retries.values()) >= 0  # stats present
-        assert fleet.fsck_fleet().fingerprints() == reference[3]
+        assert sum(fleet.last_op.retries.values()) >= 0  # stats present
+        assert objects.seal_many(paths) == twin_objects.seal_many(paths)
+        assert fleet.audit(deep=True) == serial.audit(deep=True)
+        assert objects.audit(deep=True) == twin_objects.audit(deep=True)
+        assert fingerprints(fleet) == fingerprints(serial)
+        assert fingerprints(objects) == fingerprints(twin_objects)
     finally:
         worker_a.stop()
         worker_b.stop()
@@ -853,6 +842,32 @@ def test_worker_with_secret_rejects_unsigned_and_wrong_secret():
         reset_host_health()
 
 
+def test_serve_refuses_unsigned_non_loopback_bind(monkeypatch):
+    """An unsigned worker unpickles whatever reaches its port, so
+    serving one beyond loopback is refused before the socket exists;
+    with a secret exported the same bind announces, and loopback
+    stays unsigned-permissive."""
+    class Announced(Exception):
+        pass
+
+    def announce(line):
+        raise Announced(line)  # leave serve() once it is listening
+
+    bound = []
+    real_server = remote_mod._WorkerServer
+    monkeypatch.setattr(
+        remote_mod, "_WorkerServer",
+        lambda *args: bound.append(args) or real_server(*args))
+    with pytest.raises(ConfigurationError, match="REPRO_FLEET_SECRET"):
+        remote_mod.serve("0.0.0.0:0", announce=announce)
+    assert bound == []
+    with pytest.raises(Announced, match="SRPC listening on 127.0.0.1:"):
+        remote_mod.serve("127.0.0.1:0", announce=announce)
+    monkeypatch.setenv(api.FLEET_SECRET_ENV_VAR, "hunter2")
+    with pytest.raises(Announced, match="SRPC listening on 0.0.0.0:"):
+        remote_mod.serve("0.0.0.0:0", announce=announce)
+
+
 def test_fleet_passes_byte_identical_over_signed_frames():
     from repro.parallel import reset_host_health
 
@@ -861,9 +876,8 @@ def test_fleet_passes_byte_identical_over_signed_frames():
     reset_host_health()
     try:
         hosts = [w.address for w in spawned]
-        serial, fleet = _build_pair(
-            RpcExecutor(hosts, secret="fleet-hmac-key"))
-        assert _all_passes(fleet) == _all_passes(serial)
+        assert all_passes(RpcExecutor(hosts, secret="fleet-hmac-key")) \
+            == all_passes("serial")
     finally:
         for worker in spawned:
             worker.stop()

@@ -1,0 +1,96 @@
+"""Seeded twin racks for the fleet byte-identity tests.
+
+The contract under test: whichever executor dispatches a fleet pass,
+the typed reports it returns and the state it leaves on every member
+equal what the ``serial`` executor produces on an identically seeded
+twin.  Tests build one rack per executor with these helpers and
+compare the reports (frozen dataclasses, ``==``) and
+:func:`fingerprints` against the twin's.
+
+Two rack shapes, because no single one takes every pass:
+
+* :func:`device_rack` — bare devices behind
+  ``TamperEvidentStore.attach`` (32 blocks each, cheap): takes
+  ``format_devices``/``audit``/``audit(deep=True)``; its lines are
+  heated client-side by :func:`seal_lines` (a format scan would wipe a
+  file system, and a device-grain member has no objects to
+  ``seal_many``);
+* :func:`object_rack` — file-system-backed members holding unsealed
+  objects: takes ``seal_many``/``audit``/``audit(deep=True)``.
+"""
+
+from __future__ import annotations
+
+from repro.api.fleet import FleetStore
+from repro.api.store import TamperEvidentStore
+from repro.device.sero import BLOCK_SIZE, SERODevice
+from repro.medium.medium import MediumConfig
+from repro.parallel.session import store_fingerprint
+
+_PAYLOAD = bytes(range(256)) * (BLOCK_SIZE // 256)
+
+
+def device_rack(executor=None, *, n=3, blocks=32, max_workers=None):
+    """``n`` device-grain members on distinct, slightly defective
+    media (seed ``2008 + i``)."""
+    return FleetStore(
+        [TamperEvidentStore.attach(SERODevice.create(
+            blocks, medium_config=MediumConfig(switching_sigma=0.02,
+                                               seed=2008 + i)))
+         for i in range(n)],
+        executor=executor, max_workers=max_workers)
+
+
+def seal_lines(fleet, lines=2, line_blocks=4):
+    """Heat up to ``lines`` aligned, defect-free lines on every member
+    of a device rack — a client-side mutation, so under ``rpc`` the
+    next pass re-pins."""
+    for store in fleet.members:
+        device = store.device
+        usable = [start for start in range(
+                      0, device.total_blocks - line_blocks + 1, line_blocks)
+                  if start not in device.fragile_blocks
+                  and device.bad_blocks.isdisjoint(
+                      range(start, start + line_blocks))]
+        for start in usable[:lines]:
+            for pba in range(start + 1, start + line_blocks):
+                device.write_block(pba, _PAYLOAD)
+            device.heat_line(start, line_blocks)
+
+
+def sealed_device_rack(executor=None, **rack):
+    """A formatted :func:`device_rack` with its lines heated."""
+    fleet = device_rack(executor, **rack)
+    fleet.format_devices()
+    seal_lines(fleet)
+    return fleet
+
+
+def object_rack(executor=None, *, n=2, total_blocks=192, seed=33,
+                objects=8):
+    """``(fleet, paths)``: ``n`` fs-backed members holding ``objects``
+    unsealed objects, ring-routed."""
+    fleet = FleetStore.create(n, total_blocks=total_blocks, seed=seed,
+                              executor=executor)
+    paths = [f"/obj-{i}" for i in range(objects)]
+    for path in paths:
+        fleet.put(path, path.encode() * 8)
+    return fleet, paths
+
+
+def fingerprints(fleet):
+    """Everything a pass can change on each member, fleet order."""
+    return [store_fingerprint(member) for member in fleet.members]
+
+
+def all_passes(executor, **rack):
+    """Run every fleet pass on fresh racks under ``executor``:
+    ``(typed reports, member fingerprints)`` for twin comparison."""
+    devices = device_rack(executor, **rack)
+    reports = [devices.format_devices()]
+    seal_lines(devices)
+    reports += [devices.audit(), devices.audit(deep=True)]
+    objects, paths = object_rack(executor)
+    reports += [objects.seal_many(paths), objects.audit(),
+                objects.audit(deep=True)]
+    return reports, fingerprints(devices) + fingerprints(objects)
