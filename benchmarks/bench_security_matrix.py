@@ -2,8 +2,8 @@
 
 Runs every attack scenario of the Section 5 analysis and prints the
 case table the paper walks through in prose, plus the address-binding
-ablation (DESIGN.md): without physical addresses in the line hash the
-copy-masking attack succeeds.
+ablation (``test_address_binding_ablation`` below): without physical
+addresses in the line hash the copy-masking attack succeeds.
 """
 
 from repro.analysis.report import format_table
@@ -32,5 +32,6 @@ def test_address_binding_ablation(benchmark, show):
           "yes" if with_addr.achieved else "NO"],
          ["without addresses (ablation)",
           "no — attack succeeds" if without_addr.achieved else "?"]],
-        title="DESIGN.md ablation — why addresses belong in the hash"))
+        title="include_addresses ablation — why addresses belong in "
+              "the hash"))
     assert with_addr.achieved and without_addr.achieved

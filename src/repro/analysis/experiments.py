@@ -1,4 +1,5 @@
-"""Experiment registry: one entry per paper artifact (DESIGN.md index).
+"""Experiment registry: one entry per paper artifact (the index of
+``benchmarks/bench_*.py`` modules).
 
 The registry binds each experiment id (figure / section) to the bench
 module that regenerates it and to a one-line statement of the expected

@@ -3,8 +3,8 @@
 Two pieces:
 
 * :mod:`repro.api.policy` — the :class:`ExecutionPolicy` / engine
-  registry that gives every scalar-vs-vectorized (and SHA-256 backend)
-  switch one lazy resolution order: explicit argument > context
+  registry that gives every scalar-vs-vectorized switch one lazy
+  resolution order: explicit argument > context
   override (``with repro.engine("scalar"):``) > installed policy >
   environment variable > default;
 * :mod:`repro.api.store` — :class:`TamperEvidentStore`, the façade
@@ -45,8 +45,6 @@ from .policy import (
     SEARCH_FRAGMENT_COUNT_ENV_VAR,
     SEARCH_FRAGMENT_SIZE_ENV_VAR,
     SEARCH_MAX_HITS_ENV_VAR,
-    SHA256_BACKENDS,
-    SHA256_ENV_VAR,
     EngineSpec,
     ExecutionPolicy,
     available_engines,
@@ -68,7 +66,6 @@ from .policy import (
     resolve_search_fragment_count,
     resolve_search_fragment_size,
     resolve_search_max_hits,
-    resolve_sha256_backend,
     resolve_vectorized,
     set_policy,
     unregister_engine,
@@ -124,10 +121,7 @@ __all__ = [
     "get_engine",
     "resolve_engine",
     "resolve_vectorized",
-    "resolve_sha256_backend",
     "ENGINE_ENV_VAR",
-    "SHA256_ENV_VAR",
-    "SHA256_BACKENDS",
     # fleet executors
     "ExecutorSpec",
     "FleetExecutor",

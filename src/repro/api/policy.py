@@ -1,11 +1,11 @@
 """Execution policy: one knob table, one five-layer walk.
 
-Every tunable of the package — the span engine, the SHA-256 backend,
-fleet dispatch and its fault handling, the gateway's address and token
-file, the search highlighter — is one row of :data:`KNOBS`: policy
-field, environment variable, default, one validator and one env
-parser.  :func:`resolve` is the only place the resolution order is
-walked, **lazily at each decision point**:
+Every tunable of the package — the span engine, fleet dispatch and
+its fault handling, the gateway's address and token file, the search
+highlighter — is one row of :data:`KNOBS`: policy field, environment
+variable, default, one validator and one env parser.  :func:`resolve`
+is the only place the resolution order is walked, **lazily at each
+decision point**:
 
 1. **explicit argument** — a value passed by the caller always wins;
 2. **context override** — the innermost active
@@ -46,9 +46,6 @@ from ..errors import ConfigurationError
 
 #: ``REPRO_SPAN_ENGINE`` spellings that select the scalar engine.
 _FALSEY = ("0", "false", "no", "off", "scalar")
-
-#: Recognised SHA-256 backends (see :mod:`repro.crypto.sha256`).
-SHA256_BACKENDS = ("hashlib", "pure")
 
 #: Recognised ``fleet_on_failure`` modes.
 FLEET_ON_FAILURE_MODES = ("raise", "degrade")
@@ -153,8 +150,6 @@ class Knob:
             then sees (``None`` = the export explicitly unsets the
             knob); ``ValueError`` from either marks the export garbage.
         doc: what the knob means.
-        kwarg: the ``engine()`` keyword and ``describe_policy()``
-            ``<kwarg>_source`` stem, where it is not ``name``.
         secret: the value is secret material — kept out of ``repr``,
             reported by ``describe_policy()`` only as ``<name>_set``.
         strict_env: a garbage export raises instead of being ignored.
@@ -166,7 +161,6 @@ class Knob:
     check: Check
     parse_env: Callable[[str], object] = str
     doc: str = ""
-    kwarg: Optional[str] = None
     secret: bool = False
     strict_env: bool = False
 
@@ -216,10 +210,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          doc="registered engine name (`vectorized`/`scalar` or a custom "
              "one); the env var also takes `0`/`false`/`no`/`off` for "
              "`scalar`"),
-    Knob("sha256_backend", "REPRO_SHA256_BACKEND", "hashlib",
-         _one_of("sha256_backend", SHA256_BACKENDS), str.lower,
-         doc="`hashlib` or the from-scratch `pure` implementation",
-         kwarg="sha256"),
     Knob("executor", "REPRO_FLEET_EXECUTOR", "serial",
          lambda value: _parallel().get_executor_spec(value).name, str.lower,
          doc="registered fleet executor name (`serial`, the reference "
@@ -287,7 +277,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
 
 # Public names for the rows' environment variables and defaults.
 ENGINE_ENV_VAR = KNOBS["engine"].env_var
-SHA256_ENV_VAR = KNOBS["sha256_backend"].env_var
 EXECUTOR_ENV_VAR = KNOBS["executor"].env_var
 FLEET_WORKERS_ENV_VAR = KNOBS["max_workers"].env_var
 FLEET_HOSTS_ENV_VAR = KNOBS["fleet_hosts"].env_var
@@ -320,7 +309,6 @@ class ExecutionPolicy:
     """
 
     engine: Optional[str] = None
-    sha256_backend: Optional[str] = None
     executor: Optional[str] = None
     max_workers: Optional[int] = None
     fleet_hosts: Optional[Tuple[str, ...]] = None
@@ -372,7 +360,7 @@ def get_policy() -> Optional[ExecutionPolicy]:
     return _POLICY
 
 
-def engine(name: Optional[str] = None, *, sha256: Optional[str] = None,
+def engine(name: Optional[str] = None,
            **knobs: object) -> AbstractContextManager[ExecutionPolicy]:
     """Scoped override: ``with repro.engine("scalar"): ...``.
 
@@ -380,11 +368,11 @@ def engine(name: Optional[str] = None, *, sha256: Optional[str] = None,
     ``repro.engine(executor="rpc", fleet_hosts=("db1:7401", "db2:7401"),
     fleet_timeout=5.0, fleet_on_failure="degrade")``.  Nested contexts
     stack and the innermost one that pins a given field wins, so
-    ``with engine("scalar"), engine(sha256="pure"):`` runs the scalar
-    engine *and* the pure hash.  Thread- and async-safe (backed by a
-    :class:`contextvars.ContextVar`).
+    ``with engine("scalar"), engine(executor="thread"):`` runs the
+    scalar engine *and* the thread executor.  Thread- and async-safe
+    (backed by a :class:`contextvars.ContextVar`).
     """
-    return ExecutionPolicy(engine=name, sha256_backend=sha256, **knobs).use()
+    return ExecutionPolicy(engine=name, **knobs).use()
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +426,6 @@ def resolve_vectorized(explicit: Union[None, bool, str] = None) -> bool:
     return resolve_engine(explicit).vectorized
 
 
-def resolve_sha256_backend(explicit: Optional[str] = None) -> str:
-    """Resolve the SHA-256 backend name through the same chain."""
-    return resolve("sha256_backend", explicit)[0]
-
-
 def _alias(name: str) -> Callable[..., Tuple[object, str]]:
     """The public ``resolve_<knob>(explicit=None)`` spelling of
     ``resolve(name, explicit)``, documented from the row."""
@@ -470,7 +453,7 @@ resolve_search_max_hits = _alias("search_max_hits")
 def describe_knob(name: str) -> Dict[str, object]:
     """One row's :func:`describe_policy` entries: ``<name>`` (for a
     secret row only ``<name>_set`` — presence is operational state, the
-    value never appears in a diagnostics dump) and ``<kwarg>_source``.
+    value never appears in a diagnostics dump) and ``<name>_source``.
     Never raises on a bad environment: an invalid export of a strict
     row reports value ``None``, source ``"env (invalid)"`` and the
     message under ``<name>_error``."""
@@ -481,13 +464,14 @@ def describe_knob(name: str) -> Dict[str, object]:
         value, source = None, "env (invalid)"
         error = {f"{name}_error": str(exc)}
     shown = {f"{name}_set": value is not None} if knob.secret else {name: value}
-    return {**shown, f"{knob.kwarg or name}_source": source, **error}
+    return {**shown, f"{name}_source": source, **error}
 
 
 def describe_policy() -> Dict[str, object]:
     """Inspectable snapshot of the resolution: what would run now, and
     which layer decided it.  The answer an operator needs when a fleet
-    node is mysteriously slow (e.g. a pinned pure SHA-256 backend)."""
+    node is mysteriously slow (e.g. a stale ``REPRO_SPAN_ENGINE=0``
+    export selecting the scalar engine)."""
     snapshot: Dict[str, object] = {}
     for name in KNOBS:
         snapshot.update(describe_knob(name))

@@ -557,44 +557,13 @@ class TamperEvidentStore:
 
     def seal_many(self, paths: Sequence[str], *,
                   timestamp: Optional[int] = None) -> List[SealReceipt]:
-        """Seal a batch of objects.
+        """Seal a batch of objects: exactly a :meth:`seal` loop.
 
-        Each line's protocol (span mrs run, bulk ews, span ers
-        read-back) runs on the batched engines; the per-line iteration
-        is the protocol's own grain — a heat is atomic per line.  When
-        the *pure* SHA-256 backend is active, the batch's line hashes
-        additionally run through :func:`~repro.crypto.hashutil.
-        line_hash_many` lanes (:meth:`~repro.fs.lfs.SeroFS.heat_files`)
-        — bit-identical digests, one set of compression rounds per
-        group of equal-length lines.  The hashlib backend keeps the
-        plain loop: hashlib is already C, lanes would only add
-        overhead.
+        A heat is atomic per line, so the batch is the protocol's own
+        grain repeated: an error at path k leaves paths 0..k-1 sealed
+        and receipted.
         """
-        from ..crypto.sha256 import get_backend
-
-        paths = list(paths)
-        if len(paths) <= 1 or get_backend() != "pure":
-            return [self.seal(path, timestamp=timestamp)
-                    for path in paths]
-        fs = self._require_fs()
-        receipts: List[SealReceipt] = []
-
-        def on_heated(path: str, record) -> None:
-            receipt = SealReceipt.from_record(path, record)
-            self._receipts[path] = receipt
-            if self.fossil is not None:
-                try:
-                    self.fossil.insert(record.line_hash,
-                                       timestamp=record.timestamp)
-                except FossilSlotError:
-                    pass  # identical line content re-sealed
-            receipts.append(receipt)
-
-        fs.heat_files(
-            paths, timestamp=timestamp,
-            before_each=lambda path: self._record("seal", path),
-            on_heated=on_heated)
-        return receipts
+        return [self.seal(path, timestamp=timestamp) for path in paths]
 
     def put_sealed(self, path: str, data: bytes, *,
                    timestamp: Optional[int] = None) -> SealReceipt:

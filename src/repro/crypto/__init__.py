@@ -1,7 +1,7 @@
 """Cryptographic and coding primitives (all implemented from scratch).
 
-* :mod:`repro.crypto.sha256` — FIPS 180-4 SHA-256 (pure Python, with a
-  hashlib fast path).
+* :mod:`repro.crypto.sha256` — the stack's :mod:`hashlib` digest
+  helpers, plus a standalone scalar FIPS 180-4 ``SHA256`` class.
 * :mod:`repro.crypto.crc` — CRC-32 / CRC-16-CCITT for the sector codec.
 * :mod:`repro.crypto.manchester` — the paper's two-dots-per-bit
   write-once cell coding (``HU``/``UH``; ``HH`` = tamper evidence).
@@ -24,13 +24,12 @@ from .manchester import (
     encode_bits,
     encode_bytes,
 )
-from .sha256 import SHA256, sha256_digest, sha256_hexdigest, set_backend
+from .sha256 import SHA256, sha256_digest, sha256_hexdigest
 
 __all__ = [
     "SHA256",
     "sha256_digest",
     "sha256_hexdigest",
-    "set_backend",
     "crc32",
     "crc16_ccitt",
     "CellState",

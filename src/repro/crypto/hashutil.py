@@ -17,9 +17,9 @@ collisions.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Sequence, Tuple
+from typing import Sequence
 
-from .sha256 import DIGEST_SIZE, sha256_iter, sha256_many
+from .sha256 import DIGEST_SIZE, sha256_iter
 
 LINE_HASH_DOMAIN = b"sero-line-hash-v1"
 """Domain-separation prefix for line hashes."""
@@ -41,7 +41,8 @@ def line_hash(
         include_addresses: when False the addresses are omitted — this
             deliberately weakened mode exists only so the security
             benchmarks can demonstrate that copy-masking succeeds
-            without address binding (DESIGN.md ablation).
+            without address binding (the ``include_addresses``
+            ablation in ``benchmarks/bench_security_matrix.py``).
 
     Returns:
         The 32-byte SHA-256 digest.
@@ -59,31 +60,3 @@ def line_hash(
             yield bytes(block)
 
     return sha256_iter(chunks())
-
-
-def line_hash_many(
-    lines: Iterable[Tuple[Sequence[int], Sequence[bytes]]],
-    include_addresses: bool = True,
-) -> List[bytes]:
-    """Line hashes for many lines in one batched digest pass.
-
-    Semantically ``[line_hash(a, b) for a, b in lines]`` — the byte
-    layout per line is exactly :func:`line_hash`'s — but the digests
-    are computed through :func:`~repro.crypto.sha256.sha256_many`, so
-    on the pure backend all equal-length lines (the common case: a
-    fleet's lines share one geometry) compress array-parallel instead
-    of one at a time.
-    """
-    messages: List[bytes] = []
-    for addresses, blocks in lines:
-        if len(addresses) != len(blocks):
-            raise ValueError("addresses and blocks must have equal length")
-        parts: List[bytes] = [LINE_HASH_DOMAIN]
-        for address, block in zip(addresses, blocks):
-            if include_addresses:
-                if address < 0:
-                    raise ValueError("physical block address must be >= 0")
-                parts.append(struct.pack(">Q", address))
-            parts.append(bytes(block))
-        messages.append(b"".join(parts))
-    return sha256_many(messages)

@@ -1,28 +1,20 @@
-"""Pure-Python SHA-256 (FIPS 180-4).
+"""SHA-256: the storage stack's digest helpers, and a FIPS 180-4 class.
 
 The paper's heat-line operation stores "a secure hash (e.g. SHA-256)"
-of a line in the write-once block.  The reproduction implements the
-hash from scratch so the whole stack is self-contained; the
-implementation is verified against :mod:`hashlib` in the test suite.
-The rest of the library goes through :func:`sha256_digest`, which
-resolves its backend through the execution policy
-(:func:`repro.api.resolve_sha256_backend`): a module pin via
-:func:`set_backend` wins, then ``repro.engine(sha256="pure")``
-contexts, then :attr:`~repro.api.ExecutionPolicy.sha256_backend`, then
-the ``REPRO_SHA256_BACKEND`` environment variable, defaulting to the
-(~100x faster) ``hashlib`` backend.  A pinned pure backend is thereby
-an explicit, inspectable choice (``repro.api.describe_policy()``) —
-it is the first fleet-scale ``heat_line`` throughput bottleneck when
-active.
+of a line in the write-once block.  Every digest the storage stack
+takes — :func:`sha256_digest`, :func:`sha256_hexdigest`,
+:func:`sha256_iter` — is :mod:`hashlib`'s; there is no backend to
+select.  :class:`SHA256` is a from-scratch scalar implementation kept
+as a standalone library piece (like :mod:`repro.crypto.wom`): nothing
+in the stack reaches it, and the test suite checks it against the NIST
+vectors and :mod:`hashlib`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Iterable, Optional, Union
-
-from ..api.policy import resolve_sha256_backend
+from typing import Iterable, Union
 
 _BytesLike = Union[bytes, bytearray, memoryview]
 
@@ -147,156 +139,19 @@ class SHA256:
         return self.digest().hex()
 
 
-_PURE_BACKEND = "pure"
-_HASHLIB_BACKEND = "hashlib"
-
-#: Module-level pin: an explicit :func:`set_backend` choice.  ``None``
-#: (the default) defers to the execution policy, resolved lazily per
-#: digest so contexts and the environment variable work after import.
-_backend: Optional[str] = None
-
-
-def set_backend(name: Optional[str]) -> None:
-    """Pin the SHA-256 backend: ``"hashlib"`` or ``"pure"``.
-
-    The pure backend exercises the from-scratch implementation above;
-    the hashlib backend is bit-identical and ~100x faster.  A pin
-    overrides the execution policy; ``set_backend(None)`` (or the
-    ``"auto"`` token) removes the pin and defers to the policy again.
-
-    To save and restore the pin state, round-trip through
-    :func:`get_pinned_backend` (which may be None), not
-    :func:`get_backend` — the latter returns the *resolved* backend,
-    and restoring a resolved name would install a pin that silently
-    overrides every later policy/context.
-    """
-    global _backend
-    if name in (None, "auto"):
-        _backend = None
-        return
-    if name not in (_PURE_BACKEND, _HASHLIB_BACKEND):
-        raise ValueError(f"unknown sha256 backend: {name!r}")
-    _backend = name
-
-
-def get_backend() -> str:
-    """Name of the backend a digest started now would use (resolved
-    through pin > context > policy > environment > ``"hashlib"``)."""
-    return resolve_sha256_backend(_backend)
-
-
-def get_pinned_backend() -> Optional[str]:
-    """The explicit :func:`set_backend` pin (None when deferring to
-    the execution policy).  Pass the return value straight back to
-    :func:`set_backend` to restore the pin state."""
-    return _backend
-
-
-def _new_hash() -> "SHA256 | hashlib._Hash":
-    if resolve_sha256_backend(_backend) == _PURE_BACKEND:
-        return SHA256()
-    return hashlib.sha256()
-
-
 def sha256_digest(*chunks: _BytesLike) -> bytes:
-    """Digest the concatenation of ``chunks`` with the active backend."""
-    h = _new_hash()
-    for chunk in chunks:
-        h.update(chunk)
-    return h.digest()
+    """Digest the concatenation of ``chunks``."""
+    return sha256_iter(chunks)
 
 
 def sha256_hexdigest(*chunks: _BytesLike) -> str:
     """Hex digest of the concatenation of ``chunks``."""
-    return sha256_digest(*chunks).hex()
+    return sha256_iter(chunks).hex()
 
 
 def sha256_iter(chunks: Iterable[_BytesLike]) -> bytes:
     """Digest an iterable of byte chunks (streaming interface)."""
-    h = _new_hash()
+    h = hashlib.sha256()
     for chunk in chunks:
         h.update(chunk)
     return h.digest()
-
-
-# ---------------------------------------------------------------------------
-# Batched multi-message digests
-
-
-def _sha256_pad(message: bytes) -> bytes:
-    """``message`` with its FIPS 180-4 padding appended (a multiple of
-    64 bytes; messages of equal length pad identically)."""
-    return message + b"\x80" + b"\x00" * ((55 - len(message)) % 64) \
-        + struct.pack(">Q", len(message) * 8)
-
-
-def _sha256_many_pure(messages: "list[bytes]") -> "list[bytes]":
-    """Pure-backend digests of many independent messages.
-
-    Messages of equal length share a padded block count, so each
-    length group runs the 64 compression rounds *once* with numpy
-    ``uint32`` lanes across the whole group (native modular
-    arithmetic) instead of once per message — the round count stops
-    scaling with the group size, which is what keeps a pinned pure
-    backend usable for fleet seal/audit passes.  Singleton groups (and
-    a missing numpy) fall back to the scalar :class:`SHA256`.
-    """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy ships with the repo
-        return [SHA256(m).digest() for m in messages]
-
-    def rotr(x, n):  # lanes-wide rotate; uint32 shifts drop high bits
-        return (x >> np.uint32(n)) | (x << np.uint32(32 - n))
-
-    digests: "list[Optional[bytes]]" = [None] * len(messages)
-    groups: "dict[int, list[int]]" = {}
-    for i, message in enumerate(messages):
-        groups.setdefault(len(message), []).append(i)
-    for indices in groups.values():
-        if len(indices) == 1:
-            i = indices[0]
-            digests[i] = SHA256(messages[i]).digest()
-            continue
-        padded = np.frombuffer(
-            b"".join(_sha256_pad(messages[i]) for i in indices),
-            dtype=">u4").reshape(len(indices), -1).astype(np.uint32)
-        state = [np.full(len(indices), word, dtype=np.uint32)
-                 for word in _H0]
-        for blk in range(padded.shape[1] // 16):
-            w = [padded[:, blk * 16 + t] for t in range(16)]
-            for t in range(16, 64):
-                x15, x2 = w[t - 15], w[t - 2]
-                s0 = rotr(x15, 7) ^ rotr(x15, 18) ^ (x15 >> np.uint32(3))
-                s1 = rotr(x2, 17) ^ rotr(x2, 19) ^ (x2 >> np.uint32(10))
-                w.append(w[t - 16] + s0 + w[t - 7] + s1)
-            a, b, c, d, e, f, g, h = state
-            for t in range(64):
-                big_s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)
-                ch = (e & f) ^ (~e & g)
-                t1 = h + big_s1 + ch + np.uint32(_K[t]) + w[t]
-                big_s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)
-                maj = (a & b) ^ (a & c) ^ (b & c)
-                t2 = big_s0 + maj
-                h, g, f, e = g, f, e, d + t1
-                d, c, b, a = c, b, a, t1 + t2
-            state = [s + v for s, v in
-                     zip(state, (a, b, c, d, e, f, g, h))]
-        packed = np.stack(state, axis=1).astype(">u4").tobytes()
-        for row, i in enumerate(indices):
-            digests[i] = packed[row * DIGEST_SIZE:(row + 1) * DIGEST_SIZE]
-    return digests  # type: ignore[return-value]
-
-
-def sha256_many(messages: "Iterable[_BytesLike]") -> "list[bytes]":
-    """Digests of many *independent* messages with the active backend.
-
-    Semantically ``[sha256_digest(m) for m in messages]``; on the pure
-    backend, messages of equal length are processed as array-parallel
-    rounds (:func:`_sha256_many_pure`), so hashing a fleet pass's
-    lines costs one set of rounds per line *length*, not per line.
-    """
-    flat = [bytes(m) for m in messages]
-    if resolve_sha256_backend(_backend) == _PURE_BACKEND:
-        return _sha256_many_pure(flat)
-    return [hashlib.sha256(m).digest() for m in flat]

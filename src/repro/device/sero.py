@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..crypto.hashutil import line_hash, line_hash_many
+from ..crypto.hashutil import line_hash
 from ..crypto.manchester import CellState, classify_cell, encode_bytes
 from ..errors import (
     AlignmentError,
@@ -664,87 +664,6 @@ class SERODevice:
         self._register(record)
         return record
 
-    def heat_lines(self, specs: Sequence[Tuple[int, int, int]]
-                   ) -> List[LineRecord]:
-        """Batched :meth:`heat_line` over ``(start, n_blocks,
-        timestamp)`` specs (the seal-many device half).
-
-        Digests identical to the serial loop — same blocks, same
-        addresses, same per-line SHA-256 — but computed through
-        :func:`line_hash_many`, so equal-length lines share
-        compression rounds on the pure backend.  The electrical
-        phase (ews + ers read-back, the only RNG-drawing steps of a
-        heat) runs per line in input order, keeping the noise stream
-        identical to a ``heat_line`` loop.  Validation is hoisted:
-        every line's shape/bad-block/overlap checks (including
-        overlaps *within* the batch) run before any magnetic read,
-        so a doomed batch fails before the device is touched; an ers
-        verify failure at line k still raises :class:`HeatError`
-        with lines 0..k-1 heated and registered, exactly like the
-        loop.
-        """
-        specs = [(int(s), int(n), int(t)) for s, n, t in specs]
-        if len(specs) <= 1:
-            return [self.heat_line(s, n, t) for s, n, t in specs]
-        claimed: Dict[int, Tuple[int, int]] = {}
-        for start, n_blocks, _ts in specs:
-            self._check_line_shape(start, n_blocks)
-            if start in self.fragile_blocks:
-                raise BadBlockError(
-                    f"block {start} has defective dots in its "
-                    "electrical region and cannot serve as a line's "
-                    "hash block")
-            for pba in range(start, start + n_blocks):
-                if pba in self.bad_blocks:
-                    raise BadBlockError(
-                        f"line [{start}, {start + n_blocks}) contains "
-                        f"bad block {pba}")
-            for pba in range(start, start + n_blocks):
-                existing = self.line_of_block(pba)
-                if existing is not None and (
-                        existing.start != start
-                        or existing.n_blocks != n_blocks):
-                    raise AlignmentError(
-                        f"line [{start}, {start + n_blocks}) overlaps "
-                        f"heated line at {existing.start} "
-                        f"(+{existing.n_blocks})")
-                batched = claimed.get(pba)
-                if batched is not None and batched != (start, n_blocks):
-                    raise AlignmentError(
-                        f"line [{start}, {start + n_blocks}) overlaps "
-                        f"heated line at {batched[0]} (+{batched[1]})")
-            for pba in range(start, start + n_blocks):
-                claimed[pba] = (start, n_blocks)
-        lines: List[Tuple[List[int], List[bytes]]] = []
-        for start, n_blocks, _ts in specs:
-            addresses = self._line_data_addresses(start, n_blocks)
-            lines.append((addresses,
-                          self._read_line_blocks(addresses)))
-        digests = line_hash_many(
-            lines,
-            include_addresses=self.config.include_addresses_in_hash)
-        records: List[LineRecord] = []
-        for (start, n_blocks, timestamp), digest in zip(specs, digests):
-            payload = ElectricalPayload(
-                line_start=start,
-                n_blocks_log2=n_blocks.bit_length() - 1,
-                line_hash=digest,
-                timestamp=timestamp,
-            ).pack()
-            self.ews_block(start, payload)
-            read_back, tampered, virgin = self._ers_payload(start)
-            if tampered or virgin or read_back != payload:
-                raise HeatError(
-                    f"heat verify failed for line at {start}: "
-                    f"{len(tampered)} tampered cells"
-                    + (" (was the line already heated with different "
-                       "data?)" if tampered else ""))
-            record = LineRecord(start=start, n_blocks=n_blocks,
-                                line_hash=digest, timestamp=timestamp)
-            self._register(record)
-            records.append(record)
-        return records
-
     def _register(self, record: LineRecord) -> None:
         self._lines[record.start] = record
         for pba in range(record.start, record.start + record.n_blocks):
@@ -792,11 +711,10 @@ class SERODevice:
             return self._mrs_run(addresses[0], len(addresses))
         return [self._mrs(pba) for pba in addresses]
 
-    def _verify_magnetic_read(self, start: int, meta: ElectricalPayload):
-        """Read half of :meth:`_verify_magnetic`: the magnetic span
-        reads (and their charges), with the digest deferred.  Returns
-        a terminal :class:`VerificationResult`, or the
-        ``(addresses, blocks)`` awaiting a hash comparison."""
+    def _verify_magnetic(self, start: int,
+                         meta: ElectricalPayload) -> VerificationResult:
+        """Magnetic half of line verification: recompute and compare
+        the line hash recorded in ``meta``."""
         n_blocks = 1 << meta.n_blocks_log2
         if meta.line_start != start:
             return VerificationResult(status=VerifyStatus.HASH_MISMATCH,
@@ -809,11 +727,8 @@ class SERODevice:
             # electrically destroyed dots, or a bulk erase
             return VerificationResult(status=VerifyStatus.UNREADABLE,
                                       start=start, stored_hash=meta.line_hash)
-        return addresses, blocks
-
-    @staticmethod
-    def _verify_digest_result(start: int, meta: ElectricalPayload,
-                              digest: bytes) -> VerificationResult:
+        digest = line_hash(addresses, blocks,
+                           include_addresses=self.config.include_addresses_in_hash)
         if digest != meta.line_hash:
             return VerificationResult(status=VerifyStatus.HASH_MISMATCH,
                                       start=start, stored_hash=meta.line_hash,
@@ -821,18 +736,6 @@ class SERODevice:
         return VerificationResult(status=VerifyStatus.INTACT, start=start,
                                   stored_hash=meta.line_hash,
                                   computed_hash=digest)
-
-    def _verify_magnetic(self, start: int,
-                         meta: ElectricalPayload) -> VerificationResult:
-        """Magnetic half of line verification: recompute and compare
-        the line hash recorded in ``meta``."""
-        read = self._verify_magnetic_read(start, meta)
-        if isinstance(read, VerificationResult):
-            return read
-        addresses, blocks = read
-        digest = line_hash(addresses, blocks,
-                           include_addresses=self.config.include_addresses_in_hash)
-        return self._verify_digest_result(start, meta, digest)
 
     def verify_lines(self, starts: Sequence[int]) -> List[VerificationResult]:
         """Batched :meth:`verify_line` over many line starts.
@@ -856,13 +759,7 @@ class SERODevice:
             return [self.verify_line(start) for start in starts]
         codes, erb_ops = self._ers_codes_many(starts)
         per_bit = self.timing.t_erb_for(self.config.erb_rounds)
-        results: List[Optional[VerificationResult]] = []
-        # lines whose reads all succeeded wait here so their digests
-        # compute in one batched pass (equal-length lines share one
-        # set of compression rounds on the pure backend); the device
-        # charges above already happened in protocol order
-        pending: List[Tuple[int, int, ElectricalPayload,
-                            List[int], List[bytes]]] = []
+        results: List[VerificationResult] = []
         for i, start in enumerate(starts):
             self.scanner.seek_to_block(start)
             self.scanner.transfer(int(erb_ops[i]), "erb", per_bit=per_bit)
@@ -886,22 +783,8 @@ class SERODevice:
                 # CRC failed: verify_line re-reads before concluding
                 results.append(self.verify_line(start))
                 continue
-            read = self._verify_magnetic_read(start, meta)
-            if isinstance(read, VerificationResult):
-                results.append(read)
-                continue
-            addresses, blocks = read
-            pending.append((len(results), start, meta, addresses, blocks))
-            results.append(None)
-        if pending:
-            digests = line_hash_many(
-                [(addresses, blocks)
-                 for _i, _s, _m, addresses, blocks in pending],
-                include_addresses=self.config.include_addresses_in_hash)
-            for (slot, start, meta, _a, _b), digest in zip(pending, digests):
-                results[slot] = self._verify_digest_result(
-                    start, meta, digest)
-        return results  # type: ignore[return-value]
+            results.append(self._verify_magnetic(start, meta))
+        return results
 
     def verify_all(self) -> List[VerificationResult]:
         """Verify every registered line (audit sweep, batched)."""

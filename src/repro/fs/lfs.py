@@ -25,15 +25,7 @@ bimodality benchmark shows the difference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, Optional, Tuple
 
 from ..device.sector import BLOCK_SIZE
 from ..device.sero import LineRecord, SERODevice, VerificationResult
@@ -101,21 +93,6 @@ class FileStat:
     line_start: Optional[int] = None
 
 
-@dataclass
-class _StagedLine:
-    """A line laid out by :meth:`SeroFS.heat_files` awaiting its heat:
-    everything :meth:`SeroFS._commit_staged` needs to retire the old
-    copies once the device confirms."""
-
-    path: str
-    ino: int
-    old_inode: Inode
-    start: int
-    line_len: int
-    inode_pba: int
-    timestamp: int
-
-
 class SeroFS:
     """A SERO-aware log-structured file system over one device.
 
@@ -145,10 +122,6 @@ class SeroFS:
         self._generation = 0
         self._cursor_segment: Optional[int] = None
         self._cleaning = False
-        # extents laid out by heat_files but not yet heated: excluded
-        # from allocation and extent search (the table still says
-        # FREE, because HEATED is one-way and must wait for the heat)
-        self._staged_blocks: Set[int] = set()
         self._stats = {"blocks_written": 0, "blocks_cleaned": 0,
                        "cleaner_runs": 0, "lines_heated": 0}
 
@@ -310,8 +283,7 @@ class SeroFS:
             if self._cursor_segment is not None:
                 seg = self.table.segments[self._cursor_segment]
                 for pba in range(seg.start, seg.start + seg.size):
-                    if self.table.state(pba) is BlockState.FREE \
-                            and pba not in self._staged_blocks:
+                    if self.table.state(pba) is BlockState.FREE:
                         return pba
             self._cursor_segment = self._pick_write_segment()
             if self._cursor_segment is None:
@@ -618,76 +590,11 @@ class SeroFS:
         device's WO heat operation seals it.  The old scattered copies
         become dead blocks for the cleaner.
         """
-        staged = self._stage_line(path, timestamp, staged_inos=set())
-        try:
-            record = self.device.heat_line(staged.start, staged.line_len,
-                                           timestamp=staged.timestamp)
-        except BaseException:
-            self._staged_blocks.difference_update(
-                range(staged.start, staged.start + staged.line_len))
-            raise
-        self._commit_staged(staged)
-        return record
-
-    def heat_files(self, paths: Iterable[str],
-                   timestamp: Optional[int] = None, *,
-                   before_each: Optional[Callable[[str], None]] = None,
-                   on_heated: Optional[
-                       Callable[[str, LineRecord], None]] = None
-                   ) -> List[LineRecord]:
-        """Batched :meth:`heat_file`: stage every line, then heat them
-        in one :meth:`~repro.device.sero.SERODevice.heat_lines` pass.
-
-        Line placement, block contents, digests, timestamps, and the
-        final table/imap state are identical to a ``heat_file`` loop
-        (staged extents are invisible to the allocator and the extent
-        finder, exactly as HEATED blocks would be), and so is the
-        failure contract: if staging path k fails, paths 0..k-1 are
-        heated and committed before the error propagates; if the
-        device fails mid-heat, the lines it did heat are committed and
-        the rest un-staged.  ``before_each(path)`` runs as each path's
-        turn begins (the store layer writes its audit record there);
-        ``on_heated(path, record)`` runs as each line commits, so a
-        sealed prefix is fully recorded before any exception escapes.
-        """
-        paths = list(paths)
-        if len(paths) <= 1:
-            records = []
-            for path in paths:
-                if before_each is not None:
-                    before_each(path)
-                record = self.heat_file(path, timestamp=timestamp)
-                if on_heated is not None:
-                    on_heated(path, record)
-                records.append(record)
-            return records
-        staged: List[_StagedLine] = []
-        staged_inos: Set[int] = set()
-        try:
-            for path in paths:
-                if before_each is not None:
-                    before_each(path)
-                entry = self._stage_line(path, timestamp,
-                                         staged_inos=staged_inos)
-                staged.append(entry)
-                staged_inos.add(entry.ino)
-        except BaseException:
-            # serial semantics: the paths before the failure still seal
-            self._heat_staged(staged, on_heated)
-            raise
-        return self._heat_staged(staged, on_heated)
-
-    def _stage_line(self, path: str, timestamp: Optional[int], *,
-                    staged_inos: Set[int]) -> "_StagedLine":
-        """The pre-heat half of :meth:`heat_file`: cluster the file
-        into a fresh aligned extent and reserve it in
-        ``_staged_blocks`` (the segment table must keep saying FREE —
-        HEATED is one-way and belongs to the heat itself)."""
         self.tick += 1
         if timestamp is None:
             timestamp = self.tick
         ino, inode = self._lookup(path)
-        if ino in staged_inos or self.is_ino_heated(ino):
+        if self.is_ino_heated(ino):
             raise ImmutableFileError(f"{path!r} is already heated")
         data = self._read_content(inode)
 
@@ -738,65 +645,26 @@ class SeroFS:
             self.device.write_block(pba, b"\x00" * BLOCK_SIZE)
             self._stats["blocks_written"] += 1
 
-        self._staged_blocks.update(range(start, start + line_len))
-        return _StagedLine(path=path, ino=ino, old_inode=inode,
-                           start=start, line_len=line_len,
-                           inode_pba=inode_pba, timestamp=timestamp)
+        record = self.device.heat_line(start, line_len, timestamp=timestamp)
 
-    def _commit_staged(self, staged: "_StagedLine") -> None:
-        """The post-heat half of :meth:`heat_file`: retire the old
-        copies, take ownership of the new ones."""
-        self._free_file_blocks(staged.old_inode)
-        old_inode_pba = self.imap.get(staged.ino)
+        # retire the old copies, take ownership of the new ones
+        self._free_file_blocks(inode)
+        old_inode_pba = self.imap.get(ino)
         if old_inode_pba is not None and \
                 self.table.state(old_inode_pba) is BlockState.LIVE:
             self.table.mark_dead(old_inode_pba)
-        for pba in range(staged.start, staged.start + staged.line_len):
+        for pba in range(start, start + line_len):
             self.table.mark_heated(pba)
-        self.imap[staged.ino] = staged.inode_pba
-        self.line_of_ino[staged.ino] = staged.start
+        self.imap[ino] = inode_pba
+        self.line_of_ino[ino] = start
         self._stats["lines_heated"] += 1
-        self._staged_blocks.difference_update(
-            range(staged.start, staged.start + staged.line_len))
-
-    def _heat_staged(self, staged: List["_StagedLine"],
-                     on_heated: Optional[
-                         Callable[[str, LineRecord], None]]
-                     ) -> List[LineRecord]:
-        """Heat every staged line in order and commit each one."""
-        if not staged:
-            return []
-        specs = [(s.start, s.line_len, s.timestamp) for s in staged]
-        try:
-            records = self.device.heat_lines(specs)
-        except BaseException:
-            # the device heats in input order: every line its registry
-            # knows got heated (commit it, record and all), the rest
-            # only un-stage — their blocks are still FREE
-            for s in staged:
-                line = self.device.line_of_block(s.start)
-                if line is not None and line.start == s.start:
-                    self._commit_staged(s)
-                    if on_heated is not None:
-                        on_heated(s.path, line)
-                else:
-                    self._staged_blocks.difference_update(
-                        range(s.start, s.start + s.line_len))
-            raise
-        out: List[LineRecord] = []
-        for s, record in zip(staged, records):
-            self._commit_staged(s)
-            if on_heated is not None:
-                on_heated(s.path, record)
-            out.append(record)
-        return out
+        return record
 
     def _extent_usable(self, start: int, line_len: int) -> bool:
         """Free, no bad blocks, and a heat-capable head block."""
         if start in self.device.fragile_blocks:
             return False
         return all(self.table.state(p) is BlockState.FREE
-                   and p not in self._staged_blocks
                    for p in range(start, start + line_len))
 
     def _find_line_extent(self, line_len: int) -> Optional[int]:

@@ -579,7 +579,18 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                           "retryable": True}})
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                length = -1
+            if length < 0:
+                # no body can be framed after this header block: answer
+                # without reading one and drop the connection
+                self.close_connection = True
+                failure = _bad_request(
+                    "Content-Length must be a non-negative integer")
+                self._respond(failure.status, failure.headers, failure.body)
+                return
             if length > MAX_BODY_BYTES:
                 self._respond(413, {}, {
                     "error": {"code": "too_large",

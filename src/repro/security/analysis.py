@@ -141,8 +141,9 @@ def scenario_ln() -> AttackOutcome:
 def scenario_copy_mask(include_addresses: bool = True) -> AttackOutcome:
     """5.2: an exact copy cannot mask the original — the physical
     addresses inside the hash make copies distinguishable.  With the
-    ablated hash (no addresses) the copy *does* pass, which is the
-    DESIGN.md ablation."""
+    ablated hash (no addresses) the copy *does* pass — the
+    ``include_addresses`` ablation of
+    ``benchmarks/bench_security_matrix.py``."""
     store = _fresh_store(total_blocks=256,
                          include_addresses=include_addresses)
     device = store.device

@@ -1,5 +1,5 @@
 """Execution-policy tests: resolution precedence, nested contexts,
-lazy environment reads, sha256 backend routing, the deprecation shim."""
+lazy environment reads, the deprecation shim."""
 
 import warnings
 
@@ -16,12 +16,11 @@ from repro.api.policy import (
     get_engine,
     register_engine,
     resolve_engine,
-    resolve_sha256_backend,
     resolve_vectorized,
     set_policy,
     unregister_engine,
 )
-from repro.crypto import crc, manchester, sha256
+from repro.crypto import crc, manchester
 
 
 @pytest.fixture(autouse=True)
@@ -29,11 +28,9 @@ def _clean_policy_state(monkeypatch):
     """Every test starts from the default resolution state (no env, no
     installed policy, no module pins leaked by other test files)."""
     monkeypatch.delenv(pol.ENGINE_ENV_VAR, raising=False)
-    monkeypatch.delenv(pol.SHA256_ENV_VAR, raising=False)
     set_policy(None)
     monkeypatch.setattr(crc, "USE_VECTORIZED", None)
     monkeypatch.setattr(manchester, "USE_VECTORIZED", None)
-    monkeypatch.setattr(sha256, "_backend", None)
     yield
     set_policy(None)
 
@@ -94,11 +91,11 @@ def test_nested_contexts_innermost_wins():
 
 
 def test_context_with_no_engine_defers():
-    with engine(sha256="pure"):  # pins only the hash backend
+    with engine(search_max_hits=7):  # pins only another knob
         assert resolve_vectorized() is True
         with engine("scalar"):
             assert resolve_vectorized() is False
-            assert resolve_sha256_backend() == "pure"
+            assert pol.resolve_search_max_hits() == (7, "context")
 
 
 def test_unknown_engine_rejected():
@@ -109,12 +106,10 @@ def test_unknown_engine_rejected():
 
 
 def test_policy_use_context():
-    custom = ExecutionPolicy(engine="scalar", sha256_backend="pure")
+    custom = ExecutionPolicy(engine="scalar")
     with custom.use():
         assert resolve_vectorized() is False
-        assert resolve_sha256_backend() == "pure"
     assert resolve_vectorized() is True
-    assert resolve_sha256_backend() == "hashlib"
 
 
 # -- engine registry --------------------------------------------------------
@@ -206,53 +201,6 @@ def test_scan_for_defects_honours_context():
         scalar_report = scan_for_defects(device.medium)
     vec_report = scan_for_defects(device.medium)
     assert scalar_report == vec_report
-
-
-# -- sha256 backend routing --------------------------------------------------
-
-
-def test_sha256_backend_resolves_through_policy(monkeypatch):
-    assert sha256.get_backend() == "hashlib"
-    with engine(sha256="pure"):
-        assert sha256.get_backend() == "pure"
-    set_policy(ExecutionPolicy(sha256_backend="pure"))
-    assert sha256.get_backend() == "pure"
-    set_policy(None)
-    monkeypatch.setenv(pol.SHA256_ENV_VAR, "pure")
-    assert sha256.get_backend() == "pure"
-
-
-def test_sha256_pin_beats_policy_and_digests_agree():
-    payload = (b"tamper-evident", b" storage")
-    baseline = sha256.sha256_digest(*payload)
-    try:
-        sha256.set_backend("pure")
-        with engine(sha256="hashlib"):
-            assert sha256.get_backend() == "pure"
-        assert sha256.sha256_digest(*payload) == baseline
-    finally:
-        sha256.set_backend(None)  # unpin
-    with engine(sha256="pure"):
-        assert sha256.sha256_digest(*payload) == baseline
-
-
-def test_sha256_invalid_backends_rejected():
-    with pytest.raises(ValueError):
-        sha256.set_backend("md5")
-    with pytest.raises(ValueError):
-        ExecutionPolicy(sha256_backend="md5")
-    with pytest.raises(ValueError):
-        resolve_sha256_backend("md5")
-
-
-def test_line_hash_identical_across_backends():
-    from repro.crypto.hashutil import line_hash
-
-    addresses = [3, 4, 5]
-    blocks = [bytes([i]) * 512 for i in range(3)]
-    fast = line_hash(addresses, blocks)
-    with engine(sha256="pure"):
-        assert line_hash(addresses, blocks) == fast
 
 
 def test_top_level_engine_export():

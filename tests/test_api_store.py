@@ -18,6 +18,7 @@ from repro.errors import (
     FileExistsError_,
     ImmutableFileError,
     IntegrityError,
+    NoSpaceError,
 )
 from repro.fs.lfs import SeroFS
 
@@ -87,6 +88,62 @@ def test_seal_many_batch(store):
     assert set(store.receipts) == set(paths)
     report = store.audit()
     assert report.lines_verified == 4 and report.clean
+
+
+_ARENAS = StoreConfig(total_blocks=256, audit_log=True,
+                      fossil_blocks=64, archive_blocks=64)
+
+
+def _fill(store: TamperEvidentStore, n: int = 5):
+    paths = [f"/f{i}" for i in range(n)]
+    for i, path in enumerate(paths):
+        # mixed sizes: some lines share a length, some do not
+        store.put(path, bytes([i + 1]) * (60 + 200 * (i % 3)))
+    return paths
+
+
+def test_seal_many_equals_seal_loop_on_twin_store():
+    batch, loop = (TamperEvidentStore.create(_ARENAS) for _ in range(2))
+    paths = _fill(batch)
+    _fill(loop)
+    receipts = [loop.seal(path) for path in paths]
+    assert batch.seal_many(paths) == receipts
+    assert batch.receipts == loop.receipts
+    a, b = batch.device, loop.device
+    assert sorted(a._lines.items()) == sorted(b._lines.items())
+    assert a.medium._rng.bit_generator.state == \
+        b.medium._rng.bit_generator.state
+    assert sorted(a.medium.counters.items()) == \
+        sorted(b.medium.counters.items())
+    assert a.medium._mut_epoch == b.medium._mut_epoch
+    assert a.account.elapsed == b.account.elapsed
+    assert batch.fossil.node_count == loop.fossil.node_count
+    assert batch.fossil.sealed_nodes == loop.fossil.sealed_nodes
+    assert all(batch.fossil.contains(r.line_hash) for r in receipts)
+
+
+def test_seal_many_duplicate_path_seals_prefix_then_raises():
+    store = TamperEvidentStore.create(_ARENAS)
+    paths = _fill(store, n=3)
+    with pytest.raises(ImmutableFileError):
+        store.seal_many([paths[0], paths[1], paths[0], paths[2]])
+    # the prefix before the failure is sealed and fully recorded; the
+    # suffix is untouched and still sealable
+    assert paths[0] in store.receipts and paths[1] in store.receipts
+    assert paths[2] not in store.receipts
+    assert store.verify(paths[0]).status is VerifyStatus.INTACT
+    store.seal(paths[2])
+
+
+def test_seal_many_no_space_mid_batch_commits_prefix():
+    store = TamperEvidentStore.create(
+        StoreConfig(total_blocks=128, audit_log=True))
+    store.put("/small", b"s" * 40)
+    store.put("/big", b"B" * (40 * 512))  # cannot fit a line this large
+    with pytest.raises(NoSpaceError):
+        store.seal_many(["/small", "/big"])
+    assert "/small" in store.receipts and "/big" not in store.receipts
+    assert store.verify("/small").status is VerifyStatus.INTACT
 
 
 def test_put_sealed_idiom(store):

@@ -5,6 +5,8 @@ If this test fails you changed the v1 public surface.  That is allowed
 the same change, and call out the addition/removal in the PR.
 """
 
+import dataclasses
+import hashlib
 import importlib.util
 import pathlib
 
@@ -12,7 +14,7 @@ import pytest
 
 import repro
 import repro.api as api
-from repro.api.policy import KNOBS
+from repro.api.policy import KNOBS, Knob
 
 #: The frozen surface.  Keep sorted.
 EXPECTED_API = sorted([
@@ -20,8 +22,6 @@ EXPECTED_API = sorted([
     "ENGINE_ENV_VAR",
     "EngineSpec",
     "ExecutionPolicy",
-    "SHA256_BACKENDS",
-    "SHA256_ENV_VAR",
     "available_engines",
     "describe_policy",
     "engine",
@@ -29,7 +29,6 @@ EXPECTED_API = sorted([
     "get_policy",
     "register_engine",
     "resolve_engine",
-    "resolve_sha256_backend",
     "resolve_vectorized",
     "set_policy",
     "unregister_engine",
@@ -123,8 +122,8 @@ def test_top_level_reexports():
         assert getattr(repro, name) is getattr(api, name)
 
 
-def test_version_is_v4():
-    assert repro.__version__ == "4.0.0"
+def test_version_is_v5():
+    assert repro.__version__ == "5.0.0"
 
 
 def test_removed_fleet_doors_stay_shut():
@@ -146,6 +145,37 @@ def test_removed_fleet_doors_stay_shut():
     assert fleet.member_count == 1
 
 
+def test_removed_sha256_doors_stay_shut(monkeypatch):
+    """5.0: ``hashlib`` is the one SHA-256 and the ``seal`` loop the
+    one seal path — no backend knob, pin, lane hash or staged heat."""
+    import repro.crypto
+    from repro.crypto import hashutil, sha256
+    from repro.device.sero import SERODevice
+    from repro.fs.lfs import SeroFS
+
+    with pytest.raises(TypeError):
+        api.engine(sha256="pure")
+    with pytest.raises(TypeError):
+        api.ExecutionPolicy(sha256_backend="pure")
+    assert len(KNOBS) == len(dataclasses.fields(api.ExecutionPolicy)) == 13
+    assert "kwarg" not in {f.name for f in dataclasses.fields(Knob)}
+    assert "set_backend" not in repro.crypto.__all__
+    for owner, names in (
+            (sha256, ("set_backend", "get_backend", "get_pinned_backend",
+                      "sha256_many")),
+            (hashutil, ("line_hash_many",)),
+            (SERODevice, ("heat_lines",)),
+            (SeroFS, ("heat_files",))):
+        assert not [name for name in names if hasattr(owner, name)], owner
+
+    keys = set(api.describe_policy())
+    expected = hashlib.sha256(b"tamper-evident").digest()
+    monkeypatch.setenv("REPRO_SHA256_BACKEND", "pure")
+    assert sha256.sha256_digest(b"tamper", b"-evident") == expected
+    assert set(api.describe_policy()) == keys
+    assert not [key for key in keys if "sha256" in key]
+
+
 def _knob_table() -> str:
     """API.md's consolidated knob table, rendered from the rows."""
     lines = [
@@ -154,7 +184,7 @@ def _knob_table() -> str:
         "|---|---|---|---|---|---|---|"]
     for knob in KNOBS.values():
         keyword = "`name` (positional)" if knob.name == "engine" \
-            else f"`{knob.kwarg or knob.name}`"
+            else f"`{knob.name}`"
         bad_env = "raises `ConfigurationError`" if knob.strict_env \
             else "ignored"
         lines.append(

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from repro.crypto import sha256 as mod
-from repro.crypto.sha256 import SHA256, get_backend, set_backend, sha256_digest
+from repro.crypto.sha256 import SHA256, sha256_digest
 
 # NIST FIPS 180-4 example vectors
 VECTORS = [
@@ -65,34 +65,6 @@ def test_digest_size_and_block_size():
     assert SHA256().digest_size == 32
     assert SHA256().block_size == 64
     assert len(SHA256(b"x").digest()) == 32
-
-
-def test_backend_switching():
-    original = mod.get_pinned_backend()  # None unless explicitly pinned
-    try:
-        set_backend("pure")
-        pure = sha256_digest(b"backend test")
-        set_backend("hashlib")
-        fast = sha256_digest(b"backend test")
-        assert pure == fast == hashlib.sha256(b"backend test").digest()
-    finally:
-        set_backend(original)
-
-
-def test_pin_roundtrip_does_not_install_a_pin():
-    # the documented save/restore idiom must leave the policy layer in
-    # charge when no pin was set to begin with
-    assert mod.get_pinned_backend() is None
-    saved = mod.get_pinned_backend()
-    set_backend("pure")
-    set_backend(saved)
-    assert mod.get_pinned_backend() is None
-    assert get_backend() == "hashlib"
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        set_backend("md5")
 
 
 def test_sha256_digest_multiple_chunks():

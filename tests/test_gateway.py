@@ -411,6 +411,29 @@ def test_error_body_shape_is_stable(stack):
     conn.close()
 
 
+@pytest.mark.parametrize("declared", ["-1", "abc"])
+def test_malformed_content_length_is_a_typed_400(stack, declared):
+    """Hostile bytes before auth: no token is sent, no body is read,
+    the handler thread and its in-flight slot are released."""
+    server, _fleet, _twin = stack
+    host, port = server.address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5.0) as sock:
+        sock.sendall(b"POST /v1/t/acme/put HTTP/1.1\r\nHost: gateway\r\n"
+                     b"Content-Length: " + declared.encode() + b"\r\n\r\n")
+        reply = b""
+        while chunk := sock.recv(65536):  # until the server hangs up
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert json.loads(body)["error"] == {
+        "code": "bad_request", "retryable": False,
+        "message": "Content-Length must be a non-negative integer"}
+    assert server.app._inflight == 0
+    client = GatewayClient(server.address, "acme-rw", tenant="acme")
+    assert client.put("/after", b"x").size == 1
+    client.close()
+
+
 # -- client retries (opt-in) ----------------------------------------------------
 
 

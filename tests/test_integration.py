@@ -112,20 +112,19 @@ def test_bimodality_after_mixed_aging():
     assert bimodality(fs).index > 0.7
 
 
-def test_sha256_backends_agree_on_line_hash():
-    from repro.crypto.sha256 import set_backend
+def test_scalar_sha256_class_agrees_with_line_hash():
+    import struct
 
-    def build(backend):
-        set_backend(backend)
-        try:
-            device = SERODevice.create(64)
-            for pba in range(1, 4):
-                device.write_block(pba, bytes([pba]) * 512)
-            return device.heat_line(0, 4).line_hash
-        finally:
-            set_backend(None)  # unpin: defer to the execution policy
+    from repro.crypto.hashutil import LINE_HASH_DOMAIN
+    from repro.crypto.sha256 import SHA256
 
-    assert build("pure") == build("hashlib")
+    device = SERODevice.create(64)
+    message = LINE_HASH_DOMAIN
+    for pba in range(1, 4):
+        block = bytes([pba]) * 512
+        device.write_block(pba, block)
+        message += struct.pack(">Q", pba) + block
+    assert SHA256(message).digest() == device.heat_line(0, 4).line_hash
 
 
 def test_weakened_device_config_is_explicit():

@@ -38,7 +38,6 @@ _HOST = st.builds("{}:{}".format,
 #: property.
 VALID = {
     "engine": st.sampled_from(("vectorized", "scalar")),
-    "sha256_backend": st.sampled_from(pol.SHA256_BACKENDS),
     "executor": st.sampled_from(("serial", "thread", "process", "rpc")),
     "max_workers": st.integers(1, 64),
     "fleet_hosts": st.lists(_HOST, min_size=1, max_size=3,
@@ -59,7 +58,6 @@ VALID = {
 #: Exports no row's validator accepts as that row's value.
 GARBAGE = {
     "engine": ("warp-drive",),
-    "sha256_backend": ("md5",),
     "executor": ("warp-drive",),
     "max_workers": ("junk", "0", "-3", "2.5"),
     "fleet_hosts": ("nonsense", "h:1,h:1", "h:99999"),
@@ -90,7 +88,7 @@ def _described(name):
     """(value or presence, source) as ``describe_policy()`` reports it."""
     knob, snapshot = KNOBS[name], describe_policy()
     shown = snapshot[f"{name}_set"] if knob.secret else snapshot[name]
-    return shown, snapshot[f"{knob.kwarg or name}_source"]
+    return shown, snapshot[f"{name}_source"]
 
 
 def test_every_row_has_a_strategy_and_a_field():
