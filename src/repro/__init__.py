@@ -63,7 +63,7 @@ from .integrity.evidence import EvidenceBag
 from .integrity.fossil import FossilizedIndex
 from .integrity.venti import VentiStore
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     # v1 façade + policy

@@ -209,8 +209,9 @@ class FleetOpStats:
 
 def _audit_member(store: TamperEvidentStore, deep: bool,
                   patch_return: bool = False) -> Tuple[AuditReport, object]:
+    mark = StoreStatePatch.fs_meta_mark(store)
     report = store.audit(deep=deep)
-    state = StoreStatePatch.capture(store) if patch_return else store
+    state = StoreStatePatch.capture(store, mark) if patch_return else store
     return report, state
 
 

@@ -282,22 +282,44 @@ class StoreStatePatch:
     audit/fsck pass — which never mutates the medium — returns this
     instead of the full member snapshot; applied to the originating
     store it reproduces the pass's side effects byte for byte.
+
+    The one piece of file-system state such a pass moves is the
+    metadata cache (a deep audit walks the tree): ``fs_meta`` carries
+    its stamp and entries home when the pass filled or flushed it, so
+    the caller's next lookup reads exactly the blocks the worker's
+    would — and is None on the steady pass that found everything cached.
     """
 
     device: "DeviceStatePatch"
     archive_device: Optional["DeviceStatePatch"] = None
+    fs_meta: Optional[Tuple[int, Dict[int, bytes]]] = None
+
+    @staticmethod
+    def fs_meta_mark(store: "TamperEvidentStore") -> Optional[Tuple[int, int]]:
+        """Token taken before a pass; :meth:`capture` compares it.  Under
+        one stamp a read-only pass can only add entries and a flush
+        moves the stamp, so (stamp, size) moves iff the cache did."""
+        fs = store.fs
+        return None if fs is None else (fs._meta_epoch, len(fs._meta))
 
     @classmethod
-    def capture(cls, store: "TamperEvidentStore") -> "StoreStatePatch":
+    def capture(cls, store: "TamperEvidentStore",
+                fs_meta_mark: Optional[Tuple[int, int]] = None
+                ) -> "StoreStatePatch":
+        fs = store.fs
+        moved = fs is not None and cls.fs_meta_mark(store) != fs_meta_mark
         return cls(
             device=store.device.state_patch(),
             archive_device=(store.archive_device.state_patch()
-                            if store.archive_device is not None else None))
+                            if store.archive_device is not None else None),
+            fs_meta=(fs._meta_epoch, dict(fs._meta)) if moved else None)
 
     def apply(self, store: "TamperEvidentStore") -> None:
         self.device.apply(store.device)
         if self.archive_device is not None:
             self.archive_device.apply(store.archive_device)
+        if self.fs_meta is not None:
+            store.fs._meta_epoch, store.fs._meta = self.fs_meta
 
 
 # ---------------------------------------------------------------------------

@@ -2,44 +2,24 @@
 
 The paper assumes ~15% sector overhead "for the sector header, error
 correction, and cyclic redundancy check" (Section 3, following Pozidis
-et al.).  We implement the two CRCs used by the sector codec:
+et al.).  The sector codec uses two CRCs:
 
 * CRC-32 (IEEE 802.3 reflected polynomial) protecting the sector
   payload, and
 * CRC-16-CCITT protecting the small sector header.
 
-Both are table-driven and implemented from scratch.  The hot path is
-the 536-byte frame check behind every sector read/write, so CRC-32
-uses the *slicing-by-eight* construction (Intel's chunked multi-table
-variant): eight 256-entry tables, built with vectorized numpy
-polynomial algebra, let the main loop consume eight input bytes per
-iteration instead of one.  CRC-16 uses the analogous slicing-by-two.
-The classic byte-at-a-time loops remain as the reference
-implementation; each call resolves which path runs through the lazy
-execution policy (:func:`repro.api.resolve_vectorized` — explicit pin
-> ``repro.engine(...)`` context > policy > ``REPRO_SPAN_ENGINE``, read
-at call time, so flipping the switch after import works).  Setting the
-module flag ``USE_VECTORIZED`` to True/False pins this module
-explicitly; ``None`` (the default) defers to the policy.
+The stack takes both from the standard library (``zlib.crc32`` and
+``binascii.crc_hqx`` — same polynomial, reflection, initial value and
+seeded-continuation convention), exactly as it takes SHA-256 from
+``hashlib``.  The table-driven byte-at-a-time loops written from
+scratch stay as the reference the tests compare the library against.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import List, Optional
-
-import numpy as np
-
-from ..api.policy import resolve_vectorized
-
-#: Tri-state module pin: True/False force the fast/reference paths,
-#: None defers to the execution policy (resolved lazily per call).
-USE_VECTORIZED: Optional[bool] = None
-
-
-def _use_vectorized() -> bool:
-    flag = USE_VECTORIZED
-    return resolve_vectorized() if flag is None else bool(flag)
+import binascii
+import zlib
+from typing import List
 
 _CRC32_POLY = 0xEDB88320  # reflected 0x04C11DB7
 
@@ -60,25 +40,6 @@ def _build_crc32_table() -> List[int]:
 _CRC32_TABLE = _build_crc32_table()
 
 
-def _build_crc32_slices(n: int = 8) -> List[List[int]]:
-    """Slicing tables: ``T[k][b]`` advances byte ``b`` past ``k`` extra
-    zero bytes, so eight lookups process an eight-byte chunk at once.
-    Built with numpy: each table is the previous one advanced by one
-    byte (``T[k] = (T[k-1] >> 8) ^ T0[T[k-1] & 0xFF]``), vectorized
-    over all 256 entries.
-    """
-    base = np.asarray(_CRC32_TABLE, dtype=np.uint32)
-    tables = [base]
-    for _ in range(1, n):
-        prev = tables[-1]
-        tables.append((prev >> 8) ^ base[prev & 0xFF])
-    return [t.tolist() for t in tables]
-
-
-(_CRC32_T0, _CRC32_T1, _CRC32_T2, _CRC32_T3,
- _CRC32_T4, _CRC32_T5, _CRC32_T6, _CRC32_T7) = _build_crc32_slices()
-
-
 def _crc32_scalar(data: bytes, crc: int) -> int:
     """Byte-at-a-time reference implementation (pre-inverted state)."""
     for byte in data:
@@ -86,75 +47,9 @@ def _crc32_scalar(data: bytes, crc: int) -> int:
     return crc
 
 
-_U32_PAIR = struct.Struct("<II")
-
-#: Cached per-length position tables for the fully vectorized path.
-#: For a message of n bytes, entry j of the cached (n, 256) table maps
-#: byte value b at offset j to its contribution A^(n-1-j)(T0[b]) to
-#: the final register, where A is the one-byte zero-advance operator.
-#: CRC is GF(2)-linear, so the checksum is just the XOR-reduce of one
-#: table gather — two numpy ops per call.  Sector frames come in a
-#: handful of fixed sizes, so the cache stays tiny.
-_CRC32_POS_TABLES: dict = {}
-_POS_TABLE_MIN_BYTES = 64
-#: Above this length the (n, 256) table costs more to build and hold
-#: than the slicing-by-eight loop costs to run; long one-off inputs
-#: (e.g. whole-checkpoint bodies) fall through to slicing instead.
-_POS_TABLE_MAX_BYTES = 4096
-_POS_TABLE_MAX_ENTRIES = 32
-
-
-def _crc32_pos_table(n: int):
-    """(flat position table, flat gather offsets) for length ``n``."""
-    entry = _CRC32_POS_TABLES.get(n)
-    if entry is None:
-        if len(_CRC32_POS_TABLES) >= _POS_TABLE_MAX_ENTRIES:
-            return None
-        base = np.asarray(_CRC32_TABLE, dtype=np.uint32)
-        rows = np.empty((n, 256), dtype=np.uint32)
-        rows[0] = base
-        for k in range(1, n):
-            prev = rows[k - 1]
-            rows[k] = (prev >> 8) ^ base[prev & 0xFF]
-        table = np.ascontiguousarray(rows[::-1])
-        entry = (table.reshape(-1), np.arange(n, dtype=np.intp) * 256, table)
-        _CRC32_POS_TABLES[n] = entry
-    return entry
-
-
 def crc32(data: bytes, crc: int = 0) -> int:
     """CRC-32/IEEE of ``data``; ``crc`` seeds continuation."""
-    crc ^= 0xFFFFFFFF
-    if not _use_vectorized():
-        return _crc32_scalar(data, crc) ^ 0xFFFFFFFF
-    n = len(data)
-    if _POS_TABLE_MIN_BYTES <= n <= _POS_TABLE_MAX_BYTES:
-        entry = _crc32_pos_table(n)
-        if entry is not None:
-            flat, offsets, table = entry
-            arr = np.frombuffer(data, dtype=np.uint8)
-            acc = int(np.bitwise_xor.reduce(
-                flat.take(offsets + arr)))
-            # fold the seeded register through the n-byte advance:
-            # register byte i still has n-i zero bytes to pass, i.e.
-            # position row i of the reversed table
-            for i in range(4):
-                acc ^= int(table[i, (crc >> (8 * i)) & 0xFF])
-            return acc ^ 0xFFFFFFFF
-    n8 = len(data) - len(data) % 8
-    t0, t1, t2, t3 = _CRC32_T0, _CRC32_T1, _CRC32_T2, _CRC32_T3
-    t4, t5, t6, t7 = _CRC32_T4, _CRC32_T5, _CRC32_T6, _CRC32_T7
-    for lo, hi in _U32_PAIR.iter_unpack(data[:n8]):
-        crc ^= lo
-        crc = (t7[crc & 0xFF]
-               ^ t6[(crc >> 8) & 0xFF]
-               ^ t5[(crc >> 16) & 0xFF]
-               ^ t4[crc >> 24]
-               ^ t3[hi & 0xFF]
-               ^ t2[(hi >> 8) & 0xFF]
-               ^ t1[(hi >> 16) & 0xFF]
-               ^ t0[hi >> 24])
-    return _crc32_scalar(data[n8:], crc) ^ 0xFFFFFFFF
+    return zlib.crc32(data, crc)
 
 
 _CRC16_POLY = 0x1021  # CCITT
@@ -176,17 +71,6 @@ def _build_crc16_table() -> List[int]:
 _CRC16_TABLE = _build_crc16_table()
 
 
-def _build_crc16_slice() -> List[int]:
-    """Slicing-by-two companion table: ``T1[b]`` is ``T0[b]`` advanced
-    past one extra zero byte (numpy-vectorized over all entries)."""
-    base = np.asarray(_CRC16_TABLE, dtype=np.uint32)
-    t1 = ((base << 8) & 0xFFFF) ^ base[base >> 8]
-    return t1.tolist()
-
-
-_CRC16_T1 = _build_crc16_slice()
-
-
 def _crc16_scalar(data: bytes, crc: int) -> int:
     for byte in data:
         crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[((crc >> 8) ^ byte) & 0xFF]
@@ -195,10 +79,4 @@ def _crc16_scalar(data: bytes, crc: int) -> int:
 
 def crc16_ccitt(data: bytes, crc: int = 0xFFFF) -> int:
     """CRC-16-CCITT (init 0xFFFF) of ``data``."""
-    if not _use_vectorized():
-        return _crc16_scalar(data, crc)
-    n2 = len(data) - len(data) % 2
-    for i in range(0, n2, 2):
-        crc = (_CRC16_T1[((crc >> 8) ^ data[i]) & 0xFF]
-               ^ _CRC16_TABLE[((crc & 0xFF) ^ data[i + 1]) & 0xFF])
-    return _crc16_scalar(data[n2:], crc)
+    return binascii.crc_hqx(data, crc)

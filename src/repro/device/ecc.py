@@ -7,8 +7,10 @@ media fail as isolated dot errors (a defective or disturbed dot), so a
 single-error-correcting, double-error-detecting Hamming code over
 64-bit words — the classic DRAM/disk-header choice — is appropriate.
 
-The codec is vectorised with numpy (parity = bit-matrix product mod 2)
-so whole blocks encode/decode in a handful of array operations.
+The codec is vectorised with numpy: codewords are packed to nine bytes
+and both parity checks fall out of one XOR over nine gathers from a
+per-byte table built at import, so whole blocks encode/decode in a
+handful of array operations.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ CODE_BITS = DATA_BITS + PARITY_BITS
 DATA_BYTES = DATA_BITS // 8
 
 
-def _build_matrices() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _build_layout() -> Tuple[np.ndarray, np.ndarray]:
     """Construct the codeword layout.
 
     Codeword positions 1..71 follow the standard Hamming convention:
@@ -33,27 +35,52 @@ def _build_matrices() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     Position 0 holds the overall parity bit.  Returns:
 
     * ``data_positions`` — codeword index of each of the 64 data bits,
-    * ``parity_masks`` — (64, 7) 0/1 matrix: data bit i participates in
-      Hamming parity j,
     * ``syndrome_to_codeword`` — length-128 map from Hamming syndrome
       to codeword position (0 where the syndrome is unused).
     """
     parity_positions = [1, 2, 4, 8, 16, 32, 64]
     data_positions = [p for p in range(1, CODE_BITS) if p not in parity_positions]
     assert len(data_positions) == DATA_BITS
-    masks = np.zeros((DATA_BITS, 7), dtype=np.uint8)
-    for i, pos in enumerate(data_positions):
-        for j in range(7):
-            if pos & (1 << j):
-                masks[i, j] = 1
     syndrome_map = np.zeros(128, dtype=np.int64)
     for pos in range(1, CODE_BITS):
         syndrome_map[pos] = pos
-    return np.asarray(data_positions, dtype=np.int64), masks, syndrome_map
+    return np.asarray(data_positions, dtype=np.int64), syndrome_map
 
 
-_DATA_POSITIONS, _PARITY_MASKS, _SYNDROME_MAP = _build_matrices()
+_DATA_POSITIONS, _SYNDROME_MAP = _build_layout()
 _PARITY_POSITIONS = np.asarray([1, 2, 4, 8, 16, 32, 64], dtype=np.int64)
+_PARITY_SHIFTS = np.arange(7, dtype=np.uint8)
+CODE_BYTES = CODE_BITS // 8
+
+
+def _build_check_table() -> np.ndarray:
+    """Per-byte parity-check table for packed codewords.
+
+    A 72-bit codeword packs MSB-first into nine bytes; entry
+    ``[k, b]`` is the contribution of byte ``k`` holding value ``b``:
+    the XOR of the codeword positions of its set bits (the Hamming
+    syndrome, which fits the low 7 bits since positions stay below
+    128) with the parity of its popcount in bit 7 (the overall
+    parity).  XOR-ing the nine gathers of a word gives both checks.
+    """
+    values = np.arange(256, dtype=np.uint8)
+    bits = np.unpackbits(values[:, None], axis=1)  # (256, 8), MSB first
+    table = np.zeros((CODE_BYTES, 256), dtype=np.uint8)
+    for k in range(CODE_BYTES):
+        for j in range(8):
+            table[k] ^= bits[:, j] * np.uint8((8 * k + j) | 0x80)
+    return table
+
+
+_CHECK_TABLE = _build_check_table()
+_BYTE_INDEX = np.arange(CODE_BYTES)
+
+
+def _checks(code: np.ndarray) -> np.ndarray:
+    """Per-word check byte of an (nwords, 72) bit matrix: Hamming
+    syndrome in the low 7 bits, overall parity in bit 7."""
+    packed = np.packbits(code, axis=1)
+    return np.bitwise_xor.reduce(_CHECK_TABLE[_BYTE_INDEX, packed], axis=1)
 
 
 def _bytes_to_words(data: bytes) -> np.ndarray:
@@ -77,12 +104,15 @@ def encode(data: bytes) -> np.ndarray:
     consecutive 72-bit codewords.
     """
     words = _bytes_to_words(data)
-    nwords = words.shape[0]
-    hamming = (words @ _PARITY_MASKS) % 2  # (nwords, 7)
-    code = np.zeros((nwords, CODE_BITS), dtype=np.uint8)
+    code = np.zeros((words.shape[0], CODE_BITS), dtype=np.uint8)
     code[:, _DATA_POSITIONS] = words
+    # with the parity positions still zero the syndrome of the data
+    # bits *is* the Hamming parity (parity j sits at position 2**j),
+    # and setting it leaves bit 7 one XOR short of the overall parity
+    checks = _checks(code)
+    hamming = (checks[:, None] >> _PARITY_SHIFTS) & 1  # (nwords, 7)
     code[:, _PARITY_POSITIONS] = hamming
-    code[:, 0] = code[:, 1:].sum(axis=1) % 2  # overall parity
+    code[:, 0] = (checks >> 7) ^ (hamming.sum(axis=1) & 1)
     return code.reshape(-1)
 
 
@@ -109,14 +139,12 @@ def decode(bits: np.ndarray) -> ECCResult:
     error.
     """
     arr = np.asarray(bits, dtype=np.uint8).reshape(-1, CODE_BITS)
-    # Hamming syndrome: for each parity bit j, XOR of all positions
-    # with bit j set in their index (including the parity bit itself).
-    syndromes = np.zeros(arr.shape[0], dtype=np.int64)
-    for j in range(7):
-        positions = [p for p in range(1, CODE_BITS) if p & (1 << j)]
-        parity = arr[:, positions].sum(axis=1) % 2
-        syndromes |= parity.astype(np.int64) << j
-    overall = arr.sum(axis=1) % 2
+    checks = _checks(arr)
+    syndromes = checks & 0x7F
+    overall = checks >> 7
+    # a flipped overall-parity bit alone (position 0: syndrome 0,
+    # parity tripped) is a single error that leaves the data intact
+    corrected = int(np.count_nonzero(checks == 0x80))
 
     bad = syndromes != 0
     if bad.any():
@@ -131,12 +159,7 @@ def decode(bits: np.ndarray) -> ECCResult:
             raise ReadError("invalid ECC syndrome")
         arr = arr.copy()
         arr[rows, cols] ^= 1
-        corrected = int(len(rows))
-    else:
-        corrected = 0
-        # a flipped overall-parity bit alone is also a single error
-        # (position 0); it does not affect the data, so just count it.
-        corrected += int((overall == 1).sum())
+        corrected += int(len(rows))
 
     data_words = arr[:, _DATA_POSITIONS]
     return ECCResult(data=_words_to_bytes(data_words), corrected=corrected)

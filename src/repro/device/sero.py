@@ -147,7 +147,7 @@ class DeviceStatePatch:
         return cls(
             rng_state=device.medium._rng.bit_generator.state,
             counters=dict(device.medium.counters),
-            mut_epoch=device.medium._mut_epoch,
+            mut_epoch=device.medium.mutation_epoch,
             account_elapsed=device.account.elapsed,
             account_by_category=dict(device.account.by_category),
             account_op_counts=dict(device.account.op_counts),

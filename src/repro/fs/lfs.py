@@ -124,6 +124,12 @@ class SeroFS:
         self._cleaning = False
         self._stats = {"blocks_written": 0, "blocks_cleaned": 0,
                        "cleaner_runs": 0, "lines_heated": 0}
+        # Decoded payloads of inode and directory blocks by PBA, valid
+        # only while the medium's mutation epoch equals the stamp.
+        # Payload bytes, never parsed objects: callers mutate the
+        # Inode/entries a lookup hands back.  Data blocks never enter.
+        self._meta: Dict[int, bytes] = {}
+        self._meta_epoch = -1
 
     # -- construction -----------------------------------------------------------
 
@@ -143,7 +149,7 @@ class SeroFS:
                         checkpoint_start=1,
                         checkpoint_blocks=cp_region // 2)
         fs = cls(device, sb, config)
-        device.write_block(0, sb.pack())
+        fs._dev_write(0, sb.pack())
         fs.next_ino = ROOT_INO
         root = fs._allocate_inode(FileType.DIRECTORY, name_hint="/")
         fs._write_file_blocks(root, pack_entries({}))
@@ -230,7 +236,7 @@ class SeroFS:
         blocks = cp.to_blocks(self.sb.checkpoint_blocks)
         start = self._checkpoint_region(self._generation % 2)
         for offset, payload in enumerate(blocks):
-            self.device.write_block(start + offset, payload)
+            self._dev_write(start + offset, payload)
 
     # -- allocation -----------------------------------------------------------------
 
@@ -292,8 +298,38 @@ class SeroFS:
 
     # -- low-level file I/O ------------------------------------------------------------
 
+    def _meta_sync(self) -> None:
+        """Empty the metadata cache unless the medium is exactly as it
+        was when the cache was stamped: any mutation this file system
+        did not make itself (an attacker's raw write, a bulk erase, a
+        heat, an adopted or patched state) shows as a moved epoch."""
+        epoch = self.device.medium.mutation_epoch
+        if epoch != self._meta_epoch:
+            self._meta.clear()
+            self._meta_epoch = epoch
+
+    def _read_meta(self, pba: int) -> bytes:
+        """Payload of an inode or directory block, read from the medium
+        at most once per epoch stamp."""
+        self._meta_sync()
+        payload = self._meta.get(pba)
+        if payload is None:
+            payload = self._meta[pba] = self.device.read_block(pba)
+        return payload
+
+    def _dev_write(self, pba: int, payload: bytes) -> None:
+        """Every magnetic write of the file system goes through here:
+        the block's cached payload is dropped and the cache, synced
+        before the write so it vouches for nothing foreign, is stamped
+        past it.  A sector write touches only its own block's dots, so
+        no other entry can have gone stale."""
+        self._meta_sync()
+        self.device.write_block(pba, payload)
+        self._meta.pop(pba, None)
+        self._meta_epoch = self.device.medium.mutation_epoch
+
     def _read_inode_at(self, pba: int) -> Inode:
-        return Inode.unpack(self.device.read_block(pba))
+        return Inode.unpack(self._read_meta(pba))
 
     def _read_inode(self, ino: int) -> Inode:
         pba = self.imap.get(ino)
@@ -331,7 +367,7 @@ class SeroFS:
                 chunk = data[fbn * BLOCK_SIZE:(fbn + 1) * BLOCK_SIZE]
                 chunk += b"\x00" * (BLOCK_SIZE - len(chunk))
                 pba = self._alloc_block()
-                self.device.write_block(pba, chunk)
+                self._dev_write(pba, chunk)
                 self.table.mark_live(pba, ino, fbn=fbn)
                 self._touch_segment(pba)
                 pbas.append(pba)
@@ -340,7 +376,7 @@ class SeroFS:
             for i in range(0, len(overflow), POINTERS_PER_INDIRECT):
                 chunk_ptrs = overflow[i:i + POINTERS_PER_INDIRECT]
                 pba = self._alloc_block()
-                self.device.write_block(pba, pack_pointer_block(chunk_ptrs))
+                self._dev_write(pba, pack_pointer_block(chunk_ptrs))
                 self.table.mark_live(pba, ino, fbn=INDIRECT_FBN)
                 self._touch_segment(pba)
                 indirect_pbas.append(pba)
@@ -356,7 +392,7 @@ class SeroFS:
         """Append an inode block; updates the imap; returns its PBA."""
         old = self.imap.get(inode.ino)
         pba = self._alloc_block()
-        self.device.write_block(pba, inode.pack())
+        self._dev_write(pba, inode.pack())
         self.table.mark_live(pba, inode.ino, is_inode=True)
         self._touch_segment(pba)
         self.imap[inode.ino] = pba
@@ -410,7 +446,7 @@ class SeroFS:
         for part in parts:
             if inode.ftype is not FileType.DIRECTORY:
                 raise NotADirectoryError_(f"{part!r} reached via non-directory")
-            entries = unpack_entries(self._read_content(inode))
+            entries = self._dir_entries(inode)
             if part not in entries:
                 raise FileNotFoundError_(f"no such file: {path!r}")
             _ftype, ino = entries[part]
@@ -435,7 +471,9 @@ class SeroFS:
         return b"".join(chunks)[:inode.size]
 
     def _dir_entries(self, inode: Inode) -> Dict[str, Tuple[FileType, int]]:
-        return unpack_entries(self._read_content(inode))
+        pointers, _ = self._load_pointers(inode)
+        content = b"".join(self._read_meta(pba) for pba in pointers)
+        return unpack_entries(content[:inode.size])
 
     def _update_dir(self, dir_inode: Inode,
                     entries: Dict[str, Tuple[FileType, int]]) -> None:
@@ -627,25 +665,29 @@ class SeroFS:
         for i, pba in enumerate(data_pbas):
             chunk = data[i * BLOCK_SIZE:(i + 1) * BLOCK_SIZE]
             chunk += b"\x00" * (BLOCK_SIZE - len(chunk))
-            self.device.write_block(pba, chunk)
+            self._dev_write(pba, chunk)
             self._stats["blocks_written"] += 1
         for i, pba in enumerate(indirect_pbas):
             ptrs = data_pbas[N_DIRECT + i * POINTERS_PER_INDIRECT:
                              N_DIRECT + (i + 1) * POINTERS_PER_INDIRECT]
-            self.device.write_block(pba, pack_pointer_block(ptrs))
+            self._dev_write(pba, pack_pointer_block(ptrs))
             self._stats["blocks_written"] += 1
         new_inode = Inode(ino=ino, ftype=inode.ftype,
                           link_count=inode.link_count, size=len(data),
                           mtime=self.tick, name_hint=inode.name_hint,
                           direct=data_pbas[:N_DIRECT],
                           indirect=indirect_pbas, flags=inode.flags)
-        self.device.write_block(inode_pba, new_inode.pack())
+        self._dev_write(inode_pba, new_inode.pack())
         self._stats["blocks_written"] += 1
         for pba in range(start + 1 + payload_blocks, start + line_len):
-            self.device.write_block(pba, b"\x00" * BLOCK_SIZE)
+            self._dev_write(pba, b"\x00" * BLOCK_SIZE)
             self._stats["blocks_written"] += 1
 
         record = self.device.heat_line(start, line_len, timestamp=timestamp)
+        if not self.device.medium.config.collateral_heating:
+            # nothing foreign since the inode write above stamped the
+            # cache, and the pulses landed on the hash block's dots only
+            self._meta_epoch = self.device.medium.mutation_epoch
 
         # retire the old copies, take ownership of the new ones
         self._free_file_blocks(inode)

@@ -132,12 +132,25 @@ class PatternedMedium:
             self._k_scale = None
         # Operation counters (the timing model consumes these).
         self.counters = {"mrb": 0, "mwb": 0, "heat": 0}
-        # Monotone mutation epoch: bumped by every operation that can
-        # change the magnetisation or sharpness arrays (writes, heat
-        # pulses, bulk erase) and never by reads.  The remote session
-        # layer fingerprints it to decide whether a worker-pinned
-        # snapshot of this medium is still current.
+        # See :attr:`mutation_epoch`.
         self._mut_epoch = 0
+
+    @property
+    def mutation_epoch(self) -> int:
+        """Monotone count of operations that may have changed a dot.
+
+        The invariant: every operation that can change the
+        magnetisation or sharpness arrays (``write_mag``,
+        ``write_mag_span``, ``heat_dot``, ``heat_span``,
+        ``bulk_erase`` — and the scalar electrical read, which writes
+        each dot and restores it) bumps the epoch, and no read does.
+        Two reads of the same dots under one epoch value therefore see
+        the same stored state.  The remote session layer fingerprints
+        it to decide whether a worker-pinned snapshot of this medium is
+        still current, and ``SeroFS`` stamps its metadata cache with
+        it.
+        """
+        return self._mut_epoch
 
     @property
     def _k_scale(self) -> Optional[np.ndarray]:

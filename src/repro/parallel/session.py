@@ -124,7 +124,7 @@ def bind_pinned(task: Any, store: Any) -> Any:
 def _device_fingerprint(device: Any) -> Tuple:
     medium = device.medium
     return (
-        medium._mut_epoch,
+        medium.mutation_epoch,
         tuple(sorted(medium.counters.items())),
         medium._rng.bit_generator.state,
         device.account.elapsed,

@@ -29,7 +29,6 @@ def _clean_policy_state(monkeypatch):
     installed policy, no module pins leaked by other test files)."""
     monkeypatch.delenv(pol.ENGINE_ENV_VAR, raising=False)
     set_policy(None)
-    monkeypatch.setattr(crc, "USE_VECTORIZED", None)
     monkeypatch.setattr(manchester, "USE_VECTORIZED", None)
     yield
     set_policy(None)
@@ -163,25 +162,29 @@ def test_describe_policy_reports_source(monkeypatch):
 
 def test_crc_and_manchester_flip_after_import(monkeypatch):
     data = b"the quick brown fox" * 11
-    vec = crc.crc32(data)
+    # 6.0: the CRCs have one engine (the standard library's) whatever
+    # the policy says; the from-scratch loops are its reference
+    reference = crc._crc32_scalar(data, 0xFFFFFFFF) ^ 0xFFFFFFFF
+    assert crc.crc32(data) == reference
+    assert crc.crc16_ccitt(data) == crc._crc16_scalar(data, 0xFFFF)
+    assert manchester._use_vectorized() is True
     monkeypatch.setenv(pol.ENGINE_ENV_VAR, "0")
-    # same answer, scalar path (observable through the module pin trace)
-    assert crc.crc32(data) == vec
-    assert crc._use_vectorized() is False
+    assert crc.crc32(data) == reference
+    assert crc.crc16_ccitt(data) == crc._crc16_scalar(data, 0xFFFF)
     assert manchester._use_vectorized() is False
     monkeypatch.delenv(pol.ENGINE_ENV_VAR)
-    assert crc._use_vectorized() is True
+    assert manchester._use_vectorized() is True
 
 
 def test_module_pin_beats_policy():
     try:
-        crc.USE_VECTORIZED = False
+        manchester.USE_VECTORIZED = False
         with engine("vectorized"):
-            assert crc._use_vectorized() is False
+            assert manchester._use_vectorized() is False
     finally:
-        crc.USE_VECTORIZED = None
+        manchester.USE_VECTORIZED = None
     with engine("scalar"):
-        assert crc._use_vectorized() is False
+        assert manchester._use_vectorized() is False
 
 
 def test_device_config_resolves_policy_at_construction():

@@ -122,8 +122,8 @@ def test_top_level_reexports():
         assert getattr(repro, name) is getattr(api, name)
 
 
-def test_version_is_v5():
-    assert repro.__version__ == "5.0.0"
+def test_version_is_v6():
+    assert repro.__version__ == "6.0.0"
 
 
 def test_removed_fleet_doors_stay_shut():
@@ -174,6 +174,25 @@ def test_removed_sha256_doors_stay_shut(monkeypatch):
     assert sha256.sha256_digest(b"tamper", b"-evident") == expected
     assert set(api.describe_policy()) == keys
     assert not [key for key in keys if "sha256" in key]
+
+
+def test_removed_crc_doors_stay_shut(monkeypatch):
+    """6.0: the standard library's are the one CRC-32 and CRC-16 — no
+    module pin, no policy walk, no slicing or position tables."""
+    import binascii
+    import zlib
+
+    from repro.crypto import crc
+
+    for name in ("USE_VECTORIZED", "_use_vectorized", "resolve_vectorized",
+                 "_CRC32_POS_TABLES", "_crc32_pos_table", "_CRC32_T7",
+                 "_CRC16_T1"):
+        assert not hasattr(crc, name), name
+    data = bytes(range(256)) * 2
+    monkeypatch.setenv("REPRO_SPAN_ENGINE", "0")
+    with api.engine("scalar"):
+        assert crc.crc32(data, 7) == zlib.crc32(data, 7)
+        assert crc.crc16_ccitt(data, 7) == binascii.crc_hqx(data, 7)
 
 
 def _knob_table() -> str:

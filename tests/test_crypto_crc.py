@@ -3,8 +3,10 @@
 import binascii
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.crypto.crc import crc16_ccitt, crc32
+from repro.crypto.crc import _crc16_scalar, _crc32_scalar, crc16_ccitt, crc32
 
 
 @pytest.mark.parametrize("data", [
@@ -63,3 +65,30 @@ def test_crc32_seed_continuation_differs_from_fresh():
     first = crc32(b"part1")
     continued = crc32(b"part2", first)
     assert continued != crc32(b"part2")
+
+
+# -- the library engines against the from-scratch table loops ------------------
+
+
+def _crc32_reference(data: bytes, crc: int = 0) -> int:
+    return _crc32_scalar(data, crc ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
+
+
+_MESSAGES = st.binary(min_size=0, max_size=600)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MESSAGES, _MESSAGES, st.integers(0, 0xFFFFFFFF))
+def test_crc32_matches_scalar_reference(a, b, seed):
+    assert crc32(a) == _crc32_reference(a)
+    assert crc32(a, seed) == _crc32_reference(a, seed)
+    assert crc32(b, crc32(a)) == crc32(a + b) == _crc32_reference(a + b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MESSAGES, _MESSAGES, st.integers(0, 0xFFFF))
+def test_crc16_matches_scalar_reference(a, b, seed):
+    assert crc16_ccitt(a) == _crc16_scalar(a, 0xFFFF)
+    assert crc16_ccitt(a, seed) == _crc16_scalar(a, seed)
+    assert crc16_ccitt(b, crc16_ccitt(a)) == crc16_ccitt(a + b) \
+        == _crc16_scalar(a + b, 0xFFFF)
