@@ -2,11 +2,11 @@
 
 The acceptance criterion of the ``repro.api`` redesign: the façade's
 batch operations (``seal_many``, ``audit``) must hit the PR 1-2
-span/batched engines *by default* — the same whole-store flow run
-under ``with repro.engine("scalar"):`` (the paper's literal per-dot
-protocol, selected purely through the lazy policy, no code changes)
-must be massively slower.  Floors are deliberately conservative; the
-span-engine benches show the per-layer gaps are far larger.
+span/batched engines *by default* — the same whole-store flow run on
+a ``DeviceConfig(span_engine=False)`` store (the paper's literal
+per-dot protocol, the test oracle) must be massively slower.  Floors
+are deliberately conservative; the span-engine benches show the
+per-layer gaps are far larger.
 
 Results are also written to ``BENCH_api_store.json`` at the repo root
 so the perf trajectory stays machine-readable.
@@ -41,12 +41,13 @@ def _best(fn, repeat):
     return best, result
 
 
-def _flow():
+def _flow(**store_options):
     """Provision a store, seal a batch, audit it; return timings and
     the receipts/verdicts for the equivalence assertion."""
     t0 = time.perf_counter()
     store = repro.TamperEvidentStore.create(total_blocks=TOTAL_BLOCKS,
-                                            format_scan=False)
+                                            format_scan=False,
+                                            **store_options)
     paths = []
     for i in range(N_OBJECTS):
         path = f"/obj-{i}"
@@ -60,7 +61,7 @@ def _flow():
 
     t_audit, report = _best(store.audit, repeat=3)
     return {
-        "engine": store.engine,
+        "span_engine": store.device.config.span_engine,
         "setup_s": t_setup,
         "seal_many_s": t_seal,
         "audit_s": t_audit,
@@ -71,11 +72,10 @@ def _flow():
 
 def test_facade_batch_ops_hit_fast_engines(benchmark, show):
     fast = benchmark.pedantic(_flow, rounds=1, iterations=1)
-    assert fast["engine"] == "vectorized"  # the default grain
+    assert fast["span_engine"]  # the default grain
 
-    with repro.engine("scalar"):
-        slow = _flow()
-    assert slow["engine"] == "scalar"
+    slow = _flow(device_config=repro.DeviceConfig(span_engine=False))
+    assert not slow["span_engine"]
 
     # identical service semantics on both engines
     assert [r.line_hash for r in fast["receipts"]] == \
@@ -95,7 +95,7 @@ def test_facade_batch_ops_hit_fast_engines(benchmark, show):
         [[r[0], round(r[1], 2), round(r[2], 2), round(r[3], 1)]
          for r in rows],
         title=f"TamperEvidentStore batch ops — {N_OBJECTS} objects, "
-              f"one engine switch via the lazy policy"))
+              f"default store vs DeviceConfig(span_engine=False)"))
 
     payload = {
         "bench": "api_store",

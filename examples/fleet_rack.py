@@ -108,8 +108,7 @@ def device_rack() -> None:
 
     policy = repro.api.describe_policy()
     print(f"   policy: executor={policy['executor']} "
-          f"(decided by {policy['executor_source']}), "
-          f"engine={policy['engine']}")
+          f"(decided by {policy['executor_source']})")
 
 
 def main() -> None:

@@ -19,7 +19,7 @@ The package builds the paper's whole stack in simulation:
 * :mod:`repro.api` — the v1 public surface: the
   :class:`TamperEvidentStore` façade, the rack-scale
   :class:`~repro.api.FleetStore` shard façade and the
-  :class:`~repro.api.ExecutionPolicy` engine/executor registry;
+  :class:`~repro.api.ExecutionPolicy` knob table;
 * :mod:`repro.parallel` — the fleet execution layer: named
   serial/thread/process executors and the consistent-hash shard ring.
 
@@ -33,12 +33,15 @@ Quick start (the façade drives the whole stack)::
     assert store.verify("/ledger").intact
     assert store.audit().clean               # batched whole-store sweep
 
-Engine selection is one lazy resolution order — explicit argument >
-``with repro.engine("scalar"):`` context > installed policy >
-``REPRO_SPAN_ENGINE`` (read at call time)::
+Deployment knobs (fleet executor, hosts, gateway, search) share one
+lazy resolution order — explicit argument > ``with repro.engine(
+executor="thread"):`` context > installed policy > ``REPRO_*``
+environment (read at call time).  The paper's literal per-dot protocol
+is the test oracle, not a knob; it is built by explicit argument::
 
-    with repro.engine("scalar"):             # the paper's literal protocol
-        store = repro.TamperEvidentStore.create(total_blocks=64)
+    oracle = repro.TamperEvidentStore.create(
+        total_blocks=64,
+        device_config=repro.DeviceConfig(span_engine=False))
 
 The pre-façade building blocks (:class:`SERODevice`, :class:`SeroFS`,
 :class:`VentiStore`, ...) remain fully supported public API.
@@ -46,7 +49,6 @@ The pre-façade building blocks (:class:`SERODevice`, :class:`SeroFS`,
 
 from .api import (
     AuditReport,
-    EngineSpec,
     ExecutionPolicy,
     FleetStore,
     ObjectInfo,
@@ -63,7 +65,7 @@ from .integrity.evidence import EvidenceBag
 from .integrity.fossil import FossilizedIndex
 from .integrity.venti import VentiStore
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     # v1 façade + policy
@@ -75,7 +77,6 @@ __all__ = [
     "AuditReport",
     "FleetStore",
     "ExecutionPolicy",
-    "EngineSpec",
     "engine",
     # building blocks
     "SERODevice",

@@ -2,11 +2,11 @@
 
 Two pieces:
 
-* :mod:`repro.api.policy` — the :class:`ExecutionPolicy` / engine
-  registry that gives every scalar-vs-vectorized switch one lazy
-  resolution order: explicit argument > context
-  override (``with repro.engine("scalar"):``) > installed policy >
-  environment variable > default;
+* :mod:`repro.api.policy` — the :class:`ExecutionPolicy` knob table
+  that gives every deployment tunable (fleet dispatch, gateway,
+  search) one lazy resolution order: explicit argument > context
+  override (``with repro.engine(executor="thread"):``) > installed
+  policy > environment variable > default;
 * :mod:`repro.api.store` — :class:`TamperEvidentStore`, the façade
   that drives the whole stack (device, file system, integrity layers)
   through typed request/response objects whose native grain is the
@@ -30,7 +30,6 @@ from __future__ import annotations
 from .policy import (
     DEFAULT_EXECUTOR,
     DEFAULT_GATEWAY_BIND,
-    ENGINE_ENV_VAR,
     EXECUTOR_ENV_VAR,
     FLEET_HOSTS_ENV_VAR,
     FLEET_ON_FAILURE_ENV_VAR,
@@ -45,15 +44,10 @@ from .policy import (
     SEARCH_FRAGMENT_COUNT_ENV_VAR,
     SEARCH_FRAGMENT_SIZE_ENV_VAR,
     SEARCH_MAX_HITS_ENV_VAR,
-    EngineSpec,
     ExecutionPolicy,
-    available_engines,
     describe_policy,
     engine,
-    get_engine,
     get_policy,
-    register_engine,
-    resolve_engine,
     resolve_executor_name,
     resolve_fleet_hosts,
     resolve_fleet_on_failure,
@@ -66,9 +60,7 @@ from .policy import (
     resolve_search_fragment_count,
     resolve_search_fragment_size,
     resolve_search_max_hits,
-    resolve_vectorized,
     set_policy,
-    unregister_engine,
 )
 from ..parallel import (
     ExecutorSpec,
@@ -82,9 +74,8 @@ from ..parallel import (
 )
 
 #: Store-layer names, imported lazily (PEP 562) so that the policy
-#: layer stays importable from the bottom of the package's import
-#: graph (``repro.crypto`` resolves through it while the device/fs
-#: modules the store needs are still loading).
+#: layer stays importable on its own: ``repro.parallel`` resolves its
+#: knobs through it and is itself imported by the store machinery.
 _STORE_EXPORTS = (
     "TamperEvidentStore",
     "StoreConfig",
@@ -110,18 +101,10 @@ _FLEET_EXPORTS = (
 __all__ = [
     # policy
     "ExecutionPolicy",
-    "EngineSpec",
     "engine",
     "set_policy",
     "get_policy",
     "describe_policy",
-    "register_engine",
-    "unregister_engine",
-    "available_engines",
-    "get_engine",
-    "resolve_engine",
-    "resolve_vectorized",
-    "ENGINE_ENV_VAR",
     # fleet executors
     "ExecutorSpec",
     "FleetExecutor",

@@ -1,11 +1,10 @@
 """Execution policy: one knob table, one five-layer walk.
 
-Every tunable of the package — the span engine, fleet dispatch and
-its fault handling, the gateway's address and token file, the search
-highlighter — is one row of :data:`KNOBS`: policy field, environment
-variable, default, one validator and one env parser.  :func:`resolve`
-is the only place the resolution order is walked, **lazily at each
-decision point**:
+Every tunable of the package — fleet dispatch and its fault handling,
+the gateway's address and token file, the search highlighter — is one
+row of :data:`KNOBS`: policy field, environment variable, default,
+one validator and one env parser.  :func:`resolve` is the only place
+the resolution order is walked, **lazily at each decision point**:
 
 1. **explicit argument** — a value passed by the caller always wins;
 2. **context override** — the innermost active
@@ -24,13 +23,16 @@ validates each field with its row's ``check``, :func:`engine` forwards
 its keywords to it, :func:`describe_policy` loops over the rows, and
 the public ``resolve_*`` / ``*_ENV_VAR`` / ``DEFAULT_*`` names are
 one-line aliases onto it: adding a knob is adding a row (plus its
-``ExecutionPolicy`` field).  Engine names live in a registry, so
-future backends register and are selected through the same chain.
+``ExecutionPolicy`` field).  Which implementation of the paper's
+protocol runs is *not* a knob: the scalar reference is reachable only
+through the explicit arguments of the functions that have a twin
+(``DeviceConfig(span_engine=False)`` and friends).
 
-This module sits below every other layer in the import graph: at
-import time it loads only the leaf :mod:`repro.errors`.  Executor-name
-and address validation import :mod:`repro.parallel` lazily, which
-itself depends only on this module.
+The storage layers (``medium``, ``physics``, ``crypto``, ``device``,
+``integrity``, ``fs``) never import this module.  At import time it
+loads only the leaf :mod:`repro.errors`; executor-name and address
+validation import :mod:`repro.parallel` lazily, which itself depends
+only on this module.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
 
-#: ``REPRO_SPAN_ENGINE`` spellings that select the scalar engine.
-_FALSEY = ("0", "false", "no", "off", "scalar")
-
 #: Recognised ``fleet_on_failure`` modes.
 FLEET_ON_FAILURE_MODES = ("raise", "degrade")
 
@@ -54,76 +53,6 @@ FLEET_ON_FAILURE_MODES = ("raise", "degrade")
 #: :mod:`repro.gateway.auth`).  Not a table row: secret material never
 #: lives in a policy object, only a path to it may.
 GATEWAY_TOKENS_ENV_VAR = "REPRO_GATEWAY_TOKENS"
-
-
-# ---------------------------------------------------------------------------
-# Engine registry
-
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """One registered execution engine.
-
-    Attributes:
-        name: registry key, as accepted by :func:`repro.engine` and
-            :attr:`ExecutionPolicy.engine`.
-        vectorized: whether the span/batched numpy fast paths run.
-            Every current consumer reduces an engine to this flag;
-            richer backends (sharding, async dispatch) can carry more
-            behaviour on subclasses while keeping the flag meaningful
-            for the layers below them.
-        description: one-line human description.
-    """
-
-    name: str
-    vectorized: bool
-    description: str = ""
-
-
-_ENGINES: Dict[str, EngineSpec] = {}
-
-
-def register_engine(spec: EngineSpec, *, replace: bool = False) -> EngineSpec:
-    """Register an engine so policies and contexts can select it by name.
-
-    Raises ``ValueError`` for a duplicate name unless ``replace``.
-    """
-    if not spec.name or not spec.name.isidentifier():
-        raise ValueError(f"engine name must be an identifier: {spec.name!r}")
-    if spec.name in _ENGINES and not replace:
-        raise ValueError(f"engine {spec.name!r} already registered")
-    _ENGINES[spec.name] = spec
-    return spec
-
-
-def unregister_engine(name: str) -> None:
-    """Remove a registered engine (built-ins are protected)."""
-    if name in ("vectorized", "scalar"):
-        raise ValueError(f"cannot unregister built-in engine {name!r}")
-    _ENGINES.pop(name, None)
-
-
-def available_engines() -> Tuple[str, ...]:
-    """Names of all registered engines, registration order."""
-    return tuple(_ENGINES)
-
-
-def get_engine(name: str) -> EngineSpec:
-    """Look up a registered engine by name."""
-    try:
-        return _ENGINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; registered: {', '.join(_ENGINES)}"
-        ) from None
-
-
-VECTORIZED_ENGINE = register_engine(EngineSpec(
-    "vectorized", True,
-    "numpy span/batched fast paths (protocol-identical, default)"))
-SCALAR_ENGINE = register_engine(EngineSpec(
-    "scalar", False,
-    "the paper's literal per-dot/per-byte reference protocol"))
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +119,6 @@ def _one_of(label: str, choices: Tuple[str, ...]) -> Check:
     return _typed(label, str, f"one of {choices}", choices.__contains__)
 
 
-def _engine_token(text: str) -> str:
-    token = text.lower()
-    return "scalar" if token in _FALSEY and token not in _ENGINES else token
-
-
 def _parallel():
     """:mod:`repro.parallel`, imported at call time: it sits above this
     module (and loads the wire protocol only for ``parse_hosts``)."""
@@ -205,11 +129,6 @@ def _parallel():
 
 #: The knob table, in ``ExecutionPolicy`` field order.
 KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
-    Knob("engine", "REPRO_SPAN_ENGINE", "vectorized",
-         lambda value: get_engine(value).name, _engine_token,
-         doc="registered engine name (`vectorized`/`scalar` or a custom "
-             "one); the env var also takes `0`/`false`/`no`/`off` for "
-             "`scalar`"),
     Knob("executor", "REPRO_FLEET_EXECUTOR", "serial",
          lambda value: _parallel().get_executor_spec(value).name, str.lower,
          doc="registered fleet executor name (`serial`, the reference "
@@ -276,7 +195,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
 )}
 
 # Public names for the rows' environment variables and defaults.
-ENGINE_ENV_VAR = KNOBS["engine"].env_var
 EXECUTOR_ENV_VAR = KNOBS["executor"].env_var
 FLEET_WORKERS_ENV_VAR = KNOBS["max_workers"].env_var
 FLEET_HOSTS_ENV_VAR = KNOBS["fleet_hosts"].env_var
@@ -308,7 +226,6 @@ class ExecutionPolicy:
     defaults is indistinguishable from no policy at all.
     """
 
-    engine: Optional[str] = None
     executor: Optional[str] = None
     max_workers: Optional[int] = None
     fleet_hosts: Optional[Tuple[str, ...]] = None
@@ -360,19 +277,18 @@ def get_policy() -> Optional[ExecutionPolicy]:
     return _POLICY
 
 
-def engine(name: Optional[str] = None,
-           **knobs: object) -> AbstractContextManager[ExecutionPolicy]:
-    """Scoped override: ``with repro.engine("scalar"): ...``.
+def engine(**knobs: object) -> AbstractContextManager[ExecutionPolicy]:
+    """Scoped override: ``with repro.engine(executor="thread"): ...``.
 
-    ``knobs`` are the other :class:`ExecutionPolicy` fields by name:
+    ``knobs`` are the :class:`ExecutionPolicy` fields by name:
     ``repro.engine(executor="rpc", fleet_hosts=("db1:7401", "db2:7401"),
     fleet_timeout=5.0, fleet_on_failure="degrade")``.  Nested contexts
     stack and the innermost one that pins a given field wins, so
-    ``with engine("scalar"), engine(executor="thread"):`` runs the
-    scalar engine *and* the thread executor.  Thread- and async-safe
-    (backed by a :class:`contextvars.ContextVar`).
+    ``with engine(fleet_retries=2), engine(executor="thread"):`` runs
+    the thread executor *with* the retry budget.  Thread- and
+    async-safe (backed by a :class:`contextvars.ContextVar`).
     """
-    return ExecutionPolicy(engine=name, **knobs).use()
+    return ExecutionPolicy(**knobs).use()
 
 
 # ---------------------------------------------------------------------------
@@ -407,23 +323,6 @@ def resolve(name: str, explicit: object = None) -> Tuple[object, str]:
             if knob.strict_env:
                 raise
     return knob.default, "default"
-
-
-def resolve_engine(explicit: Union[None, bool, str] = None) -> EngineSpec:
-    """The active engine.  ``explicit`` may be a registered engine
-    name, a bare bool (the legacy ``vectorized=``/``span_engine=``
-    flags map ``True`` to ``"vectorized"`` and ``False`` to
-    ``"scalar"``), or None to defer to the layers below."""
-    if isinstance(explicit, bool):
-        explicit = "vectorized" if explicit else "scalar"
-    # get_engine again: a context/policy naming a since-unregistered
-    # engine fails with the registry's descriptive ValueError
-    return get_engine(resolve("engine", explicit)[0])
-
-
-def resolve_vectorized(explicit: Union[None, bool, str] = None) -> bool:
-    """Whether the active engine runs the vectorized fast paths."""
-    return resolve_engine(explicit).vectorized
 
 
 def _alias(name: str) -> Callable[..., Tuple[object, str]]:
@@ -470,14 +369,12 @@ def describe_knob(name: str) -> Dict[str, object]:
 def describe_policy() -> Dict[str, object]:
     """Inspectable snapshot of the resolution: what would run now, and
     which layer decided it.  The answer an operator needs when a fleet
-    node is mysteriously slow (e.g. a stale ``REPRO_SPAN_ENGINE=0``
-    export selecting the scalar engine)."""
+    node misbehaves (e.g. a stale ``REPRO_FLEET_EXECUTOR=serial``
+    export pinning the one-member-at-a-time dispatch)."""
     snapshot: Dict[str, object] = {}
     for name in KNOBS:
         snapshot.update(describe_knob(name))
     snapshot.update(
-        vectorized=get_engine(snapshot["engine"]).vectorized,
-        available_engines=available_engines(),
         available_executors=_parallel().available_executors(),
         installed_policy=_POLICY,
         active_overrides=len(_OVERRIDES.get()))

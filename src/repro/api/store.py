@@ -24,11 +24,10 @@ request/response objects:
 The façade's native grain is the batched fast path: ``audit`` runs one
 bulk :meth:`~repro.device.sero.SERODevice.verify_lines` sweep (shared
 erb gather and retry waves across every sealed line), ``seal_many``
-drives each line's reads/writes through the span-run engines, and the
-engine itself is chosen by the lazy execution policy
-(:mod:`repro.api.policy`) — per-store pins via
-:attr:`StoreConfig.engine`, per-scope via ``with
-repro.engine("scalar"):``.
+drives each line's reads/writes through the span-run engines.  The
+paper's per-dot protocol is the oracle those engines are tested
+against; a store that runs it is built by explicit argument only,
+``create(device_config=DeviceConfig(span_engine=False))``.
 
 A store can also wrap a bare device (:meth:`TamperEvidentStore.attach`
 with no file system) — the device-grain operations
@@ -66,7 +65,6 @@ from ..integrity.fossil import FossilizedIndex
 from ..integrity.selfsec import AuditLog
 from ..integrity.venti import VentiStore
 from ..medium.medium import MediumConfig
-from .policy import resolve_vectorized
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +77,6 @@ class StoreConfig:
 
     Attributes:
         total_blocks: size of the primary (file system) device.
-        engine: per-store engine pin (a registered engine name); None
-            resolves through the ambient execution policy at creation.
         format_scan: run the format-time defect scan before building
             the file system (populates the bad-block map, as Section 3
             requires before any line may be heated).
@@ -100,7 +96,6 @@ class StoreConfig:
     """
 
     total_blocks: int = 512
-    engine: Optional[str] = None
     format_scan: bool = True
     archive_blocks: int = 0
     fossil_blocks: int = 0
@@ -366,16 +361,11 @@ class TamperEvidentStore:
 
             store = TamperEvidentStore.create(total_blocks=256)
             store = TamperEvidentStore.create(total_blocks=256,
-                                              engine="scalar",
                                               audit_log=True)
         """
         config = dataclasses.replace(config or StoreConfig(), **overrides) \
             if overrides else (config or StoreConfig())
         device_config = config.device_config or DeviceConfig()
-        if config.engine is not None:
-            device_config = dataclasses.replace(
-                device_config,
-                span_engine=resolve_vectorized(config.engine))
         device = SERODevice.create(config.total_blocks,
                                    medium_config=config.medium_config,
                                    timing=config.timing,
@@ -506,11 +496,6 @@ class TamperEvidentStore:
         if self.audit_log is not None:
             line = " ".join((op,) + args).encode("utf-8")
             self.audit_log.log(self._tick, line)
-
-    @property
-    def engine(self) -> str:
-        """Name of the engine the device layer runs on."""
-        return "vectorized" if self.device.config.span_engine else "scalar"
 
     # -- object grain -----------------------------------------------------------
 
@@ -772,9 +757,8 @@ class TamperEvidentStore:
         return out
 
     def describe(self) -> Dict[str, object]:
-        """Inspectable summary: engine, components, usage."""
+        """Inspectable summary: components, usage."""
         return {
-            "engine": self.engine,
             "total_blocks": self.device.total_blocks,
             "sealed_lines": len(self.device.heated_lines),
             "filesystem": self.fs is not None,

@@ -22,36 +22,24 @@ The codec below works on sequences of booleans where ``True`` means
 *heated*.  Decoding classifies every cell and never silently accepts
 an illegal pattern.
 
-The byte-level entry points (:func:`encode_bytes`, :func:`decode_bytes`,
-:func:`bytes_to_bits`, :func:`bits_to_bytes`) are vectorized with
-numpy (``unpackbits``/``packbits`` plus strided cell classification);
-each call resolves which path runs through the lazy execution policy
-(:func:`repro.api.resolve_vectorized` — explicit pin >
-``repro.engine(...)`` context > policy > ``REPRO_SPAN_ENGINE``, read
-at call time, so flipping the switch after import works).  Setting the
-module flag ``USE_VECTORIZED`` to True/False pins this module
-explicitly; ``None`` (the default) defers to the policy.
+The entry points the stack calls (:func:`encode_bytes`,
+:func:`decode_pattern`, :func:`decode_bytes`, :func:`bytes_to_bits`,
+:func:`bits_to_bytes`) are numpy (``unpackbits``/``packbits`` plus
+strided cell classification) and nothing else.  The per-cell
+definitions — :func:`encode_bits`, :func:`classify_cell`,
+:func:`_decode_pattern_scalar` — are called by nothing in the stack:
+they are the reference the tests compare the codec against.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from ..api.policy import resolve_vectorized
 from ..errors import InvalidCellError
-
-#: Tri-state module pin: True/False force the numpy/reference codec,
-#: None defers to the execution policy (resolved lazily per call).
-USE_VECTORIZED: Optional[bool] = None
-
-
-def _use_vectorized() -> bool:
-    flag = USE_VECTORIZED
-    return resolve_vectorized() if flag is None else bool(flag)
 
 
 class CellState(enum.Enum):
@@ -89,13 +77,9 @@ def encode_bits(bits: Sequence[int]) -> List[bool]:
 
 
 def encode_bytes(data: bytes) -> Sequence[bool]:
-    """Encode ``data`` MSB-first into a heated-dot pattern.
-
-    The vectorized path returns a bool ndarray, the scalar reference a
-    list; both behave identically under ``len``/indexing/iteration.
-    """
-    if not _use_vectorized():
-        return encode_bits(bytes_to_bits(data))
+    """Encode ``data`` MSB-first into a heated-dot pattern (a bool
+    ndarray, equal element for element to
+    ``encode_bits(bytes_to_bits(data))``)."""
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     pattern = np.zeros(bits.size * CELL_SIZE, dtype=bool)
     pattern[0::2] = bits == 0
@@ -157,8 +141,6 @@ def decode_pattern(pattern: Sequence[bool]) -> DecodeResult:
     """
     if len(pattern) % CELL_SIZE:
         raise ValueError("Manchester pattern length must be even")
-    if not _use_vectorized():
-        return _decode_pattern_scalar(pattern)
     arr = np.asarray(pattern, dtype=bool)
     first = arr[0::2]
     second = arr[1::2]
@@ -196,8 +178,6 @@ def _decode_pattern_scalar(pattern: Sequence[bool]) -> DecodeResult:
 
 def decode_bytes(pattern: Sequence[bool]) -> bytes:
     """Decode a pattern straight to bytes, raising on tamper/unused."""
-    if not _use_vectorized():
-        return _decode_pattern_scalar(pattern).to_bytes()
     arr = np.asarray(pattern, dtype=bool)
     if arr.size % CELL_SIZE:
         raise ValueError("Manchester pattern length must be even")
@@ -216,26 +196,12 @@ def decode_bytes(pattern: Sequence[bool]) -> bytes:
 
 def bytes_to_bits(data: bytes) -> List[int]:
     """Unpack bytes into a list of bits, most significant bit first."""
-    if _use_vectorized():
-        return np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist()
-    bits: List[int] = []
-    for byte in data:
-        for shift in range(7, -1, -1):
-            bits.append((byte >> shift) & 1)
-    return bits
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist()
 
 
 def bits_to_bytes(bits: Sequence[int]) -> bytes:
     """Pack an MSB-first bit sequence (multiple of 8 long) into bytes."""
     if len(bits) % 8:
         raise ValueError("bit sequence length must be a multiple of 8")
-    if _use_vectorized():
-        arr = np.asarray(bits, dtype=np.uint8) & 1
-        return np.packbits(arr).tobytes()
-    out = bytearray()
-    for index in range(0, len(bits), 8):
-        byte = 0
-        for bit in bits[index:index + 8]:
-            byte = (byte << 1) | (bit & 1)
-        out.append(byte)
-    return bytes(out)
+    arr = np.asarray(bits, dtype=np.uint8) & 1
+    return np.packbits(arr).tobytes()

@@ -40,7 +40,6 @@ from ..errors import (
 from ..medium.defects import scan_for_defects
 from ..medium.geometry import MediumGeometry, geometry_for_blocks
 from ..medium.medium import MediumConfig, PatternedMedium
-from ..api.policy import resolve_vectorized
 from ..units import is_power_of_two
 from .bitops import BitOps
 from .sector import (
@@ -81,13 +80,11 @@ class DeviceConfig:
             rather than the weaker UNREADABLE — near-certain.
         span_engine: run the electrical paths (ers_block, probing,
             payload decode) on the vectorized span engine instead of
-            the scalar per-dot reference protocol.  The default is
-            resolved through the execution policy at construction time
-            (:func:`repro.api.resolve_vectorized`: ``repro.engine``
-            context > installed policy > ``REPRO_SPAN_ENGINE``, read
-            lazily).  Both paths implement identical protocol
-            semantics; the scalar one is kept as the executable
-            reference for equivalence tests.
+            the scalar per-dot reference protocol.  Both paths
+            implement identical protocol semantics; the scalar one is
+            the executable reference the equivalence tests compare
+            against, reached by passing ``False`` here and no other
+            way.
     """
 
     erb_rounds: int = 2
@@ -96,7 +93,7 @@ class DeviceConfig:
     defect_tolerance: int = 4
     enforce_write_protect: bool = True
     verify_retries: int = 3
-    span_engine: bool = field(default_factory=resolve_vectorized)
+    span_engine: bool = True
 
 
 #: Manchester cell codes used by the span engine:

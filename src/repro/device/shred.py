@@ -67,7 +67,8 @@ def shred_line(device: "SERODevice", start: int) -> ShredReport:
         span_start, span_end = device.geometry.block_span(pba)
         device.scanner.seek_to_block(pba)
         device.scanner.transfer(span_end - span_start, "ewb")
-        device.medium.heat_span(span_start, span_end)
+        device.medium.heat_span(span_start, span_end,
+                                vectorized=device.config.span_engine)
         dots += span_end - span_start
     return ShredReport(start=start, data_blocks=record.n_blocks - 1,
                        dots_heated=dots)

@@ -49,8 +49,8 @@ DEFAULT_GATEWAY_SEED = 2008
 DEFAULT_GATEWAY_BLOCKS = 512
 
 #: Policy rows the admin ``describe`` payload reports — how the fleet
-#: dispatches and where the gateway listens; engine, hash and search
-#: rows are not deployment state.
+#: dispatches and where the gateway listens; the search rows are not
+#: deployment state.
 _DESCRIBED_KNOBS = (
     "executor", "max_workers", "fleet_hosts", "fleet_timeout",
     "fleet_retries", "fleet_on_failure", "fleet_secret", "gateway_bind",

@@ -29,7 +29,6 @@ from ..crypto.sha256 import sha256_digest
 from ..device.sector import BLOCK_SIZE
 from ..device.sero import SERODevice, VerificationResult
 from ..errors import IntegrityError, ReadError, UnknownScoreError
-from ..api.policy import resolve_vectorized
 
 _NODE_MAGIC = b"VN"
 _TYPE_LEAF = 1
@@ -63,7 +62,7 @@ class VentiStore:
     device: SERODevice
     arena_start: int
     arena_blocks: int
-    batched: bool = field(default_factory=resolve_vectorized)
+    batched: bool = True
     _index: Dict[bytes, Tuple[int, int]] = field(default_factory=dict)
     _next: int = 0
     _sealed: Dict[bytes, int] = field(default_factory=dict)

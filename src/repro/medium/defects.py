@@ -12,18 +12,17 @@ The scan has two implementations sharing the exact same medium I/O
 sequence (per-block write/readback spans): a scalar *reference* that
 classifies dots one at a time, and a vectorized path that records the
 readbacks into whole-medium arrays and classifies everything with a
-handful of numpy passes.  The lazily resolved execution policy
-(:func:`repro.api.resolve_vectorized`) selects the default.
+handful of numpy passes.  The numpy path is the default; the scalar
+one runs only when the caller passes ``vectorized=False``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List, Set
 
 import numpy as np
 
-from ..api.policy import resolve_vectorized
 from .medium import PatternedMedium
 
 
@@ -59,7 +58,7 @@ class DefectScanReport:
 def scan_for_defects(medium: PatternedMedium, tolerance: int = 4,
                      e_region_dots: int = 4096,
                      ecc_word_bits: int = 72,
-                     vectorized: Optional[bool] = None) -> DefectScanReport:
+                     vectorized: bool = True) -> DefectScanReport:
     """Write/readback scan of the whole medium.
 
     Writes a 10-pattern and then an 01-pattern to every block span and
@@ -75,15 +74,11 @@ def scan_for_defects(medium: PatternedMedium, tolerance: int = 4,
     The scan is destructive of data (it is a format-time operation) and
     restores an erased (all-zero) state afterwards.
 
-    With ``vectorized`` left at None the classification runs as
-    whole-medium numpy passes (unless the lazily resolved execution
-    policy — ``repro.engine(...)`` context, installed policy, or the
-    ``REPRO_SPAN_ENGINE`` variable read at call time — selects the
-    scalar engine); both paths issue an identical per-block span I/O
-    sequence, so their counters and reports agree exactly.
+    By default the classification runs as whole-medium numpy passes;
+    ``vectorized=False`` runs the dot-at-a-time reference.  Both paths
+    issue an identical per-block span I/O sequence, so their counters
+    and reports agree exactly.
     """
-    if vectorized is None:
-        vectorized = resolve_vectorized()
     geometry = medium.geometry
     dpb = geometry.dots_per_block
     # The test patterns depend only on the (uniform) span length, so

@@ -41,7 +41,6 @@ from ..physics.thermal import (
     temperature_at_distance_c,
 )
 from ..units import KB, celsius_to_kelvin
-from ..api.policy import resolve_vectorized
 from .dot import HEATED_SHARPNESS_THRESHOLD, DotView
 from .geometry import MediumGeometry
 
@@ -372,16 +371,15 @@ class PatternedMedium:
 
     def heat_span(self, start: int, end: int,
                   pattern: Optional[Sequence[bool]] = None,
-                  vectorized: Optional[bool] = None) -> None:
+                  vectorized: bool = True) -> None:
         """Heat every dot in [start, end) where ``pattern`` is True
         (or all of them when ``pattern`` is None).
 
-        With ``vectorized`` left at None the Arrhenius factor is
-        batched over the whole pattern with numpy (unless the lazily
-        resolved execution policy selects the scalar engine);
-        ``collateral_heating``
-        always takes the scalar per-dot path because each heated dot
-        must also pulse its matrix neighbours.
+        By default the Arrhenius factor is batched over the whole
+        pattern with numpy; ``vectorized=False`` heats dot by dot (the
+        reference).  ``collateral_heating`` always takes the per-dot
+        path because each heated dot must also pulse its matrix
+        neighbours.
         """
         if not (0 <= start <= end <= self.geometry.total_dots):
             raise DotAddressError("dot span out of range")
@@ -391,8 +389,6 @@ class PatternedMedium:
             if len(pattern) != end - start:
                 raise ValueError("pattern length must match span")
             idx = start + np.flatnonzero(np.asarray(pattern, dtype=bool))
-        if vectorized is None:
-            vectorized = resolve_vectorized()
         if self.config.collateral_heating or not vectorized:
             for index in idx:
                 self.heat_dot(int(index))

@@ -22,8 +22,8 @@ where ``payload`` is the typed per-member result and ``state`` is the
   exactly the state a serial pass would have produced.
 
 Executors are *registered by name* (:func:`register_executor`) and
-selected through the same lazy resolution chain as every other engine
-switch — explicit argument > ``with repro.engine(executor="thread"):``
+selected through the same lazy resolution chain as every other knob
+— explicit argument > ``with repro.engine(executor="thread"):``
 context > installed :class:`~repro.api.policy.ExecutionPolicy` >
 ``REPRO_FLEET_EXECUTOR`` (read at dispatch time) > ``"serial"`` — via
 :func:`resolve_fleet_executor`.
@@ -205,7 +205,7 @@ class ThreadExecutor(FleetExecutor):
     Useful when the per-member work releases the GIL (the span/batched
     engines spend their time inside numpy) or waits on I/O; the ambient
     ``repro.engine(...)`` context is propagated to every task, so a
-    pass scoped to the scalar engine stays scalar on every worker.
+    knob pinned for the pass reads the same on every worker.
     """
 
     name = "thread"
@@ -257,10 +257,11 @@ class ProcessExecutor(FleetExecutor):
     byte-identical to a serial pass.
 
     ``with repro.engine(...):`` *context* overrides do not cross the
-    process boundary (contextvars are per-process); fleet members carry
-    their resolved engine in ``DeviceConfig.span_engine``, so member
-    behaviour is unaffected.  Environment-variable policy layers
-    propagate to workers as part of the inherited environment.
+    process boundary (contextvars are per-process); nothing a member
+    task runs consults the policy (a member's engine is its own
+    ``DeviceConfig.span_engine``), so member behaviour is unaffected.
+    Environment-variable policy layers propagate to workers as part of
+    the inherited environment.
     """
 
     name = "process"

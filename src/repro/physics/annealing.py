@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from ..units import KB, celsius_to_kelvin
-from ..api.policy import resolve_vectorized
 
 EV = 1.602176634e-19
 
@@ -214,17 +213,14 @@ class FilmEnsemble:
 
 def anneal_series(temperatures_c: Sequence[float], duration_s: float = 1800.0,
                   kinetics: AnnealingKinetics = DEFAULT_KINETICS,
-                  vectorized: Optional[bool] = None) -> List[FilmState]:
+                  vectorized: bool = True) -> List[FilmState]:
     """Anneal one fresh sample per temperature (the Fig 7 protocol:
     "samples subjected to six different temperatures").
 
-    With ``vectorized`` left at None the whole series anneals as one
-    :class:`FilmEnsemble` pass (unless the lazily resolved execution
-    policy selects the scalar engine); the scalar loop remains as the
-    reference path.
+    By default the whole series anneals as one :class:`FilmEnsemble`
+    pass; ``vectorized=False`` runs the per-sample loop, the reference
+    path.
     """
-    if vectorized is None:
-        vectorized = resolve_vectorized()
     temps = list(temperatures_c)
     if vectorized:
         ensemble = FilmEnsemble.fresh(len(temps))

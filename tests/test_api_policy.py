@@ -1,214 +1,121 @@
-"""Execution-policy tests: resolution precedence, nested contexts,
-lazy environment reads, the deprecation shim."""
+"""Execution-policy tests: resolution precedence, nested contexts and
+lazy environment reads, spelled out on the ``executor`` row
+(``tests/test_policy_properties.py`` proves the same order for every
+row).  Which protocol implementation runs is not a policy question
+since 7.0 — see ``test_default_is_vectorized``."""
 
-import warnings
+import inspect
 
 import pytest
 
 import repro
 from repro.api import policy as pol
 from repro.api.policy import (
-    EngineSpec,
     ExecutionPolicy,
-    available_engines,
     describe_policy,
     engine,
-    get_engine,
-    register_engine,
-    resolve_engine,
-    resolve_vectorized,
+    resolve_executor_name,
     set_policy,
-    unregister_engine,
 )
-from repro.crypto import crc, manchester
 
 
 @pytest.fixture(autouse=True)
 def _clean_policy_state(monkeypatch):
     """Every test starts from the default resolution state (no env, no
-    installed policy, no module pins leaked by other test files)."""
-    monkeypatch.delenv(pol.ENGINE_ENV_VAR, raising=False)
+    installed policy)."""
+    monkeypatch.delenv(pol.EXECUTOR_ENV_VAR, raising=False)
     set_policy(None)
-    monkeypatch.setattr(manchester, "USE_VECTORIZED", None)
     yield
     set_policy(None)
+
+
+def test_default_is_vectorized():
+    # 7.0: the numpy engines are plain defaults of the five functions
+    # that have a scalar twin; no ambient lookup stands behind them
+    from repro.device.sero import DeviceConfig
+    from repro.integrity.venti import VentiStore
+    from repro.medium.defects import scan_for_defects
+    from repro.medium.medium import PatternedMedium
+    from repro.physics.annealing import anneal_series
+
+    assert DeviceConfig().span_engine is True
+    assert VentiStore.__dataclass_fields__["batched"].default is True
+    for func in (scan_for_defects, PatternedMedium.heat_span, anneal_series):
+        assert inspect.signature(func).parameters["vectorized"].default is True
 
 
 # -- resolution precedence: arg > context > policy > env > default ----------
 
 
-def test_default_is_vectorized():
-    assert resolve_vectorized() is True
-    assert resolve_engine().name == "vectorized"
-
-
 def test_env_layer_is_read_lazily(monkeypatch):
     # flipping the variable *after import* must take effect everywhere
-    assert resolve_vectorized() is True
-    monkeypatch.setenv(pol.ENGINE_ENV_VAR, "0")
-    assert resolve_vectorized() is False
-    monkeypatch.setenv(pol.ENGINE_ENV_VAR, "scalar")
-    assert resolve_engine().name == "scalar"
-    monkeypatch.setenv(pol.ENGINE_ENV_VAR, "vectorized")
-    assert resolve_vectorized() is True
+    assert resolve_executor_name() == ("serial", "default")
+    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "thread")
+    assert resolve_executor_name() == ("thread", "env")
+    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "PROCESS")
+    assert resolve_executor_name() == ("process", "env")
+    monkeypatch.delenv(pol.EXECUTOR_ENV_VAR)
+    assert resolve_executor_name() == ("serial", "default")
 
 
 def test_policy_beats_env(monkeypatch):
-    monkeypatch.setenv(pol.ENGINE_ENV_VAR, "0")
-    set_policy(ExecutionPolicy(engine="vectorized"))
-    assert resolve_vectorized() is True
+    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "thread")
+    set_policy(ExecutionPolicy(executor="process"))
+    assert resolve_executor_name() == ("process", "policy")
     set_policy(None)
-    assert resolve_vectorized() is False
+    assert resolve_executor_name() == ("thread", "env")
 
 
-def test_context_beats_policy(monkeypatch):
-    set_policy(ExecutionPolicy(engine="vectorized"))
-    with engine("scalar"):
-        assert resolve_vectorized() is False
-    assert resolve_vectorized() is True
+def test_context_beats_policy():
+    set_policy(ExecutionPolicy(executor="process"))
+    with engine(executor="thread"):
+        assert resolve_executor_name() == ("thread", "context")
+    assert resolve_executor_name() == ("process", "policy")
 
 
 def test_explicit_arg_beats_everything(monkeypatch):
-    monkeypatch.setenv(pol.ENGINE_ENV_VAR, "0")
-    set_policy(ExecutionPolicy(engine="scalar"))
-    with engine("scalar"):
-        assert resolve_vectorized(True) is True
-        assert resolve_vectorized("vectorized") is True
-        assert resolve_engine(False).name == "scalar"
+    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "thread")
+    set_policy(ExecutionPolicy(executor="thread"))
+    with engine(executor="thread"):
+        assert resolve_executor_name("process") == ("process", "explicit")
 
 
 def test_nested_contexts_innermost_wins():
-    with engine("scalar"):
-        assert resolve_engine().name == "scalar"
-        with engine("vectorized"):
-            assert resolve_engine().name == "vectorized"
-            with engine("scalar"):
-                assert resolve_vectorized() is False
-            assert resolve_vectorized() is True
-        assert resolve_engine().name == "scalar"
-    assert resolve_engine().name == "vectorized"
-
-
-def test_context_with_no_engine_defers():
-    with engine(search_max_hits=7):  # pins only another knob
-        assert resolve_vectorized() is True
-        with engine("scalar"):
-            assert resolve_vectorized() is False
-            assert pol.resolve_search_max_hits() == (7, "context")
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError):
-        resolve_engine("warp-drive")
-    with pytest.raises(ValueError):
-        ExecutionPolicy(engine="warp-drive")
+    with engine(executor="thread"):
+        assert resolve_executor_name()[0] == "thread"
+        with engine(executor="process"):
+            assert resolve_executor_name()[0] == "process"
+            with engine(executor="thread"):
+                assert resolve_executor_name()[0] == "thread"
+            assert resolve_executor_name()[0] == "process"
+        assert resolve_executor_name()[0] == "thread"
+    assert resolve_executor_name() == ("serial", "default")
 
 
 def test_policy_use_context():
-    custom = ExecutionPolicy(engine="scalar")
+    custom = ExecutionPolicy(executor="thread")
     with custom.use():
-        assert resolve_vectorized() is False
-    assert resolve_vectorized() is True
-
-
-# -- engine registry --------------------------------------------------------
-
-
-def test_builtin_engines_registered():
-    assert {"vectorized", "scalar"} <= set(available_engines())
-    assert get_engine("vectorized").vectorized is True
-    assert get_engine("scalar").vectorized is False
-
-
-def test_register_custom_engine_selectable():
-    register_engine(EngineSpec("sharded_test", True,
-                               "pretend fleet backend"))
-    try:
-        with engine("sharded_test"):
-            assert resolve_engine().name == "sharded_test"
-            assert resolve_vectorized() is True
-        set_policy(ExecutionPolicy(engine="sharded_test"))
-        assert resolve_engine().name == "sharded_test"
-    finally:
-        set_policy(None)
-        unregister_engine("sharded_test")
-    with pytest.raises(ValueError):
-        get_engine("sharded_test")
-
-
-def test_register_duplicate_engine_rejected():
-    with pytest.raises(ValueError):
-        register_engine(EngineSpec("scalar", False))
-    with pytest.raises(ValueError):
-        unregister_engine("vectorized")
+        assert resolve_executor_name() == ("thread", "context")
+    assert resolve_executor_name() == ("serial", "default")
 
 
 def test_describe_policy_reports_source(monkeypatch):
     snap = describe_policy()
-    assert snap["engine"] == "vectorized"
-    assert snap["engine_source"] == "default"
-    monkeypatch.setenv(pol.ENGINE_ENV_VAR, "off")
-    assert describe_policy()["engine_source"] == "env"
-    set_policy(ExecutionPolicy(engine="vectorized"))
-    assert describe_policy()["engine_source"] == "policy"
-    with engine("scalar"):
+    assert snap["executor"] == "serial"
+    assert snap["executor_source"] == "default"
+    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "thread")
+    assert describe_policy()["executor_source"] == "env"
+    set_policy(ExecutionPolicy(executor="thread"))
+    assert describe_policy()["executor_source"] == "policy"
+    with engine(executor="process"):
         snap = describe_policy()
-        assert snap["engine_source"] == "context"
-        assert snap["vectorized"] is False
-
-
-# -- the lazy switch actually reaches the leaf modules ----------------------
-
-
-def test_crc_and_manchester_flip_after_import(monkeypatch):
-    data = b"the quick brown fox" * 11
-    # 6.0: the CRCs have one engine (the standard library's) whatever
-    # the policy says; the from-scratch loops are its reference
-    reference = crc._crc32_scalar(data, 0xFFFFFFFF) ^ 0xFFFFFFFF
-    assert crc.crc32(data) == reference
-    assert crc.crc16_ccitt(data) == crc._crc16_scalar(data, 0xFFFF)
-    assert manchester._use_vectorized() is True
-    monkeypatch.setenv(pol.ENGINE_ENV_VAR, "0")
-    assert crc.crc32(data) == reference
-    assert crc.crc16_ccitt(data) == crc._crc16_scalar(data, 0xFFFF)
-    assert manchester._use_vectorized() is False
-    monkeypatch.delenv(pol.ENGINE_ENV_VAR)
-    assert manchester._use_vectorized() is True
-
-
-def test_module_pin_beats_policy():
-    try:
-        manchester.USE_VECTORIZED = False
-        with engine("vectorized"):
-            assert manchester._use_vectorized() is False
-    finally:
-        manchester.USE_VECTORIZED = None
-    with engine("scalar"):
-        assert manchester._use_vectorized() is False
-
-
-def test_device_config_resolves_policy_at_construction():
-    from repro.device.sero import DeviceConfig
-
-    with engine("scalar"):
-        assert DeviceConfig().span_engine is False
-    assert DeviceConfig().span_engine is True
-
-
-def test_scan_for_defects_honours_context():
-    from repro.device.sero import SERODevice
-    from repro.medium.defects import scan_for_defects
-
-    device = SERODevice.create(8)
-    with engine("scalar"):
-        scalar_report = scan_for_defects(device.medium)
-    vec_report = scan_for_defects(device.medium)
-    assert scalar_report == vec_report
+        assert snap["executor_source"] == "context"
+        assert snap["executor"] == "process"
 
 
 def test_top_level_engine_export():
-    with repro.engine("scalar"):
-        assert repro.api.resolve_vectorized() is False
+    with repro.engine(executor="thread"):
+        assert repro.api.resolve_executor_name() == ("thread", "context")
 
 
 # -- gateway / fleet-secret knobs (ISSUE 8) ---------------------------------

@@ -3,7 +3,6 @@ equivalence with the pre-façade entry points, batch grain, arenas."""
 
 import pytest
 
-from repro.api import engine
 from repro.api.store import (
     AuditReport,
     ObjectInfo,
@@ -265,25 +264,20 @@ def test_mount_reopens_filesystem():
     assert reopened.audit().clean
 
 
-# -- per-store engine pin ---------------------------------------------------------
+# -- per-store engine: an explicit DeviceConfig, nothing ambient --------------------
 
 
 def test_store_engine_pin_and_equivalence():
-    scalar = TamperEvidentStore.create(total_blocks=64, engine="scalar")
-    vec = TamperEvidentStore.create(total_blocks=64, engine="vectorized")
-    assert scalar.engine == "scalar" and not scalar.device.config.span_engine
-    assert vec.engine == "vectorized" and vec.device.config.span_engine
+    scalar = TamperEvidentStore.create(
+        total_blocks=64, device_config=DeviceConfig(span_engine=False))
+    vec = TamperEvidentStore.create(total_blocks=64)
+    assert not scalar.device.config.span_engine
+    assert vec.device.config.span_engine
     for s in (scalar, vec):
         s.put("/o", b"z" * 600)
         s.seal("/o", timestamp=5)
     assert scalar.receipts["/o"].line_hash == vec.receipts["/o"].line_hash
     assert scalar.audit().clean and vec.audit().clean
-
-
-def test_create_under_scalar_context_pins_device():
-    with engine("scalar"):
-        store = TamperEvidentStore.create(total_blocks=64)
-    assert store.engine == "scalar"
 
 
 # -- archive arena + fossil + instruction log --------------------------------------
@@ -370,7 +364,6 @@ def test_describe_and_capacity(store):
     store.put("/f", b"f" * 600)
     store.seal("/f")
     desc = store.describe()
-    assert desc["engine"] in ("vectorized", "scalar")
     assert desc["filesystem"] and desc["sealed_lines"] == 1
     cap = store.capacity()
     assert cap["total_blocks"] == 256

@@ -5,6 +5,7 @@ If this test fails you changed the v1 public surface.  That is allowed
 the same change, and call out the addition/removal in the PR.
 """
 
+import ast
 import dataclasses
 import hashlib
 import importlib.util
@@ -19,19 +20,11 @@ from repro.api.policy import KNOBS, Knob
 #: The frozen surface.  Keep sorted.
 EXPECTED_API = sorted([
     # execution policy
-    "ENGINE_ENV_VAR",
-    "EngineSpec",
     "ExecutionPolicy",
-    "available_engines",
     "describe_policy",
     "engine",
-    "get_engine",
     "get_policy",
-    "register_engine",
-    "resolve_engine",
-    "resolve_vectorized",
     "set_policy",
-    "unregister_engine",
     # fleet executors (PR 4; remote hosts PR 5; fault tolerance PR 7;
     # signed frames PR 8)
     "DEFAULT_EXECUTOR",
@@ -93,8 +86,8 @@ EXPECTED_API = sorted([
 #: The top-level convenience re-exports the quick start relies on.
 EXPECTED_TOP_LEVEL = {
     "TamperEvidentStore", "StoreConfig", "ObjectInfo", "SealReceipt",
-    "VerifyReport", "AuditReport", "ExecutionPolicy", "EngineSpec",
-    "engine", "FleetStore",
+    "VerifyReport", "AuditReport", "ExecutionPolicy", "engine",
+    "FleetStore",
 }
 
 
@@ -122,8 +115,8 @@ def test_top_level_reexports():
         assert getattr(repro, name) is getattr(api, name)
 
 
-def test_version_is_v6():
-    assert repro.__version__ == "6.0.0"
+def test_version_is_v7():
+    assert repro.__version__ == "7.0.0"
 
 
 def test_removed_fleet_doors_stay_shut():
@@ -157,7 +150,7 @@ def test_removed_sha256_doors_stay_shut(monkeypatch):
         api.engine(sha256="pure")
     with pytest.raises(TypeError):
         api.ExecutionPolicy(sha256_backend="pure")
-    assert len(KNOBS) == len(dataclasses.fields(api.ExecutionPolicy)) == 13
+    assert len(KNOBS) == len(dataclasses.fields(api.ExecutionPolicy)) == 12
     assert "kwarg" not in {f.name for f in dataclasses.fields(Knob)}
     assert "set_backend" not in repro.crypto.__all__
     for owner, names in (
@@ -190,24 +183,99 @@ def test_removed_crc_doors_stay_shut(monkeypatch):
         assert not hasattr(crc, name), name
     data = bytes(range(256)) * 2
     monkeypatch.setenv("REPRO_SPAN_ENGINE", "0")
-    with api.engine("scalar"):
-        assert crc.crc32(data, 7) == zlib.crc32(data, 7)
-        assert crc.crc16_ccitt(data, 7) == binascii.crc_hqx(data, 7)
+    assert crc.crc32(data, 7) == zlib.crc32(data, 7)
+    assert crc.crc16_ccitt(data, 7) == binascii.crc_hqx(data, 7)
+
+
+def test_removed_engine_doors_stay_shut(monkeypatch):
+    """7.0: the numpy engines are the one execution path; the scalar
+    reference is an explicit argument of the functions that have a
+    twin — no knob, registry, context name, store pin or module pin."""
+    from repro.api import policy
+    from repro.crypto import manchester
+    from repro.device.sero import DeviceConfig
+
+    with pytest.raises(TypeError):
+        api.engine("scalar")
+    with pytest.raises(TypeError):
+        api.ExecutionPolicy(engine="scalar")
+    with pytest.raises(TypeError):
+        api.StoreConfig(engine="scalar")
+    with pytest.raises(TypeError):
+        api.TamperEvidentStore.create(total_blocks=16, engine="scalar")
+    assert len(KNOBS) == len(dataclasses.fields(api.ExecutionPolicy)) == 12
+    assert "engine" not in KNOBS
+    removed = ("ENGINE_ENV_VAR", "EngineSpec", "register_engine",
+               "unregister_engine", "available_engines", "get_engine",
+               "resolve_engine", "resolve_vectorized", "VECTORIZED_ENGINE",
+               "SCALAR_ENGINE", "USE_VECTORIZED", "_use_vectorized")
+    for owner in (api, policy, manchester, repro):
+        assert not [name for name in removed if hasattr(owner, name)], owner
+    assert not hasattr(api.TamperEvidentStore, "engine")
+    assert "engine" not in api.TamperEvidentStore.create(
+        total_blocks=64).describe()
+
+    keys = set(api.describe_policy())
+    assert not keys & {"engine", "engine_source", "vectorized",
+                       "available_engines"}
+    monkeypatch.setenv("REPRO_SPAN_ENGINE", "0")  # a stale export is inert
+    assert DeviceConfig().span_engine is True
+    assert set(api.describe_policy()) == keys
+
+
+def _runtime_api_imports(path: pathlib.Path, package: str) -> list:
+    """``repro.api`` imports in ``path`` that execute at run time
+    (anywhere in the module, function bodies included) — only an
+    ``if TYPE_CHECKING:`` block is exempt."""
+    parents = package.split(".")
+
+    def visit(node: ast.AST):
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.dump(node.test):
+            children = node.orelse
+        else:
+            children = list(ast.iter_child_nodes(node))
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # ``from ..api.policy import x`` in repro.medium -> repro.api.policy
+            base = parents[:len(parents) + 1 - node.level] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            names = [f"{module}.{alias.name}" for alias in node.names]
+        for name in names:
+            if f"{name}.".startswith("repro.api."):
+                yield f"{path.name}:{node.lineno} imports {name}"
+        for child in children:
+            yield from visit(child)
+
+    return list(visit(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_storage_layers_do_not_import_the_api():
+    """7.0: the bottom of the stack asks nothing of the top — no
+    module of the storage layers imports ``repro.api`` at run time
+    (``fs`` names the façade under ``TYPE_CHECKING`` only)."""
+    root = pathlib.Path(repro.__file__).resolve().parent
+    offenders = []
+    for layer in ("medium", "physics", "crypto", "device", "integrity", "fs"):
+        modules = sorted((root / layer).glob("*.py"))
+        assert modules, layer
+        for path in modules:
+            offenders += _runtime_api_imports(path, f"repro.{layer}")
+    assert not offenders, offenders
 
 
 def _knob_table() -> str:
     """API.md's consolidated knob table, rendered from the rows."""
     lines = [
-        "| field | `engine()` keyword | env var | default "
+        "| field / `engine()` keyword | env var | default "
         "| unparsable export | secret | meaning |",
-        "|---|---|---|---|---|---|---|"]
+        "|---|---|---|---|---|---|"]
     for knob in KNOBS.values():
-        keyword = "`name` (positional)" if knob.name == "engine" \
-            else f"`{knob.name}`"
         bad_env = "raises `ConfigurationError`" if knob.strict_env \
             else "ignored"
         lines.append(
-            f"| `{knob.name}` | {keyword} | `{knob.env_var}` "
+            f"| `{knob.name}` | `{knob.env_var}` "
             f"| `{knob.default!r}` | {bad_env} "
             f"| {'yes' if knob.secret else 'no'} | {knob.doc} |")
     return "\n".join(lines)

@@ -18,7 +18,12 @@ import pytest
 
 import repro
 import repro.api as api
-from twin_racks import device_rack, fingerprints, sealed_device_rack
+from twin_racks import (
+    dead_host_splitting,
+    device_rack,
+    fingerprints,
+    sealed_device_rack,
+)
 from repro.device.sero import DeviceConfig, SERODevice, VerifyStatus
 from repro.errors import (
     HeatError,
@@ -518,24 +523,6 @@ def test_mixed_pass_failover_replaces_both_task_kinds():
         reset_host_health()
 
 
-def _dead_host_splitting(live_addr, member_keys):
-    """An address nothing listens on, chosen so the ring over
-    ``(live, dead)`` places at least one member on each host (the
-    live worker's port is dynamic, so the split must be searched)."""
-    from repro.parallel import HashRing, parse_hosts
-
-    for _ in range(64):
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        dead = f"127.0.0.1:{probe.getsockname()[1]}"
-        probe.close()
-        hosts = parse_hosts([live_addr, dead])
-        ring = HashRing(hosts)
-        if {ring.lookup(k) for k in member_keys} == set(hosts):
-            return dead, hosts
-    raise AssertionError("no splitting dead host found in 64 draws")
-
-
 def test_degrade_mode_yields_partial_report():
     """on_failure='degrade' with an unreachable host and no retry
     budget: the pass completes partial — surviving members fold
@@ -547,7 +534,7 @@ def test_degrade_mode_yields_partial_report():
 
     worker = spawn_local_worker()
     n = 4
-    dead, hosts = _dead_host_splitting(
+    dead, hosts, holder = dead_host_splitting(
         worker.address, [f"member-{i}" for i in range(n)])
     lost = {i for i in range(n)
             if HashRing(hosts).lookup(f"member-{i}") == dead}
@@ -580,6 +567,7 @@ def test_degrade_mode_yields_partial_report():
                 assert reports[i] == reference[i]
                 assert after[i] == expected[i]
     finally:
+        holder.close()
         worker.stop()
         close_connection_pools()
         reset_host_health()
@@ -595,7 +583,7 @@ def test_fleetstore_degrade_member_exception_and_audit():
         reset_host_health, spawn_local_worker
 
     worker = spawn_local_worker()
-    dead, _hosts = _dead_host_splitting(
+    dead, _hosts, holder = dead_host_splitting(
         worker.address, ["member-0", "member-1"])
     reset_host_health()
     try:
@@ -625,6 +613,7 @@ def test_fleetstore_degrade_member_exception_and_audit():
         assert any("member audit failed" in e and e.startswith("m")
                    for e in degraded.fs_errors)
     finally:
+        holder.close()
         worker.stop()
         close_connection_pools()
         reset_host_health()

@@ -172,19 +172,19 @@ def test_engine_context_selects_executor():
 
 
 def test_thread_executor_propagates_engine_context():
-    """A pass scoped to the scalar engine stays scalar on every
-    worker thread (contextvars travel with the task)."""
-    from repro.api.policy import resolve_vectorized
+    """A knob pinned by the ``repro.engine(...)`` scope of a pass is
+    seen on every worker thread (contextvars travel with the task)."""
+    from repro.api.policy import resolve
 
     seen = []
 
     def probe():
-        seen.append(resolve_vectorized())
+        seen.append(resolve("search_max_hits"))
         return None, None
 
-    with repro.engine("scalar"):
+    with repro.engine(search_max_hits=7):
         ThreadExecutor(max_workers=2).run([probe] * 4)
-    assert seen == [False] * 4
+    assert seen == [(7, "context")] * 4
 
 
 # -- executor equivalence ------------------------------------------------------

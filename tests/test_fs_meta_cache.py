@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.api.store import StoreStatePatch, TamperEvidentStore
 from repro.device.sector import BLOCK_SIZE, encode_frame
-from repro.device.sero import DOTS_PER_BLOCK
+from repro.device.sero import DOTS_PER_BLOCK, DeviceConfig
 from repro.errors import ReproError
 from repro.fs.cleaner import run_cleaner
 from repro.medium.geometry import geometry_for_blocks
@@ -31,12 +31,11 @@ DEEP = "/a/b/c/d/e"
 PAYLOAD = bytes(range(256)) * 8  # four blocks
 
 
-def _store(total_blocks=256, seed=5):
-    # a defect-free medium needs no format scan (minutes of per-dot
-    # probing on CI's scalar-engine leg, which runs this file)
+def _store(total_blocks=256, seed=5, **config):
+    # a defect-free medium needs no format scan
     return TamperEvidentStore.create(
         total_blocks=total_blocks, format_scan=False,
-        medium_config=MediumConfig(seed=seed))
+        medium_config=MediumConfig(seed=seed), **config)
 
 
 def _deep_store():
@@ -212,10 +211,20 @@ def test_read_only_pass_brings_the_cache_it_filled_home():
     member = remote.members[0]
     mark = StoreStatePatch.fs_meta_mark(member)
     member.audit(deep=True)
-    # (the scalar engine's electrical read bumps the epoch, so there
-    # every audit flushes the cache and the patch always carries it)
-    assert (StoreStatePatch.capture(member, mark).fs_meta is None) \
-        is member.device.config.span_engine
+    assert StoreStatePatch.capture(member, mark).fs_meta is None
+
+
+def test_scalar_engine_audit_flushes_the_cache_every_time():
+    """The scalar engine's electrical read inverts and restores dot by
+    dot and so bumps the epoch: there every audit flushes the cache
+    and the patch always carries the refill."""
+    store = _store(device_config=DeviceConfig(span_engine=False))
+    store.put(f"{DEEP}/one", PAYLOAD, make_parents=True)
+    store.seal(f"{DEEP}/one")
+    store.audit(deep=True)
+    mark = StoreStatePatch.fs_meta_mark(store)
+    store.audit(deep=True)
+    assert StoreStatePatch.capture(store, mark).fs_meta is not None
 
 
 # -- (iv) twin traces ---------------------------------------------------------------

@@ -50,6 +50,8 @@ from repro.gateway import (
 from repro.parallel import MemberFailure, close_connection_pools
 from repro.parallel.session import store_fingerprint
 
+from twin_racks import dead_host_splitting
+
 SPEC = "root-token=admin;acme-rw=acme:rw;globex-rw=globex:rw"
 CONFIG = StoreConfig(total_blocks=256, audit_log=True)
 
@@ -170,23 +172,6 @@ def test_describe_answers_under_an_invalid_hosts_export(monkeypatch):
 # -- degraded and unreachable fleets over HTTP ---------------------------------
 
 
-def _dead_host_splitting(live_addr, member_keys):
-    """An address nothing listens on, placed by the ring so the member
-    keys split across the live and dead hosts."""
-    from repro.parallel import HashRing, parse_hosts
-
-    for _ in range(64):
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        dead = f"127.0.0.1:{probe.getsockname()[1]}"
-        probe.close()
-        hosts = parse_hosts([live_addr, dead])
-        if {HashRing(hosts).lookup(k)
-                for k in member_keys} == set(hosts):
-            return dead, hosts
-    raise AssertionError("no splitting dead host found in 64 draws")
-
-
 def test_degraded_pass_surfaces_as_207_with_typed_failures():
     """Kill a fleet host out from under the gateway: seal_many and
     audit answer 207, surviving slots byte-identical to the serial
@@ -196,7 +181,7 @@ def test_degraded_pass_surfaces_as_207_with_typed_failures():
 
     n = 4
     worker = spawn_local_worker()
-    dead, hosts = _dead_host_splitting(
+    dead, hosts, holder = dead_host_splitting(
         worker.address, [f"member-{i}" for i in range(n)])
     lost = {i for i in range(n)
             if HashRing(hosts).lookup(f"member-{i}") == dead}
@@ -270,6 +255,7 @@ def test_degraded_pass_surfaces_as_207_with_typed_failures():
                 assert receipt == by_path[path]
     finally:
         api.set_policy(None)
+        holder.close()
         worker.stop()
         close_connection_pools()
         reset_host_health()

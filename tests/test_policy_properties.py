@@ -37,7 +37,6 @@ _HOST = st.builds("{}:{}".format,
 #: ``test_every_row_has_a_strategy_and_a_field``: a new knob joins the
 #: property.
 VALID = {
-    "engine": st.sampled_from(("vectorized", "scalar")),
     "executor": st.sampled_from(("serial", "thread", "process", "rpc")),
     "max_workers": st.integers(1, 64),
     "fleet_hosts": st.lists(_HOST, min_size=1, max_size=3,
@@ -57,7 +56,6 @@ VALID = {
 
 #: Exports no row's validator accepts as that row's value.
 GARBAGE = {
-    "engine": ("warp-drive",),
     "executor": ("warp-drive",),
     "max_workers": ("junk", "0", "-3", "2.5"),
     "fleet_hosts": ("nonsense", "h:1,h:1", "h:99999"),
@@ -284,4 +282,4 @@ def test_engine_rejects_unknown_keywords():
     with pytest.raises(TypeError):
         engine(warp_factor=9)
     with pytest.raises(TypeError):
-        engine("scalar", engine="scalar")
+        engine("thread")  # 7.0: keywords only, no positional name

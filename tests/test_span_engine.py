@@ -412,14 +412,11 @@ def test_manchester_fast_paths_match_scalar():
         vec_pattern = man_mod.encode_bytes(data)
         vec_decoded = man_mod.decode_bytes(vec_pattern)
         vec_result = man_mod.decode_pattern(vec_pattern)
-        man_mod.USE_VECTORIZED = False
-        try:
-            ref_pattern = man_mod.encode_bytes(data)
-            assert list(vec_pattern) == ref_pattern
-            assert vec_decoded == man_mod.decode_bytes(ref_pattern) == data
-            ref_result = man_mod.decode_pattern(ref_pattern)
-        finally:
-            man_mod.USE_VECTORIZED = None
+        # the per-cell definitions, called directly (no pin since 7.0)
+        ref_pattern = man_mod.encode_bits(man_mod.bytes_to_bits(data))
+        assert list(vec_pattern) == ref_pattern
+        ref_result = man_mod._decode_pattern_scalar(ref_pattern)
+        assert vec_decoded == ref_result.to_bytes() == data
         assert vec_result.bits == ref_result.bits
         assert vec_result.tampered_cells == ref_result.tampered_cells
         assert vec_result.unused_cells == ref_result.unused_cells

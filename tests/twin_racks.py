@@ -17,14 +17,20 @@ Two rack shapes, because no single one takes every pass:
   ``seal_many``);
 * :func:`object_rack` — file-system-backed members holding unsealed
   objects: takes ``seal_many``/``audit``/``audit(deep=True)``.
+
+:func:`dead_host_splitting` finds the unreachable second host the
+degrade-mode tests put beside one live worker.
 """
 
 from __future__ import annotations
+
+import socket
 
 from repro.api.fleet import FleetStore
 from repro.api.store import TamperEvidentStore
 from repro.device.sero import BLOCK_SIZE, SERODevice
 from repro.medium.medium import MediumConfig
+from repro.parallel import HashRing, parse_hosts
 from repro.parallel.session import store_fingerprint
 
 _PAYLOAD = bytes(range(256)) * (BLOCK_SIZE // 256)
@@ -76,6 +82,26 @@ def object_rack(executor=None, *, n=2, total_blocks=192, seed=33,
     for path in paths:
         fleet.put(path, path.encode() * 8)
     return fleet, paths
+
+
+def dead_host_splitting(live_addr, member_keys):
+    """``(dead, hosts, holder)``: an address nothing listens on, chosen
+    so the ring over ``(live, dead)`` places at least one member on
+    each host (the live worker's port is dynamic, so the split must be
+    searched).  ``holder`` is the socket bound to the dead port and
+    never put in ``listen``: connects are refused and, for as long as
+    the caller keeps it open, nobody else (the next spawned worker
+    included) can be handed the port — close it in a ``finally``."""
+    for _ in range(64):
+        holder = socket.socket()
+        holder.bind(("127.0.0.1", 0))
+        dead = f"127.0.0.1:{holder.getsockname()[1]}"
+        hosts = parse_hosts([live_addr, dead])
+        ring = HashRing(hosts)
+        if {ring.lookup(k) for k in member_keys} == set(hosts):
+            return dead, hosts, holder
+        holder.close()
+    raise AssertionError("no splitting dead host found in 64 draws")
 
 
 def fingerprints(fleet):
