@@ -20,8 +20,9 @@ The package builds the paper's whole stack in simulation:
   :class:`TamperEvidentStore` façade, the rack-scale
   :class:`~repro.api.FleetStore` shard façade and the
   :class:`~repro.api.ExecutionPolicy` knob table;
-* :mod:`repro.parallel` — the fleet execution layer: named
-  serial/thread/process executors and the consistent-hash shard ring.
+* :mod:`repro.parallel` — the fleet execution layer: the ``serial``
+  (in-process) and ``rpc`` (across processes) executors and the
+  consistent-hash shard ring.
 
 Quick start (the façade drives the whole stack)::
 
@@ -35,7 +36,7 @@ Quick start (the façade drives the whole stack)::
 
 Deployment knobs (fleet executor, hosts, gateway, search) share one
 lazy resolution order — explicit argument > ``with repro.engine(
-executor="thread"):`` context > installed policy > ``REPRO_*``
+executor="rpc"):`` context > installed policy > ``REPRO_*``
 environment (read at call time).  The paper's literal per-dot protocol
 is the test oracle, not a knob; it is built by explicit argument::
 
@@ -65,7 +66,7 @@ from .integrity.evidence import EvidenceBag
 from .integrity.fossil import FossilizedIndex
 from .integrity.venti import VentiStore
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     # v1 façade + policy

@@ -5,7 +5,7 @@ Two pieces:
 * :mod:`repro.api.policy` — the :class:`ExecutionPolicy` knob table
   that gives every deployment tunable (fleet dispatch, gateway,
   search) one lazy resolution order: explicit argument > context
-  override (``with repro.engine(executor="thread"):``) > installed
+  override (``with repro.engine(executor="rpc"):``) > installed
   policy > environment variable > default;
 * :mod:`repro.api.store` — :class:`TamperEvidentStore`, the façade
   that drives the whole stack (device, file system, integrity layers)
@@ -14,9 +14,10 @@ Two pieces:
 * :mod:`repro.api.fleet` — :class:`FleetStore`, the rack-scale façade:
   the same store surface sharded across member stores by
   content-addressed consistent hashing, with fleet-wide passes fanned
-  out on the named executors of :mod:`repro.parallel` (``serial`` /
-  ``thread`` / ``process`` / ``rpc``, selected through the same policy
-  chain via ``repro.engine(executor=...)`` / ``REPRO_FLEET_EXECUTOR``;
+  out on one of the two executors of :mod:`repro.parallel` (``serial``
+  in-process or ``rpc`` across processes, selected through the same
+  policy chain via ``repro.engine(executor=...)`` /
+  ``REPRO_FLEET_EXECUTOR``;
   the remote executor's worker hosts resolve the same way via
   ``repro.engine(fleet_hosts=...)`` / ``REPRO_FLEET_HOSTS``).
 
@@ -37,7 +38,6 @@ from .policy import (
     FLEET_RETRIES_ENV_VAR,
     FLEET_SECRET_ENV_VAR,
     FLEET_TIMEOUT_ENV_VAR,
-    FLEET_WORKERS_ENV_VAR,
     GATEWAY_BIND_ENV_VAR,
     GATEWAY_TOKEN_FILE_ENV_VAR,
     GATEWAY_TOKENS_ENV_VAR,
@@ -56,21 +56,15 @@ from .policy import (
     resolve_fleet_timeout,
     resolve_gateway_bind,
     resolve_gateway_token_file,
-    resolve_max_workers,
     resolve_search_fragment_count,
     resolve_search_fragment_size,
     resolve_search_max_hits,
     set_policy,
 )
 from ..parallel import (
-    ExecutorSpec,
     FleetExecutor,
     MemberFailure,
-    available_executors,
-    get_executor_spec,
-    register_executor,
     resolve_fleet_executor,
-    unregister_executor,
 )
 
 #: Store-layer names, imported lazily (PEP 562) so that the policy
@@ -106,20 +100,14 @@ __all__ = [
     "get_policy",
     "describe_policy",
     # fleet executors
-    "ExecutorSpec",
     "FleetExecutor",
     "MemberFailure",
-    "register_executor",
-    "unregister_executor",
-    "available_executors",
-    "get_executor_spec",
     "resolve_executor_name",
     "resolve_fleet_hosts",
     "resolve_fleet_on_failure",
     "resolve_fleet_retries",
     "resolve_fleet_secret",
     "resolve_fleet_timeout",
-    "resolve_max_workers",
     "resolve_fleet_executor",
     "EXECUTOR_ENV_VAR",
     "FLEET_HOSTS_ENV_VAR",
@@ -128,7 +116,6 @@ __all__ = [
     "FLEET_RETRIES_ENV_VAR",
     "FLEET_SECRET_ENV_VAR",
     "FLEET_TIMEOUT_ENV_VAR",
-    "FLEET_WORKERS_ENV_VAR",
     "DEFAULT_EXECUTOR",
     # gateway config (the gateway itself lives in repro.gateway)
     "resolve_gateway_bind",

@@ -37,8 +37,8 @@ take an exclusive mode that excludes everything.  Calls on disjoint
 members therefore overlap on real cores while per-member results stay
 byte-identical to a serialized run.
 
-The per-member fan-out functions live at module level so the
-``process`` executor can pickle them.
+The per-member fan-out functions live at module level so the ``rpc``
+executor can pickle them.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from ..parallel import (
     resolve_fleet_executor,
     shard_key,
 )
+from .policy import resolve_executor_name
 from .store import (
     AuditReport,
     EvidenceExport,
@@ -103,6 +104,16 @@ def fold_member_state(original: TamperEvidentStore, state: object) -> None:
         state.apply(original)
     elif state is not original:
         original.adopt_state(state)
+
+
+def _executor_pin(executor: Union[None, str, FleetExecutor]
+                  ) -> Union[None, str, FleetExecutor]:
+    """A ``FleetStore`` executor pin, checked where it is given: a
+    name other than ``serial``/``rpc`` fails here, not at the first
+    pass."""
+    if executor is None or isinstance(executor, FleetExecutor):
+        return executor
+    return resolve_executor_name(executor)[0]
 
 
 def _require_store(member: object) -> TamperEvidentStore:
@@ -203,7 +214,7 @@ class FleetOpStats:
 
 
 # ---------------------------------------------------------------------------
-# Per-member fan-out tasks (module level: the process executor pickles
+# Per-member fan-out tasks (module level: the rpc executor pickles
 # them by reference)
 
 
@@ -240,11 +251,9 @@ class FleetStore:
         members: the fleet — :class:`TamperEvidentStore` instances
             (a bare device joins as
             ``TamperEvidentStore.attach(device)``, device-grain).
-        executor: fleet dispatch pin — a registered executor name or a
+        executor: fleet dispatch pin — ``"serial"``, ``"rpc"`` or a
             ready :class:`~repro.parallel.FleetExecutor`; None resolves
             through the lazy policy chain *at each fleet-wide call*.
-        max_workers: worker bound for pool executors (None resolves
-            through the chain / one per core).
         replicas: virtual nodes per member on the hash ring.
 
     Operations' member footprints: object-grain calls lock the holding
@@ -256,14 +265,12 @@ class FleetStore:
 
     def __init__(self, members: Sequence[TamperEvidentStore], *,
                  executor: Union[None, str, FleetExecutor] = None,
-                 max_workers: Optional[int] = None,
                  replicas: int = 64) -> None:
         if not members:
             raise ConfigurationError("a FleetStore needs at least one member")
         self.members: List[TamperEvidentStore] = [
             _require_store(member) for member in members]
-        self._executor = executor
-        self._max_workers = max_workers
+        self._executor = _executor_pin(executor)
         self._ring = HashRing([self._node_name(i)
                                for i in range(len(self.members))],
                               replicas=replicas)
@@ -323,7 +330,6 @@ class FleetStore:
                config: Optional[StoreConfig] = None, *,
                seed: int = 2008,
                executor: Union[None, str, FleetExecutor] = None,
-               max_workers: Optional[int] = None,
                replicas: int = 64,
                **overrides) -> "FleetStore":
         """Provision ``n_members`` fresh full stores.
@@ -335,6 +341,7 @@ class FleetStore:
         """
         if n_members < 1:
             raise ConfigurationError("n_members must be >= 1")
+        executor = _executor_pin(executor)
         base = config or StoreConfig()
         if overrides:
             base = dataclasses.replace(base, **overrides)
@@ -344,8 +351,7 @@ class FleetStore:
             medium_config = dataclasses.replace(medium_config, seed=seed + i)
             members.append(TamperEvidentStore.create(
                 dataclasses.replace(base, medium_config=medium_config)))
-        return cls(members, executor=executor, max_workers=max_workers,
-                   replicas=replicas)
+        return cls(members, executor=executor, replicas=replicas)
 
     # -- routing -----------------------------------------------------------------
 
@@ -597,7 +603,7 @@ class FleetStore:
         reinstalled, read-only :class:`StoreStatePatch` results are
         applied in place), record dispatch stats, and return the
         per-task payloads (task order)."""
-        executor = resolve_fleet_executor(self._executor, self._max_workers)
+        executor = resolve_fleet_executor(self._executor)
         tasks = make_tasks(executor.crosses_process)
         t0 = time.perf_counter()
         outcome = executor.run(tasks)
@@ -906,8 +912,23 @@ class FleetStore:
         In a degraded rpc pass (``on_failure="degrade"``) a failed
         member's slot carries its
         :class:`~repro.parallel.MemberFailure` record in place of a
-        report — that device was *not* scanned."""
+        report — that device was *not* scanned.
+
+        Device-grain fleets only: the scan erases whatever the medium
+        holds, so a fleet with any file-system-backed member is refused
+        with :class:`~repro.errors.ConfigurationError` before a single
+        member is touched (fs-backed members were scanned by
+        ``create``)."""
         with self._locks.exclusive():
+            mounted = [self._node_name(i)
+                       for i, store in enumerate(self.members)
+                       if store.fs is not None]
+            if mounted:
+                raise ConfigurationError(
+                    f"format_devices() would erase the mounted file "
+                    f"systems of {', '.join(mounted)}: the format scan "
+                    f"runs on device-grain members only (fs-backed "
+                    f"members were scanned by create())")
             member_indices = list(range(len(self.members)))
             return self._fan_out(
                 "format_devices", member_indices, lambda _p: [

@@ -30,9 +30,9 @@ through the explicit arguments of the functions that have a twin
 
 The storage layers (``medium``, ``physics``, ``crypto``, ``device``,
 ``integrity``, ``fs``) never import this module.  At import time it
-loads only the leaf :mod:`repro.errors`; executor-name and address
-validation import :mod:`repro.parallel` lazily, which itself depends
-only on this module.
+loads only the leaf :mod:`repro.errors`; address validation imports
+:mod:`repro.parallel` lazily, which itself depends only on this
+module.
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ from ..errors import ConfigurationError
 
 #: Recognised ``fleet_on_failure`` modes.
 FLEET_ON_FAILURE_MODES = ("raise", "degrade")
+
+#: Fleet executors by name: one in-process, one across processes.
+_EXECUTORS = ("serial", "rpc")
 
 #: Environment variable holding the gateway's inline token spec (see
 #: :mod:`repro.gateway.auth`).  Not a table row: secret material never
@@ -130,13 +133,10 @@ def _parallel():
 #: The knob table, in ``ExecutionPolicy`` field order.
 KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("executor", "REPRO_FLEET_EXECUTOR", "serial",
-         lambda value: _parallel().get_executor_spec(value).name, str.lower,
-         doc="registered fleet executor name (`serial`, the reference "
-             "dispatch, `thread`, `process`, `rpc` or a custom one)"),
-    Knob("max_workers", "REPRO_FLEET_WORKERS", None,
-         _int_at_least("max_workers", 1), int,
-         doc="worker bound for pool executors (unset = one per CPU "
-             "core, capped at the member count)"),
+         _one_of("executor", _EXECUTORS), str.lower,
+         doc="fleet dispatch: `serial` (in-process, the reference) or "
+             "`rpc` (worker daemons across processes); a ready "
+             "`FleetExecutor` instance goes to `FleetStore(executor=)`"),
     Knob("fleet_hosts", "REPRO_FLEET_HOSTS", None,
          lambda value: _parallel().parse_hosts(value),
          doc="`rpc` worker addresses (`host:port` strings, or one "
@@ -196,7 +196,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
 
 # Public names for the rows' environment variables and defaults.
 EXECUTOR_ENV_VAR = KNOBS["executor"].env_var
-FLEET_WORKERS_ENV_VAR = KNOBS["max_workers"].env_var
 FLEET_HOSTS_ENV_VAR = KNOBS["fleet_hosts"].env_var
 FLEET_TIMEOUT_ENV_VAR = KNOBS["fleet_timeout"].env_var
 FLEET_RETRIES_ENV_VAR = KNOBS["fleet_retries"].env_var
@@ -227,7 +226,6 @@ class ExecutionPolicy:
     """
 
     executor: Optional[str] = None
-    max_workers: Optional[int] = None
     fleet_hosts: Optional[Tuple[str, ...]] = None
     fleet_timeout: Optional[float] = None
     fleet_retries: Optional[int] = None
@@ -278,14 +276,14 @@ def get_policy() -> Optional[ExecutionPolicy]:
 
 
 def engine(**knobs: object) -> AbstractContextManager[ExecutionPolicy]:
-    """Scoped override: ``with repro.engine(executor="thread"): ...``.
+    """Scoped override: ``with repro.engine(executor="rpc"): ...``.
 
     ``knobs`` are the :class:`ExecutionPolicy` fields by name:
     ``repro.engine(executor="rpc", fleet_hosts=("db1:7401", "db2:7401"),
     fleet_timeout=5.0, fleet_on_failure="degrade")``.  Nested contexts
     stack and the innermost one that pins a given field wins, so
-    ``with engine(fleet_retries=2), engine(executor="thread"):`` runs
-    the thread executor *with* the retry budget.  Thread- and
+    ``with engine(fleet_retries=2), engine(executor="rpc"):`` runs
+    the rpc executor *with* the retry budget.  Thread- and
     async-safe (backed by a :class:`contextvars.ContextVar`).
     """
     return ExecutionPolicy(**knobs).use()
@@ -336,7 +334,6 @@ def _alias(name: str) -> Callable[..., Tuple[object, str]]:
 
 
 resolve_executor_name = _alias("executor")
-resolve_max_workers = _alias("max_workers")
 resolve_fleet_hosts = _alias("fleet_hosts")
 resolve_fleet_timeout = _alias("fleet_timeout")
 resolve_fleet_retries = _alias("fleet_retries")
@@ -369,13 +366,12 @@ def describe_knob(name: str) -> Dict[str, object]:
 def describe_policy() -> Dict[str, object]:
     """Inspectable snapshot of the resolution: what would run now, and
     which layer decided it.  The answer an operator needs when a fleet
-    node misbehaves (e.g. a stale ``REPRO_FLEET_EXECUTOR=serial``
-    export pinning the one-member-at-a-time dispatch)."""
+    node misbehaves (e.g. a stale ``REPRO_FLEET_EXECUTOR=rpc`` export
+    sending every pass to workers nobody started)."""
     snapshot: Dict[str, object] = {}
     for name in KNOBS:
         snapshot.update(describe_knob(name))
     snapshot.update(
-        available_executors=_parallel().available_executors(),
         installed_policy=_POLICY,
         active_overrides=len(_OVERRIDES.get()))
     return snapshot

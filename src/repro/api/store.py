@@ -736,7 +736,21 @@ class TamperEvidentStore:
     # -- device grain -----------------------------------------------------------------
 
     def format_device(self) -> FormatReport:
-        """Run the format-time surface scan (bad-block discovery)."""
+        """Run the format-time surface scan (bad-block discovery) on a
+        device-grain store.
+
+        The scan writes and reads back every block, so on a store with
+        a file system it would erase the mounted tree out from under
+        it: that is a :class:`ConfigurationError`, raised before the
+        device is touched.  A file-system-backed store is scanned once,
+        as a step of :meth:`create` (``StoreConfig.format_scan``).
+        """
+        if self.fs is not None:
+            raise ConfigurationError(
+                "format_device() would erase the mounted file system: "
+                "the format scan is a step of create() "
+                "(StoreConfig.format_scan) and runs on device-grain "
+                "stores (TamperEvidentStore.attach(device)) only")
         before = self.device.account.elapsed
         self.device.format()
         return FormatReport(

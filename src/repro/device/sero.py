@@ -250,8 +250,8 @@ class SERODevice:
         clone carries the same medium state, RNG position, bad-block
         map, line registry, scanner position and cost account, so it
         behaves byte-identically from here on.  This is the transport
-        the fleet's process executor uses to move members between
-        workers.
+        the fleet's rpc executor uses to move members to worker
+        daemons.
         """
         import pickle
 

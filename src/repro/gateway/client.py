@@ -378,6 +378,3 @@ class GatewayClient:
 
     def describe(self) -> Dict[str, Any]:
         return self._request("GET", "/v1/admin/describe")[1]
-
-    def format_devices(self) -> Dict[str, Any]:
-        return self._request("POST", "/v1/admin/format", {})[1]

@@ -9,7 +9,7 @@ shard-grained footprint locks
 (:class:`~repro.parallel.MemberLockSet`) let requests touching
 disjoint members overlap on real cores — the self-securing log
 discipline demands a total instruction order *per member*, not per
-fleet.  Admin passes (audit/format/history) take the fleet's
+fleet.  Admin passes (audit/history) take the fleet's
 whole-fleet exclusive mode.
 
 Endpoints (all under ``/v1``; bodies are JSON, bulk bytes base64):
@@ -29,7 +29,6 @@ GET    /t/<tenant>/search?q=            r     SearchResult (confined)
 GET    /admin/audit?deep=               admin AuditReport (207 deg.)
 GET    /admin/history                   admin per-member op log
 GET    /admin/describe                  admin deployment diagnostics
-POST   /admin/format                    admin per-member FormatReport
 GET    /admin/alerts                    admin standing queries+alerts
 POST   /admin/alerts                    admin register/unregister
 ====== ================================ ===== =======================
@@ -67,7 +66,7 @@ import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..api.fleet import FleetStore
@@ -79,7 +78,6 @@ from ..errors import (
     NoSpaceError,
     ReproError,
 )
-from ..parallel import MemberFailure
 from ..search import EvidenceIndex, Query, as_query
 from . import auth as _auth
 from . import schemas as _schemas
@@ -453,7 +451,6 @@ class GatewayApp:
             ("GET", "audit"): self._op_audit,
             ("GET", "history"): self._op_history,
             ("GET", "describe"): self._op_describe,
-            ("POST", "format"): self._op_format,
             ("GET", "alerts"): self._op_alerts,
             ("POST", "alerts"): self._op_alerts_post,
         }
@@ -498,22 +495,6 @@ class GatewayApp:
         if self.settings is not None:
             body["settings"] = self.settings.describe()
         return 200, {}, body
-
-    def _op_format(self, _query: Dict[str, str], _body: bytes = b""):
-        reports = self.fleet.format_devices()
-        degraded = self.fleet.last_op.degraded
-        slots: List[Dict[str, Any]] = []
-        for report in reports:
-            if isinstance(report, MemberFailure):
-                slots.append(_schemas.member_failure_to_wire(report))
-            else:
-                slots.append({
-                    "kind": "format_report", "blocks": report.blocks,
-                    "bad_blocks": report.bad_blocks,
-                    "fragile_blocks": report.fragile_blocks,
-                    "device_seconds": report.device_seconds})
-        return (207 if degraded else 200), {}, {
-            "reports": slots, "degraded": degraded}
 
     def _op_alerts(self, _query: Dict[str, str], _body: bytes = b""):
         """Standing queries plus every fired tamper alert."""
@@ -592,6 +573,9 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 self._respond(failure.status, failure.headers, failure.body)
                 return
             if length > MAX_BODY_BYTES:
+                # the unread body would otherwise be parsed as the next
+                # request on this connection (request smuggling)
+                self.close_connection = True
                 self._respond(413, {}, {
                     "error": {"code": "too_large",
                               "message": "request body exceeds "

@@ -52,8 +52,8 @@ DEFAULT_GATEWAY_BLOCKS = 512
 #: dispatches and where the gateway listens; the search rows are not
 #: deployment state.
 _DESCRIBED_KNOBS = (
-    "executor", "max_workers", "fleet_hosts", "fleet_timeout",
-    "fleet_retries", "fleet_on_failure", "fleet_secret", "gateway_bind",
+    "executor", "fleet_hosts", "fleet_timeout", "fleet_retries",
+    "fleet_on_failure", "fleet_secret", "gateway_bind",
     "gateway_token_file")
 
 

@@ -491,9 +491,8 @@ class PatternedMedium:
     def __getstate__(self) -> dict:
         """Compact pickled form: the medium as a *snapshot*, not a dump.
 
-        A fleet's process executor ships member state to workers and
-        back on every pass, so the pickled size is a real throughput
-        knob.  Three observations make the snapshot ~10x smaller than
+        A fleet's rpc executor ships member state to workers when it
+        pins them, so the pickled size is a real throughput knob.  Three observations make the snapshot ~10x smaller than
         the raw arrays:
 
         * magnetisation is ternary with an invariant — a dot's

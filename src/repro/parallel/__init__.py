@@ -1,9 +1,8 @@
 """``repro.parallel`` — the fleet execution layer.
 
-Executors (:class:`SerialExecutor` / :class:`ThreadExecutor` /
-:class:`ProcessExecutor` / :class:`~repro.parallel.remote.RpcExecutor`)
-dispatch per-member fleet tasks, a registry makes them selectable by
-name through the execution-policy chain
+Two executors dispatch per-member fleet tasks — :class:`SerialExecutor`
+in-process and :class:`~repro.parallel.remote.RpcExecutor` across
+processes — selected by name through the execution-policy chain
 (:func:`resolve_fleet_executor`), and :class:`HashRing` provides the
 content-addressed shard routing the
 :class:`~repro.api.fleet.FleetStore` spreads objects with.  The
@@ -20,21 +19,13 @@ from __future__ import annotations
 
 from .executor import (
     ExecutionOutcome,
-    ExecutorSpec,
     FleetExecutor,
     MemberFailure,
     MemberTask,
-    ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     WorkerWall,
-    available_executors,
     close_executors,
-    get_executor_spec,
-    make_executor,
-    register_executor,
     resolve_fleet_executor,
-    unregister_executor,
 )
 from .locks import MemberLockSet
 from .ring import HashRing, shard_key
@@ -88,22 +79,14 @@ __all__ = [
     "reset_host_health",
     "spawn_local_worker",
     "ExecutionOutcome",
-    "ExecutorSpec",
     "FleetExecutor",
     "HashRing",
     "MemberFailure",
     "MemberLockSet",
     "MemberTask",
-    "ProcessExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "WorkerWall",
-    "available_executors",
     "close_executors",
-    "get_executor_spec",
-    "make_executor",
-    "register_executor",
     "resolve_fleet_executor",
     "shard_key",
-    "unregister_executor",
 ]

@@ -1,7 +1,7 @@
 """Remote RPC fleet executor: fleet members across machines.
 
-PR 4 left the executor registry open and made the transport
-network-shaped — a member ships to a worker as a compact pickled
+The cross-process half of fleet dispatch (``serial`` is the
+in-process half).  A member ships to a worker as a compact pickled
 snapshot (~1.3 MB for the bench fleet, see
 :meth:`repro.medium.medium.PatternedMedium.__getstate__`) and a
 read-only pass sends home a ~1 kB
@@ -22,9 +22,7 @@ Four pieces:
   receiver over the segment buffers directly.  Requests are small
   tagged tuples (``("run", task)``, ``("ping",)``, the session verbs
   below); responses carry the task's result or a portable description
-  of the exception it raised.  Pickle is the member transport the
-  in-host ``process`` executor already rides on, so the *same* compact
-  snapshots cross the network.  When a ``fleet_secret`` is configured
+  of the exception it raised.  When a ``fleet_secret`` is configured
   (``RpcExecutor(secret=...)`` > ``repro.engine(fleet_secret=...)`` >
   installed policy > ``REPRO_FLEET_SECRET``) every frame is
   HMAC-SHA256 signed — magic ``SRPH``, a 32-byte digest after the
@@ -64,7 +62,7 @@ Four pieces:
   exception object (plus the remote traceback text), so a fleet pass
   fails with the *same* error type whichever executor dispatched it.
 
-* **client executor** — :class:`RpcExecutor` (registered as ``rpc``),
+* **client executor** — :class:`RpcExecutor` (selected as ``rpc``),
   a :class:`~repro.parallel.executor.FleetExecutor` that resolves its
   host list lazily at each dispatch (explicit ``hosts=`` argument >
   ``with repro.engine(fleet_hosts=...):`` > installed policy >
@@ -1518,13 +1516,6 @@ class RpcExecutor(FleetExecutor):
         _give_back(addr, sock)
         return (items, member_errors,
                 counters["sent"], counters["received"])
-
-
-# The ``rpc`` registry entry lives in :mod:`repro.parallel.executor`
-# (a lazy factory over :class:`RpcExecutor`), so selecting any other
-# executor never loads the wire protocol — and ``python -m
-# repro.parallel.remote`` can execute this module as ``__main__``
-# without a duplicate registration.
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,21 @@ def big_fs() -> SeroFS:
     return SeroFS.format(SERODevice.create(1024))
 
 
+@pytest.fixture(scope="module")
+def workers():
+    """Addresses of two loopback worker daemons: where a test runs the
+    cross-process (``rpc``) twin of a serial rack."""
+    from repro.parallel import close_connection_pools, spawn_local_worker
+
+    spawned = [spawn_local_worker() for _ in range(2)]
+    try:
+        yield tuple(worker.address for worker in spawned)
+    finally:
+        for worker in spawned:
+            worker.stop()
+        close_connection_pools()
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: long-running simulation tests")

@@ -50,52 +50,54 @@ def test_default_is_vectorized():
 def test_env_layer_is_read_lazily(monkeypatch):
     # flipping the variable *after import* must take effect everywhere
     assert resolve_executor_name() == ("serial", "default")
-    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "thread")
-    assert resolve_executor_name() == ("thread", "env")
-    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "PROCESS")
-    assert resolve_executor_name() == ("process", "env")
+    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "rpc")
+    assert resolve_executor_name() == ("rpc", "env")
+    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "RPC")
+    assert resolve_executor_name() == ("rpc", "env")
+    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "SERIAL")
+    assert resolve_executor_name() == ("serial", "env")
     monkeypatch.delenv(pol.EXECUTOR_ENV_VAR)
     assert resolve_executor_name() == ("serial", "default")
 
 
 def test_policy_beats_env(monkeypatch):
-    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "thread")
-    set_policy(ExecutionPolicy(executor="process"))
-    assert resolve_executor_name() == ("process", "policy")
+    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "rpc")
+    set_policy(ExecutionPolicy(executor="serial"))
+    assert resolve_executor_name() == ("serial", "policy")
     set_policy(None)
-    assert resolve_executor_name() == ("thread", "env")
+    assert resolve_executor_name() == ("rpc", "env")
 
 
 def test_context_beats_policy():
-    set_policy(ExecutionPolicy(executor="process"))
-    with engine(executor="thread"):
-        assert resolve_executor_name() == ("thread", "context")
-    assert resolve_executor_name() == ("process", "policy")
+    set_policy(ExecutionPolicy(executor="serial"))
+    with engine(executor="rpc"):
+        assert resolve_executor_name() == ("rpc", "context")
+    assert resolve_executor_name() == ("serial", "policy")
 
 
 def test_explicit_arg_beats_everything(monkeypatch):
-    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "thread")
-    set_policy(ExecutionPolicy(executor="thread"))
-    with engine(executor="thread"):
-        assert resolve_executor_name("process") == ("process", "explicit")
+    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "rpc")
+    set_policy(ExecutionPolicy(executor="rpc"))
+    with engine(executor="rpc"):
+        assert resolve_executor_name("serial") == ("serial", "explicit")
 
 
 def test_nested_contexts_innermost_wins():
-    with engine(executor="thread"):
-        assert resolve_executor_name()[0] == "thread"
-        with engine(executor="process"):
-            assert resolve_executor_name()[0] == "process"
-            with engine(executor="thread"):
-                assert resolve_executor_name()[0] == "thread"
-            assert resolve_executor_name()[0] == "process"
-        assert resolve_executor_name()[0] == "thread"
+    with engine(executor="rpc"):
+        assert resolve_executor_name()[0] == "rpc"
+        with engine(executor="serial"):
+            assert resolve_executor_name()[0] == "serial"
+            with engine(executor="rpc"):
+                assert resolve_executor_name()[0] == "rpc"
+            assert resolve_executor_name() == ("serial", "context")
+        assert resolve_executor_name()[0] == "rpc"
     assert resolve_executor_name() == ("serial", "default")
 
 
 def test_policy_use_context():
-    custom = ExecutionPolicy(executor="thread")
+    custom = ExecutionPolicy(executor="rpc")
     with custom.use():
-        assert resolve_executor_name() == ("thread", "context")
+        assert resolve_executor_name() == ("rpc", "context")
     assert resolve_executor_name() == ("serial", "default")
 
 
@@ -103,19 +105,19 @@ def test_describe_policy_reports_source(monkeypatch):
     snap = describe_policy()
     assert snap["executor"] == "serial"
     assert snap["executor_source"] == "default"
-    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "thread")
+    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "rpc")
     assert describe_policy()["executor_source"] == "env"
-    set_policy(ExecutionPolicy(executor="thread"))
+    set_policy(ExecutionPolicy(executor="rpc"))
     assert describe_policy()["executor_source"] == "policy"
-    with engine(executor="process"):
+    with engine(executor="serial"):
         snap = describe_policy()
         assert snap["executor_source"] == "context"
-        assert snap["executor"] == "process"
+        assert snap["executor"] == "serial"
 
 
 def test_top_level_engine_export():
-    with repro.engine(executor="thread"):
-        assert repro.api.resolve_executor_name() == ("thread", "context")
+    with repro.engine(executor="rpc"):
+        assert repro.api.resolve_executor_name() == ("rpc", "context")
 
 
 # -- gateway / fleet-secret knobs (ISSUE 8) ---------------------------------

@@ -254,6 +254,20 @@ def test_attach_bare_device_is_device_grain_only():
     assert store.verify_line(0).intact
 
 
+def test_format_device_refuses_a_mounted_store():
+    """The scan writes every block: on a store with a file system it
+    would erase the tree under it (even an empty one — the next put
+    would read a wiped superblock), so it refuses before the device
+    is touched."""
+    store = TamperEvidentStore.create(total_blocks=64)
+    before = dict(store.device.medium.counters)
+    with pytest.raises(ConfigurationError, match="create"):
+        store.format_device()
+    assert dict(store.device.medium.counters) == before
+    assert store.put("/after", b"still mounted").size == 13
+    assert store.get("/after") == b"still mounted"
+
+
 def test_mount_reopens_filesystem():
     store = TamperEvidentStore.create(total_blocks=256)
     store.put("/persist", b"payload " * 64)

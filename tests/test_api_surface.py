@@ -29,19 +29,14 @@ EXPECTED_API = sorted([
     # signed frames PR 8)
     "DEFAULT_EXECUTOR",
     "EXECUTOR_ENV_VAR",
-    "ExecutorSpec",
     "FLEET_HOSTS_ENV_VAR",
     "FLEET_ON_FAILURE_ENV_VAR",
     "FLEET_ON_FAILURE_MODES",
     "FLEET_RETRIES_ENV_VAR",
     "FLEET_SECRET_ENV_VAR",
     "FLEET_TIMEOUT_ENV_VAR",
-    "FLEET_WORKERS_ENV_VAR",
     "FleetExecutor",
     "MemberFailure",
-    "available_executors",
-    "get_executor_spec",
-    "register_executor",
     "resolve_executor_name",
     "resolve_fleet_executor",
     "resolve_fleet_hosts",
@@ -49,8 +44,6 @@ EXPECTED_API = sorted([
     "resolve_fleet_retries",
     "resolve_fleet_secret",
     "resolve_fleet_timeout",
-    "resolve_max_workers",
-    "unregister_executor",
     # gateway config (PR 8; the service itself is repro.gateway)
     "DEFAULT_GATEWAY_BIND",
     "GATEWAY_BIND_ENV_VAR",
@@ -115,8 +108,8 @@ def test_top_level_reexports():
         assert getattr(repro, name) is getattr(api, name)
 
 
-def test_version_is_v7():
-    assert repro.__version__ == "7.0.0"
+def test_version_is_v8():
+    assert repro.__version__ == "8.0.0"
 
 
 def test_removed_fleet_doors_stay_shut():
@@ -150,7 +143,7 @@ def test_removed_sha256_doors_stay_shut(monkeypatch):
         api.engine(sha256="pure")
     with pytest.raises(TypeError):
         api.ExecutionPolicy(sha256_backend="pure")
-    assert len(KNOBS) == len(dataclasses.fields(api.ExecutionPolicy)) == 12
+    assert len(KNOBS) == len(dataclasses.fields(api.ExecutionPolicy)) == 11
     assert "kwarg" not in {f.name for f in dataclasses.fields(Knob)}
     assert "set_backend" not in repro.crypto.__all__
     for owner, names in (
@@ -203,7 +196,7 @@ def test_removed_engine_doors_stay_shut(monkeypatch):
         api.StoreConfig(engine="scalar")
     with pytest.raises(TypeError):
         api.TamperEvidentStore.create(total_blocks=16, engine="scalar")
-    assert len(KNOBS) == len(dataclasses.fields(api.ExecutionPolicy)) == 12
+    assert len(KNOBS) == len(dataclasses.fields(api.ExecutionPolicy)) == 11
     assert "engine" not in KNOBS
     removed = ("ENGINE_ENV_VAR", "EngineSpec", "register_engine",
                "unregister_engine", "available_engines", "get_engine",
@@ -220,6 +213,46 @@ def test_removed_engine_doors_stay_shut(monkeypatch):
                        "available_engines"}
     monkeypatch.setenv("REPRO_SPAN_ENGINE", "0")  # a stale export is inert
     assert DeviceConfig().span_engine is True
+    assert set(api.describe_policy()) == keys
+
+
+def test_removed_executor_doors_stay_shut(monkeypatch):
+    """8.0: one dispatch per boundary — ``serial`` in-process, ``rpc``
+    across processes.  No thread or process pool, no executor registry,
+    no worker bound, on any surface."""
+    import repro.parallel as parallel
+    from repro.api import policy
+
+    monkeypatch.delenv(api.EXECUTOR_ENV_VAR, raising=False)
+    for name in ("thread", "process"):
+        with pytest.raises(ValueError):
+            api.ExecutionPolicy(executor=name)
+        with pytest.raises(ValueError):
+            api.engine(executor=name)
+    with pytest.raises(ValueError):
+        api.FleetStore.create(1, executor="process")
+    with pytest.raises(TypeError):
+        api.ExecutionPolicy(max_workers=2)
+    with pytest.raises(TypeError):
+        api.FleetStore.create(1, max_workers=2)
+    with pytest.raises(TypeError):
+        parallel.SerialExecutor(max_workers=2)
+    removed = ("ThreadExecutor", "ProcessExecutor", "ExecutorSpec",
+               "register_executor", "unregister_executor",
+               "available_executors", "get_executor_spec", "make_executor",
+               "resolve_max_workers", "FLEET_WORKERS_ENV_VAR")
+    for owner in (repro, api, parallel, policy, parallel.executor):
+        assert not [name for name in removed if hasattr(owner, name)], owner
+    assert "max_workers" not in KNOBS
+    assert len(KNOBS) == len(dataclasses.fields(api.ExecutionPolicy)) == 11
+
+    keys = set(api.describe_policy())
+    assert not keys & {"max_workers", "max_workers_source",
+                       "available_executors"}
+    # a stale deployment's exports resolve to the in-process default
+    monkeypatch.setenv(api.EXECUTOR_ENV_VAR, "process")
+    monkeypatch.setenv("REPRO_FLEET_WORKERS", "4")
+    assert api.resolve_executor_name() == ("serial", "default")
     assert set(api.describe_policy()) == keys
 
 

@@ -377,35 +377,18 @@ def test_rpc_member_exception_propagates_with_remote_context():
         close_connection_pools()
 
 
-def test_process_pool_worker_killed_mid_pass():
-    """A process-pool worker dying mid-task raises BrokenProcessPool
-    and the cached executor rebuilds its pool for the next pass."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    from repro.parallel import ProcessExecutor
-
-    executor = ProcessExecutor(max_workers=2)
-    try:
-        with pytest.raises(BrokenProcessPool):
-            executor.run([partial(os._exit, 1)])
-        outcome = executor.run([partial(divmod, 9, 4)])  # pool rebuilt
-        assert outcome.results == [(2, 1)]
-    finally:
-        executor.close()
-
-
 def test_thread_executor_member_exception_keeps_members_consistent():
-    """An in-pass exception under the thread executor propagates as
-    the original error and folds no state back."""
+    """An in-pass exception under the default (in-process) executor
+    propagates as the original error and leaves every member
+    consistent and auditable."""
     fleet = api.FleetStore.create(2, total_blocks=192, seed=17)
     paths = [f"/t{i}" for i in range(4)]
     for path in paths:
         fleet.put(path, b"y" * 40)
     fleet.seal_many(paths[:1])
-    with repro.engine(executor="thread", max_workers=2):
-        with pytest.raises(ImmutableFileError):
-            fleet.seal_many(paths)
-        assert fleet.audit().clean  # still consistent and auditable
+    with pytest.raises(ImmutableFileError):
+        fleet.seal_many(paths)
+    assert fleet.audit().clean  # still consistent and auditable
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,20 @@
 
 Two layers under test:
 
-* **executors** (:mod:`repro.parallel`) — serial/thread/process
-  dispatch must produce byte-identical per-member results, the
-  registry must be policy-selectable, and ``REPRO_FLEET_EXECUTOR``
-  must be read lazily at dispatch time;
+* **executors** (:mod:`repro.parallel`) — serial and rpc dispatch
+  must produce byte-identical per-member results, both must be
+  policy-selectable by name, and ``REPRO_FLEET_EXECUTOR`` must be read
+  lazily at dispatch time;
 * **fleet store** (:class:`repro.api.fleet.FleetStore`) — the fleet
   passes on top of the executors with per-worker reporting, and the
   consistent-hash shard router: deterministic routing, bounded
   remapping under growth, and store-surface equivalence.
 
-Plus the snapshot transport the process executor rides on: the compact
-:class:`~repro.medium.medium.PatternedMedium` pickle must round-trip
-state *exactly* (arrays, RNG position, registries).
+Plus the snapshot transport the rpc executor pins members with: the
+compact :class:`~repro.medium.medium.PatternedMedium` pickle must
+round-trip state *exactly* (arrays, RNG position, registries).  The
+cross-process legs run on two loopback worker daemons
+(``workers``).
 """
 
 from __future__ import annotations
@@ -33,18 +35,11 @@ from repro.api.store import TamperEvidentStore
 from repro.device.sero import SERODevice
 from repro.errors import FileNotFoundError_
 from repro.parallel import (
-    ExecutorSpec,
     HashRing,
+    RpcExecutor,
     SerialExecutor,
-    ThreadExecutor,
-    available_executors,
-    make_executor,
-    register_executor,
     resolve_fleet_executor,
-    unregister_executor,
 )
-
-EXECUTORS = ("serial", "thread", "process")
 
 
 @pytest.fixture(autouse=True)
@@ -53,25 +48,7 @@ def _no_installed_policy():
     api.set_policy(None)
 
 
-# -- executor registry ---------------------------------------------------------
-
-
-def test_builtin_executors_registered():
-    for name in EXECUTORS:
-        assert name in available_executors()
-
-
-def test_builtin_executors_protected():
-    for name in EXECUTORS:
-        with pytest.raises(ValueError):
-            unregister_executor(name)
-
-
-def test_register_executor_requires_lowercase_name():
-    # the env layer matches case-insensitively, so a mixed-case
-    # registration would be unreachable through REPRO_FLEET_EXECUTOR
-    with pytest.raises(ValueError, match="lowercase"):
-        register_executor(ExecutorSpec("RpcExec", SerialExecutor))
+# -- executor selection --------------------------------------------------------
 
 
 def test_ungrown_fleet_seal_many_routes_without_reads():
@@ -87,29 +64,19 @@ def test_ungrown_fleet_seal_many_routes_without_reads():
     assert dict(fleet.members[1].device.medium.counters) == before
 
 
-def test_register_custom_executor_and_policy_validation():
-    spec = ExecutorSpec("bespoke", SerialExecutor, "test dispatch")
-    register_executor(spec)
-    try:
-        assert "bespoke" in available_executors()
-        ExecutionPolicy(executor="bespoke")  # validates
-        assert isinstance(make_executor("bespoke"), SerialExecutor)
-    finally:
-        unregister_executor("bespoke")
-    with pytest.raises(ValueError):
-        ExecutionPolicy(executor="bespoke")
-
-
 def test_policy_rejects_bad_executor_and_workers():
-    with pytest.raises(ValueError):
-        ExecutionPolicy(executor="no-such-dispatch")
-    with pytest.raises(ValueError):
-        ExecutionPolicy(max_workers=0)
+    for name in ("no-such-dispatch", "thread", "process"):
+        with pytest.raises(ValueError):
+            ExecutionPolicy(executor=name)
+    with pytest.raises(TypeError):  # 8.0: no worker bound to set
+        ExecutionPolicy(max_workers=2)
 
 
 def test_resolve_fleet_executor_accepts_instance():
-    instance = ThreadExecutor(max_workers=2)
+    instance = SerialExecutor()
     assert resolve_fleet_executor(instance) is instance
+    assert type(resolve_fleet_executor("serial")) is SerialExecutor
+    assert type(resolve_fleet_executor("rpc")) is RpcExecutor
 
 
 # -- resolution chain ----------------------------------------------------------
@@ -120,21 +87,19 @@ def test_executor_resolution_layers(monkeypatch):
     d = api.describe_policy()
     assert (d["executor"], d["executor_source"]) == ("serial", "default")
 
-    monkeypatch.setenv(api.EXECUTOR_ENV_VAR, "thread")
+    monkeypatch.setenv(api.EXECUTOR_ENV_VAR, "rpc")
     d = api.describe_policy()
-    assert (d["executor"], d["executor_source"]) == ("thread", "env")
+    assert (d["executor"], d["executor_source"]) == ("rpc", "env")
 
-    api.set_policy(ExecutionPolicy(executor="process", max_workers=2))
+    api.set_policy(ExecutionPolicy(executor="serial"))
     d = api.describe_policy()
-    assert (d["executor"], d["executor_source"]) == ("process", "policy")
-    assert (d["max_workers"], d["max_workers_source"]) == (2, "policy")
+    assert (d["executor"], d["executor_source"]) == ("serial", "policy")
 
-    with repro.engine(executor="serial", max_workers=1):
+    with repro.engine(executor="rpc"):
         d = api.describe_policy()
-        assert (d["executor"], d["executor_source"]) == ("serial", "context")
-        assert (d["max_workers"], d["max_workers_source"]) == (1, "context")
+        assert (d["executor"], d["executor_source"]) == ("rpc", "context")
 
-    assert api.resolve_executor_name("thread") == ("thread", "explicit")
+    assert api.resolve_executor_name("serial") == ("serial", "explicit")
 
 
 def test_unknown_env_executor_is_ignored(monkeypatch):
@@ -143,83 +108,44 @@ def test_unknown_env_executor_is_ignored(monkeypatch):
 
 
 def test_max_workers_env(monkeypatch):
-    monkeypatch.setenv(api.FLEET_WORKERS_ENV_VAR, "3")
-    assert api.resolve_max_workers() == (3, "env")
-    monkeypatch.setenv(api.FLEET_WORKERS_ENV_VAR, "junk")
-    assert api.resolve_max_workers() == (None, "default")
+    """8.0: ``REPRO_FLEET_WORKERS`` names nothing — a stale export
+    changes neither the policy picture nor the pass."""
+    keys = set(api.describe_policy())
+    monkeypatch.setenv("REPRO_FLEET_WORKERS", "3")
+    assert set(api.describe_policy()) == keys
+    assert not [key for key in keys if "workers" in key]
+    fleet = sealed_device_rack(n=2)
+    fleet.audit()
+    assert (fleet.last_op.executor, fleet.last_op.workers) == ("serial", 1)
 
 
-def test_env_executor_read_lazily_after_scheduler_built(monkeypatch):
+def test_env_executor_read_lazily_after_scheduler_built(
+        monkeypatch, workers):
     """Exporting REPRO_FLEET_EXECUTOR after import *and* after the
     fleet exists must still select the executor at dispatch."""
     monkeypatch.delenv(api.EXECUTOR_ENV_VAR, raising=False)
     fleet = sealed_device_rack(n=2)
     fleet.audit()
     assert fleet.last_op.executor == "serial"
-    monkeypatch.setenv(api.EXECUTOR_ENV_VAR, "thread")
+    monkeypatch.setenv(api.EXECUTOR_ENV_VAR, "rpc")
+    monkeypatch.setenv(api.FLEET_HOSTS_ENV_VAR, ",".join(workers))
     fleet.audit()
-    assert fleet.last_op.executor == "thread"
-
-
-def test_engine_context_selects_executor():
-    fleet = sealed_device_rack(n=2)
-    with repro.engine(executor="thread", max_workers=2):
-        fleet.audit()
-    assert fleet.last_op.executor == "thread"
-    assert fleet.last_op.workers == 2
-    fleet.audit()
-    assert fleet.last_op.executor == "serial"
-
-
-def test_thread_executor_propagates_engine_context():
-    """A knob pinned by the ``repro.engine(...)`` scope of a pass is
-    seen on every worker thread (contextvars travel with the task)."""
-    from repro.api.policy import resolve
-
-    seen = []
-
-    def probe():
-        seen.append(resolve("search_max_hits"))
-        return None, None
-
-    with repro.engine(search_max_hits=7):
-        ThreadExecutor(max_workers=2).run([probe] * 4)
-    assert seen == [(7, "context")] * 4
+    assert fleet.last_op.executor == "rpc"
 
 
 # -- executor equivalence ------------------------------------------------------
 
 
-def test_fleet_passes_byte_identical_across_executors():
+def test_fleet_passes_byte_identical_across_executors(workers):
     """format/seal_many/audit/deep-audit reports and the member state
     they leave must be byte-identical whichever executor dispatched
     them (the acceptance-criteria equivalence)."""
-    witness = {name: all_passes(name, max_workers=2)
-               for name in EXECUTORS}
-    assert witness["serial"] == witness["thread"] == witness["process"]
+    serial = all_passes("serial")
+    assert all_passes(RpcExecutor(workers)) == serial
     # the witness carries real content: verdicts and per-line hashes
-    _formatted, audited, _deep, receipts, *_ = witness["serial"][0]
+    _formatted, audited, _deep, receipts, *_ = serial[0]
     assert audited.lines_verified == 6 and audited.clean
     assert all(receipt.line_hash for receipt in receipts)
-
-
-def test_process_executor_reinstalls_mutated_state():
-    """After process-dispatched passes the fleet's members carry the
-    worker-side state (RNG advanced, lines registered) exactly as
-    serial passes would have left them."""
-    serial = sealed_device_rack("serial")
-    procs = sealed_device_rack("process")
-    assert serial.audit() == procs.audit()
-    for s_store, p_store in zip(serial.members, procs.members):
-        s_dev, p_dev = s_store.device, p_store.device
-        assert s_dev.heated_lines == p_dev.heated_lines
-        assert np.array_equal(s_dev.medium._mag, p_dev.medium._mag)
-        assert np.array_equal(s_dev.medium._sharpness, p_dev.medium._sharpness)
-        assert s_dev.medium._rng.bit_generator.state == \
-            p_dev.medium._rng.bit_generator.state
-    # and the *next* pass still agrees byte for byte
-    assert serial.audit() == procs.audit()
-    assert fingerprints(serial) == fingerprints(procs)
 
 
 def test_deep_audit_device_grain_and_fs_members():
@@ -238,13 +164,13 @@ def test_deep_audit_device_grain_and_fs_members():
     assert fs_report.lines_verified >= 1
 
 
-def test_worker_wall_breakdown_present():
+def test_worker_wall_breakdown_present(workers):
     fleet = sealed_device_rack(n=3)
     report = fleet.audit()
     assert fleet.last_op.executor == "serial"
     assert sum(w.tasks for w in fleet.last_op.worker_walls) == 3
     assert report.device_seconds > 0
-    with repro.engine(executor="thread", max_workers=3):
+    with repro.engine(executor="rpc", fleet_hosts=workers):
         fleet.audit()
     assert sum(w.tasks for w in fleet.last_op.worker_walls) == 3
 
@@ -365,17 +291,15 @@ def test_fleet_store_seal_verify_audit(rack):
                for r in report.reports)
 
 
-def test_fleet_store_audit_equivalent_across_executors(rack):
+def test_fleet_store_audit_equivalent_across_executors(rack, workers):
     fleet, _paths = rack
     serial = fleet.audit()
-    with repro.engine(executor="thread", max_workers=2):
-        threaded = fleet.audit()
-    with repro.engine(executor="process", max_workers=2):
-        processed = fleet.audit()
+    with repro.engine(executor="rpc", fleet_hosts=workers):
+        remote = fleet.audit()
     key = lambda rep: [(r.status, r.line_start, r.label, r.stored_hash)
                        for r in rep.reports]
-    assert key(serial) == key(threaded) == key(processed)
-    assert fleet.last_op.executor == "process"
+    assert key(serial) == key(remote)
+    assert fleet.last_op.executor == "rpc"
     assert sum(w.tasks for w in fleet.last_op.worker_walls) == 3
 
 
@@ -441,20 +365,35 @@ def test_mixed_fleet_routes_objects_to_fs_members():
         bare_only.put("/x", b"v")
 
 
-def test_process_pass_keeps_member_references_live():
-    """Caller-held member/device objects must see mutating-pass
-    results whichever executor ran the pass (in-place adoption)."""
-    fleet, paths = object_rack("process")
-    held_store = fleet.members[0]
-    held_device = held_store.device
-    held_medium = held_device.medium
-    fleet.seal_many(paths)
-    assert fleet.members[0] is held_store
-    assert held_store.device is held_device
-    assert held_device.medium is held_medium
-    assert len(held_device.heated_lines) == \
-        sum(fleet.route(path) == 0 for path in paths) > 0
-    assert held_medium.heated_count() > 0
+def test_format_devices_refuses_a_mounted_fleet_before_touching_it():
+    """The format scan erases whatever a medium holds.  On a fleet of
+    fs-backed members — 8 objects, one sealed on member 1 — it is a
+    typed refusal raised before any member is scanned: every object
+    still reads, no member state moved, the evidence index is as it
+    was."""
+    from repro.errors import ConfigurationError
+    from repro.search import EvidenceIndex
+
+    fleet, paths = object_rack()
+    index = EvidenceIndex()
+    fleet.attach_indexer(index)
+    sealed = next(path for path in paths if fleet.route(path) == 1)
+    fleet.seal(sealed)
+    before, indexed = fingerprints(fleet), index.canonical_bytes()
+    with pytest.raises(ConfigurationError, match="m0, m1"):
+        fleet.format_devices()
+    assert fingerprints(fleet) == before
+    assert index.canonical_bytes() == indexed
+    assert [fleet.get(path) for path in paths] == \
+        [path.encode() * 8 for path in paths]
+    assert fleet.verify(sealed).intact
+    # one fs-backed member is enough; the device-grain ones are kept
+    mixed = FleetStore([TamperEvidentStore.attach(SERODevice.create(16)),
+                        TamperEvidentStore.create(total_blocks=64)])
+    untouched = fingerprints(mixed)
+    with pytest.raises(ConfigurationError, match="of m1:"):
+        mixed.format_devices()
+    assert fingerprints(mixed) == untouched
 
 
 def test_fleet_archive_retrievable_from_fresh_facade():
@@ -466,14 +405,16 @@ def test_fleet_archive_retrievable_from_fresh_facade():
 
 
 def test_resolve_fleet_executor_validates_max_workers():
-    with pytest.raises(ValueError):
+    # 8.0: no worker bound rides along with the name
+    with pytest.raises(TypeError):
         resolve_fleet_executor("serial", max_workers=0)
+    with pytest.raises(ValueError):
+        resolve_fleet_executor("process")
 
 
 def test_close_executors_idempotent():
-    from repro.parallel import close_executors, make_executor
+    from repro.parallel import close_executors
 
-    make_executor("thread", 2)
     close_executors()
     close_executors()
 
@@ -529,8 +470,8 @@ def test_ungrown_fleet_put_touches_only_routed_member():
 
 
 def test_executor_instance_with_conflicting_max_workers_raises():
-    with pytest.raises(ValueError, match="instance"):
-        resolve_fleet_executor(ThreadExecutor(max_workers=8),
-                               max_workers=2)
-    instance = ThreadExecutor(max_workers=2)
-    assert resolve_fleet_executor(instance, max_workers=2) is instance
+    # 8.0: neither the instance nor the resolution takes a worker bound
+    with pytest.raises(TypeError):
+        SerialExecutor(max_workers=2)
+    with pytest.raises(TypeError):
+        resolve_fleet_executor(SerialExecutor(), max_workers=2)

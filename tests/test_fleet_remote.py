@@ -17,8 +17,8 @@ Four layers under test:
   closing the pools, and :class:`HashRing` stability under permuted
   host lists.
 
-Worker daemons are spawned on loopback per module; every test that
-does not need them runs without.
+Worker daemons are spawned on loopback per module (the ``workers``
+fixture); every test that does not need them runs without.
 """
 
 from __future__ import annotations
@@ -67,17 +67,6 @@ def _clean_policy_env(monkeypatch):
     monkeypatch.delenv(api.FLEET_SECRET_ENV_VAR, raising=False)
     yield
     api.set_policy(None)
-
-
-@pytest.fixture(scope="module")
-def workers():
-    spawned = [spawn_local_worker() for _ in range(2)]
-    try:
-        yield tuple(w.address for w in spawned)
-    finally:
-        for worker in spawned:
-            worker.stop()
-        close_connection_pools()
 
 
 # -- wire protocol -------------------------------------------------------------

@@ -22,7 +22,8 @@ from repro.errors import ReproError
 from repro.fs.cleaner import run_cleaner
 from repro.medium.geometry import geometry_for_blocks
 from repro.medium.medium import MediumConfig, PatternedMedium
-from repro.parallel.session import store_fingerprint
+from repro.parallel import RpcExecutor
+from repro.parallel.session import invalidate, store_fingerprint
 from repro.security import attacks
 
 from twin_racks import fingerprints, object_rack
@@ -179,9 +180,9 @@ def test_cleaner_pass_between_two_gets():
     _same_medium(warm, twin)
 
 
-def test_process_seal_many_and_adopt_state_between_two_gets():
+def test_process_seal_many_and_adopt_state_between_two_gets(workers):
     serial, paths = object_rack("serial")
-    remote, _ = object_rack("process")
+    remote, _ = object_rack(RpcExecutor(workers))
     for fleet in (serial, remote):
         first = [fleet.get(path) for path in paths]
         fleet.seal_many(paths)
@@ -192,16 +193,18 @@ def test_process_seal_many_and_adopt_state_between_two_gets():
         [m.fs._meta for m in remote.members]
 
 
-def test_read_only_pass_brings_the_cache_it_filled_home():
+def test_read_only_pass_brings_the_cache_it_filled_home(workers):
     """A deep audit on a worker walks the tree; the next client-side
     lookup must read what a serial twin's does, so the patch carries
     the cache the pass filled — and nothing on the steady pass."""
     serial, paths = object_rack("serial")
-    remote, _ = object_rack("process")
+    remote, _ = object_rack(RpcExecutor(workers))
     for fleet in (serial, remote):
         fleet.seal_many(paths)
         for member in fleet.members:
-            _cold(member)
+            # the fingerprint does not see the cache, so the worker's
+            # pinned copy must be dropped too for it to start as cold
+            invalidate(_cold(member))
         fleet.audit(deep=True)
         fleet.audit(deep=True)
         assert [fleet.get(path) for path in paths] == \

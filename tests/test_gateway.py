@@ -420,6 +420,30 @@ def test_malformed_content_length_is_a_typed_400(stack, declared):
     client.close()
 
 
+def test_oversized_body_is_a_413_that_closes_the_connection(stack):
+    """The declared body is never read, so the connection must end with
+    the 413: otherwise the unread bytes are parsed as the next request
+    (here a smuggled healthz that would answer 200)."""
+    from repro.gateway.server import MAX_BODY_BYTES
+
+    server, _fleet, _twin = stack
+    host, port = server.address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5.0) as sock:
+        sock.sendall(b"POST /v1/t/acme/put HTTP/1.1\r\nHost: gateway\r\n"
+                     b"Authorization: Bearer acme-rw\r\n"
+                     b"Content-Length: "
+                     + str(MAX_BODY_BYTES + 1).encode() + b"\r\n\r\n"
+                     b"GET /v1/healthz HTTP/1.1\r\nHost: gateway\r\n\r\n")
+        reply = b""
+        while chunk := sock.recv(65536):  # until the server hangs up
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 413 ")
+    assert reply.count(b"HTTP/1.1 ") == 1
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert json.loads(body)["error"]["code"] == "too_large"
+    assert server.app._inflight == 0
+
+
 # -- client retries (opt-in) ----------------------------------------------------
 
 

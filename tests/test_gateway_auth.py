@@ -253,7 +253,7 @@ def test_admin_reaches_every_tenant(app):
 
 @pytest.mark.parametrize("method,op", [
     ("GET", "audit"), ("GET", "history"), ("GET", "describe"),
-    ("GET", "alerts"), ("POST", "format"),
+    ("GET", "alerts"),
 ])
 def test_admin_endpoints_403_for_tenant_tokens(app, method, op):
     status, _h, body = _call(app, method, f"/v1/admin/{op}",
@@ -263,6 +263,15 @@ def test_admin_endpoints_403_for_tenant_tokens(app, method, op):
     status, _h, _b = _call(app, method, f"/v1/admin/{op}",
                            "root-token", {} if method == "POST" else None)
     assert status == 200
+
+
+def test_admin_format_verb_is_gone(app):
+    """Every gateway fleet is fs-backed, where a format scan could only
+    erase or refuse: the verb is not served, to admins or tenants."""
+    for token in ("root-token", "acme-rw"):
+        status, _h, body = _call(app, "POST", "/v1/admin/format", token, {})
+        assert status == 404
+        assert body["error"]["code"] == "not_found"
 
 
 def test_tenant_cannot_smuggle_a_path_out_of_its_namespace(app):

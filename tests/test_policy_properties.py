@@ -37,8 +37,7 @@ _HOST = st.builds("{}:{}".format,
 #: ``test_every_row_has_a_strategy_and_a_field``: a new knob joins the
 #: property.
 VALID = {
-    "executor": st.sampled_from(("serial", "thread", "process", "rpc")),
-    "max_workers": st.integers(1, 64),
+    "executor": st.sampled_from(("serial", "rpc")),
     "fleet_hosts": st.lists(_HOST, min_size=1, max_size=3,
                             unique=True).map(tuple),
     "fleet_timeout": st.floats(1e-3, 1e6),
@@ -56,8 +55,7 @@ VALID = {
 
 #: Exports no row's validator accepts as that row's value.
 GARBAGE = {
-    "executor": ("warp-drive",),
-    "max_workers": ("junk", "0", "-3", "2.5"),
+    "executor": ("warp-drive", "thread", "process"),
     "fleet_hosts": ("nonsense", "h:1,h:1", "h:99999"),
     "fleet_timeout": ("soon", "nan", "inf", "Infinity"),
     "fleet_retries": ("lots", "-2", "1.5"),
@@ -198,7 +196,7 @@ def test_explicit_and_policy_layers_share_one_validator(name):
 
 
 def test_int_rows_reject_bools_and_floats():
-    for name in ("max_workers", "fleet_retries", "search_fragment_size",
+    for name in ("fleet_retries", "search_fragment_size",
                  "search_fragment_count", "search_max_hits"):
         for value in (True, 2.5, 2.0, "2"):
             with pytest.raises(TypeError):
@@ -282,4 +280,4 @@ def test_engine_rejects_unknown_keywords():
     with pytest.raises(TypeError):
         engine(warp_factor=9)
     with pytest.raises(TypeError):
-        engine("thread")  # 7.0: keywords only, no positional name
+        engine("rpc")  # 7.0: keywords only, no positional name

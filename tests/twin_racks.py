@@ -1,11 +1,11 @@
 """Seeded twin racks for the fleet byte-identity tests.
 
-The contract under test: whichever executor dispatches a fleet pass,
-the typed reports it returns and the state it leaves on every member
-equal what the ``serial`` executor produces on an identically seeded
-twin.  Tests build one rack per executor with these helpers and
-compare the reports (frozen dataclasses, ``==``) and
-:func:`fingerprints` against the twin's.
+The contract under test: when the ``rpc`` executor dispatches a fleet
+pass across processes, the typed reports it returns and the state it
+leaves on every member equal what the ``serial`` executor produces
+in-process on an identically seeded twin.  Tests build one rack per
+executor with these helpers and compare the reports (frozen
+dataclasses, ``==``) and :func:`fingerprints` against the twin's.
 
 Two rack shapes, because no single one takes every pass:
 
@@ -36,7 +36,7 @@ from repro.parallel.session import store_fingerprint
 _PAYLOAD = bytes(range(256)) * (BLOCK_SIZE // 256)
 
 
-def device_rack(executor=None, *, n=3, blocks=32, max_workers=None):
+def device_rack(executor=None, *, n=3, blocks=32):
     """``n`` device-grain members on distinct, slightly defective
     media (seed ``2008 + i``)."""
     return FleetStore(
@@ -44,7 +44,7 @@ def device_rack(executor=None, *, n=3, blocks=32, max_workers=None):
             blocks, medium_config=MediumConfig(switching_sigma=0.02,
                                                seed=2008 + i)))
          for i in range(n)],
-        executor=executor, max_workers=max_workers)
+        executor=executor)
 
 
 def seal_lines(fleet, lines=2, line_blocks=4):
