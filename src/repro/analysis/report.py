@@ -1,7 +1,8 @@
-"""Plain-text tables and series for the benchmark harness.
+"""Plain-text tables and series for the paper-artifact checks.
 
-The benchmarks print "the same rows/series the paper reports"; these
-helpers keep the formatting consistent and dependency-free.
+``tests/test_paper.py`` prints "the same rows/series the paper
+reports"; these helpers keep the formatting consistent and
+dependency-free.
 """
 
 from __future__ import annotations

@@ -40,9 +40,9 @@ def line_hash(
         blocks: the corresponding block payloads.
         include_addresses: when False the addresses are omitted — this
             deliberately weakened mode exists only so the security
-            benchmarks can demonstrate that copy-masking succeeds
-            without address binding (the ``include_addresses``
-            ablation in ``benchmarks/bench_security_matrix.py``).
+            tests can demonstrate that copy-masking succeeds without
+            address binding (the ``include_addresses`` ablation of
+            ``repro.security.analysis.scenario_copy_mask``).
 
     Returns:
         The 32-byte SHA-256 digest.

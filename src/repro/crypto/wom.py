@@ -22,7 +22,7 @@ Decoding: a codeword of weight <= 1 belongs to generation 1, weight
 >= 2 to generation 2.  For the SERO hash block only a single
 generation is needed, which gives a rate of 2/3 logical bits per
 physical dot versus Manchester's 1/2 — the comparison reproduced by
-``benchmarks/bench_wom_coding.py``.
+``test_artifact[sec8-wom]`` in ``tests/test_paper.py``.
 """
 
 from __future__ import annotations

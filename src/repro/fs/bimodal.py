@@ -5,7 +5,7 @@ distribution of heated segments; that is we have only mostly heated
 segments and mostly unheated segments", which (1) keeps read/write
 performance up, (2) wastes no space, and (3) lets the cleaner skip
 heated segments.  These metrics quantify how bimodal a file system's
-segment population actually is, for the Section 4 benchmark.
+segment population actually is, for the Section 4 paper check.
 """
 
 from __future__ import annotations

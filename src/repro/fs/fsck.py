@@ -79,8 +79,8 @@ class DeepScanReport:
     """Outcome of a forensic deep scan.
 
     ``blocks_scanned`` and ``device_seconds`` expose the cost of the
-    Section 5.2 "albeit slowly" caveat: the whole-medium electrical
-    probe dominates, so they are what the recovery benchmarks track.
+    Section 5.2 "albeit slowly" caveat, which the whole-medium
+    electrical probe dominates.
     """
 
     recovered: List[RecoveredFile] = field(default_factory=list)
@@ -110,19 +110,15 @@ def _pointer_runs(pointers: List[int]) -> List[tuple]:
     return runs
 
 
-def _read_pointers(device: SERODevice, pointers: List[int],
-                   batch: bool) -> List[bytes]:
-    """The payloads behind ``pointers``, span-batched when allowed."""
-    if not batch:
-        return [device.read_block(pba) for pba in pointers]
+def _read_pointers(device: SERODevice, pointers: List[int]) -> List[bytes]:
+    """The payloads behind ``pointers``, read run by run."""
     chunks: List[bytes] = []
     for first, count in _pointer_runs(pointers):
         chunks.extend(device.read_block_run(first, count))
     return chunks
 
 
-def deep_scan(device: "SERODevice | TamperEvidentStore", *,
-              batch_pointer_reads: Optional[bool] = None) -> DeepScanReport:
+def deep_scan(device: "SERODevice | TamperEvidentStore") -> DeepScanReport:
     """Recover all heated files straight from the medium.
 
     Works with no checkpoint, no superblock and no directory tree: the
@@ -131,17 +127,13 @@ def deep_scan(device: "SERODevice | TamperEvidentStore", *,
     the inode's pointers (all inside the line).  Accepts a raw device
     or a :class:`~repro.api.store.TamperEvidentStore`.
 
-    ``batch_pointer_reads`` groups each file's pointer walk into runs
-    of consecutive blocks and reads them as medium spans
-    (:meth:`~repro.device.sero.SERODevice.read_block_run`) — the same
-    batching ``verify_lines`` applies to erb probing, and the recovery
-    analogue of the span engine's read path.  None (the default)
-    follows ``device.config.span_engine``; the device-time charges are
-    identical either way.
+    Each file's pointer walk is grouped into runs of consecutive blocks
+    and read through
+    :meth:`~repro.device.sero.SERODevice.read_block_run`: one medium
+    span per run on the span engine, a per-block ``read_block`` loop on
+    a ``DeviceConfig(span_engine=False)`` device.
     """
     device = _as_device(device)
-    if batch_pointer_reads is None:
-        batch_pointer_reads = bool(device.config.span_engine)
     report = DeepScanReport(blocks_scanned=device.total_blocks)
     elapsed_before = device.account.elapsed
     records = device.scan_lines()
@@ -161,7 +153,7 @@ def deep_scan(device: "SERODevice | TamperEvidentStore", *,
             for ipba in inode.indirect:
                 pointers.extend(unpack_pointer_block(device.read_block(ipba)))
             pointers = pointers[:inode.n_blocks]
-            chunks = _read_pointers(device, pointers, batch_pointer_reads)
+            chunks = _read_pointers(device, pointers)
             data = b"".join(chunks)[:inode.size]
         except ReadError:
             data = None

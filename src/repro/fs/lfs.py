@@ -19,7 +19,7 @@ end of the device from the log head (the *cluster* placement policy),
 which produces the bimodal distribution of mostly-heated and
 mostly-unheated segments that Section 4.1 argues keeps performance
 high; the *naive* policy places them wherever there is room, and the
-bimodality benchmark shows the difference.
+Section 4.1 paper check shows the difference.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ Non-retryable statuses (401/403/404/409/...) are never retried, and
 
 One client wraps one persistent HTTP/1.1 connection and is **not**
 thread-safe — give each worker thread its own (they are cheap), the
-way ``bench_gateway.py`` does.
+way ``tests/test_fleet_concurrency.py``'s gateway hammer does.
 """
 
 from __future__ import annotations

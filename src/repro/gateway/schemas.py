@@ -7,9 +7,9 @@ One encoder and one decoder per typed object the API façade speaks —
 :class:`~repro.parallel.MemberFailure`, and friends — so a
 :class:`~repro.gateway.client.GatewayClient` call returns the *same*
 types, field for field, as the in-process ``FleetStore`` call it
-proxies.  That identity is load-bearing: the byte-identity tests and
-``bench_gateway.py`` compare gateway results against an in-process
-twin with ``==``, not with bespoke comparison glue.
+proxies.  That identity is load-bearing: the byte-identity tests
+compare gateway results against an in-process twin with ``==``, not
+with bespoke comparison glue.
 
 Conventions:
 

@@ -1,8 +1,8 @@
 """Single-dot state view (Fig 2's three-state bit).
 
 The medium stores dot state in flat numpy arrays for scale; this module
-provides the per-dot object view used by tests, examples and the Fig 2
-bench, plus the canonical state classification:
+provides the per-dot object view used by tests and examples, plus the
+canonical state classification:
 
 * ``0`` / ``1`` — healthy perpendicular dot magnetised down / up,
 * ``H`` — heated: interfaces mixed, easy axis in plane, no stable

@@ -61,7 +61,7 @@ class MediumConfig:
             matrix neighbours with the temperature the thermal model
             predicts at one pitch distance.  Off by default because the
             default layout is engineered safe (Section 7's heat-sink
-            design); the ablation bench switches it on.
+            design); the collateral-heating test switches it on.
         switching_sigma: relative sigma of the lognormal switching
             field distribution (0 disables fabrication defects).
         write_field: available write field as a multiple of the nominal

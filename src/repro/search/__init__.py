@@ -7,8 +7,8 @@ verdicts, placement, and evidence exports:
   postings-backed :meth:`~EvidenceIndex.search` (term/field filters,
   facets, snippet highlighting), :meth:`~EvidenceIndex.rebuild` from
   the hash-chained journal, and the percolator hooks.
-- :func:`scan_search` — the naive full-scan equivalent (bench
-  baseline and oracle: both paths return identical results).
+- :func:`scan_search` — the naive full-scan equivalent (the oracle:
+  both paths return identical results).
 - :class:`Percolator` / :class:`StandingQuery` /
   :class:`TamperAlert` — standing queries that fire typed alerts on
   the audit fold that flips a document into matching.

@@ -19,9 +19,8 @@ meaning "the whole text, highlighted".  Matches are wrapped in
 
 :func:`scan_search` is the *naive full-scan equivalent* of
 :meth:`repro.search.EvidenceIndex.search` — it re-tokenises every
-document per query.  It exists as the honest baseline the search
-bench floors the inverted index against (and as an oracle: both paths
-must return identical results).
+document per query.  It exists as the oracle the inverted index is
+tested against: both paths must return identical results.
 """
 
 from __future__ import annotations

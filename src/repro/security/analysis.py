@@ -6,8 +6,9 @@ sealed target object, executes one attack from
 against the paper's prediction.  The attacks themselves manipulate the
 medium directly (the insider with a laptop, below any API), while the
 *detection* side runs through the façade — exactly the deployment
-shape: tampering bypasses the service, auditing uses it.  Used by the
-test suite and by ``benchmarks/bench_security_matrix.py``.
+shape: tampering bypasses the service, auditing uses it.  The test
+suite runs each scenario, and ``tests/test_paper.py`` prints the
+whole matrix (``test_artifact[sec5]``).
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ def scenario_copy_mask(include_addresses: bool = True) -> AttackOutcome:
     """5.2: an exact copy cannot mask the original — the physical
     addresses inside the hash make copies distinguishable.  With the
     ablated hash (no addresses) the copy *does* pass — the
-    ``include_addresses`` ablation of
-    ``benchmarks/bench_security_matrix.py``."""
+    ``include_addresses`` ablation that ``test_artifact[sec5]`` in
+    ``tests/test_paper.py`` prints."""
     store = _fresh_store(total_blocks=256,
                          include_addresses=include_addresses)
     device = store.device

@@ -1,4 +1,4 @@
-"""Workload generators for the evaluation benchmarks.
+"""Workload generators for the paper checks, the examples and the soak.
 
 * :mod:`~repro.workloads.synthetic` — seeded file-operation mixes.
 * :mod:`~repro.workloads.database` — the paper's motivating database +

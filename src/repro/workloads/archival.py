@@ -5,8 +5,8 @@ must become immutable on arrival and stay readable for years.  This
 workload writes one batch per period and heats it immediately; the
 device's WMRM area shrinks monotonically — the Section 8 lifetime
 behaviour ("the read/write area gradually shrinks ... until the device
-has become a pure read-only device") that ``bench_lifetime.py``
-measures.  Batches carry an expiry period so the decommissioning
+has become a pure read-only device") that ``test_artifact[sec8-life]``
+in ``tests/test_paper.py`` measures.  Batches carry an expiry period so the decommissioning
 policy ("data segregated by expiry date") can be exercised.
 """
 

@@ -5,7 +5,8 @@ results a later time-accurate emulator can validate; reproducible
 traces are the contract between the two.  A trace is a list of
 :class:`~repro.workloads.synthetic.FileOp` rows with a text
 serialisation, so identical operation streams can be replayed against
-different device/FS configurations (the benchmark sweeps do this).
+different device/FS configurations (the Section 4.1 paper check does
+this).
 """
 
 from __future__ import annotations

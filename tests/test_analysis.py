@@ -2,6 +2,7 @@
 
 from repro.analysis.experiments import EXPERIMENTS
 from repro.analysis.report import format_series, format_table
+from test_paper import CHECKS
 
 
 def test_table_alignment():
@@ -36,11 +37,15 @@ def test_registry_covers_all_paper_artifacts():
     ids = set(EXPERIMENTS)
     assert {"fig1", "fig2", "fig3", "fig7", "fig8", "fig9",
             "sec3-erb", "sec3-heat", "sec4-lfs", "sec4-venti",
-            "sec4-fossil", "sec5", "sec8-life", "sec8-wom"} <= ids
+            "sec4-fossil", "sec5", "sec8-life", "sec8-wom",
+            "sec9-emu"} <= ids
+    # neither side can gain an artifact without the other
+    assert set(CHECKS) == ids
 
 
 def test_registry_entries_complete():
-    for exp in EXPERIMENTS.values():
-        assert exp.bench.startswith("benchmarks/")
+    for exp_id, exp in EXPERIMENTS.items():
+        assert exp.exp_id == exp_id
+        assert callable(CHECKS[exp_id])
         assert exp.expected_shape
         assert exp.artifact

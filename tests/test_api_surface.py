@@ -108,8 +108,8 @@ def test_top_level_reexports():
         assert getattr(repro, name) is getattr(api, name)
 
 
-def test_version_is_v8():
-    assert repro.__version__ == "8.0.0"
+def test_version_is_v9():
+    assert repro.__version__ == "9.0.0"
 
 
 def test_removed_fleet_doors_stay_shut():
@@ -254,6 +254,23 @@ def test_removed_executor_doors_stay_shut(monkeypatch):
     monkeypatch.setenv("REPRO_FLEET_WORKERS", "4")
     assert api.resolve_executor_name() == ("serial", "default")
     assert set(api.describe_policy()) == keys
+
+
+def test_removed_bench_doors_stay_shut():
+    """9.0: the paper's artifacts are ``tests/test_paper.py`` checks
+    and stackbench is the one performance harness — no pointer-walk
+    selector beside ``DeviceConfig.span_engine``, no bench path in the
+    registry, nothing under ``benchmarks/`` but the stack benchmark."""
+    from repro.analysis import Experiment
+    from repro.device.sero import SERODevice
+    from repro.fs.fsck import deep_scan
+
+    with pytest.raises(TypeError):
+        deep_scan(SERODevice.create(16), batch_pointer_reads=True)
+    assert "bench" not in {f.name for f in dataclasses.fields(Experiment)}
+    benchmarks = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+    assert sorted(p.name for p in benchmarks.iterdir()
+                  if p.name != "__pycache__") == ["stack"]
 
 
 def _runtime_api_imports(path: pathlib.Path, package: str) -> list:
