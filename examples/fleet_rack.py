@@ -9,8 +9,8 @@ This example drives the one rack-scale façade,
   objects shard across members by content-addressed consistent
   hashing, and fleet-wide passes fan out on the resolved executor;
 * the same façade over bare devices (device-grain members): the
-  format → heat → audit → deep-audit provisioning passes, with
-  per-worker dispatch stats in ``fleet.last_op``.
+  format → heat → audit → deep-audit provisioning passes, each
+  pass's record (executor, hosts, wire bytes) in ``fleet.last_op``.
 
 Passes run ``serial`` (in-process) unless ``REPRO_FLEET_EXECUTOR`` or
 ``repro.engine(executor=...)`` says ``rpc``; ``examples/fleet_remote.py``
@@ -42,8 +42,7 @@ def sharded_store() -> None:
     receipts = fleet.seal_many(paths, timestamp=20080226)
     report = fleet.audit()
     print(f"   sealed {len(receipts)}, audited {report.lines_verified} "
-          f"lines via {fleet.last_op.executor} x{fleet.last_op.workers} "
-          f"-> clean={report.clean}")
+          f"lines via {fleet.last_op.executor} -> clean={report.clean}")
 
     # an insider rewrites one sealed line on one member device
     victim = fleet.member_for(paths[0])
@@ -90,7 +89,8 @@ def device_rack() -> None:
     assert report.clean
     print(f"   audit x{report.lines_verified} lines, "
           f"{report.device_seconds * 1e3:.1f}ms of device time "
-          f"({rack.last_op.executor} x{rack.last_op.workers})")
+          f"({rack.last_op.executor} executor, remote hosts: "
+          f"{list(rack.last_op.hosts) or 'none'})")
 
     checked = rack.audit(deep=True)
     print(f"   deep audit: {checked.lines_verified} lines re-verified, "

@@ -11,8 +11,8 @@ serial reference.  This example:
 * provisions and audits a rack of bare devices (device-grain
   :class:`repro.FleetStore` members) on the ``rpc`` executor, and
   proves reports and member state match a serially driven twin byte
-  for byte, reading the per-host wall breakdown out of
-  ``fleet.last_op``;
+  for byte, reading the pass record (executor, hosts, per-host wire
+  bytes) out of ``fleet.last_op``;
 * seals and audits sharded objects through a file-system-backed
   :class:`repro.FleetStore` over the same workers.
 
@@ -74,11 +74,12 @@ def main() -> None:
             [store_fingerprint(m) for m in serial_rack.members]
         stats = remote_rack.last_op
         print(f"   audited {audited.lines_verified} lines on "
-              f"{stats.executor} x{stats.workers} over hosts "
-              f"{list(stats.hosts)} — byte-identical to serial")
-        for wall in stats.worker_walls:
-            print(f"     {wall.worker}: {wall.tasks} member(s), "
-                  f"{wall.wall_seconds * 1e3:.1f} ms")
+              f"{stats.executor} over hosts {list(stats.hosts)} in "
+              f"{stats.wall_seconds * 1e3:.1f} ms — byte-identical to "
+              f"serial")
+        for host in stats.hosts:
+            print(f"     {host}: {stats.bytes_out.get(host, 0)} B out, "
+                  f"{stats.bytes_back.get(host, 0)} B back")
 
         print("== FleetStore over rpc: sharded seal + audit")
         fleet = repro.FleetStore.create(2, total_blocks=192, seed=2008)

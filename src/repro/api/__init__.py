@@ -88,7 +88,6 @@ _STORE_EXPORTS = (
 _FLEET_EXPORTS = (
     "FleetStore",
     "FleetEvidenceExport",
-    "FleetOpStats",
     "MigrationReport",
 )
 

@@ -47,7 +47,7 @@ import dataclasses
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import (
     Dict,
@@ -64,11 +64,11 @@ from ..errors import ConfigurationError, FileExistsError_, FileNotFoundError_
 from ..fs.inode import FileType
 from ..medium.medium import MediumConfig
 from ..parallel import (
+    ExecutionOutcome,
     FleetExecutor,
     HashRing,
     MemberFailure,
     MemberLockSet,
-    WorkerWall,
     resolve_fleet_executor,
     shard_key,
 )
@@ -180,39 +180,6 @@ class MigrationReport:
     routing_exact: bool
 
 
-@dataclass
-class FleetOpStats:
-    """How the last fleet-wide pass was dispatched (diagnostics).
-
-    ``hosts`` names the remote workers an ``rpc`` pass fanned out to
-    (empty for in-host executors); ``worker_walls`` carries the
-    per-worker — for rpc, per-host — wall breakdown.  ``bytes_out`` /
-    ``bytes_back`` record the wire payload per remote host: snapshot-
-    sized on a cold (pinning) pass, descriptor-sized once pinned.
-    ``failures`` holds the :class:`~repro.parallel.MemberFailure`
-    records of a degraded rpc pass (members that folded nothing);
-    ``retries`` / ``timeouts`` count failover re-dispatches and
-    request-deadline expiries per remote host.
-    """
-
-    operation: str = ""
-    executor: str = "serial"
-    workers: int = 1
-    wall_seconds: float = 0.0
-    worker_walls: List[WorkerWall] = field(default_factory=list)
-    hosts: Tuple[str, ...] = ()
-    bytes_out: Dict[str, int] = field(default_factory=dict)
-    bytes_back: Dict[str, int] = field(default_factory=dict)
-    failures: List[MemberFailure] = field(default_factory=list)
-    retries: Dict[str, int] = field(default_factory=dict)
-    timeouts: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def degraded(self) -> bool:
-        """Whether the pass completed without some of its members."""
-        return bool(self.failures)
-
-
 # ---------------------------------------------------------------------------
 # Per-member fan-out tasks (module level: the rpc executor pickles
 # them by reference)
@@ -284,7 +251,7 @@ class FleetStore:
         # dispatch stats are per handler thread: two concurrent passes
         # must each read their *own* degraded flag, not the other's
         self._last_op_local = threading.local()
-        self._last_op_fallback = FleetOpStats()
+        self._last_op_fallback = ExecutionOutcome()
         # optional evidence indexer (repro.search.EvidenceIndex shape,
         # duck-typed so the api layer never imports repro.search):
         # notified with payloads each op already computed — index
@@ -292,17 +259,18 @@ class FleetStore:
         self._indexer = None
 
     @property
-    def last_op(self) -> FleetOpStats:
-        """Dispatch stats of the calling thread's most recent fleet
-        pass (falling back to the newest pass fleet-wide for threads
-        that never dispatched one)."""
+    def last_op(self) -> ExecutionOutcome:
+        """The :class:`~repro.parallel.ExecutionOutcome` of the calling
+        thread's most recent fleet pass, without its ``results``
+        (falling back to the newest pass fleet-wide for threads that
+        never dispatched one)."""
         return getattr(self._last_op_local, "value",
                        self._last_op_fallback)
 
     @last_op.setter
-    def last_op(self, stats: FleetOpStats) -> None:
-        self._last_op_local.value = stats
-        self._last_op_fallback = stats
+    def last_op(self, outcome: ExecutionOutcome) -> None:
+        self._last_op_local.value = outcome
+        self._last_op_fallback = outcome
 
     def exclusive(self):
         """Context manager: hold the whole fleet exclusively (what
@@ -509,35 +477,16 @@ class FleetStore:
                                sealed_kept=sealed_kept,
                                routing_exact=routing_exact)
 
-    def _locate(self, path: str) -> Tuple[int, TamperEvidentStore]:
+    # -- footprint locking -------------------------------------------------------
+
+    def _acquire_holder(self, path: str) -> Tuple[int, TamperEvidentStore]:
         """Member actually holding ``path``: primary route first, then
         — only once the fleet has grown — the fallback scan (an object
         written before a rebalance may live off its current route; a
         never-grown fleet routes exactly, so no other member is ever
-        read).  Caller must hold the member locks (or the exclusive
-        mode); concurrent paths go through :meth:`_held_holder`."""
-        primary = self.route(path)
-        order = [primary]
-        if self._grown:
-            order += [i for i in range(len(self.members)) if i != primary]
-        for index in order:
-            store = self.members[index]
-            if store.fs is None:
-                continue
-            try:
-                store.info(path)
-                return index, store
-            except FileNotFoundError_:
-                continue
-        raise FileNotFoundError_(f"no fleet member holds {path!r}")
-
-    # -- footprint locking -------------------------------------------------------
-
-    def _acquire_holder(self, path: str) -> Tuple[int, TamperEvidentStore]:
-        """The lock-step ``_locate`` walk: probe members in
-        ``_locate``'s exact order, holding at most one member lock at
-        any moment (deadlock-free regardless of probe order), and
-        return with the found member's lock *held*.  Caller holds the
+        read).  The walk is lock-step: it holds at most one member lock
+        at any moment (deadlock-free regardless of probe order) and
+        returns with the found member's lock *held*.  Caller holds the
         shared gate and releases the member lock."""
         primary = self.route(path)
         order = [primary]
@@ -601,8 +550,8 @@ class FleetStore:
         """Run ``make_tasks(patch_return)`` on the resolved executor,
         fold the returned member states back in (full snapshots are
         reinstalled, read-only :class:`StoreStatePatch` results are
-        applied in place), record dispatch stats, and return the
-        per-task payloads (task order)."""
+        applied in place), keep the stamped outcome as :attr:`last_op`,
+        and return the per-task payloads (task order)."""
         executor = resolve_fleet_executor(self._executor)
         tasks = make_tasks(executor.crosses_process)
         t0 = time.perf_counter()
@@ -624,15 +573,12 @@ class FleetStore:
             payload, state = result
             fold_member_state(self.members[index], state)
             payloads.append(payload)
-        self.last_op = FleetOpStats(
-            operation=operation, executor=executor.name,
-            workers=outcome.workers, wall_seconds=wall,
-            worker_walls=outcome.worker_walls, hosts=outcome.hosts,
-            bytes_out=dict(outcome.bytes_out),
-            bytes_back=dict(outcome.bytes_back),
-            failures=failures,
-            retries=dict(outcome.retries),
-            timeouts=dict(outcome.timeouts))
+        outcome.operation = operation
+        outcome.executor = executor.name
+        outcome.wall_seconds = wall
+        outcome.results = []
+        outcome.failures = failures
+        self.last_op = outcome
         return payloads
 
     # -- object grain ------------------------------------------------------------
@@ -947,7 +893,8 @@ class FleetStore:
             return totals
 
     def describe(self) -> Dict[str, object]:
-        """Inspectable summary: members, routing, last dispatch."""
+        """Inspectable summary: members, routing, executor pin (the
+        last pass is :attr:`last_op`)."""
         return {
             "members": len(self.members),
             "ring_nodes": self._ring.nodes,
@@ -955,9 +902,6 @@ class FleetStore:
             "executor_pin": (self._executor.name
                              if isinstance(self._executor, FleetExecutor)
                              else self._executor),
-            "last_op": self.last_op.operation or None,
-            "last_executor": self.last_op.executor,
-            "last_workers": self.last_op.workers,
             "total_blocks": sum(s.device.total_blocks
                                 for s in self.members),
             "sealed_lines": sum(len(s.device.heated_lines)

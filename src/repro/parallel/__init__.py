@@ -23,7 +23,6 @@ from .executor import (
     MemberFailure,
     MemberTask,
     SerialExecutor,
-    WorkerWall,
     close_executors,
     resolve_fleet_executor,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "MemberLockSet",
     "MemberTask",
     "SerialExecutor",
-    "WorkerWall",
     "close_executors",
     "resolve_fleet_executor",
     "shard_key",

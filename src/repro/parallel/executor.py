@@ -1,12 +1,9 @@
 """Fleet executors: how a pass over many stores is dispatched.
 
 The :class:`~repro.api.fleet.FleetStore` expresses a fleet pass as a
-list of independent *member tasks* — zero-argument
-callables, one per fleet member, each returning ``(payload, state)``
-where ``payload`` is the typed per-member result and ``state`` is the
-(possibly relocated) member object to reinstall.  A
-:class:`FleetExecutor` decides *where* those tasks run, and there is
-one per boundary:
+list of independent *member tasks* (:data:`MemberTask`), one per
+fleet member.  A :class:`FleetExecutor` decides *where* those tasks
+run, and there is one per boundary:
 
 * :class:`SerialExecutor` (``"serial"``) — in order, in the calling
   thread: the in-process dispatch and the reference every other
@@ -22,22 +19,26 @@ repro.engine(executor="rpc"):`` context > installed
 (read at dispatch time) > ``"serial"`` — or takes a ready
 :class:`FleetExecutor` instance as-is.
 
-Every run returns an :class:`ExecutionOutcome` carrying, besides the
-in-order task results, the per-worker wall-clock breakdown and the
-task→worker assignment.  The fleet store folds the breakdown into its
-:class:`~repro.api.fleet.FleetOpStats` (``fleet.last_op``) so an
-operator can see not just *that* a pass ran remotely but how the work
-actually spread.
+Every run returns one :class:`ExecutionOutcome`: the in-order task
+results plus the rpc executor's per-host wire and fault counters.  The
+fleet store stamps it with the operation, executor and wall clock,
+drops the results, and keeps it as ``fleet.last_op`` — the pass's only
+record.
 """
 
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
-#: A member task: zero-argument callable returning ``(payload, state)``.
+#: A member task: a :func:`functools.partial` over a module-level
+#: function that closes over exactly one member
+#: :class:`~repro.api.store.TamperEvidentStore` and returns ``(payload,
+#: state)`` — the typed per-member result and the (possibly relocated)
+#: member object to reinstall.  The ``rpc`` executor pins that store on
+#: a worker and ships the rest of the partial as a descriptor; a task of
+#: any other shape is a ``TypeError`` there.
 MemberTask = Callable[[], Tuple[Any, Any]]
 
 
@@ -51,7 +52,7 @@ class MemberFailure:
     this record in the task's result slot instead of aborting the whole
     pass.  The fleet store skips folding for it (the caller-held member
     keeps its pre-pass state) and surfaces it in
-    :attr:`~repro.api.fleet.FleetOpStats.failures`.
+    :attr:`ExecutionOutcome.failures` (``fleet.last_op.failures``).
 
     Attributes:
         index: position of the member's task in the pass.
@@ -72,35 +73,26 @@ class MemberFailure:
     timed_out: bool = False
 
 
-@dataclass(frozen=True)
-class WorkerWall:
-    """Wall-clock share of one worker in one fleet pass.
-
-    Attributes:
-        worker: stable worker label (``"serial-0"``,
-            ``"rpc-host:port"``).
-        tasks: member tasks this worker executed.
-        wall_seconds: host wall-clock the worker spent inside tasks.
-    """
-
-    worker: str
-    tasks: int
-    wall_seconds: float
-
-
 @dataclass
 class ExecutionOutcome:
-    """What one executor run produced.
+    """The one record of a fleet pass.
+
+    An executor fills ``results`` and the dispatch fields;
+    :class:`~repro.api.fleet.FleetStore` stamps ``operation``,
+    ``executor`` and ``wall_seconds``, re-keys ``failures`` to member
+    indices, empties ``results`` (a kept record never pins payloads or
+    member state) and keeps it as ``fleet.last_op``.
 
     Attributes:
+        operation: the fleet verb (``"audit"``, ``"seal_many"``, ...).
+        executor: name of the executor that dispatched the pass.
+        wall_seconds: host wall clock of the whole dispatch.
         results: per-task ``(payload, state)`` tuples, in task order.
-        assignments: worker label per task, in task order.
-        worker_walls: per-worker wall-clock breakdown.
-        workers: workers the pass actually used.
         hosts: remote worker addresses the pass dispatched to (empty
             for the serial executor).
         bytes_out: wire payload bytes sent per remote host this pass
-            (empty for the serial executor).
+            (empty for the serial executor): snapshot-sized on a cold
+            (pinning) pass, descriptor-sized once pinned.
         bytes_back: wire payload bytes received per remote host.
         retries: member re-dispatches per *failed* host — ``{addr: n}``
             means ``n`` member tasks had to fail over off ``addr``
@@ -112,10 +104,10 @@ class ExecutionOutcome:
             hold the failure record instead of ``(payload, state)``.
     """
 
+    operation: str = ""
+    executor: str = ""
+    wall_seconds: float = 0.0
     results: List[Tuple[Any, Any]] = field(default_factory=list)
-    assignments: List[str] = field(default_factory=list)
-    worker_walls: List[WorkerWall] = field(default_factory=list)
-    workers: int = 1
     hosts: Tuple[str, ...] = ()
     bytes_out: Dict[str, int] = field(default_factory=dict)
     bytes_back: Dict[str, int] = field(default_factory=dict)
@@ -123,18 +115,17 @@ class ExecutionOutcome:
     timeouts: Dict[str, int] = field(default_factory=dict)
     failures: List[MemberFailure] = field(default_factory=list)
 
-
-def _collect_walls(per_worker: Dict[str, List[float]]) -> List[WorkerWall]:
-    return [WorkerWall(worker=label, tasks=len(walls),
-                       wall_seconds=sum(walls))
-            for label, walls in sorted(per_worker.items())]
+    @property
+    def degraded(self) -> bool:
+        """Whether the pass completed without some of its members."""
+        return bool(self.failures)
 
 
 class FleetExecutor:
     """Dispatch strategy for a fleet pass (base class).
 
     Subclasses implement :meth:`run`; ``name`` is what
-    :attr:`~repro.api.fleet.FleetOpStats.executor` reports.  Hand a
+    :attr:`ExecutionOutcome.executor` reports.  Hand a
     ready instance to ``FleetStore(executor=...)`` to dispatch a fleet
     some other way.
     """
@@ -157,17 +148,7 @@ class SerialExecutor(FleetExecutor):
     name = "serial"
 
     def run(self, tasks: Sequence[MemberTask]) -> ExecutionOutcome:
-        outcome = ExecutionOutcome(workers=1)
-        wall = 0.0
-        for task in tasks:
-            t0 = time.perf_counter()
-            outcome.results.append(task())
-            wall += time.perf_counter() - t0
-            outcome.assignments.append("serial-0")
-        outcome.worker_walls = [
-            WorkerWall(worker="serial-0", tasks=len(tasks),
-                       wall_seconds=wall)]
-        return outcome
+        return ExecutionOutcome(results=[task() for task in tasks])
 
 
 def close_executors() -> None:

@@ -21,7 +21,7 @@ that contract as a locking discipline:
   measures its concurrency floor against.
 
 Lock order is always *gate before member locks*, and member locks are
-only ever held either one at a time (the lock-step ``_locate`` walk)
+only ever held either one at a time (the fleet's lock-step holder walk)
 or as one ascending batch, so the discipline is deadlock-free by
 construction.
 """

@@ -20,9 +20,9 @@ Four pieces:
   raw segments via :class:`pickle.PickleBuffer` instead of being
   memcpy'd into the pickle stream, and are reconstructed on the
   receiver over the segment buffers directly.  Requests are small
-  tagged tuples (``("run", task)``, ``("ping",)``, the session verbs
-  below); responses carry the task's result or a portable description
-  of the exception it raised.  When a ``fleet_secret`` is configured
+  tagged tuples (``("ping",)`` and the session verbs below); responses
+  carry the task's result or a portable description of the exception
+  it raised.  When a ``fleet_secret`` is configured
   (``RpcExecutor(secret=...)`` > ``repro.engine(fleet_secret=...)`` >
   installed policy > ``REPRO_FLEET_SECRET``) every frame is
   HMAC-SHA256 signed — magic ``SRPH``, a 32-byte digest after the
@@ -35,7 +35,7 @@ Four pieces:
   unsigned worker anywhere but loopback (documented in API.md).
 
 * **sessions** — the ``pin``/``run_pinned`` verbs, the one way a
-  member store crosses the wire.  A pin ships a member snapshot once
+  member task crosses the wire.  A pin ships a member snapshot once
   and caches it on the worker under a ``(client, member)`` key and a
   client-assigned *generation*; later passes send only a task
   descriptor (the store swapped for a placeholder, see
@@ -45,19 +45,19 @@ Four pieces:
   ``run_pinned`` that finds no pin of the requested generation
   (worker restarted, cache evicted, client-side mutation bumped the
   generation) answers ``("nopin",)`` **without running the task**, so
-  the client can re-pin and resend without ever violating the
-  never-retry-after-delivery rule.  Abandoned pins are bounded by the
-  worker's :data:`PIN_CACHE_CAP` LRU.  A pass *pipelines*: one socket
-  per host, all frames written by a writer thread while replies drain
-  in order, so N members on one host cost ~one round trip plus
-  compute.  Tasks that do not close over exactly one member store
-  travel as plain ``("run", task)`` requests on the same socket.
+  the client can re-pin and resend on the same connection.  Abandoned
+  pins are bounded by the worker's :data:`PIN_CACHE_CAP` LRU.  A pass
+  *pipelines*: one socket per host, all frames written by a writer
+  thread while replies drain in order, so N members on one host cost
+  ~one round trip plus compute.  A task that does not close over
+  exactly one member store is a ``TypeError`` before anything is
+  dialled: no other callable travels.
 
 * **worker daemon** — :func:`serve`, exposed as
   ``python -m repro.parallel.remote serve --bind HOST:PORT``.  A
-  threaded TCP server that hosts member stores for the duration of a
-  pass: each connection unpickles tasks, executes them, and replies
-  with ``(wall_seconds, (payload, state))`` or the raised exception.
+  threaded TCP server that hosts pinned member stores: each
+  connection unpickles session verbs, runs pinned tasks, and replies
+  with ``("ok", (payload, state))`` or the raised exception.
   A member raising inside a pass travels back as the original
   exception object (plus the remote traceback text), so a fleet pass
   fails with the *same* error type whichever executor dispatched it.
@@ -71,11 +71,10 @@ Four pieces:
   deterministic and stable under host lists given in any order — and
   drives each host's connection from its own thread.  Connections are
   pooled module-wide (:data:`_POOL`) so repeated passes reuse warm
-  sockets; a stale pooled connection is redialled once *before* the
-  request is delivered, while any failure after a plain ``run`` was
-  delivered raises :class:`RpcConnectionError` — a task that may have
-  executed is never silently retried (a seal pass must not heat a
-  line twice).
+  sockets.  A host round that fails folds nothing, so it is retried
+  once on the same host — every member re-pinned from caller-held
+  state, which cannot run a task twice on that state (a seal pass
+  never heats a line twice) — unless a request deadline expired.
 
 Failure semantics (the fault-injection contract):
 
@@ -125,7 +124,6 @@ from .executor import (
     FleetExecutor,
     MemberFailure,
     MemberTask,
-    _collect_walls,
 )
 from .ring import HashRing
 
@@ -458,14 +456,7 @@ _PINS: "OrderedDict[Any, Tuple[int, Any]]" = OrderedDict()
 _PINS_LOCK = threading.Lock()
 
 
-def _pinned_members() -> int:
-    """Entries in this process's pin cache (diagnostics/tests)."""
-    with _PINS_LOCK:
-        return len(_PINS)
-
-
 def _run_task(task: Any) -> Tuple[Any, bool]:
-    t0 = time.perf_counter()
     try:
         result = task()
     except BaseException as exc:  # noqa: BLE001 — shipped to caller
@@ -476,8 +467,7 @@ def _run_task(task: Any) -> Tuple[Any, bool]:
             portable = None
         return ("err", portable, type(exc).__name__, str(exc),
                 traceback.format_exc()), True
-    wall = time.perf_counter() - t0
-    return ("ok", wall, result), True
+    return ("ok", result), True
 
 
 def _execute_request(request: Any) -> Tuple[Any, bool]:
@@ -495,8 +485,6 @@ def _execute_request(request: Any) -> Tuple[Any, bool]:
     op = request[0]
     if op == "ping":
         return ("pong", os.getpid()), True
-    if op == "run":
-        return _run_task(request[1])
     if op == "pin":
         _op, key, generation, snapshot = request
         with _PINS_LOCK:
@@ -742,9 +730,9 @@ def _recv_reply(addr: str, sock: socket.socket, *,
                 secret: Any = _AMBIENT) -> Tuple[Any, int]:
     """(reply, bytes received) after a delivered request; any failure
     discards the socket and raises :class:`RpcConnectionError` (the
-    task may have run, so the caller must never silently retry a
-    non-session request).  An expired socket deadline keeps its
-    :class:`RpcTimeoutError` type for the per-host timeout stats."""
+    request may have been served, so nothing here retries it).  An
+    expired socket deadline keeps its :class:`RpcTimeoutError` type
+    for the per-host timeout stats."""
     try:
         return _recv_frame_counted(sock, secret=secret)
     except EOFError as exc:
@@ -780,7 +768,7 @@ def call_worker(addr: str, request: Any, *,
     request cannot have executed, it is retried once on a fresh
     connection.  Any failure after the request was delivered — EOF or
     a truncated reply — raises :class:`RpcConnectionError` instead:
-    the task may have run, and mutating passes must never run twice.
+    the request may have been served, so it is never sent twice.
     ``deadline`` bounds every blocking socket operation of the round
     trip; expiry raises :class:`RpcTimeoutError`.
     """
@@ -885,16 +873,6 @@ def record_host_failure(addr: str, *, timed_out: bool = False) -> None:
             entry.open_until = time.monotonic() + HEALTH_PROBATION_S
 
 
-def host_breaker_open(addr: str) -> bool:
-    """Is ``addr`` currently excluded from dispatch?"""
-    with _HEALTH_LOCK:
-        entry = _HEALTH.get(addr)
-        if entry is None or \
-                entry.consecutive_failures < HEALTH_FAILURE_THRESHOLD:
-            return False
-    return True
-
-
 def reset_host_health() -> None:
     """Forget all recorded host health (tests, fresh soak runs)."""
     with _HEALTH_LOCK:
@@ -962,41 +940,19 @@ def usable_hosts(hosts: Sequence[str], *,
 # The executor
 
 
-def _worker_label(addr: str) -> str:
-    return f"rpc-{addr}"
-
-
 class _TaskPlan:
-    """One member task's dispatch plan inside a pass.  ``store`` is
-    None for a task :func:`~repro.parallel.session.split_task` cannot
-    split: it travels whole, as a plain ``("run", task)`` request."""
+    """One member task's dispatch plan inside a pass: the member store
+    it closes over, the task with that store stripped out (see
+    :func:`~repro.parallel.session.split_task`), and the store's
+    session."""
 
-    __slots__ = ("index", "task", "store", "stripped", "session")
+    __slots__ = ("index", "store", "stripped", "session")
 
-    def __init__(self, index: int, task: MemberTask, store: Any = None,
-                 stripped: Any = None, session: Any = None) -> None:
+    def __init__(self, index: int, store: Any, stripped: Any) -> None:
         self.index = index
-        self.task = task
         self.store = store
         self.stripped = stripped
-        self.session = session
-
-
-class _RoundFailed(Exception):
-    """Internal: one host's wire round died.
-
-    ``retry_safe`` means every delivered request was a session verb —
-    a re-pin from caller-held state plus a resend cannot double-run
-    anything, because nothing from the failed round is ever folded.
-    ``nothing_delivered`` marks the classic stale-pooled-socket case.
-    """
-
-    def __init__(self, error: RpcConnectionError, *, retry_safe: bool,
-                 nothing_delivered: bool) -> None:
-        super().__init__(str(error))
-        self.error = error
-        self.retry_safe = retry_safe
-        self.nothing_delivered = nothing_delivered
+        self.session = _session.session_for(store)
 
 
 class RpcExecutor(FleetExecutor):
@@ -1137,10 +1093,25 @@ class RpcExecutor(FleetExecutor):
         caller-held state on another host and re-run byte-identically.
         Member *task* errors are deterministic and never requeue; they
         raise (or degrade) as they are.
+
+        Every task must close over exactly one member store (see
+        :data:`~repro.parallel.executor.MemberTask`); any other is a
+        ``TypeError`` raised before a host is resolved or dialled.
         """
+        plans: List[_TaskPlan] = []
+        for index, task in enumerate(tasks):
+            split = _session.split_task(task)
+            if split is None:
+                raise TypeError(
+                    f"the rpc executor runs member tasks — a "
+                    f"functools.partial closing over exactly one "
+                    f"TamperEvidentStore; task {index} ({task!r}) is not "
+                    f"one")
+            stripped, store = split
+            plans.append(_TaskPlan(index, store, stripped))
         hosts = self._resolve_hosts()
-        if not tasks:
-            return ExecutionOutcome(workers=0, hosts=hosts)
+        if not plans:
+            return ExecutionOutcome(hosts=hosts)
         deadline, retries, on_failure, secret = \
             self._resolve_fault_policy()
         live = list(usable_hosts(hosts, secret=secret))
@@ -1155,17 +1126,7 @@ class RpcExecutor(FleetExecutor):
                 f"breaker is open ({', '.join(hosts)}) and none "
                 "answered a probe; restart the workers")
 
-        plans: List[_TaskPlan] = []
-        for index, task in enumerate(tasks):
-            split = _session.split_task(task)
-            if split is None:
-                plans.append(_TaskPlan(index, task))
-            else:
-                stripped, store = split
-                plans.append(_TaskPlan(index, task, store, stripped,
-                                       _session.session_for(store)))
-
-        completed: Dict[int, Tuple[str, float, Any]] = {}
+        completed: Dict[int, Any] = {}
         member_failed: Dict[int, Tuple[str, BaseException]] = {}
         wire_failed: Dict[int, Tuple[List[str], BaseException]] = {}
         tried: Dict[int, List[str]] = {p.index: [] for p in plans}
@@ -1219,8 +1180,7 @@ class RpcExecutor(FleetExecutor):
                     bytes_out[addr] = bytes_out.get(addr, 0) + sent
                     bytes_back[addr] = \
                         bytes_back.get(addr, 0) + received
-                    for index, wall, result in items:
-                        completed[index] = (addr, wall, result)
+                    completed.update(items)
                     for plan, exc in errs:
                         member_failed[plan.index] = (addr, exc)
                 elif addr in round_errors:
@@ -1232,11 +1192,10 @@ class RpcExecutor(FleetExecutor):
                             timeout_stats.get(addr, 0) + 1
                     for plan in host_plans:
                         tried[plan.index].append(addr)
-                        if plan.session is not None:
-                            # the pinned copy's state is unknowable:
-                            # the next dispatch must re-pin from the
-                            # caller-held store
-                            plan.session.invalidate()
+                        # the pinned copy's state is unknowable: the
+                        # next dispatch must re-pin from the
+                        # caller-held store
+                        plan.session.invalidate()
                         requeue.append(plan)
                 # hosts in neither dict hit the fatal path
 
@@ -1272,8 +1231,7 @@ class RpcExecutor(FleetExecutor):
             # fold: nothing is folded, and every session this pass
             # touched must re-pin from caller-held state next time
             for plan in plans:
-                if plan.session is not None:
-                    plan.session.invalidate()
+                plan.session.invalidate()
             if fatal:
                 raise fatal[0]
             failures: Dict[int, BaseException] = {
@@ -1282,32 +1240,24 @@ class RpcExecutor(FleetExecutor):
                 failures.setdefault(i, exc)
             raise failures[min(failures)]
 
-        outcome = ExecutionOutcome(workers=1, hosts=hosts)
-        outcome.bytes_out = bytes_out
-        outcome.bytes_back = bytes_back
-        outcome.retries = retry_stats
-        outcome.timeouts = timeout_stats
-        per_worker: Dict[str, List[float]] = {}
+        outcome = ExecutionOutcome(
+            hosts=hosts, bytes_out=bytes_out, bytes_back=bytes_back,
+            retries=retry_stats, timeouts=timeout_stats)
         for plan in plans:
             if plan.index in completed:
-                addr, wall, result = completed[plan.index]
-                label = _worker_label(addr)
-                per_worker.setdefault(label, []).append(wall)
-                outcome.results.append(self._fold_result(plan, result))
-                outcome.assignments.append(label)
+                outcome.results.append(
+                    self._fold_result(plan, completed[plan.index]))
                 continue
             if plan.index in member_failed:
                 addr, exc = member_failed[plan.index]
-                if plan.session is not None:
-                    # the worker ran the task far enough to raise: the
-                    # pinned copy's state is unknowable
-                    plan.session.invalidate()
+                # the worker ran the task far enough to raise: the
+                # pinned copy's state is unknowable
+                plan.session.invalidate()
                 failure = MemberFailure(
                     index=plan.index, error_type=type(exc).__name__,
                     message=str(exc),
                     hosts_tried=tuple(tried[plan.index]) + (addr,),
                     attempts=len(tried[plan.index]) + 1)
-                label = _worker_label(addr)
             else:
                 hosts_tried, exc = wire_failed[plan.index]
                 failure = MemberFailure(
@@ -1315,20 +1265,14 @@ class RpcExecutor(FleetExecutor):
                     message=str(exc), hosts_tried=tuple(hosts_tried),
                     attempts=len(hosts_tried),
                     timed_out=isinstance(exc, RpcTimeoutError))
-                label = _worker_label(hosts_tried[-1])
             outcome.results.append(failure)
-            outcome.assignments.append(label)
             outcome.failures.append(failure)
-        outcome.workers = max(1, len(per_worker))
-        outcome.worker_walls = _collect_walls(per_worker)
         return outcome
 
     @staticmethod
     def _fold_result(plan: _TaskPlan, result: Any) -> Any:
         """Fold a pinned task's returned state into the caller-held
         store and re-arm the session for the next pass."""
-        if plan.store is None:
-            return result
         if not (isinstance(result, tuple) and len(result) == 2):
             # not the (payload, state) member contract: nothing to
             # fold, and the pinned copy's state is unknowable
@@ -1350,32 +1294,29 @@ class RpcExecutor(FleetExecutor):
                     deadline: Optional[float] = None,
                     secret: Any = _AMBIENT
                     ) -> Tuple[List, List, int, int]:
-        """All of one host's requests for a pass, with one same-host
-        retry when the failed round provably could not have folded or
-        double-run anything (stale pooled socket before delivery, or a
-        round of pure session verbs — re-pinning from caller state is
-        safe even if the worker executed some of them).  Deadline
-        expiries never retry on the same host: a hung worker would
-        just eat a second deadline — failover handles it instead."""
+        """All of one host's requests for a pass, retried once on the
+        same host when the wire round fails: nothing from a failed
+        round is folded, so re-pinning every member from caller-held
+        state and resending cannot double-run anything, even where the
+        worker executed some of the requests.  Deadline expiries never
+        retry on the same host: a hung worker would just eat a second
+        deadline — failover handles it instead."""
         for attempt in (0, 1):
             # the dial grace is for a worker still starting up; a host
             # that just dropped an established round gets one redial,
             # so a dead one costs a refusal, not the whole grace
-            sock, from_pool = _borrow(
+            sock, _from_pool = _borrow(
                 addr, deadline,
                 dial_retries=DIAL_RETRIES if attempt == 0 else 1)
             try:
                 return self._host_round(addr, sock, plans, secret)
-            except _RoundFailed as failure:
-                retriable = (failure.retry_safe or
-                             (failure.nothing_delivered and from_pool)) \
-                    and not isinstance(failure.error, RpcTimeoutError)
-                if attempt == 0 and retriable:
-                    for plan in plans:
-                        if plan.session is not None:
-                            plan.session.invalidate()
-                    continue
-                raise failure.error
+            except RpcTimeoutError:
+                raise
+            except RpcConnectionError:
+                if attempt:
+                    raise
+                for plan in plans:
+                    plan.session.invalidate()
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _host_round(self, addr: str, sock: socket.socket,
@@ -1384,9 +1325,6 @@ class RpcExecutor(FleetExecutor):
                     ) -> Tuple[List, List, int, int]:
         requests: List[Tuple[str, _TaskPlan, Tuple]] = []
         for plan in plans:
-            if plan.store is None:
-                requests.append(("run", plan, ("run", plan.task)))
-                continue
             sess = plan.session
             current = sess.pin_current(addr) and \
                 sess.fingerprint is not None and \
@@ -1399,17 +1337,11 @@ class RpcExecutor(FleetExecutor):
                     "pin", sess.key, sess.generation, plan.store)))
             requests.append(("runp", plan, (
                 "run_pinned", sess.key, sess.generation, plan.stripped)))
-        session_only = all(kind != "run" for kind, _p, _q in requests)
 
-        counters = {"sent": 0, "received": 0, "delivered": 0}
-        items: List[Tuple[int, float, Any]] = []
+        counters = {"sent": 0, "received": 0}
+        items: List[Tuple[int, Any]] = []
         member_errors: List[Tuple[_TaskPlan, BaseException]] = []
         nopins: List[_TaskPlan] = []
-
-        def wire_failed(error: RpcConnectionError) -> "_RoundFailed":
-            return _RoundFailed(
-                error, retry_safe=session_only,
-                nothing_delivered=counters["delivered"] == 0)
 
         def send_one(rid: int, payload: Tuple) -> None:
             try:
@@ -1417,17 +1349,13 @@ class RpcExecutor(FleetExecutor):
                                     secret=secret)
             except (ConnectionError, OSError) as exc:
                 _discard(sock)
-                raise wire_failed(RpcConnectionError(
+                raise RpcConnectionError(
                     f"fleet worker at {addr} rejected the request: "
-                    f"{exc}")) from exc
+                    f"{exc}") from exc
             counters["sent"] += nbytes
-            counters["delivered"] += 1
 
         def recv_one(rid: int, kind: str, plan: _TaskPlan) -> None:
-            try:
-                reply, nbytes = _recv_reply(addr, sock, secret=secret)
-            except RpcConnectionError as exc:
-                raise wire_failed(exc) from exc
+            reply, nbytes = _recv_reply(addr, sock, secret=secret)
             counters["received"] += nbytes
             if not (isinstance(reply, tuple) and len(reply) == 2
                     and reply[0] == rid):
@@ -1447,10 +1375,9 @@ class RpcExecutor(FleetExecutor):
                 plan.session.pins[addr] = plan.session.generation
                 return
             if tag == "ok":
-                _tag, wall, result = response
-                items.append((plan.index, float(wall), result))
+                items.append((plan.index, response[1]))
                 return
-            if tag == "nopin" and kind == "runp":
+            if tag == "nopin":
                 nopins.append(plan)
                 return
             if tag == "err":
@@ -1483,7 +1410,7 @@ class RpcExecutor(FleetExecutor):
                 finally:
                     writer.join()
                 if send_error and not isinstance(
-                        send_error[0], _RoundFailed):
+                        send_error[0], RpcConnectionError):
                     raise send_error[0]
             else:  # a lone request needs no writer thread
                 for rid, (kind, plan, payload) in enumerate(batch):

@@ -71,16 +71,16 @@ _REF = PinnedStoreRef()
 
 def _is_store(obj: Any) -> bool:
     # sys.modules, not an import: a task that closes over a store can
-    # only exist if the store module is already loaded, and plain tasks
-    # must not drag the whole api layer in.
+    # only exist if the store module is already loaded, and checking
+    # any other object must not drag the whole api layer in.
     mod = sys.modules.get("repro.api.store")
     return mod is not None and isinstance(obj, mod.TamperEvidentStore)
 
 
 def split_task(task: Any) -> Optional[Tuple[Any, Any]]:
     """``(stripped_task, store)`` when ``task`` is a partial closing
-    over exactly one member store, else None (the task then travels
-    whole, as a plain ``run`` request).
+    over exactly one member store, else None — not a member task, which
+    the ``rpc`` executor refuses with ``TypeError`` before dialling.
 
     The stripped task is the same callable with the store replaced by
     the :class:`PinnedStoreRef` placeholder — a few hundred bytes on
@@ -222,9 +222,3 @@ def invalidate(store: Any) -> None:
         record = _SESSIONS.get(id(store))
     if record is not None and record.ref() is store:
         record.invalidate()
-
-
-def _live_sessions() -> int:
-    """Registered sessions whose store is still alive (tests)."""
-    with _SESSIONS_LOCK:
-        return sum(1 for rec in _SESSIONS.values() if rec.ref() is not None)

@@ -71,7 +71,6 @@ EXPECTED_API = sorted([
     "VerifyReport",
     # fleet façade (PR 4; rebalance PR 5)
     "FleetEvidenceExport",
-    "FleetOpStats",
     "FleetStore",
     "MigrationReport",
 ])
@@ -108,8 +107,8 @@ def test_top_level_reexports():
         assert getattr(repro, name) is getattr(api, name)
 
 
-def test_version_is_v9():
-    assert repro.__version__ == "9.0.0"
+def test_version_is_v10():
+    assert repro.__version__ == "10.0.0"
 
 
 def test_removed_fleet_doors_stay_shut():
@@ -271,6 +270,38 @@ def test_removed_bench_doors_stay_shut():
     benchmarks = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
     assert sorted(p.name for p in benchmarks.iterdir()
                   if p.name != "__pycache__") == ["stack"]
+
+
+def test_removed_pass_record_doors_stay_shut():
+    """10.0: one pass contract — a fleet pass takes member-store tasks
+    and ``ExecutionOutcome`` is its one record: no second record type,
+    no per-worker walls, no plain rpc verb, no duplicate holder walk."""
+    import repro.parallel as parallel
+    from repro.device.sero import SERODevice
+    from repro.parallel import ExecutionOutcome, executor, remote, session
+
+    for owner, names in (
+            (api, ("FleetOpStats",)),
+            (parallel, ("WorkerWall",)),
+            (executor, ("WorkerWall", "_collect_walls")),
+            (remote, ("host_breaker_open", "_RoundFailed",
+                      "_worker_label", "_pinned_members")),
+            (session, ("_live_sessions",)),
+            (api.FleetStore, ("_locate",))):
+        assert not [name for name in names if hasattr(owner, name)], owner
+    assert "WorkerWall" not in parallel.__all__
+    fields = {f.name for f in dataclasses.fields(ExecutionOutcome)}
+    assert not fields & {"assignments", "worker_walls", "workers"}
+
+    fleet = api.FleetStore(
+        [api.TamperEvidentStore.attach(SERODevice.create(16))],
+        executor="serial")
+    fleet.format_devices()
+    assert isinstance(fleet.last_op, ExecutionOutcome)
+    assert (fleet.last_op.operation, fleet.last_op.executor) == \
+        ("format_devices", "serial")
+    assert fleet.last_op.results == []
+    assert not [key for key in fleet.describe() if key.startswith("last")]
 
 
 def _runtime_api_imports(path: pathlib.Path, package: str) -> list:

@@ -21,6 +21,7 @@ import repro.api as api
 from twin_racks import (
     dead_host_splitting,
     device_rack,
+    die_holding,
     fingerprints,
     sealed_device_rack,
 )
@@ -36,6 +37,26 @@ from repro.fs.lfs import FSConfig, SeroFS
 from repro.medium.medium import MediumConfig
 
 PAYLOAD = b"\x2f" * 512
+
+
+def _export_tests_dir(monkeypatch):
+    """Let the workers spawned next unpickle ``twin_racks`` tasks:
+    ``spawn_local_worker`` hands this process's environment on."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv("PYTHONPATH",
+                       here + (os.pathsep + path if path else ""))
+
+
+def _tiny_store(seed):
+    """A 64-block fs-backed member holding one sealed object."""
+    from repro.api.store import TamperEvidentStore
+
+    store = TamperEvidentStore.create(
+        total_blocks=64, medium_config=MediumConfig(seed=seed))
+    store.put("/sealed", bytes([seed % 251 + 1]) * 200)
+    store.seal("/sealed")
+    return store
 
 
 def test_random_bit_rot_is_corrected_or_detected():
@@ -157,19 +178,26 @@ def test_erb_rounds_one_device_still_verifies():
 # Fleet executor layer under faults
 
 
-def test_rpc_worker_killed_mid_task():
+def test_rpc_worker_killed_mid_task(monkeypatch):
     """A worker that dies while executing a task (no reply ever sent)
-    must surface as a raised RpcConnectionError, not a hang."""
+    must surface as a raised RpcConnectionError naming the host, not a
+    hang — and the caller-held member is exactly as it was."""
     from repro.parallel import RpcConnectionError, RpcExecutor, \
         spawn_local_worker
+    from repro.parallel.session import store_fingerprint
 
+    _export_tests_dir(monkeypatch)
     worker = spawn_local_worker()
     try:
         executor = RpcExecutor([worker.address])
+        store = _tiny_store(7)
+        before = store_fingerprint(store)
         # os._exit on the worker: the process dies mid-request, after
-        # the task was delivered but before any reply
-        with pytest.raises(RpcConnectionError, match="before replying"):
-            executor.run([partial(os._exit, 17)])
+        # the task was delivered but before any reply (the same-host
+        # retry then finds nothing listening)
+        with pytest.raises(RpcConnectionError, match=worker.address):
+            executor.run([partial(die_holding, store)])
+        assert store_fingerprint(store) == before
     finally:
         worker.stop()
 
@@ -322,14 +350,15 @@ def _one_shot_server(behavior):
 
 
 def test_rpc_connection_dropped_before_reply():
-    """Peer reads the request then drops the link: the task may or may
-    not have run, so the client must raise — never retry silently."""
+    """Peer reads the request then drops the link: the request may or
+    may not have been served, so the client must raise — never resend
+    silently."""
     from repro.parallel import RpcConnectionError
     from repro.parallel.remote import call_worker, recv_frame
 
     addr = _one_shot_server(lambda conn: recv_frame(conn))  # read, close
     with pytest.raises(RpcConnectionError, match="before replying"):
-        call_worker(addr, ("run", partial(divmod, 1, 1)))
+        call_worker(addr, ("ping",))
 
 
 def test_rpc_connection_dropped_mid_frame():
@@ -344,7 +373,7 @@ def test_rpc_connection_dropped_mid_frame():
 
     addr = _one_shot_server(truncate_reply)
     with pytest.raises(RpcConnectionError, match="cut short"):
-        call_worker(addr, ("run", partial(divmod, 1, 1)))
+        call_worker(addr, ("ping",))
 
 
 def test_rpc_member_exception_propagates_with_remote_context():
@@ -430,22 +459,20 @@ def test_session_failover_with_retries_byte_identical():
         reset_host_health()
 
 
-def test_mixed_pass_failover_replaces_both_task_kinds():
-    """One pass mixing store-closing tasks (pinned) and unsplittable
-    plain partials on the same host, that host SIGKILLed mid-pass
-    with one retry wave: both kinds re-place on the survivor, results
-    land in their slots, the stores match the serial twin, and nothing
-    from the dead round — whose earlier replies had already arrived —
-    was folded (a double-run audit would advance the RNG twice)."""
-    import signal
-
+def test_mixed_pass_failover_replaces_both_task_kinds(monkeypatch):
+    """One pass mixing pinned audits with a task that SIGKILLs its host
+    mid-round, with one retry wave: every member of the dead host —
+    the audits whose replies had already arrived and the killer alike
+    — re-places on the survivor, results land in their slots, the
+    stores match the serial twin, and nothing from the dead round was
+    folded (a double-run audit would advance the RNG twice)."""
     from repro.api.fleet import _audit_member
-    from repro.api.store import TamperEvidentStore
     from repro.parallel import HashRing, RpcExecutor, SerialExecutor, \
         close_connection_pools, parse_hosts, reset_host_health, \
         spawn_local_worker
-    from repro.parallel.session import store_fingerprint
+    from repro.parallel.session import session_for, store_fingerprint
 
+    _export_tests_dir(monkeypatch)
     victim, survivor = spawn_local_worker(), spawn_local_worker()
     hosts = parse_hosts([victim.address, survivor.address])
     ring = HashRing(hosts)
@@ -454,49 +481,38 @@ def test_mixed_pass_failover_replaces_both_task_kinds():
         if ring.lookup(f"member-{slots}") == victim.address:
             on_victim.append(slots)
         slots += 1
-    # on the victim, in wire order: a pinned audit and a plain partial
-    # whose replies come home, then the plain task that kills the host
+    # on the victim, in wire order: two pinned audits whose replies
+    # come home, then the task that kills the host
     killer = on_victim[2]
-    plain = {on_victim[1], killer,
-             next(i for i in range(slots) if i not in on_victim)}
-
-    def build():
-        stores = {i: TamperEvidentStore.create(
-                      total_blocks=64, medium_config=MediumConfig(seed=40 + i))
-                  for i in range(slots) if i not in plain}
-        for i, store in stores.items():
-            store.put("/sealed", bytes([i + 1]) * 200)
-            store.seal("/sealed")
-        return stores
 
     def tasks_over(stores):
-        return [partial(_audit_member, stores[i], True, True)
-                if i in stores else partial(divmod, 7 + i, 3)
-                for i in range(slots)]
+        return [partial(_audit_member, store, True, True)
+                for store in stores]
 
     reset_host_health()
     try:
-        stores, twins = build(), build()
+        stores = [_tiny_store(40 + i) for i in range(slots)]
+        twins = [_tiny_store(40 + i) for i in range(slots)]
+        killed_before = store_fingerprint(stores[killer])
         tasks = tasks_over(stores)
         # SIGKILL needs no cooperation; re-placed on the survivor the
         # same call signals the unreaped victim again, harmlessly
-        tasks[killer] = partial(os.kill, victim.process.pid,
-                                signal.SIGKILL)
+        tasks[killer] = partial(die_holding, stores[killer],
+                                victim.process.pid)
         outcome = RpcExecutor(list(hosts), retries=1).run(tasks)
         reference = SerialExecutor().run(tasks_over(twins))
 
         assert not outcome.failures
         assert outcome.retries == {victim.address: len(on_victim)}
-        assert set(outcome.assignments) == {f"rpc-{survivor.address}"}
         for i in range(slots):
+            assert set(session_for(stores[i]).pins) == {survivor.address}
+            payload, state = outcome.results[i]
+            assert state is stores[i]  # folded into the caller's
             if i == killer:
-                assert outcome.results[i] is None
-            elif i in plain:
-                assert outcome.results[i] == divmod(7 + i, 3)
+                assert payload is None
+                assert store_fingerprint(stores[i]) == killed_before
             else:
-                report, state = outcome.results[i]
-                assert state is stores[i]  # folded into the caller's
-                assert report == reference.results[i][0]
+                assert payload == reference.results[i][0]
                 assert store_fingerprint(stores[i]) == \
                     store_fingerprint(twins[i])
     finally:
@@ -516,14 +532,15 @@ def test_degrade_mode_yields_partial_report():
         close_connection_pools, reset_host_health, spawn_local_worker
 
     worker = spawn_local_worker()
+    holder = None
     n = 4
-    dead, hosts, holder = dead_host_splitting(
-        worker.address, [f"member-{i}" for i in range(n)])
-    lost = {i for i in range(n)
-            if HashRing(hosts).lookup(f"member-{i}") == dead}
-    assert lost and len(lost) < n  # the ring split the members
-    reset_host_health()
     try:
+        dead, hosts, holder = dead_host_splitting(
+            worker.address, [f"member-{i}" for i in range(n)])
+        lost = {i for i in range(n)
+                if HashRing(hosts).lookup(f"member-{i}") == dead}
+        assert lost and len(lost) < n  # the ring split the members
+        reset_host_health()
         fleet = device_rack(
             RpcExecutor(list(hosts), retries=0, on_failure="degrade"),
             n=n)
@@ -550,7 +567,8 @@ def test_degrade_mode_yields_partial_report():
                 assert reports[i] == reference[i]
                 assert after[i] == expected[i]
     finally:
-        holder.close()
+        if holder is not None:
+            holder.close()
         worker.stop()
         close_connection_pools()
         reset_host_health()
@@ -566,10 +584,11 @@ def test_fleetstore_degrade_member_exception_and_audit():
         reset_host_health, spawn_local_worker
 
     worker = spawn_local_worker()
-    dead, _hosts, holder = dead_host_splitting(
-        worker.address, ["member-0", "member-1"])
-    reset_host_health()
+    holder = None
     try:
+        dead, _hosts, holder = dead_host_splitting(
+            worker.address, ["member-0", "member-1"])
+        reset_host_health()
         fleet = api.FleetStore.create(2, total_blocks=192, seed=23)
         paths = [f"/d{i}" for i in range(4)]
         for path in paths:
@@ -596,7 +615,8 @@ def test_fleetstore_degrade_member_exception_and_audit():
         assert any("member audit failed" in e and e.startswith("m")
                    for e in degraded.fs_errors)
     finally:
-        holder.close()
+        if holder is not None:
+            holder.close()
         worker.stop()
         close_connection_pools()
         reset_host_health()
@@ -606,22 +626,39 @@ def test_executor_degrade_member_exception_keeps_slot():
     """Executor-level degrade: a task raising remotely occupies its
     results slot with a MemberFailure (error preserved by type and
     message) while other tasks' results come back normally."""
+    from repro.api.fleet import _seal_many_member
+    from repro.api.store import TamperEvidentStore
     from repro.parallel import MemberFailure, RpcExecutor, \
-        close_connection_pools, spawn_local_worker
+        SerialExecutor, close_connection_pools, spawn_local_worker
+    from repro.parallel.session import store_fingerprint
+
+    def members():
+        stores = [TamperEvidentStore.create(
+                      total_blocks=64, medium_config=MediumConfig(seed=s))
+                  for s in (5, 6)]
+        stores[0].put("/present", b"p" * 100)
+        return [partial(_seal_many_member, stores[0], ("/present",), 9),
+                partial(_seal_many_member, stores[1], ("/missing",), 9)]
 
     worker = spawn_local_worker()
     try:
         executor = RpcExecutor([worker.address], on_failure="degrade")
-        outcome = executor.run([partial(divmod, 9, 4),
-                                partial(int, "nope")])
-        assert outcome.results[0] == (2, 1)
+        tasks = members()
+        untouched = store_fingerprint(tasks[1].args[0])
+        outcome = executor.run(tasks)
+        receipts, state = outcome.results[0]
+        assert state is tasks[0].args[0]
+        reference = SerialExecutor().run(members()[:1]).results[0]
+        assert receipts == reference[0]
+        assert store_fingerprint(state) == store_fingerprint(reference[1])
         failure = outcome.results[1]
         assert isinstance(failure, MemberFailure)
         assert failure.index == 1
-        assert failure.error_type == "ValueError"
-        assert "nope" in failure.message
+        assert failure.error_type == "FileNotFoundError_"
+        assert "/missing" in failure.message
         assert not failure.timed_out
         assert outcome.failures == [failure]
+        assert store_fingerprint(tasks[1].args[0]) == untouched
     finally:
         worker.stop()
         close_connection_pools()

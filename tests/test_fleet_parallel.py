@@ -7,7 +7,7 @@ Two layers under test:
   policy-selectable by name, and ``REPRO_FLEET_EXECUTOR`` must be read
   lazily at dispatch time;
 * **fleet store** (:class:`repro.api.fleet.FleetStore`) — the fleet
-  passes on top of the executors with per-worker reporting, and the
+  passes on top of the executors with one pass record, and the
   consistent-hash shard router: deterministic routing, bounded
   remapping under growth, and store-surface equivalence.
 
@@ -35,6 +35,7 @@ from repro.api.store import TamperEvidentStore
 from repro.device.sero import SERODevice
 from repro.errors import FileNotFoundError_
 from repro.parallel import (
+    ExecutionOutcome,
     HashRing,
     RpcExecutor,
     SerialExecutor,
@@ -116,7 +117,7 @@ def test_max_workers_env(monkeypatch):
     assert not [key for key in keys if "workers" in key]
     fleet = sealed_device_rack(n=2)
     fleet.audit()
-    assert (fleet.last_op.executor, fleet.last_op.workers) == ("serial", 1)
+    assert fleet.last_op.executor == "serial"
 
 
 def test_env_executor_read_lazily_after_scheduler_built(
@@ -164,15 +165,22 @@ def test_deep_audit_device_grain_and_fs_members():
     assert fs_report.lines_verified >= 1
 
 
-def test_worker_wall_breakdown_present(workers):
+def test_pass_record_stamped_on_both_executors(workers):
+    """``last_op`` is the pass's own ExecutionOutcome, stamped by the
+    fleet and kept without its results, whichever executor ran it."""
     fleet = sealed_device_rack(n=3)
     report = fleet.audit()
-    assert fleet.last_op.executor == "serial"
-    assert sum(w.tasks for w in fleet.last_op.worker_walls) == 3
     assert report.device_seconds > 0
-    with repro.engine(executor="rpc", fleet_hosts=workers):
-        fleet.audit()
-    assert sum(w.tasks for w in fleet.last_op.worker_walls) == 3
+    for name in ("serial", "rpc"):
+        with repro.engine(executor=name, fleet_hosts=workers):
+            fleet.audit()
+        record = fleet.last_op
+        assert isinstance(record, ExecutionOutcome)
+        assert (record.operation, record.executor) == ("audit", name)
+        assert record.wall_seconds > 0 and record.results == []
+        assert not record.degraded
+        assert record.hosts == (tuple(sorted(workers))
+                                if name == "rpc" else ())
 
 
 # -- snapshot transport --------------------------------------------------------
@@ -300,7 +308,7 @@ def test_fleet_store_audit_equivalent_across_executors(rack, workers):
                        for r in rep.reports]
     assert key(serial) == key(remote)
     assert fleet.last_op.executor == "rpc"
-    assert sum(w.tasks for w in fleet.last_op.worker_walls) == 3
+    assert fleet.last_op.hosts == tuple(sorted(workers))
 
 
 def test_fleet_store_growth_keeps_objects_reachable(rack):

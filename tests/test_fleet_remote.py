@@ -12,10 +12,10 @@ Four layers under test:
   seal_many / audit / deep audit) dispatched on ``rpc`` must be
   byte-identical to the ``serial`` reference, including RNG
   continuation on the members afterwards;
-* **plumbing** — per-host walls and host naming in ``last_op``,
-  connection-pool reuse, :func:`repro.parallel.close_executors`
-  closing the pools, and :class:`HashRing` stability under permuted
-  host lists.
+* **plumbing** — host naming and per-host wire bytes in ``last_op``,
+  the member-task contract, connection-pool reuse,
+  :func:`repro.parallel.close_executors` closing the pools, and
+  :class:`HashRing` stability under permuted host lists.
 
 Worker daemons are spawned on loopback per module (the ``workers``
 fixture); every test that does not need them runs without.
@@ -315,7 +315,7 @@ def test_session_rng_continuation(workers):
 
 
 def test_session_reports_wire_traffic(workers):
-    """FleetOpStats exposes per-host bytes: snapshot-sized while
+    """``last_op`` exposes per-host bytes: snapshot-sized while
     pinning, then orders of magnitude down once pinned."""
     fleet = device_rack(RpcExecutor(workers), n=2)
     fleet.format_devices()
@@ -351,17 +351,38 @@ def test_session_fleet_store_surface(workers):
 # -- reporting plumbing --------------------------------------------------------
 
 
-def test_report_names_hosts_and_per_host_walls(workers):
+def test_report_names_hosts_and_per_host_bytes(workers):
     fleet = device_rack(RpcExecutor(workers))
     fleet.audit()
     stats = fleet.last_op
-    assert stats.executor == "rpc"
+    assert (stats.operation, stats.executor) == ("audit", "rpc")
     assert stats.hosts == tuple(sorted(workers))
-    assert sum(w.tasks for w in stats.worker_walls) == 3
-    for wall in stats.worker_walls:
-        host = wall.worker.removeprefix("rpc-")
-        assert host in workers
-        assert wall.wall_seconds >= 0.0
+    assert set(stats.bytes_out) == set(stats.bytes_back) <= set(workers)
+    assert all(sent > 0 for sent in stats.bytes_out.values())
+    assert stats.wall_seconds > 0.0
+    assert stats.results == []  # the kept record pins no member state
+
+
+def test_rpc_refuses_a_task_without_one_member_store():
+    """Every rpc request is a session verb: a task that does not close
+    over exactly one member store is a TypeError before any host is
+    resolved or dialled (nothing listens on the address)."""
+    from repro.api.fleet import _audit_member
+
+    pooled = _pooled_connections()
+    holder = socket.socket()
+    holder.bind(("127.0.0.1", 0))  # bound, never listening
+    try:
+        executor = RpcExecutor([f"127.0.0.1:{holder.getsockname()[1]}"])
+        a, b = device_rack(n=2, blocks=16).members
+        for task in (partial(divmod, 7, 3), partial(_audit_member, a, b)):
+            with pytest.raises(TypeError, match="exactly one"):
+                executor.run([task])
+        with pytest.raises(TypeError, match="task 1"):
+            executor.run([partial(_audit_member, a, False), divmod])
+        assert _pooled_connections() == pooled
+    finally:
+        holder.close()
 
 
 def test_serial_reports_have_no_hosts():
@@ -452,16 +473,22 @@ def test_hash_ring_stable_under_host_order():
 
 def test_rpc_assignment_stable_under_host_order(workers):
     """The executor canonicalises its host list, so permuted configs
-    dispatch every member to the same worker."""
-    from functools import partial
+    dispatch — and pin — every member on the same worker."""
+    from repro.parallel.session import session_for
 
     a = RpcExecutor(list(workers))
     b = RpcExecutor(list(reversed(workers)))
     assert a.hosts == b.hosts
-    tasks = [partial(divmod, 7, 3)] * 5  # picklable placeholder tasks
-    run_a, run_b = a.run(tasks), b.run(tasks)
-    assert run_a.assignments == run_b.assignments
-    assert run_a.results == [(2, 1)] * 5
+    rack_a = device_rack(a, n=5, blocks=16)
+    rack_b = device_rack(b, n=5, blocks=16)
+    assert rack_a.format_devices() == rack_b.format_devices()
+
+    def pins(rack):
+        return [set(session_for(member).pins) for member in rack.members]
+
+    assert pins(rack_a) == pins(rack_b)
+    assert all(len(hosts) == 1 and hosts <= set(workers)
+               for hosts in pins(rack_a))
 
 
 # -- migration (rebalance) -----------------------------------------------------
@@ -541,7 +568,12 @@ def test_migrate_unsealed_refuses_sealed_objects():
     for path in paths:
         fleet.put(path, b"x" * 64)
     fleet.seal_many(paths)
-    homes = {p: fleet._locate(p)[0] for p in paths}
+
+    def holder(path):
+        with fleet._held_holder(path) as (index, _store):
+            return index
+
+    homes = {p: holder(p) for p in paths}
     before = {p: fleet.route(p) for p in paths}
     while True:
         fleet.add_member(TamperEvidentStore.create(total_blocks=256))
@@ -553,7 +585,7 @@ def test_migrate_unsealed_refuses_sealed_objects():
     assert report.moved == 0  # nothing unsealed to move
     assert not report.routing_exact  # fallback must stay on
     for path in paths:  # sealed lines stay put and stay readable
-        assert fleet._locate(path)[0] == homes[path]
+        assert holder(path) == homes[path]
         assert fleet.verify(path).intact
 
 
@@ -659,6 +691,7 @@ def test_executor_timeout_surfaces_as_rpc_timeout():
     """RpcExecutor(timeout=...) applies the per-request deadline to
     dispatched passes: a hung 'worker' fails the pass with
     RpcTimeoutError instead of hanging it."""
+    from repro.api.fleet import _audit_member
     from repro.parallel import RpcTimeoutError
 
     gate = threading.Event()
@@ -680,8 +713,9 @@ def test_executor_timeout_surfaces_as_rpc_timeout():
     thread.start()
     try:
         executor = RpcExecutor([addr], timeout=0.4)
+        member = device_rack(n=1, blocks=16).members[0]
         with pytest.raises(RpcTimeoutError):
-            executor.run([partial(int, 1)])
+            executor.run([partial(_audit_member, member, False)])
     finally:
         gate.set()
         server.close()
@@ -736,20 +770,27 @@ def test_failover_members_replace_on_surviving_hosts():
     from repro.parallel import reset_host_health
 
     worker_a, worker_b = spawn_local_worker(), spawn_local_worker()
+    hosts = parse_hosts([worker_a.address, worker_b.address])
+    ring = HashRing(hosts)
+    victim_addr = ring.lookup("member-0")
+    victim = worker_a if worker_a.address == victim_addr else worker_b
     reset_host_health()
     try:
-        executor = RpcExecutor([worker_a.address, worker_b.address],
-                               retries=2)
+        executor = RpcExecutor(list(hosts), retries=2)
         serial, fleet = device_rack("serial"), device_rack(executor)
         twin_objects, paths = object_rack("serial")
         objects, _ = object_rack(executor)
         assert fleet.format_devices() == serial.format_devices()
-        worker_b.kill()
+        victim.kill()
         for rack in (serial, fleet):
             seal_lines(rack)
         assert fleet.audit() == serial.audit()
-        # the failed host was charged its failover re-dispatches
-        assert sum(fleet.last_op.retries.values()) >= 0  # stats present
+        # the failed host was charged one re-dispatch per member the
+        # ring had placed on it
+        lost = sum(ring.lookup(f"member-{i}") == victim_addr
+                   for i in range(fleet.member_count))
+        assert lost >= 1
+        assert fleet.last_op.retries == {victim_addr: lost}
         assert objects.seal_many(paths) == twin_objects.seal_many(paths)
         assert fleet.audit(deep=True) == serial.audit(deep=True)
         assert objects.audit(deep=True) == twin_objects.audit(deep=True)

@@ -181,15 +181,16 @@ def test_degraded_pass_surfaces_as_207_with_typed_failures():
 
     n = 4
     worker = spawn_local_worker()
-    dead, hosts, holder = dead_host_splitting(
-        worker.address, [f"member-{i}" for i in range(n)])
-    lost = {i for i in range(n)
-            if HashRing(hosts).lookup(f"member-{i}") == dead}
-    reset_host_health()
-    fleet = FleetStore.create(n, CONFIG)
-    twin = FleetStore.create(n, CONFIG)
-    app = GatewayApp(fleet, TokenTable.from_spec(SPEC))
+    holder = None
     try:
+        dead, hosts, holder = dead_host_splitting(
+            worker.address, [f"member-{i}" for i in range(n)])
+        lost = {i for i in range(n)
+                if HashRing(hosts).lookup(f"member-{i}") == dead}
+        reset_host_health()
+        fleet = FleetStore.create(n, CONFIG)
+        twin = FleetStore.create(n, CONFIG)
+        app = GatewayApp(fleet, TokenTable.from_spec(SPEC))
         with GatewayServer(app) as server:
             client = GatewayClient(server.address, "acme-rw",
                                    tenant="acme")
@@ -255,7 +256,8 @@ def test_degraded_pass_surfaces_as_207_with_typed_failures():
                 assert receipt == by_path[path]
     finally:
         api.set_policy(None)
-        holder.close()
+        if holder is not None:
+            holder.close()
         worker.stop()
         close_connection_pools()
         reset_host_health()

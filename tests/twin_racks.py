@@ -19,11 +19,16 @@ Two rack shapes, because no single one takes every pass:
   objects: takes ``seal_many``/``audit``/``audit(deep=True)``.
 
 :func:`dead_host_splitting` finds the unreachable second host the
-degrade-mode tests put beside one live worker.
+degrade-mode tests put beside one live worker, and :func:`die_holding`
+is the member task that kills a worker mid-round (a worker unpickles
+it only with ``tests/`` on its ``PYTHONPATH``, which
+``spawn_local_worker`` copies from this process's environment).
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import socket
 
 from repro.api.fleet import FleetStore
@@ -102,6 +107,17 @@ def dead_host_splitting(live_addr, member_keys):
             return dead, hosts, holder
         holder.close()
     raise AssertionError("no splitting dead host found in 64 draws")
+
+
+def die_holding(store, pid=None):
+    """A member task over ``store`` that takes a worker down mid-round:
+    the worker running it exits without replying, or, given ``pid``,
+    that process is SIGKILLed and the task returns ``(None, store)`` —
+    so re-placed on a survivor it is harmless."""
+    if pid is None:
+        os._exit(17)
+    os.kill(pid, signal.SIGKILL)
+    return None, store
 
 
 def fingerprints(fleet):
