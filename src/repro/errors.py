@@ -29,16 +29,6 @@ class DotAddressError(MediumError):
     """A dot coordinate lies outside the medium matrix."""
 
 
-class DotDestroyedError(MediumError):
-    """A magnetic operation was attempted on a heated (destroyed) dot.
-
-    The paper's protocol requires that magnetically written data is only
-    read magnetically and electrically written data only electrically;
-    violating the protocol surfaces as this error (or as a read error at
-    the sector level).
-    """
-
-
 # ---------------------------------------------------------------------------
 # Device
 

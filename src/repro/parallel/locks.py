@@ -15,10 +15,7 @@ that contract as a locking discipline:
   read/write gate: shard operations hold the gate *shared*, exclusive
   passes hold it alone — no shard operation can overlap an exclusive
   pass in either direction, and a waiting exclusive pass blocks new
-  shard entrants so audits cannot starve under tenant load;
-* a ``serialize`` switch that turns **every** acquisition into the
-  exclusive mode — the forced single-lock baseline the gateway bench
-  measures its concurrency floor against.
+  shard entrants so audits cannot starve under tenant load.
 
 Lock order is always *gate before member locks*, and member locks are
 only ever held either one at a time (the fleet's lock-step holder walk)
@@ -38,18 +35,13 @@ class MemberLockSet:
 
     Args:
         count: number of members (one lock each).
-        serialize: force every acquisition — shard or exclusive — into
-            the exclusive whole-fleet mode.  This restores the single
-            global lock the gateway shipped with, and exists so the
-            shard-parallel path can be benchmarked against it.
     """
 
-    def __init__(self, count: int, *, serialize: bool = False) -> None:
+    def __init__(self, count: int) -> None:
         if count < 1:
             raise ValueError("a MemberLockSet needs at least one member")
         self._locks: List[threading.RLock] = [
             threading.RLock() for _ in range(count)]
-        self._serialize = bool(serialize)
         # writer-preferring read/write gate
         self._gate = threading.Condition()
         self._shared = 0
@@ -60,10 +52,6 @@ class MemberLockSet:
     @property
     def count(self) -> int:
         return len(self._locks)
-
-    @property
-    def serialize(self) -> bool:
-        return self._serialize
 
     # -- the fleet gate -----------------------------------------------------
 
@@ -114,15 +102,7 @@ class MemberLockSet:
     def shared(self) -> Iterator[None]:
         """Hold the fleet gate shared: excluded by (and excluding)
         exclusive passes, concurrent with other shard operations.
-        Member locks may only be taken while the gate is held; in
-        ``serialize`` mode this *is* the exclusive mode."""
-        if self._serialize:
-            self._acquire_gate_exclusive()
-            try:
-                yield
-            finally:
-                self._release_gate_exclusive()
-            return
+        Member locks may only be taken while the gate is held."""
         self._acquire_gate_shared()
         try:
             yield

@@ -13,26 +13,24 @@ Four pieces:
 
 * **wire protocol** — length-prefixed pickle frames
   (:func:`send_frame` / :func:`recv_frame`): a 4-byte magic, an 8-byte
-  big-endian length, the protocol-5 pickle body, then the frame's
-  out-of-band buffer segments (a 4-byte count, each segment
-  length-prefixed).  Large buffer-protocol payloads — the packed
-  mag-bit and touched-bitmap arrays of a member snapshot — travel as
-  raw segments via :class:`pickle.PickleBuffer` instead of being
-  memcpy'd into the pickle stream, and are reconstructed on the
-  receiver over the segment buffers directly.  Requests are small
-  tagged tuples (``("ping",)`` and the session verbs below); responses
-  carry the task's result or a portable description of the exception
-  it raised.  When a ``fleet_secret`` is configured
-  (``RpcExecutor(secret=...)`` > ``repro.engine(fleet_secret=...)`` >
-  installed policy > ``REPRO_FLEET_SECRET``) every frame is
-  HMAC-SHA256 signed — magic ``SRPH``, a 32-byte digest after the
-  buffer segments covering the header, body and every segment — and
+  big-endian body length, then the protocol-5 pickle body, the frame's
+  only payload section.  Every request is a ``(request id, verb
+  tuple)`` pair — ``("ping",)`` and the session verbs below — and every
+  reply echoes its id; a worker closes the connection on a frame that
+  is not such a pair.  Responses carry the task's result or a portable
+  description of the exception it raised.  When a ``fleet_secret`` is
+  configured (``RpcExecutor(secret=...)`` >
+  ``repro.engine(fleet_secret=...)`` > installed policy >
+  ``REPRO_FLEET_SECRET``) every frame is HMAC-SHA256 signed — magic
+  ``SRH2``, a 32-byte digest over header and body after the body — and
   verified with a constant-time compare *before* the body is
   unpickled; unsigned frames are rejected outright, so a peer that
   does not hold the shared secret can neither issue requests nor
-  forge replies.  Without a secret the protocol still authenticates
-  nobody (bare ``SRPC`` frames), so :func:`serve` refuses to bind an
-  unsigned worker anywhere but loopback (documented in API.md).
+  forge replies.  Ahead of that check a receiver parses only the magic
+  and the length, and holds only the body bytes that have arrived.
+  Without a secret the protocol still authenticates nobody (bare
+  ``SRP2`` frames), so :func:`serve` refuses to bind an unsigned
+  worker anywhere but loopback (documented in API.md).
 
 * **sessions** — the ``pin``/``run_pinned`` verbs, the one way a
   member task crosses the wire.  A pin ships a member snapshot once
@@ -47,11 +45,11 @@ Four pieces:
   generation) answers ``("nopin",)`` **without running the task**, so
   the client can re-pin and resend on the same connection.  Abandoned
   pins are bounded by the worker's :data:`PIN_CACHE_CAP` LRU.  A pass
-  *pipelines*: one socket per host, all frames written by a writer
-  thread while replies drain in order, so N members on one host cost
-  ~one round trip plus compute.  A task that does not close over
-  exactly one member store is a ``TypeError`` before anything is
-  dialled: no other callable travels.
+  *pipelines*: one socket per host, every round's frames written by a
+  writer thread while the replies drain in order, matched by request
+  id, so N members on one host cost ~one round trip plus compute.  A
+  task that does not close over exactly one member store is a
+  ``TypeError`` before anything is dialled: no other callable travels.
 
 * **worker daemon** — :func:`serve`, exposed as
   ``python -m repro.parallel.remote serve --bind HOST:PORT``.  A
@@ -69,9 +67,10 @@ Four pieces:
   ``REPRO_FLEET_HOSTS``), assigns member *i* to the host a
   :class:`~repro.parallel.ring.HashRing` over the host set owns —
   deterministic and stable under host lists given in any order — and
-  drives each host's connection from its own thread.  Connections are
-  pooled module-wide (:data:`_POOL`) so repeated passes reuse warm
-  sockets.  A host round that fails folds nothing, so it is retried
+  drives each host's connection from its own thread.  Pass connections
+  are pooled module-wide (:data:`_POOL`) so repeated passes reuse warm
+  sockets; a :func:`ping` probe dials a connection of its own and
+  closes it.  A host round that fails folds nothing, so it is retried
   once on the same host — every member re-pinned from caller-held
   state, which cannot run a task twice on that state (a seal pass
   never heats a line twice) — unless a request deadline expired.
@@ -131,35 +130,29 @@ from .ring import HashRing
 #: comma-separated), read lazily at each dispatch.
 HOSTS_ENV_VAR = _policy.FLEET_HOSTS_ENV_VAR
 
-#: Frame header: magic + 8-byte big-endian payload length.  ``SRPC``
-#: frames are unsigned; ``SRPH`` frames carry a trailing HMAC-SHA256
-#: digest over everything before it.
-_MAGIC = b"SRPC"
-_MAGIC_SIGNED = b"SRPH"
+#: Frame header: magic + 8-byte big-endian body length.  ``SRP2``
+#: frames are unsigned; ``SRH2`` frames carry a trailing HMAC-SHA256
+#: digest over header and body.  10.x peers framed with ``SRPC``/
+#: ``SRPH`` and buffer segments after the body: a distinct magic makes
+#: a mixed-version pair fail on the first frame instead of one side
+#: waiting for bytes the other never sends.
+_MAGIC = b"SRP2"
+_MAGIC_SIGNED = b"SRH2"
 _HEADER = struct.Struct(">4sQ")
 
-#: Trailing signature size of an ``SRPH`` frame (HMAC-SHA256).
+#: Trailing signature size of an ``SRH2`` frame (HMAC-SHA256).
 _DIGEST_BYTES = 32
 
-#: Refuse absurd frames (a desynchronised peer must fail fast, not
-#: allocate gigabytes).  Bounds one frame's body *plus* all of its
-#: out-of-band segments — everything a receiver allocates before the
-#: HMAC check.  Generous: a bench member snapshot is ~1.3 MB.
+#: Refuse absurd frames (a desynchronised peer must fail fast).  Checked
+#: on the header's length before a body byte is read; the body itself
+#: arrives in chunks, so a receiver holds only the bytes that were
+#: actually sent, never the length a header merely promises.
+#: Generous: a bench member snapshot is ~1.3 MB.
 MAX_FRAME_BYTES = 1 << 30
 
-#: Buffers below this stay inside the pickle body; at or above it they
-#: travel as raw out-of-band segments (the packed snapshot bitmaps).
-INLINE_BUFFER_BYTES = 4096
-
-#: Cap on out-of-band segments per frame (desync protection, like
-#: :data:`MAX_FRAME_BYTES`).
-MAX_FRAME_BUFFERS = 1 << 16
-
-_BUF_COUNT = struct.Struct(">I")
-_BUF_LEN = struct.Struct(">Q")
-
-#: Dial attempts for a *fresh* connection (a worker still starting up
-#: refuses a few times before it listens).
+#: Dial attempts for a pass's *fresh* connection (a worker still
+#: starting up refuses a few times before it listens).  A probe dials
+#: once per round trip; :func:`ping` owns its retries.
 DIAL_RETRIES = 10
 DIAL_RETRY_DELAY_S = 0.2
 
@@ -245,58 +238,37 @@ def _resolve_secret(secret: Any) -> Optional[str]:
     return secret
 
 
-def _frame_mac(secret: str) -> "hmac.HMAC":
-    return hmac.new(secret.encode("utf-8"), digestmod=hashlib.sha256)
+def _frame_digest(secret: str, header: bytes, body: bytes) -> bytes:
+    """HMAC-SHA256 of a signed frame's header and body."""
+    mac = hmac.new(secret.encode("utf-8"), header, hashlib.sha256)
+    mac.update(body)
+    return mac.digest()
 
 
 def send_frame(sock: socket.socket, message: Any, *,
                secret: Any = _AMBIENT) -> int:
     """Pickle ``message`` and send it as one length-prefixed frame.
 
-    Pickles at protocol 5 with a buffer callback: large
-    buffer-protocol payloads (numpy arrays of
-    :data:`INLINE_BUFFER_BYTES` or more — a snapshot's packed bitmaps)
-    are *not* copied into the pickle stream but travel after the body
-    as raw length-prefixed segments, gathered into the socket in one
-    ``sendall``.  Returns the payload size in bytes — body plus
-    segments, excluding framing overhead (the transport-accounting
-    hook the benchmarks and the per-pass byte counters use).
+    The frame is the 12-byte header (magic, 8-byte big-endian body
+    length), the protocol-5 pickle body and — when signed — a 32-byte
+    HMAC-SHA256 digest over header and body, written in one
+    ``sendall``.  Returns the body size in bytes, excluding framing
+    overhead (the transport-accounting hook the benchmarks and the
+    per-pass byte counters use).
 
     With a ``secret`` (explicit string, or the ambient policy chain
-    when one is configured) the frame goes out under the ``SRPH``
-    magic with a trailing HMAC-SHA256 digest over the header, body,
-    buffer count and every length-prefixed segment.  ``secret=None``
-    forces an unsigned ``SRPC`` frame.
+    when one is configured) the frame goes out under the ``SRH2``
+    magic; ``secret=None`` forces an unsigned ``SRP2`` frame.
     """
     resolved = _resolve_secret(secret)
-    segments: List[memoryview] = []
-
-    def _collect(buffer: pickle.PickleBuffer):
-        try:
-            raw = buffer.raw()
-        except BufferError:  # non-contiguous: let pickle copy it
-            return True
-        if raw.nbytes < INLINE_BUFFER_BYTES:
-            return True  # small: in-band is cheaper than a segment
-        segments.append(raw)
-        return False
-
-    body = pickle.dumps(message, protocol=5, buffer_callback=_collect)
+    body = pickle.dumps(message, protocol=5)
     magic = _MAGIC if resolved is None else _MAGIC_SIGNED
-    parts: List[Any] = [_HEADER.pack(magic, len(body)), body,
-                        _BUF_COUNT.pack(len(segments))]
-    payload = len(body)
-    for raw in segments:
-        parts.append(_BUF_LEN.pack(raw.nbytes))
-        parts.append(raw)
-        payload += raw.nbytes
+    header = _HEADER.pack(magic, len(body))
+    parts = [header, body]
     if resolved is not None:
-        mac = _frame_mac(resolved)
-        for part in parts:
-            mac.update(part)
-        parts.append(mac.digest())
+        parts.append(_frame_digest(resolved, header, body))
     sock.sendall(b"".join(parts))
-    return payload
+    return len(body)
 
 
 def _recv_exact(sock: socket.socket, n: int, what: str) -> bytes:
@@ -304,7 +276,8 @@ def _recv_exact(sock: socket.socket, n: int, what: str) -> bytes:
 
     A connection dropped mid-frame surfaces here: the peer closed (or
     died) with ``what`` only partially delivered, and a partial frame
-    must never be interpreted.
+    must never be interpreted.  Reads at most 1 MiB at a time, so what
+    this holds grows with the bytes that arrive, not with ``n``.
     """
     chunks: List[bytes] = []
     got = 0
@@ -325,39 +298,18 @@ def _recv_exact(sock: socket.socket, n: int, what: str) -> bytes:
     return b"".join(chunks)
 
 
-def _recv_exact_into(sock: socket.socket, view: memoryview,
-                     what: str) -> None:
-    """Fill ``view`` from the socket or raise, like :func:`_recv_exact`
-    but without an intermediate copy (out-of-band segments)."""
-    n = len(view)
-    got = 0
-    while got < n:
-        try:
-            read = sock.recv_into(view[got:], min(n - got, 1 << 20))
-        except TimeoutError as exc:
-            raise RpcTimeoutError(
-                f"socket deadline expired mid-frame ({got}/{n} bytes of "
-                f"{what}); the peer is hung or the network stalled"
-            ) from exc
-        if not read:
-            raise RpcConnectionError(
-                f"connection closed mid-frame ({got}/{n} bytes of {what}); "
-                "the peer dropped the link or its process died")
-        got += read
-
-
 def _recv_frame_counted(sock: socket.socket, *,
                         secret: Any = _AMBIENT) -> Tuple[Any, int]:
-    """(message, payload bytes received) for one frame.
+    """(message, body bytes received) for one frame.
 
-    The out-of-band segments are received into writable buffers the
-    unpickled arrays map directly — the body never contains, and the
-    receiver never re-copies, the bulk payload.
+    Ahead of the signature check only the header is parsed: the magic,
+    and the body length, which must be within :data:`MAX_FRAME_BYTES`
+    before a body byte is read.
 
-    With a ``secret`` in force, only ``SRPH`` frames are accepted and
+    With a ``secret`` in force, only ``SRH2`` frames are accepted and
     the trailing digest is checked with :func:`hmac.compare_digest`
     *before* ``pickle.loads`` runs — an unauthenticated peer never
-    reaches the deserialiser.  An unsigned ``SRPC`` frame is rejected
+    reaches the deserialiser.  An unsigned ``SRP2`` frame is rejected
     when a secret is set, and a signed frame is rejected when no
     secret is configured (this peer cannot verify it): both sides must
     agree on the secret, which is the point.
@@ -375,8 +327,9 @@ def _recv_frame_counted(sock: socket.socket, *,
     magic, length = _HEADER.unpack(header)
     if magic not in (_MAGIC, _MAGIC_SIGNED):
         raise RpcProtocolError(
-            f"bad frame magic {magic!r} (not an SRPC peer, or the "
-            "stream desynchronised)")
+            f"bad frame magic {magic!r}: not an SRPC 11.x peer (10.x "
+            "framed with SRPC/SRPH — upgrade workers and clients "
+            "together), or the stream desynchronised")
     if resolved is not None and magic != _MAGIC_SIGNED:
         raise RpcProtocolError(
             "unsigned SRPC frame rejected: this peer requires "
@@ -384,51 +337,22 @@ def _recv_frame_counted(sock: socket.socket, *,
             "sender has none, or a stale one-sided deployment)")
     if resolved is None and magic == _MAGIC_SIGNED:
         raise RpcProtocolError(
-            "HMAC-signed SRPH frame received but this peer has no "
+            "HMAC-signed SRPC frame received but this peer has no "
             "fleet secret to verify it; configure the shared "
             "REPRO_FLEET_SECRET on both sides")
     if length > MAX_FRAME_BYTES:
         raise RpcProtocolError(f"frame of {length} bytes exceeds the "
                                f"{MAX_FRAME_BYTES}-byte cap")
-    mac = _frame_mac(resolved) if resolved is not None else None
-    if mac is not None:
-        mac.update(header)
-    body = _recv_exact(sock, int(length), "frame body")
-    raw_count = _recv_exact(sock, _BUF_COUNT.size, "buffer count")
-    count = _BUF_COUNT.unpack(raw_count)[0]
-    if mac is not None:
-        mac.update(body)
-        mac.update(raw_count)
-    if count > MAX_FRAME_BUFFERS:
-        raise RpcProtocolError(f"frame with {count} out-of-band buffers "
-                               f"exceeds the {MAX_FRAME_BUFFERS} cap")
-    payload = int(length)
-    buffers: List[bytearray] = []
-    for _ in range(count):
-        raw_len = _recv_exact(sock, _BUF_LEN.size, "buffer header")
-        nbytes = _BUF_LEN.unpack(raw_len)[0]
-        # the running total, not each segment alone: these lengths are
-        # unauthenticated until the digest below, and 65 536 segments
-        # of 1 GiB each must not be allocated on a stranger's say-so
-        if payload + nbytes > MAX_FRAME_BYTES:
-            raise RpcProtocolError(
-                f"out-of-band buffer of {nbytes} bytes takes the frame "
-                f"past the {MAX_FRAME_BYTES}-byte cap")
-        segment = bytearray(int(nbytes))
-        _recv_exact_into(sock, memoryview(segment), "buffer segment")
-        if mac is not None:
-            mac.update(raw_len)
-            mac.update(segment)
-        buffers.append(segment)
-        payload += int(nbytes)
-    if mac is not None:
+    body = _recv_exact(sock, length, "frame body")
+    if resolved is not None:
         digest = _recv_exact(sock, _DIGEST_BYTES, "frame signature")
-        if not hmac.compare_digest(mac.digest(), digest):
+        if not hmac.compare_digest(
+                _frame_digest(resolved, header, body), digest):
             raise RpcProtocolError(
                 "frame signature mismatch: the peer signed with a "
                 "different fleet secret, or the frame was tampered "
                 "with in transit")
-    return pickle.loads(body, buffers=buffers), payload
+    return pickle.loads(body), length
 
 
 def recv_frame(sock: socket.socket, *, secret: Any = _AMBIENT) -> Any:
@@ -456,7 +380,7 @@ _PINS: "OrderedDict[Any, Tuple[int, Any]]" = OrderedDict()
 _PINS_LOCK = threading.Lock()
 
 
-def _run_task(task: Any) -> Tuple[Any, bool]:
+def _run_task(task: Any) -> Tuple:
     try:
         result = task()
     except BaseException as exc:  # noqa: BLE001 — shipped to caller
@@ -466,35 +390,25 @@ def _run_task(task: Any) -> Tuple[Any, bool]:
         except Exception:
             portable = None
         return ("err", portable, type(exc).__name__, str(exc),
-                traceback.format_exc()), True
-    return ("ok", result), True
+                traceback.format_exc())
+    return ("ok", result)
 
 
-def _execute_request(request: Any) -> Tuple[Any, bool]:
-    """(response, keep_serving) for one request tuple."""
-    if not isinstance(request, tuple) or not request:
-        return ("err", None, "RpcProtocolError",
-                f"malformed request: {type(request).__name__}", ""), True
-    if len(request) == 2 and isinstance(request[0], int) \
-            and isinstance(request[1], tuple):
-        # tagged request: the pipelined client matches each reply to
-        # its in-flight request by id; untagged peers get untagged
-        # replies (backward compatible)
-        response, keep = _execute_request(request[1])
-        return (request[0], response), keep
-    op = request[0]
+def _execute_request(verb: Tuple) -> Tuple:
+    """The response to one verb tuple (its envelope already checked)."""
+    op = verb[0]
     if op == "ping":
-        return ("pong", os.getpid()), True
+        return ("pong", os.getpid())
     if op == "pin":
-        _op, key, generation, snapshot = request
+        _op, key, generation, snapshot = verb
         with _PINS_LOCK:
             _PINS[key] = (generation, snapshot)
             _PINS.move_to_end(key)
             while len(_PINS) > PIN_CACHE_CAP:
                 _PINS.popitem(last=False)
-        return ("pinned",), True
+        return ("pinned",)
     if op == "run_pinned":
-        _op, key, generation, task = request
+        _op, key, generation, task = verb
         with _PINS_LOCK:
             entry = _PINS.get(key)
             if entry is not None and entry[0] == generation:
@@ -505,15 +419,15 @@ def _execute_request(request: Any) -> Tuple[Any, bool]:
         if pinned is None:
             # missing or stale pin: the task did NOT run, which is
             # what makes a client-side re-pin + resend safe
-            return ("nopin",), True
-        response, keep = _run_task(_session.bind_pinned(task, pinned))
+            return ("nopin",)
+        response = _run_task(_session.bind_pinned(task, pinned))
         if response[0] == "err":
             # the pinned copy may be half-mutated: never serve it again
             with _PINS_LOCK:
                 _PINS.pop(key, None)
-        return response, keep
+        return response
     return ("err", None, "RpcProtocolError",
-            f"unknown request op {op!r}", ""), True
+            f"unknown request op {op!r}", "")
 
 
 class _WorkerHandler(socketserver.BaseRequestHandler):
@@ -528,17 +442,16 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
         while True:
             try:
                 request = recv_frame(self.request)
-            except (EOFError, RpcConnectionError, ConnectionError,
-                    OSError):
-                return
-            except RpcProtocolError:
+            except (EOFError, RpcError, OSError):
                 return  # a non-SRPC peer gets silence, not a stack dump
-            response, keep = _execute_request(request)
+            if not (isinstance(request, tuple) and len(request) == 2
+                    and isinstance(request[0], int)
+                    and isinstance(request[1], tuple) and request[1]):
+                return  # not a (request id, verb) pair: drop the peer
+            rid, verb = request
             try:
-                send_frame(self.request, response)
-            except (ConnectionError, OSError):
-                return
-            if not keep:
+                send_frame(self.request, (rid, _execute_request(verb)))
+            except OSError:
                 return
 
 
@@ -642,8 +555,9 @@ def parse_hosts(spec: Union[str, Sequence[str]]) -> Tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Client connection pool (module-wide: RpcExecutor instances resolve
 # their hosts lazily, so the sockets — keyed by address, not by
-# instance — are shared and survive between passes.
-# repro.parallel.close_executors() closes this pool too.)
+# instance — are shared and survive between passes.  Only pass rounds
+# use it; probes dial their own.  repro.parallel.close_executors()
+# closes this pool too.)
 
 _POOL: Dict[str, List[socket.socket]] = {}
 _POOL_LOCK = threading.Lock()
@@ -693,9 +607,8 @@ def _dial(addr: str, *, retries: int = DIAL_RETRIES,
 
 
 def _borrow(addr: str, deadline: Optional[float] = None, *,
-            dial_retries: int = DIAL_RETRIES
-            ) -> Tuple[socket.socket, bool]:
-    """A connection to ``addr``: pooled (True) or freshly dialled.
+            dial_retries: int = DIAL_RETRIES) -> socket.socket:
+    """A pass connection to ``addr``: pooled, or freshly dialled.
 
     ``deadline`` is the per-request socket timeout in seconds (None =
     block forever, the pre-fault-tolerance behaviour); it is re-armed
@@ -707,11 +620,11 @@ def _borrow(addr: str, deadline: Optional[float] = None, *,
         if pooled:
             sock = pooled.pop()
             sock.settimeout(deadline)
-            return sock, True
+            return sock
     sock = _dial(addr, retries=dial_retries,
                  timeout=deadline if deadline else None)
     sock.settimeout(deadline)
-    return sock, False
+    return sock
 
 
 def _give_back(addr: str, sock: socket.socket) -> None:
@@ -758,55 +671,46 @@ def _recv_reply(addr: str, sock: socket.socket, *,
             f"{exc}") from exc
 
 
-def call_worker(addr: str, request: Any, *,
+def call_worker(addr: str, request: Tuple, *,
                 deadline: Optional[float] = None,
                 secret: Any = _AMBIENT) -> Any:
-    """One request/response round trip with ``addr``, via the pool.
-
-    A *stale* pooled connection (the worker restarted since the last
-    pass) fails while the request is being sent; since an undelivered
-    request cannot have executed, it is retried once on a fresh
-    connection.  Any failure after the request was delivered — EOF or
-    a truncated reply — raises :class:`RpcConnectionError` instead:
-    the request may have been served, so it is never sent twice.
-    ``deadline`` bounds every blocking socket operation of the round
-    trip; expiry raises :class:`RpcTimeoutError`.
+    """One request/response round trip with ``addr`` on a connection
+    of its own: one dial attempt, ``request`` sent under request id 0,
+    the echoed id checked, the connection closed afterwards.  Probes
+    leave the pass pool alone and never retry — :func:`ping` owns the
+    retrying.  Any failure raises :class:`RpcConnectionError` (a
+    request that may have been delivered is never sent twice);
+    ``deadline`` bounds the dial and every blocking socket operation,
+    and its expiry raises :class:`RpcTimeoutError`.
     """
-    sock, from_pool = _borrow(addr, deadline)
+    sock = _dial(addr, retries=1, timeout=deadline)
     try:
-        send_frame(sock, request, secret=secret)
-    except TimeoutError as exc:
-        _discard(sock)
-        raise RpcTimeoutError(
-            f"request to fleet worker at {addr} stalled past the "
-            f"socket deadline while sending") from exc
-    except (ConnectionError, OSError) as exc:
-        _discard(sock)
-        if not from_pool:
+        try:
+            send_frame(sock, (0, request), secret=secret)
+        except TimeoutError as exc:
+            raise RpcTimeoutError(
+                f"request to fleet worker at {addr} stalled past the "
+                f"socket deadline while sending") from exc
+        except OSError as exc:
             raise RpcConnectionError(
                 f"fleet worker at {addr} rejected the request: "
                 f"{exc}") from exc
-        # stale pooled socket: one reconnect
-        sock = _dial(addr, timeout=deadline if deadline else None)
-        sock.settimeout(deadline)
-        try:
-            send_frame(sock, request, secret=secret)
-        except (ConnectionError, OSError) as exc2:
-            _discard(sock)
-            raise RpcConnectionError(
-                f"fleet worker at {addr} rejected the request after "
-                f"reconnect: {exc2}") from exc2
-    response, _received = _recv_reply(addr, sock, secret=secret)
-    _give_back(addr, sock)
-    return response
+        reply, _received = _recv_reply(addr, sock, secret=secret)
+    finally:
+        _discard(sock)
+    if not (isinstance(reply, tuple) and len(reply) == 2 and reply[0] == 0):
+        raise RpcProtocolError(
+            f"fleet worker at {addr} answered another request: {reply!r}")
+    return reply[1]
 
 
 def ping(addr: str, *, timeout: float = 5.0,
          secret: Any = _AMBIENT) -> int:
-    """Round-trip a ping; returns the worker's PID.  Waits up to
-    ``timeout`` seconds for the worker to start listening; each round
-    trip also carries ``timeout`` as its socket deadline, so a worker
-    that *accepts* but never answers (hung event loop) fails the ping
+    """Round-trip a ping; returns the worker's PID.  Retries every
+    :data:`DIAL_RETRY_DELAY_S` for up to ``timeout`` seconds in all,
+    so it also waits for a worker to start listening; each round trip
+    carries ``timeout`` as its socket deadline, so a worker that
+    *accepts* but never answers (hung event loop) fails the ping
     instead of blocking it forever.  The probe frame is signed like
     any other when a secret is in force — a secret-bearing worker
     would reject an unsigned ping, and an unverifiable probe must
@@ -1034,10 +938,6 @@ class RpcExecutor(FleetExecutor):
                 f"{HOSTS_ENV_VAR}=host:port,host:port (start workers "
                 "with `python -m repro.parallel.remote serve`)")
         return parse_hosts(hosts)
-
-    def close(self) -> None:
-        """Release the pooled worker connections (idempotent)."""
-        close_connection_pools()
 
     @staticmethod
     def _member_error(addr: str, response: Tuple) -> BaseException:
@@ -1305,7 +1205,7 @@ class RpcExecutor(FleetExecutor):
             # the dial grace is for a worker still starting up; a host
             # that just dropped an established round gets one redial,
             # so a dead one costs a refusal, not the whole grace
-            sock, _from_pool = _borrow(
+            sock = _borrow(
                 addr, deadline,
                 dial_retries=DIAL_RETRIES if attempt == 0 else 1)
             try:
@@ -1389,33 +1289,27 @@ class RpcExecutor(FleetExecutor):
                 f"unknown reply tag {tag!r} from worker at {addr}")
 
         def run_round(batch: List[Tuple[str, _TaskPlan, Tuple]]) -> None:
-            if len(batch) > 1:
-                send_error: List[BaseException] = []
+            send_error: List[BaseException] = []
 
-                def pump() -> None:
-                    try:
-                        for rid, (_kind, _plan, payload) in \
-                                enumerate(batch):
-                            send_one(rid, payload)
-                    except BaseException as exc:  # noqa: BLE001
-                        send_error.append(exc)
-                        _discard(sock)  # unblocks the reply reader
-
-                writer = threading.Thread(
-                    target=pump, name=f"rpc-writer-{addr}", daemon=True)
-                writer.start()
+            def pump() -> None:
                 try:
-                    for rid, (kind, plan, _payload) in enumerate(batch):
-                        recv_one(rid, kind, plan)
-                finally:
-                    writer.join()
-                if send_error and not isinstance(
-                        send_error[0], RpcConnectionError):
-                    raise send_error[0]
-            else:  # a lone request needs no writer thread
-                for rid, (kind, plan, payload) in enumerate(batch):
-                    send_one(rid, payload)
+                    for rid, (_kind, _plan, payload) in enumerate(batch):
+                        send_one(rid, payload)
+                except BaseException as exc:  # noqa: BLE001
+                    send_error.append(exc)
+                    _discard(sock)  # unblocks the reply reader
+
+            writer = threading.Thread(
+                target=pump, name=f"rpc-writer-{addr}", daemon=True)
+            writer.start()
+            try:
+                for rid, (kind, plan, _payload) in enumerate(batch):
                     recv_one(rid, kind, plan)
+            finally:
+                writer.join()
+            if send_error and not isinstance(
+                    send_error[0], RpcConnectionError):
+                raise send_error[0]
 
         run_round(requests)
         retried = set()

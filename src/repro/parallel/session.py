@@ -161,12 +161,10 @@ def store_fingerprint(store: Any) -> Tuple:
 class MemberSession:
     """The client's book entry for one pinnable member store."""
 
-    __slots__ = ("key", "ref", "generation", "fingerprint", "pins",
-                 "__weakref__")
+    __slots__ = ("key", "generation", "fingerprint", "pins")
 
-    def __init__(self, key: Tuple[str, int], store: Any) -> None:
+    def __init__(self, key: Tuple[str, int]) -> None:
         self.key = key
-        self.ref = weakref.ref(store)
         self.generation = 0
         self.fingerprint: Optional[Tuple] = None
         #: worker address -> generation pinned there
@@ -188,37 +186,28 @@ class MemberSession:
 #: pinning members on one worker must never collide).
 _CLIENT_TOKEN = f"{os.getpid():d}-{os.urandom(6).hex()}"
 
-_SESSIONS: Dict[int, MemberSession] = {}
-#: Reentrant: registering a finalizer inside :func:`session_for` can
-#: allocate, allocation can trigger a GC cycle, and that cycle can run
-#: a *previous* store's :func:`_forget` finalizer on this very thread
-#: while the lock is already held — a plain Lock deadlocks there.
-_SESSIONS_LOCK = threading.RLock()
+#: Keyed by the store itself and held weakly, so a collected store's
+#: entry goes with it.  ``TamperEvidentStore`` defines no ``__eq__``:
+#: it hashes by identity.
+_SESSIONS: "weakref.WeakKeyDictionary[Any, MemberSession]" = \
+    weakref.WeakKeyDictionary()
+_SESSIONS_LOCK = threading.Lock()
 _KEY_COUNTER = itertools.count(1)
-
-
-def _forget(ident: int, record: MemberSession) -> None:
-    with _SESSIONS_LOCK:
-        if _SESSIONS.get(ident) is record:
-            del _SESSIONS[ident]
 
 
 def session_for(store: Any) -> MemberSession:
     """The (one) session record for ``store``, created on first use."""
-    ident = id(store)
     with _SESSIONS_LOCK:
-        record = _SESSIONS.get(ident)
-        if record is not None and record.ref() is store:
-            return record
-        record = MemberSession((_CLIENT_TOKEN, next(_KEY_COUNTER)), store)
-        _SESSIONS[ident] = record
-        weakref.finalize(store, _forget, ident, record)
+        record = _SESSIONS.get(store)
+        if record is None:
+            record = MemberSession((_CLIENT_TOKEN, next(_KEY_COUNTER)))
+            _SESSIONS[store] = record
         return record
 
 
 def invalidate(store: Any) -> None:
     """Force the next pinned pass over ``store`` to re-pin."""
     with _SESSIONS_LOCK:
-        record = _SESSIONS.get(id(store))
-    if record is not None and record.ref() is store:
+        record = _SESSIONS.get(store)
+    if record is not None:
         record.invalidate()

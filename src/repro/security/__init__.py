@@ -2,30 +2,21 @@
 
 * :mod:`~repro.security.threat` — the powerful-insider threat model.
 * :mod:`~repro.security.attacks` — medium-level attack implementations.
-* :mod:`~repro.security.detection` — outcome records and audits.
+* :mod:`~repro.security.detection` — outcome records.
 * :mod:`~repro.security.analysis` — the full Section 5 case matrix.
 """
 
 from .analysis import SCENARIOS, run_attack_matrix
-from .detection import (
-    AttackOutcome,
-    Expectation,
-    SecurityReport,
-    audit_device,
-    verdict_detected,
-)
-from .threat import POWERFUL_INSIDER, AccessLevel, AttackGoal, ThreatModel
+from .detection import AttackOutcome, Expectation, SecurityReport
+from .threat import POWERFUL_INSIDER, AccessLevel, ThreatModel
 
 __all__ = [
     "ThreatModel",
     "POWERFUL_INSIDER",
     "AccessLevel",
-    "AttackGoal",
     "AttackOutcome",
     "Expectation",
     "SecurityReport",
-    "audit_device",
-    "verdict_detected",
     "SCENARIOS",
     "run_attack_matrix",
 ]

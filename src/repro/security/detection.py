@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..device.sero import SERODevice, VerificationResult, VerifyStatus
+from ..device.sero import VerificationResult
 
 
 class Expectation(enum.Enum):
@@ -41,20 +41,6 @@ class AttackOutcome:
     achieved: bool
     verification: Optional[VerificationResult] = None
     notes: str = ""
-
-
-def verdict_detected(result: VerificationResult,
-                     *statuses: VerifyStatus) -> bool:
-    """True when ``result`` lands in one of the tamper-evident
-    ``statuses`` (default: any tamper-evident status)."""
-    if statuses:
-        return result.status in statuses
-    return result.tamper_evident
-
-
-def audit_device(device: SERODevice) -> List[VerificationResult]:
-    """Verify every registered heated line (the auditor's sweep)."""
-    return device.verify_all()
 
 
 @dataclass

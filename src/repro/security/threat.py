@@ -27,15 +27,6 @@ class AccessLevel(enum.Enum):
     MEDIUM = "medium"               # laptop-with-interface: raw dot access
 
 
-class AttackGoal(enum.Enum):
-    """What the attacker is trying to achieve."""
-
-    ALTER = "alter"       # change a record's content
-    DELETE = "delete"     # make a record unavailable
-    MASK = "mask"         # hide a record behind a forged substitute
-    DESTROY_INDEX = "destroy-index"  # remove the paths to the record
-
-
 @dataclass(frozen=True)
 class ThreatModel:
     """Capabilities assumed for the Section 5 analysis."""

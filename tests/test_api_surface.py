@@ -107,8 +107,8 @@ def test_top_level_reexports():
         assert getattr(repro, name) is getattr(api, name)
 
 
-def test_version_is_v10():
-    assert repro.__version__ == "10.0.0"
+def test_version_is_v11():
+    assert repro.__version__ == "11.0.0"
 
 
 def test_removed_fleet_doors_stay_shut():

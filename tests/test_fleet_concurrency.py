@@ -4,15 +4,15 @@ Four layers:
 
 * **MemberLockSet discipline** — exclusive mode excludes shard
   holders (and vice versa), footprints acquire in ascending member
-  order, ``serialize=True`` turns the shared gate into the single
-  global lock, ``grow()`` is exclusive-only;
+  order, ``grow()`` is exclusive-only;
 * **deadlock freedom** — reverse-footprint ``seal_many`` batches
   ({0, 2} racing {2, 0}) and admin passes racing shard traffic must
   all join within a timeout;
 * **byte-identity through FleetStore** — N threads hammering
   member-disjoint namespaces leave every member at the identical
-  :func:`~repro.parallel.session.store_fingerprint` as a serialized
-  twin, because the protocol's determinism contract is per member;
+  :func:`~repro.parallel.session.store_fingerprint` as a twin that
+  runs the same per-member sequences one after another, because the
+  protocol's determinism contract is per member;
 * **byte-identity through the live gateway** — the same property
   with real sockets and ``ThreadingHTTPServer`` threads, plus an
   overlapping-namespace hammer whose invariant is weaker (every
@@ -162,28 +162,6 @@ def test_ascending_acquisition_order():
         locks.release_descending(order)
 
 
-def test_serialize_mode_turns_shared_into_exclusive():
-    locks = MemberLockSet(3, serialize=True)
-    overlap = 0
-    inside = 0
-    guard = threading.Lock()
-
-    def worker():
-        nonlocal overlap, inside
-        for _ in range(20):
-            with locks.shared():
-                with guard:
-                    inside += 1
-                    if inside > 1:
-                        overlap += 1
-                time.sleep(0.0005)
-                with guard:
-                    inside -= 1
-
-    _run_threads([worker] * 4)
-    assert overlap == 0
-
-
 def test_grow_requires_exclusive_mode():
     locks = MemberLockSet(2)
     with pytest.raises(RuntimeError):
@@ -269,16 +247,9 @@ def _hammer_member(fleet: FleetStore, paths: List[str],
         assert report.status is VerifyStatus.INTACT
 
 
-def _serialized(fleet: FleetStore) -> FleetStore:
-    """Swap in the one-big-lock discipline: the serialized reference
-    the shard locks are checked against."""
-    fleet._locks = MemberLockSet(len(fleet.members), serialize=True)
-    return fleet
-
-
 def test_disjoint_member_hammer_matches_serialized_twin():
     fleet = FleetStore.create(3, CONFIG)
-    twin = _serialized(FleetStore.create(3, CONFIG))
+    twin = FleetStore.create(3, CONFIG)
     pinned = _pin_paths(fleet, 3)
     payloads = {m: bytes([m + 1]) * 96 for m in pinned}
 
@@ -370,17 +341,16 @@ def test_gateway_overlapping_hammer_keeps_invariants(gateway_stack):
             assert client.get(name) == b"v" * (40 + i)
 
 
-# -- typed member verdicts under both lock disciplines --------------------------
+# -- typed member verdicts and the index feed on twin fleets --------------------
 
 
 def test_member_records_identical_across_lock_modes():
     """A fleet audit exposes the same typed per-member verdict
-    records whether members are locked per-shard or behind a
-    serializing lock set, with member-local (unprefixed) labels."""
-    shard = FleetStore.create(3, CONFIG)
-    single = _serialized(FleetStore.create(3, CONFIG))
-    pinned = _pin_paths(shard, 2)
-    for fleet in (shard, single):
+    records on twin fleets fed the same operations, with member-local
+    (unprefixed) labels."""
+    fleets = [FleetStore.create(3, CONFIG) for _ in range(2)]
+    pinned = _pin_paths(fleets[0], 2)
+    for fleet in fleets:
         for member, paths in pinned.items():
             for path in paths:
                 fleet.put(path, bytes([member + 1]) * 40,
@@ -388,11 +358,9 @@ def test_member_records_identical_across_lock_modes():
         fleet.seal_many([p for paths in pinned.values()
                          for p in paths])
 
-    reports = {mode: fleet.audit()
-               for mode, fleet in (("shard", shard),
-                                   ("single", single))}
-    assert reports["shard"] == reports["single"]
-    records = reports["shard"].member_records
+    report, twin_report = (fleet.audit() for fleet in fleets)
+    assert report == twin_report
+    records = report.member_records
     assert {r.member for r in records} == set(pinned)
     for record in records:
         # member-local: the merged "m<i>:" prefix never leaks in
@@ -402,15 +370,13 @@ def test_member_records_identical_across_lock_modes():
 
 
 def test_index_feed_identical_across_lock_modes():
-    """The evidence index sees the same journal regardless of lock
-    mode: same ops in, byte-identical canonical state out."""
+    """The evidence index sees the same journal on twin fleets: same
+    ops in, byte-identical canonical state out."""
     from repro.search import EvidenceIndex
 
-    states = {}
-    for mode in ("shard", "single"):
+    states = []
+    for _twin in range(2):
         fleet = FleetStore.create(3, CONFIG)
-        if mode == "single":
-            _serialized(fleet)
         index = EvidenceIndex()
         fleet.attach_indexer(index)
         pinned = _pin_paths(fleet, 2)
@@ -424,5 +390,5 @@ def test_index_feed_identical_across_lock_modes():
         index.verify_journal()
         assert index.rebuild().canonical_bytes() == \
             index.canonical_bytes()
-        states[mode] = index.canonical_bytes()
-    assert states["shard"] == states["single"]
+        states.append(index.canonical_bytes())
+    assert states[0] == states[1]

@@ -2,8 +2,10 @@
 
 Four layers under test:
 
-* **wire protocol** — framed pickle round trips, host parsing, the
-  truncated-frame contract, the pre-authentication allocation bound;
+* **wire protocol** — framed pickle round trips, the frame layout and
+  the ``(request id, verb)`` envelope, host parsing, the
+  truncated-frame contract, the pre-authentication allocation bound,
+  probes that bound their own time and leave the pass pool alone;
 * **resolution** — ``fleet_hosts`` through the full policy chain
   (explicit > ``repro.engine(fleet_hosts=...)`` > installed policy >
   ``REPRO_FLEET_HOSTS`` read lazily at dispatch) and
@@ -23,6 +25,10 @@ fixture); every test that does not need them runs without.
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+import pickle
+import re
 import socket
 import threading
 import time
@@ -105,10 +111,56 @@ def test_frame_roundtrip_over_socketpair():
         b.close()
 
 
+@pytest.mark.parametrize("secret", [None, "hunter2"])
+def test_frame_layout_is_header_body_digest(secret):
+    """A frame on the wire is the magic, the 8-byte body length, the
+    pickle body and — signed — HMAC-SHA256 over header and body;
+    nothing follows.  The array is big enough that it would once have
+    travelled as a buffer segment after the body."""
+    message = {"snapshot": np.arange(1024), "n": 7}
+    a, b = socket.socketpair()
+    try:
+        sent = send_frame(a, message, secret=secret)
+        a.close()
+        raw = bytearray()
+        while chunk := b.recv(1 << 16):
+            raw += chunk
+    finally:
+        b.close()
+    body = pickle.dumps(message, protocol=5)
+    header = (b"SRP2" if secret is None else b"SRH2") \
+        + len(body).to_bytes(8, "big")
+    digest = b"" if secret is None else hmac.new(
+        secret.encode(), header + body, hashlib.sha256).digest()
+    assert bytes(raw) == header + body + digest
+    assert sent == len(body)
+
+
+@pytest.mark.parametrize("magic", [b"SRPC", b"SRPH"])
+def test_old_frame_magic_is_refused(magic):
+    """10.x framed with ``SRPC``/``SRPH`` and buffer segments after the
+    body: an 11.x receiver refuses such a frame on its magic, at once,
+    whether or not it holds a secret."""
+    from repro.parallel import RpcProtocolError
+
+    body = pickle.dumps((0, ("ping",)), protocol=5)
+    for secret in (None, "hunter2"):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(magic + len(body).to_bytes(8, "big") + body
+                      + (0).to_bytes(4, "big"))
+            a.close()
+            with pytest.raises(RpcProtocolError,
+                               match=re.escape(repr(magic))):
+                recv_frame(b, secret=secret)
+        finally:
+            b.close()
+
+
 def test_truncated_frame_raises_connection_error():
     a, b = socket.socketpair()
     try:
-        a.sendall(b"SRPC" + (200).to_bytes(8, "big") + b"only a little")
+        a.sendall(b"SRP2" + (200).to_bytes(8, "big") + b"only a little")
         a.close()
         with pytest.raises(RpcConnectionError, match="mid-frame"):
             recv_frame(b)
@@ -117,32 +169,88 @@ def test_truncated_frame_raises_connection_error():
 
 
 @pytest.mark.parametrize("secret", [None, "hunter2"])
-def test_oversized_segment_total_refused_before_allocation(
-        monkeypatch, secret):
-    """The frame cap bounds body *plus* segments: a header whose
-    segment lengths only add up past it is refused before the
-    receiver allocates a byte for them — signed or not, since the
-    lengths are read ahead of the HMAC check either way."""
+def test_oversized_body_refused_before_any_body_read(secret):
+    """The cap is checked on the header's length before a body byte is
+    read — signed or not, since the length is parsed ahead of the HMAC
+    check either way: a header promising cap + 1 bytes, then EOF, is
+    refused for its size, not reported as a frame cut short."""
     from repro.parallel import RpcProtocolError
 
-    allocated = []
-    monkeypatch.setattr(remote_mod, "MAX_FRAME_BYTES", 4096)
-    monkeypatch.setattr(
-        remote_mod, "bytearray",
-        lambda n: allocated.append(n) or bytearray(n), raising=False)
-    magic = b"SRPC" if secret is None else b"SRPH"
-    body = b"\x00" * 3000
+    magic = b"SRP2" if secret is None else b"SRH2"
     a, b = socket.socketpair()
     try:
-        # each length alone is under the cap; body + segment is not
-        a.sendall(magic + len(body).to_bytes(8, "big") + body
-                  + (1).to_bytes(4, "big") + (2000).to_bytes(8, "big"))
+        a.sendall(magic
+                  + (remote_mod.MAX_FRAME_BYTES + 1).to_bytes(8, "big"))
         a.close()
         with pytest.raises(RpcProtocolError, match="cap"):
             recv_frame(b, secret=secret)
-        assert allocated == []
     finally:
         b.close()
+
+
+def test_frame_allocates_only_what_arrives():
+    """A 14-byte prefix promising a 512 MiB body (within the default
+    cap) makes the receiver hold only what arrived: it gives up on its
+    socket deadline with a traced peak far below the promise."""
+    import tracemalloc
+
+    from repro.parallel import RpcTimeoutError
+
+    assert 512 << 20 <= remote_mod.MAX_FRAME_BYTES
+    a, b = socket.socketpair()
+    b.settimeout(0.5)
+    try:
+        a.sendall(b"SRP2" + (512 << 20).to_bytes(8, "big") + b"\x80\x05")
+        tracemalloc.start()
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(RpcTimeoutError):
+                recv_frame(b, secret=None)
+            elapsed = time.monotonic() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 2.0
+        assert peak < 4 << 20
+    finally:
+        a.close()
+        b.close()
+
+
+def test_worker_drops_an_untagged_request(workers):
+    """Every request is ``(request id, verb tuple)``: a bare
+    ``("ping",)`` frame gets the connection closed, not a reply; a
+    tagged one is answered under its id, and an unknown verb inside a
+    well-formed envelope still gets a typed error reply."""
+    host, port = remote_mod.parse_host(workers[0])
+    with socket.create_connection((host, port), timeout=5.0) as sock:
+        send_frame(sock, ("ping",), secret=None)
+        with pytest.raises(EOFError):
+            recv_frame(sock, secret=None)
+    with socket.create_connection((host, port), timeout=5.0) as sock:
+        send_frame(sock, (7, ("ping",)), secret=None)
+        rid, (tag, pid) = recv_frame(sock, secret=None)
+        assert (rid, tag) == (7, "pong") and pid > 0
+        send_frame(sock, (8, ("bogus",)), secret=None)
+        rid, response = recv_frame(sock, secret=None)
+        assert rid == 8
+        assert response[0] == "err" and response[2] == "RpcProtocolError"
+
+
+def test_probe_honours_its_timeout():
+    """``ping``'s timeout bounds the whole probe: against a refused
+    port it gives up after about ``timeout`` seconds, with no pass
+    dial grace nested inside each of its retries."""
+    holder = socket.socket()
+    holder.bind(("127.0.0.1", 0))  # bound, never listening: refused
+    try:
+        addr = f"127.0.0.1:{holder.getsockname()[1]}"
+        t0 = time.monotonic()
+        with pytest.raises(RpcConnectionError):
+            ping(addr, timeout=0.3)
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        holder.close()
 
 
 def test_ping_and_worker_pid(workers):
@@ -348,6 +456,28 @@ def test_session_fleet_store_surface(workers):
     assert 0 < sum(fleet_b.last_op.bytes_out.values()) < cold_bytes / 10
 
 
+def test_session_registry_holds_stores_weakly():
+    """The session registry is keyed by the store and holds it weakly:
+    once a store is collected its entry is gone, and a new store
+    starts at generation 0 under a fresh key."""
+    import gc
+
+    from repro.parallel import session as session_mod
+
+    store = device_rack(n=1, blocks=16).members[0]
+    record = session_mod.session_for(store)
+    record.invalidate()
+    assert session_mod.session_for(store) is record
+    assert record.generation == 1
+    del store
+    gc.collect()
+    assert all(entry is not record
+               for entry in list(session_mod._SESSIONS.values()))
+    other = device_rack(n=1, blocks=16).members[0]
+    fresh = session_mod.session_for(other)
+    assert fresh.generation == 0 and fresh.key != record.key
+
+
 # -- reporting plumbing --------------------------------------------------------
 
 
@@ -420,16 +550,19 @@ def test_close_executors_closes_rpc_pools(workers):
     assert fleet.last_op.executor == "rpc"
 
 
-def test_call_worker_reconnects_after_stale_pooled_socket(workers):
-    """A pooled socket whose peer vanished is redialled transparently
-    when the failure happens before the request is delivered."""
-    addr = workers[0]
-    assert isinstance(ping(addr), int)  # leaves a pooled connection
-    # sabotage: shut down every pooled socket to this worker locally
-    with remote_mod._POOL_LOCK:
-        for sock in remote_mod._POOL.get(addr, []):
-            sock.shutdown(socket.SHUT_RDWR)
-    assert isinstance(ping(addr), int)  # reconnect, not an error
+def test_probes_leave_the_pass_pool_alone(workers):
+    """A probe dials a connection of its own and closes it: ``ping``
+    neither parks a socket in the pass pool nor borrows one from it."""
+    close_connection_pools()
+    for addr in workers:
+        assert ping(addr) > 0
+    assert _pooled_connections() == 0
+    device_rack(RpcExecutor(workers), n=2, blocks=16).format_devices()
+    pooled = {addr: _pooled_connections(addr) for addr in workers}
+    assert sum(pooled.values()) > 0
+    for addr in workers:
+        assert ping(addr) > 0
+    assert {addr: _pooled_connections(addr) for addr in workers} == pooled
 
 
 def test_worker_replies_without_nagle():
