@@ -29,36 +29,12 @@ explicit update.
 from __future__ import annotations
 
 from .policy import (
-    DEFAULT_EXECUTOR,
-    DEFAULT_GATEWAY_BIND,
-    EXECUTOR_ENV_VAR,
-    FLEET_HOSTS_ENV_VAR,
-    FLEET_ON_FAILURE_ENV_VAR,
     FLEET_ON_FAILURE_MODES,
-    FLEET_RETRIES_ENV_VAR,
-    FLEET_SECRET_ENV_VAR,
-    FLEET_TIMEOUT_ENV_VAR,
-    GATEWAY_BIND_ENV_VAR,
-    GATEWAY_TOKEN_FILE_ENV_VAR,
     GATEWAY_TOKENS_ENV_VAR,
-    SEARCH_FRAGMENT_COUNT_ENV_VAR,
-    SEARCH_FRAGMENT_SIZE_ENV_VAR,
-    SEARCH_MAX_HITS_ENV_VAR,
     ExecutionPolicy,
     describe_policy,
     engine,
     get_policy,
-    resolve_executor_name,
-    resolve_fleet_hosts,
-    resolve_fleet_on_failure,
-    resolve_fleet_retries,
-    resolve_fleet_secret,
-    resolve_fleet_timeout,
-    resolve_gateway_bind,
-    resolve_gateway_token_file,
-    resolve_search_fragment_count,
-    resolve_search_fragment_size,
-    resolve_search_max_hits,
     set_policy,
 )
 from ..parallel import (
@@ -98,38 +74,13 @@ __all__ = [
     "set_policy",
     "get_policy",
     "describe_policy",
+    "FLEET_ON_FAILURE_MODES",
     # fleet executors
     "FleetExecutor",
     "MemberFailure",
-    "resolve_executor_name",
-    "resolve_fleet_hosts",
-    "resolve_fleet_on_failure",
-    "resolve_fleet_retries",
-    "resolve_fleet_secret",
-    "resolve_fleet_timeout",
     "resolve_fleet_executor",
-    "EXECUTOR_ENV_VAR",
-    "FLEET_HOSTS_ENV_VAR",
-    "FLEET_ON_FAILURE_ENV_VAR",
-    "FLEET_ON_FAILURE_MODES",
-    "FLEET_RETRIES_ENV_VAR",
-    "FLEET_SECRET_ENV_VAR",
-    "FLEET_TIMEOUT_ENV_VAR",
-    "DEFAULT_EXECUTOR",
-    # gateway config (the gateway itself lives in repro.gateway)
-    "resolve_gateway_bind",
-    "resolve_gateway_token_file",
-    "GATEWAY_BIND_ENV_VAR",
+    # gateway credentials (the gateway itself lives in repro.gateway)
     "GATEWAY_TOKENS_ENV_VAR",
-    "GATEWAY_TOKEN_FILE_ENV_VAR",
-    "DEFAULT_GATEWAY_BIND",
-    # evidence search config (the index itself lives in repro.search)
-    "resolve_search_fragment_size",
-    "resolve_search_fragment_count",
-    "resolve_search_max_hits",
-    "SEARCH_FRAGMENT_SIZE_ENV_VAR",
-    "SEARCH_FRAGMENT_COUNT_ENV_VAR",
-    "SEARCH_MAX_HITS_ENV_VAR",
     # store façade
     *_STORE_EXPORTS,
     # fleet façade

@@ -72,7 +72,7 @@ from ..parallel import (
     resolve_fleet_executor,
     shard_key,
 )
-from .policy import resolve_executor_name
+from .policy import resolve
 from .store import (
     AuditReport,
     EvidenceExport,
@@ -113,7 +113,7 @@ def _executor_pin(executor: Union[None, str, FleetExecutor]
     pass."""
     if executor is None or isinstance(executor, FleetExecutor):
         return executor
-    return resolve_executor_name(executor)[0]
+    return resolve("executor", executor)[0]
 
 
 def _require_store(member: object) -> TamperEvidentStore:

@@ -20,13 +20,14 @@ the resolution order is walked, **lazily at each decision point**:
 
 Everything else derives from the table: :class:`ExecutionPolicy`
 validates each field with its row's ``check``, :func:`engine` forwards
-its keywords to it, :func:`describe_policy` loops over the rows, and
-the public ``resolve_*`` / ``*_ENV_VAR`` / ``DEFAULT_*`` names are
-one-line aliases onto it: adding a knob is adding a row (plus its
-``ExecutionPolicy`` field).  Which implementation of the paper's
-protocol runs is *not* a knob: the scalar reference is reachable only
-through the explicit arguments of the functions that have a twin
-(``DeviceConfig(span_engine=False)`` and friends).
+its keywords to it, and :func:`describe_policy` loops over the rows.
+Code reads a knob as ``resolve("<name>", explicit)`` and its variable
+or default as ``KNOBS["<name>"].env_var`` / ``.default``: adding a
+knob is adding a row (plus its ``ExecutionPolicy`` field).  Which
+implementation of the paper's protocol runs is *not* a knob: the
+scalar reference is reachable only through the explicit arguments of
+the functions that have a twin (``DeviceConfig(span_engine=False)``
+and friends).
 
 The storage layers (``medium``, ``physics``, ``crypto``, ``device``,
 ``integrity``, ``fs``) never import this module.  At import time it
@@ -194,21 +195,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
              "full match set)"),
 )}
 
-# Public names for the rows' environment variables and defaults.
-EXECUTOR_ENV_VAR = KNOBS["executor"].env_var
-FLEET_HOSTS_ENV_VAR = KNOBS["fleet_hosts"].env_var
-FLEET_TIMEOUT_ENV_VAR = KNOBS["fleet_timeout"].env_var
-FLEET_RETRIES_ENV_VAR = KNOBS["fleet_retries"].env_var
-FLEET_ON_FAILURE_ENV_VAR = KNOBS["fleet_on_failure"].env_var
-FLEET_SECRET_ENV_VAR = KNOBS["fleet_secret"].env_var
-GATEWAY_BIND_ENV_VAR = KNOBS["gateway_bind"].env_var
-GATEWAY_TOKEN_FILE_ENV_VAR = KNOBS["gateway_token_file"].env_var
-SEARCH_FRAGMENT_SIZE_ENV_VAR = KNOBS["search_fragment_size"].env_var
-SEARCH_FRAGMENT_COUNT_ENV_VAR = KNOBS["search_fragment_count"].env_var
-SEARCH_MAX_HITS_ENV_VAR = KNOBS["search_max_hits"].env_var
-DEFAULT_EXECUTOR = KNOBS["executor"].default
-DEFAULT_GATEWAY_BIND = KNOBS["gateway_bind"].default
-
 
 # ---------------------------------------------------------------------------
 # Policy objects
@@ -321,29 +307,6 @@ def resolve(name: str, explicit: object = None) -> Tuple[object, str]:
             if knob.strict_env:
                 raise
     return knob.default, "default"
-
-
-def _alias(name: str) -> Callable[..., Tuple[object, str]]:
-    """The public ``resolve_<knob>(explicit=None)`` spelling of
-    ``resolve(name, explicit)``, documented from the row."""
-    def resolver(explicit: object = None) -> Tuple[object, str]:
-        return resolve(name, explicit)
-    resolver.__doc__ = (f"``(value, deciding layer)`` for the ``{name}`` "
-                        f"knob: {KNOBS[name].doc}.")
-    return resolver
-
-
-resolve_executor_name = _alias("executor")
-resolve_fleet_hosts = _alias("fleet_hosts")
-resolve_fleet_timeout = _alias("fleet_timeout")
-resolve_fleet_retries = _alias("fleet_retries")
-resolve_fleet_on_failure = _alias("fleet_on_failure")
-resolve_fleet_secret = _alias("fleet_secret")
-resolve_gateway_bind = _alias("gateway_bind")
-resolve_gateway_token_file = _alias("gateway_token_file")
-resolve_search_fragment_size = _alias("search_fragment_size")
-resolve_search_fragment_count = _alias("search_fragment_count")
-resolve_search_max_hits = _alias("search_max_hits")
 
 
 def describe_knob(name: str) -> Dict[str, object]:

@@ -7,12 +7,11 @@ serve`` needs, each knob resolved through the established chain
 > environment variable > default) and its deciding layer recorded —
 the gateway's answer to :func:`repro.api.describe_policy`:
 
-* **bind address** — :func:`repro.api.resolve_gateway_bind`
+* **bind address** — the ``gateway_bind`` knob
   (``REPRO_GATEWAY_BIND``, default loopback ``127.0.0.1:8473``);
 * **credentials** — the inline spec ``REPRO_GATEWAY_TOKENS`` wins
-  over a token file (explicit path >
-  :func:`repro.api.resolve_gateway_token_file` /
-  ``REPRO_GATEWAY_TOKEN_FILE``), because the inline variable is the
+  over a token file (explicit path > the ``gateway_token_file`` knob
+  / ``REPRO_GATEWAY_TOKEN_FILE``), because the inline variable is the
   container-native deployment and the file is the mounted-secret one;
   with neither, the gateway refuses to start;
 * **fleet shape** — gateway-local variables
@@ -29,7 +28,7 @@ the gateway's answer to :func:`repro.api.describe_policy`:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..api import policy as _policy
@@ -83,7 +82,6 @@ class GatewaySettings:
     members: int = DEFAULT_GATEWAY_MEMBERS
     seed: int = DEFAULT_GATEWAY_SEED
     total_blocks: int = DEFAULT_GATEWAY_BLOCKS
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     @classmethod
     def resolve(cls, *, bind: Optional[str] = None,
@@ -99,11 +97,14 @@ class GatewaySettings:
         one.  Explicit spec > explicit file > env spec > resolved
         file (context/policy/env).
         """
-        bind_value, bind_source = _policy.resolve_gateway_bind(bind)
-        host, _sep, port_text = bind_value.rpartition(":")
+        # the wire-protocol module owns host:port parsing
+        from ..parallel.remote import parse_host
+
+        bind_value, bind_source = _policy.resolve("gateway_bind", bind)
+        host, port = parse_host(bind_value)
         table, tokens_source = cls._resolve_tokens(tokens, token_file)
         return cls(
-            host=host, port=int(port_text), bind_source=bind_source,
+            host=host, port=port, bind_source=bind_source,
             tokens=table, tokens_source=tokens_source,
             members=members if members is not None else _env_int(
                 GATEWAY_MEMBERS_ENV_VAR, DEFAULT_GATEWAY_MEMBERS,
@@ -126,14 +127,15 @@ class GatewaySettings:
                 return TokenTable.from_spec(
                     inline, where=_policy.GATEWAY_TOKENS_ENV_VAR), "env"
             token_file, file_source = \
-                _policy.resolve_gateway_token_file(None)
+                _policy.resolve("gateway_token_file")
         else:
             file_source = "explicit"
         if token_file is None:
             raise ConfigurationError(
                 "no gateway credentials configured: set "
                 f"{_policy.GATEWAY_TOKENS_ENV_VAR} to an inline token "
-                f"spec, or point {_policy.GATEWAY_TOKEN_FILE_ENV_VAR} "
+                "spec, or point "
+                f"{_policy.KNOBS['gateway_token_file'].env_var} "
                 "(or the gateway_token_file policy field) at a token "
                 "file")
         try:

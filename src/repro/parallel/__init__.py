@@ -33,7 +33,6 @@ from .ring import HashRing, shard_key
 #: module only loads when rpc dispatch is actually used, and
 #: ``python -m repro.parallel.remote`` does not double-import it.
 _REMOTE_EXPORTS = (
-    "HOSTS_ENV_VAR",
     "LocalWorker",
     "RemoteTaskError",
     "RpcConnectionError",
@@ -64,7 +63,6 @@ def __dir__():
 
 
 __all__ = [
-    "HOSTS_ENV_VAR",
     "LocalWorker",
     "RemoteTaskError",
     "RpcConnectionError",

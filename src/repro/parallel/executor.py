@@ -182,7 +182,7 @@ def resolve_fleet_executor(
     # initialising (repro.api re-exports this function)
     from ..api import policy as _policy
 
-    name, _source = _policy.resolve_executor_name(explicit)
+    name, _source = _policy.resolve("executor", explicit)
     if name == "serial":
         return SerialExecutor()
     # the wire-protocol module loads only when rpc dispatch is selected

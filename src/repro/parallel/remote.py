@@ -126,10 +126,6 @@ from .executor import (
 )
 from .ring import HashRing
 
-#: Environment variable naming the worker hosts (``host:port`` items,
-#: comma-separated), read lazily at each dispatch.
-HOSTS_ENV_VAR = _policy.FLEET_HOSTS_ENV_VAR
-
 #: Frame header: magic + 8-byte big-endian body length.  ``SRP2``
 #: frames are unsigned; ``SRH2`` frames carry a trailing HMAC-SHA256
 #: digest over header and body.  10.x peers framed with ``SRPC``/
@@ -234,7 +230,7 @@ _AMBIENT = _Ambient()
 
 def _resolve_secret(secret: Any) -> Optional[str]:
     if isinstance(secret, _Ambient):
-        return _policy.resolve_fleet_secret(None)[0]
+        return _policy.resolve("fleet_secret")[0]
     return secret
 
 
@@ -464,7 +460,7 @@ def _is_loopback(host: str) -> bool:
     if host == "localhost":
         return True
     try:
-        return ipaddress.ip_address(host.strip("[]")).is_loopback
+        return ipaddress.ip_address(host).is_loopback
     except ValueError:
         return False  # any other name may resolve to any interface
 
@@ -481,13 +477,13 @@ def serve(bind: str, *, announce=print) -> None:
     """
     host, port = parse_host(bind)
     if not _is_loopback(host) \
-            and _policy.resolve_fleet_secret(None)[0] is None:
+            and _policy.resolve("fleet_secret")[0] is None:
         raise ConfigurationError(
             f"refusing to serve unsigned SRPC on non-loopback {bind!r}: "
             "frames are unpickled, so any peer that reaches the port "
             "could run code here; export "
-            f"{_policy.FLEET_SECRET_ENV_VAR} on the worker and its "
-            "clients, or bind a loopback address")
+            f"{_policy.KNOBS['fleet_secret'].env_var} on the worker and "
+            "its clients, or bind a loopback address")
     with _WorkerServer((host, port), _WorkerHandler) as server:
         bound_host, bound_port = server.server_address[:2]
         announce(f"SRPC listening on {bound_host}:{bound_port}")
@@ -502,11 +498,19 @@ def serve(bind: str, *, announce=print) -> None:
 
 
 def parse_host(spec: str) -> Tuple[str, int]:
-    """``"host:port"`` → ``(host, port)`` with validation."""
+    """``"host:port"`` → ``(host, port)`` with validation.
+
+    Workers and the gateway listen on IPv4 sockets only, so an IPv6
+    literal (``[::1]:7401``, ``::1:7401``) is refused here rather than
+    failing later as a resolver error or an unreachable host.
+    """
     host, sep, port_text = str(spec).strip().rpartition(":")
     if not sep or not host:
         raise ConfigurationError(
             f"fleet host must be 'host:port', got {spec!r}")
+    if any(char in host for char in ":[]"):
+        raise ConfigurationError(
+            f"fleet host must be an IPv4 address or a name, got {spec!r}")
     try:
         port = int(port_text)
     except ValueError:
@@ -929,14 +933,15 @@ class RpcExecutor(FleetExecutor):
         if self.hosts is not None:
             return self.hosts
         # lazy, like every other policy switch: read at dispatch time
-        hosts, _source = _policy.resolve_fleet_hosts(None)
+        hosts, _source = _policy.resolve("fleet_hosts")
         if not hosts:
             raise ConfigurationError(
                 "the rpc executor needs worker hosts: pass "
                 "RpcExecutor(hosts=[...]), scope "
                 "repro.engine(fleet_hosts=...), or export "
-                f"{HOSTS_ENV_VAR}=host:port,host:port (start workers "
-                "with `python -m repro.parallel.remote serve`)")
+                f"{_policy.KNOBS['fleet_hosts'].env_var}=host:port,"
+                "host:port (start workers with `python -m "
+                "repro.parallel.remote serve`)")
         return parse_hosts(hosts)
 
     @staticmethod
@@ -960,11 +965,11 @@ class RpcExecutor(FleetExecutor):
         chain — the secret resolved here, on the caller's thread, so a
         ``repro.engine(fleet_secret=...)`` scope reaches the dispatch
         threads it would otherwise never propagate into."""
-        deadline, _src = _policy.resolve_fleet_timeout(self.timeout)
-        retries, _src = _policy.resolve_fleet_retries(self.retries)
-        on_failure, _src = _policy.resolve_fleet_on_failure(
-            self.on_failure)
-        secret, _src = _policy.resolve_fleet_secret(self.secret)
+        deadline, _src = _policy.resolve("fleet_timeout", self.timeout)
+        retries, _src = _policy.resolve("fleet_retries", self.retries)
+        on_failure, _src = _policy.resolve(
+            "fleet_on_failure", self.on_failure)
+        secret, _src = _policy.resolve("fleet_secret", self.secret)
         return deadline, retries, on_failure, secret
 
     @staticmethod
@@ -1399,7 +1404,7 @@ def spawn_local_worker(bind: str = "127.0.0.1:0", *,
     env["PYTHONPATH"] = package_root + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     if secret is not None:
-        env[_policy.FLEET_SECRET_ENV_VAR] = secret
+        env[_policy.KNOBS["fleet_secret"].env_var] = secret
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.parallel.remote", "serve",
          "--bind", bind],

@@ -12,7 +12,7 @@ hits identically.
 Snippet highlighting follows the openaleph-search parameter surface
 (SNIPPETS.md snippet 2): a ``fragment_size`` / ``fragment_count`` pair
 resolved through the five-layer policy chain
-(:func:`repro.api.policy.resolve_search_fragment_size` /
+(``repro.api.policy.resolve("search_fragment_size")`` /
 ``REPRO_SEARCH_FRAGMENT_SIZE`` and friends), ``fragment_count=0``
 meaning "the whole text, highlighted".  Matches are wrapped in
 ``<em>`` tags.
@@ -38,11 +38,7 @@ from typing import (
     Union,
 )
 
-from ..api.policy import (
-    resolve_search_fragment_count,
-    resolve_search_fragment_size,
-    resolve_search_max_hits,
-)
+from ..api.policy import resolve
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _FIELD_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
@@ -171,8 +167,8 @@ def highlight_fragments(text: str, terms: Sequence[str], *,
     whole text as one highlighted fragment.  No term occurrence →
     no fragments.
     """
-    size, _src = resolve_search_fragment_size(fragment_size)
-    count, _src = resolve_search_fragment_count(fragment_count)
+    size, _src = resolve("search_fragment_size", fragment_size)
+    count, _src = resolve("search_fragment_count", fragment_count)
     lower = text.lower()
     spans: List[Tuple[int, int]] = []
     for term in dict.fromkeys(t.lower() for t in terms if t):
@@ -240,7 +236,7 @@ def assemble_result(query: Query,
     full scan recomputes them — so both executions produce identical
     :class:`SearchResult` objects.
     """
-    max_hits, _src = resolve_search_max_hits(limit)
+    max_hits, _src = resolve("search_max_hits", limit)
 
     def score(doc_id: str) -> int:
         if not query.terms:

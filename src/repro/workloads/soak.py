@@ -34,8 +34,7 @@ of overwriting the file, so regressions in fault-tolerant throughput
 show up as a bend in the series rather than silently replacing the
 only datapoint.  The ``trajectory`` list keeps every datapoint ever
 recorded; full run payloads are bounded to the most recent
-:data:`MAX_KEPT_RUNS`.  A pre-trajectory single-run file is migrated
-in place as the first datapoint.
+:data:`MAX_KEPT_RUNS`.
 """
 
 from __future__ import annotations
@@ -549,13 +548,8 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
 
 def _trajectory_point(payload: Dict[str, object]) -> Dict[str, object]:
     """The compact per-run datapoint the unbounded series keeps."""
-    ops_per_second = payload.get("ops_per_second")
-    if ops_per_second is None:  # pre-trajectory payloads: derive it
-        wall = payload.get("wall_seconds") or 0.0
-        ops_per_second = round(
-            payload.get("ops_completed", 0) / wall, 3) if wall else 0.0
     return {
-        "ops_per_second": ops_per_second,
+        "ops_per_second": payload.get("ops_per_second", 0.0),
         "ops_completed": payload.get("ops_completed", 0),
         "wall_seconds": payload.get("wall_seconds", 0.0),
         "kills": payload.get("kills", 0),
@@ -573,9 +567,8 @@ def append_trajectory(path: str, payload: Dict[str, object]) -> Dict[str, object
     The file holds ``{"bench": "soak", "trajectory": [...], "runs":
     [...]}`` — the series keeps every run's ops/s-under-faults
     datapoint, ``runs`` the last :data:`MAX_KEPT_RUNS` full payloads.
-    A legacy single-run file (one payload at top level) is migrated in
-    place as the first datapoint; an unreadable file is restarted
-    rather than crashing the soak that just passed.
+    A file that holds no trajectory (unparsable, or any other JSON) is
+    restarted rather than crashing the soak that just passed.
     """
     document: Dict[str, object] = {"bench": "soak",
                                    "trajectory": [], "runs": []}
@@ -587,10 +580,6 @@ def append_trajectory(path: str, payload: Dict[str, object]) -> Dict[str, object
             document["trajectory"] = existing["trajectory"]
             runs = existing.get("runs")
             document["runs"] = runs if isinstance(runs, list) else []
-        elif isinstance(existing, dict) and "ops_completed" in existing:
-            # pre-trajectory format: one run payload at top level
-            document["trajectory"] = [_trajectory_point(existing)]
-            document["runs"] = [existing]
     except (OSError, ValueError):
         pass
     document["trajectory"].append(_trajectory_point(payload))

@@ -14,7 +14,7 @@ from repro.api.policy import (
     ExecutionPolicy,
     describe_policy,
     engine,
-    resolve_executor_name,
+    resolve,
     set_policy,
 )
 
@@ -23,15 +23,16 @@ from repro.api.policy import (
 def _clean_policy_state(monkeypatch):
     """Every test starts from the default resolution state (no env, no
     installed policy)."""
-    monkeypatch.delenv(pol.EXECUTOR_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_FLEET_EXECUTOR", raising=False)
     set_policy(None)
     yield
     set_policy(None)
 
 
-def test_default_is_vectorized():
+def test_default_is_vectorized(monkeypatch):
     # 7.0: the numpy engines are plain defaults of the five functions
     # that have a scalar twin; no ambient lookup stands behind them
+    monkeypatch.setenv("REPRO_SPAN_ENGINE", "0")  # a stale export is inert
     from repro.device.sero import DeviceConfig
     from repro.integrity.venti import VentiStore
     from repro.medium.defects import scan_for_defects
@@ -49,63 +50,75 @@ def test_default_is_vectorized():
 
 def test_env_layer_is_read_lazily(monkeypatch):
     # flipping the variable *after import* must take effect everywhere
-    assert resolve_executor_name() == ("serial", "default")
-    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "rpc")
-    assert resolve_executor_name() == ("rpc", "env")
-    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "RPC")
-    assert resolve_executor_name() == ("rpc", "env")
-    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "SERIAL")
-    assert resolve_executor_name() == ("serial", "env")
-    monkeypatch.delenv(pol.EXECUTOR_ENV_VAR)
-    assert resolve_executor_name() == ("serial", "default")
+    assert resolve("executor") == ("serial", "default")
+    monkeypatch.setenv("REPRO_FLEET_EXECUTOR", "rpc")
+    assert resolve("executor") == ("rpc", "env")
+    monkeypatch.setenv("REPRO_FLEET_EXECUTOR", "RPC")
+    assert resolve("executor") == ("rpc", "env")
+    monkeypatch.setenv("REPRO_FLEET_EXECUTOR", "SERIAL")
+    assert resolve("executor") == ("serial", "env")
+    monkeypatch.delenv("REPRO_FLEET_EXECUTOR")
+    assert resolve("executor") == ("serial", "default")
+    # 8.0 removed the process executor: a stale export runs serial
+    monkeypatch.setenv("REPRO_FLEET_EXECUTOR", "process")
+    assert resolve("executor") == ("serial", "default")
+
+
+def test_engine_takes_knob_keywords_only():
+    # 7.0: no positional engine name; 8.0: two executors
+    with pytest.raises(TypeError):
+        engine("scalar")
+    for name in ("thread", "process"):
+        with pytest.raises(ValueError):
+            engine(executor=name)
 
 
 def test_policy_beats_env(monkeypatch):
-    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "rpc")
+    monkeypatch.setenv("REPRO_FLEET_EXECUTOR", "rpc")
     set_policy(ExecutionPolicy(executor="serial"))
-    assert resolve_executor_name() == ("serial", "policy")
+    assert resolve("executor") == ("serial", "policy")
     set_policy(None)
-    assert resolve_executor_name() == ("rpc", "env")
+    assert resolve("executor") == ("rpc", "env")
 
 
 def test_context_beats_policy():
     set_policy(ExecutionPolicy(executor="serial"))
     with engine(executor="rpc"):
-        assert resolve_executor_name() == ("rpc", "context")
-    assert resolve_executor_name() == ("serial", "policy")
+        assert resolve("executor") == ("rpc", "context")
+    assert resolve("executor") == ("serial", "policy")
 
 
 def test_explicit_arg_beats_everything(monkeypatch):
-    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "rpc")
+    monkeypatch.setenv("REPRO_FLEET_EXECUTOR", "rpc")
     set_policy(ExecutionPolicy(executor="rpc"))
     with engine(executor="rpc"):
-        assert resolve_executor_name("serial") == ("serial", "explicit")
+        assert resolve("executor", "serial") == ("serial", "explicit")
 
 
 def test_nested_contexts_innermost_wins():
     with engine(executor="rpc"):
-        assert resolve_executor_name()[0] == "rpc"
+        assert resolve("executor")[0] == "rpc"
         with engine(executor="serial"):
-            assert resolve_executor_name()[0] == "serial"
+            assert resolve("executor")[0] == "serial"
             with engine(executor="rpc"):
-                assert resolve_executor_name()[0] == "rpc"
-            assert resolve_executor_name() == ("serial", "context")
-        assert resolve_executor_name()[0] == "rpc"
-    assert resolve_executor_name() == ("serial", "default")
+                assert resolve("executor")[0] == "rpc"
+            assert resolve("executor") == ("serial", "context")
+        assert resolve("executor")[0] == "rpc"
+    assert resolve("executor") == ("serial", "default")
 
 
 def test_policy_use_context():
     custom = ExecutionPolicy(executor="rpc")
     with custom.use():
-        assert resolve_executor_name() == ("rpc", "context")
-    assert resolve_executor_name() == ("serial", "default")
+        assert resolve("executor") == ("rpc", "context")
+    assert resolve("executor") == ("serial", "default")
 
 
 def test_describe_policy_reports_source(monkeypatch):
     snap = describe_policy()
     assert snap["executor"] == "serial"
     assert snap["executor_source"] == "default"
-    monkeypatch.setenv(pol.EXECUTOR_ENV_VAR, "rpc")
+    monkeypatch.setenv("REPRO_FLEET_EXECUTOR", "rpc")
     assert describe_policy()["executor_source"] == "env"
     set_policy(ExecutionPolicy(executor="rpc"))
     assert describe_policy()["executor_source"] == "policy"
@@ -117,26 +130,26 @@ def test_describe_policy_reports_source(monkeypatch):
 
 def test_top_level_engine_export():
     with repro.engine(executor="rpc"):
-        assert repro.api.resolve_executor_name() == ("rpc", "context")
+        assert resolve("executor") == ("rpc", "context")
 
 
 # -- gateway / fleet-secret knobs (ISSUE 8) ---------------------------------
 
 
 def test_fleet_secret_resolution_layers(monkeypatch):
-    monkeypatch.delenv(pol.FLEET_SECRET_ENV_VAR, raising=False)
-    assert pol.resolve_fleet_secret() == (None, "default")
+    monkeypatch.delenv("REPRO_FLEET_SECRET", raising=False)
+    assert resolve("fleet_secret") == (None, "default")
 
-    monkeypatch.setenv(pol.FLEET_SECRET_ENV_VAR, "env-key")
-    assert pol.resolve_fleet_secret() == ("env-key", "env")
+    monkeypatch.setenv("REPRO_FLEET_SECRET", "env-key")
+    assert resolve("fleet_secret") == ("env-key", "env")
 
     set_policy(ExecutionPolicy(fleet_secret="policy-key"))
-    assert pol.resolve_fleet_secret() == ("policy-key", "policy")
+    assert resolve("fleet_secret") == ("policy-key", "policy")
 
     with engine(fleet_secret="context-key"):
-        assert pol.resolve_fleet_secret() == ("context-key", "context")
+        assert resolve("fleet_secret") == ("context-key", "context")
 
-    assert pol.resolve_fleet_secret("arg-key") == ("arg-key", "explicit")
+    assert resolve("fleet_secret", "arg-key") == ("arg-key", "explicit")
 
 
 def test_fleet_secret_validated_and_masked_in_describe(monkeypatch):
@@ -154,37 +167,37 @@ def test_fleet_secret_validated_and_masked_in_describe(monkeypatch):
 
 
 def test_gateway_bind_resolution_layers(monkeypatch):
-    monkeypatch.delenv(pol.GATEWAY_BIND_ENV_VAR, raising=False)
-    assert pol.resolve_gateway_bind() == \
-        (pol.DEFAULT_GATEWAY_BIND, "default")
+    monkeypatch.delenv("REPRO_GATEWAY_BIND", raising=False)
+    assert resolve("gateway_bind") == \
+        ("127.0.0.1:8473", "default")
 
-    monkeypatch.setenv(pol.GATEWAY_BIND_ENV_VAR, "0.0.0.0:9100")
-    assert pol.resolve_gateway_bind() == ("0.0.0.0:9100", "env")
+    monkeypatch.setenv("REPRO_GATEWAY_BIND", "0.0.0.0:9100")
+    assert resolve("gateway_bind") == ("0.0.0.0:9100", "env")
 
     set_policy(ExecutionPolicy(gateway_bind="127.0.0.1:9200"))
-    assert pol.resolve_gateway_bind() == ("127.0.0.1:9200", "policy")
+    assert resolve("gateway_bind") == ("127.0.0.1:9200", "policy")
 
     with engine(gateway_bind="127.0.0.1:9300"):
-        assert pol.resolve_gateway_bind() == \
+        assert resolve("gateway_bind") == \
             ("127.0.0.1:9300", "context")
 
-    assert pol.resolve_gateway_bind("h:9400") == ("h:9400", "explicit")
+    assert resolve("gateway_bind", "h:9400") == ("h:9400", "explicit")
     with pytest.raises(Exception):
         ExecutionPolicy(gateway_bind="nonsense")
 
 
 def test_gateway_token_file_resolution_layers(monkeypatch):
-    monkeypatch.delenv(pol.GATEWAY_TOKEN_FILE_ENV_VAR, raising=False)
-    assert pol.resolve_gateway_token_file() == (None, "default")
+    monkeypatch.delenv("REPRO_GATEWAY_TOKEN_FILE", raising=False)
+    assert resolve("gateway_token_file") == (None, "default")
 
-    monkeypatch.setenv(pol.GATEWAY_TOKEN_FILE_ENV_VAR, "/etc/tk")
-    assert pol.resolve_gateway_token_file() == ("/etc/tk", "env")
+    monkeypatch.setenv("REPRO_GATEWAY_TOKEN_FILE", "/etc/tk")
+    assert resolve("gateway_token_file") == ("/etc/tk", "env")
 
     set_policy(ExecutionPolicy(gateway_token_file="/srv/tk"))
-    assert pol.resolve_gateway_token_file() == ("/srv/tk", "policy")
+    assert resolve("gateway_token_file") == ("/srv/tk", "policy")
 
     with engine(gateway_token_file="/ctx/tk"):
-        assert pol.resolve_gateway_token_file() == ("/ctx/tk", "context")
+        assert resolve("gateway_token_file") == ("/ctx/tk", "context")
 
-    assert pol.resolve_gateway_token_file("/x/tk") == \
+    assert resolve("gateway_token_file", "/x/tk") == \
         ("/x/tk", "explicit")

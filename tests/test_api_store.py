@@ -379,6 +379,9 @@ def test_describe_and_capacity(store):
     store.seal("/f")
     desc = store.describe()
     assert desc["filesystem"] and desc["sealed_lines"] == 1
+    assert "engine" not in desc  # 7.0: device.config.span_engine says
+    with pytest.raises(TypeError):
+        TamperEvidentStore.create(total_blocks=16, engine="scalar")
     cap = store.capacity()
     assert cap["total_blocks"] == 256
     assert cap["heated_blocks"] > 0

@@ -7,57 +7,39 @@ the same change, and call out the addition/removal in the PR.
 
 import ast
 import dataclasses
-import hashlib
+import functools
 import importlib.util
+import inspect
 import pathlib
+import pkgutil
+import re
 
 import pytest
+from removed import (BENCH_PATHS, REMOVED, env_rows, owners, row_id,
+                     scans_bench_paths)
 
 import repro
 import repro.api as api
-from repro.api.policy import KNOBS, Knob
+from repro.api.policy import KNOBS
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 #: The frozen surface.  Keep sorted.
 EXPECTED_API = sorted([
-    # execution policy
+    # execution policy (knobs are read through repro.api.policy.resolve)
     "ExecutionPolicy",
+    "FLEET_ON_FAILURE_MODES",
     "describe_policy",
     "engine",
     "get_policy",
     "set_policy",
-    # fleet executors (PR 4; remote hosts PR 5; fault tolerance PR 7;
-    # signed frames PR 8)
-    "DEFAULT_EXECUTOR",
-    "EXECUTOR_ENV_VAR",
-    "FLEET_HOSTS_ENV_VAR",
-    "FLEET_ON_FAILURE_ENV_VAR",
-    "FLEET_ON_FAILURE_MODES",
-    "FLEET_RETRIES_ENV_VAR",
-    "FLEET_SECRET_ENV_VAR",
-    "FLEET_TIMEOUT_ENV_VAR",
+    # fleet executors
     "FleetExecutor",
     "MemberFailure",
-    "resolve_executor_name",
     "resolve_fleet_executor",
-    "resolve_fleet_hosts",
-    "resolve_fleet_on_failure",
-    "resolve_fleet_retries",
-    "resolve_fleet_secret",
-    "resolve_fleet_timeout",
-    # gateway config (PR 8; the service itself is repro.gateway)
-    "DEFAULT_GATEWAY_BIND",
-    "GATEWAY_BIND_ENV_VAR",
+    # gateway credentials (the service itself is repro.gateway)
     "GATEWAY_TOKENS_ENV_VAR",
-    "GATEWAY_TOKEN_FILE_ENV_VAR",
-    "resolve_gateway_bind",
-    "resolve_gateway_token_file",
-    # evidence search config (PR 10; the index itself is repro.search)
-    "SEARCH_FRAGMENT_COUNT_ENV_VAR",
-    "SEARCH_FRAGMENT_SIZE_ENV_VAR",
-    "SEARCH_MAX_HITS_ENV_VAR",
-    "resolve_search_fragment_count",
-    "resolve_search_fragment_size",
-    "resolve_search_max_hits",
     # store façade
     "ArchiveReceipt",
     "AuditReport",
@@ -107,201 +89,89 @@ def test_top_level_reexports():
         assert getattr(repro, name) is getattr(api, name)
 
 
-def test_version_is_v11():
-    assert repro.__version__ == "11.0.0"
+def test_version_is_v12():
+    assert repro.__version__ == "12.0.0"
 
 
-def test_removed_fleet_doors_stay_shut():
-    """4.0: ``FleetStore`` is the only fleet façade and takes only
-    stores — no scheduler names, no bare-device wrap."""
-    import repro.workloads as workloads
-    from repro.device.sero import SERODevice
-
-    assert importlib.util.find_spec("repro.workloads.fleet") is None
-    assert not [name for name in dir(workloads)
-                if name.startswith(("Fleet", "Device"))]
-    assert not hasattr(api, "coerce_member")
-    with pytest.raises(TypeError, match=r"TamperEvidentStore\.attach"):
-        api.FleetStore([SERODevice.create(16)])
-    fleet = api.FleetStore(
-        [api.TamperEvidentStore.attach(SERODevice.create(16))])
-    with pytest.raises(TypeError, match=r"TamperEvidentStore\.attach"):
-        fleet.add_member(SERODevice.create(16))
-    assert fleet.member_count == 1
-
-
-def test_removed_sha256_doors_stay_shut(monkeypatch):
-    """5.0: ``hashlib`` is the one SHA-256 and the ``seal`` loop the
-    one seal path — no backend knob, pin, lane hash or staged heat."""
-    import repro.crypto
-    from repro.crypto import hashutil, sha256
-    from repro.device.sero import SERODevice
-    from repro.fs.lfs import SeroFS
-
-    with pytest.raises(TypeError):
-        api.engine(sha256="pure")
-    with pytest.raises(TypeError):
-        api.ExecutionPolicy(sha256_backend="pure")
-    assert len(KNOBS) == len(dataclasses.fields(api.ExecutionPolicy)) == 11
-    assert "kwarg" not in {f.name for f in dataclasses.fields(Knob)}
-    assert "set_backend" not in repro.crypto.__all__
-    for owner, names in (
-            (sha256, ("set_backend", "get_backend", "get_pinned_backend",
-                      "sha256_many")),
-            (hashutil, ("line_hash_many",)),
-            (SERODevice, ("heat_lines",)),
-            (SeroFS, ("heat_files",))):
-        assert not [name for name in names if hasattr(owner, name)], owner
-
-    keys = set(api.describe_policy())
-    expected = hashlib.sha256(b"tamper-evident").digest()
-    monkeypatch.setenv("REPRO_SHA256_BACKEND", "pure")
-    assert sha256.sha256_digest(b"tamper", b"-evident") == expected
-    assert set(api.describe_policy()) == keys
-    assert not [key for key in keys if "sha256" in key]
+@pytest.mark.parametrize("row", REMOVED, ids=row_id)
+def test_name_stays_removed(row):
+    """Each ledger row: a distinctive name appears nowhere in ``src/``
+    (nor, for the 9.0 bench rows, where the bench harness was named);
+    a generic one is no attribute, field, parameter or submodule of its
+    owners."""
+    if row.owner is None:
+        paths = list(SRC.rglob("*.py"))
+        if scans_bench_paths(row):
+            paths += _bench_files()
+        pattern = _word(row.name)
+        hits = [str(path.relative_to(ROOT)) for path in paths
+                if pattern.search(_text(path))]
+        assert not hits, \
+            f"{row.name} (removed in {row.version}) is back in {hits}"
+    for dotted in owners(row):
+        assert not _owns(pkgutil.resolve_name(dotted), row.name), \
+            f"{dotted}.{row.name} (removed in {row.version}) is back"
 
 
-def test_removed_crc_doors_stay_shut(monkeypatch):
-    """6.0: the standard library's are the one CRC-32 and CRC-16 — no
-    module pin, no policy walk, no slicing or position tables."""
-    import binascii
-    import zlib
-
-    from repro.crypto import crc
-
-    for name in ("USE_VECTORIZED", "_use_vectorized", "resolve_vectorized",
-                 "_CRC32_POS_TABLES", "_crc32_pos_table", "_CRC32_T7",
-                 "_CRC16_T1"):
-        assert not hasattr(crc, name), name
-    data = bytes(range(256)) * 2
-    monkeypatch.setenv("REPRO_SPAN_ENGINE", "0")
-    assert crc.crc32(data, 7) == zlib.crc32(data, 7)
-    assert crc.crc16_ccitt(data, 7) == binascii.crc_hqx(data, 7)
+def test_every_removal_is_documented():
+    """A removal cannot ship undocumented: API.md names every row."""
+    api_md = (ROOT / "API.md").read_text(encoding="utf-8")
+    missing = [row_id(row) for row in REMOVED
+               if not _word(row.name).search(api_md)]
+    assert not missing, missing
 
 
-def test_removed_engine_doors_stay_shut(monkeypatch):
-    """7.0: the numpy engines are the one execution path; the scalar
-    reference is an explicit argument of the functions that have a
-    twin — no knob, registry, context name, store pin or module pin."""
-    from repro.api import policy
-    from repro.crypto import manchester
-    from repro.device.sero import DeviceConfig
-
-    with pytest.raises(TypeError):
-        api.engine("scalar")
-    with pytest.raises(TypeError):
-        api.ExecutionPolicy(engine="scalar")
-    with pytest.raises(TypeError):
-        api.StoreConfig(engine="scalar")
-    with pytest.raises(TypeError):
-        api.TamperEvidentStore.create(total_blocks=16, engine="scalar")
-    assert len(KNOBS) == len(dataclasses.fields(api.ExecutionPolicy)) == 11
-    assert "engine" not in KNOBS
-    removed = ("ENGINE_ENV_VAR", "EngineSpec", "register_engine",
-               "unregister_engine", "available_engines", "get_engine",
-               "resolve_engine", "resolve_vectorized", "VECTORIZED_ENGINE",
-               "SCALAR_ENGINE", "USE_VECTORIZED", "_use_vectorized")
-    for owner in (api, policy, manchester, repro):
-        assert not [name for name in removed if hasattr(owner, name)], owner
-    assert not hasattr(api.TamperEvidentStore, "engine")
-    assert "engine" not in api.TamperEvidentStore.create(
-        total_blocks=64).describe()
-
-    keys = set(api.describe_policy())
-    assert not keys & {"engine", "engine_source", "vectorized",
-                       "available_engines"}
-    monkeypatch.setenv("REPRO_SPAN_ENGINE", "0")  # a stale export is inert
-    assert DeviceConfig().span_engine is True
-    assert set(api.describe_policy()) == keys
+def test_exports_of_removed_variables_are_inert(monkeypatch):
+    """A stale deployment's export of a removed variable changes
+    nothing: ``describe_policy()`` reads exactly as without it."""
+    rows = env_rows()
+    assert {row.name for row in rows} >= {
+        "REPRO_SPAN_ENGINE", "REPRO_SHA256_BACKEND", "REPRO_FLEET_WORKERS",
+        "REPRO_FLEET_SESSIONS", "REPRO_GATEWAY_LOCK_MODE"}
+    before = api.describe_policy()
+    for row in rows:
+        monkeypatch.setenv(row.name, "garbage")
+        assert api.describe_policy() == before, row.name
 
 
-def test_removed_executor_doors_stay_shut(monkeypatch):
-    """8.0: one dispatch per boundary — ``serial`` in-process, ``rpc``
-    across processes.  No thread or process pool, no executor registry,
-    no worker bound, on any surface."""
-    import repro.parallel as parallel
-    from repro.api import policy
-
-    monkeypatch.delenv(api.EXECUTOR_ENV_VAR, raising=False)
-    for name in ("thread", "process"):
-        with pytest.raises(ValueError):
-            api.ExecutionPolicy(executor=name)
-        with pytest.raises(ValueError):
-            api.engine(executor=name)
-    with pytest.raises(ValueError):
-        api.FleetStore.create(1, executor="process")
-    with pytest.raises(TypeError):
-        api.ExecutionPolicy(max_workers=2)
-    with pytest.raises(TypeError):
-        api.FleetStore.create(1, max_workers=2)
-    with pytest.raises(TypeError):
-        parallel.SerialExecutor(max_workers=2)
-    removed = ("ThreadExecutor", "ProcessExecutor", "ExecutorSpec",
-               "register_executor", "unregister_executor",
-               "available_executors", "get_executor_spec", "make_executor",
-               "resolve_max_workers", "FLEET_WORKERS_ENV_VAR")
-    for owner in (repro, api, parallel, policy, parallel.executor):
-        assert not [name for name in removed if hasattr(owner, name)], owner
-    assert "max_workers" not in KNOBS
-    assert len(KNOBS) == len(dataclasses.fields(api.ExecutionPolicy)) == 11
-
-    keys = set(api.describe_policy())
-    assert not keys & {"max_workers", "max_workers_source",
-                       "available_executors"}
-    # a stale deployment's exports resolve to the in-process default
-    monkeypatch.setenv(api.EXECUTOR_ENV_VAR, "process")
-    monkeypatch.setenv("REPRO_FLEET_WORKERS", "4")
-    assert api.resolve_executor_name() == ("serial", "default")
-    assert set(api.describe_policy()) == keys
+@functools.lru_cache(maxsize=None)
+def _text(path: pathlib.Path) -> str:
+    return path.read_text(encoding="utf-8")
 
 
-def test_removed_bench_doors_stay_shut():
-    """9.0: the paper's artifacts are ``tests/test_paper.py`` checks
-    and stackbench is the one performance harness — no pointer-walk
-    selector beside ``DeviceConfig.span_engine``, no bench path in the
-    registry, nothing under ``benchmarks/`` but the stack benchmark."""
-    from repro.analysis import Experiment
-    from repro.device.sero import SERODevice
-    from repro.fs.fsck import deep_scan
-
-    with pytest.raises(TypeError):
-        deep_scan(SERODevice.create(16), batch_pointer_reads=True)
-    assert "bench" not in {f.name for f in dataclasses.fields(Experiment)}
-    benchmarks = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
-    assert sorted(p.name for p in benchmarks.iterdir()
-                  if p.name != "__pycache__") == ["stack"]
+def _word(name: str) -> "re.Pattern[str]":
+    """``name`` as a whole word; a trailing ``*`` makes it a prefix."""
+    if name.endswith("*"):
+        return re.compile(r"(?<!\w)" + re.escape(name[:-1]))
+    return re.compile(r"(?<!\w)" + re.escape(name) + r"(?!\w)")
 
 
-def test_removed_pass_record_doors_stay_shut():
-    """10.0: one pass contract — a fleet pass takes member-store tasks
-    and ``ExecutionOutcome`` is its one record: no second record type,
-    no per-worker walls, no plain rpc verb, no duplicate holder walk."""
-    import repro.parallel as parallel
-    from repro.device.sero import SERODevice
-    from repro.parallel import ExecutionOutcome, executor, remote, session
+def _bench_files() -> list:
+    files = []
+    for relative in BENCH_PATHS:
+        path = ROOT / relative
+        found = [path] if path.is_file() else sorted(path.rglob("*"))
+        files += [f for f in found if f.is_file()
+                  and "__pycache__" not in f.parts
+                  and f.name != "removed.py"]
+    return files
 
-    for owner, names in (
-            (api, ("FleetOpStats",)),
-            (parallel, ("WorkerWall",)),
-            (executor, ("WorkerWall", "_collect_walls")),
-            (remote, ("host_breaker_open", "_RoundFailed",
-                      "_worker_label", "_pinned_members")),
-            (session, ("_live_sessions",)),
-            (api.FleetStore, ("_locate",))):
-        assert not [name for name in names if hasattr(owner, name)], owner
-    assert "WorkerWall" not in parallel.__all__
-    fields = {f.name for f in dataclasses.fields(ExecutionOutcome)}
-    assert not fields & {"assignments", "worker_walls", "workers"}
 
-    fleet = api.FleetStore(
-        [api.TamperEvidentStore.attach(SERODevice.create(16))],
-        executor="serial")
-    fleet.format_devices()
-    assert isinstance(fleet.last_op, ExecutionOutcome)
-    assert (fleet.last_op.operation, fleet.last_op.executor) == \
-        ("format_devices", "serial")
-    assert fleet.last_op.results == []
-    assert not [key for key in fleet.describe() if key.startswith("last")]
+def _owns(owner, name: str) -> bool:
+    """``name`` is an attribute, dataclass field, parameter or
+    submodule of ``owner``."""
+    if hasattr(owner, name):
+        return True
+    if dataclasses.is_dataclass(owner) and \
+            name in {f.name for f in dataclasses.fields(owner)}:
+        return True
+    if inspect.ismodule(owner):
+        return hasattr(owner, "__path__") and importlib.util.find_spec(
+            f"{owner.__name__}.{name}") is not None
+    try:
+        return name in inspect.signature(owner).parameters
+    except (TypeError, ValueError):
+        return False
 
 
 def _runtime_api_imports(path: pathlib.Path, package: str) -> list:
@@ -363,8 +233,7 @@ def _knob_table() -> str:
 
 
 def test_api_md_knob_table_matches_rows():
-    api_md = pathlib.Path(__file__).resolve().parent.parent / "API.md"
     table = _knob_table()
-    assert table in api_md.read_text(encoding="utf-8"), (
+    assert table in (ROOT / "API.md").read_text(encoding="utf-8"), (
         "API.md's knob table and repro.api.policy.KNOBS disagree; "
         "the rows render as:\n" + table)

@@ -1,6 +1,7 @@
 """CRC-32 / CRC-16-CCITT known-answer and property tests."""
 
 import binascii
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,14 @@ from repro.crypto.crc import _crc16_scalar, _crc32_scalar, crc16_ccitt, crc32
 ])
 def test_crc32_matches_binascii(data):
     assert crc32(data) == binascii.crc32(data)
+
+
+def test_crcs_are_the_standard_librarys(monkeypatch):
+    # 6.0: one CRC each, whatever a stale environment says
+    monkeypatch.setenv("REPRO_SPAN_ENGINE", "0")
+    data = bytes(range(256)) * 2
+    assert crc32(data, 7) == zlib.crc32(data, 7)
+    assert crc16_ccitt(data, 7) == binascii.crc_hqx(data, 7)
 
 
 def test_crc32_check_value():

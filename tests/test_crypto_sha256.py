@@ -71,6 +71,13 @@ def test_sha256_digest_multiple_chunks():
     assert sha256_digest(b"ab", b"c") == hashlib.sha256(b"abc").digest()
 
 
+def test_sha256_digest_is_hashlib_whatever_the_environment(monkeypatch):
+    # 5.0: no backend to select; a stale export is inert
+    monkeypatch.setenv("REPRO_SHA256_BACKEND", "pure")
+    assert sha256_digest(b"tamper", b"-evident") == \
+        hashlib.sha256(b"tamper-evident").digest()
+
+
 def test_sha256_iter_streaming():
     chunks = [b"a" * 100, b"b" * 100, b"c"]
     assert mod.sha256_iter(iter(chunks)) == hashlib.sha256(b"".join(chunks)).digest()

@@ -747,39 +747,35 @@ def test_soak_tiny_run_is_clean():
     assert payload["ops_per_second"] > 0
 
 
-def test_soak_trajectory_appends_and_migrates(tmp_path):
-    """BENCH_soak.json is a trajectory: runs append an ops/s series
-    instead of overwriting, and a legacy single-run file becomes the
-    first datapoint in place."""
+def test_soak_trajectory_appends_and_restarts(tmp_path):
+    """BENCH_soak.json is a trajectory: every run appends an ops/s
+    datapoint, full payloads stay bounded, and a file that is not a
+    trajectory (unparsable, or a bare run payload) restarts the series
+    rather than failing the soak that just passed."""
     import json as _json
 
     from repro.workloads.soak import MAX_KEPT_RUNS, append_trajectory
-
-    target = str(tmp_path / "BENCH_soak.json")
-    legacy = {"bench": "soak", "ops_completed": 24,
-              "wall_seconds": 8.0, "ops_per_second": 3.0,
-              "kills": 2, "clean": True,
-              "failover_retries": {"h:1": 5}}
-    with open(target, "w") as handle:
-        _json.dump(legacy, handle)
 
     run = {"bench": "soak", "ops_completed": 48, "wall_seconds": 10.0,
            "ops_per_second": 4.8, "kills": 2, "restarts": 1,
            "connection_drops": 1, "clean": True,
            "failover_retries": {"h:1": 2, "h:2": 1}}
-    document = append_trajectory(target, run)
-    assert [p["ops_per_second"] for p in document["trajectory"]] == \
-        [3.0, 4.8]
-    assert document["trajectory"][0]["failover_retries"] == 5
-    assert document["latest"] == run
-
-    # subsequent runs keep appending; full payloads stay bounded
-    for i in range(MAX_KEPT_RUNS + 5):
+    target = tmp_path / "BENCH_soak.json"
+    for i in range(MAX_KEPT_RUNS + 2):
         document = append_trajectory(
-            target, dict(run, ops_per_second=5.0 + i))
-    with open(target) as handle:
-        on_disk = _json.load(handle)
-    assert len(on_disk["trajectory"]) == 2 + MAX_KEPT_RUNS + 5
+            str(target), dict(run, ops_per_second=5.0 + i))
+    on_disk = _json.loads(target.read_text())
+    assert on_disk == document
+    assert [p["ops_per_second"] for p in on_disk["trajectory"]] == \
+        [5.0 + i for i in range(MAX_KEPT_RUNS + 2)]
+    assert on_disk["trajectory"][0]["failover_retries"] == 3
     assert len(on_disk["runs"]) == MAX_KEPT_RUNS
-    assert on_disk["runs"][-1]["ops_per_second"] == \
-        5.0 + MAX_KEPT_RUNS + 4
+    assert on_disk["latest"] == dict(run, ops_per_second=5.0 +
+                                     MAX_KEPT_RUNS + 1)
+
+    for stale in ("not json", _json.dumps(run)):
+        target.write_text(stale)
+        document = append_trajectory(str(target), run)
+        assert document["trajectory"] == [document["trajectory"][0]]
+        assert document["trajectory"][0]["ops_per_second"] == 4.8
+        assert document["runs"] == [run] and document["latest"] == run

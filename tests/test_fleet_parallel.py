@@ -30,7 +30,7 @@ import repro.api as api
 from twin_racks import (all_passes, fingerprints, object_rack,
                         sealed_device_rack)
 from repro.api.fleet import FleetStore
-from repro.api.policy import ExecutionPolicy
+from repro.api.policy import ExecutionPolicy, resolve
 from repro.api.store import TamperEvidentStore
 from repro.device.sero import SERODevice
 from repro.errors import FileNotFoundError_
@@ -69,6 +69,8 @@ def test_policy_rejects_bad_executor_and_workers():
     for name in ("no-such-dispatch", "thread", "process"):
         with pytest.raises(ValueError):
             ExecutionPolicy(executor=name)
+        with pytest.raises(ValueError):
+            FleetStore.create(1, executor=name)
     with pytest.raises(TypeError):  # 8.0: no worker bound to set
         ExecutionPolicy(max_workers=2)
 
@@ -84,11 +86,11 @@ def test_resolve_fleet_executor_accepts_instance():
 
 
 def test_executor_resolution_layers(monkeypatch):
-    monkeypatch.delenv(api.EXECUTOR_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_FLEET_EXECUTOR", raising=False)
     d = api.describe_policy()
     assert (d["executor"], d["executor_source"]) == ("serial", "default")
 
-    monkeypatch.setenv(api.EXECUTOR_ENV_VAR, "rpc")
+    monkeypatch.setenv("REPRO_FLEET_EXECUTOR", "rpc")
     d = api.describe_policy()
     assert (d["executor"], d["executor_source"]) == ("rpc", "env")
 
@@ -100,12 +102,12 @@ def test_executor_resolution_layers(monkeypatch):
         d = api.describe_policy()
         assert (d["executor"], d["executor_source"]) == ("rpc", "context")
 
-    assert api.resolve_executor_name("serial") == ("serial", "explicit")
+    assert resolve("executor", "serial") == ("serial", "explicit")
 
 
 def test_unknown_env_executor_is_ignored(monkeypatch):
-    monkeypatch.setenv(api.EXECUTOR_ENV_VAR, "warp-drive")
-    assert api.resolve_executor_name() == ("serial", "default")
+    monkeypatch.setenv("REPRO_FLEET_EXECUTOR", "warp-drive")
+    assert resolve("executor") == ("serial", "default")
 
 
 def test_max_workers_env(monkeypatch):
@@ -124,12 +126,12 @@ def test_env_executor_read_lazily_after_scheduler_built(
         monkeypatch, workers):
     """Exporting REPRO_FLEET_EXECUTOR after import *and* after the
     fleet exists must still select the executor at dispatch."""
-    monkeypatch.delenv(api.EXECUTOR_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_FLEET_EXECUTOR", raising=False)
     fleet = sealed_device_rack(n=2)
     fleet.audit()
     assert fleet.last_op.executor == "serial"
-    monkeypatch.setenv(api.EXECUTOR_ENV_VAR, "rpc")
-    monkeypatch.setenv(api.FLEET_HOSTS_ENV_VAR, ",".join(workers))
+    monkeypatch.setenv("REPRO_FLEET_EXECUTOR", "rpc")
+    monkeypatch.setenv("REPRO_FLEET_HOSTS", ",".join(workers))
     fleet.audit()
     assert fleet.last_op.executor == "rpc"
 
@@ -181,6 +183,18 @@ def test_pass_record_stamped_on_both_executors(workers):
         assert not record.degraded
         assert record.hosts == (tuple(sorted(workers))
                                 if name == "rpc" else ())
+    assert not [key for key in fleet.describe() if key.startswith("last")]
+
+
+def test_bare_device_members_are_refused():
+    """4.0: members are stores; a bare device is a TypeError naming
+    the wrap, at construction and on growth."""
+    with pytest.raises(TypeError, match=r"TamperEvidentStore\.attach"):
+        FleetStore([SERODevice.create(16)])
+    fleet = FleetStore([TamperEvidentStore.attach(SERODevice.create(16))])
+    with pytest.raises(TypeError, match=r"TamperEvidentStore\.attach"):
+        fleet.add_member(SERODevice.create(16))
+    assert fleet.member_count == 1
 
 
 # -- snapshot transport --------------------------------------------------------

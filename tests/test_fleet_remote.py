@@ -42,7 +42,7 @@ import repro.api as api
 from twin_racks import (all_passes, device_rack, fingerprints,
                         object_rack, seal_lines, sealed_device_rack)
 from repro.api.fleet import FleetStore
-from repro.api.policy import ExecutionPolicy
+from repro.api.policy import ExecutionPolicy, resolve
 from repro.api.store import TamperEvidentStore
 from repro.errors import ConfigurationError
 from repro.parallel import (
@@ -68,9 +68,9 @@ def _clean_policy_env(monkeypatch):
     # the CI remote-fleet job exports REPRO_FLEET_EXECUTOR/HOSTS for
     # the example run; these tests manage their own workers and must
     # see the documented defaults
-    monkeypatch.delenv(api.EXECUTOR_ENV_VAR, raising=False)
-    monkeypatch.delenv(api.FLEET_HOSTS_ENV_VAR, raising=False)
-    monkeypatch.delenv(api.FLEET_SECRET_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_FLEET_EXECUTOR", raising=False)
+    monkeypatch.delenv("REPRO_FLEET_HOSTS", raising=False)
+    monkeypatch.delenv("REPRO_FLEET_SECRET", raising=False)
     yield
     api.set_policy(None)
 
@@ -84,6 +84,19 @@ def test_parse_hosts_canonicalises():
     for bad in ("", "nohost", "host:", "host:notaport", "host:70000"):
         with pytest.raises(ConfigurationError):
             parse_hosts(bad)
+
+
+def test_ipv6_addresses_are_refused_before_a_socket_exists():
+    """Workers and the gateway listen on IPv4 sockets only, so an IPv6
+    literal is a configuration error, not a resolver error mid-serve
+    or a dead host fed to the health breaker."""
+    for bad in ("::1:80", "[::1]:80", "[::1]:7401,a:1"):
+        with pytest.raises(ConfigurationError, match="IPv4"):
+            parse_hosts(bad)
+    with pytest.raises(ConfigurationError, match="IPv4"):
+        remote_mod.serve("[::1]:0", announce=print)
+    with pytest.raises(ConfigurationError, match="IPv4"):
+        RpcExecutor(["[::1]:7401"])
 
 
 def test_parse_hosts_rejects_duplicates():
@@ -263,22 +276,22 @@ def test_ping_and_worker_pid(workers):
 
 
 def test_fleet_hosts_resolution_layers(monkeypatch):
-    monkeypatch.delenv(api.FLEET_HOSTS_ENV_VAR, raising=False)
-    assert api.resolve_fleet_hosts() == (None, "default")
+    monkeypatch.delenv("REPRO_FLEET_HOSTS", raising=False)
+    assert resolve("fleet_hosts") == (None, "default")
 
-    monkeypatch.setenv(api.FLEET_HOSTS_ENV_VAR, "h2:2,h1:1")
-    assert api.resolve_fleet_hosts() == (("h1:1", "h2:2"), "env")
+    monkeypatch.setenv("REPRO_FLEET_HOSTS", "h2:2,h1:1")
+    assert resolve("fleet_hosts") == (("h1:1", "h2:2"), "env")
 
     api.set_policy(ExecutionPolicy(fleet_hosts=("p1:1",)))
-    assert api.resolve_fleet_hosts() == (("p1:1",), "policy")
+    assert resolve("fleet_hosts") == (("p1:1",), "policy")
 
     with repro.engine(fleet_hosts=("c1:1", "c2:2")):
-        assert api.resolve_fleet_hosts() == (("c1:1", "c2:2"), "context")
+        assert resolve("fleet_hosts") == (("c1:1", "c2:2"), "context")
         d = api.describe_policy()
         assert d["fleet_hosts"] == ("c1:1", "c2:2")
         assert d["fleet_hosts_source"] == "context"
 
-    assert api.resolve_fleet_hosts("x:9") == (("x:9",), "explicit")
+    assert resolve("fleet_hosts", "x:9") == (("x:9",), "explicit")
 
 
 def test_policy_validates_and_canonicalises_hosts():
@@ -289,7 +302,7 @@ def test_policy_validates_and_canonicalises_hosts():
 
 
 def test_rpc_without_hosts_is_a_descriptive_error(monkeypatch):
-    monkeypatch.delenv(api.FLEET_HOSTS_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_FLEET_HOSTS", raising=False)
     fleet = device_rack("rpc", n=2, blocks=16)
     with pytest.raises(ConfigurationError, match="REPRO_FLEET_HOSTS"):
         fleet.format_devices()
@@ -298,13 +311,13 @@ def test_rpc_without_hosts_is_a_descriptive_error(monkeypatch):
 def test_env_hosts_read_lazily_after_scheduler_built(workers, monkeypatch):
     """Exporting REPRO_FLEET_EXECUTOR=rpc + REPRO_FLEET_HOSTS after
     the fleet exists must still dispatch remotely."""
-    monkeypatch.delenv(api.EXECUTOR_ENV_VAR, raising=False)
-    monkeypatch.delenv(api.FLEET_HOSTS_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_FLEET_EXECUTOR", raising=False)
+    monkeypatch.delenv("REPRO_FLEET_HOSTS", raising=False)
     fleet = device_rack(n=2, blocks=16)
     fleet.format_devices()
     assert fleet.last_op.executor == "serial"
-    monkeypatch.setenv(api.EXECUTOR_ENV_VAR, "rpc")
-    monkeypatch.setenv(api.FLEET_HOSTS_ENV_VAR, ",".join(workers))
+    monkeypatch.setenv("REPRO_FLEET_EXECUTOR", "rpc")
+    monkeypatch.setenv("REPRO_FLEET_HOSTS", ",".join(workers))
     fleet.audit()
     assert fleet.last_op.executor == "rpc"
     assert fleet.last_op.hosts == tuple(sorted(workers))
@@ -687,8 +700,8 @@ def test_describe_policy_does_not_load_wire_protocol():
     import sys
 
     env = dict(os.environ)
-    env.pop(api.FLEET_HOSTS_ENV_VAR, None)
-    env.pop(api.EXECUTOR_ENV_VAR, None)
+    env.pop("REPRO_FLEET_HOSTS", None)
+    env.pop("REPRO_FLEET_EXECUTOR", None)
     code = ("import sys, repro.api as api; api.describe_policy(); "
             "assert 'repro.parallel.remote' not in sys.modules, "
             "'wire protocol loaded eagerly'")
@@ -728,39 +741,39 @@ def test_migrate_unsealed_refuses_sealed_objects():
 def test_fleet_fault_policy_resolution_layers(monkeypatch):
     """fleet_timeout / fleet_retries / fleet_on_failure through the
     five-layer chain, with describe_policy naming the deciding layer."""
-    for var in (api.FLEET_TIMEOUT_ENV_VAR, api.FLEET_RETRIES_ENV_VAR,
-                api.FLEET_ON_FAILURE_ENV_VAR):
+    for var in ("REPRO_FLEET_TIMEOUT", "REPRO_FLEET_RETRIES",
+                "REPRO_FLEET_ON_FAILURE"):
         monkeypatch.delenv(var, raising=False)
-    assert api.resolve_fleet_timeout() == (None, "default")
-    assert api.resolve_fleet_retries() == (0, "default")
-    assert api.resolve_fleet_on_failure() == ("raise", "default")
+    assert resolve("fleet_timeout") == (None, "default")
+    assert resolve("fleet_retries") == (0, "default")
+    assert resolve("fleet_on_failure") == ("raise", "default")
 
-    monkeypatch.setenv(api.FLEET_TIMEOUT_ENV_VAR, "2.5")
-    monkeypatch.setenv(api.FLEET_RETRIES_ENV_VAR, "3")
-    monkeypatch.setenv(api.FLEET_ON_FAILURE_ENV_VAR, "degrade")
-    assert api.resolve_fleet_timeout() == (2.5, "env")
-    assert api.resolve_fleet_retries() == (3, "env")
-    assert api.resolve_fleet_on_failure() == ("degrade", "env")
+    monkeypatch.setenv("REPRO_FLEET_TIMEOUT", "2.5")
+    monkeypatch.setenv("REPRO_FLEET_RETRIES", "3")
+    monkeypatch.setenv("REPRO_FLEET_ON_FAILURE", "degrade")
+    assert resolve("fleet_timeout") == (2.5, "env")
+    assert resolve("fleet_retries") == (3, "env")
+    assert resolve("fleet_on_failure") == ("degrade", "env")
     # 0 is an explicit env disable for the deadline
-    monkeypatch.setenv(api.FLEET_TIMEOUT_ENV_VAR, "0")
-    assert api.resolve_fleet_timeout() == (None, "env")
+    monkeypatch.setenv("REPRO_FLEET_TIMEOUT", "0")
+    assert resolve("fleet_timeout") == (None, "env")
     # garbage env values are ignored, like the other fleet switches
-    monkeypatch.setenv(api.FLEET_RETRIES_ENV_VAR, "-2")
-    assert api.resolve_fleet_retries() == (0, "default")
-    monkeypatch.setenv(api.FLEET_ON_FAILURE_ENV_VAR, "explode")
-    assert api.resolve_fleet_on_failure() == ("raise", "default")
+    monkeypatch.setenv("REPRO_FLEET_RETRIES", "-2")
+    assert resolve("fleet_retries") == (0, "default")
+    monkeypatch.setenv("REPRO_FLEET_ON_FAILURE", "explode")
+    assert resolve("fleet_on_failure") == ("raise", "default")
 
     api.set_policy(ExecutionPolicy(fleet_timeout=7.0, fleet_retries=1,
                                    fleet_on_failure="degrade"))
-    assert api.resolve_fleet_timeout() == (7.0, "policy")
-    assert api.resolve_fleet_retries() == (1, "policy")
-    assert api.resolve_fleet_on_failure() == ("degrade", "policy")
+    assert resolve("fleet_timeout") == (7.0, "policy")
+    assert resolve("fleet_retries") == (1, "policy")
+    assert resolve("fleet_on_failure") == ("degrade", "policy")
 
     with repro.engine(fleet_timeout=0.5, fleet_retries=2,
                       fleet_on_failure="raise"):
-        assert api.resolve_fleet_timeout() == (0.5, "context")
-        assert api.resolve_fleet_retries() == (2, "context")
-        assert api.resolve_fleet_on_failure() == ("raise", "context")
+        assert resolve("fleet_timeout") == (0.5, "context")
+        assert resolve("fleet_retries") == (2, "context")
+        assert resolve("fleet_on_failure") == ("raise", "context")
         d = api.describe_policy()
         assert d["fleet_timeout"] == 0.5
         assert d["fleet_timeout_source"] == "context"
@@ -769,17 +782,17 @@ def test_fleet_fault_policy_resolution_layers(monkeypatch):
         assert d["fleet_on_failure"] == "raise"
         assert d["fleet_on_failure_source"] == "context"
 
-    assert api.resolve_fleet_timeout(1.5) == (1.5, "explicit")
-    assert api.resolve_fleet_retries(4) == (4, "explicit")
-    assert api.resolve_fleet_on_failure("degrade") == \
+    assert resolve("fleet_timeout", 1.5) == (1.5, "explicit")
+    assert resolve("fleet_retries", 4) == (4, "explicit")
+    assert resolve("fleet_on_failure", "degrade") == \
         ("degrade", "explicit")
 
     with pytest.raises(ValueError):
-        api.resolve_fleet_timeout(-1.0)
+        resolve("fleet_timeout", -1.0)
     with pytest.raises(ValueError):
-        api.resolve_fleet_retries(-1)
+        resolve("fleet_retries", -1)
     with pytest.raises(ValueError):
-        api.resolve_fleet_on_failure("explode")
+        resolve("fleet_on_failure", "explode")
     with pytest.raises(ValueError):
         ExecutionPolicy(fleet_timeout=0)
     with pytest.raises(ValueError):
@@ -1026,7 +1039,7 @@ def test_serve_refuses_unsigned_non_loopback_bind(monkeypatch):
     assert bound == []
     with pytest.raises(Announced, match="SRPC listening on 127.0.0.1:"):
         remote_mod.serve("127.0.0.1:0", announce=announce)
-    monkeypatch.setenv(api.FLEET_SECRET_ENV_VAR, "hunter2")
+    monkeypatch.setenv("REPRO_FLEET_SECRET", "hunter2")
     with pytest.raises(Announced, match="SRPC listening on 0.0.0.0:"):
         remote_mod.serve("0.0.0.0:0", announce=announce)
 
@@ -1057,9 +1070,9 @@ def test_fleet_secret_env_layer_reaches_both_ends(monkeypatch):
     worker = spawn_local_worker(secret="ambient-key")
     reset_host_health()
     try:
-        monkeypatch.setenv(api.FLEET_SECRET_ENV_VAR, "ambient-key")
+        monkeypatch.setenv("REPRO_FLEET_SECRET", "ambient-key")
         assert ping(worker.address) > 0  # ambient → resolves via env
-        monkeypatch.setenv(api.FLEET_SECRET_ENV_VAR, "rotated-away")
+        monkeypatch.setenv("REPRO_FLEET_SECRET", "rotated-away")
         with pytest.raises(RpcConnectionError):
             ping(worker.address, timeout=2.0)
     finally:

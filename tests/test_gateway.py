@@ -154,7 +154,7 @@ def test_describe_names_fleet_and_policy(stack):
 def test_describe_answers_under_an_invalid_hosts_export(monkeypatch):
     """The misconfiguration an operator opens ``describe`` to find must
     come back as 200 with the error named, not as a 500."""
-    monkeypatch.setenv(api.FLEET_HOSTS_ENV_VAR, "nonsense")
+    monkeypatch.setenv("REPRO_FLEET_HOSTS", "nonsense")
     app = GatewayApp(FleetStore.create(2, CONFIG),
                      TokenTable.from_spec(SPEC),
                      settings=GatewaySettings.resolve(tokens=SPEC))
@@ -296,7 +296,7 @@ def test_inline_token_env_beats_token_file(monkeypatch, tmp_path):
     spec_file = tmp_path / "tokens.txt"
     spec_file.write_text("file-tok=acme:r\n")
     monkeypatch.setenv(api.GATEWAY_TOKENS_ENV_VAR, "env-tok=acme:rw")
-    monkeypatch.setenv(api.GATEWAY_TOKEN_FILE_ENV_VAR, str(spec_file))
+    monkeypatch.setenv("REPRO_GATEWAY_TOKEN_FILE", str(spec_file))
     settings = GatewaySettings.resolve()
     assert settings.tokens_source == "env"
     assert settings.tokens.resolve("env-tok").grants["acme"].write
@@ -308,7 +308,7 @@ def test_token_file_used_when_no_inline_spec(monkeypatch, tmp_path):
     spec_file = tmp_path / "tokens.txt"
     spec_file.write_text("# fleet ops\nfile-tok=acme:r\n")
     monkeypatch.delenv(api.GATEWAY_TOKENS_ENV_VAR, raising=False)
-    monkeypatch.setenv(api.GATEWAY_TOKEN_FILE_ENV_VAR, str(spec_file))
+    monkeypatch.setenv("REPRO_GATEWAY_TOKEN_FILE", str(spec_file))
     settings = GatewaySettings.resolve()
     assert settings.tokens_source.startswith("token_file")
     assert settings.tokens.resolve("file-tok").grants["acme"].read
@@ -316,7 +316,7 @@ def test_token_file_used_when_no_inline_spec(monkeypatch, tmp_path):
 
 def test_no_credentials_refuse_to_start(monkeypatch):
     monkeypatch.delenv(api.GATEWAY_TOKENS_ENV_VAR, raising=False)
-    monkeypatch.delenv(api.GATEWAY_TOKEN_FILE_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_GATEWAY_TOKEN_FILE", raising=False)
     with pytest.raises(ConfigurationError, match="no gateway"):
         GatewaySettings.resolve()
     with pytest.raises(ConfigurationError, match="cannot read"):
@@ -326,7 +326,7 @@ def test_no_credentials_refuse_to_start(monkeypatch):
 def test_bind_and_fleet_shape_resolution(monkeypatch):
     from repro.gateway.settings import GATEWAY_MEMBERS_ENV_VAR
 
-    monkeypatch.setenv(api.GATEWAY_BIND_ENV_VAR, "0.0.0.0:9000")
+    monkeypatch.setenv("REPRO_GATEWAY_BIND", "0.0.0.0:9000")
     monkeypatch.setenv(GATEWAY_MEMBERS_ENV_VAR, "2")
     settings = GatewaySettings.resolve(tokens="tok1=acme:rw")
     assert (settings.host, settings.port) == ("0.0.0.0", 9000)
@@ -337,6 +337,15 @@ def test_bind_and_fleet_shape_resolution(monkeypatch):
     assert fleet.members[0].audit_log is not None
     monkeypatch.setenv(GATEWAY_MEMBERS_ENV_VAR, "zero")
     with pytest.raises(ConfigurationError, match="integer"):
+        GatewaySettings.resolve(tokens="tok1=acme:rw")
+
+
+def test_ipv6_bind_is_an_invalid_export(monkeypatch):
+    """The gateway listens on an IPv4 socket: an IPv6 bind is named as
+    the misconfiguration, never a resolver error at startup."""
+    monkeypatch.setenv("REPRO_GATEWAY_BIND", "[::1]:80")
+    assert api.describe_policy()["gateway_bind_source"] == "env (invalid)"
+    with pytest.raises(ConfigurationError, match="IPv4"):
         GatewaySettings.resolve(tokens="tok1=acme:rw")
 
 

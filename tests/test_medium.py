@@ -171,6 +171,32 @@ def test_only_the_invariant_owners_compare_sharpness_to_the_threshold():
     assert naming == {"_apply_pulse", "_heat_many", "__setstate__"}
 
 
+def test_medium_builds_no_int64_plus_minus_one_temporaries():
+    # np.where(mask, 1, -1) allocates a whole-medium int64 array; the
+    # medium writes its +/-1 magnetisation in int8 instead
+    import ast
+    import pathlib
+
+    from repro import medium as medium_package
+
+    def literal(node):
+        try:
+            return ast.literal_eval(node)
+        except ValueError:
+            return None
+
+    offenders = []
+    for path in sorted(pathlib.Path(medium_package.__file__).parent
+                       .glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "where" and len(node.args) == 3 \
+                    and [literal(arg) for arg in node.args[1:]] == [1, -1]:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
+
+
 def test_switching_field_defects_make_dots_unwritable():
     geom = MediumGeometry(cols=64, rows=16, dots_per_block=16)
     config = MediumConfig(switching_sigma=0.3, write_field=1.5, seed=11)

@@ -12,6 +12,7 @@ scenario is printed here but not asserted again; the comment beside
 it names the test that holds it.
 """
 
+import pathlib
 import random
 from typing import Callable, Dict
 
@@ -67,6 +68,13 @@ def show(text: str) -> None:
 @pytest.mark.parametrize("exp_id", list(EXPERIMENTS))
 def test_artifact(exp_id):
     CHECKS[exp_id]()
+
+
+def test_stack_benchmark_is_the_only_bench():
+    # 9.0: artifacts are checked here, wall clock is stackbench's
+    benchmarks = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+    assert sorted(p.name for p in benchmarks.iterdir()
+                  if p.name != "__pycache__") == ["stack"]
 
 
 # -- Figs 1-3: the bit and the line -------------------------------------

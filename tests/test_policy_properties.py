@@ -208,21 +208,21 @@ def test_int_rows_reject_bools_and_floats():
 def test_fleet_timeout_validates_alike_and_canonicalises_to_float():
     for value in (True, "5"):
         with pytest.raises(TypeError):
-            pol.resolve_fleet_timeout(value)
+            resolve("fleet_timeout", value)
         with pytest.raises(TypeError):
             ExecutionPolicy(fleet_timeout=value)
-    assert pol.resolve_fleet_timeout(3) == (3.0, "explicit")
+    assert resolve("fleet_timeout", 3) == (3.0, "explicit")
     assert ExecutionPolicy(fleet_timeout=3).fleet_timeout == 3.0
 
 
 def test_fleet_secret_and_token_file_types():
-    for build in (pol.resolve_fleet_secret,
+    for build in (lambda v: resolve("fleet_secret", v),
                   lambda v: ExecutionPolicy(fleet_secret=v)):
         with pytest.raises(TypeError):
             build(5)
         with pytest.raises(ValueError):
             build("")
-    for build in (pol.resolve_gateway_token_file,
+    for build in (lambda v: resolve("gateway_token_file", v),
                   lambda v: ExecutionPolicy(gateway_token_file=v)):
         with pytest.raises(TypeError):
             build(5)
@@ -244,17 +244,17 @@ def test_non_finite_fleet_timeout_rejected_by_check(value):
     with pytest.raises(ValueError):
         engine(fleet_timeout=value)
     with pytest.raises(ValueError):
-        pol.resolve_fleet_timeout(value)
+        resolve("fleet_timeout", value)
 
 
 def test_fleet_timeout_env_disable_stays_and_non_finite_is_ignored(
         monkeypatch):
     for text in ("0", "-1", "-0.0"):  # the documented explicit disable
-        monkeypatch.setenv(pol.FLEET_TIMEOUT_ENV_VAR, text)
-        assert pol.resolve_fleet_timeout() == (None, "env")
+        monkeypatch.setenv("REPRO_FLEET_TIMEOUT", text)
+        assert resolve("fleet_timeout") == (None, "env")
     for text in ("nan", "inf", "+Infinity", "1e999"):
-        monkeypatch.setenv(pol.FLEET_TIMEOUT_ENV_VAR, text)
-        assert pol.resolve_fleet_timeout() == (None, "default")
+        monkeypatch.setenv("REPRO_FLEET_TIMEOUT", text)
+        assert resolve("fleet_timeout") == (None, "default")
 
 
 # -- describe_policy() explains a bad environment instead of raising -----------

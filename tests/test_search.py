@@ -31,14 +31,7 @@ from repro.api import (
     SealReceipt,
     StoreConfig,
 )
-from repro.api.policy import (
-    SEARCH_FRAGMENT_COUNT_ENV_VAR,
-    SEARCH_FRAGMENT_SIZE_ENV_VAR,
-    SEARCH_MAX_HITS_ENV_VAR,
-    resolve_search_fragment_count,
-    resolve_search_fragment_size,
-    resolve_search_max_hits,
-)
+from repro.api.policy import resolve
 from repro.search import (
     EvidenceIndex,
     JournalError,
@@ -173,24 +166,24 @@ def test_no_occurrence_no_fragments():
 
 
 def test_policy_chain_env_then_context_then_explicit(monkeypatch):
-    monkeypatch.delenv(SEARCH_FRAGMENT_SIZE_ENV_VAR, raising=False)
-    assert resolve_search_fragment_size() == (80, "default")
-    monkeypatch.setenv(SEARCH_FRAGMENT_SIZE_ENV_VAR, "33")
-    assert resolve_search_fragment_size() == (33, "env")
+    monkeypatch.delenv("REPRO_SEARCH_FRAGMENT_SIZE", raising=False)
+    assert resolve("search_fragment_size") == (80, "default")
+    monkeypatch.setenv("REPRO_SEARCH_FRAGMENT_SIZE", "33")
+    assert resolve("search_fragment_size") == (33, "env")
     with repro.engine(search_fragment_size=21):
-        assert resolve_search_fragment_size() == (21, "context")
-        assert resolve_search_fragment_size(7) == (7, "explicit")
-    monkeypatch.setenv(SEARCH_FRAGMENT_SIZE_ENV_VAR, "not-a-number")
-    assert resolve_search_fragment_size() == (80, "default")
+        assert resolve("search_fragment_size") == (21, "context")
+        assert resolve("search_fragment_size", 7) == (7, "explicit")
+    monkeypatch.setenv("REPRO_SEARCH_FRAGMENT_SIZE", "not-a-number")
+    assert resolve("search_fragment_size") == (80, "default")
 
 
 def test_policy_chain_fragment_count_and_max_hits(monkeypatch):
-    monkeypatch.setenv(SEARCH_FRAGMENT_COUNT_ENV_VAR, "0")
-    assert resolve_search_fragment_count() == (0, "env")
-    monkeypatch.setenv(SEARCH_MAX_HITS_ENV_VAR, "0")  # below minimum
-    assert resolve_search_max_hits() == (50, "default")
+    monkeypatch.setenv("REPRO_SEARCH_FRAGMENT_COUNT", "0")
+    assert resolve("search_fragment_count") == (0, "env")
+    monkeypatch.setenv("REPRO_SEARCH_MAX_HITS", "0")  # below minimum
+    assert resolve("search_max_hits") == (50, "default")
     with repro.engine(search_max_hits=5):
-        assert resolve_search_max_hits() == (5, "context")
+        assert resolve("search_max_hits") == (5, "context")
 
 
 def test_max_hits_bounds_hits_through_the_chain():
