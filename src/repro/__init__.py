@@ -66,7 +66,7 @@ from .integrity.evidence import EvidenceBag
 from .integrity.fossil import FossilizedIndex
 from .integrity.venti import VentiStore
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 __all__ = [
     # v1 façade + policy

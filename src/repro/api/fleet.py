@@ -36,9 +36,6 @@ per-member groups in ascending index order, and whole-fleet passes
 take an exclusive mode that excludes everything.  Calls on disjoint
 members therefore overlap on real cores while per-member results stay
 byte-identical to a serialized run.
-
-The per-member fan-out functions live at module level so the ``rpc``
-executor can pickle them.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from typing import (
     Dict,
     Iterator,
@@ -69,6 +65,7 @@ from ..parallel import (
     HashRing,
     MemberFailure,
     MemberLockSet,
+    MemberTask,
     resolve_fleet_executor,
     shard_key,
 )
@@ -81,29 +78,9 @@ from .store import (
     ObjectInfo,
     SealReceipt,
     StoreConfig,
-    StoreStatePatch,
     TamperEvidentStore,
     VerifyReport,
 )
-
-
-def fold_member_state(original: TamperEvidentStore, state: object) -> None:
-    """Fold one member's post-pass state back into ``original``.
-
-    The executor contract: a member task returns either the member
-    itself (in-process dispatch — nothing to do), a
-    :class:`StoreStatePatch` (read-only pass across a process
-    boundary — applied in place), or a mutated snapshot (mutating
-    pass across a process boundary — absorbed in place via
-    :meth:`TamperEvidentStore.adopt_state` so caller-held references
-    stay live).  One helper, shared by :meth:`FleetStore._fan_out` and
-    the ``rpc`` executor's pinned-pass fold, so the absorption protocol
-    cannot diverge between the in-host and remote dispatch paths.
-    """
-    if isinstance(state, StoreStatePatch):
-        state.apply(original)
-    elif state is not original:
-        original.adopt_state(state)
 
 
 def _executor_pin(executor: Union[None, str, FleetExecutor]
@@ -178,37 +155,6 @@ class MigrationReport:
     moved: int
     sealed_kept: int
     routing_exact: bool
-
-
-# ---------------------------------------------------------------------------
-# Per-member fan-out tasks (module level: the rpc executor pickles
-# them by reference)
-
-
-def _audit_member(store: TamperEvidentStore, deep: bool,
-                  patch_return: bool = False) -> Tuple[AuditReport, object]:
-    mark = StoreStatePatch.fs_meta_mark(store)
-    report = store.audit(deep=deep)
-    state = StoreStatePatch.capture(store, mark) if patch_return else store
-    return report, state
-
-
-def _seal_many_member(store: TamperEvidentStore, paths: Tuple[str, ...],
-                      timestamp: Optional[int]
-                      ) -> Tuple[List[SealReceipt], TamperEvidentStore]:
-    return store.seal_many(paths, timestamp=timestamp), store
-
-
-def _export_member(store: TamperEvidentStore, case: str,
-                   exhibits: Dict[str, bytes],
-                   timestamp: Optional[int]
-                   ) -> Tuple[EvidenceExport, TamperEvidentStore]:
-    return store.export_evidence(case, exhibits, timestamp=timestamp), store
-
-
-def _format_member(store: TamperEvidentStore
-                   ) -> Tuple[FormatReport, TamperEvidentStore]:
-    return store.format_device(), store
 
 
 class FleetStore:
@@ -546,14 +492,12 @@ class FleetStore:
     # -- dispatch ----------------------------------------------------------------
 
     def _fan_out(self, operation: str, member_indices: Sequence[int],
-                 make_tasks) -> List:
-        """Run ``make_tasks(patch_return)`` on the resolved executor,
-        fold the returned member states back in (full snapshots are
-        reinstalled, read-only :class:`StoreStatePatch` results are
-        applied in place), keep the stamped outcome as :attr:`last_op`,
-        and return the per-task payloads (task order)."""
+                 tasks: List[MemberTask]) -> List:
+        """Run ``tasks`` on the resolved executor (which leaves every
+        member holding its post-pass state), keep the stamped outcome
+        as :attr:`last_op`, and return the per-task payloads (task
+        order)."""
         executor = resolve_fleet_executor(self._executor)
-        tasks = make_tasks(executor.crosses_process)
         t0 = time.perf_counter()
         outcome = executor.run(tasks)
         wall = time.perf_counter() - t0
@@ -569,10 +513,8 @@ class FleetStore:
                 failure = dataclasses.replace(result, index=index)
                 failures.append(failure)
                 payloads.append(failure)
-                continue
-            payload, state = result
-            fold_member_state(self.members[index], state)
-            payloads.append(payload)
+            else:
+                payloads.append(result)
         outcome.operation = operation
         outcome.executor = executor.name
         outcome.wall_seconds = wall
@@ -665,9 +607,10 @@ class FleetStore:
             order = self._locks.acquire_ascending(member_indices)
             try:
                 payloads = self._fan_out(
-                    "seal_many", member_indices, lambda _p: [
-                        partial(_seal_many_member, self.members[i],
-                                tuple(groups[i]), timestamp)
+                    "seal_many", member_indices, [
+                        MemberTask(self.members[i], "seal_many",
+                                   {"paths": tuple(groups[i]),
+                                    "timestamp": timestamp})
                         for i in member_indices])
             finally:
                 self._locks.release_descending(order)
@@ -707,8 +650,8 @@ class FleetStore:
         with self._locks.exclusive():
             member_indices = list(range(len(self.members)))
             payloads = self._fan_out(
-                "audit", member_indices, lambda patch: [
-                    partial(_audit_member, self.members[i], deep, patch)
+                "audit", member_indices, [
+                    MemberTask(self.members[i], "audit", {"deep": deep})
                     for i in member_indices])
         merged = AuditReport(deep=deep)
         for index, report in zip(member_indices, payloads):
@@ -760,9 +703,10 @@ class FleetStore:
         member_indices = sorted(groups)
         with self._locks.members(member_indices):
             payloads = self._fan_out(
-                "export_evidence", member_indices, lambda _p: [
-                    partial(_export_member, self.members[i], case,
-                            groups[i], timestamp)
+                "export_evidence", member_indices, [
+                    MemberTask(self.members[i], "export_evidence",
+                               {"case": case, "exhibits": groups[i],
+                                "timestamp": timestamp})
                     for i in member_indices])
         # a degraded pass yields MemberFailure payloads: their
         # exhibits were never bagged, so the fleet export is not
@@ -877,8 +821,8 @@ class FleetStore:
                     f"members were scanned by create())")
             member_indices = list(range(len(self.members)))
             return self._fan_out(
-                "format_devices", member_indices, lambda _p: [
-                    partial(_format_member, self.members[i])
+                "format_devices", member_indices, [
+                    MemberTask(self.members[i], "format_device")
                     for i in member_indices])
 
     def capacity(self) -> Dict[str, int]:

@@ -249,9 +249,7 @@ class SERODevice:
         :meth:`repro.medium.medium.PatternedMedium.__getstate__`): the
         clone carries the same medium state, RNG position, bad-block
         map, line registry, scanner position and cost account, so it
-        behaves byte-identically from here on.  This is the transport
-        the fleet's rpc executor uses to move members to worker
-        daemons.
+        behaves byte-identically from here on.
         """
         import pickle
 

@@ -43,7 +43,6 @@ class AuditLog:
     _active: bytearray = field(default_factory=bytearray)
     _chunk_index: int = 0
     _sealed_chunks: List[Tuple[str, int]] = field(default_factory=list)
-    _records_logged: int = 0
 
     def __post_init__(self) -> None:
         try:
@@ -59,7 +58,6 @@ class AuditLog:
             raise IntegrityError("instruction record too large")
         self._active += struct.pack(_RECORD_HEAD, tick, len(instruction))
         self._active += instruction
-        self._records_logged += 1
         if len(self._active) >= self.rotate_bytes:
             self.rotate(timestamp=tick)
 
@@ -85,11 +83,6 @@ class AuditLog:
     def sealed_chunks(self) -> List[str]:
         """Paths of heated log chunks."""
         return [name for name, _start in self._sealed_chunks]
-
-    @property
-    def records_logged(self) -> int:
-        """Total records ever logged (sealed + active)."""
-        return self._records_logged
 
     def history(self) -> List[Tuple[int, bytes]]:
         """All records, sealed chunks first, then the active tail."""

@@ -1,16 +1,17 @@
 """Fleet executors: how a pass over many stores is dispatched.
 
 The :class:`~repro.api.fleet.FleetStore` expresses a fleet pass as a
-list of independent *member tasks* (:data:`MemberTask`), one per
-fleet member.  A :class:`FleetExecutor` decides *where* those tasks
-run, and there is one per boundary:
+list of independent :class:`MemberTask` records, one per fleet member:
+a member store, the name of one of its four pass methods and that
+method's keyword arguments.  A :class:`FleetExecutor` decides *where*
+those tasks run, and there is one per boundary:
 
 * :class:`SerialExecutor` (``"serial"``) — in order, in the calling
   thread: the in-process dispatch and the reference every other
   dispatch must match byte for byte;
 * :class:`~repro.parallel.remote.RpcExecutor` (``"rpc"``) — worker
   daemons across a process (or machine) boundary, each member pinned
-  once and later passes sending only task descriptors.
+  once and later passes sending only the verb and its arguments.
 
 :func:`resolve_fleet_executor` picks one through the same lazy
 resolution chain as every other knob — explicit argument > ``with
@@ -20,26 +21,48 @@ repro.engine(executor="rpc"):`` context > installed
 :class:`FleetExecutor` instance as-is.
 
 Every run returns one :class:`ExecutionOutcome`: the in-order task
-results plus the rpc executor's per-host wire and fault counters.  The
-fleet store stamps it with the operation, executor and wall clock,
-drops the results, and keeps it as ``fleet.last_op`` — the pass's only
-record.
+payloads plus the rpc executor's per-host wire and fault counters.
+Either way the caller-held member stores end the pass holding its
+state.  The fleet store stamps the outcome with the operation,
+executor and wall clock, drops the results, and keeps it as
+``fleet.last_op`` — the pass's only record.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
+from typing import Any, ClassVar, Dict, List, Mapping, Sequence, Tuple, Union
 
-#: A member task: a :func:`functools.partial` over a module-level
-#: function that closes over exactly one member
-#: :class:`~repro.api.store.TamperEvidentStore` and returns ``(payload,
-#: state)`` — the typed per-member result and the (possibly relocated)
-#: member object to reinstall.  The ``rpc`` executor pins that store on
-#: a worker and ships the rest of the partial as a descriptor; a task of
-#: any other shape is a ``TypeError`` there.
-MemberTask = Callable[[], Tuple[Any, Any]]
+
+@dataclass(frozen=True)
+class MemberTask:
+    """One member's share of a fleet pass: ``store.<verb>(**kwargs)``.
+
+    ``verb`` names one of the four
+    :class:`~repro.api.store.TamperEvidentStore` pass methods
+    (:attr:`VERBS`); any other name is a ``ValueError`` here.  Calling
+    the task runs the method and returns its typed payload.  The
+    ``rpc`` executor pins ``store`` on a worker and sends only the verb
+    and its arguments; any object that is not a ``MemberTask`` is a
+    ``TypeError`` there.
+    """
+
+    VERBS: ClassVar[Tuple[str, ...]] = (
+        "audit", "seal_many", "export_evidence", "format_device")
+
+    store: Any
+    verb: str
+    kwargs: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.verb not in self.VERBS:
+            raise ValueError(
+                f"a member task runs one of {', '.join(self.VERBS)}, "
+                f"not {self.verb!r}")
+
+    def __call__(self) -> Any:
+        return getattr(self.store, self.verb)(**self.kwargs)
 
 
 @dataclass(frozen=True)
@@ -80,14 +103,14 @@ class ExecutionOutcome:
     An executor fills ``results`` and the dispatch fields;
     :class:`~repro.api.fleet.FleetStore` stamps ``operation``,
     ``executor`` and ``wall_seconds``, re-keys ``failures`` to member
-    indices, empties ``results`` (a kept record never pins payloads or
-    member state) and keeps it as ``fleet.last_op``.
+    indices, empties ``results`` (a kept record never pins payloads)
+    and keeps it as ``fleet.last_op``.
 
     Attributes:
         operation: the fleet verb (``"audit"``, ``"seal_many"``, ...).
         executor: name of the executor that dispatched the pass.
         wall_seconds: host wall clock of the whole dispatch.
-        results: per-task ``(payload, state)`` tuples, in task order.
+        results: per-task payloads, in task order.
         hosts: remote worker addresses the pass dispatched to (empty
             for the serial executor).
         bytes_out: wire payload bytes sent per remote host this pass
@@ -101,13 +124,13 @@ class ExecutionOutcome:
             (:class:`~repro.parallel.remote.RpcTimeoutError`).
         failures: degraded-mode :class:`MemberFailure` records, member
             order.  When non-empty, the corresponding ``results`` slots
-            hold the failure record instead of ``(payload, state)``.
+            hold the failure record instead of a payload.
     """
 
     operation: str = ""
     executor: str = ""
     wall_seconds: float = 0.0
-    results: List[Tuple[Any, Any]] = field(default_factory=list)
+    results: List[Any] = field(default_factory=list)
     hosts: Tuple[str, ...] = ()
     bytes_out: Dict[str, int] = field(default_factory=dict)
     bytes_back: Dict[str, int] = field(default_factory=dict)
@@ -131,12 +154,6 @@ class FleetExecutor:
     """
 
     name: str = "abstract"
-
-    #: True when tasks run in another process (member state returned
-    #: by value).  Task builders use this to decide between returning
-    #: the member itself (cheap in-process) and a compact snapshot or
-    #: state patch (what must cross a process boundary).
-    crosses_process: bool = False
 
     def run(self, tasks: Sequence[MemberTask]) -> ExecutionOutcome:
         raise NotImplementedError

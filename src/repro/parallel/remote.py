@@ -15,11 +15,12 @@ Four pieces:
   (:func:`send_frame` / :func:`recv_frame`): a 4-byte magic, an 8-byte
   big-endian body length, then the protocol-5 pickle body, the frame's
   only payload section.  Every request is a ``(request id, verb
-  tuple)`` pair — ``("ping",)`` and the session verbs below — and every
+  tuple)`` pair — ``("ping",)`` or the ``run`` verb below — and every
   reply echoes its id; a worker closes the connection on a frame that
-  is not such a pair.  Responses carry the task's result or a portable
-  description of the exception it raised.  When a ``fleet_secret`` is
-  configured (``RpcExecutor(secret=...)`` >
+  is not such a pair, and answers a malformed verb tuple with a typed
+  :class:`RpcProtocolError` reply.  Responses carry the task's result
+  or a portable description of the exception it raised.  When a
+  ``fleet_secret`` is configured (``RpcExecutor(secret=...)`` >
   ``repro.engine(fleet_secret=...)`` > installed policy >
   ``REPRO_FLEET_SECRET``) every frame is HMAC-SHA256 signed — magic
   ``SRH2``, a 32-byte digest over header and body after the body — and
@@ -32,33 +33,38 @@ Four pieces:
   ``SRP2`` frames), so :func:`serve` refuses to bind an unsigned
   worker anywhere but loopback (documented in API.md).
 
-* **sessions** — the ``pin``/``run_pinned`` verbs, the one way a
-  member task crosses the wire.  A pin ships a member snapshot once
-  and caches it on the worker under a ``(client, member)`` key and a
-  client-assigned *generation*; later passes send only a task
-  descriptor (the store swapped for a placeholder, see
-  :mod:`repro.parallel.session`) and fold the returned
-  :class:`~repro.api.store.StoreStatePatch` — or, for a mutating pass,
-  the returned snapshot — into the caller-held store.  A
-  ``run_pinned`` that finds no pin of the requested generation
-  (worker restarted, cache evicted, client-side mutation bumped the
-  generation) answers ``("nopin",)`` **without running the task**, so
-  the client can re-pin and resend on the same connection.  Abandoned
-  pins are bounded by the worker's :data:`PIN_CACHE_CAP` LRU.  A pass
-  *pipelines*: one socket per host, every round's frames written by a
-  writer thread while the replies drain in order, matched by request
-  id, so N members on one host cost ~one round trip plus compute.  A
-  task that does not close over exactly one member store is a
-  ``TypeError`` before anything is dialled: no other callable travels.
+* **sessions** — the ``("run", key, generation, snapshot, verb,
+  kwargs)`` request, the one way a member task
+  (:class:`~repro.parallel.executor.MemberTask`) crosses the wire.
+  The first request for a member carries its snapshot, which the
+  worker caches under a ``(client, member)`` key and a client-assigned
+  *generation*; later passes send ``None`` in its place, so only the
+  verb and its arguments travel (see :mod:`repro.parallel.session`).
+  A request without a snapshot that finds no pin of the requested
+  generation (worker restarted, cache evicted, client-side mutation
+  bumped the generation) answers ``("nopin",)`` **without running the
+  task**, so the client resends it once, snapshot attached, on the
+  same connection.  Abandoned pins are bounded by the worker's
+  :data:`PIN_CACHE_CAP` LRU.  A pass *pipelines*: one socket per
+  host, every round's frames written by a writer thread while the
+  replies drain in order, matched by request id, so N members on one
+  host cost ~one round trip plus compute.  Anything but a
+  ``MemberTask`` is a ``TypeError`` before anything is dialled: no
+  other callable travels.
 
 * **worker daemon** — :func:`serve`, exposed as
   ``python -m repro.parallel.remote serve --bind HOST:PORT``.  A
   threaded TCP server that hosts pinned member stores: each
-  connection unpickles session verbs, runs pinned tasks, and replies
-  with ``("ok", (payload, state))`` or the raised exception.
-  A member raising inside a pass travels back as the original
-  exception object (plus the remote traceback text), so a fleet pass
-  fails with the *same* error type whichever executor dispatched it.
+  connection unpickles ``run`` requests, calls the named store method
+  on the pinned copy, and replies with ``("ok", payload, state)`` or
+  the raised exception.  The worker decides what state comes home: an
+  ``audit`` (which never mutates the medium) sends a
+  :class:`~repro.api.store.StoreStatePatch`, the three mutating verbs
+  send the pinned store itself, and the client folds either into the
+  caller-held store.  A member raising inside a pass travels back as
+  the original exception object (plus the remote traceback text), so a
+  fleet pass fails with the *same* error type whichever executor
+  dispatched it.
 
 * **client executor** — :class:`RpcExecutor` (selected as ``rpc``),
   a :class:`~repro.parallel.executor.FleetExecutor` that resolves its
@@ -116,6 +122,7 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..api import policy as _policy
+from ..api.store import StoreStatePatch
 from ..errors import ConfigurationError, ReproError
 from . import session as _session
 from .executor import (
@@ -308,7 +315,9 @@ def _recv_frame_counted(sock: socket.socket, *,
     reaches the deserialiser.  An unsigned ``SRP2`` frame is rejected
     when a secret is set, and a signed frame is rejected when no
     secret is configured (this peer cannot verify it): both sides must
-    agree on the secret, which is the point.
+    agree on the secret, which is the point.  A body that does not
+    unpickle here — it names a class this side lacks, as another
+    version's request may — is an :class:`RpcProtocolError` too.
     """
     resolved = _resolve_secret(secret)
     try:
@@ -348,7 +357,12 @@ def _recv_frame_counted(sock: socket.socket, *,
                 "frame signature mismatch: the peer signed with a "
                 "different fleet secret, or the frame was tampered "
                 "with in transit")
-    return pickle.loads(body), length
+    try:
+        return pickle.loads(body), length
+    except Exception as exc:  # noqa: BLE001 — any unpicklable body
+        raise RpcProtocolError(
+            f"frame body does not unpickle on this peer ({exc!r}); "
+            "workers and clients of different versions?") from exc
 
 
 def recv_frame(sock: socket.socket, *, secret: Any = _AMBIENT) -> Any:
@@ -370,15 +384,23 @@ def recv_frame(sock: socket.socket, *, secret: Any = _AMBIENT) -> Any:
 #: Worker-global pin cache: ``(client, member) key -> (generation,
 #: pinned store)``.  LRU-capped so an abandoned client cannot grow a
 #: worker without bound; an evicted pin costs the owner one ``nopin``
-#: round trip and a re-pin, never a wrong result.
+#: round trip and a resend with the snapshot, never a wrong result.
 PIN_CACHE_CAP = 1024
 _PINS: "OrderedDict[Any, Tuple[int, Any]]" = OrderedDict()
 _PINS_LOCK = threading.Lock()
 
 
-def _run_task(task: Any) -> Tuple:
+def _run_task(task: MemberTask) -> Tuple:
+    """``("ok", payload, state)`` for ``task`` on its pinned store, or
+    the ``("err", ...)`` reply.  The worker decides what state comes
+    home: an audit never mutates the medium, so its state travels as a
+    :class:`StoreStatePatch`; the other verbs send the store itself."""
+    audit = task.verb == "audit"
     try:
-        result = task()
+        mark = StoreStatePatch.fs_meta_mark(task.store) if audit else None
+        payload = task()
+        state = StoreStatePatch.capture(task.store, mark) if audit \
+            else task.store
     except BaseException as exc:  # noqa: BLE001 — shipped to caller
         try:
             portable: Optional[BaseException] = pickle.loads(
@@ -387,7 +409,29 @@ def _run_task(task: Any) -> Tuple:
             portable = None
         return ("err", portable, type(exc).__name__, str(exc),
                 traceback.format_exc())
-    return ("ok", result)
+    return ("ok", payload, state)
+
+
+def _protocol_error(message: str) -> Tuple:
+    return ("err", None, "RpcProtocolError", message, "")
+
+
+def _malformed_run(verb: Tuple) -> Optional[str]:
+    """Why ``verb`` is not a well-formed ``run`` request, or None."""
+    if len(verb) != 6:
+        return f"a run request has 6 fields, got {len(verb)}"
+    _op, key, generation, _snapshot, method, kwargs = verb
+    if not (isinstance(key, tuple) and len(key) == 2
+            and isinstance(key[0], str) and isinstance(key[1], int)):
+        return f"a member key is (client str, member int), got {key!r}"
+    if not isinstance(generation, int):
+        return f"a generation is an int, got {generation!r}"
+    if method not in MemberTask.VERBS:
+        return (f"a worker runs one of {', '.join(MemberTask.VERBS)}, "
+                f"not {method!r}")
+    if not isinstance(kwargs, dict):
+        return f"task arguments are a dict, got {type(kwargs).__name__}"
+    return None
 
 
 def _execute_request(verb: Tuple) -> Tuple:
@@ -395,35 +439,34 @@ def _execute_request(verb: Tuple) -> Tuple:
     op = verb[0]
     if op == "ping":
         return ("pong", os.getpid())
-    if op == "pin":
-        _op, key, generation, snapshot = verb
-        with _PINS_LOCK:
+    if op != "run":
+        return _protocol_error(f"unknown request op {op!r}")
+    problem = _malformed_run(verb)
+    if problem is not None:
+        return _protocol_error(problem)
+    _op, key, generation, snapshot, method, kwargs = verb
+    with _PINS_LOCK:
+        if snapshot is not None:
             _PINS[key] = (generation, snapshot)
             _PINS.move_to_end(key)
             while len(_PINS) > PIN_CACHE_CAP:
                 _PINS.popitem(last=False)
-        return ("pinned",)
-    if op == "run_pinned":
-        _op, key, generation, task = verb
+        entry = _PINS.get(key)
+        if entry is not None and entry[0] == generation:
+            _PINS.move_to_end(key)
+            pinned = entry[1]
+        else:
+            pinned = None
+    if pinned is None:
+        # missing or stale pin: the task did NOT run, which is what
+        # makes the client's resend with the snapshot attached safe
+        return ("nopin",)
+    response = _run_task(MemberTask(pinned, method, kwargs))
+    if response[0] == "err":
+        # the pinned copy may be half-mutated: never serve it again
         with _PINS_LOCK:
-            entry = _PINS.get(key)
-            if entry is not None and entry[0] == generation:
-                _PINS.move_to_end(key)
-                pinned = entry[1]
-            else:
-                pinned = None
-        if pinned is None:
-            # missing or stale pin: the task did NOT run, which is
-            # what makes a client-side re-pin + resend safe
-            return ("nopin",)
-        response = _run_task(_session.bind_pinned(task, pinned))
-        if response[0] == "err":
-            # the pinned copy may be half-mutated: never serve it again
-            with _PINS_LOCK:
-                _PINS.pop(key, None)
-        return response
-    return ("err", None, "RpcProtocolError",
-            f"unknown request op {op!r}", "")
+            _PINS.pop(key, None)
+    return response
 
 
 class _WorkerHandler(socketserver.BaseRequestHandler):
@@ -849,18 +892,22 @@ def usable_hosts(hosts: Sequence[str], *,
 
 
 class _TaskPlan:
-    """One member task's dispatch plan inside a pass: the member store
-    it closes over, the task with that store stripped out (see
-    :func:`~repro.parallel.session.split_task`), and the store's
-    session."""
+    """One member task's dispatch plan inside a pass: its position,
+    the task, and its store's session."""
 
-    __slots__ = ("index", "store", "stripped", "session")
+    __slots__ = ("index", "task", "session")
 
-    def __init__(self, index: int, store: Any, stripped: Any) -> None:
+    def __init__(self, index: int, task: MemberTask) -> None:
         self.index = index
-        self.store = store
-        self.stripped = stripped
-        self.session = _session.session_for(store)
+        self.task = task
+        self.session = _session.session_for(task.store)
+
+    def request(self, snapshot: bool) -> Tuple:
+        """The ``run`` request, carrying the store when ``snapshot``."""
+        task, sess = self.task, self.session
+        return ("run", sess.key, sess.generation,
+                task.store if snapshot else None, task.verb,
+                dict(task.kwargs))
 
 
 class RpcExecutor(FleetExecutor):
@@ -916,7 +963,6 @@ class RpcExecutor(FleetExecutor):
     """
 
     name = "rpc"
-    crosses_process = True  # results cross a machine boundary
 
     def __init__(self, hosts: Union[None, str, Sequence[str]] = None, *,
                  timeout: Optional[float] = None,
@@ -999,21 +1045,17 @@ class RpcExecutor(FleetExecutor):
         Member *task* errors are deterministic and never requeue; they
         raise (or degrade) as they are.
 
-        Every task must close over exactly one member store (see
-        :data:`~repro.parallel.executor.MemberTask`); any other is a
-        ``TypeError`` raised before a host is resolved or dialled.
+        Every task must be a
+        :class:`~repro.parallel.executor.MemberTask`; anything else is
+        a ``TypeError`` raised before a host is resolved or dialled.
         """
         plans: List[_TaskPlan] = []
         for index, task in enumerate(tasks):
-            split = _session.split_task(task)
-            if split is None:
+            if not isinstance(task, MemberTask):
                 raise TypeError(
-                    f"the rpc executor runs member tasks — a "
-                    f"functools.partial closing over exactly one "
-                    f"TamperEvidentStore; task {index} ({task!r}) is not "
-                    f"one")
-            stripped, store = split
-            plans.append(_TaskPlan(index, store, stripped))
+                    f"the rpc executor runs MemberTask records; task "
+                    f"{index} ({task!r}) is not one")
+            plans.append(_TaskPlan(index, task))
         hosts = self._resolve_hosts()
         if not plans:
             return ExecutionOutcome(hosts=hosts)
@@ -1151,7 +1193,7 @@ class RpcExecutor(FleetExecutor):
         for plan in plans:
             if plan.index in completed:
                 outcome.results.append(
-                    self._fold_result(plan, completed[plan.index]))
+                    self._fold_result(plan, *completed[plan.index]))
                 continue
             if plan.index in member_failed:
                 addr, exc = member_failed[plan.index]
@@ -1175,25 +1217,23 @@ class RpcExecutor(FleetExecutor):
         return outcome
 
     @staticmethod
-    def _fold_result(plan: _TaskPlan, result: Any) -> Any:
+    def _fold_result(plan: _TaskPlan, payload: Any, state: Any) -> Any:
         """Fold a pinned task's returned state into the caller-held
-        store and re-arm the session for the next pass."""
-        if not (isinstance(result, tuple) and len(result) == 2):
-            # not the (payload, state) member contract: nothing to
-            # fold, and the pinned copy's state is unknowable
-            plan.session.invalidate()
-            return result
-        from ..api.fleet import fold_member_state
-
-        payload, state = result
-        fold_member_state(plan.store, state)
+        store — a read-only pass's :class:`StoreStatePatch` is applied
+        in place, a mutated snapshot absorbed via
+        :meth:`~repro.api.store.TamperEvidentStore.adopt_state` so
+        caller-held references stay live — re-arm the session for the
+        next pass, and return the payload."""
+        store = plan.task.store
+        if isinstance(state, StoreStatePatch):
+            state.apply(store)
+        else:
+            store.adopt_state(state)
         # worker copy and caller store advanced identically (the
         # byte-identity contract of the patch transport): re-capture
         # the fingerprint so the next pass reuses the pin
-        plan.session.fingerprint = _session.store_fingerprint(plan.store)
-        # hand the *original* store back so the fleet-level fold
-        # (fold_member_state(original, state)) is a no-op
-        return payload, plan.store
+        plan.session.fingerprint = _session.store_fingerprint(store)
+        return payload
 
     def _drive_host(self, addr: str, plans: List[_TaskPlan],
                     deadline: Optional[float] = None,
@@ -1228,23 +1268,21 @@ class RpcExecutor(FleetExecutor):
                     plans: List[_TaskPlan],
                     secret: Any = _AMBIENT
                     ) -> Tuple[List, List, int, int]:
-        requests: List[Tuple[str, _TaskPlan, Tuple]] = []
+        batch: List[Tuple[_TaskPlan, bool]] = []
         for plan in plans:
             sess = plan.session
             current = sess.pin_current(addr) and \
                 sess.fingerprint is not None and \
-                sess.fingerprint == _session.store_fingerprint(plan.store)
+                sess.fingerprint == _session.store_fingerprint(
+                    plan.task.store)
             if not current:
                 # new generation: any pin of the old state, on any
                 # worker, must never serve again
                 sess.invalidate()
-                requests.append(("pin", plan, (
-                    "pin", sess.key, sess.generation, plan.store)))
-            requests.append(("runp", plan, (
-                "run_pinned", sess.key, sess.generation, plan.stripped)))
+            batch.append((plan, not current))
 
         counters = {"sent": 0, "received": 0}
-        items: List[Tuple[int, Any]] = []
+        items: List[Tuple[int, Tuple[Any, Any]]] = []
         member_errors: List[Tuple[_TaskPlan, BaseException]] = []
         nopins: List[_TaskPlan] = []
 
@@ -1259,7 +1297,7 @@ class RpcExecutor(FleetExecutor):
                     f"{exc}") from exc
             counters["sent"] += nbytes
 
-        def recv_one(rid: int, kind: str, plan: _TaskPlan) -> None:
+        def recv_one(rid: int, plan: _TaskPlan, shipped: bool) -> None:
             reply, nbytes = _recv_reply(addr, sock, secret=secret)
             counters["received"] += nbytes
             if not (isinstance(reply, tuple) and len(reply) == 2
@@ -1271,18 +1309,17 @@ class RpcExecutor(FleetExecutor):
             response = reply[1]
             tag = response[0] if isinstance(response, tuple) and response \
                 else None
-            if kind == "pin":
-                if tag != "pinned":
-                    _discard(sock)
-                    raise RpcProtocolError(
-                        f"unexpected pin reply {response!r} from "
-                        f"worker at {addr}")
-                plan.session.pins[addr] = plan.session.generation
-                return
             if tag == "ok":
-                items.append((plan.index, response[1]))
+                if shipped:
+                    plan.session.pins[addr] = plan.session.generation
+                items.append((plan.index, response[1:]))
                 return
             if tag == "nopin":
+                if shipped:
+                    _discard(sock)
+                    raise RpcProtocolError(
+                        f"worker at {addr} dropped a freshly shipped "
+                        f"pin for member {plan.index}")
                 nopins.append(plan)
                 return
             if tag == "err":
@@ -1293,13 +1330,13 @@ class RpcExecutor(FleetExecutor):
             raise RpcProtocolError(
                 f"unknown reply tag {tag!r} from worker at {addr}")
 
-        def run_round(batch: List[Tuple[str, _TaskPlan, Tuple]]) -> None:
+        def run_round(batch: List[Tuple[_TaskPlan, bool]]) -> None:
             send_error: List[BaseException] = []
 
             def pump() -> None:
                 try:
-                    for rid, (_kind, _plan, payload) in enumerate(batch):
-                        send_one(rid, payload)
+                    for rid, (plan, shipped) in enumerate(batch):
+                        send_one(rid, plan.request(shipped))
                 except BaseException as exc:  # noqa: BLE001
                     send_error.append(exc)
                     _discard(sock)  # unblocks the reply reader
@@ -1308,37 +1345,22 @@ class RpcExecutor(FleetExecutor):
                 target=pump, name=f"rpc-writer-{addr}", daemon=True)
             writer.start()
             try:
-                for rid, (kind, plan, _payload) in enumerate(batch):
-                    recv_one(rid, kind, plan)
+                for rid, (plan, shipped) in enumerate(batch):
+                    recv_one(rid, plan, shipped)
             finally:
                 writer.join()
             if send_error and not isinstance(
                     send_error[0], RpcConnectionError):
                 raise send_error[0]
 
-        run_round(requests)
-        retried = set()
-        while nopins:
-            # a run_pinned missed (worker restarted or evicted the
-            # pin) without running the task: re-pin from caller state
-            # on the same, still-healthy connection and resend
-            missed, nopins = nopins, []
-            batch: List[Tuple[str, _TaskPlan, Tuple]] = []
-            for plan in missed:
-                if plan.index in retried:
-                    _discard(sock)
-                    raise RpcProtocolError(
-                        f"worker at {addr} dropped a freshly shipped "
-                        f"pin for member {plan.index}")
-                retried.add(plan.index)
-                sess = plan.session
-                sess.invalidate()
-                batch.append(("pin", plan, (
-                    "pin", sess.key, sess.generation, plan.store)))
-                batch.append(("runp", plan, (
-                    "run_pinned", sess.key, sess.generation,
-                    plan.stripped)))
-            run_round(batch)
+        run_round(batch)
+        if nopins:
+            # a request missed its pin (worker restarted or evicted
+            # it) without running the task: resend it once, on the
+            # same, still-healthy connection, carrying the snapshot
+            for plan in nopins:
+                plan.session.invalidate()
+            run_round([(plan, True) for plan in nopins])
         _give_back(addr, sock)
         return (items, member_errors,
                 counters["sent"], counters["received"])

@@ -1,12 +1,12 @@
 """Client-side member sessions for the ``rpc`` executor.
 
 The executor ships a member's snapshot to its ring-assigned worker
-*once* (``pin``); every later pass sends only a small ``run_pinned``
-task descriptor and folds the returned
-:class:`~repro.api.store.StoreStatePatch` (or, for a mutating pass,
-the returned snapshot) into the caller-held store.  That only stays
-correct if a stale pin is never silently reused, so this module keeps
-the client's books:
+*once*, on the first ``run`` request that finds no pin there; every
+later pass sends only the task's verb and arguments and folds the
+returned :class:`~repro.api.store.StoreStatePatch` (or, for a mutating
+pass, the returned snapshot) into the caller-held store.  That only
+stays correct if a stale pin is never silently reused, so this module
+keeps the client's books:
 
 * a :class:`MemberSession` per live member store, holding the wire key
   the worker caches the snapshot under, a monotone **generation**
@@ -14,13 +14,13 @@ the client's books:
   set of workers currently holding a pin of that generation;
 
 * a **fingerprint** of everything a member pass can change
-  (:func:`store_fingerprint`): the medium's mutation epoch and
-  operation counters, the live RNG state, the cost account, the sled
-  position, the heated-line registry, the bad/fragile block sets and
-  the façade's instruction tick.  Any client-side mutation between
-  passes — a direct ``seal``, a migration, an attack helper poking the
-  medium — changes the fingerprint, which forces a re-pin instead of a
-  wrong result.
+  (:func:`store_fingerprint`): the device state a read-only pass
+  advances (:class:`~repro.device.sero.DeviceStatePatch`: RNG,
+  counters, mutation epoch, cost account, sled), the heated-line
+  registry, the bad/fragile block sets and the façade's instruction
+  tick.  Any client-side mutation between passes — a direct ``seal``,
+  a migration, an attack helper poking the medium — changes the
+  fingerprint, which forces a re-pin instead of a wrong result.
 
 The invariant the executor maintains: after a successful pinned pass
 *and* fold, the worker's pinned copy and the client's store are
@@ -29,92 +29,22 @@ so the recorded fingerprint is simply re-captured from the client
 store.  On any failure mid-pass the executor calls
 :func:`invalidate`, which bumps the generation — the worker copy may
 have advanced without a client fold and must never serve again.
-
-Tasks cross the wire with the member store replaced by the picklable
-:class:`PinnedStoreRef` placeholder; the worker substitutes its pinned
-copy (:func:`bind_pinned`) before running the task.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
-import sys
 import threading
 import weakref
 from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
     "MemberSession",
-    "PinnedStoreRef",
-    "bind_pinned",
     "invalidate",
     "session_for",
-    "split_task",
     "store_fingerprint",
 ]
-
-
-class PinnedStoreRef:
-    """Placeholder marking where a member store sat in a task's
-    arguments; the worker swaps in its pinned copy."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<pinned member store>"
-
-
-_REF = PinnedStoreRef()
-
-
-def _is_store(obj: Any) -> bool:
-    # sys.modules, not an import: a task that closes over a store can
-    # only exist if the store module is already loaded, and checking
-    # any other object must not drag the whole api layer in.
-    mod = sys.modules.get("repro.api.store")
-    return mod is not None and isinstance(obj, mod.TamperEvidentStore)
-
-
-def split_task(task: Any) -> Optional[Tuple[Any, Any]]:
-    """``(stripped_task, store)`` when ``task`` is a partial closing
-    over exactly one member store, else None — not a member task, which
-    the ``rpc`` executor refuses with ``TypeError`` before dialling.
-
-    The stripped task is the same callable with the store replaced by
-    the :class:`PinnedStoreRef` placeholder — a few hundred bytes on
-    the wire instead of the snapshot.
-    """
-    fn = getattr(task, "func", None)
-    args = getattr(task, "args", None)
-    kwargs = getattr(task, "keywords", None)
-    if fn is None or args is None or kwargs is None:
-        return None
-    arg_hits = [i for i, a in enumerate(args) if _is_store(a)]
-    key_hits = [k for k, v in kwargs.items() if _is_store(v)]
-    if len(arg_hits) + len(key_hits) != 1:
-        return None
-    if arg_hits:
-        store = args[arg_hits[0]]
-        args = tuple(_REF if i == arg_hits[0] else a
-                     for i, a in enumerate(args))
-        kwargs = dict(kwargs)
-    else:
-        store = kwargs[key_hits[0]]
-        kwargs = dict(kwargs)
-        kwargs[key_hits[0]] = _REF
-    return functools.partial(fn, *args, **kwargs), store
-
-
-def bind_pinned(task: Any, store: Any) -> Any:
-    """Worker side of :func:`split_task`: substitute the pinned store
-    back where the placeholder travels."""
-    args = tuple(store if isinstance(a, PinnedStoreRef) else a
-                 for a in task.args)
-    kwargs = {key: store if isinstance(value, PinnedStoreRef) else value
-              for key, value in task.keywords.items()}
-    return functools.partial(task.func, *args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +52,8 @@ def bind_pinned(task: Any, store: Any) -> Any:
 
 
 def _device_fingerprint(device: Any) -> Tuple:
-    medium = device.medium
     return (
-        medium.mutation_epoch,
-        tuple(sorted(medium.counters.items())),
-        medium._rng.bit_generator.state,
-        device.account.elapsed,
-        device.scanner._x,
-        device.scanner._y,
-        device.scanner._last_block,
+        device.state_patch(),
         tuple(sorted(device._lines)),
         tuple(sorted(device.bad_blocks)),
         tuple(sorted(device.fragile_blocks)),
@@ -176,7 +99,7 @@ class MemberSession:
 
     def invalidate(self) -> None:
         """The pinned copies can no longer be trusted: bump the
-        generation so every worker's next ``run_pinned`` misses."""
+        generation so every worker's next ``run`` request misses."""
         self.generation += 1
         self.pins.clear()
         self.fingerprint = None

@@ -21,7 +21,6 @@ alert sequence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
@@ -157,7 +156,3 @@ class Percolator:
             "alerts": [alert.to_json() for alert in self.alerts],
             "matched": sorted(list(pair) for pair in self._matched),
         }
-
-    def state_digest_bytes(self) -> bytes:
-        return json.dumps(self.state_digest_payload(), sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")

@@ -195,6 +195,21 @@ REMOVED: Tuple[Removed, ...] = (
     Removed("_alias", "12.0", _ALIASES),
     Removed("extra", "12.0", "nothing read it",
             "repro.gateway.settings.GatewaySettings"),
+    # 13.0: a member task is a (store, verb, kwargs) record
+    Removed("fold_member_state", "13.0", "the rpc executor folds"),
+    Removed("split_task", "13.0", "MemberTask(store, verb, kwargs)"),
+    Removed("bind_pinned", "13.0", "MemberTask(store, verb, kwargs)"),
+    Removed("PinnedStoreRef", "13.0", "MemberTask(store, verb, kwargs)"),
+    Removed("crosses_process", "13.0", "the worker picks the reply form"),
+    Removed("run_pinned", "13.0", "the run request"),
+    Removed("_audit_member", "13.0", 'MemberTask(store, "audit", ...)'),
+    Removed("_seal_many_member", "13.0",
+            'MemberTask(store, "seal_many", ...)'),
+    Removed("_export_member", "13.0",
+            'MemberTask(store, "export_evidence", ...)'),
+    Removed("_format_member", "13.0", 'MemberTask(store, "format_device")'),
+    Removed("records_logged", "13.0", "len(audit_log.history())"),
+    Removed("state_digest_bytes", "13.0", "state_digest_payload()"),
 )
 
 

@@ -89,8 +89,8 @@ def test_top_level_reexports():
         assert getattr(repro, name) is getattr(api, name)
 
 
-def test_version_is_v12():
-    assert repro.__version__ == "12.0.0"
+def test_version_is_v13():
+    assert repro.__version__ == "13.0.0"
 
 
 @pytest.mark.parametrize("row", REMOVED, ids=row_id)

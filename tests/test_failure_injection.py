@@ -11,7 +11,6 @@ the cached connection/process pools reusable for the next pass.
 import os
 import socket
 import threading
-from functools import partial
 
 import numpy as np
 import pytest
@@ -19,9 +18,9 @@ import pytest
 import repro
 import repro.api as api
 from twin_racks import (
+    DieHolding,
     dead_host_splitting,
     device_rack,
-    die_holding,
     fingerprints,
     sealed_device_rack,
 )
@@ -48,11 +47,12 @@ def _export_tests_dir(monkeypatch):
                        here + (os.pathsep + path if path else ""))
 
 
-def _tiny_store(seed):
-    """A 64-block fs-backed member holding one sealed object."""
+def _tiny_store(seed, cls=None):
+    """A 64-block fs-backed member holding one sealed object (a
+    ``cls`` store, :class:`TamperEvidentStore` by default)."""
     from repro.api.store import TamperEvidentStore
 
-    store = TamperEvidentStore.create(
+    store = (cls or TamperEvidentStore).create(
         total_blocks=64, medium_config=MediumConfig(seed=seed))
     store.put("/sealed", bytes([seed % 251 + 1]) * 200)
     store.seal("/sealed")
@@ -182,21 +182,21 @@ def test_rpc_worker_killed_mid_task(monkeypatch):
     """A worker that dies while executing a task (no reply ever sent)
     must surface as a raised RpcConnectionError naming the host, not a
     hang — and the caller-held member is exactly as it was."""
-    from repro.parallel import RpcConnectionError, RpcExecutor, \
-        spawn_local_worker
+    from repro.parallel import MemberTask, RpcConnectionError, \
+        RpcExecutor, spawn_local_worker
     from repro.parallel.session import store_fingerprint
 
     _export_tests_dir(monkeypatch)
     worker = spawn_local_worker()
     try:
         executor = RpcExecutor([worker.address])
-        store = _tiny_store(7)
+        store = _tiny_store(7, DieHolding)
         before = store_fingerprint(store)
         # os._exit on the worker: the process dies mid-request, after
         # the task was delivered but before any reply (the same-host
         # retry then finds nothing listening)
         with pytest.raises(RpcConnectionError, match=worker.address):
-            executor.run([partial(die_holding, store)])
+            executor.run([MemberTask(store, "audit")])
         assert store_fingerprint(store) == before
     finally:
         worker.stop()
@@ -466,10 +466,10 @@ def test_mixed_pass_failover_replaces_both_task_kinds(monkeypatch):
     — re-places on the survivor, results land in their slots, the
     stores match the serial twin, and nothing from the dead round was
     folded (a double-run audit would advance the RNG twice)."""
-    from repro.api.fleet import _audit_member
-    from repro.parallel import HashRing, RpcExecutor, SerialExecutor, \
-        close_connection_pools, parse_hosts, reset_host_health, \
-        spawn_local_worker
+    from repro.api.store import AuditReport
+    from repro.parallel import HashRing, MemberTask, RpcExecutor, \
+        SerialExecutor, close_connection_pools, parse_hosts, \
+        reset_host_health, spawn_local_worker
     from repro.parallel.session import session_for, store_fingerprint
 
     _export_tests_dir(monkeypatch)
@@ -486,33 +486,32 @@ def test_mixed_pass_failover_replaces_both_task_kinds(monkeypatch):
     killer = on_victim[2]
 
     def tasks_over(stores):
-        return [partial(_audit_member, store, True, True)
+        return [MemberTask(store, "audit", {"deep": True})
                 for store in stores]
 
     reset_host_health()
     try:
         stores = [_tiny_store(40 + i) for i in range(slots)]
         twins = [_tiny_store(40 + i) for i in range(slots)]
-        killed_before = store_fingerprint(stores[killer])
-        tasks = tasks_over(stores)
         # SIGKILL needs no cooperation; re-placed on the survivor the
-        # same call signals the unreaped victim again, harmlessly
-        tasks[killer] = partial(die_holding, stores[killer],
-                                victim.process.pid)
-        outcome = RpcExecutor(list(hosts), retries=1).run(tasks)
+        # same audit signals the unreaped victim again, harmlessly
+        stores[killer] = _tiny_store(40 + killer, DieHolding)
+        stores[killer].kill_pid = victim.process.pid
+        killed_before = store_fingerprint(stores[killer])
+        outcome = RpcExecutor(list(hosts), retries=1).run(
+            tasks_over(stores))
         reference = SerialExecutor().run(tasks_over(twins))
 
         assert not outcome.failures
         assert outcome.retries == {victim.address: len(on_victim)}
         for i in range(slots):
             assert set(session_for(stores[i]).pins) == {survivor.address}
-            payload, state = outcome.results[i]
-            assert state is stores[i]  # folded into the caller's
+            payload = outcome.results[i]
             if i == killer:
-                assert payload is None
+                assert payload == AuditReport(deep=True)
                 assert store_fingerprint(stores[i]) == killed_before
             else:
-                assert payload == reference.results[i][0]
+                assert payload == reference.results[i]
                 assert store_fingerprint(stores[i]) == \
                     store_fingerprint(twins[i])
     finally:
@@ -626,9 +625,8 @@ def test_executor_degrade_member_exception_keeps_slot():
     """Executor-level degrade: a task raising remotely occupies its
     results slot with a MemberFailure (error preserved by type and
     message) while other tasks' results come back normally."""
-    from repro.api.fleet import _seal_many_member
     from repro.api.store import TamperEvidentStore
-    from repro.parallel import MemberFailure, RpcExecutor, \
+    from repro.parallel import MemberFailure, MemberTask, RpcExecutor, \
         SerialExecutor, close_connection_pools, spawn_local_worker
     from repro.parallel.session import store_fingerprint
 
@@ -637,20 +635,22 @@ def test_executor_degrade_member_exception_keeps_slot():
                       total_blocks=64, medium_config=MediumConfig(seed=s))
                   for s in (5, 6)]
         stores[0].put("/present", b"p" * 100)
-        return [partial(_seal_many_member, stores[0], ("/present",), 9),
-                partial(_seal_many_member, stores[1], ("/missing",), 9)]
+        return [MemberTask(stores[0], "seal_many",
+                           {"paths": ("/present",), "timestamp": 9}),
+                MemberTask(stores[1], "seal_many",
+                           {"paths": ("/missing",), "timestamp": 9})]
 
     worker = spawn_local_worker()
     try:
         executor = RpcExecutor([worker.address], on_failure="degrade")
         tasks = members()
-        untouched = store_fingerprint(tasks[1].args[0])
+        untouched = store_fingerprint(tasks[1].store)
         outcome = executor.run(tasks)
-        receipts, state = outcome.results[0]
-        assert state is tasks[0].args[0]
-        reference = SerialExecutor().run(members()[:1]).results[0]
-        assert receipts == reference[0]
-        assert store_fingerprint(state) == store_fingerprint(reference[1])
+        twin = members()[0]
+        reference = SerialExecutor().run([twin]).results[0]
+        assert outcome.results[0] == reference
+        assert store_fingerprint(tasks[0].store) == \
+            store_fingerprint(twin.store)
         failure = outcome.results[1]
         assert isinstance(failure, MemberFailure)
         assert failure.index == 1
@@ -658,7 +658,7 @@ def test_executor_degrade_member_exception_keeps_slot():
         assert "/missing" in failure.message
         assert not failure.timed_out
         assert outcome.failures == [failure]
-        assert store_fingerprint(tasks[1].args[0]) == untouched
+        assert store_fingerprint(tasks[1].store) == untouched
     finally:
         worker.stop()
         close_connection_pools()

@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import os
 import pickle
 import re
 import socket
+import subprocess
+import sys
 import threading
 import time
-from functools import partial
 
 import numpy as np
 import pytest
@@ -47,6 +49,7 @@ from repro.api.store import TamperEvidentStore
 from repro.errors import ConfigurationError
 from repro.parallel import (
     HashRing,
+    MemberTask,
     RpcConnectionError,
     RpcExecutor,
     close_connection_pools,
@@ -248,6 +251,60 @@ def test_worker_drops_an_untagged_request(workers):
         rid, response = recv_frame(sock, secret=None)
         assert rid == 8
         assert response[0] == "err" and response[2] == "RpcProtocolError"
+
+
+def test_malformed_requests_get_a_typed_reply_not_a_traceback():
+    """A well-framed request whose verb tuple is malformed — a 12.x
+    ``("pin",)``, an unhashable key, a verb outside ``MemberTask.VERBS``
+    — gets a typed ``RpcProtocolError`` reply on a connection that keeps
+    serving, pins nothing, and prints no traceback on the worker; a
+    body naming a global the worker lacks (a 12.x task) gets the
+    connection closed, also without one."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.parallel.remote", "serve",
+         "--bind", "127.0.0.1:0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    try:
+        announce = process.stdout.readline()
+        assert announce.startswith("SRPC listening on "), announce
+        host, port = remote_mod.parse_host(announce.split()[-1])
+        store = device_rack(n=1, blocks=16).members[0]
+        key = ("client", 1)
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            for rid, verb in enumerate((
+                    ("pin",),
+                    ("run", ["k"], 0, None, "audit", {}),
+                    ("run", key, 0, None, "delete", {"path": "/x"}),
+                    ("run", key, 0, store, "delete", {"path": "/x"}))):
+                send_frame(sock, (rid, verb), secret=None)
+                reply_id, response = recv_frame(sock, secret=None)
+                assert reply_id == rid
+                assert response[0] == "err", response
+                assert response[2] == "RpcProtocolError"
+            # the refused snapshot was never pinned
+            send_frame(sock, (9, ("run", key, 0, None, "audit", {})),
+                       secret=None)
+            assert recv_frame(sock, secret=None) == (9, ("nopin",))
+            # a snapshot that is no store fails as its task, in a reply
+            send_frame(sock, (10, ("run", key, 0, 5, "audit", {})),
+                       secret=None)
+            reply_id, response = recv_frame(sock, secret=None)
+            assert (reply_id, response[0]) == (10, "err"), response
+            send_frame(sock, (11, ("ping",)), secret=None)
+            assert recv_frame(sock, secret=None)[1][0] == "pong"
+        body = b"crepro.api.fleet\n_audit_member\n."
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(remote_mod._HEADER.pack(b"SRP2", len(body)) + body)
+            with pytest.raises(EOFError):
+                recv_frame(sock, secret=None)
+    finally:
+        process.terminate()
+        _out, err = process.communicate(timeout=10)
+    assert "Traceback" not in err, err
 
 
 def test_probe_honours_its_timeout():
@@ -506,23 +563,24 @@ def test_report_names_hosts_and_per_host_bytes(workers):
     assert stats.results == []  # the kept record pins no member state
 
 
-def test_rpc_refuses_a_task_without_one_member_store():
-    """Every rpc request is a session verb: a task that does not close
-    over exactly one member store is a TypeError before any host is
-    resolved or dialled (nothing listens on the address)."""
-    from repro.api.fleet import _audit_member
-
+def test_rpc_refuses_a_task_that_is_not_a_member_task():
+    """Every rpc request runs a MemberTask: any other task is a
+    TypeError before any host is resolved or dialled (nothing listens
+    on the address), and a MemberTask naming a verb outside
+    ``MemberTask.VERBS`` cannot be built at all."""
     pooled = _pooled_connections()
     holder = socket.socket()
     holder.bind(("127.0.0.1", 0))  # bound, never listening
     try:
         executor = RpcExecutor([f"127.0.0.1:{holder.getsockname()[1]}"])
         a, b = device_rack(n=2, blocks=16).members
-        for task in (partial(divmod, 7, 3), partial(_audit_member, a, b)):
-            with pytest.raises(TypeError, match="exactly one"):
+        for task in (divmod, a.audit, (a, "audit", {})):
+            with pytest.raises(TypeError, match="MemberTask"):
                 executor.run([task])
         with pytest.raises(TypeError, match="task 1"):
-            executor.run([partial(_audit_member, a, False), divmod])
+            executor.run([MemberTask(a, "audit"), divmod])
+        with pytest.raises(ValueError, match="'put'"):
+            MemberTask(b, "put")
         assert _pooled_connections() == pooled
     finally:
         holder.close()
@@ -837,7 +895,6 @@ def test_executor_timeout_surfaces_as_rpc_timeout():
     """RpcExecutor(timeout=...) applies the per-request deadline to
     dispatched passes: a hung 'worker' fails the pass with
     RpcTimeoutError instead of hanging it."""
-    from repro.api.fleet import _audit_member
     from repro.parallel import RpcTimeoutError
 
     gate = threading.Event()
@@ -861,7 +918,7 @@ def test_executor_timeout_surfaces_as_rpc_timeout():
         executor = RpcExecutor([addr], timeout=0.4)
         member = device_rack(n=1, blocks=16).members[0]
         with pytest.raises(RpcTimeoutError):
-            executor.run([partial(_audit_member, member, False)])
+            executor.run([MemberTask(member, "audit")])
     finally:
         gate.set()
         server.close()

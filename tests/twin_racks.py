@@ -19,10 +19,11 @@ Two rack shapes, because no single one takes every pass:
   objects: takes ``seal_many``/``audit``/``audit(deep=True)``.
 
 :func:`dead_host_splitting` finds the unreachable second host the
-degrade-mode tests put beside one live worker, and :func:`die_holding`
-is the member task that kills a worker mid-round (a worker unpickles
-it only with ``tests/`` on its ``PYTHONPATH``, which
-``spawn_local_worker`` copies from this process's environment).
+degrade-mode tests put beside one live worker, and :class:`DieHolding`
+is the member store whose audit kills a worker mid-round (a worker
+unpickles its pinned snapshot only with ``tests/`` on its
+``PYTHONPATH``, which ``spawn_local_worker`` copies from this
+process's environment).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import signal
 import socket
 
 from repro.api.fleet import FleetStore
-from repro.api.store import TamperEvidentStore
+from repro.api.store import AuditReport, TamperEvidentStore
 from repro.device.sero import BLOCK_SIZE, SERODevice
 from repro.medium.medium import MediumConfig
 from repro.parallel import HashRing, parse_hosts
@@ -109,15 +110,21 @@ def dead_host_splitting(live_addr, member_keys):
     raise AssertionError("no splitting dead host found in 64 draws")
 
 
-def die_holding(store, pid=None):
-    """A member task over ``store`` that takes a worker down mid-round:
-    the worker running it exits without replying, or, given ``pid``,
-    that process is SIGKILLed and the task returns ``(None, store)`` —
-    so re-placed on a survivor it is harmless."""
-    if pid is None:
-        os._exit(17)
-    os.kill(pid, signal.SIGKILL)
-    return None, store
+class DieHolding(TamperEvidentStore):
+    """A member store whose ``audit`` takes its worker down mid-round:
+    the worker running it exits without replying, or, with
+    ``kill_pid`` set, that process is SIGKILLed and the audit returns
+    an empty report touching nothing — so re-placed on a survivor it
+    is harmless.  A pinned snapshot carries its class, so the worker
+    runs this ``audit``; never run it in-process."""
+
+    kill_pid = None
+
+    def audit(self, *, deep=False):
+        if self.kill_pid is None:
+            os._exit(17)
+        os.kill(self.kill_pid, signal.SIGKILL)
+        return AuditReport(deep=deep)
 
 
 def fingerprints(fleet):
