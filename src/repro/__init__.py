@@ -19,7 +19,7 @@ The package builds the paper's whole stack in simulation:
 * :mod:`repro.api` — the v1 public surface: the
   :class:`TamperEvidentStore` façade, the rack-scale
   :class:`~repro.api.FleetStore` shard façade and the
-  :class:`~repro.api.ExecutionPolicy` knob table;
+  :data:`~repro.api.policy.KNOBS` knob table;
 * :mod:`repro.parallel` — the fleet execution layer: the ``serial``
   (in-process) and ``rpc`` (across processes) executors and the
   consistent-hash shard ring.
@@ -36,8 +36,8 @@ Quick start (the façade drives the whole stack)::
 
 Deployment knobs (fleet executor, hosts, gateway, search) share one
 lazy resolution order — explicit argument > ``with repro.engine(
-executor="rpc"):`` context > installed policy > ``REPRO_*``
-environment (read at call time).  The paper's literal per-dot protocol
+executor="rpc"):`` context > ``REPRO_*`` environment (read at call
+time) > default.  The paper's literal per-dot protocol
 is the test oracle, not a knob; it is built by explicit argument::
 
     oracle = repro.TamperEvidentStore.create(
@@ -46,50 +46,51 @@ is the test oracle, not a knob; it is built by explicit argument::
 
 The pre-façade building blocks (:class:`SERODevice`, :class:`SeroFS`,
 :class:`VentiStore`, ...) remain fully supported public API.
+
+The names in ``__all__`` load on first access (PEP 562), so importing
+one storage layer (``import repro.medium.medium``) loads neither the
+façades nor the gateway, search or fleet machinery.
 """
 
-from .api import (
-    AuditReport,
-    ExecutionPolicy,
-    FleetStore,
-    ObjectInfo,
-    SealReceipt,
-    StoreConfig,
-    TamperEvidentStore,
-    VerifyReport,
-    engine,
-)
-from .device.sero import DeviceConfig, LineRecord, SERODevice, VerifyStatus
-from .errors import ReproError, TamperEvidentError
-from .fs.lfs import FSConfig, SeroFS
-from .integrity.evidence import EvidenceBag
-from .integrity.fossil import FossilizedIndex
-from .integrity.venti import VentiStore
+from importlib import import_module
 
-__version__ = "13.0.0"
+__version__ = "14.0.0"
 
-__all__ = [
+#: Public name -> the module that defines it.
+_EXPORTS = {
     # v1 façade + policy
-    "TamperEvidentStore",
-    "StoreConfig",
-    "ObjectInfo",
-    "SealReceipt",
-    "VerifyReport",
-    "AuditReport",
-    "FleetStore",
-    "ExecutionPolicy",
-    "engine",
+    "TamperEvidentStore": "repro.api",
+    "StoreConfig": "repro.api",
+    "ObjectInfo": "repro.api",
+    "SealReceipt": "repro.api",
+    "VerifyReport": "repro.api",
+    "AuditReport": "repro.api",
+    "FleetStore": "repro.api",
+    "engine": "repro.api",
     # building blocks
-    "SERODevice",
-    "DeviceConfig",
-    "LineRecord",
-    "VerifyStatus",
-    "SeroFS",
-    "FSConfig",
-    "VentiStore",
-    "FossilizedIndex",
-    "EvidenceBag",
-    "ReproError",
-    "TamperEvidentError",
-    "__version__",
-]
+    "SERODevice": "repro.device.sero",
+    "DeviceConfig": "repro.device.sero",
+    "LineRecord": "repro.device.sero",
+    "VerifyStatus": "repro.device.sero",
+    "SeroFS": "repro.fs.lfs",
+    "FSConfig": "repro.fs.lfs",
+    "VentiStore": "repro.integrity.venti",
+    "FossilizedIndex": "repro.integrity.fossil",
+    "EvidenceBag": "repro.integrity.evidence",
+    "ReproError": "repro.errors",
+    "TamperEvidentError": "repro.errors",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(import_module(_EXPORTS[name]), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

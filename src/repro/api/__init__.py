@@ -1,12 +1,12 @@
 """``repro.api`` — the package's v1 public surface.
 
-Two pieces:
+Three pieces:
 
-* :mod:`repro.api.policy` — the :class:`ExecutionPolicy` knob table
-  that gives every deployment tunable (fleet dispatch, gateway,
-  search) one lazy resolution order: explicit argument > context
-  override (``with repro.engine(executor="rpc"):``) > installed
-  policy > environment variable > default;
+* :mod:`repro.api.policy` — the knob table that gives every
+  deployment tunable (fleet dispatch, gateway, search) one lazy
+  resolution order: explicit argument > context
+  (``with repro.engine(executor="rpc"):``) > environment variable >
+  default;
 * :mod:`repro.api.store` — :class:`TamperEvidentStore`, the façade
   that drives the whole stack (device, file system, integrity layers)
   through typed request/response objects whose native grain is the
@@ -31,11 +31,8 @@ from __future__ import annotations
 from .policy import (
     FLEET_ON_FAILURE_MODES,
     GATEWAY_TOKENS_ENV_VAR,
-    ExecutionPolicy,
     describe_policy,
     engine,
-    get_policy,
-    set_policy,
 )
 from ..parallel import (
     FleetExecutor,
@@ -69,10 +66,7 @@ _FLEET_EXPORTS = (
 
 __all__ = [
     # policy
-    "ExecutionPolicy",
     "engine",
-    "set_policy",
-    "get_policy",
     "describe_policy",
     "FLEET_ON_FAILURE_MODES",
     # fleet executors

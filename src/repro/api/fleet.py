@@ -10,8 +10,8 @@ objects across members by content-addressed consistent hashing
 fanning whole-fleet passes (``seal_many``, ``audit``,
 ``export_evidence``, ``format_devices``) out on the resolved fleet
 executor (:func:`repro.parallel.resolve_fleet_executor`: explicit arg
-> ``with repro.engine(executor=...)`` > installed policy >
-``REPRO_FLEET_EXECUTOR``, read at dispatch time).
+> ``with repro.engine(executor=...)`` > ``REPRO_FLEET_EXECUTOR``, read
+at dispatch time).
 
 Routing properties worth knowing:
 
@@ -129,12 +129,6 @@ class FleetEvidenceExport:
         return tuple(item for export in self.exports
                      for item in export.items)
 
-    @property
-    def reports(self) -> Tuple[VerifyReport, ...]:
-        """All fresh verdicts across sub-bags."""
-        return tuple(report for export in self.exports
-                     for report in export.reports)
-
 
 @dataclass(frozen=True)
 class MigrationReport:
@@ -172,8 +166,7 @@ class FleetStore:
     Operations' member footprints: object-grain calls lock the holding
     member; ``seal_many`` / ``export_evidence`` lock their per-member
     groups in ascending index order; ``audit`` / ``format_devices`` /
-    ``add_member`` / ``migrate_unsealed`` / ``capacity`` take the
-    exclusive mode.
+    ``add_member`` / ``migrate_unsealed`` take the exclusive mode.
     """
 
     def __init__(self, members: Sequence[TamperEvidentStore], *,
@@ -566,16 +559,6 @@ class FleetStore:
             self._indexer.note_seal(receipt, member=index)
         return receipt
 
-    def put_sealed(self, path: str, data: bytes, *,
-                   timestamp: Optional[int] = None) -> SealReceipt:
-        """Store and immediately seal on the owning/routed member."""
-        with self._held_write_target(path) as (index, store):
-            receipt = store.put_sealed(path, data, timestamp=timestamp)
-        if self._indexer is not None:
-            self._indexer.note_put(path, size=len(data), member=index)
-            self._indexer.note_seal(receipt, member=index)
-        return receipt
-
     def seal_many(self, paths: Sequence[str], *,
                   timestamp: Optional[int] = None) -> List[SealReceipt]:
         """Seal a batch of objects, fleet-wide.
@@ -824,17 +807,6 @@ class FleetStore:
                 "format_devices", member_indices, [
                     MemberTask(self.members[i], "format_device")
                     for i in member_indices])
-
-    def capacity(self) -> Dict[str, int]:
-        """Summed capacity accounting across the whole fleet (taken
-        under the exclusive mode so the totals are one coherent
-        snapshot)."""
-        with self._locks.exclusive():
-            totals: Dict[str, int] = {}
-            for store in self.members:
-                for key, value in store.capacity().items():
-                    totals[key] = totals.get(key, 0) + value
-            return totals
 
     def describe(self) -> Dict[str, object]:
         """Inspectable summary: members, routing, executor pin (the

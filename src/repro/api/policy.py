@@ -1,33 +1,29 @@
-"""Execution policy: one knob table, one five-layer walk.
+"""Execution policy: one knob table, one four-layer walk.
 
 Every tunable of the package — fleet dispatch and its fault handling,
 the gateway's address and token file, the search highlighter — is one
-row of :data:`KNOBS`: policy field, environment variable, default,
-one validator and one env parser.  :func:`resolve` is the only place
-the resolution order is walked, **lazily at each decision point**:
+row of :data:`KNOBS`: name, environment variable, default, one
+validator and one env parser.  :func:`resolve` is the only place the
+resolution order is walked, **lazily at each decision point**:
 
 1. **explicit argument** — a value passed by the caller always wins;
-2. **context override** — the innermost active
-   ``with repro.engine(...):`` block that pins the knob;
-3. **installed policy** — the :class:`ExecutionPolicy` set with
-   :func:`set_policy`;
-4. **environment** — the row's variable, read at resolution time (not
+2. **context** — the innermost active ``with repro.engine(...):``
+   scope that pins the knob;
+3. **environment** — the row's variable, read at resolution time (not
    import time), so exporting it *after* ``import repro`` works.  A
    blank export counts as unset and an unparsable one is ignored — a
    stale variable must not crash a fleet node — except for the two
    address rows, where a bad address must stay loud;
-5. **default** — the row's default.
+4. **default** — the row's default.
 
-Everything else derives from the table: :class:`ExecutionPolicy`
-validates each field with its row's ``check``, :func:`engine` forwards
-its keywords to it, and :func:`describe_policy` loops over the rows.
-Code reads a knob as ``resolve("<name>", explicit)`` and its variable
-or default as ``KNOBS["<name>"].env_var`` / ``.default``: adding a
-knob is adding a row (plus its ``ExecutionPolicy`` field).  Which
-implementation of the paper's protocol runs is *not* a knob: the
-scalar reference is reachable only through the explicit arguments of
-the functions that have a twin (``DeviceConfig(span_engine=False)``
-and friends).
+Everything else derives from the table: :func:`engine` checks each
+keyword with its row's ``check`` and :func:`describe_policy` loops
+over the rows.  Code reads a knob as ``resolve("<name>", explicit)``
+and its variable or default as ``KNOBS["<name>"].env_var`` /
+``.default``: adding a knob is adding a row.  Which implementation of
+the paper's protocol runs is *not* a knob: the scalar reference is
+reachable only through the explicit arguments of the functions that
+have a twin (``DeviceConfig(span_engine=False)`` and friends).
 
 The storage layers (``medium``, ``physics``, ``crypto``, ``device``,
 ``integrity``, ``fs``) never import this module.  At import time it
@@ -42,8 +38,8 @@ import math
 import os
 from contextlib import AbstractContextManager, contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, Tuple, Union
 
 from ..errors import ConfigurationError
 
@@ -55,7 +51,7 @@ _EXECUTORS = ("serial", "rpc")
 
 #: Environment variable holding the gateway's inline token spec (see
 #: :mod:`repro.gateway.auth`).  Not a table row: secret material never
-#: lives in a policy object, only a path to it may.
+#: lives in the knob table, only a path to it may.
 GATEWAY_TOKENS_ENV_VAR = "REPRO_GATEWAY_TOKENS"
 
 
@@ -72,13 +68,12 @@ class Knob:
     """One row of :data:`KNOBS`: all the package knows about one knob.
 
     Attributes:
-        name: the ``ExecutionPolicy`` field, ``engine()`` keyword and
-            ``describe_policy()`` key.
-        env_var: the layer-4 environment variable.
-        default: the layer-5 value.
-        check: validate and canonicalise a value given explicitly, to
-            ``repro.engine(...)`` or to ``ExecutionPolicy(...)`` — the
-            one validator every layer shares.
+        name: the ``engine()`` keyword and ``describe_policy()`` key.
+        env_var: the layer-3 environment variable.
+        default: the layer-4 value.
+        check: validate and canonicalise a value given explicitly or
+            to ``repro.engine(...)`` — the one validator every layer
+            shares.
         parse_env: stripped, non-blank env text → the value ``check``
             then sees (``None`` = the export explicitly unsets the
             knob); ``ValueError`` from either marks the export garbage.
@@ -131,7 +126,7 @@ def _parallel():
     return parallel
 
 
-#: The knob table, in ``ExecutionPolicy`` field order.
+#: The knob table.
 KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("executor", "REPRO_FLEET_EXECUTOR", "serial",
          _one_of("executor", _EXECUTORS), str.lower,
@@ -197,82 +192,58 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
 
 
 # ---------------------------------------------------------------------------
-# Policy objects
+# Scopes
 
 
-@dataclass(frozen=True)
-class ExecutionPolicy:
-    """A bundle of knob values, installable or usable as a context.
-
-    One field per :data:`KNOBS` row (``KNOBS[name].doc`` says what
-    each means), validated and stored canonicalised by the row's
-    ``check``.  ``None`` means "defer to the next layer of the
-    resolution order" — an installed ``ExecutionPolicy()`` with all
-    defaults is indistinguishable from no policy at all.
-    """
-
-    executor: Optional[str] = None
-    fleet_hosts: Optional[Tuple[str, ...]] = None
-    fleet_timeout: Optional[float] = None
-    fleet_retries: Optional[int] = None
-    fleet_on_failure: Optional[str] = None
-    # repr=False: the row is ``secret`` — never in reprs or logs
-    fleet_secret: Optional[str] = field(default=None, repr=False)
-    gateway_bind: Optional[str] = None
-    gateway_token_file: Optional[str] = None
-    search_fragment_size: Optional[int] = None
-    search_fragment_count: Optional[int] = None
-    search_max_hits: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        for knob in KNOBS.values():
-            value = getattr(self, knob.name)
-            if value is not None:
-                object.__setattr__(self, knob.name, knob.check(value))
-
-    @contextmanager
-    def use(self) -> Iterator["ExecutionPolicy"]:
-        """Apply this policy as a (nestable) context override."""
-        token = _OVERRIDES.set(_OVERRIDES.get() + (self,))
-        try:
-            yield self
-        finally:
-            _OVERRIDES.reset(token)
+#: Stack of active ``engine(...)`` scopes (layer 2); innermost last.
+#: Each scope is a dict of the knobs it pins, already checked.
+_SCOPES: ContextVar[Tuple["_Scope", ...]] = ContextVar(
+    "repro_engine_scopes", default=())
 
 
-#: Installed process-wide policy (layer 3 of the resolution order).
-_POLICY: Optional[ExecutionPolicy] = None
+class _Scope(dict):
+    """The knobs one ``engine(...)`` call pins; its repr masks secret
+    rows."""
 
-#: Stack of active context overrides (layer 2); innermost last.
-_OVERRIDES: ContextVar[Tuple[ExecutionPolicy, ...]] = ContextVar(
-    "repro_policy_overrides", default=())
-
-
-def set_policy(policy: Optional[ExecutionPolicy]) -> None:
-    """Install (or with ``None`` clear) the process-wide policy."""
-    global _POLICY
-    if policy is not None and not isinstance(policy, ExecutionPolicy):
-        raise TypeError("set_policy expects an ExecutionPolicy or None")
-    _POLICY = policy
+    def __repr__(self) -> str:
+        shown = ", ".join(
+            f"{name}=<secret>" if KNOBS[name].secret else f"{name}={value!r}"
+            for name, value in self.items())
+        return f"engine({shown})"
 
 
-def get_policy() -> Optional[ExecutionPolicy]:
-    """The installed process-wide policy (None when not set)."""
-    return _POLICY
-
-
-def engine(**knobs: object) -> AbstractContextManager[ExecutionPolicy]:
+def engine(**knobs: object) -> AbstractContextManager[_Scope]:
     """Scoped override: ``with repro.engine(executor="rpc"): ...``.
 
-    ``knobs`` are the :class:`ExecutionPolicy` fields by name:
-    ``repro.engine(executor="rpc", fleet_hosts=("db1:7401", "db2:7401"),
-    fleet_timeout=5.0, fleet_on_failure="degrade")``.  Nested contexts
-    stack and the innermost one that pins a given field wins, so
-    ``with engine(fleet_retries=2), engine(executor="rpc"):`` runs
-    the rpc executor *with* the retry budget.  Thread- and
-    async-safe (backed by a :class:`contextvars.ContextVar`).
+    ``knobs`` are :data:`KNOBS` rows by name, each checked now by its
+    row's ``check`` (``None`` pins nothing; an unknown name is a
+    ``TypeError``): ``repro.engine(executor="rpc", fleet_hosts=(
+    "db1:7401", "db2:7401"), fleet_timeout=5.0,
+    fleet_on_failure="degrade")``.  Nested scopes stack and the
+    innermost one that pins a given knob wins, so ``with
+    engine(fleet_retries=2), engine(executor="rpc"):`` runs the rpc
+    executor *with* the retry budget.  Thread- and async-safe (backed
+    by a :class:`contextvars.ContextVar`), which also means a scope
+    does not reach threads started outside it: set process-wide values
+    through the ``REPRO_*`` environment instead.
     """
-    return ExecutionPolicy(**knobs).use()
+    scope = _Scope()
+    for name, value in knobs.items():
+        if name not in KNOBS:
+            raise TypeError(
+                f"engine() got an unexpected keyword argument {name!r}")
+        if value is not None:
+            scope[name] = KNOBS[name].check(value)
+    return _entered(scope)
+
+
+@contextmanager
+def _entered(scope: _Scope) -> Iterator[_Scope]:
+    token = _SCOPES.set(_SCOPES.get() + (scope,))
+    try:
+        yield scope
+    finally:
+        _SCOPES.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +252,18 @@ def engine(**knobs: object) -> AbstractContextManager[ExecutionPolicy]:
 
 def resolve(name: str, explicit: object = None) -> Tuple[object, str]:
     """``(value, deciding layer)`` for the knob ``name`` — the one
-    walk of explicit > context > policy > env > default.
+    walk of explicit > context > env > default.
 
-    Context and policy values were canonicalised when their
-    ``ExecutionPolicy`` was built, so only the explicit and env layers
-    validate (and only they can load the wire-protocol module).
+    Context values were checked when their ``engine(...)`` scope was
+    built, so only the explicit and env layers validate (and only they
+    can load the wire-protocol module).
     """
     knob = KNOBS[name]
     if explicit is not None:
         return knob.check(explicit), "explicit"
-    for frame in reversed(_OVERRIDES.get()):
-        value = getattr(frame, name)
-        if value is not None:
-            return value, "context"
-    if _POLICY is not None:
-        value = getattr(_POLICY, name)
-        if value is not None:
-            return value, "policy"
+    for scope in reversed(_SCOPES.get()):
+        if name in scope:
+            return scope[name], "context"
     text = os.environ.get(knob.env_var, "").strip()
     if text:
         try:
@@ -334,7 +300,5 @@ def describe_policy() -> Dict[str, object]:
     snapshot: Dict[str, object] = {}
     for name in KNOBS:
         snapshot.update(describe_knob(name))
-    snapshot.update(
-        installed_policy=_POLICY,
-        active_overrides=len(_OVERRIDES.get()))
+    snapshot["active_overrides"] = len(_SCOPES.get())
     return snapshot

@@ -24,12 +24,11 @@ from .manchester import (
     encode_bits,
     encode_bytes,
 )
-from .sha256 import SHA256, sha256_digest, sha256_hexdigest
+from .sha256 import SHA256, sha256_digest
 
 __all__ = [
     "SHA256",
     "sha256_digest",
-    "sha256_hexdigest",
     "crc32",
     "crc16_ccitt",
     "CellState",

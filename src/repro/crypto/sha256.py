@@ -2,9 +2,8 @@
 
 The paper's heat-line operation stores "a secure hash (e.g. SHA-256)"
 of a line in the write-once block.  Every digest the storage stack
-takes — :func:`sha256_digest`, :func:`sha256_hexdigest`,
-:func:`sha256_iter` — is :mod:`hashlib`'s; there is no backend to
-select.  :class:`SHA256` is a from-scratch scalar implementation kept
+takes — :func:`sha256_digest`, :func:`sha256_iter` — is
+:mod:`hashlib`'s; there is no backend to select.  :class:`SHA256` is a from-scratch scalar implementation kept
 as a standalone library piece (like :mod:`repro.crypto.wom`): nothing
 in the stack reaches it, and the test suite checks it against the NIST
 vectors and :mod:`hashlib`.
@@ -142,11 +141,6 @@ class SHA256:
 def sha256_digest(*chunks: _BytesLike) -> bytes:
     """Digest the concatenation of ``chunks``."""
     return sha256_iter(chunks)
-
-
-def sha256_hexdigest(*chunks: _BytesLike) -> str:
-    """Hex digest of the concatenation of ``chunks``."""
-    return sha256_iter(chunks).hex()
 
 
 def sha256_iter(chunks: Iterable[_BytesLike]) -> bytes:

@@ -131,11 +131,6 @@ class AntifuseSEROEmulator:
         start = self._block_to_line.get(pba)
         return self._lines.get(start) if start is not None else None
 
-    @property
-    def heated_lines(self):
-        """Sealed lines in start order."""
-        return tuple(self._lines[k] for k in sorted(self._lines))
-
     # -- anti-fuse hash cells -----------------------------------------------------
 
     def _cell_base(self, pba: int) -> int:

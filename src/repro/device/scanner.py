@@ -47,11 +47,6 @@ class Scanner:
         self._y = 0.0
         self._last_block = None
 
-    @property
-    def position(self) -> tuple:
-        """Current sled position within the probe field (x, y) [m]."""
-        return (self._x, self._y)
-
     def _field_position(self, pba: int) -> tuple:
         # A block's bits are striped across the probe array, so each
         # probe holds dots_per_block/parallelism dots of it; block pba

@@ -92,10 +92,6 @@ class CostAccount:
         self.by_category.clear()
         self.op_counts.clear()
 
-    def snapshot(self) -> Dict[str, float]:
-        """Copy of the per-category time totals."""
-        return dict(self.by_category)
-
     def __str__(self) -> str:
         parts = ", ".join(
             f"{k}={v * 1e3:.3f}ms" for k, v in sorted(self.by_category.items()))

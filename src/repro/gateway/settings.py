@@ -3,8 +3,8 @@ variables, not code.
 
 :class:`GatewaySettings` gathers everything ``python -m repro.gateway
 serve`` needs, each knob resolved through the established chain
-(explicit argument > ``repro.engine(...)`` context > installed policy
-> environment variable > default) and its deciding layer recorded —
+(explicit argument > ``repro.engine(...)`` context > environment
+variable > default) and its deciding layer recorded —
 the gateway's answer to :func:`repro.api.describe_policy`:
 
 * **bind address** — the ``gateway_bind`` knob
@@ -47,14 +47,6 @@ DEFAULT_GATEWAY_MEMBERS = 4
 DEFAULT_GATEWAY_SEED = 2008
 DEFAULT_GATEWAY_BLOCKS = 512
 
-#: Policy rows the admin ``describe`` payload reports — how the fleet
-#: dispatches and where the gateway listens; the search rows are not
-#: deployment state.
-_DESCRIBED_KNOBS = (
-    "executor", "fleet_hosts", "fleet_timeout", "fleet_retries",
-    "fleet_on_failure", "fleet_secret", "gateway_bind",
-    "gateway_token_file")
-
 
 def _env_int(name: str, default: int, *, minimum: int) -> int:
     raw = os.environ.get(name)
@@ -95,7 +87,7 @@ class GatewaySettings:
         ``tokens`` is an inline token spec string (the
         ``REPRO_GATEWAY_TOKENS`` syntax); ``token_file`` a path to
         one.  Explicit spec > explicit file > env spec > resolved
-        file (context/policy/env).
+        file (context/env).
         """
         # the wire-protocol module owns host:port parsing
         from ..parallel.remote import parse_host
@@ -136,8 +128,7 @@ class GatewaySettings:
                 f"{_policy.GATEWAY_TOKENS_ENV_VAR} to an inline token "
                 "spec, or point "
                 f"{_policy.KNOBS['gateway_token_file'].env_var} "
-                "(or the gateway_token_file policy field) at a token "
-                "file")
+                "(the gateway_token_file knob) at a token file")
         try:
             with open(token_file, "r", encoding="utf-8") as handle:
                 text = handle.read()
@@ -168,7 +159,7 @@ class GatewaySettings:
     def describe(self) -> Dict[str, Any]:
         """Deployment diagnostics for the admin ``describe`` endpoint
         — sources, never secret material (token count only), plus the
-        fleet-dispatch policy picture the service will run under."""
+        policy picture the service will run under (every knob row)."""
         return {
             "bind": self.bind,
             "bind_source": self.bind_source,
@@ -178,7 +169,7 @@ class GatewaySettings:
             "seed": self.seed,
             "total_blocks": self.total_blocks,
             "policy": {
-                key: value for name in _DESCRIBED_KNOBS
+                key: value for name in _policy.KNOBS
                 for key, value in _policy.describe_knob(name).items()
             },
         }

@@ -55,11 +55,6 @@ class DotView:
     sharpness: float
 
     @property
-    def heated(self) -> bool:
-        """True when the dot's multilayer structure is destroyed."""
-        return self.sharpness < HEATED_SHARPNESS_THRESHOLD
-
-    @property
     def state(self) -> BitState:
         """Fig 2 state of the dot."""
         return classify(self.magnetization, self.sharpness)

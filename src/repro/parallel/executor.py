@@ -15,8 +15,7 @@ those tasks run, and there is one per boundary:
 
 :func:`resolve_fleet_executor` picks one through the same lazy
 resolution chain as every other knob — explicit argument > ``with
-repro.engine(executor="rpc"):`` context > installed
-:class:`~repro.api.policy.ExecutionPolicy` > ``REPRO_FLEET_EXECUTOR``
+repro.engine(executor="rpc"):`` context > ``REPRO_FLEET_EXECUTOR``
 (read at dispatch time) > ``"serial"`` — or takes a ready
 :class:`FleetExecutor` instance as-is.
 
@@ -189,8 +188,8 @@ def resolve_fleet_executor(
 
     ``explicit`` may be a ready :class:`FleetExecutor` instance (used
     as-is), ``"serial"`` / ``"rpc"``, or None to defer to the lazy
-    policy chain (context > installed policy > ``REPRO_FLEET_EXECUTOR``
-    read now > ``"serial"``).  A named rpc executor resolves its hosts
+    policy chain (context > ``REPRO_FLEET_EXECUTOR`` read now >
+    ``"serial"``).  A named rpc executor resolves its hosts
     and fault policy through the same chain at each dispatch.
     """
     if isinstance(explicit, FleetExecutor):

@@ -21,8 +21,8 @@ Four pieces:
   :class:`RpcProtocolError` reply.  Responses carry the task's result
   or a portable description of the exception it raised.  When a
   ``fleet_secret`` is configured (``RpcExecutor(secret=...)`` >
-  ``repro.engine(fleet_secret=...)`` > installed policy >
-  ``REPRO_FLEET_SECRET``) every frame is HMAC-SHA256 signed — magic
+  ``repro.engine(fleet_secret=...)`` > ``REPRO_FLEET_SECRET``) every
+  frame is HMAC-SHA256 signed — magic
   ``SRH2``, a 32-byte digest over header and body after the body — and
   verified with a constant-time compare *before* the body is
   unpickled; unsigned frames are rejected outright, so a peer that
@@ -69,8 +69,8 @@ Four pieces:
 * **client executor** — :class:`RpcExecutor` (selected as ``rpc``),
   a :class:`~repro.parallel.executor.FleetExecutor` that resolves its
   host list lazily at each dispatch (explicit ``hosts=`` argument >
-  ``with repro.engine(fleet_hosts=...):`` > installed policy >
-  ``REPRO_FLEET_HOSTS``), assigns member *i* to the host a
+  ``with repro.engine(fleet_hosts=...):`` > ``REPRO_FLEET_HOSTS``),
+  assigns member *i* to the host a
   :class:`~repro.parallel.ring.HashRing` over the host set owns —
   deterministic and stable under host lists given in any order — and
   drives each host's connection from its own thread.  Pass connections
@@ -217,7 +217,7 @@ class RemoteTaskError(RpcError):
 
 class _Ambient:
     """Sentinel: resolve the frame secret through the policy chain at
-    call time (context > installed policy > ``REPRO_FLEET_SECRET``).
+    call time (context > ``REPRO_FLEET_SECRET``).
     Distinct from ``None``, which means *explicitly unsigned*."""
 
     __slots__ = ()
@@ -917,14 +917,14 @@ class RpcExecutor(FleetExecutor):
         hosts: worker addresses (``"host:port"`` items, or one
             comma-separated string).  None resolves lazily at *each*
             dispatch through the policy chain
-            (``repro.engine(fleet_hosts=...)`` > installed policy >
+            (``repro.engine(fleet_hosts=...)`` >
             ``REPRO_FLEET_HOSTS``), so exporting the variable after the
             fleet exists still works.
         timeout: per-request socket deadline in seconds; a worker that
             stops sending for this long surfaces as
             :class:`RpcTimeoutError` instead of blocking the pass
             forever.  None resolves through the policy chain
-            (``repro.engine(fleet_timeout=...)`` > installed policy >
+            (``repro.engine(fleet_timeout=...)`` >
             ``REPRO_FLEET_TIMEOUT``; default: no deadline).
         retries: failover re-dispatch waves for members whose host
             failed mid-pass.  A failed host folds zero partial state,
@@ -944,7 +944,7 @@ class RpcExecutor(FleetExecutor):
             ``REPRO_FLEET_ON_FAILURE``).
         secret: shared HMAC secret for signed SRPC frames.  None
             resolves through the chain
-            (``repro.engine(fleet_secret=...)`` > installed policy >
+            (``repro.engine(fleet_secret=...)`` >
             ``REPRO_FLEET_SECRET``; default: unsigned).  Resolved
             *once* per pass and threaded explicitly through every
             dispatch thread and health probe — a context-scoped

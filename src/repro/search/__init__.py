@@ -20,9 +20,9 @@ computed — no extra fleet traffic.  The gateway exposes the index at
 ``/v1/t/<tenant>/search`` (tenant-confined) and ``/v1/admin/alerts``.
 
 Highlighting knobs (`fragment_size`, `fragment_count`, `max_hits`)
-resolve through the five-layer policy chain — explicit argument >
-``repro.engine(...)`` context > installed policy > ``REPRO_SEARCH_*``
-env vars > defaults.
+resolve through the policy chain — explicit argument >
+``repro.engine(...)`` context > ``REPRO_SEARCH_*`` env vars >
+defaults.
 """
 
 from .index import (

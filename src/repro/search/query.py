@@ -11,7 +11,7 @@ hits identically.
 
 Snippet highlighting follows the openaleph-search parameter surface
 (SNIPPETS.md snippet 2): a ``fragment_size`` / ``fragment_count`` pair
-resolved through the five-layer policy chain
+resolved through the policy chain
 (``repro.api.policy.resolve("search_fragment_size")`` /
 ``REPRO_SEARCH_FRAGMENT_SIZE`` and friends), ``fragment_count=0``
 meaning "the whole text, highlighted".  Matches are wrapped in

@@ -36,6 +36,7 @@ BENCH_PATHS = ("pyproject.toml", ".github", ".claude", "PERFORMANCE.md",
 
 _ALIASES = "policy.resolve(name, explicit=None)"
 _ROW_ENV = 'KNOBS["<knob>"].env_var, or the REPRO_* literal'
+_SCOPE = "repro.engine(...) for a scope, REPRO_* for the process"
 
 REMOVED: Tuple[Removed, ...] = (
     # 3.0: one rpc transport, one locking discipline
@@ -68,7 +69,7 @@ REMOVED: Tuple[Removed, ...] = (
     # 5.0: one SHA-256, one seal path
     Removed("sha256_backend", "5.0", "hashlib"),
     Removed("sha256", "5.0", "hashlib",
-            ("repro.api.policy.ExecutionPolicy", "repro.api.policy.engine")),
+            ("repro.api.policy.KNOBS", "repro.api.policy.engine")),
     Removed("kwarg", "5.0", "the row's name is the keyword",
             "repro.api.policy.Knob"),
     Removed("resolve_sha256_backend", "5.0", "hashlib"),
@@ -92,11 +93,11 @@ REMOVED: Tuple[Removed, ...] = (
     Removed("_CRC16_T1", "6.0", "binascii.crc_hqx"),
     # 7.0: one engine
     Removed("engine", "7.0", "DeviceConfig(span_engine=False)",
-            ("repro.api.policy.ExecutionPolicy",
+            ("repro.api.policy.KNOBS",
              "repro.api.store.StoreConfig",
              "repro.api.store.TamperEvidentStore")),
     Removed("vectorized", "7.0", "DeviceConfig(span_engine=False)",
-            "repro.api.policy.ExecutionPolicy"),
+            "repro.api.policy.KNOBS"),
     Removed("ENGINE_ENV_VAR", "7.0", "DeviceConfig(span_engine=False)"),
     Removed("REPRO_SPAN_ENGINE", "7.0", "nothing reads it"),
     Removed("EngineSpec", "7.0", "DeviceConfig(span_engine=False)"),
@@ -210,6 +211,28 @@ REMOVED: Tuple[Removed, ...] = (
     Removed("_format_member", "13.0", 'MemberTask(store, "format_device")'),
     Removed("records_logged", "13.0", "len(audit_log.history())"),
     Removed("state_digest_bytes", "13.0", "state_digest_payload()"),
+    # 14.0: one knob table, no policy object
+    Removed("ExecutionPolicy", "14.0", _SCOPE),
+    Removed("set_policy", "14.0", _SCOPE),
+    Removed("get_policy", "14.0", "describe_policy()"),
+    Removed("_POLICY", "14.0", _SCOPE),
+    Removed("installed_policy", "14.0", "the *_source keys"),
+    Removed("_DESCRIBED_KNOBS", "14.0", "every KNOBS row"),
+    Removed("put_sealed", "14.0", "fleet.put + fleet.seal",
+            "repro.api.fleet.FleetStore"),
+    Removed("capacity", "14.0", "each member's store.capacity()",
+            "repro.api.fleet.FleetStore"),
+    Removed("reports", "14.0", "each sub-bag's export.reports",
+            "repro.api.fleet.FleetEvidenceExport"),
+    Removed("sha256_hexdigest", "14.0", "sha256_digest(...).hex()"),
+    Removed("heated_lines", "14.0", "line_of_block(pba)",
+            "repro.device.antifuse.AntifuseSEROEmulator"),
+    Removed("position", "14.0", "nothing read it",
+            "repro.device.scanner.Scanner"),
+    Removed("snapshot", "14.0", "dict(account.by_category)",
+            "repro.device.timing.CostAccount"),
+    Removed("heated", "14.0", "dot.state is BitState.HEATED",
+            "repro.medium.dot.DotView"),
 )
 
 

@@ -9,24 +9,13 @@ import inspect
 import pytest
 
 import repro
-from repro.api import policy as pol
-from repro.api.policy import (
-    ExecutionPolicy,
-    describe_policy,
-    engine,
-    resolve,
-    set_policy,
-)
+from repro.api.policy import describe_policy, engine, resolve
 
 
 @pytest.fixture(autouse=True)
 def _clean_policy_state(monkeypatch):
-    """Every test starts from the default resolution state (no env, no
-    installed policy)."""
+    """Every test starts from the default resolution state (no env)."""
     monkeypatch.delenv("REPRO_FLEET_EXECUTOR", raising=False)
-    set_policy(None)
-    yield
-    set_policy(None)
 
 
 def test_default_is_vectorized(monkeypatch):
@@ -45,7 +34,7 @@ def test_default_is_vectorized(monkeypatch):
         assert inspect.signature(func).parameters["vectorized"].default is True
 
 
-# -- resolution precedence: arg > context > policy > env > default ----------
+# -- resolution precedence: arg > context > env > default --------------------
 
 
 def test_env_layer_is_read_lazily(monkeypatch):
@@ -73,24 +62,15 @@ def test_engine_takes_knob_keywords_only():
             engine(executor=name)
 
 
-def test_policy_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_FLEET_EXECUTOR", "rpc")
-    set_policy(ExecutionPolicy(executor="serial"))
-    assert resolve("executor") == ("serial", "policy")
-    set_policy(None)
-    assert resolve("executor") == ("rpc", "env")
-
-
-def test_context_beats_policy():
-    set_policy(ExecutionPolicy(executor="serial"))
+def test_context_beats_env(monkeypatch):
+    monkeypatch.setenv("REPRO_FLEET_EXECUTOR", "serial")
     with engine(executor="rpc"):
         assert resolve("executor") == ("rpc", "context")
-    assert resolve("executor") == ("serial", "policy")
+    assert resolve("executor") == ("serial", "env")
 
 
 def test_explicit_arg_beats_everything(monkeypatch):
     monkeypatch.setenv("REPRO_FLEET_EXECUTOR", "rpc")
-    set_policy(ExecutionPolicy(executor="rpc"))
     with engine(executor="rpc"):
         assert resolve("executor", "serial") == ("serial", "explicit")
 
@@ -107,25 +87,18 @@ def test_nested_contexts_innermost_wins():
     assert resolve("executor") == ("serial", "default")
 
 
-def test_policy_use_context():
-    custom = ExecutionPolicy(executor="rpc")
-    with custom.use():
-        assert resolve("executor") == ("rpc", "context")
-    assert resolve("executor") == ("serial", "default")
-
-
 def test_describe_policy_reports_source(monkeypatch):
     snap = describe_policy()
     assert snap["executor"] == "serial"
     assert snap["executor_source"] == "default"
+    assert snap["active_overrides"] == 0
     monkeypatch.setenv("REPRO_FLEET_EXECUTOR", "rpc")
     assert describe_policy()["executor_source"] == "env"
-    set_policy(ExecutionPolicy(executor="rpc"))
-    assert describe_policy()["executor_source"] == "policy"
     with engine(executor="serial"):
         snap = describe_policy()
         assert snap["executor_source"] == "context"
         assert snap["executor"] == "serial"
+        assert snap["active_overrides"] == 1
 
 
 def test_top_level_engine_export():
@@ -143,9 +116,6 @@ def test_fleet_secret_resolution_layers(monkeypatch):
     monkeypatch.setenv("REPRO_FLEET_SECRET", "env-key")
     assert resolve("fleet_secret") == ("env-key", "env")
 
-    set_policy(ExecutionPolicy(fleet_secret="policy-key"))
-    assert resolve("fleet_secret") == ("policy-key", "policy")
-
     with engine(fleet_secret="context-key"):
         assert resolve("fleet_secret") == ("context-key", "context")
 
@@ -153,16 +123,17 @@ def test_fleet_secret_resolution_layers(monkeypatch):
 
 
 def test_fleet_secret_validated_and_masked_in_describe(monkeypatch):
+    monkeypatch.delenv("REPRO_FLEET_SECRET", raising=False)
     with pytest.raises(ValueError):
-        ExecutionPolicy(fleet_secret="")
+        engine(fleet_secret="")
     with pytest.raises(TypeError):
-        ExecutionPolicy(fleet_secret=123)
-    set_policy(ExecutionPolicy(fleet_secret="s3cret-material"))
-    described = describe_policy()
+        engine(fleet_secret=123)
+    with engine(fleet_secret="s3cret-material") as scope:
+        described = describe_policy()
+        assert "s3cret-material" not in repr(scope)
     assert described["fleet_secret_set"] is True
-    assert described["fleet_secret_source"] == "policy"
+    assert described["fleet_secret_source"] == "context"
     assert "s3cret-material" not in repr(described)
-    set_policy(None)
     assert describe_policy()["fleet_secret_set"] is False
 
 
@@ -174,16 +145,13 @@ def test_gateway_bind_resolution_layers(monkeypatch):
     monkeypatch.setenv("REPRO_GATEWAY_BIND", "0.0.0.0:9100")
     assert resolve("gateway_bind") == ("0.0.0.0:9100", "env")
 
-    set_policy(ExecutionPolicy(gateway_bind="127.0.0.1:9200"))
-    assert resolve("gateway_bind") == ("127.0.0.1:9200", "policy")
-
     with engine(gateway_bind="127.0.0.1:9300"):
         assert resolve("gateway_bind") == \
             ("127.0.0.1:9300", "context")
 
     assert resolve("gateway_bind", "h:9400") == ("h:9400", "explicit")
     with pytest.raises(Exception):
-        ExecutionPolicy(gateway_bind="nonsense")
+        engine(gateway_bind="nonsense")
 
 
 def test_gateway_token_file_resolution_layers(monkeypatch):
@@ -192,9 +160,6 @@ def test_gateway_token_file_resolution_layers(monkeypatch):
 
     monkeypatch.setenv("REPRO_GATEWAY_TOKEN_FILE", "/etc/tk")
     assert resolve("gateway_token_file") == ("/etc/tk", "env")
-
-    set_policy(ExecutionPolicy(gateway_token_file="/srv/tk"))
-    assert resolve("gateway_token_file") == ("/srv/tk", "policy")
 
     with engine(gateway_token_file="/ctx/tk"):
         assert resolve("gateway_token_file") == ("/ctx/tk", "context")

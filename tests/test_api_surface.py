@@ -10,9 +10,13 @@ import dataclasses
 import functools
 import importlib.util
 import inspect
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
+from collections.abc import Mapping
 
 import pytest
 from removed import (BENCH_PATHS, REMOVED, env_rows, owners, row_id,
@@ -28,12 +32,9 @@ SRC = ROOT / "src"
 #: The frozen surface.  Keep sorted.
 EXPECTED_API = sorted([
     # execution policy (knobs are read through repro.api.policy.resolve)
-    "ExecutionPolicy",
     "FLEET_ON_FAILURE_MODES",
     "describe_policy",
     "engine",
-    "get_policy",
-    "set_policy",
     # fleet executors
     "FleetExecutor",
     "MemberFailure",
@@ -60,8 +61,7 @@ EXPECTED_API = sorted([
 #: The top-level convenience re-exports the quick start relies on.
 EXPECTED_TOP_LEVEL = {
     "TamperEvidentStore", "StoreConfig", "ObjectInfo", "SealReceipt",
-    "VerifyReport", "AuditReport", "ExecutionPolicy", "engine",
-    "FleetStore",
+    "VerifyReport", "AuditReport", "engine", "FleetStore",
 }
 
 
@@ -77,9 +77,13 @@ def test_every_api_name_importable():
 
 
 def test_dir_covers_lazy_exports():
-    listing = dir(api)
-    for name in api.__all__:
-        assert name in listing
+    import repro.parallel
+    import repro.workloads
+
+    for module in (api, repro, repro.parallel, repro.workloads):
+        listing = dir(module)
+        for name in module.__all__:
+            assert name in listing, (module.__name__, name)
 
 
 def test_top_level_reexports():
@@ -87,10 +91,30 @@ def test_top_level_reexports():
     assert not missing, f"top-level façade exports missing: {missing}"
     for name in EXPECTED_TOP_LEVEL:
         assert getattr(repro, name) is getattr(api, name)
+    for name in repro.__all__:  # served lazily, listed by dir()
+        assert getattr(repro, name) is not None and name in dir(repro)
+    with pytest.raises(AttributeError):
+        repro.ExecutionPolicy
 
 
-def test_version_is_v13():
-    assert repro.__version__ == "13.0.0"
+def test_storage_layer_import_loads_no_upper_layer():
+    """The package root is lazy (PEP 562): importing the medium loads
+    no façade, gateway, search or fleet module."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    code = ("import sys, repro.medium.medium; "
+            "print(' '.join(m for m in sys.modules if m.startswith('repro')))")
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            check=True, capture_output=True,
+                            text=True).stdout.split()
+    assert "repro.medium.medium" in loaded
+    upper = [name for name in loaded if name.startswith(
+        ("repro.api", "repro.gateway", "repro.search", "repro.parallel"))]
+    assert not upper, upper
+
+
+def test_version_is_v14():
+    assert repro.__version__ == "14.0.0"
 
 
 @pytest.mark.parametrize("row", REMOVED, ids=row_id)
@@ -158,8 +182,10 @@ def _bench_files() -> list:
 
 
 def _owns(owner, name: str) -> bool:
-    """``name`` is an attribute, dataclass field, parameter or
-    submodule of ``owner``."""
+    """``name`` is a key (of a mapping owner such as ``KNOBS``), an
+    attribute, dataclass field, parameter or submodule of ``owner``."""
+    if isinstance(owner, Mapping):
+        return name in owner
     if hasattr(owner, name):
         return True
     if dataclasses.is_dataclass(owner) and \
@@ -219,7 +245,7 @@ def test_storage_layers_do_not_import_the_api():
 def _knob_table() -> str:
     """API.md's consolidated knob table, rendered from the rows."""
     lines = [
-        "| field / `engine()` keyword | env var | default "
+        "| `engine()` keyword | env var | default "
         "| unparsable export | secret | meaning |",
         "|---|---|---|---|---|---|"]
     for knob in KNOBS.values():

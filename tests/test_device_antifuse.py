@@ -12,6 +12,7 @@ PAYLOAD = bytes(range(256)) * 2
 
 def test_fuse_is_one_way():
     bank = AntifuseArray(8)
+    assert len(bank) == 8
     bank.blow(3)
     assert bank.read(3) == 1
     bank.blow(3)  # idempotent

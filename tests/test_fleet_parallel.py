@@ -30,23 +30,18 @@ import repro.api as api
 from twin_racks import (all_passes, fingerprints, object_rack,
                         sealed_device_rack)
 from repro.api.fleet import FleetStore
-from repro.api.policy import ExecutionPolicy, resolve
+from repro.api.policy import resolve
 from repro.api.store import TamperEvidentStore
 from repro.device.sero import SERODevice
 from repro.errors import FileNotFoundError_
 from repro.parallel import (
     ExecutionOutcome,
+    FleetExecutor,
     HashRing,
     RpcExecutor,
     SerialExecutor,
     resolve_fleet_executor,
 )
-
-
-@pytest.fixture(autouse=True)
-def _no_installed_policy():
-    yield
-    api.set_policy(None)
 
 
 # -- executor selection --------------------------------------------------------
@@ -68,16 +63,18 @@ def test_ungrown_fleet_seal_many_routes_without_reads():
 def test_policy_rejects_bad_executor_and_workers():
     for name in ("no-such-dispatch", "thread", "process"):
         with pytest.raises(ValueError):
-            ExecutionPolicy(executor=name)
+            repro.engine(executor=name)
         with pytest.raises(ValueError):
             FleetStore.create(1, executor=name)
     with pytest.raises(TypeError):  # 8.0: no worker bound to set
-        ExecutionPolicy(max_workers=2)
+        repro.engine(max_workers=2)
 
 
 def test_resolve_fleet_executor_accepts_instance():
     instance = SerialExecutor()
     assert resolve_fleet_executor(instance) is instance
+    with pytest.raises(NotImplementedError):  # the base is abstract
+        FleetExecutor().run([])
     assert type(resolve_fleet_executor("serial")) is SerialExecutor
     assert type(resolve_fleet_executor("rpc")) is RpcExecutor
 
@@ -94,13 +91,10 @@ def test_executor_resolution_layers(monkeypatch):
     d = api.describe_policy()
     assert (d["executor"], d["executor_source"]) == ("rpc", "env")
 
-    api.set_policy(ExecutionPolicy(executor="serial"))
-    d = api.describe_policy()
-    assert (d["executor"], d["executor_source"]) == ("serial", "policy")
-
-    with repro.engine(executor="rpc"):
+    with repro.engine(executor="serial"):
         d = api.describe_policy()
-        assert (d["executor"], d["executor_source"]) == ("rpc", "context")
+        assert (d["executor"], d["executor_source"]) == \
+            ("serial", "context")
 
     assert resolve("executor", "serial") == ("serial", "explicit")
 
@@ -239,6 +233,7 @@ def test_device_clone_is_independent():
 
 def test_ring_deterministic_and_complete():
     ring = HashRing([f"m{i}" for i in range(4)])
+    assert len(ring) == 4
     keys = [f"/obj-{i}" for i in range(200)]
     first = [ring.lookup(k) for k in keys]
     again = [ring.lookup(k) for k in keys]

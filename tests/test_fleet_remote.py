@@ -44,7 +44,7 @@ import repro.api as api
 from twin_racks import (all_passes, device_rack, fingerprints,
                         object_rack, seal_lines, sealed_device_rack)
 from repro.api.fleet import FleetStore
-from repro.api.policy import ExecutionPolicy, resolve
+from repro.api.policy import resolve
 from repro.api.store import TamperEvidentStore
 from repro.errors import ConfigurationError
 from repro.parallel import (
@@ -74,8 +74,6 @@ def _clean_policy_env(monkeypatch):
     monkeypatch.delenv("REPRO_FLEET_EXECUTOR", raising=False)
     monkeypatch.delenv("REPRO_FLEET_HOSTS", raising=False)
     monkeypatch.delenv("REPRO_FLEET_SECRET", raising=False)
-    yield
-    api.set_policy(None)
 
 
 # -- wire protocol -------------------------------------------------------------
@@ -339,9 +337,6 @@ def test_fleet_hosts_resolution_layers(monkeypatch):
     monkeypatch.setenv("REPRO_FLEET_HOSTS", "h2:2,h1:1")
     assert resolve("fleet_hosts") == (("h1:1", "h2:2"), "env")
 
-    api.set_policy(ExecutionPolicy(fleet_hosts=("p1:1",)))
-    assert resolve("fleet_hosts") == (("p1:1",), "policy")
-
     with repro.engine(fleet_hosts=("c1:1", "c2:2")):
         assert resolve("fleet_hosts") == (("c1:1", "c2:2"), "context")
         d = api.describe_policy()
@@ -352,10 +347,10 @@ def test_fleet_hosts_resolution_layers(monkeypatch):
 
 
 def test_policy_validates_and_canonicalises_hosts():
-    policy = ExecutionPolicy(fleet_hosts=("b:2", "a:1"))
-    assert policy.fleet_hosts == ("a:1", "b:2")
+    with repro.engine(fleet_hosts=("b:2", "a:1")):
+        assert resolve("fleet_hosts") == (("a:1", "b:2"), "context")
     with pytest.raises(ConfigurationError):
-        ExecutionPolicy(fleet_hosts=("not-a-host",))
+        repro.engine(fleet_hosts=("not-a-host",))
 
 
 def test_rpc_without_hosts_is_a_descriptive_error(monkeypatch):
@@ -798,7 +793,7 @@ def test_migrate_unsealed_refuses_sealed_objects():
 
 def test_fleet_fault_policy_resolution_layers(monkeypatch):
     """fleet_timeout / fleet_retries / fleet_on_failure through the
-    five-layer chain, with describe_policy naming the deciding layer."""
+    four-layer chain, with describe_policy naming the deciding layer."""
     for var in ("REPRO_FLEET_TIMEOUT", "REPRO_FLEET_RETRIES",
                 "REPRO_FLEET_ON_FAILURE"):
         monkeypatch.delenv(var, raising=False)
@@ -820,12 +815,6 @@ def test_fleet_fault_policy_resolution_layers(monkeypatch):
     assert resolve("fleet_retries") == (0, "default")
     monkeypatch.setenv("REPRO_FLEET_ON_FAILURE", "explode")
     assert resolve("fleet_on_failure") == ("raise", "default")
-
-    api.set_policy(ExecutionPolicy(fleet_timeout=7.0, fleet_retries=1,
-                                   fleet_on_failure="degrade"))
-    assert resolve("fleet_timeout") == (7.0, "policy")
-    assert resolve("fleet_retries") == (1, "policy")
-    assert resolve("fleet_on_failure") == ("degrade", "policy")
 
     with repro.engine(fleet_timeout=0.5, fleet_retries=2,
                       fleet_on_failure="raise"):
@@ -852,13 +841,13 @@ def test_fleet_fault_policy_resolution_layers(monkeypatch):
     with pytest.raises(ValueError):
         resolve("fleet_on_failure", "explode")
     with pytest.raises(ValueError):
-        ExecutionPolicy(fleet_timeout=0)
+        repro.engine(fleet_timeout=0)
     with pytest.raises(ValueError):
-        ExecutionPolicy(fleet_retries=-1)
+        repro.engine(fleet_retries=-1)
     with pytest.raises(ValueError):
-        ExecutionPolicy(fleet_on_failure="abort")
+        repro.engine(fleet_on_failure="abort")
     with pytest.raises(TypeError):
-        ExecutionPolicy(fleet_retries=1.5)
+        repro.engine(fleet_retries=1.5)
 
 
 def test_request_deadline_times_out_on_hung_worker():
@@ -1138,10 +1127,10 @@ def test_fleet_secret_env_layer_reaches_both_ends(monkeypatch):
         reset_host_health()
 
 
-def test_explicit_secret_beats_context_and_policy(workers):
+def test_explicit_secret_beats_context_and_policy(workers, monkeypatch):
     """Chain order for fleet_secret: RpcExecutor(secret=) > context >
-    policy > env.  The module workers are unsigned, so the *wrong*
-    layer winning shows up as a dropped connection."""
+    env.  The module workers are unsigned, so the *wrong* layer winning
+    shows up as a dropped connection."""
     from repro.parallel import reset_host_health
 
     reset_host_health()
@@ -1154,12 +1143,11 @@ def test_explicit_secret_beats_context_and_policy(workers):
             assert executor._resolve_fault_policy()[3] == "context-key"
             assert RpcExecutor([addr], secret="k")\
                 ._resolve_fault_policy()[3] == "k"
-        api.set_policy(api.ExecutionPolicy(fleet_secret="policy-key"))
+        monkeypatch.setenv("REPRO_FLEET_SECRET", "env-key")
         assert RpcExecutor([addr])._resolve_fault_policy()[3] == \
-            "policy-key"
+            "env-key"
         with repro.engine(fleet_secret="context-key"):
             assert RpcExecutor([addr])._resolve_fault_policy()[3] == \
                 "context-key"
     finally:
-        api.set_policy(None)
         reset_host_health()

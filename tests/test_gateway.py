@@ -33,7 +33,7 @@ import pytest
 
 import repro.api as api
 from repro.api.fleet import FleetStore
-from repro.api.policy import ExecutionPolicy
+from repro.api.policy import KNOBS
 from repro.api.store import StoreConfig
 from repro.errors import ConfigurationError
 from repro.gateway import (
@@ -88,6 +88,44 @@ def test_object_ops_byte_identical_to_twin(stack):
     assert verdict == twin.verify(path)
     assert data == twin.get(path)
     assert receipt.path == path  # receipts carry real storage paths
+    assert _fingerprints(fleet) == _fingerprints(twin)
+
+
+def test_info_matches_twin_and_hides_foreign_paths(stack):
+    """``GatewayClient.info`` is the twin's ``ObjectInfo`` before and
+    after ``seal``; a missing path and another tenant's object answer
+    the same 404."""
+    server, fleet, twin = stack
+    acme = GatewayClient(server.address, "acme-rw", tenant="acme")
+    globex = GatewayClient(server.address, "globex-rw", tenant="globex")
+    path = confine("acme", "/ledger/info")
+
+    acme.put("/ledger/info", b"row " * 30)
+    twin.put(path, b"row " * 30, make_parents=True)
+    before = acme.info("/ledger/info")
+    assert before == twin.info(path) and not before.sealed
+    acme.seal("/ledger/info", timestamp=5)
+    twin.seal(path, timestamp=5)
+    after = acme.info("/ledger/info")
+    assert after == twin.info(path) and after.sealed
+    assert after.path == path
+
+    globex.put("/theirs", b"globex only")
+    twin.put(confine("globex", "/theirs"), b"globex only",
+             make_parents=True)
+
+    def not_found(probe):
+        with pytest.raises(GatewayHTTPError) as err:
+            probe()
+        return (err.value.status, err.value.code, err.value.retryable,
+                str(err.value))
+
+    missing = not_found(lambda: acme.info("/nothing/here"))
+    assert missing[:2] == (404, "not_found")
+    for foreign in (lambda: acme.info("/theirs"),
+                    lambda: acme.info("/t/globex/theirs"),
+                    lambda: acme.info("/theirs", tenant="globex")):
+        assert not_found(foreign) == missing
     assert _fingerprints(fleet) == _fingerprints(twin)
 
 
@@ -165,14 +203,25 @@ def test_describe_answers_under_an_invalid_hosts_export(monkeypatch):
     assert policy["fleet_hosts_source"] == "env (invalid)"
     assert "nonsense" in policy["fleet_hosts_error"]
     assert policy["executor_source"] == "default"  # the rest still reports
-    assert not any(key.startswith(("engine", "sha256", "search_"))
-                   for key in policy)
+    # every knob row reports, and only the rows do
+    assert {key for key in policy if key.endswith("_source")} == \
+        {f"{name}_source" for name in KNOBS}
+    assert not any(key.startswith(("engine", "sha256")) for key in policy)
 
 
 # -- degraded and unreachable fleets over HTTP ---------------------------------
 
 
-def test_degraded_pass_surfaces_as_207_with_typed_failures():
+def _export_fleet_dispatch(monkeypatch, **knobs):
+    """Point fleet dispatch at ``knobs`` through the ``REPRO_FLEET_*``
+    variables: unlike an ``engine()`` scope on the test thread, the
+    environment reaches the server's handler threads."""
+    for name, value in knobs.items():
+        text = ",".join(value) if isinstance(value, tuple) else str(value)
+        monkeypatch.setenv(KNOBS[name].env_var, text)
+
+
+def test_degraded_pass_surfaces_as_207_with_typed_failures(monkeypatch):
     """Kill a fleet host out from under the gateway: seal_many and
     audit answer 207, surviving slots byte-identical to the serial
     twin, failed slots decoding to MemberFailure records."""
@@ -189,7 +238,7 @@ def test_degraded_pass_surfaces_as_207_with_typed_failures():
                 if HashRing(hosts).lookup(f"member-{i}") == dead}
         reset_host_health()
         fleet = FleetStore.create(n, CONFIG)
-        twin = FleetStore.create(n, CONFIG)
+        twin = FleetStore.create(n, CONFIG, executor="serial")
         app = GatewayApp(fleet, TokenTable.from_spec(SPEC))
         with GatewayServer(app) as server:
             client = GatewayClient(server.address, "acme-rw",
@@ -205,12 +254,12 @@ def test_degraded_pass_surfaces_as_207_with_typed_failures():
             routed = {fleet.route(confine("acme", p)) for p in paths}
             assert routed & lost and routed - lost
 
-            # fleet dispatch switches to the degraded rpc fleet via
-            # the installed policy — visible to the server's handler
-            # threads, unlike a context manager on this test thread
-            api.set_policy(ExecutionPolicy(
-                executor="rpc", fleet_hosts=hosts, fleet_retries=0,
-                fleet_timeout=10.0, fleet_on_failure="degrade"))
+            # fleet dispatch switches to the degraded rpc fleet (the
+            # twin is pinned serial, so it stays in-process)
+            _export_fleet_dispatch(
+                monkeypatch, executor="rpc", fleet_hosts=hosts,
+                fleet_retries=0, fleet_timeout=10.0,
+                fleet_on_failure="degrade")
 
             receipts = client.seal_many(paths, timestamp=2)
             assert client.last_degraded
@@ -248,14 +297,12 @@ def test_degraded_pass_surfaces_as_207_with_typed_failures():
                     for h in lost_docs.hits} == {"RpcConnectionError"}
 
             # surviving members sealed byte-identical to the twin
-            api.set_policy(None)
             twin_receipts = twin.seal_many(
                 [confine("acme", p) for p in paths], timestamp=2)
             by_path = {r.path: r for r in twin_receipts}
             for path, receipt in sealed.items():
                 assert receipt == by_path[path]
     finally:
-        api.set_policy(None)
         if holder is not None:
             holder.close()
         worker.stop()
@@ -263,7 +310,7 @@ def test_degraded_pass_surfaces_as_207_with_typed_failures():
         reset_host_health()
 
 
-def test_unreachable_fleet_is_a_retryable_503():
+def test_unreachable_fleet_is_a_retryable_503(monkeypatch):
     from repro.parallel import reset_host_health
 
     probe = socket.socket()
@@ -276,15 +323,15 @@ def test_unreachable_fleet_is_a_retryable_503():
     try:
         with GatewayServer(app) as server:
             admin = GatewayClient(server.address, "root-token")
-            api.set_policy(ExecutionPolicy(
-                executor="rpc", fleet_hosts=(dead,), fleet_retries=0,
-                fleet_timeout=2.0, fleet_on_failure="raise"))
+            _export_fleet_dispatch(
+                monkeypatch, executor="rpc", fleet_hosts=(dead,),
+                fleet_retries=0, fleet_timeout=2.0,
+                fleet_on_failure="raise")
             with pytest.raises(GatewayHTTPError) as err:
                 admin.audit()
             assert err.value.status == 503
             assert err.value.retryable
     finally:
-        api.set_policy(None)
         close_connection_pools()
         reset_host_health()
 

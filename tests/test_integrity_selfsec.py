@@ -62,10 +62,13 @@ def test_self_securing_fs_logs_mutations(big_fs):
     ss.create("/doc", b"v1")
     ss.write("/doc", b"v2")
     ss.read("/doc")  # reads are not logged
+    ss.create("/kept", b"evidence")
+    assert ss.heat_file("/kept", timestamp=3).start == \
+        big_fs.stat("/kept").line_start
     ss.unlink("/doc")
     ss.seal_log()
     ops = [rec.split()[0] for _t, rec in ss.audit.history()]
-    assert ops == [b"create", b"write", b"unlink"]
+    assert ops == [b"create", b"write", b"create", b"heat", b"unlink"]
     assert ss.audit.is_history_intact()
 
 

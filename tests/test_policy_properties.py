@@ -1,16 +1,17 @@
 """Properties of the knob table (``repro.api.policy.KNOBS``).
 
 One property runs over *every* row with generated values per layer:
-explicit > innermost context > outer context > installed policy > env
-> default; the env var is read at call time; ``describe_policy()``
-agrees with ``resolve``; a secret row's value never reaches a repr or
-a diagnostics dump.  The rest pins what one validator per row buys:
-every layer accepts, canonicalises and rejects the same values.
+explicit > innermost context > outer context > env > default; the env
+var is read at call time; ``describe_policy()`` agrees with
+``resolve``; a secret row's value never reaches a repr or a
+diagnostics dump.  Adding a knob is adding a row: a temporary row is
+an ``engine()`` keyword, an env var and a ``describe`` entry with no
+other edit.  The rest pins what one validator per row buys: every
+layer accepts, canonicalises and rejects the same values.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from unittest import mock
 
@@ -19,23 +20,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.api import policy as pol
-from repro.api.policy import (
-    KNOBS,
-    ExecutionPolicy,
-    describe_policy,
-    engine,
-    resolve,
-    set_policy,
-)
+from repro.api.policy import KNOBS, Knob, describe_policy, engine, resolve
 from repro.errors import ConfigurationError
+from repro.gateway import GatewaySettings
 
 _HOST = st.builds("{}:{}".format,
                   st.text("abcdefghij", min_size=1, max_size=8),
                   st.integers(1, 65535))
 
 #: Valid explicit values per row.  A row without an entry fails
-#: ``test_every_row_has_a_strategy_and_a_field``: a new knob joins the
-#: property.
+#: ``test_every_row_has_a_strategy``: a new knob joins the property.
 VALID = {
     "executor": st.sampled_from(("serial", "rpc")),
     "fleet_hosts": st.lists(_HOST, min_size=1, max_size=3,
@@ -75,9 +69,6 @@ def _env_text(value) -> str:
 def _clean_resolution_state(monkeypatch):
     for knob in KNOBS.values():
         monkeypatch.delenv(knob.env_var, raising=False)
-    set_policy(None)
-    yield
-    set_policy(None)
 
 
 def _described(name):
@@ -87,22 +78,66 @@ def _described(name):
     return shown, snapshot[f"{name}_source"]
 
 
-def test_every_row_has_a_strategy_and_a_field():
+def test_every_row_has_a_strategy():
     assert set(VALID) == set(KNOBS)
-    fields = dataclasses.fields(ExecutionPolicy)
-    assert [f.name for f in fields] == list(KNOBS)
-    assert all(f.default is None for f in fields)
-    assert {f.name for f in fields if not f.repr} == \
-        {name for name, knob in KNOBS.items() if knob.secret}
+
+
+def test_adding_a_knob_is_adding_a_row(monkeypatch):
+    """One new row, no other edit: it is an ``engine()`` keyword
+    checked by the row, an env var read at call time, a
+    ``describe_policy()`` entry and a gateway ``describe`` entry — and
+    a secret row is masked in all of them."""
+    level = Knob("demo_level", "REPRO_DEMO_LEVEL", 4,
+                 pol._int_at_least("demo_level", 0), int,
+                 doc="a knob that exists only in this test")
+    token = Knob("demo_token", "REPRO_DEMO_TOKEN", None,
+                 pol._typed("demo_token", str, "a non-empty str", bool),
+                 secret=True)
+    for row in (level, token):
+        monkeypatch.setitem(KNOBS, row.name, row)
+        monkeypatch.delenv(row.env_var, raising=False)
+    gateway = GatewaySettings.resolve(tokens="root-tok=admin")
+
+    def seen(name):
+        described = describe_policy()
+        assert {key: value for key, value in described.items()
+                if key.startswith(name)} == \
+            {key: value for key, value in gateway.describe()[
+                "policy"].items() if key.startswith(name)}
+        shown = described[f"{name}_set"] if KNOBS[name].secret \
+            else described[name]
+        return shown, described[f"{name}_source"]
+
+    assert resolve("demo_level") == (4, "default")
+    assert seen("demo_level") == (4, "default")
+    assert seen("demo_token") == (False, "default")
+    monkeypatch.setenv("REPRO_DEMO_LEVEL", " 7 ")
+    monkeypatch.setenv("REPRO_DEMO_TOKEN", "env-token-material")
+    assert seen("demo_level") == (7, "env")
+    assert seen("demo_token") == (True, "env")
+    with engine(demo_level=9, demo_token="scope-token-material") as scope:
+        assert seen("demo_level") == (9, "context")
+        assert seen("demo_token") == (True, "context")
+        assert resolve("demo_token") == ("scope-token-material", "context")
+        dumps = repr(scope) + repr(describe_policy()) + \
+            repr(gateway.describe())
+    assert "demo_level=9" in repr(scope)
+    assert "token-material" not in dumps
+    assert resolve("demo_level", 2) == (2, "explicit")
+    for bad in (True, -1, "3"):
+        with pytest.raises((TypeError, ValueError)):
+            engine(demo_level=bad)
+    monkeypatch.setenv("REPRO_DEMO_LEVEL", "lots")  # ignored, not strict
+    assert seen("demo_level") == (4, "default")
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), name=st.sampled_from(sorted(KNOBS)))
 def test_layer_order_holds_for_every_row(data, name):
     knob = KNOBS[name]
-    explicit, inner, outer, installed, exported = (
+    explicit, inner, outer, exported = (
         data.draw(VALID[name], label=layer) for layer in
-        ("explicit", "inner context", "outer context", "policy", "env"))
+        ("explicit", "inner context", "outer context", "env"))
     assume(knob.check(inner) != knob.check(outer))
 
     def expect(value, source):
@@ -112,43 +147,33 @@ def test_layer_order_holds_for_every_row(data, name):
         assert _described(name) == (shown, source)
 
     expect(knob.default, "default")
-    try:
-        with mock.patch.dict(
-                os.environ, {knob.env_var: f"  {_env_text(exported)} "}):
-            expect(exported, "env")  # read now, not at import
-            set_policy(ExecutionPolicy(**{name: installed}))
-            expect(installed, "policy")
-            with ExecutionPolicy(**{name: outer}).use():
-                expect(outer, "context")
-                with ExecutionPolicy(**{name: inner}).use(), engine():
-                    expect(inner, "context")  # engine() pins nothing
-                    assert resolve(name, explicit) == \
-                        (knob.check(explicit), "explicit")
-                expect(outer, "context")
-            expect(installed, "policy")
-            set_policy(None)
-            expect(exported, "env")
-        expect(knob.default, "default")  # unset again
-    finally:
-        set_policy(None)
+    with mock.patch.dict(
+            os.environ, {knob.env_var: f"  {_env_text(exported)} "}):
+        expect(exported, "env")  # read now, not at import
+        with engine(**{name: outer}):
+            expect(outer, "context")
+            with engine(**{name: inner}), engine():
+                expect(inner, "context")  # engine() pins nothing
+                assert resolve(name, explicit) == \
+                    (knob.check(explicit), "explicit")
+            expect(outer, "context")
+        expect(exported, "env")
+    expect(knob.default, "default")  # unset again
 
 
 @settings(max_examples=25, deadline=None)
 @given(secret=VALID["fleet_secret"])
 def test_secret_rows_never_surface(secret):
     (name,) = (name for name, knob in KNOBS.items() if knob.secret)
-    policy = ExecutionPolicy(**{name: secret})
-    try:
-        set_policy(policy)
-        with policy.use():
-            snapshot = describe_policy()
-        assert snapshot[f"{name}_set"] is True
-        assert name not in snapshot
-        for dump in (repr(policy), repr(snapshot),
-                     repr(snapshot["installed_policy"])):
-            assert secret not in dump
-    finally:
-        set_policy(None)
+    gateway = GatewaySettings.resolve(tokens="root-tok=admin")
+    with engine(**{name: secret}) as scope:
+        snapshot = describe_policy()
+        described = gateway.describe()
+    assert snapshot[f"{name}_set"] is True
+    assert name not in snapshot
+    assert described["policy"][f"{name}_set"] is True
+    for dump in (repr(scope), repr(snapshot), repr(described)):
+        assert secret not in dump
 
 
 @pytest.mark.parametrize("name,text", [
@@ -187,12 +212,17 @@ def _outcome(build):
         return "raises", type(exc)
 
 
+def _scoped(name, value):
+    """``value`` as the context layer resolves it."""
+    with engine(**{name: value}):
+        return resolve(name)[0]
+
+
 @pytest.mark.parametrize("name", sorted(KNOBS))
 def test_explicit_and_policy_layers_share_one_validator(name):
     for value in ODD_VALUES:
         assert _outcome(lambda: resolve(name, value)[0]) == _outcome(
-            lambda: getattr(ExecutionPolicy(**{name: value}), name)), \
-            (name, value)
+            lambda: _scoped(name, value)), (name, value)
 
 
 def test_int_rows_reject_bools_and_floats():
@@ -202,7 +232,7 @@ def test_int_rows_reject_bools_and_floats():
             with pytest.raises(TypeError):
                 resolve(name, value)
             with pytest.raises(TypeError):
-                ExecutionPolicy(**{name: value})
+                engine(**{name: value})
 
 
 def test_fleet_timeout_validates_alike_and_canonicalises_to_float():
@@ -210,27 +240,26 @@ def test_fleet_timeout_validates_alike_and_canonicalises_to_float():
         with pytest.raises(TypeError):
             resolve("fleet_timeout", value)
         with pytest.raises(TypeError):
-            ExecutionPolicy(fleet_timeout=value)
+            engine(fleet_timeout=value)
     assert resolve("fleet_timeout", 3) == (3.0, "explicit")
-    assert ExecutionPolicy(fleet_timeout=3).fleet_timeout == 3.0
+    assert _scoped("fleet_timeout", 3) == 3.0
 
 
 def test_fleet_secret_and_token_file_types():
     for build in (lambda v: resolve("fleet_secret", v),
-                  lambda v: ExecutionPolicy(fleet_secret=v)):
+                  lambda v: engine(fleet_secret=v)):
         with pytest.raises(TypeError):
             build(5)
         with pytest.raises(ValueError):
             build("")
     for build in (lambda v: resolve("gateway_token_file", v),
-                  lambda v: ExecutionPolicy(gateway_token_file=v)):
+                  lambda v: engine(gateway_token_file=v)):
         with pytest.raises(TypeError):
             build(5)
         with pytest.raises(ValueError):
             build("  ")
-    assert ExecutionPolicy(
-        gateway_token_file=os.path.join("etc", "tk")
-    ).gateway_token_file == os.path.join("etc", "tk")
+    assert _scoped("gateway_token_file", os.path.join("etc", "tk")) == \
+        os.path.join("etc", "tk")
 
 
 # -- non-finite fleet_timeout never reaches sock.settimeout() ------------------
@@ -239,8 +268,6 @@ def test_fleet_secret_and_token_file_types():
 @pytest.mark.parametrize("value", [
     float("nan"), float("inf"), -float("inf")])
 def test_non_finite_fleet_timeout_rejected_by_check(value):
-    with pytest.raises(ValueError):
-        ExecutionPolicy(fleet_timeout=value)
     with pytest.raises(ValueError):
         engine(fleet_timeout=value)
     with pytest.raises(ValueError):

@@ -106,7 +106,7 @@ def _tiny_index() -> EvidenceIndex:
 def test_empty_query_matches_everything():
     index = _tiny_index()
     result = index.search("")
-    assert result.total == 7
+    assert result.total == 7 == len(index)
 
 
 def test_filter_narrow_and_facets_over_full_match_set():

@@ -114,6 +114,8 @@ def test_trace_roundtrip():
     workload = SyntheticWorkload(n_files=3, n_ops=10, seed=7)
     trace = record_workload(workload)
     assert len(trace) == 13
+    trace.append(trace.ops[0])
+    assert len(trace) == 14 and trace.ops[-1] == trace.ops[0]
     parsed = Trace.loads(trace.dumps())
     assert parsed.ops == trace.ops
 
