@@ -44,7 +44,7 @@ Four pieces:
   generation (worker restarted, cache evicted, client-side mutation
   bumped the generation) answers ``("nopin",)`` **without running the
   task**, so the client resends it once, snapshot attached, on the
-  same connection.  Abandoned pins are bounded by the worker's
+  same connection.  Abandoned pins are bounded by each worker's
   :data:`PIN_CACHE_CAP` LRU.  A pass *pipelines*: one socket per
   host, every round's frames written by a writer thread while the
   replies drain in order, matched by request id, so N members on one
@@ -52,9 +52,9 @@ Four pieces:
   ``MemberTask`` is a ``TypeError`` before anything is dialled: no
   other callable travels.
 
-* **worker daemon** — :func:`serve`, exposed as
-  ``python -m repro.parallel.remote serve --bind HOST:PORT``.  A
-  threaded TCP server that hosts pinned member stores: each
+* **worker daemon** — :class:`WorkerServer`, a threaded TCP server
+  owning its frame secret and pin cache; :func:`serve` runs one, as
+  ``python -m repro.parallel.remote serve --bind HOST:PORT``.  Each
   connection unpickles ``run`` requests, calls the named store method
   on the pinned copy, and replies with ``("ok", payload, state)`` or
   the raised exception.  The worker decides what state comes home: an
@@ -76,10 +76,12 @@ Four pieces:
   drives each host's connection from its own thread.  Pass connections
   are pooled module-wide (:data:`_POOL`) so repeated passes reuse warm
   sockets; a :func:`ping` probe dials a connection of its own and
-  closes it.  A host round that fails folds nothing, so it is retried
-  once on the same host — every member re-pinned from caller-held
-  state, which cannot run a task twice on that state (a seal pass
-  never heats a line twice) — unless a request deadline expired.
+  closes it; waiting for a worker to listen is ``ping``'s job, and a
+  pass dials each host once per round attempt.  A failed host round
+  folds nothing, so it is retried once on the same host — every member
+  re-pinned from caller-held state, which cannot run a task twice on
+  that state (a seal pass never heats a line twice) — unless a request
+  deadline expired.
 
 Failure semantics (the fault-injection contract):
 
@@ -153,10 +155,8 @@ _DIGEST_BYTES = 32
 #: Generous: a bench member snapshot is ~1.3 MB.
 MAX_FRAME_BYTES = 1 << 30
 
-#: Dial attempts for a pass's *fresh* connection (a worker still
-#: starting up refuses a few times before it listens).  A probe dials
-#: once per round trip; :func:`ping` owns its retries.
-DIAL_RETRIES = 10
+#: Seconds :func:`ping` sleeps between round trips to a worker that is
+#: not answering yet; a pass never waits, it dials each host once.
 DIAL_RETRY_DELAY_S = 0.2
 
 #: Failover re-dispatch backoff: wave ``k`` sleeps
@@ -226,11 +226,11 @@ class _Ambient:
         return "<ambient fleet secret>"
 
 
-#: Default for every ``secret=`` parameter in this module.  The worker
-#: daemon always runs with the ambient default, so exporting
-#: ``REPRO_FLEET_SECRET`` to the worker process is the whole
-#: deployment story; the client executor resolves the chain *once* per
-#: pass and threads the value explicitly, because context-variable
+#: Default for every ``secret=`` parameter in this module.
+#: :func:`serve` resolves the chain once when the daemon starts, so
+#: exporting ``REPRO_FLEET_SECRET`` to the worker process is the whole
+#: deployment story; the client executor resolves it *once* per pass
+#: and threads the value explicitly, because context-variable
 #: overrides do not propagate into its dispatch threads.
 _AMBIENT = _Ambient()
 
@@ -381,13 +381,11 @@ def recv_frame(sock: socket.socket, *, secret: Any = _AMBIENT) -> Any:
 # ---------------------------------------------------------------------------
 # Worker daemon
 
-#: Worker-global pin cache: ``(client, member) key -> (generation,
-#: pinned store)``.  LRU-capped so an abandoned client cannot grow a
-#: worker without bound; an evicted pin costs the owner one ``nopin``
-#: round trip and a resend with the snapshot, never a wrong result.
+#: Pins per :class:`WorkerServer`, LRU-capped so an abandoned client
+#: cannot grow a worker without bound; an evicted pin costs the owner
+#: one ``nopin`` round trip and a resend with the snapshot, never a
+#: wrong result.
 PIN_CACHE_CAP = 1024
-_PINS: "OrderedDict[Any, Tuple[int, Any]]" = OrderedDict()
-_PINS_LOCK = threading.Lock()
 
 
 def _run_task(task: MemberTask) -> Tuple:
@@ -426,7 +424,7 @@ def _malformed_run(verb: Tuple) -> Optional[str]:
         return f"a member key is (client str, member int), got {key!r}"
     if not isinstance(generation, int):
         return f"a generation is an int, got {generation!r}"
-    if method not in MemberTask.VERBS:
+    if not isinstance(method, str) or method not in MemberTask.VERBS:
         return (f"a worker runs one of {', '.join(MemberTask.VERBS)}, "
                 f"not {method!r}")
     if not isinstance(kwargs, dict):
@@ -434,39 +432,56 @@ def _malformed_run(verb: Tuple) -> Optional[str]:
     return None
 
 
-def _execute_request(verb: Tuple) -> Tuple:
-    """The response to one verb tuple (its envelope already checked)."""
-    op = verb[0]
-    if op == "ping":
-        return ("pong", os.getpid())
-    if op != "run":
-        return _protocol_error(f"unknown request op {op!r}")
-    problem = _malformed_run(verb)
-    if problem is not None:
-        return _protocol_error(problem)
-    _op, key, generation, snapshot, method, kwargs = verb
-    with _PINS_LOCK:
-        if snapshot is not None:
-            _PINS[key] = (generation, snapshot)
-            _PINS.move_to_end(key)
-            while len(_PINS) > PIN_CACHE_CAP:
-                _PINS.popitem(last=False)
-        entry = _PINS.get(key)
-        if entry is not None and entry[0] == generation:
-            _PINS.move_to_end(key)
-            pinned = entry[1]
-        else:
-            pinned = None
-    if pinned is None:
-        # missing or stale pin: the task did NOT run, which is what
-        # makes the client's resend with the snapshot attached safe
-        return ("nopin",)
-    response = _run_task(MemberTask(pinned, method, kwargs))
-    if response[0] == "err":
-        # the pinned copy may be half-mutated: never serve it again
-        with _PINS_LOCK:
-            _PINS.pop(key, None)
-    return response
+class WorkerServer(socketserver.ThreadingTCPServer):
+    """A worker daemon on ``address`` (``(host, port)``; port 0 picks
+    a free one) owning its frame secret (None: unsigned ``SRP2``
+    frames) and its pin cache — ``(client, member) key -> (generation,
+    pinned store)`` — so one process can host several."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, address: Tuple[str, int], *,
+                 secret: Optional[str] = None) -> None:
+        super().__init__(address, _WorkerHandler)
+        self.secret = secret
+        self._pins: "OrderedDict[Any, Tuple[int, Any]]" = OrderedDict()
+        self._pins_lock = threading.Lock()
+
+    def respond(self, verb: Tuple) -> Tuple:
+        """The reply to one verb tuple (its envelope already checked);
+        never raises."""
+        op = verb[0] if isinstance(verb[0], str) else None
+        if op == "ping":
+            return ("pong", os.getpid())
+        if op != "run":
+            return _protocol_error(f"unknown request op {verb[0]!r}")
+        problem = _malformed_run(verb)
+        if problem is not None:
+            return _protocol_error(problem)
+        _op, key, generation, snapshot, method, kwargs = verb
+        with self._pins_lock:
+            if snapshot is not None:
+                self._pins[key] = (generation, snapshot)
+                self._pins.move_to_end(key)
+                while len(self._pins) > PIN_CACHE_CAP:
+                    self._pins.popitem(last=False)
+            entry = self._pins.get(key)
+            if entry is not None and entry[0] == generation:
+                self._pins.move_to_end(key)
+                pinned = entry[1]
+            else:
+                pinned = None
+        if pinned is None:
+            # missing or stale pin: the task did NOT run, which is what
+            # makes the client's resend with the snapshot attached safe
+            return ("nopin",)
+        response = _run_task(MemberTask(pinned, method, kwargs))
+        if response[0] == "err":
+            # the pinned copy may be half-mutated: never serve it again
+            with self._pins_lock:
+                self._pins.pop(key, None)
+        return response
 
 
 class _WorkerHandler(socketserver.BaseRequestHandler):
@@ -478,9 +493,10 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
         self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def handle(self) -> None:  # one connection: frames until EOF
+        secret = self.server.secret
         while True:
             try:
-                request = recv_frame(self.request)
+                request = recv_frame(self.request, secret=secret)
             except (EOFError, RpcError, OSError):
                 return  # a non-SRPC peer gets silence, not a stack dump
             if not (isinstance(request, tuple) and len(request) == 2
@@ -489,14 +505,10 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                 return  # not a (request id, verb) pair: drop the peer
             rid, verb = request
             try:
-                send_frame(self.request, (rid, _execute_request(verb)))
+                send_frame(self.request, (rid, self.server.respond(verb)),
+                           secret=secret)
             except OSError:
                 return
-
-
-class _WorkerServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
 
 
 def _is_loopback(host: str) -> bool:
@@ -519,15 +531,15 @@ def serve(bind: str, *, announce=print) -> None:
     binds) unless a ``fleet_secret`` resolves.
     """
     host, port = parse_host(bind)
-    if not _is_loopback(host) \
-            and _policy.resolve("fleet_secret")[0] is None:
+    secret, _source = _policy.resolve("fleet_secret")
+    if not _is_loopback(host) and secret is None:
         raise ConfigurationError(
             f"refusing to serve unsigned SRPC on non-loopback {bind!r}: "
             "frames are unpickled, so any peer that reaches the port "
             "could run code here; export "
             f"{_policy.KNOBS['fleet_secret'].env_var} on the worker and "
             "its clients, or bind a loopback address")
-    with _WorkerServer((host, port), _WorkerHandler) as server:
+    with WorkerServer((host, port), secret=secret) as server:
         bound_host, bound_port = server.server_address[:2]
         announce(f"SRPC listening on {bound_host}:{bound_port}")
         try:
@@ -635,26 +647,19 @@ def close_connection_pools() -> int:
     return len(sockets)
 
 
-def _dial(addr: str, *, retries: int = DIAL_RETRIES,
-          timeout: Optional[float] = None) -> socket.socket:
-    """Fresh connection to ``addr``, retrying brief refusals."""
+def _dial(addr: str, *, timeout: Optional[float] = None) -> socket.socket:
+    """Fresh connection to ``addr``: one attempt, a refusal raises."""
     host, port = parse_host(addr)
-    last: Optional[Exception] = None
-    for attempt in range(max(1, retries)):
-        try:
-            sock = socket.create_connection((host, port), timeout=timeout)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            return sock
-        except OSError as exc:
-            last = exc
-            if attempt + 1 < retries:
-                time.sleep(DIAL_RETRY_DELAY_S)
-    raise RpcConnectionError(
-        f"cannot reach fleet worker at {addr}: {last}") from last
+    try:
+        sock = socket.create_connection((host, port), timeout=timeout)
+    except OSError as exc:
+        raise RpcConnectionError(
+            f"cannot reach fleet worker at {addr}: {exc}") from exc
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
-def _borrow(addr: str, deadline: Optional[float] = None, *,
-            dial_retries: int = DIAL_RETRIES) -> socket.socket:
+def _borrow(addr: str, deadline: Optional[float] = None) -> socket.socket:
     """A pass connection to ``addr``: pooled, or freshly dialled.
 
     ``deadline`` is the per-request socket timeout in seconds (None =
@@ -668,8 +673,7 @@ def _borrow(addr: str, deadline: Optional[float] = None, *,
             sock = pooled.pop()
             sock.settimeout(deadline)
             return sock
-    sock = _dial(addr, retries=dial_retries,
-                 timeout=deadline if deadline else None)
+    sock = _dial(addr, timeout=deadline if deadline else None)
     sock.settimeout(deadline)
     return sock
 
@@ -730,7 +734,7 @@ def call_worker(addr: str, request: Tuple, *,
     ``deadline`` bounds the dial and every blocking socket operation,
     and its expiry raises :class:`RpcTimeoutError`.
     """
-    sock = _dial(addr, retries=1, timeout=deadline)
+    sock = _dial(addr, timeout=deadline)
     try:
         try:
             send_frame(sock, (0, request), secret=secret)
@@ -1243,16 +1247,12 @@ class RpcExecutor(FleetExecutor):
         same host when the wire round fails: nothing from a failed
         round is folded, so re-pinning every member from caller-held
         state and resending cannot double-run anything, even where the
-        worker executed some of the requests.  Deadline expiries never
-        retry on the same host: a hung worker would just eat a second
-        deadline — failover handles it instead."""
+        worker executed some of the requests.  The retry covers a stale
+        pooled socket; a refused dial fails the round at once.  Deadline
+        expiries never retry on the same host: a hung worker would just
+        eat a second deadline — failover handles it instead."""
         for attempt in (0, 1):
-            # the dial grace is for a worker still starting up; a host
-            # that just dropped an established round gets one redial,
-            # so a dead one costs a refusal, not the whole grace
-            sock = _borrow(
-                addr, deadline,
-                dial_retries=DIAL_RETRIES if attempt == 0 else 1)
+            sock = _borrow(addr, deadline)
             try:
                 return self._host_round(addr, sock, plans, secret)
             except RpcTimeoutError:
@@ -1416,9 +1416,9 @@ def spawn_local_worker(bind: str = "127.0.0.1:0", *,
     with the actual ``host:port`` (port 0 picks a free one).
 
     ``secret`` exports ``REPRO_FLEET_SECRET`` into the worker's
-    environment (the daemon reads it per frame through the policy
-    chain) and signs the startup ping with it; None inherits whatever
-    this process's environment already carries.
+    environment (the daemon reads it once, when it starts) and signs
+    the startup ping with it; None inherits whatever this process's
+    environment already carries.
     """
     package_root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import pytest
 
 from repro.device.sero import SERODevice
@@ -34,17 +37,23 @@ def big_fs() -> SeroFS:
 
 @pytest.fixture(scope="module")
 def workers():
-    """Addresses of two loopback worker daemons: where a test runs the
-    cross-process (``rpc``) twin of a serial rack."""
-    from repro.parallel import close_connection_pools, spawn_local_worker
+    """Addresses of two loopback workers: where a test runs the
+    cross-process (``rpc``) twin of a serial rack.  Two in-thread
+    ``WorkerServer``s, or the daemons an exported ``REPRO_FLEET_HOSTS``
+    names (so a CI step can point the suites at real ``serve``
+    processes)."""
+    from repro.api.policy import KNOBS
+    from repro.parallel import close_connection_pools, parse_hosts
+    from twin_racks import thread_worker
 
-    spawned = [spawn_local_worker() for _ in range(2)]
-    try:
-        yield tuple(worker.address for worker in spawned)
-    finally:
-        for worker in spawned:
-            worker.stop()
-        close_connection_pools()
+    exported = os.environ.get(KNOBS["fleet_hosts"].env_var, "").strip()
+    with contextlib.ExitStack() as stack:
+        stack.callback(close_connection_pools)
+        if exported:
+            yield parse_hosts(exported)
+        else:
+            yield tuple(stack.enter_context(thread_worker())[0]
+                        for _ in range(2))
 
 
 def pytest_configure(config):

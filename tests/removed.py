@@ -37,6 +37,8 @@ BENCH_PATHS = ("pyproject.toml", ".github", ".claude", "PERFORMANCE.md",
 _ALIASES = "policy.resolve(name, explicit=None)"
 _ROW_ENV = 'KNOBS["<knob>"].env_var, or the REPRO_* literal'
 _SCOPE = "repro.engine(...) for a scope, REPRO_* for the process"
+_READY = "ping(addr, timeout=) before the first pass"
+_WORKER = "each WorkerServer's own pin cache"
 
 REMOVED: Tuple[Removed, ...] = (
     # 3.0: one rpc transport, one locking discipline
@@ -233,6 +235,14 @@ REMOVED: Tuple[Removed, ...] = (
             "repro.device.timing.CostAccount"),
     Removed("heated", "14.0", "dot.state is BitState.HEATED",
             "repro.medium.dot.DotView"),
+    # 15.0: a worker is an object and a pass dials once
+    Removed("DIAL_RETRIES", "15.0", _READY),
+    Removed("retries", "15.0", _READY, "repro.parallel.remote._dial"),
+    Removed("dial_retries", "15.0", _READY),
+    Removed("_PINS", "15.0", _WORKER),
+    Removed("_PINS_LOCK", "15.0", _WORKER),
+    Removed("_execute_request", "15.0", "WorkerServer.respond(verb)"),
+    Removed("_WorkerServer", "15.0", "WorkerServer(address, secret=)"),
 )
 
 

@@ -8,6 +8,7 @@ caller-held member references consistent (no half-folded state) and
 the cached connection/process pools reusable for the next pass.
 """
 
+import contextlib
 import os
 import socket
 import threading
@@ -23,6 +24,7 @@ from twin_racks import (
     device_rack,
     fingerprints,
     sealed_device_rack,
+    thread_worker,
 )
 from repro.device.sero import DeviceConfig, SERODevice, VerifyStatus
 from repro.errors import (
@@ -292,14 +294,13 @@ def test_session_generation_bump_after_client_side_mutation():
     block write on a caller-held device) must invalidate the pin: the
     next audit re-pins from the mutated state instead of silently
     reusing the stale worker copy."""
-    from repro.parallel import RpcExecutor, close_connection_pools, \
-        spawn_local_worker
+    from repro.parallel import RpcExecutor, close_connection_pools
     from repro.parallel.session import session_for
 
-    workers = [spawn_local_worker() for _ in range(2)]
-    try:
-        fleet = sealed_device_rack(
-            RpcExecutor([w.address for w in workers]), n=2)
+    with contextlib.ExitStack() as stack:
+        stack.callback(close_connection_pools)
+        hosts = [stack.enter_context(thread_worker())[0] for _ in range(2)]
+        fleet = sealed_device_rack(RpcExecutor(hosts), n=2)
         twin = sealed_device_rack("serial", n=2)
         assert fleet.audit() == twin.audit()
 
@@ -323,10 +324,6 @@ def test_session_generation_bump_after_client_side_mutation():
         # ...and indeed every session re-pinned under a new generation
         assert all(session_for(store).generation > gen
                    for store, gen in zip(fleet.members, generations))
-    finally:
-        close_connection_pools()
-        for w in workers:
-            w.stop()
 
 
 def _one_shot_server(behavior):
@@ -380,29 +377,27 @@ def test_rpc_member_exception_propagates_with_remote_context():
     """A member raising inside a pass re-raises the *original*
     exception at the caller, chained to a RemoteTaskError naming the
     worker and carrying the remote traceback; the pool stays usable."""
-    from repro.parallel import RemoteTaskError, close_connection_pools, \
-        spawn_local_worker
+    from repro.parallel import RemoteTaskError, close_connection_pools
 
-    worker = spawn_local_worker()
     try:
-        fleet = api.FleetStore.create(2, total_blocks=192, seed=13)
-        paths = [f"/e{i}" for i in range(4)]
-        for path in paths:
-            fleet.put(path, b"x" * 40)
-        fleet.seal_many(paths[:1])  # serial: now /e0 is immutable
-        with repro.engine(executor="rpc", fleet_hosts=(worker.address,)):
-            with pytest.raises(ImmutableFileError) as excinfo:
-                fleet.seal_many(paths)  # /e0 re-sealed inside the pass
-            cause = excinfo.value.__cause__
-            assert isinstance(cause, RemoteTaskError)
-            assert cause.host == worker.address
-            assert "remote traceback" in str(cause)
-            # pool reusable, members consistent: a clean pass succeeds
-            receipts = fleet.seal_many(paths[1:])
-            assert [r.path for r in receipts] == paths[1:]
-            assert fleet.audit().clean
+        with thread_worker() as (addr, _server):
+            fleet = api.FleetStore.create(2, total_blocks=192, seed=13)
+            paths = [f"/e{i}" for i in range(4)]
+            for path in paths:
+                fleet.put(path, b"x" * 40)
+            fleet.seal_many(paths[:1])  # serial: now /e0 is immutable
+            with repro.engine(executor="rpc", fleet_hosts=(addr,)):
+                with pytest.raises(ImmutableFileError) as excinfo:
+                    fleet.seal_many(paths)  # /e0 re-sealed inside the pass
+                cause = excinfo.value.__cause__
+                assert isinstance(cause, RemoteTaskError)
+                assert cause.host == addr
+                assert "remote traceback" in str(cause)
+                # pool reusable, members consistent: a clean pass succeeds
+                receipts = fleet.seal_many(paths[1:])
+                assert [r.path for r in receipts] == paths[1:]
+                assert fleet.audit().clean
     finally:
-        worker.stop()
         close_connection_pools()
 
 
@@ -528,14 +523,15 @@ def test_degrade_mode_yields_partial_report():
     MemberFailure records (in their ``format_devices`` slots and in
     ``last_op.failures``) and their caller-held state is untouched."""
     from repro.parallel import HashRing, MemberFailure, RpcExecutor, \
-        close_connection_pools, reset_host_health, spawn_local_worker
+        close_connection_pools, reset_host_health
 
-    worker = spawn_local_worker()
+    stack = contextlib.ExitStack()
+    address, _server = stack.enter_context(thread_worker())
     holder = None
     n = 4
     try:
         dead, hosts, holder = dead_host_splitting(
-            worker.address, [f"member-{i}" for i in range(n)])
+            address, [f"member-{i}" for i in range(n)])
         lost = {i for i in range(n)
                 if HashRing(hosts).lookup(f"member-{i}") == dead}
         assert lost and len(lost) < n  # the ring split the members
@@ -568,7 +564,7 @@ def test_degrade_mode_yields_partial_report():
     finally:
         if holder is not None:
             holder.close()
-        worker.stop()
+        stack.close()
         close_connection_pools()
         reset_host_health()
 
@@ -580,20 +576,21 @@ def test_fleetstore_degrade_member_exception_and_audit():
     against a dead host reports per-member fs_errors instead of
     claiming a clean store."""
     from repro.parallel import MemberFailure, close_connection_pools, \
-        reset_host_health, spawn_local_worker
+        reset_host_health
 
-    worker = spawn_local_worker()
+    stack = contextlib.ExitStack()
+    address, _server = stack.enter_context(thread_worker())
     holder = None
     try:
         dead, _hosts, holder = dead_host_splitting(
-            worker.address, ["member-0", "member-1"])
+            address, ["member-0", "member-1"])
         reset_host_health()
         fleet = api.FleetStore.create(2, total_blocks=192, seed=23)
         paths = [f"/d{i}" for i in range(4)]
         for path in paths:
             fleet.put(path, b"z" * 40)
         fleet.seal_many(paths[:1])  # serial: /d0 now immutable
-        with repro.engine(executor="rpc", fleet_hosts=(worker.address,),
+        with repro.engine(executor="rpc", fleet_hosts=(address,),
                           fleet_on_failure="degrade"):
             receipts = fleet.seal_many(paths)
         failed = [r for r in receipts if isinstance(r, MemberFailure)]
@@ -607,7 +604,7 @@ def test_fleetstore_degrade_member_exception_and_audit():
 
         # now audit through a dead host in degrade mode: loud partial
         with repro.engine(executor="rpc",
-                          fleet_hosts=(worker.address, dead),
+                          fleet_hosts=(address, dead),
                           fleet_on_failure="degrade"):
             degraded = fleet.audit()
         assert not degraded.clean
@@ -616,7 +613,7 @@ def test_fleetstore_degrade_member_exception_and_audit():
     finally:
         if holder is not None:
             holder.close()
-        worker.stop()
+        stack.close()
         close_connection_pools()
         reset_host_health()
 
@@ -627,7 +624,7 @@ def test_executor_degrade_member_exception_keeps_slot():
     message) while other tasks' results come back normally."""
     from repro.api.store import TamperEvidentStore
     from repro.parallel import MemberFailure, MemberTask, RpcExecutor, \
-        SerialExecutor, close_connection_pools, spawn_local_worker
+        SerialExecutor, close_connection_pools
     from repro.parallel.session import store_fingerprint
 
     def members():
@@ -640,9 +637,10 @@ def test_executor_degrade_member_exception_keeps_slot():
                 MemberTask(stores[1], "seal_many",
                            {"paths": ("/missing",), "timestamp": 9})]
 
-    worker = spawn_local_worker()
+    stack = contextlib.ExitStack()
+    address, _server = stack.enter_context(thread_worker())
     try:
-        executor = RpcExecutor([worker.address], on_failure="degrade")
+        executor = RpcExecutor([address], on_failure="degrade")
         tasks = members()
         untouched = store_fingerprint(tasks[1].store)
         outcome = executor.run(tasks)
@@ -660,7 +658,7 @@ def test_executor_degrade_member_exception_keeps_slot():
         assert outcome.failures == [failure]
         assert store_fingerprint(tasks[1].store) == untouched
     finally:
-        worker.stop()
+        stack.close()
         close_connection_pools()
 
 

@@ -19,8 +19,11 @@ Four layers under test:
   :func:`repro.parallel.close_executors` closing the pools, and
   :class:`HashRing` stability under permuted host lists.
 
-Worker daemons are spawned on loopback per module (the ``workers``
-fixture); every test that does not need them runs without.
+The ``workers`` fixture serves two in-thread ``WorkerServer``s per
+module (``twin_racks.thread_worker``); a test that reads a worker's
+stderr, compares worker PIDs or kills a worker spawns
+``spawn_local_worker`` subprocesses of its own, and every test that
+needs no worker runs without.
 """
 
 from __future__ import annotations
@@ -38,11 +41,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 import repro.api as api
 from twin_racks import (all_passes, device_rack, fingerprints,
-                        object_rack, seal_lines, sealed_device_rack)
+                        object_rack, seal_lines, sealed_device_rack,
+                        thread_worker)
 from repro.api.fleet import FleetStore
 from repro.api.policy import resolve
 from repro.api.store import TamperEvidentStore
@@ -59,7 +65,9 @@ from repro.parallel import (
 )
 from repro.parallel import remote as remote_mod
 from repro.parallel.remote import (
+    WorkerServer,
     _pooled_connections,
+    call_worker,
     ping,
     recv_frame,
     send_frame,
@@ -305,6 +313,79 @@ def test_malformed_requests_get_a_typed_reply_not_a_traceback():
     assert "Traceback" not in err, err
 
 
+_ANY = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=8), st.binary(max_size=8),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+    st.lists(st.text(max_size=3), min_size=2, max_size=3).map(np.array))
+_KEYS = st.tuples(st.text(max_size=6), st.integers())
+_KWARGS = st.dictionaries(st.one_of(st.text(max_size=6), st.integers()),
+                          _ANY, max_size=3)
+#: Verb tuples as a peer's unpickled frame may hold them: well-formed
+#: ``run`` requests whose snapshot is no store, six-field ones with any
+#: key (unhashable ones included), generation, method and arguments,
+#: and any op at any arity.
+_VERBS = st.one_of(
+    st.tuples(st.just("run"), _KEYS, st.integers(),
+              _ANY.filter(lambda snapshot: snapshot is not None),
+              st.sampled_from(MemberTask.VERBS), _KWARGS),
+    st.tuples(st.just("run"), st.one_of(_KEYS, _ANY), _ANY, _ANY,
+              st.one_of(st.sampled_from(MemberTask.VERBS + ("delete",)),
+                        _ANY),
+              st.one_of(_KWARGS, _ANY)),
+    st.builds(lambda op, rest: (op, *rest),
+              st.one_of(st.sampled_from(("ping", "run", "pin", "unpin")),
+                        _ANY),
+              st.lists(_ANY, max_size=7)))
+
+
+@pytest.fixture(scope="module")
+def idle_worker():
+    """A bound, never-serving WorkerServer whose handler the property
+    below calls in-process."""
+    with WorkerServer(("127.0.0.1", 0)) as server:
+        yield server
+
+
+@settings(max_examples=300, deadline=None)
+@given(verb=_VERBS)
+def test_worker_answers_any_verb_tuple_with_a_typed_reply(idle_worker,
+                                                           verb):
+    """Whatever verb tuple reaches a worker, its handler returns a
+    sendable reply — ``pong``, ``nopin``, or an ``err`` typed
+    ``RpcProtocolError`` or as the task's own error — never raises,
+    and leaves no pin behind for a malformed or failed request."""
+    op = verb[0] if isinstance(verb[0], str) else None
+    reply = idle_worker.respond(verb)
+    pickle.dumps(reply, protocol=5)
+    if op == "ping":
+        assert reply == ("pong", os.getpid())
+    elif reply[0] == "nopin":
+        assert reply == ("nopin",) and op == "run" and verb[3] is None
+    else:
+        assert reply[0] == "err" and len(reply) == 5, reply
+        _tag, portable, etype, message, _tb = reply
+        assert isinstance(message, str)
+        if etype != "RpcProtocolError":
+            # a well-formed run whose non-store snapshot failed as a task
+            assert op == "run" and len(verb) == 6 and verb[3] is not None
+            assert portable is None or type(portable).__name__ == etype
+    assert not idle_worker._pins
+
+
+def test_worker_servers_in_one_process_keep_separate_pins():
+    """Pins belong to the WorkerServer, not to its process: a key
+    pinned on one in-thread worker answers ``nopin`` on another."""
+    store = device_rack(n=1, blocks=16).members[0]
+    key = ("client", 0)
+    with thread_worker() as (a, _), thread_worker() as (b, _):
+        assert call_worker(a, ("run", key, 0, store, "audit", {}))[0] == "ok"
+        assert call_worker(a, ("run", key, 0, None, "audit", {}))[0] == "ok"
+        assert call_worker(b, ("run", key, 0, None, "audit", {})) == \
+            ("nopin",)
+
+
 def test_probe_honours_its_timeout():
     """``ping``'s timeout bounds the whole probe: against a refused
     port it gives up after about ``timeout`` seconds, with no pass
@@ -321,8 +402,13 @@ def test_probe_honours_its_timeout():
         holder.close()
 
 
-def test_ping_and_worker_pid(workers):
-    pids = {addr: ping(addr) for addr in workers}
+def test_ping_and_worker_pid():
+    spawned = [spawn_local_worker() for _ in range(2)]
+    try:
+        pids = {worker.address: ping(worker.address) for worker in spawned}
+    finally:
+        for worker in spawned:
+            worker.stop()
     assert all(isinstance(pid, int) and pid > 0 for pid in pids.values())
     assert len(set(pids.values())) == 2  # two distinct daemons
 
@@ -587,6 +673,44 @@ def test_serial_reports_have_no_hosts():
     assert fleet.last_op.hosts == ()
 
 
+def test_evicted_pin_answers_nopin_and_is_resent(monkeypatch):
+    """A worker keeps at most ``PIN_CACHE_CAP`` pins, least recently
+    used out first.  With the cap at 2, the second pass over 3 members
+    finds the first member evicted: it answers ``nopin`` and is resent
+    with its snapshot, which ``last_op.bytes_out`` carries, and the
+    results still equal the serial twin's."""
+    from repro.parallel.session import session_for
+
+    monkeypatch.setattr(remote_mod, "PIN_CACHE_CAP", 2)
+    with thread_worker() as (addr, server):
+        seen = []
+        respond = server.respond
+
+        def recording(verb):
+            reply = respond(verb)
+            seen.append((verb[1], verb[3] is not None, reply[0]))
+            return reply
+
+        server.respond = recording
+        try:
+            fleet = device_rack(RpcExecutor([addr]), n=3)
+            twin = device_rack("serial", n=3)
+            assert fleet.format_devices() == twin.format_devices()
+            assert len(server._pins) == 2
+            first, second, third = (session_for(m).key
+                                    for m in fleet.members)
+            shipped = len(pickle.dumps(fleet.members[0], protocol=5))
+            del seen[:]
+            assert fleet.audit() == twin.audit()
+            assert seen == [(first, False, "nopin"),
+                            (second, False, "ok"), (third, False, "ok"),
+                            (first, True, "ok")]
+            assert fleet.last_op.bytes_out[addr] > shipped
+            assert fingerprints(fleet) == fingerprints(twin)
+        finally:
+            close_connection_pools()
+
+
 # -- connection pooling --------------------------------------------------------
 
 
@@ -631,19 +755,19 @@ def test_probes_leave_the_pass_pool_alone(workers):
     assert {addr: _pooled_connections(addr) for addr in workers} == pooled
 
 
-def test_worker_replies_without_nagle():
+def test_worker_replies_without_nagle(monkeypatch):
     """Both ends set TCP_NODELAY: a reply longer than one segment must
     not hold its tail until the client's delayed ACK (40 ms)."""
     seen = []
     answered = threading.Event()
 
-    class Probe(remote_mod._WorkerHandler):
-        def handle(self):
-            seen.append(self.request.getsockopt(socket.IPPROTO_TCP,
-                                                socket.TCP_NODELAY))
-            answered.set()
+    def probe(handler):
+        seen.append(handler.request.getsockopt(socket.IPPROTO_TCP,
+                                               socket.TCP_NODELAY))
+        answered.set()
 
-    with remote_mod._WorkerServer(("127.0.0.1", 0), Probe) as server:
+    monkeypatch.setattr(remote_mod._WorkerHandler, "handle", probe)
+    with WorkerServer(("127.0.0.1", 0)) as server:
         with socket.create_connection(server.server_address):
             server.handle_request()
             assert answered.wait(5.0)
@@ -1044,22 +1168,21 @@ def test_signing_expectation_mismatches_rejected():
 def test_worker_with_secret_rejects_unsigned_and_wrong_secret():
     from repro.parallel import reset_host_health
 
-    worker = spawn_local_worker(secret="hunter2")
     reset_host_health()
     try:
-        # the right secret answers normally
-        assert ping(worker.address, secret="hunter2") > 0
-        # unsigned and wrong-secret callers see only a dropped
-        # connection — the worker never answers an unauthenticated
-        # frame, not even with an error
-        with pytest.raises(RpcConnectionError):
-            ping(worker.address, timeout=2.0, secret=None)
-        with pytest.raises(RpcConnectionError):
-            ping(worker.address, timeout=2.0, secret="wrong")
-        # and the worker survives the rejected frames
-        assert ping(worker.address, secret="hunter2") > 0
+        with thread_worker(secret="hunter2") as (addr, _server):
+            # the right secret answers normally
+            assert ping(addr, secret="hunter2") > 0
+            # unsigned and wrong-secret callers see only a dropped
+            # connection — the worker never answers an unauthenticated
+            # frame, not even with an error
+            for secret in (None, "wrong"):
+                with pytest.raises(RpcConnectionError):
+                    call_worker(addr, ("ping",), deadline=2.0,
+                                secret=secret)
+            # and the worker survives the rejected frames
+            assert ping(addr, secret="hunter2") > 0
     finally:
-        worker.stop()
         close_connection_pools()
         reset_host_health()
 
@@ -1076,10 +1199,9 @@ def test_serve_refuses_unsigned_non_loopback_bind(monkeypatch):
         raise Announced(line)  # leave serve() once it is listening
 
     bound = []
-    real_server = remote_mod._WorkerServer
     monkeypatch.setattr(
-        remote_mod, "_WorkerServer",
-        lambda *args: bound.append(args) or real_server(*args))
+        remote_mod, "WorkerServer",
+        lambda *args, **kw: bound.append(args) or WorkerServer(*args, **kw))
     with pytest.raises(ConfigurationError, match="REPRO_FLEET_SECRET"):
         remote_mod.serve("0.0.0.0:0", announce=announce)
     assert bound == []
@@ -1093,16 +1215,13 @@ def test_serve_refuses_unsigned_non_loopback_bind(monkeypatch):
 def test_fleet_passes_byte_identical_over_signed_frames():
     from repro.parallel import reset_host_health
 
-    spawned = [spawn_local_worker(secret="fleet-hmac-key")
-               for _ in range(2)]
     reset_host_health()
     try:
-        hosts = [w.address for w in spawned]
-        assert all_passes(RpcExecutor(hosts, secret="fleet-hmac-key")) \
-            == all_passes("serial")
+        with thread_worker(secret="fleet-hmac-key") as (a, _), \
+                thread_worker(secret="fleet-hmac-key") as (b, _):
+            assert all_passes(RpcExecutor([a, b], secret="fleet-hmac-key")) \
+                == all_passes("serial")
     finally:
-        for worker in spawned:
-            worker.stop()
         close_connection_pools()
         reset_host_health()
 
@@ -1120,7 +1239,7 @@ def test_fleet_secret_env_layer_reaches_both_ends(monkeypatch):
         assert ping(worker.address) > 0  # ambient → resolves via env
         monkeypatch.setenv("REPRO_FLEET_SECRET", "rotated-away")
         with pytest.raises(RpcConnectionError):
-            ping(worker.address, timeout=2.0)
+            call_worker(worker.address, ("ping",), deadline=2.0)
     finally:
         worker.stop()
         close_connection_pools()

@@ -26,6 +26,7 @@ Five layers:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 
@@ -50,7 +51,7 @@ from repro.gateway import (
 from repro.parallel import MemberFailure, close_connection_pools
 from repro.parallel.session import store_fingerprint
 
-from twin_racks import dead_host_splitting
+from twin_racks import dead_host_splitting, thread_worker
 
 SPEC = "root-token=admin;acme-rw=acme:rw;globex-rw=globex:rw"
 CONFIG = StoreConfig(total_blocks=256, audit_log=True)
@@ -225,15 +226,15 @@ def test_degraded_pass_surfaces_as_207_with_typed_failures(monkeypatch):
     """Kill a fleet host out from under the gateway: seal_many and
     audit answer 207, surviving slots byte-identical to the serial
     twin, failed slots decoding to MemberFailure records."""
-    from repro.parallel import HashRing, reset_host_health, \
-        spawn_local_worker
+    from repro.parallel import HashRing, reset_host_health
 
     n = 4
-    worker = spawn_local_worker()
+    stack = contextlib.ExitStack()
+    address, _server = stack.enter_context(thread_worker())
     holder = None
     try:
         dead, hosts, holder = dead_host_splitting(
-            worker.address, [f"member-{i}" for i in range(n)])
+            address, [f"member-{i}" for i in range(n)])
         lost = {i for i in range(n)
                 if HashRing(hosts).lookup(f"member-{i}") == dead}
         reset_host_health()
@@ -305,7 +306,7 @@ def test_degraded_pass_surfaces_as_207_with_typed_failures(monkeypatch):
     finally:
         if holder is not None:
             holder.close()
-        worker.stop()
+        stack.close()
         close_connection_pools()
         reset_host_health()
 

@@ -24,19 +24,28 @@ is the member store whose audit kills a worker mid-round (a worker
 unpickles its pinned snapshot only with ``tests/`` on its
 ``PYTHONPATH``, which ``spawn_local_worker`` copies from this
 process's environment).
+
+:func:`thread_worker` serves a :class:`~repro.parallel.remote.WorkerServer`
+on a thread of this process: the worker of every rpc test that neither
+kills a worker process, reads a worker's stderr nor compares worker
+PIDs — those spawn ``spawn_local_worker`` subprocesses.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import random
 import signal
 import socket
+import threading
 
 from repro.api.fleet import FleetStore
 from repro.api.store import AuditReport, TamperEvidentStore
 from repro.device.sero import BLOCK_SIZE, SERODevice
 from repro.medium.medium import MediumConfig
 from repro.parallel import HashRing, parse_hosts
+from repro.parallel.remote import WorkerServer
 from repro.parallel.session import store_fingerprint
 
 _PAYLOAD = bytes(range(256)) * (BLOCK_SIZE // 256)
@@ -90,6 +99,24 @@ def object_rack(executor=None, *, n=2, total_blocks=192, seed=33,
     return fleet, paths
 
 
+@contextlib.contextmanager
+def thread_worker(*, secret=None):
+    """``(address, server)``: a :class:`WorkerServer` (frame
+    ``secret``, None for unsigned) serving ``127.0.0.1:0`` on a daemon
+    thread until the block exits."""
+    server = WorkerServer(("127.0.0.1", 0), secret=secret)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                              name="thread-worker", daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        yield f"{host}:{port}", server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
 def dead_host_splitting(live_addr, member_keys):
     """``(dead, hosts, holder)``: an address nothing listens on, chosen
     so the ring over ``(live, dead)`` places at least one member on
@@ -97,17 +124,27 @@ def dead_host_splitting(live_addr, member_keys):
     searched).  ``holder`` is the socket bound to the dead port and
     never put in ``listen``: connects are refused and, for as long as
     the caller keeps it open, nobody else (the next spawned worker
-    included) can be handed the port — close it in a ``finally``."""
-    for _ in range(64):
-        holder = socket.socket()
-        holder.bind(("127.0.0.1", 0))
-        dead = f"127.0.0.1:{holder.getsockname()[1]}"
+    included) can be handed the port — close it in a ``finally``.
+
+    Every unprivileged port is a candidate, in random order: for some
+    live ports only a few in a hundred split two members, so a bounded
+    number of draws would sometimes find none."""
+    for port in random.sample(range(1024, 65536), 65536 - 1024):
+        dead = f"127.0.0.1:{port}"
+        if dead == live_addr:
+            continue
         hosts = parse_hosts([live_addr, dead])
         ring = HashRing(hosts)
-        if {ring.lookup(k) for k in member_keys} == set(hosts):
-            return dead, hosts, holder
-        holder.close()
-    raise AssertionError("no splitting dead host found in 64 draws")
+        if {ring.lookup(k) for k in member_keys} != set(hosts):
+            continue
+        holder = socket.socket()
+        try:
+            holder.bind(("127.0.0.1", port))
+        except OSError:  # the port is taken
+            holder.close()
+            continue
+        return dead, hosts, holder
+    raise AssertionError(f"no port splits {member_keys} with {live_addr}")
 
 
 class DieHolding(TamperEvidentStore):
