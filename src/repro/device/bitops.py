@@ -85,6 +85,12 @@ class BitOps:
         """Vectorised erb at scattered (unique) dot ``indices``."""
         return self.medium.erb_at(indices, rounds)
 
+    def erb_spans(self, starts: Sequence[int], width: int,
+                  rounds: int = 1) -> np.ndarray:
+        """Vectorised erb over ``[s, s + width)`` for each of
+        ``starts``: a ``(len(starts), width)`` bool array."""
+        return self.medium.erb_spans(starts, width, rounds)
+
     def bit_cost(self, rounds: int = 1) -> int:
         """Number of magnetic bit ops one erb consumes (5 for the
         paper's single-round sequence)."""

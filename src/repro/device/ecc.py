@@ -9,8 +9,9 @@ single-error-correcting, double-error-detecting Hamming code over
 
 The codec is vectorised with numpy: codewords are packed to nine bytes
 and both parity checks fall out of one XOR over nine gathers from a
-per-byte table built at import, so whole blocks encode/decode in a
-handful of array operations.
+per-byte table built at import; decoding gathers each packed byte's
+data bits and check contribution from one such table, so whole blocks
+(or a whole audit's frames) decode in a handful of array operations.
 """
 
 from __future__ import annotations
@@ -76,6 +77,38 @@ _CHECK_TABLE = _build_check_table()
 _BYTE_INDEX = np.arange(CODE_BYTES)
 
 
+def _build_decode_table() -> np.ndarray:
+    """Per-byte decode table for packed codewords.
+
+    The 64 data bits keep their order, so data byte ``j`` takes its
+    bits from codeword bytes ``j`` and ``j + 1`` only.  Entry
+    ``[k, v]`` describes byte ``k`` of a word holding value ``v``, one
+    little-endian byte per role:
+
+    * byte 0: its bits' places in data byte ``k``;
+    * byte 1: its bits' places in data byte ``k - 1``;
+    * byte 2: its check-table contribution.
+
+    So data byte ``j`` is entry ``j``'s byte 0 OR entry ``j + 1``'s
+    byte 1, and the check byte is the XOR of all nine entries' byte 2.
+    """
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                         axis=1).astype(np.uint32)  # (256, 8), MSB first
+    weights = np.uint32(1) << np.arange(7, -1, -1, dtype=np.uint32)
+    table = _CHECK_TABLE.astype("<u4") << 16
+    for j in range(DATA_BYTES):
+        # positions of data byte j's bits, MSB first, from byte j's start
+        positions = _DATA_POSITIONS[8 * j:8 * j + 8] - 8 * j
+        high = positions < 8
+        table[j] |= bits[:, positions[high]] @ weights[high]
+        table[j + 1] |= (bits[:, positions[~high] - 8] @ weights[~high]) << 8
+    return table.reshape(-1)
+
+
+_DECODE_TABLE = _build_decode_table()
+_DECODE_OFFSETS = np.arange(CODE_BYTES, dtype=np.intp) << 8
+
+
 def _checks(code: np.ndarray) -> np.ndarray:
     """Per-word check byte of an (nwords, 72) bit matrix: Hamming
     syndrome in the low 7 bits, overall parity in bit 7."""
@@ -90,11 +123,6 @@ def _bytes_to_words(data: bytes) -> np.ndarray:
     raw = np.frombuffer(data, dtype=np.uint8)
     bits = np.unpackbits(raw)
     return bits.reshape(-1, DATA_BITS)
-
-
-def _words_to_bytes(words: np.ndarray) -> bytes:
-    """Pack an (nwords, 64) bit matrix back into bytes."""
-    return np.packbits(words.reshape(-1)).tobytes()
 
 
 def encode(data: bytes) -> np.ndarray:
@@ -131,6 +159,15 @@ class ECCResult:
         self.corrected = corrected
 
 
+def _decode_lookup(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Data bytes ``(nwords, 8)`` and check bytes ``(nwords,)`` of
+    packed ``(nwords, 9)`` codewords: one gather from the decode table."""
+    entries = _DECODE_TABLE[packed + _DECODE_OFFSETS].view(np.uint8)
+    entries = entries.reshape(-1, CODE_BYTES, 4)
+    return (entries[:, :DATA_BYTES, 0] | entries[:, 1:, 1],
+            np.bitwise_xor.reduce(entries[:, :, 2], axis=1))
+
+
 def decode(bits: np.ndarray) -> ECCResult:
     """Decode a flat codeword bit array produced by :func:`encode`.
 
@@ -139,7 +176,8 @@ def decode(bits: np.ndarray) -> ECCResult:
     error.
     """
     arr = np.asarray(bits, dtype=np.uint8).reshape(-1, CODE_BITS)
-    checks = _checks(arr)
+    packed = np.packbits(arr).reshape(-1, CODE_BYTES)
+    data, checks = _decode_lookup(packed)
     syndromes = checks & 0x7F
     overall = checks >> 7
     # a flipped overall-parity bit alone (position 0: syndrome 0,
@@ -157,12 +195,11 @@ def decode(bits: np.ndarray) -> ECCResult:
         cols = _SYNDROME_MAP[syndromes[rows]]
         if (cols >= CODE_BITS).any():
             raise ReadError("invalid ECC syndrome")
-        arr = arr.copy()
-        arr[rows, cols] ^= 1
+        packed[rows, cols >> 3] ^= (0x80 >> (cols & 7)).astype(np.uint8)
         corrected += int(len(rows))
+        data = _decode_lookup(packed)[0]
 
-    data_words = arr[:, _DATA_POSITIONS]
-    return ECCResult(data=_words_to_bytes(data_words), corrected=corrected)
+    return ECCResult(data=data.tobytes(), corrected=corrected)
 
 
 def codeword_length(payload_bytes: int) -> int:

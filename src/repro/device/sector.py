@@ -156,6 +156,49 @@ def decode_frame_run(bits: np.ndarray, first_pba: int) -> "list[DecodedFrame]":
         result.corrected, first_pba + i) for i in range(count)]
 
 
+def decode_frame_runs(
+        runs: "list[tuple[np.ndarray, int]]"
+) -> "list[Optional[list[DecodedFrame]]]":
+    """Decode many runs at once: one ECC pass over all their frames.
+
+    ``runs`` holds ``(bits, first_pba)`` pairs as
+    :func:`decode_frame_run` takes them.  Returns, per run, its frames,
+    or None where :func:`decode_frame_run` would raise
+    :class:`~repro.errors.ReadError`.  An uncorrectable word anywhere
+    fails the shared pass, so the decode is then redone per run (it is
+    pure) and only the runs that hold one come back None.  Each
+    frame's ``corrected_bits`` carries the count of the ECC pass that
+    decoded it.
+    """
+    if not runs:
+        return []
+    try:
+        result = ecc.decode(np.concatenate([bits for bits, _ in runs]))
+    except ReadError:
+        return [_frames_or_none(bits, first) for bits, first in runs]
+    decoded: "list[Optional[list[DecodedFrame]]]" = []
+    offset = 0
+    for bits, first in runs:
+        count = len(bits) // FRAME_BITS
+        try:
+            decoded.append([_parse_frame(
+                result.data[(offset + i) * FRAME_BYTES:
+                            (offset + i + 1) * FRAME_BYTES],
+                result.corrected, first + i) for i in range(count)])
+        except ReadError:
+            decoded.append(None)
+        offset += count
+    return decoded
+
+
+def _frames_or_none(bits: np.ndarray,
+                    first_pba: int) -> "Optional[list[DecodedFrame]]":
+    try:
+        return decode_frame_run(bits, first_pba)
+    except ReadError:
+        return None
+
+
 # ---------------------------------------------------------------------------
 # Electrical (write-once) payload format
 

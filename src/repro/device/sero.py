@@ -51,6 +51,7 @@ from .sector import (
     ElectricalPayload,
     decode_frame,
     decode_frame_run,
+    decode_frame_runs,
     encode_frame,
     encode_frame_run,
 )
@@ -102,6 +103,13 @@ _CODE_UNUSED, _CODE_ONE, _CODE_ZERO, _CODE_TAMPERED = 0, 1, 2, 3
 _CODE_TO_STATE = (CellState.UNUSED, CellState.ONE,
                   CellState.ZERO, CellState.TAMPERED)
 _CODE_TO_BIT = (None, 1, 0, None)
+
+#: Data frames whose spans one batched audit holds before it decodes
+#: them in one ECC pass (~300 KB of dots): enough to amortise the
+#: per-call cost.  At 256 frames the decode's temporaries raised
+#: ``gw_ingest``'s peak RSS by ~4 MB; at 64 it stays at the per-line
+#: audit's.
+_DECODE_BATCH_FRAMES = 64
 
 
 @dataclass(frozen=True)
@@ -344,13 +352,23 @@ class SERODevice:
         """
         if count <= 0:
             return []
+        bits = self._mrs_span(first, count)
+        return [frame.payload for frame in decode_frame_run(bits, first)]
+
+    def _mrs_span(self, first: int, count: int) -> np.ndarray:
+        """Charge the sled for an mrs run and read its dots, undecoded.
+
+        The one magnetic read path of :meth:`_mrs_run` and the batched
+        audit: seeks block by block (continuations charge 0), one
+        transfer charge, one medium span read — whose heated dots draw
+        their read noise here, in call order.
+        """
         start_dot, _ = self.geometry.block_span(first)
         _, end_dot = self.geometry.block_span(first + count - 1)
         for pba in range(first, first + count):
-            self.scanner.seek_to_block(pba)  # continuations charge 0
+            self.scanner.seek_to_block(pba)
         self.scanner.transfer(end_dot - start_dot, "mrb")
-        bits = self.medium.read_mag_span(start_dot, end_dot)
-        return [frame.payload for frame in decode_frame_run(bits, first)]
+        return self.medium.read_mag_span(start_dot, end_dot)
 
     def read_block_run(self, first: int, count: int) -> List[bytes]:
         """mrs a run of ``count`` consecutive blocks.
@@ -537,18 +555,7 @@ class SERODevice:
 
         Returns ``(payload_or_None, tampered_cells, looks_virgin)``.
         """
-        codes = self._ers_codes(pba)
-        return self._decode_codes(codes)
-
-    @staticmethod
-    def _decode_codes(codes: np.ndarray) -> Tuple[Optional[bytes], List[int], bool]:
-        tampered = np.flatnonzero(codes == _CODE_TAMPERED).tolist()
-        unused = codes == _CODE_UNUSED
-        if unused.all():
-            return None, tampered, True
-        if tampered or unused.any():
-            return None, tampered, False
-        return np.packbits(codes == _CODE_ONE).tobytes(), tampered, False
+        return self._decode_code_rows(self._ers_codes(pba)[None, :])[0]
 
     def _ers_codes_many(self, pbas: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """Batched ``_ers_codes`` over many blocks.
@@ -568,29 +575,31 @@ class SERODevice:
             self._check_pba(pba)
             starts[i] = self.geometry.block_span(pba)[0]
         rounds = self.config.erb_rounds
-        dot_idx = (starts[:, None]
-                   + np.arange(E_REGION_DOTS, dtype=np.int64)).ravel()
-        heated = self.bitops.erb_at(dot_idx, rounds).reshape(n, E_REGION_DOTS)
-        first = heated[:, 0::2].copy()
-        second = heated[:, 1::2].copy()
+        heated = self.bitops.erb_spans(starts, E_REGION_DOTS, rounds)
+        # flat (block-major) cell arrays: a retry wave addresses its
+        # cells by flat index, in the order a row-major scan meets them
+        first = heated[:, 0::2].ravel()
+        second = heated[:, 1::2].ravel()
         erb_ops = np.full(n, E_REGION_DOTS, dtype=np.int64)
-        unresolved = ~first & ~second
+        unresolved = np.flatnonzero(~first & ~second)
         for _ in range(self.config.ers_cell_retries):
-            rows, cells = np.nonzero(unresolved)
-            if rows.size == 0:
+            if unresolved.size == 0:
                 break
-            d0 = starts[rows] + 2 * cells
-            idx = np.empty(2 * rows.size, dtype=np.int64)
+            rows = unresolved // E_CELLS
+            d0 = starts[rows] + 2 * (unresolved - rows * E_CELLS)
+            idx = np.empty(2 * unresolved.size, dtype=np.int64)
             idx[0::2] = d0
             idx[1::2] = d0 + 1
             h = self.bitops.erb_at(idx, rounds)
-            np.add.at(erb_ops, rows, 2)
+            erb_ops += 2 * np.bincount(rows, minlength=n)
             h0 = h[0::2]
             h1 = h[1::2]
-            first[rows, cells] |= h0
-            second[rows, cells] |= h1
-            unresolved[rows, cells] = ~(h0 | h1)
-        return (first.astype(np.int8) << 1) | second.astype(np.int8), erb_ops
+            # both dots of an unresolved cell read U so far
+            first[unresolved] = h0
+            second[unresolved] = h1
+            unresolved = unresolved[~(h0 | h1)]
+        codes = (first.astype(np.int8) << 1) | second.astype(np.int8)
+        return codes.reshape(n, E_CELLS), erb_ops
 
     # -- the heat operation -----------------------------------------------------------
 
@@ -710,16 +719,34 @@ class SERODevice:
                          meta: ElectricalPayload) -> VerificationResult:
         """Magnetic half of line verification: recompute and compare
         the line hash recorded in ``meta``."""
-        n_blocks = 1 << meta.n_blocks_log2
-        if meta.line_start != start:
-            return VerificationResult(status=VerifyStatus.HASH_MISMATCH,
-                                      start=start, stored_hash=meta.line_hash)
-        addresses = self._line_data_addresses(start, n_blocks)
+        misplaced = self._misplaced(start, meta)
+        if misplaced is not None:
+            return misplaced
+        addresses = self._line_data_addresses(start, 1 << meta.n_blocks_log2)
         try:
             blocks = self._read_line_blocks(addresses)
         except ReadError:
             # a data block no longer decodes: overwritten garbage,
             # electrically destroyed dots, or a bulk erase
+            blocks = None
+        return self._hash_verdict(start, meta, addresses, blocks)
+
+    @staticmethod
+    def _misplaced(start: int,
+                   meta: ElectricalPayload) -> Optional[VerificationResult]:
+        """A hash block that names another line start (a copied or
+        forged head) is a mismatch before any data is read."""
+        if meta.line_start == start:
+            return None
+        return VerificationResult(status=VerifyStatus.HASH_MISMATCH,
+                                  start=start, stored_hash=meta.line_hash)
+
+    def _hash_verdict(self, start: int, meta: ElectricalPayload,
+                      addresses: List[int],
+                      blocks: Optional[List[bytes]]) -> VerificationResult:
+        """The verdict on a line whose data blocks read back as
+        ``blocks`` (None: some block did not decode)."""
+        if blocks is None:
             return VerificationResult(status=VerifyStatus.UNREADABLE,
                                       start=start, stored_hash=meta.line_hash)
         digest = line_hash(addresses, blocks,
@@ -744,21 +771,30 @@ class SERODevice:
         retrying :meth:`verify_line`, preserving its semantics.
         Verdicts are returned in input order.
 
-        Scanner charges replay the sequential per-line protocol order
-        (seek + erb transfer, then the data-block reads), so the
-        simulated device time matches a ``verify_line`` loop up to the
-        per-pass randomness of the heated-cell retry counts.
+        Scanner charges and medium reads replay the sequential per-line
+        protocol order (seek + erb transfer, then the data-block span
+        read), so the RNG stream is a ``verify_line`` loop's and the
+        simulated device time matches one up to the per-pass randomness
+        of the heated-cell retry counts.  Only the pure work is
+        deferred and batched: the data spans of up to
+        ``_DECODE_BATCH_FRAMES`` frames share one ECC decode
+        (:func:`~repro.device.sector.decode_frame_runs`), then each
+        line is hashed and judged on its own.
         """
         starts = [int(s) for s in starts]
         if not self.config.span_engine or len(starts) <= 1:
             return [self.verify_line(start) for start in starts]
         codes, erb_ops = self._ers_codes_many(starts)
         per_bit = self.timing.t_erb_for(self.config.erb_rounds)
-        results: List[VerificationResult] = []
-        for i, start in enumerate(starts):
+        results: List[Optional[VerificationResult]] = []
+        # (result slot, start, meta, data addresses, undecoded span)
+        pending: List[Tuple[int, int, ElectricalPayload, List[int],
+                            np.ndarray]] = []
+        pending_frames = 0
+        for start, (payload, tampered, virgin), ops in zip(
+                starts, self._decode_code_rows(codes), erb_ops.tolist()):
             self.scanner.seek_to_block(start)
-            self.scanner.transfer(int(erb_ops[i]), "erb", per_bit=per_bit)
-            payload, tampered, virgin = self._decode_codes(codes[i])
+            self.scanner.transfer(ops, "erb", per_bit=per_bit)
             if tampered:
                 results.append(VerificationResult(
                     status=VerifyStatus.CELL_TAMPERED, start=start,
@@ -778,8 +814,60 @@ class SERODevice:
                 # CRC failed: verify_line re-reads before concluding
                 results.append(self.verify_line(start))
                 continue
-            results.append(self._verify_magnetic(start, meta))
-        return results
+            misplaced = self._misplaced(start, meta)
+            if misplaced is not None:
+                results.append(misplaced)
+                continue
+            addresses = self._line_data_addresses(
+                start, 1 << meta.n_blocks_log2)
+            bits = self._mrs_span(start + 1, len(addresses)) \
+                if addresses else np.zeros(0, dtype=np.uint8)
+            pending.append((len(results), start, meta, addresses, bits))
+            results.append(None)
+            pending_frames += len(addresses)
+            if pending_frames >= _DECODE_BATCH_FRAMES:
+                self._judge_pending(pending, results)
+                pending, pending_frames = [], 0
+        self._judge_pending(pending, results)
+        return results  # type: ignore[return-value]  # every slot filled
+
+    def _judge_pending(
+            self,
+            pending: List[Tuple[int, int, ElectricalPayload, List[int],
+                                np.ndarray]],
+            results: List[Optional[VerificationResult]]) -> None:
+        """Decode the read spans of ``pending`` lines in one ECC pass
+        and fill in their verdicts."""
+        frames = decode_frame_runs(
+            [(bits, start + 1) for _, start, _, _, bits in pending])
+        for (slot, start, meta, addresses, _bits), run in zip(pending,
+                                                              frames):
+            blocks = None if run is None else [f.payload for f in run]
+            results[slot] = self._hash_verdict(start, meta, addresses,
+                                               blocks)
+
+    @staticmethod
+    def _decode_code_rows(codes: np.ndarray
+                          ) -> List[Tuple[Optional[bytes], List[int], bool]]:
+        """Decode each row of an ``(n, E_CELLS)`` code matrix to
+        ``(payload_or_None, tampered_cells, looks_virgin)``, with the
+        whole-matrix reductions run once."""
+        tampered = codes == _CODE_TAMPERED
+        any_tampered = tampered.any(axis=1).tolist()
+        n_unused = np.count_nonzero(codes == _CODE_UNUSED, axis=1).tolist()
+        packed = np.packbits(codes == _CODE_ONE, axis=1)
+        rows: List[Tuple[Optional[bytes], List[int], bool]] = []
+        for i, (bad, unused) in enumerate(zip(any_tampered, n_unused)):
+            if unused == E_CELLS:
+                rows.append((None, [], True))
+            elif bad:
+                rows.append((None, np.flatnonzero(tampered[i]).tolist(),
+                             False))
+            elif unused:
+                rows.append((None, [], False))
+            else:
+                rows.append((packed[i].tobytes(), [], False))
+        return rows
 
     def verify_all(self) -> List[VerificationResult]:
         """Verify every registered line (audit sweep, batched)."""

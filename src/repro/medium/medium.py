@@ -24,8 +24,9 @@ magnetic write, used by investigators and by the bulk-erase analysis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,6 +100,32 @@ def _k_scale_for(seed: int, sigma: float, n: int) -> np.ndarray:
             _K_SCALE_CACHE.pop(next(iter(_K_SCALE_CACHE)))
         _K_SCALE_CACHE[key] = arr
     return arr
+
+
+@functools.lru_cache(maxsize=None)
+def _erb_outcome_tables(
+        n_verifies: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lookup tables for one heated dot's ``n_verifies <= 8``
+    verification reads, packed by ``passes @ weights`` into the low
+    ``n_verifies`` bits of one byte, first read highest.
+
+    Returns ``(weights, fail, verifies)``; per packed byte, ``fail``
+    says whether some read failed (the erb verdict "H") and
+    ``verifies`` how many verification reads the scalar sequence made
+    before it stopped: up to and including the first failure, or all
+    of them.  One table gather replaces an ``any`` and an ``argmax``
+    along a short axis.
+    """
+    weights = (1 << np.arange(n_verifies - 1, -1, -1)).astype(np.uint8)
+    passes = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                           axis=1)[:, 8 - n_verifies:]
+    fails = passes == 0
+    fail = fails.any(axis=1)
+    first_fail = np.where(fail, fails.argmax(axis=1), n_verifies)
+    verifies = np.minimum(first_fail + 1, n_verifies).astype(np.int64)
+    for table in (weights, fail, verifies):
+        table.setflags(write=False)  # shared by every caller
+    return weights, fail, verifies
 
 
 class PatternedMedium:
@@ -449,36 +476,60 @@ class PatternedMedium:
             raise DotAddressError("dot index out of range")
         return self._erb_many(idx, rounds)
 
+    def erb_spans(self, starts: Sequence[int], width: int,
+                  rounds: int = 1) -> np.ndarray:
+        """Vectorised erb over ``[s, s + width)`` for each of ``starts``.
+
+        Returns a ``(len(starts), width)`` bool array.  Draws and
+        counts exactly as :meth:`erb_at` over the concatenated spans,
+        but gathers each span as a slice instead of through a per-dot
+        index array.
+        """
+        starts = [int(s) for s in starts]
+        if starts and (min(starts) < 0 or width < 0 or
+                       max(starts) + width > self.geometry.total_dots):
+            raise DotAddressError("dot span out of range")
+
+        def gather(values: np.ndarray) -> np.ndarray:
+            return np.concatenate([values[s:s + width] for s in starts]) \
+                if starts else values[:0]
+
+        k_scale = self._k_scale
+        hit = self._erb_kernel(gather(self._mag),
+                               None if k_scale is None else gather(k_scale),
+                               rounds)
+        return hit.reshape(len(starts), width)
+
     def _erb_many(self, idx, rounds: int) -> np.ndarray:
         """erb at ``idx``: a span ``slice`` or an array of dot indices."""
+        k_scale = self._k_scale
+        return self._erb_kernel(self._mag[idx],
+                                None if k_scale is None else k_scale[idx],
+                                rounds)
+
+    def _erb_kernel(self, mag: np.ndarray, k_scale: Optional[np.ndarray],
+                    rounds: int) -> np.ndarray:
+        """erb over dots whose magnetisation (and switching scale, when
+        the medium has one) are ``mag`` and ``k_scale``, in order."""
         if rounds < 1:
             raise ValueError("erb needs at least one verification round")
-        heated = self._mag[idx] == 0
+        heated = mag == 0
         n = int(heated.size)
         if n == 0:
             return np.zeros(0, dtype=bool)
-        writable = ~heated
-        if self._k_scale is not None:
-            writable &= self._k_scale[idx] <= self.config.write_field
         n_verifies = 2 * rounds
-        # Index of the first failed verification read per dot;
-        # n_verifies means every verification passed ("U").
-        fail_at = np.full(n, n_verifies, dtype=np.int64)
+        n_heated = int(np.count_nonzero(heated))
         # A defective (unwritable, unheated) dot fails the very first
         # verification: the inverse write latches nothing and the
-        # stored bit reads back unchanged.
-        fail_at[~heated & ~writable] = 0
-        n_heated = int(heated.sum())
-        if n_heated:
-            # Every verification read of a heated dot is a coin flip
-            # that matches the expected value with probability 1/2, so
-            # the whole sequence passes with probability (1/4)**rounds.
-            passes = self._rng.integers(
-                0, 2, size=(n_heated, n_verifies), dtype=np.uint8)
-            fails = passes == 0
-            any_fail = fails.any(axis=1)
-            first_fail = np.where(any_fail, fails.argmax(axis=1), n_verifies)
-            fail_at[heated] = first_fail
+        # stored bit reads back unchanged.  So the verdict starts as
+        # "unwritable", and heated dots get theirs from the draw below
+        # (``np.place``: the i-th heated dot takes the i-th draw's).
+        if k_scale is None:
+            hit = heated.copy()
+            n_defective = 0
+        else:
+            hit = heated | ~(k_scale <= self.config.write_field)
+            n_defective = int(np.count_nonzero(hit)) - n_heated
         # No physical write is needed: heated and defective dots never
         # latch a field pulse, and each writable dot's inverse write is
         # exactly undone by its restore write, so the net magnetisation
@@ -488,11 +539,32 @@ class PatternedMedium:
         # v+1 inverse/restore writes and 1 + (v+1) reads before the
         # scalar sequence returns "H"; a passing dot consumed the full
         # 2*rounds writes and 1 + 2*rounds reads.
-        verifies = np.minimum(fail_at + 1, n_verifies)
-        total_verifies = int(verifies.sum())
+        total_verifies = (n - n_heated - n_defective) * n_verifies \
+            + n_defective
+        if n_heated:
+            # Every verification read of a heated dot is a coin flip
+            # that matches the expected value with probability 1/2, so
+            # the whole sequence passes with probability (1/4)**rounds.
+            passes = self._rng.integers(
+                0, 2, size=(n_heated, n_verifies), dtype=np.uint8)
+            if n_verifies <= 8:
+                weights, fail_table, verifies_table = \
+                    _erb_outcome_tables(n_verifies)
+                packed = passes @ weights
+                total_verifies += int(
+                    np.bincount(packed, minlength=256) @ verifies_table)
+                np.place(hit, heated, fail_table[packed])
+            else:
+                fails = passes == 0
+                any_fail = fails.any(axis=1)
+                first_fail = np.where(any_fail, fails.argmax(axis=1),
+                                      n_verifies)
+                total_verifies += int(
+                    np.minimum(first_fail + 1, n_verifies).sum())
+                np.place(hit, heated, any_fail)
         self.counters["mrb"] += n + total_verifies
         self.counters["mwb"] += total_verifies
-        return fail_at < n_verifies
+        return hit
 
     # -- snapshot transport ------------------------------------------------------
 

@@ -347,6 +347,153 @@ def test_verify_lines_detects_tampering_and_virgin_blocks():
     assert device.verify_lines([]) == []
 
 
+def _edge_case_device() -> SERODevice:
+    """One device holding every line shape the batched audit must
+    judge exactly as ``verify_line`` does.  Built from fixed seeds, so
+    two calls build identical twins."""
+    from repro.crypto.manchester import encode_bytes
+    from repro.device.sector import ElectricalPayload
+    from repro.security.attacks import ewb_data, ewb_hash
+
+    device = SERODevice.create(128)
+    data = np.random.default_rng(43)
+
+    def line(start: int, n_blocks: int) -> None:
+        for pba in range(start + 1, start + n_blocks):
+            device.write_block(pba, data.bytes(512))
+        device.heat_line(start, n_blocks, timestamp=start)
+
+    # intact lines of 2, 4, 8 and 32 blocks
+    for start, n_blocks in ((0, 2), (4, 4), (8, 8), (32, 32)):
+        line(start, n_blocks)
+    # heated data dots: their reads draw noise, in line order
+    line(16, 4)
+    ewb_data(device, 16, target_offset=2)
+    # a double-bit error in one codeword of one data frame
+    line(20, 4)
+    dot = device.geometry.block_span(22)[0] + 72 * 5
+    bits = device.medium.read_mag_span(dot, dot + 2)
+    device.medium.write_mag_span(dot, 1 - bits)
+    # a hash block that names another line start
+    forged = ElectricalPayload(line_start=64, n_blocks_log2=2,
+                               line_hash=bytes(32)).pack()
+    device.ews_block(28, forged)
+    # an incomplete cell: one cell of the hash block left unburnt
+    for pba in range(25, 28):
+        device.write_block(pba, data.bytes(512))
+    payload = ElectricalPayload(line_start=24, n_blocks_log2=2,
+                                line_hash=bytes(32)).pack()
+    pattern = np.asarray(encode_bytes(payload), dtype=bool)
+    pattern[40:42] = False
+    start_dot = device.geometry.block_span(24)[0]
+    device.medium.heat_span(start_dot, start_dot + len(pattern), pattern)
+    # a hash block with an HH cell, and a virgin block
+    line(64, 4)
+    ewb_hash(device, 64)
+    return device
+
+
+#: Line starts of :func:`_edge_case_device`, with the verdict each
+#: must get.
+_EDGE_CASES = {0: VerifyStatus.INTACT, 4: VerifyStatus.INTACT,
+               8: VerifyStatus.INTACT, 32: VerifyStatus.INTACT,
+               16: VerifyStatus.UNREADABLE, 20: VerifyStatus.UNREADABLE,
+               28: VerifyStatus.HASH_MISMATCH, 24: VerifyStatus.UNREADABLE,
+               64: VerifyStatus.CELL_TAMPERED, 96: VerifyStatus.NOT_A_LINE}
+
+
+def test_verify_lines_edge_cases_match_verify_line_twin():
+    """Mixed line lengths, noisy heated data, an uncorrectable frame
+    (only its own line is UNREADABLE), a forged line start and an
+    incomplete cell (the per-line fallback) in one batched call."""
+    starts = list(_EDGE_CASES)
+    batched = _edge_case_device().verify_lines(starts)
+    twin = _edge_case_device()
+    reference = [twin.verify_line(start) for start in starts]
+    assert [r.status for r in batched] == list(_EDGE_CASES.values())
+    for got, want in zip(batched, reference):
+        assert got.start == want.start
+        assert got.status is want.status
+        assert got.stored_hash == want.stored_hash
+        assert got.computed_hash == want.computed_hash
+        assert got.tampered_cells == want.tampered_cells
+
+
+def test_verify_lines_decodes_in_capped_batches(monkeypatch):
+    """A batch cap that splits the lines changes no verdict, no
+    counter and no RNG draw."""
+    import repro.device.sero as sero
+
+    starts = list(_EDGE_CASES)
+    whole = _edge_case_device()
+    expected = whole.verify_lines(starts)
+    monkeypatch.setattr(sero, "_DECODE_BATCH_FRAMES", 3)
+    capped = _edge_case_device()
+    assert capped.verify_lines(starts) == expected
+    assert capped.medium.counters == whole.medium.counters
+    assert capped.account.elapsed == whole.account.elapsed
+    assert capped.medium._rng.bit_generator.state == \
+        whole.medium._rng.bit_generator.state
+
+
+#: SHA-256 of :func:`_golden_audit_trace`, recorded on the per-line
+#: magnetic audit (one ECC decode per line, ``any``/``argmax`` erb
+#: kernel) before the audit was batched.  The batched audit must
+#: reproduce it bit for bit.
+_GOLDEN_AUDIT_SHA256 = \
+    "4cd0d9c8aacab57ed1e625b4fb874264cf04f4bf6adefe43a4f1bb359055c0e5"
+
+
+def _golden_audit_trace() -> str:
+    """Eight seeded audits of a four-member fleet, one member's line
+    hit by ``ewb_data`` after the third and another's by ``mwb_data``
+    after the fifth: a digest of every verdict, then per member the
+    medium counters, the cost account and the medium RNG state."""
+    import hashlib
+    import json
+    import random
+
+    from repro.api.store import StoreConfig
+    from repro.security.attacks import ewb_data, mwb_data
+
+    fleet = FleetStore.create(4, StoreConfig(total_blocks=256,
+                                             audit_log=True))
+    rng = random.Random(20080226)
+    paths = []
+    for i in range(24):
+        path = f"/t/{i % 2}/{i // 8}/{i}"
+        fleet.put(path, rng.randbytes(400 if i % 3 else 2048),
+                  make_parents=True)
+        paths.append(path)
+    fleet.seal_many(paths)
+    digest = hashlib.sha256()
+    for n in range(8):
+        if n == 3:
+            device = fleet.members[1].device
+            ewb_data(device, device.heated_lines[0].start)
+        if n == 5:
+            device = fleet.members[2].device
+            mwb_data(device, device.heated_lines[-1].start)
+        report = fleet.audit()
+        digest.update(repr([(r.label, r.line_start, r.status.name)
+                            for r in report.reports]).encode())
+    for store in fleet.members:
+        device = store.device
+        digest.update(json.dumps(device.medium.counters,
+                                 sort_keys=True).encode())
+        digest.update(device.account.elapsed.hex().encode())
+        digest.update(repr(sorted(
+            (k, v.hex()) for k, v in
+            device.account.by_category.items())).encode())
+        digest.update(json.dumps(device.medium._rng.bit_generator.state,
+                                 sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_batched_audit_golden_trace():
+    assert _golden_audit_trace() == _GOLDEN_AUDIT_SHA256
+
+
 def test_write_block_run_equivalent_to_sequential_writes():
     run_device = SERODevice.create(16)
     seq_device = SERODevice.create(16)

@@ -208,3 +208,40 @@ def test_frames_with_at_most_one_flip_per_word_match_oracle(case):
     assert (result.data, result.corrected) == _oracle_decode(corrupted)
     assert result.data == data
     assert result.corrected == sum(p is not None for p in flips)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(st.tuples(st.integers(1, 12),
+                                st.lists(st.integers(0, 10 ** 6),
+                                         max_size=4)),
+                      min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_decode_is_the_decodes_of_its_parts(parts, seed):
+    """One decode over concatenated frames (the batched audit's ECC
+    pass) returns the parts' data and corrections joined, and fails
+    exactly when some part fails; the input bits are never written."""
+    rng = np.random.default_rng(seed)
+    chunks = []
+    for nwords, flips in parts:
+        bits = ecc.encode(_random_payload(rng, nwords))
+        for flip in flips:
+            bits[flip % bits.size] ^= 1
+        chunks.append(bits)
+
+    def attempt(bits):
+        before = bits.copy()
+        try:
+            result = ecc.decode(bits)
+        except ReadError:
+            return None
+        finally:
+            assert np.array_equal(bits, before)
+        return result.data, result.corrected
+
+    each = [attempt(chunk) for chunk in chunks]
+    whole = attempt(np.concatenate(chunks))
+    if any(part is None for part in each):
+        assert whole is None
+    else:
+        assert whole == (b"".join(data for data, _ in each),
+                         sum(corrected for _, corrected in each))

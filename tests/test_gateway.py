@@ -27,6 +27,7 @@ Five layers:
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import socket
 
@@ -48,6 +49,7 @@ from repro.gateway import (
     confine,
     evidence_case,
 )
+from repro.gateway.server import MAX_BODY_BYTES, _GatewayHandler
 from repro.parallel import MemberFailure, close_connection_pools
 from repro.parallel.session import store_fingerprint
 
@@ -511,7 +513,8 @@ def test_oversized_body_is_a_413_that_closes_the_connection(stack):
     (b"GET /" + b"a" * 65532, 414, "uri_too_long"),
     (b"GET /v1/healthz HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 101,
      431, "headers_too_large"),
-], ids=["400-request-line", "414-uri", "431-headers"])
+    (b"GARBAGE\r\n\r\n", 400, "bad_request"),
+], ids=["400-request-line", "414-uri", "431-headers", "400-one-word-line"])
 def test_parser_rejections_are_typed_json_and_close(stack, request_bytes,
                                                     status, code):
     server, _fleet, _twin = stack
@@ -530,6 +533,69 @@ def test_parser_rejections_are_typed_json_and_close(stack, request_bytes,
     client = GatewayClient(server.address, "acme-rw", tenant="acme")
     assert client.healthz()
     client.close()
+
+
+class _RecordingWriter:
+    """A handler's ``wfile`` that keeps every ``write`` separately."""
+
+    def __init__(self) -> None:
+        self.writes = []
+
+    def write(self, data: bytes) -> int:
+        self.writes.append(bytes(data))
+        return len(data)
+
+    def flush(self) -> None:
+        pass
+
+
+class _RecordingHandler(_GatewayHandler):
+    """The gateway's handler on in-memory streams: the request bytes
+    in, every write out, no socket and no clock."""
+
+    def setup(self) -> None:
+        self.rfile = io.BytesIO(self.request)
+        self.wfile = _RecordingWriter()
+
+    def finish(self) -> None:
+        pass
+
+
+class _DrainingApp:
+    def enter(self) -> bool:
+        return False
+
+
+def _writes_for(app, request_bytes: bytes):
+    server = type("Server", (), {"app": app})()
+    return _RecordingHandler(request_bytes, ("127.0.0.1", 0),
+                             server).wfile.writes
+
+
+@pytest.mark.parametrize("request_bytes, status, code", [
+    (b"GET /v1/healthz HTTP/1.1\r\n\r\n", 200, None),
+    (b"POST /v1/t/acme/put HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+     400, "bad_request"),
+    (b"POST /v1/t/acme/put HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+     % (MAX_BODY_BYTES + 1), 413, "too_large"),
+    (b"GET /v1/healthz HTTP/1.1\r\n\r\n", 503, "draining"),
+    (b"GARBAGE\r\n\r\n", 400, "bad_request"),
+], ids=["200", "400-content-length", "413", "503-draining", "400-parser"])
+def test_each_response_is_exactly_one_write(stack, request_bytes,
+                                            status, code):
+    """The delayed-ACK stall needs a response split over two sends;
+    this pins one write per response without a wall clock."""
+    server, _fleet, _twin = stack
+    app = _DrainingApp() if code == "draining" else server.app
+    writes = _writes_for(app, request_bytes)
+    assert len(writes) == 1
+    head, _, body = writes[0].partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 %d " % status)
+    assert b"\r\nContent-Type: application/json" in head
+    assert b"\r\nContent-Length: %d" % len(body) in head
+    payload = json.loads(body)
+    if code is not None:
+        assert payload["error"]["code"] == code
 
 
 def test_unsupported_method_is_a_typed_501(stack):

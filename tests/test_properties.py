@@ -232,6 +232,87 @@ def test_medium_snapshot_rng_continuation(seed, heated_frac, rng_draws):
         clone._rng.bit_generator.state
 
 
+def _erb_reference(medium, idx, rounds):
+    """The erb kernel as first written: each dot's first failed
+    verification found with ``any`` and ``argmax`` along its reads."""
+    heated = medium._mag[idx] == 0
+    n = heated.size
+    writable = ~heated
+    if medium._k_scale is not None:
+        writable &= medium._k_scale[idx] <= medium.config.write_field
+    n_verifies = 2 * rounds
+    fail_at = np.full(n, n_verifies, dtype=np.int64)
+    fail_at[~heated & ~writable] = 0
+    n_heated = int(heated.sum())
+    if n_heated:
+        fails = medium._rng.integers(
+            0, 2, size=(n_heated, n_verifies), dtype=np.uint8) == 0
+        fail_at[heated] = np.where(fails.any(axis=1), fails.argmax(axis=1),
+                                   n_verifies)
+    verifies = int(np.minimum(fail_at + 1, n_verifies).sum())
+    medium.counters["mrb"] += n + verifies
+    medium.counters["mwb"] += verifies
+    return fail_at < n_verifies
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1),
+       heated_frac=st.floats(0.0, 1.0),
+       sigma=st.sampled_from([0.0, 0.1, 0.4]),
+       rounds=st.integers(1, 6),
+       picks=st.integers(0, 3000),
+       rng_draws=st.integers(0, 10))
+def test_erb_kernel_matches_reference_formula(seed, heated_frac, sigma,
+                                             rounds, picks, rng_draws):
+    """Verdicts, counters and the RNG state after ``_erb_many`` equal
+    the original formula's, on the packed-byte table path
+    (``2*rounds <= 8``) and on the ``any``/``argmax`` fallback, for
+    scattered indices and for a span."""
+    import pickle
+
+    medium = _scrambled_medium(seed, heated_frac, 0.7, False, sigma,
+                               rng_draws)
+    twin = pickle.loads(pickle.dumps(medium, pickle.HIGHEST_PROTOCOL))
+    n = medium.geometry.total_dots
+    pick_rng = np.random.default_rng(seed)
+    idx = np.sort(pick_rng.choice(n, size=min(picks, n), replace=False))
+    span = slice(picks // 2, picks // 2 + n // 3)
+    for where in (idx, span):
+        got = medium._erb_many(where, rounds)
+        want = _erb_reference(twin, where, rounds)
+        assert np.array_equal(got, want)
+        assert medium.counters == twin.counters
+        assert medium._rng.bit_generator.state == \
+            twin._rng.bit_generator.state
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1),
+       heated_frac=st.floats(0.0, 1.0),
+       sigma=st.sampled_from([0.0, 0.1]),
+       width=st.integers(0, 300),
+       n_spans=st.integers(0, 6))
+def test_erb_spans_is_erb_at_over_the_joined_spans(seed, heated_frac, sigma,
+                                                   width, n_spans):
+    """Gathering spans as slices draws and counts exactly as the flat
+    per-dot index over the same dots, in the same order."""
+    import pickle
+
+    medium = _scrambled_medium(seed, heated_frac, 0.7, False, sigma, 0)
+    twin = pickle.loads(pickle.dumps(medium, pickle.HIGHEST_PROTOCOL))
+    n = medium.geometry.total_dots
+    starts = np.random.default_rng(seed).choice(
+        (n - width) // max(width, 1), size=n_spans,
+        replace=False) * max(width, 1)
+    got = medium.erb_spans(starts, width, rounds=2)
+    flat = (starts[:, None] + np.arange(width)).ravel()
+    want = twin.erb_at(flat, rounds=2).reshape(n_spans, width)
+    assert got.shape == (n_spans, width)
+    assert np.array_equal(got, want)
+    assert medium.counters == twin.counters
+    assert medium._rng.bit_generator.state == twin._rng.bit_generator.state
+
+
 def test_device_snapshot_decode_allocates_at_most_three_bytes_per_dot():
     """Unpickling decodes the sign bits in place on int8: besides the
     medium's own ``_mag`` and ``_sharpness`` it holds only the touched
