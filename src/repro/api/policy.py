@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import os
+import secrets
 from contextlib import AbstractContextManager, contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -126,6 +127,17 @@ def _parallel():
     return parallel
 
 
+class _ProcessKey(str):
+    """The ``fleet_secret`` default: a random key minted once per
+    process, which the workers it spawns inherit through their
+    environment.  Its repr never shows the key."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<key minted per process>"
+
+
 #: The knob table.
 KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("executor", "REPRO_FLEET_EXECUTOR", "serial",
@@ -159,12 +171,13 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          doc="members that exhausted their retries `raise` (abort the "
              "pass) or `degrade` (a partial pass with typed "
              "`MemberFailure` records)"),
-    Knob("fleet_secret", "REPRO_FLEET_SECRET", None,
-         _typed("fleet_secret", str,
-                "a non-empty str (omit it to run unsigned)", bool),
-         doc="shared HMAC secret of the `rpc` wire: when any layer "
-             "resolves one, every frame both directions is "
-             "HMAC-SHA256-signed and unsigned frames are rejected",
+    Knob("fleet_secret", "REPRO_FLEET_SECRET",
+         _ProcessKey(secrets.token_hex(16)),
+         _typed("fleet_secret", str, "a non-empty str", bool),
+         doc="shared HMAC key of the `rpc` wire: every frame both "
+             "directions is HMAC-SHA256-signed with it; unset = a key "
+             "only this process and the workers it spawns know (a "
+             "`serve` daemon refuses to start on it)",
          secret=True),
     Knob("gateway_bind", "REPRO_GATEWAY_BIND", "127.0.0.1:8473",
          lambda value: _parallel().parse_hosts([value])[0],

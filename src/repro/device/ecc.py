@@ -28,28 +28,12 @@ CODE_BITS = DATA_BITS + PARITY_BITS
 DATA_BYTES = DATA_BITS // 8
 
 
-def _build_layout() -> Tuple[np.ndarray, np.ndarray]:
-    """Construct the codeword layout.
-
-    Codeword positions 1..71 follow the standard Hamming convention:
-    positions that are powers of two hold parity, the rest hold data.
-    Position 0 holds the overall parity bit.  Returns:
-
-    * ``data_positions`` — codeword index of each of the 64 data bits,
-    * ``syndrome_to_codeword`` — length-128 map from Hamming syndrome
-      to codeword position (0 where the syndrome is unused).
-    """
-    parity_positions = [1, 2, 4, 8, 16, 32, 64]
-    data_positions = [p for p in range(1, CODE_BITS) if p not in parity_positions]
-    assert len(data_positions) == DATA_BITS
-    syndrome_map = np.zeros(128, dtype=np.int64)
-    for pos in range(1, CODE_BITS):
-        syndrome_map[pos] = pos
-    return np.asarray(data_positions, dtype=np.int64), syndrome_map
-
-
-_DATA_POSITIONS, _SYNDROME_MAP = _build_layout()
+#: Codeword positions 1..71 follow the standard Hamming convention:
+#: positions that are powers of two hold parity, the rest hold data,
+#: so a single error's Hamming syndrome *is* its codeword position.
+#: Position 0 holds the overall parity bit.
 _PARITY_POSITIONS = np.asarray([1, 2, 4, 8, 16, 32, 64], dtype=np.int64)
+_DATA_POSITIONS = np.setdiff1d(np.arange(1, CODE_BITS), _PARITY_POSITIONS)
 _PARITY_SHIFTS = np.arange(7, dtype=np.uint8)
 CODE_BYTES = CODE_BITS // 8
 
@@ -192,8 +176,9 @@ def decode(bits: np.ndarray) -> ECCResult:
             raise ReadError(
                 f"uncorrectable ECC error in {int(double.sum())} word(s)")
         rows = np.nonzero(bad)[0]
-        cols = _SYNDROME_MAP[syndromes[rows]]
+        cols = syndromes[rows].astype(np.intp)
         if (cols >= CODE_BITS).any():
+            # syndromes 72..127 name no position: three or more errors
             raise ReadError("invalid ECC syndrome")
         packed[rows, cols >> 3] ^= (0x80 >> (cols & 7)).astype(np.uint8)
         corrected += int(len(rows))

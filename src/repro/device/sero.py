@@ -731,12 +731,14 @@ class SERODevice:
             blocks = None
         return self._hash_verdict(start, meta, addresses, blocks)
 
-    @staticmethod
-    def _misplaced(start: int,
+    def _misplaced(self, start: int,
                    meta: ElectricalPayload) -> Optional[VerificationResult]:
         """A hash block that names another line start (a copied or
-        forged head) is a mismatch before any data is read."""
-        if meta.line_start == start:
+        forged head), or a line that would end past the medium, is a
+        mismatch before any data is read; discovery never registers
+        it."""
+        if meta.line_start == start and \
+                start + (1 << meta.n_blocks_log2) <= self.total_blocks:
             return None
         return VerificationResult(status=VerifyStatus.HASH_MISMATCH,
                                   start=start, stored_hash=meta.line_hash)
@@ -921,7 +923,7 @@ class SERODevice:
             meta = ElectricalPayload.unpack(payload)
         except ReadError:
             return None
-        if meta.line_start != start:
+        if self._misplaced(start, meta) is not None:
             return None
         record = LineRecord(start=start, n_blocks=1 << meta.n_blocks_log2,
                             line_hash=meta.line_hash, timestamp=meta.timestamp)
@@ -953,6 +955,8 @@ class SERODevice:
                 meta = ElectricalPayload.unpack(payload)
             except ReadError:
                 continue
+            if self._misplaced(pba, meta) is not None:
+                continue  # surfaced by verify, not registered
             record = LineRecord(start=meta.line_start,
                                 n_blocks=1 << meta.n_blocks_log2,
                                 line_hash=meta.line_hash,

@@ -11,27 +11,26 @@ other hosts, byte-identical to the ``serial`` reference.
 
 Four pieces:
 
-* **wire protocol** — length-prefixed pickle frames
-  (:func:`send_frame` / :func:`recv_frame`): a 4-byte magic, an 8-byte
-  big-endian body length, then the protocol-5 pickle body, the frame's
-  only payload section.  Every request is a ``(request id, verb
-  tuple)`` pair — ``("ping",)`` or the ``run`` verb below — and every
-  reply echoes its id; a worker closes the connection on a frame that
-  is not such a pair, and answers a malformed verb tuple with a typed
-  :class:`RpcProtocolError` reply.  Responses carry the task's result
-  or a portable description of the exception it raised.  When a
-  ``fleet_secret`` is configured (``RpcExecutor(secret=...)`` >
-  ``repro.engine(fleet_secret=...)`` > ``REPRO_FLEET_SECRET``) every
-  frame is HMAC-SHA256 signed — magic
-  ``SRH2``, a 32-byte digest over header and body after the body — and
-  verified with a constant-time compare *before* the body is
-  unpickled; unsigned frames are rejected outright, so a peer that
-  does not hold the shared secret can neither issue requests nor
-  forge replies.  Ahead of that check a receiver parses only the magic
-  and the length, and holds only the body bytes that have arrived.
-  Without a secret the protocol still authenticates nobody (bare
-  ``SRP2`` frames), so :func:`serve` refuses to bind an unsigned
-  worker anywhere but loopback (documented in API.md).
+* **wire protocol** — signed, length-prefixed pickle frames
+  (:func:`send_frame` / :func:`recv_frame`): the ``SRH2`` magic, an
+  8-byte big-endian body length, the protocol-5 pickle body, then a
+  32-byte HMAC-SHA256 digest over header and body.  Every request is a
+  ``(request id, verb tuple)`` pair — ``("ping",)`` or the ``run``
+  verb below — and every reply echoes its id; a worker closes the
+  connection on a frame that is not such a pair, and answers a
+  malformed verb tuple with a typed :class:`RpcProtocolError` reply.
+  Responses carry the task's result or a portable description of the
+  exception it raised.  Every frame is signed with the ``fleet_secret``
+  key (``RpcExecutor(secret=...)`` >
+  ``repro.engine(fleet_secret=...)`` > ``REPRO_FLEET_SECRET`` > a key
+  minted once per process) and its digest verified with a
+  constant-time compare *before* the body is unpickled, so a peer that
+  does not hold the key can neither issue requests nor forge replies.
+  Ahead of that check a receiver parses only the magic and the length,
+  and holds only the body bytes that have arrived.  The minted key
+  reaches the workers this process spawns through their environment;
+  :func:`serve` refuses to start on it, since no client could share it
+  (documented in API.md).
 
 * **sessions** — the ``("run", key, generation, snapshot, verb,
   kwargs)`` request, the one way a member task
@@ -108,7 +107,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import hmac
-import ipaddress
 import os
 import pickle
 import random
@@ -135,17 +133,15 @@ from .executor import (
 )
 from .ring import HashRing
 
-#: Frame header: magic + 8-byte big-endian body length.  ``SRP2``
-#: frames are unsigned; ``SRH2`` frames carry a trailing HMAC-SHA256
-#: digest over header and body.  10.x peers framed with ``SRPC``/
-#: ``SRPH`` and buffer segments after the body: a distinct magic makes
-#: a mixed-version pair fail on the first frame instead of one side
-#: waiting for bytes the other never sends.
-_MAGIC = b"SRP2"
-_MAGIC_SIGNED = b"SRH2"
+#: Frame header: magic + 8-byte big-endian body length; every frame
+#: carries a trailing HMAC-SHA256 digest over header and body.  Older
+#: peers' frames (10.x buffer segments, 15.x unsigned frames) have
+#: other magics, so a mixed-version pair fails on the first frame
+#: instead of one side waiting for bytes the other never sends.
+_MAGIC = b"SRH2"
 _HEADER = struct.Struct(">4sQ")
 
-#: Trailing signature size of an ``SRH2`` frame (HMAC-SHA256).
+#: Trailing signature size of a frame (HMAC-SHA256).
 _DIGEST_BYTES = 32
 
 #: Refuse absurd frames (a desynchronised peer must fail fast).  Checked
@@ -215,62 +211,29 @@ class RemoteTaskError(RpcError):
 # Wire protocol
 
 
-class _Ambient:
-    """Sentinel: resolve the frame secret through the policy chain at
-    call time (context > ``REPRO_FLEET_SECRET``).
-    Distinct from ``None``, which means *explicitly unsigned*."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return "<ambient fleet secret>"
-
-
-#: Default for every ``secret=`` parameter in this module.
-#: :func:`serve` resolves the chain once when the daemon starts, so
-#: exporting ``REPRO_FLEET_SECRET`` to the worker process is the whole
-#: deployment story; the client executor resolves it *once* per pass
-#: and threads the value explicitly, because context-variable
-#: overrides do not propagate into its dispatch threads.
-_AMBIENT = _Ambient()
-
-
-def _resolve_secret(secret: Any) -> Optional[str]:
-    if isinstance(secret, _Ambient):
-        return _policy.resolve("fleet_secret")[0]
-    return secret
-
-
 def _frame_digest(secret: str, header: bytes, body: bytes) -> bytes:
-    """HMAC-SHA256 of a signed frame's header and body."""
+    """HMAC-SHA256 of a frame's header and body."""
     mac = hmac.new(secret.encode("utf-8"), header, hashlib.sha256)
     mac.update(body)
     return mac.digest()
 
 
 def send_frame(sock: socket.socket, message: Any, *,
-               secret: Any = _AMBIENT) -> int:
-    """Pickle ``message`` and send it as one length-prefixed frame.
+               secret: Optional[str] = None) -> int:
+    """Pickle ``message`` and send it as one signed frame.
 
     The frame is the 12-byte header (magic, 8-byte big-endian body
-    length), the protocol-5 pickle body and — when signed — a 32-byte
-    HMAC-SHA256 digest over header and body, written in one
-    ``sendall``.  Returns the body size in bytes, excluding framing
-    overhead (the transport-accounting hook the benchmarks and the
-    per-pass byte counters use).
-
-    With a ``secret`` (explicit string, or the ambient policy chain
-    when one is configured) the frame goes out under the ``SRH2``
-    magic; ``secret=None`` forces an unsigned ``SRP2`` frame.
+    length), the protocol-5 pickle body and a 32-byte HMAC-SHA256
+    digest over header and body, written in one ``sendall``.  Returns
+    the body size in bytes, excluding framing overhead (the
+    transport-accounting hook the benchmarks and the per-pass byte
+    counters use).  ``secret=None`` signs with the key the
+    ``fleet_secret`` chain resolves.
     """
-    resolved = _resolve_secret(secret)
+    key = _policy.resolve("fleet_secret", secret)[0]
     body = pickle.dumps(message, protocol=5)
-    magic = _MAGIC if resolved is None else _MAGIC_SIGNED
-    header = _HEADER.pack(magic, len(body))
-    parts = [header, body]
-    if resolved is not None:
-        parts.append(_frame_digest(resolved, header, body))
-    sock.sendall(b"".join(parts))
+    header = _HEADER.pack(_MAGIC, len(body))
+    sock.sendall(b"".join((header, body, _frame_digest(key, header, body))))
     return len(body)
 
 
@@ -302,24 +265,21 @@ def _recv_exact(sock: socket.socket, n: int, what: str) -> bytes:
 
 
 def _recv_frame_counted(sock: socket.socket, *,
-                        secret: Any = _AMBIENT) -> Tuple[Any, int]:
+                        secret: Optional[str] = None) -> Tuple[Any, int]:
     """(message, body bytes received) for one frame.
 
     Ahead of the signature check only the header is parsed: the magic,
     and the body length, which must be within :data:`MAX_FRAME_BYTES`
     before a body byte is read.
 
-    With a ``secret`` in force, only ``SRH2`` frames are accepted and
-    the trailing digest is checked with :func:`hmac.compare_digest`
-    *before* ``pickle.loads`` runs — an unauthenticated peer never
-    reaches the deserialiser.  An unsigned ``SRP2`` frame is rejected
-    when a secret is set, and a signed frame is rejected when no
-    secret is configured (this peer cannot verify it): both sides must
-    agree on the secret, which is the point.  A body that does not
-    unpickle here — it names a class this side lacks, as another
+    The trailing digest is checked with :func:`hmac.compare_digest`
+    against the key ``secret`` resolves to (``None``: the
+    ``fleet_secret`` chain) *before* ``pickle.loads`` runs — a peer
+    without the key never reaches the deserialiser.  A body that does
+    not unpickle here — it names a class this side lacks, as another
     version's request may — is an :class:`RpcProtocolError` too.
     """
-    resolved = _resolve_secret(secret)
+    key = _policy.resolve("fleet_secret", secret)[0]
     try:
         first = sock.recv(1)
     except TimeoutError as exc:
@@ -330,33 +290,20 @@ def _recv_frame_counted(sock: socket.socket, *,
         raise EOFError("peer closed between frames")
     header = first + _recv_exact(sock, _HEADER.size - 1, "frame header")
     magic, length = _HEADER.unpack(header)
-    if magic not in (_MAGIC, _MAGIC_SIGNED):
+    if magic != _MAGIC:
         raise RpcProtocolError(
-            f"bad frame magic {magic!r}: not an SRPC 11.x peer (10.x "
-            "framed with SRPC/SRPH — upgrade workers and clients "
-            "together), or the stream desynchronised")
-    if resolved is not None and magic != _MAGIC_SIGNED:
-        raise RpcProtocolError(
-            "unsigned SRPC frame rejected: this peer requires "
-            "HMAC-signed frames (a fleet secret is configured; the "
-            "sender has none, or a stale one-sided deployment)")
-    if resolved is None and magic == _MAGIC_SIGNED:
-        raise RpcProtocolError(
-            "HMAC-signed SRPC frame received but this peer has no "
-            "fleet secret to verify it; configure the shared "
-            "REPRO_FLEET_SECRET on both sides")
+            f"bad frame magic {magic!r}: not a signed SRPC 16.x peer "
+            "(15.x sent unsigned frames, 10.x buffer segments — upgrade "
+            "workers and clients together), or the stream desynchronised")
     if length > MAX_FRAME_BYTES:
         raise RpcProtocolError(f"frame of {length} bytes exceeds the "
                                f"{MAX_FRAME_BYTES}-byte cap")
     body = _recv_exact(sock, length, "frame body")
-    if resolved is not None:
-        digest = _recv_exact(sock, _DIGEST_BYTES, "frame signature")
-        if not hmac.compare_digest(
-                _frame_digest(resolved, header, body), digest):
-            raise RpcProtocolError(
-                "frame signature mismatch: the peer signed with a "
-                "different fleet secret, or the frame was tampered "
-                "with in transit")
+    digest = _recv_exact(sock, _DIGEST_BYTES, "frame signature")
+    if not hmac.compare_digest(_frame_digest(key, header, body), digest):
+        raise RpcProtocolError(
+            "frame signature mismatch: the peer signed with a different "
+            "fleet secret, or the frame was tampered with in transit")
     try:
         return pickle.loads(body), length
     except Exception as exc:  # noqa: BLE001 — any unpicklable body
@@ -365,15 +312,15 @@ def _recv_frame_counted(sock: socket.socket, *,
             "workers and clients of different versions?") from exc
 
 
-def recv_frame(sock: socket.socket, *, secret: Any = _AMBIENT) -> Any:
+def recv_frame(sock: socket.socket, *,
+               secret: Optional[str] = None) -> Any:
     """Receive one frame and unpickle it.
 
     Raises :class:`RpcConnectionError` on a truncated frame and
-    :class:`RpcProtocolError` on bad framing — including a missing,
-    unverifiable, or wrong HMAC signature when a secret is in force
-    (see :func:`_recv_frame_counted`).  ``None`` is a valid message,
-    not a sentinel: end-of-stream *between* frames raises ``EOFError``
-    (the orderly-shutdown signal the server loop uses).
+    :class:`RpcProtocolError` on bad framing — including a wrong HMAC
+    signature (see :func:`_recv_frame_counted`).  ``None`` is a valid
+    message, not a sentinel: end-of-stream *between* frames raises
+    ``EOFError`` (the orderly-shutdown signal the server loop uses).
     """
     return _recv_frame_counted(sock, secret=secret)[0]
 
@@ -434,9 +381,10 @@ def _malformed_run(verb: Tuple) -> Optional[str]:
 
 class WorkerServer(socketserver.ThreadingTCPServer):
     """A worker daemon on ``address`` (``(host, port)``; port 0 picks
-    a free one) owning its frame secret (None: unsigned ``SRP2``
-    frames) and its pin cache — ``(client, member) key -> (generation,
-    pinned store)`` — so one process can host several."""
+    a free one) owning its frame key (None: the key the
+    ``fleet_secret`` chain resolves now) and its pin cache —
+    ``(client, member) key -> (generation, pinned store)`` — so one
+    process can host several."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -444,7 +392,7 @@ class WorkerServer(socketserver.ThreadingTCPServer):
     def __init__(self, address: Tuple[str, int], *,
                  secret: Optional[str] = None) -> None:
         super().__init__(address, _WorkerHandler)
-        self.secret = secret
+        self.secret = _policy.resolve("fleet_secret", secret)[0]
         self._pins: "OrderedDict[Any, Tuple[int, Any]]" = OrderedDict()
         self._pins_lock = threading.Lock()
 
@@ -511,34 +459,23 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                 return
 
 
-def _is_loopback(host: str) -> bool:
-    if host == "localhost":
-        return True
-    try:
-        return ipaddress.ip_address(host).is_loopback
-    except ValueError:
-        return False  # any other name may resolve to any interface
-
-
 def serve(bind: str, *, announce=print) -> None:
     """Run a worker daemon on ``bind`` (``host:port``; port 0 picks a
     free one) until interrupted.  ``announce`` receives one
     ``"SRPC listening on host:port"`` line once the socket accepts —
     launchers parse it to learn an ephemeral port.
 
-    An unsigned worker unpickles frames from whoever can reach its
-    port, so a non-loopback ``bind`` is refused (before the socket
-    binds) unless a ``fleet_secret`` resolves.
+    The daemon signs with the ``fleet_secret`` its context or
+    environment gives it; a key minted for this process alone would
+    shut out every client, so that is refused before the socket binds.
     """
     host, port = parse_host(bind)
-    secret, _source = _policy.resolve("fleet_secret")
-    if not _is_loopback(host) and secret is None:
+    secret, source = _policy.resolve("fleet_secret")
+    if source == "default":
         raise ConfigurationError(
-            f"refusing to serve unsigned SRPC on non-loopback {bind!r}: "
-            "frames are unpickled, so any peer that reaches the port "
-            "could run code here; export "
-            f"{_policy.KNOBS['fleet_secret'].env_var} on the worker and "
-            "its clients, or bind a loopback address")
+            f"refusing to serve SRPC on {bind!r} without a shared frame "
+            f"key: export {_policy.KNOBS['fleet_secret'].env_var} on the "
+            "worker and its clients")
     with WorkerServer((host, port), secret=secret) as server:
         bound_host, bound_port = server.server_address[:2]
         announce(f"SRPC listening on {bound_host}:{bound_port}")
@@ -691,7 +628,7 @@ def _discard(sock: socket.socket) -> None:
 
 
 def _recv_reply(addr: str, sock: socket.socket, *,
-                secret: Any = _AMBIENT) -> Tuple[Any, int]:
+                secret: Optional[str] = None) -> Tuple[Any, int]:
     """(reply, bytes received) after a delivered request; any failure
     discards the socket and raises :class:`RpcConnectionError` (the
     request may have been served, so nothing here retries it).  An
@@ -703,7 +640,8 @@ def _recv_reply(addr: str, sock: socket.socket, *,
         _discard(sock)
         raise RpcConnectionError(
             f"fleet worker at {addr} closed the connection before "
-            "replying (worker killed mid-task?)") from exc
+            "replying: the worker rejected this client's frame key "
+            "(another fleet_secret), or was killed mid-task") from exc
     except RpcTimeoutError as exc:
         _discard(sock)
         raise RpcTimeoutError(
@@ -724,7 +662,7 @@ def _recv_reply(addr: str, sock: socket.socket, *,
 
 def call_worker(addr: str, request: Tuple, *,
                 deadline: Optional[float] = None,
-                secret: Any = _AMBIENT) -> Any:
+                secret: Optional[str] = None) -> Any:
     """One request/response round trip with ``addr`` on a connection
     of its own: one dial attempt, ``request`` sent under request id 0,
     the echoed id checked, the connection closed afterwards.  Probes
@@ -756,16 +694,15 @@ def call_worker(addr: str, request: Tuple, *,
 
 
 def ping(addr: str, *, timeout: float = 5.0,
-         secret: Any = _AMBIENT) -> int:
+         secret: Optional[str] = None) -> int:
     """Round-trip a ping; returns the worker's PID.  Retries every
     :data:`DIAL_RETRY_DELAY_S` for up to ``timeout`` seconds in all,
     so it also waits for a worker to start listening; each round trip
     carries ``timeout`` as its socket deadline, so a worker that
     *accepts* but never answers (hung event loop) fails the ping
     instead of blocking it forever.  The probe frame is signed like
-    any other when a secret is in force — a secret-bearing worker
-    would reject an unsigned ping, and an unverifiable probe must
-    read as *down*, not healthy."""
+    any other: a worker holding another key drops it, and such a
+    worker reads as *down*, not healthy."""
     deadline = time.monotonic() + timeout
     while True:
         try:
@@ -853,7 +790,7 @@ def host_health_snapshot() -> Dict[str, Dict[str, float]]:
 def usable_hosts(hosts: Sequence[str], *,
                  probe_timeout: float = 1.0,
                  force_probe: bool = False,
-                 secret: Any = _AMBIENT) -> Tuple[str, ...]:
+                 secret: Optional[str] = None) -> Tuple[str, ...]:
     """The subset of ``hosts`` dispatch may route members to.
 
     Hosts with a closed breaker pass straight through (the common,
@@ -946,10 +883,11 @@ class RpcExecutor(FleetExecutor):
             folds.  Resolves through the chain
             (``repro.engine(fleet_on_failure=...)`` >
             ``REPRO_FLEET_ON_FAILURE``).
-        secret: shared HMAC secret for signed SRPC frames.  None
-            resolves through the chain
+        secret: shared HMAC key every SRPC frame is signed with.
+            None resolves through the chain
             (``repro.engine(fleet_secret=...)`` >
-            ``REPRO_FLEET_SECRET``; default: unsigned).  Resolved
+            ``REPRO_FLEET_SECRET``; default: the key minted for this
+            process, which the workers it spawns share).  Resolved
             *once* per pass and threaded explicitly through every
             dispatch thread and health probe — a context-scoped
             secret must hold even though context variables do not
@@ -1241,7 +1179,7 @@ class RpcExecutor(FleetExecutor):
 
     def _drive_host(self, addr: str, plans: List[_TaskPlan],
                     deadline: Optional[float] = None,
-                    secret: Any = _AMBIENT
+                    secret: Optional[str] = None
                     ) -> Tuple[List, List, int, int]:
         """All of one host's requests for a pass, retried once on the
         same host when the wire round fails: nothing from a failed
@@ -1266,7 +1204,7 @@ class RpcExecutor(FleetExecutor):
 
     def _host_round(self, addr: str, sock: socket.socket,
                     plans: List[_TaskPlan],
-                    secret: Any = _AMBIENT
+                    secret: Optional[str] = None
                     ) -> Tuple[List, List, int, int]:
         batch: List[Tuple[_TaskPlan, bool]] = []
         for plan in plans:
@@ -1415,18 +1353,18 @@ def spawn_local_worker(bind: str = "127.0.0.1:0", *,
     and wait for its announce line; returns the :class:`LocalWorker`
     with the actual ``host:port`` (port 0 picks a free one).
 
-    ``secret`` exports ``REPRO_FLEET_SECRET`` into the worker's
-    environment (the daemon reads it once, when it starts) and signs
-    the startup ping with it; None inherits whatever this process's
-    environment already carries.
+    The worker's frame key is ``secret`` resolved through the
+    ``fleet_secret`` chain (None: this process's key), exported as
+    ``REPRO_FLEET_SECRET`` into its environment — the daemon reads it
+    once, when it starts — and the startup ping is signed with it.
     """
     package_root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
     env = dict(os.environ)
     env["PYTHONPATH"] = package_root + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    if secret is not None:
-        env[_policy.KNOBS["fleet_secret"].env_var] = secret
+    secret = _policy.resolve("fleet_secret", secret)[0]
+    env[_policy.KNOBS["fleet_secret"].env_var] = secret
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.parallel.remote", "serve",
          "--bind", bind],
@@ -1445,7 +1383,7 @@ def spawn_local_worker(bind: str = "127.0.0.1:0", *,
             try:
                 ping(address,
                      timeout=max(1.0, deadline - time.monotonic()),
-                     secret=secret if secret is not None else _AMBIENT)
+                     secret=secret)
             except RpcConnectionError as exc:
                 worker.kill()
                 raise RpcConnectionError(

@@ -39,6 +39,8 @@ _ROW_ENV = 'KNOBS["<knob>"].env_var, or the REPRO_* literal'
 _SCOPE = "repro.engine(...) for a scope, REPRO_* for the process"
 _READY = "ping(addr, timeout=) before the first pass"
 _WORKER = "each WorkerServer's own pin cache"
+_SIGNED = "SRH2: every frame is signed"
+_RESOLVE_KEY = 'secret=None resolves policy.resolve("fleet_secret")'
 
 REMOVED: Tuple[Removed, ...] = (
     # 3.0: one rpc transport, one locking discipline
@@ -243,6 +245,14 @@ REMOVED: Tuple[Removed, ...] = (
     Removed("_PINS_LOCK", "15.0", _WORKER),
     Removed("_execute_request", "15.0", "WorkerServer.respond(verb)"),
     Removed("_WorkerServer", "15.0", "WorkerServer(address, secret=)"),
+    # 16.0: every SRPC frame is signed
+    Removed("SRP2", "16.0", _SIGNED),
+    Removed("_MAGIC_SIGNED", "16.0", "_MAGIC, the one (SRH2) magic"),
+    Removed("_Ambient", "16.0", _RESOLVE_KEY),
+    Removed("_AMBIENT", "16.0", _RESOLVE_KEY),
+    Removed("_resolve_secret", "16.0", _RESOLVE_KEY),
+    Removed("_is_loopback", "16.0",
+            "serve refuses a key minted per process on every bind"),
 )
 
 

@@ -9,7 +9,7 @@ import inspect
 import pytest
 
 import repro
-from repro.api.policy import describe_policy, engine, resolve
+from repro.api.policy import KNOBS, describe_policy, engine, resolve
 
 
 @pytest.fixture(autouse=True)
@@ -111,7 +111,10 @@ def test_top_level_engine_export():
 
 def test_fleet_secret_resolution_layers(monkeypatch):
     monkeypatch.delenv("REPRO_FLEET_SECRET", raising=False)
-    assert resolve("fleet_secret") == (None, "default")
+    minted, source = resolve("fleet_secret")
+    assert source == "default" and isinstance(minted, str) and minted
+    # minted once per process: every unset resolution signs alike
+    assert resolve("fleet_secret")[0] is minted
 
     monkeypatch.setenv("REPRO_FLEET_SECRET", "env-key")
     assert resolve("fleet_secret") == ("env-key", "env")
@@ -134,7 +137,15 @@ def test_fleet_secret_validated_and_masked_in_describe(monkeypatch):
     assert described["fleet_secret_set"] is True
     assert described["fleet_secret_source"] == "context"
     assert "s3cret-material" not in repr(described)
-    assert describe_policy()["fleet_secret_set"] is False
+    # unset, the row resolves the key minted for this process: set,
+    # and never shown — not even in the row's own repr
+    minted = resolve("fleet_secret")[0]
+    described = describe_policy()
+    assert described["fleet_secret_set"] is True
+    assert described["fleet_secret_source"] == "default"
+    for dump in (repr(described), repr(minted),
+                 repr(KNOBS["fleet_secret"])):
+        assert str(minted) not in dump
 
 
 def test_gateway_bind_resolution_layers(monkeypatch):

@@ -1,5 +1,7 @@
 """Hamming(72,64) SECDED codec tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,3 +247,28 @@ def test_stacked_decode_is_the_decodes_of_its_parts(parts, seed):
     else:
         assert whole == (b"".join(data for data, _ in each),
                          sum(corrected for _, corrected in each))
+
+
+def test_every_triple_flip_with_an_invalid_syndrome_is_refused():
+    """Three flips over positions 1..71 trip the overall parity like a
+    single error.  Their Hamming syndrome names the position to flip
+    only when it is below 72; syndromes 72..127 name no position, and
+    such a word used to be "corrected" at position 0 and returned with
+    its data still wrong.  Every such word is refused on its own, and
+    the words with a valid syndrome decode stacked exactly as the
+    oracle's flip at the syndrome's position."""
+    clean = ecc.encode(_random_payload(np.random.default_rng(71), 1))
+    triples = np.array(list(itertools.combinations(
+        range(1, ecc.CODE_BITS), 3)))
+    syndromes = np.bitwise_xor.reduce(triples, axis=1)
+    words = np.repeat(clean[None, :], len(triples), axis=0)
+    words[np.arange(len(triples))[:, None], triples] ^= 1
+    invalid = syndromes >= ecc.CODE_BITS
+    assert (len(triples), int(invalid.sum())) == (57155, 13888)
+    for word in words[invalid]:
+        with pytest.raises(ReadError, match="invalid ECC syndrome"):
+            ecc.decode(word)
+    valid = words[~invalid].reshape(-1)
+    result = ecc.decode(valid)
+    assert (result.data, result.corrected) == _oracle_decode(valid)
+    assert result.corrected == len(triples) - 13888

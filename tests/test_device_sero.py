@@ -217,3 +217,22 @@ def test_timestamp_survives_scan(small_device):
     _heated(small_device, start=0, n=4)
     recovered = small_device.scan_lines()
     assert recovered[0].timestamp == 5
+
+
+def test_forged_head_overrunning_the_device_is_a_mismatch(device):
+    """A CRC-valid head burned at block 128 of a 256-block device that
+    claims a 256-block line: the line would end at block 383, past the
+    medium.  Verification reads it as a mismatch (it used to raise an
+    address error out of every audit), and discovery skips it."""
+    from repro.device.sector import ElectricalPayload
+
+    line = _heated(device, start=0, n=4)
+    device.ews_block(128, ElectricalPayload(
+        line_start=128, n_blocks_log2=8, line_hash=bytes(32)).pack())
+    assert device.verify_line(128).status is VerifyStatus.HASH_MISMATCH
+    assert [r.status for r in device.verify_lines([0, 128])] == \
+        [VerifyStatus.INTACT, VerifyStatus.HASH_MISMATCH]
+    assert device.load_line(128) is None
+    assert [(r.start, r.n_blocks) for r in device.scan_lines()] == \
+        [(line.start, line.n_blocks)]
+    assert [r.status for r in device.verify_all()] == [VerifyStatus.INTACT]

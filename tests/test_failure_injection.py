@@ -366,7 +366,7 @@ def test_rpc_connection_dropped_mid_frame():
 
     def truncate_reply(conn):
         recv_frame(conn)  # consume the request
-        conn.sendall(b"SRP2" + (4096).to_bytes(8, "big") + b"stub")
+        conn.sendall(b"SRH2" + (4096).to_bytes(8, "big") + b"stub")
 
     addr = _one_shot_server(truncate_reply)
     with pytest.raises(RpcConnectionError, match="cut short"):

@@ -78,10 +78,10 @@ from repro.parallel.remote import (
 def _clean_policy_env(monkeypatch):
     # the CI remote-fleet job exports REPRO_FLEET_EXECUTOR/HOSTS for
     # the example run; these tests manage their own workers and must
-    # see the documented defaults
+    # see the documented defaults.  REPRO_FLEET_SECRET stays: it is
+    # the key the exported daemons share with this process.
     monkeypatch.delenv("REPRO_FLEET_EXECUTOR", raising=False)
     monkeypatch.delenv("REPRO_FLEET_HOSTS", raising=False)
-    monkeypatch.delenv("REPRO_FLEET_SECRET", raising=False)
 
 
 # -- wire protocol -------------------------------------------------------------
@@ -136,9 +136,10 @@ def test_frame_roundtrip_over_socketpair():
 @pytest.mark.parametrize("secret", [None, "hunter2"])
 def test_frame_layout_is_header_body_digest(secret):
     """A frame on the wire is the magic, the 8-byte body length, the
-    pickle body and — signed — HMAC-SHA256 over header and body;
-    nothing follows.  The array is big enough that it would once have
-    travelled as a buffer segment after the body."""
+    pickle body and HMAC-SHA256 over header and body; nothing follows.
+    ``secret=None`` signs with the key the chain resolves.  The array
+    is big enough that it would once have travelled as a buffer
+    segment after the body."""
     message = {"snapshot": np.arange(1024), "n": 7}
     a, b = socket.socketpair()
     try:
@@ -150,19 +151,19 @@ def test_frame_layout_is_header_body_digest(secret):
     finally:
         b.close()
     body = pickle.dumps(message, protocol=5)
-    header = (b"SRP2" if secret is None else b"SRH2") \
-        + len(body).to_bytes(8, "big")
-    digest = b"" if secret is None else hmac.new(
-        secret.encode(), header + body, hashlib.sha256).digest()
+    header = b"SRH2" + len(body).to_bytes(8, "big")
+    key = resolve("fleet_secret", secret)[0]
+    digest = hmac.new(key.encode(), header + body, hashlib.sha256).digest()
     assert bytes(raw) == header + body + digest
     assert sent == len(body)
 
 
-@pytest.mark.parametrize("magic", [b"SRPC", b"SRPH"])
+@pytest.mark.parametrize("magic", [b"SRPC", b"SRPH", b"SRP2"])
 def test_old_frame_magic_is_refused(magic):
     """10.x framed with ``SRPC``/``SRPH`` and buffer segments after the
-    body: an 11.x receiver refuses such a frame on its magic, at once,
-    whether or not it holds a secret."""
+    body, and 15.x sent unsigned ``SRP2`` frames: a receiver refuses
+    such a frame on its magic, at once, whatever key it holds — an
+    unsigned frame never reaches the deserialiser."""
     from repro.parallel import RpcProtocolError
 
     body = pickle.dumps((0, ("ping",)), protocol=5)
@@ -182,10 +183,10 @@ def test_old_frame_magic_is_refused(magic):
 def test_truncated_frame_raises_connection_error():
     a, b = socket.socketpair()
     try:
-        a.sendall(b"SRP2" + (200).to_bytes(8, "big") + b"only a little")
+        a.sendall(b"SRH2" + (200).to_bytes(8, "big") + b"only a little")
         a.close()
         with pytest.raises(RpcConnectionError, match="mid-frame"):
-            recv_frame(b)
+            recv_frame(b, secret="hunter2")
     finally:
         b.close()
 
@@ -193,15 +194,14 @@ def test_truncated_frame_raises_connection_error():
 @pytest.mark.parametrize("secret", [None, "hunter2"])
 def test_oversized_body_refused_before_any_body_read(secret):
     """The cap is checked on the header's length before a body byte is
-    read — signed or not, since the length is parsed ahead of the HMAC
-    check either way: a header promising cap + 1 bytes, then EOF, is
-    refused for its size, not reported as a frame cut short."""
+    read — whichever key the receiver holds, since the length is parsed
+    ahead of the HMAC check: a header promising cap + 1 bytes, then
+    EOF, is refused for its size, not reported as a frame cut short."""
     from repro.parallel import RpcProtocolError
 
-    magic = b"SRP2" if secret is None else b"SRH2"
     a, b = socket.socketpair()
     try:
-        a.sendall(magic
+        a.sendall(b"SRH2"
                   + (remote_mod.MAX_FRAME_BYTES + 1).to_bytes(8, "big"))
         a.close()
         with pytest.raises(RpcProtocolError, match="cap"):
@@ -222,12 +222,12 @@ def test_frame_allocates_only_what_arrives():
     a, b = socket.socketpair()
     b.settimeout(0.5)
     try:
-        a.sendall(b"SRP2" + (512 << 20).to_bytes(8, "big") + b"\x80\x05")
+        a.sendall(b"SRH2" + (512 << 20).to_bytes(8, "big") + b"\x80\x05")
         tracemalloc.start()
         try:
             t0 = time.monotonic()
             with pytest.raises(RpcTimeoutError):
-                recv_frame(b, secret=None)
+                recv_frame(b, secret="hunter2")
             elapsed = time.monotonic() - t0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -246,15 +246,15 @@ def test_worker_drops_an_untagged_request(workers):
     well-formed envelope still gets a typed error reply."""
     host, port = remote_mod.parse_host(workers[0])
     with socket.create_connection((host, port), timeout=5.0) as sock:
-        send_frame(sock, ("ping",), secret=None)
+        send_frame(sock, ("ping",))
         with pytest.raises(EOFError):
-            recv_frame(sock, secret=None)
+            recv_frame(sock)
     with socket.create_connection((host, port), timeout=5.0) as sock:
-        send_frame(sock, (7, ("ping",)), secret=None)
-        rid, (tag, pid) = recv_frame(sock, secret=None)
+        send_frame(sock, (7, ("ping",)))
+        rid, (tag, pid) = recv_frame(sock)
         assert (rid, tag) == (7, "pong") and pid > 0
-        send_frame(sock, (8, ("bogus",)), secret=None)
-        rid, response = recv_frame(sock, secret=None)
+        send_frame(sock, (8, ("bogus",)))
+        rid, response = recv_frame(sock)
         assert rid == 8
         assert response[0] == "err" and response[2] == "RpcProtocolError"
 
@@ -268,7 +268,8 @@ def test_malformed_requests_get_a_typed_reply_not_a_traceback():
     connection closed, also without one."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
+    frame_key = resolve("fleet_secret")[0]
+    env = dict(os.environ, REPRO_FLEET_SECRET=frame_key,
                PYTHONPATH=src + (os.pathsep + path if path else ""))
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.parallel.remote", "serve",
@@ -286,27 +287,27 @@ def test_malformed_requests_get_a_typed_reply_not_a_traceback():
                     ("run", ["k"], 0, None, "audit", {}),
                     ("run", key, 0, None, "delete", {"path": "/x"}),
                     ("run", key, 0, store, "delete", {"path": "/x"}))):
-                send_frame(sock, (rid, verb), secret=None)
-                reply_id, response = recv_frame(sock, secret=None)
+                send_frame(sock, (rid, verb))
+                reply_id, response = recv_frame(sock)
                 assert reply_id == rid
                 assert response[0] == "err", response
                 assert response[2] == "RpcProtocolError"
             # the refused snapshot was never pinned
-            send_frame(sock, (9, ("run", key, 0, None, "audit", {})),
-                       secret=None)
-            assert recv_frame(sock, secret=None) == (9, ("nopin",))
+            send_frame(sock, (9, ("run", key, 0, None, "audit", {})))
+            assert recv_frame(sock) == (9, ("nopin",))
             # a snapshot that is no store fails as its task, in a reply
-            send_frame(sock, (10, ("run", key, 0, 5, "audit", {})),
-                       secret=None)
-            reply_id, response = recv_frame(sock, secret=None)
+            send_frame(sock, (10, ("run", key, 0, 5, "audit", {})))
+            reply_id, response = recv_frame(sock)
             assert (reply_id, response[0]) == (10, "err"), response
-            send_frame(sock, (11, ("ping",)), secret=None)
-            assert recv_frame(sock, secret=None)[1][0] == "pong"
+            send_frame(sock, (11, ("ping",)))
+            assert recv_frame(sock)[1][0] == "pong"
         body = b"crepro.api.fleet\n_audit_member\n."
+        header = remote_mod._HEADER.pack(b"SRH2", len(body))
+        digest = hmac.new(frame_key.encode(), header + body, hashlib.sha256)
         with socket.create_connection((host, port), timeout=10.0) as sock:
-            sock.sendall(remote_mod._HEADER.pack(b"SRP2", len(body)) + body)
+            sock.sendall(header + body + digest.digest())
             with pytest.raises(EOFError):
-                recv_frame(sock, secret=None)
+                recv_frame(sock)
     finally:
         process.terminate()
         _out, err = process.communicate(timeout=10)
@@ -1142,30 +1143,11 @@ def test_signed_frame_roundtrip_and_wrong_secret_rejected():
         b.close()
 
 
-def test_signing_expectation_mismatches_rejected():
-    from repro.parallel import RpcProtocolError
-
-    # unsigned frame at a secret-holding peer
-    a, b = socket.socketpair()
-    try:
-        send_frame(a, {"n": 1}, secret=None)
-        with pytest.raises(RpcProtocolError, match="unsigned"):
-            recv_frame(b, secret="hunter2")
-    finally:
-        a.close()
-        b.close()
-    # signed frame at a secretless peer
-    a, b = socket.socketpair()
-    try:
-        send_frame(a, {"n": 1}, secret="hunter2")
-        with pytest.raises(RpcProtocolError, match="no fleet secret"):
-            recv_frame(b, secret=None)
-    finally:
-        a.close()
-        b.close()
-
-
-def test_worker_with_secret_rejects_unsigned_and_wrong_secret():
+def test_worker_with_secret_rejects_wrong_secret():
+    """A worker never answers a frame it cannot authenticate, not even
+    with an error: a caller holding another key sees the connection
+    closed, and is told the key may be why; an unsigned 15.x frame is
+    dropped the same way."""
     from repro.parallel import reset_host_health
 
     reset_host_health()
@@ -1173,13 +1155,15 @@ def test_worker_with_secret_rejects_unsigned_and_wrong_secret():
         with thread_worker(secret="hunter2") as (addr, _server):
             # the right secret answers normally
             assert ping(addr, secret="hunter2") > 0
-            # unsigned and wrong-secret callers see only a dropped
-            # connection — the worker never answers an unauthenticated
-            # frame, not even with an error
-            for secret in (None, "wrong"):
-                with pytest.raises(RpcConnectionError):
-                    call_worker(addr, ("ping",), deadline=2.0,
-                                secret=secret)
+            with pytest.raises(RpcConnectionError,
+                               match="rejected this client's frame key"):
+                call_worker(addr, ("ping",), deadline=2.0, secret="wrong")
+            body = pickle.dumps((0, ("ping",)), protocol=5)
+            host, port = remote_mod.parse_host(addr)
+            with socket.create_connection((host, port), timeout=5.0) as sock:
+                sock.sendall(b"SRP2" + len(body).to_bytes(8, "big") + body)
+                with pytest.raises(EOFError):
+                    recv_frame(sock, secret="hunter2")
             # and the worker survives the rejected frames
             assert ping(addr, secret="hunter2") > 0
     finally:
@@ -1187,11 +1171,10 @@ def test_worker_with_secret_rejects_unsigned_and_wrong_secret():
         reset_host_health()
 
 
-def test_serve_refuses_unsigned_non_loopback_bind(monkeypatch):
-    """An unsigned worker unpickles whatever reaches its port, so
-    serving one beyond loopback is refused before the socket exists;
-    with a secret exported the same bind announces, and loopback
-    stays unsigned-permissive."""
+def test_serve_refuses_a_default_key(monkeypatch):
+    """A daemon on this process's minted key could serve no client, so
+    ``serve`` refuses it before the socket exists, on loopback as
+    anywhere; with a key exported the same binds announce."""
     class Announced(Exception):
         pass
 
@@ -1202,14 +1185,16 @@ def test_serve_refuses_unsigned_non_loopback_bind(monkeypatch):
     monkeypatch.setattr(
         remote_mod, "WorkerServer",
         lambda *args, **kw: bound.append(args) or WorkerServer(*args, **kw))
-    with pytest.raises(ConfigurationError, match="REPRO_FLEET_SECRET"):
-        remote_mod.serve("0.0.0.0:0", announce=announce)
+    monkeypatch.delenv("REPRO_FLEET_SECRET", raising=False)
+    assert resolve("fleet_secret")[1] == "default"
+    for bind in ("127.0.0.1:0", "0.0.0.0:0"):
+        with pytest.raises(ConfigurationError, match="REPRO_FLEET_SECRET"):
+            remote_mod.serve(bind, announce=announce)
     assert bound == []
-    with pytest.raises(Announced, match="SRPC listening on 127.0.0.1:"):
-        remote_mod.serve("127.0.0.1:0", announce=announce)
     monkeypatch.setenv("REPRO_FLEET_SECRET", "hunter2")
-    with pytest.raises(Announced, match="SRPC listening on 0.0.0.0:"):
-        remote_mod.serve("0.0.0.0:0", announce=announce)
+    for host in ("127.0.0.1", "0.0.0.0"):
+        with pytest.raises(Announced, match=f"SRPC listening on {host}:"):
+            remote_mod.serve(f"{host}:0", announce=announce)
 
 
 def test_fleet_passes_byte_identical_over_signed_frames():
@@ -1248,15 +1233,17 @@ def test_fleet_secret_env_layer_reaches_both_ends(monkeypatch):
 
 def test_explicit_secret_beats_context_and_policy(workers, monkeypatch):
     """Chain order for fleet_secret: RpcExecutor(secret=) > context >
-    env.  The module workers are unsigned, so the *wrong* layer winning
-    shows up as a dropped connection."""
+    env > the key minted for this process."""
+    from repro.api.policy import KNOBS
     from repro.parallel import reset_host_health
 
     reset_host_health()
     addr = workers[0]
     try:
-        # context says signed, explicit arg says unsigned: explicit
-        # wins and the unsigned worker answers
+        monkeypatch.delenv("REPRO_FLEET_SECRET", raising=False)
+        minted = RpcExecutor([addr])._resolve_fault_policy()[3]
+        assert minted is KNOBS["fleet_secret"].default
+        assert resolve("fleet_secret") == (minted, "default")
         with repro.engine(fleet_secret="context-key"):
             executor = RpcExecutor([addr])
             assert executor._resolve_fault_policy()[3] == "context-key"

@@ -102,8 +102,8 @@ def object_rack(executor=None, *, n=2, total_blocks=192, seed=33,
 @contextlib.contextmanager
 def thread_worker(*, secret=None):
     """``(address, server)``: a :class:`WorkerServer` (frame
-    ``secret``, None for unsigned) serving ``127.0.0.1:0`` on a daemon
-    thread until the block exits."""
+    ``secret``, None for the key the chain resolves) serving
+    ``127.0.0.1:0`` on a daemon thread until the block exits."""
     server = WorkerServer(("127.0.0.1", 0), secret=secret)
     thread = threading.Thread(target=server.serve_forever, args=(0.05,),
                               name="thread-worker", daemon=True)
