@@ -8,14 +8,18 @@ so the defect scan below runs at *format time*, before any line can
 have been heated, and its output (the bad-block map) is stored by the
 device, never inferred later from read failures alone.
 
-The scan has two implementations sharing the exact same medium I/O
-sequence (per-block write/readback spans): a scalar *reference* that
-classifies dots one at a time, and a vectorized path that records one
+The scan has two implementations that apply the same dot operations in
+the same per-dot order, so their reports, ``medium.counters`` totals,
+final medium state and RNG position agree exactly; their span *call*
+counts (and so ``mutation_epoch``) differ.  The scalar *reference*
+writes and reads one block per span call and classifies dots one at a
+time.  The vectorized path writes and reads a chunk of consecutive
+blocks per span call (blocks are contiguous in dot space), records one
 mismatch bool per dot in a ``(blocks, dots_per_block)`` array and
 classifies every block with axis reductions over views of it — the
-only whole-medium temporary is that 1 B/dot mask.  The numpy path is
-the default; the scalar one runs only when the caller passes
-``vectorized=False``.
+only whole-medium temporary is that 1 B/dot mask; everything else is
+chunk-sized.  The numpy path is the default; the scalar one runs only
+when the caller passes ``vectorized=False``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,14 @@ from typing import List, Set
 import numpy as np
 
 from .medium import PatternedMedium
+
+#: Size of one chunk of the vectorized scan, in bytes of a 1 B/dot
+#: span array: a chunk is ``_CHUNK_BYTES // dots_per_block`` whole
+#: blocks (at least one).  The scan holds a few such arrays per chunk
+#: (the tiled patterns, the readbacks and the span calls' masks), so
+#: this bounds its memory beside the whole-medium mismatch mask, and
+#: small chunks stay in cache.
+_CHUNK_BYTES = 1 << 17
 
 
 @dataclass
@@ -76,10 +88,17 @@ def scan_for_defects(medium: PatternedMedium, tolerance: int = 4,
     The scan is destructive of data (it is a format-time operation) and
     restores an erased (all-zero) state afterwards.
 
-    By default the classification runs as per-block numpy reductions;
-    ``vectorized=False`` runs the dot-at-a-time reference.  Both paths
-    issue an identical per-block span I/O sequence, so their counters
-    and reports agree exactly.
+    By default the scan writes and reads chunks of consecutive blocks,
+    one span call per pattern per chunk, and classifies with per-block
+    numpy reductions; ``vectorized=False`` runs the block-at-a-time,
+    dot-at-a-time reference.  Both paths apply the same dot operations,
+    so their reports, counter totals, final medium state and RNG
+    position agree exactly.  A chunk that holds a heated dot is scanned
+    block by block, because a heated dot's reads draw noise and the
+    draws must come in the reference's per-block order.  The medium's
+    ``mutation_epoch`` advances once per span write: three times per
+    chunk here (per block in a chunk with a heated dot), three times
+    per block in the reference.
     """
     geometry = medium.geometry
     dpb = geometry.dots_per_block
@@ -96,15 +115,25 @@ def scan_for_defects(medium: PatternedMedium, tolerance: int = 4,
     # One bool per dot, seen as one row per block: every per-block sum
     # below is an axis reduction over this view, never a wider copy.
     mismatch = np.empty((n_blocks, dpb), dtype=bool)
-    for pba in range(n_blocks):
-        start, end = geometry.block_span(pba)
-        medium.write_mag_span(start, pattern_a)
-        read_a = medium.read_mag_span(start, end)
-        medium.write_mag_span(start, pattern_b)
-        read_b = medium.read_mag_span(start, end)
-        np.not_equal(read_a, pattern_a, out=mismatch[pba])
-        mismatch[pba] |= read_b != pattern_b
-        medium.write_mag_span(start, erased)
+    chunk = max(1, _CHUNK_BYTES // dpb)
+    # The patterns tiled over a whole chunk; a shorter last chunk
+    # uses a prefix, which is still whole blocks of each pattern.
+    tiled_a = np.tile(pattern_a, chunk)
+    tiled_b = np.tile(pattern_b, chunk)
+    tiled_erased = np.zeros(chunk * dpb, dtype=np.int8)
+    for lo in range(0, n_blocks, chunk):
+        hi = min(lo + chunk, n_blocks)
+        start = geometry.block_span(lo)[0]
+        end = geometry.block_span(hi - 1)[1]
+        if np.count_nonzero(medium._mag[start:end]) < end - start:
+            # a heated dot (mag == 0): keep the per-block noise draws
+            for pba in range(lo, hi):
+                _probe_span(medium, geometry.block_span(pba)[0], pattern_a,
+                            pattern_b, erased, mismatch[pba])
+        else:
+            width = end - start
+            _probe_span(medium, start, tiled_a[:width], tiled_b[:width],
+                        tiled_erased[:width], mismatch[lo:hi].reshape(-1))
 
     failures = mismatch.sum(axis=1)
     # Fragile: any defect among the first e_region_dots of its block.
@@ -123,6 +152,22 @@ def scan_for_defects(medium: PatternedMedium, tolerance: int = 4,
         fragile_blocks=set(np.flatnonzero(fragile).tolist()),
         defective_dots=int(failures.sum()),
         scanned_blocks=n_blocks)
+
+
+def _probe_span(medium: PatternedMedium, start: int, pattern_a: np.ndarray,
+                pattern_b: np.ndarray, erased: np.ndarray,
+                out: np.ndarray) -> None:
+    """Write/readback both patterns over one span from ``start`` and
+    erase it; ``out`` gets True where either readback mismatched."""
+    end = start + len(pattern_a)
+    # reads are uint8: compare with uint8 views of the 0/1 patterns, so
+    # numpy does not widen both sides to int16
+    medium.write_mag_span(start, pattern_a)
+    np.not_equal(medium.read_mag_span(start, end), pattern_a.view(np.uint8),
+                 out=out)
+    medium.write_mag_span(start, pattern_b)
+    out |= medium.read_mag_span(start, end) != pattern_b.view(np.uint8)
+    medium.write_mag_span(start, erased)
 
 
 def _scan_scalar(medium: PatternedMedium, tolerance: int,

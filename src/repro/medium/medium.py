@@ -398,10 +398,14 @@ class PatternedMedium:
         writable = self._mag[span] != 0
         if self._k_scale is not None:
             writable &= self._k_scale[span] <= self.config.write_field
-        target = arr << 1  # 0/1 -> -1/+1, on int8
+        target = arr + arr  # 0/1 -> -1/+1, on int8
         target -= 1
-        # in-place masked store: the unwritable dots keep their state
-        np.copyto(self._mag[span], target, where=writable)
+        if writable.all():
+            # a plain store is several times cheaper than a masked one
+            self._mag[span] = target
+        else:
+            # in-place masked store: the unwritable dots keep their state
+            np.copyto(self._mag[span], target, where=writable)
 
     def heat_span(self, start: int, end: int,
                   pattern: Optional[Sequence[bool]] = None,

@@ -7,8 +7,13 @@ on top of it: the vectorized format-time defect scan, the
 and the batched line-verification sweep.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twin_racks import device_rack
 from repro.api.fleet import FleetStore
@@ -16,6 +21,7 @@ from repro.api.store import TamperEvidentStore
 from repro.device.sero import DeviceConfig, SERODevice, VerifyStatus
 from repro.integrity.fossil import FossilizedIndex
 from repro.integrity.venti import VentiStore
+from repro.medium import defects
 from repro.medium.defects import defective_dots_in_block, scan_for_defects
 from repro.medium.geometry import MediumGeometry, geometry_for_blocks
 from repro.medium.medium import MediumConfig, PatternedMedium
@@ -58,7 +64,8 @@ def test_defect_scan_scalar_vectorized_identical():
 
 
 def test_defect_scan_counters_identical():
-    # Both paths issue the same per-block span I/O sequence.
+    # Both paths apply the same dot operations (in chunks of blocks or
+    # block by block), so the counter totals agree.
     scalar_medium = _defect_medium()
     batched_medium = _defect_medium()
     scan_for_defects(scalar_medium, vectorized=False)
@@ -87,14 +94,34 @@ def test_defect_scan_short_codeword_and_wide_e_region(write_field, tolerance):
     assert 0 < len(scalar.bad_blocks) and scalar.fragile_blocks
 
 
-@pytest.mark.parametrize("vectorized", [False, True])
+@pytest.mark.parametrize("vectorized", [False])
 def test_defect_scan_bumps_epoch_three_times_per_block(vectorized):
-    # Default geometry (4824-dot blocks, 72-bit codewords): each block
-    # takes exactly three span writes, two patterns and the erase.
+    # Default geometry (4824-dot blocks, 72-bit codewords): in the
+    # reference scan each block takes exactly three span writes, two
+    # patterns and the erase.
     medium = SERODevice.create(16).medium
     before = medium.mutation_epoch
     scan_for_defects(medium, vectorized=vectorized)
     assert medium.mutation_epoch == before + 3 * medium.geometry.total_blocks
+
+
+def test_defect_scan_bumps_epoch_three_times_per_chunk():
+    # The default scan takes the same three span writes per chunk of
+    # consecutive blocks, and per block in a chunk that holds a heated
+    # dot (its noise draws keep the reference's block order).
+    blocks = 64
+    medium = SERODevice.create(blocks).medium
+    chunk = defects._CHUNK_BYTES // medium.geometry.dots_per_block
+    assert 1 < chunk < blocks
+    chunks = math.ceil(blocks / chunk)
+    before = medium.mutation_epoch
+    scan_for_defects(medium)
+    assert medium.mutation_epoch == before + 3 * chunks
+    medium.heat_dot(medium.geometry.block_span(chunk)[0] + 5)
+    before = medium.mutation_epoch
+    scan_for_defects(medium)
+    per_block = min(chunk, blocks - chunk)
+    assert medium.mutation_epoch == before + 3 * (chunks - 1 + per_block)
 
 
 def test_defect_scan_ecc_word_rule():
@@ -117,6 +144,116 @@ def test_defect_scan_ecc_word_rule():
                 words.add(word)
             counts[pba] = doubled
         assert report.bad_blocks == {pba for pba, d in counts.items() if d}
+
+
+#: SHA-256 of :func:`_golden_format_trace`, recorded on the per-block
+#: format scan (three span writes and two span reads per block) before
+#: the scan moved to chunks of blocks.  Every later scan must
+#: reproduce it bit for bit.
+_GOLDEN_FORMAT_SHA256 = \
+    "b01f1669dfc3c98398a8e2be07996b074cbd90a86be115d5b0314d40ab7a2ead"
+
+
+def _golden_format_trace() -> str:
+    """Seeded ``SERODevice.format()`` on three devices: 64 default
+    blocks with bad blocks and fragile-but-good ones, a prime 53-block
+    device, and 53 blocks with heated dots in blocks 2, 3 and 31 (their
+    reads draw noise).  Per device a digest of the bad and fragile
+    sets, the scan's ``defective_dots`` (from an identically seeded
+    twin scanned with the arguments ``format`` passes), the medium
+    counters, the RNG state and SHA-256s of ``_mag`` and
+    ``_sharpness``."""
+    import hashlib
+    import json
+
+    from repro.device.sector import E_REGION_DOTS
+
+    def build(blocks, seed, write_field, heated, blocks_per_row):
+        device = SERODevice.create(
+            blocks, MediumConfig(switching_sigma=0.1,
+                                 write_field=write_field, seed=seed),
+            blocks_per_row=blocks_per_row)
+        for pba, offsets in heated:
+            start, _end = device.geometry.block_span(pba)
+            for offset in offsets:
+                device.medium.heat_dot(start + offset)
+        return device
+
+    cases = [
+        (64, 7, 1.38, (), 8),
+        (53, 8, 1.4, (), 1),
+        (53, 9, 1.38, ((2, (0, 1, 70)), (3, (4000, 4823)), (31, (7,))), 1),
+    ]
+    digest = hashlib.sha256()
+    for case in cases:
+        device, twin = build(*case), build(*case)
+        device.format()
+        report = scan_for_defects(
+            twin.medium, tolerance=twin.config.defect_tolerance,
+            e_region_dots=E_REGION_DOTS)
+        assert report.bad_blocks == device.bad_blocks
+        assert report.fragile_blocks == device.fragile_blocks
+        medium = device.medium
+        digest.update(repr((sorted(device.bad_blocks),
+                            sorted(device.fragile_blocks),
+                            report.defective_dots,
+                            report.scanned_blocks)).encode())
+        digest.update(json.dumps(medium.counters, sort_keys=True).encode())
+        digest.update(json.dumps(medium._rng.bit_generator.state,
+                                 sort_keys=True).encode())
+        digest.update(hashlib.sha256(medium._mag.tobytes()).digest())
+        digest.update(hashlib.sha256(medium._sharpness.tobytes()).digest())
+    return digest.hexdigest()
+
+
+def test_format_golden_trace():
+    assert _golden_format_trace() == _GOLDEN_FORMAT_SHA256
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_chunked_scan_matches_scalar_oracle(data):
+    # Small geometries with the chunk budget shrunk to a few blocks, so
+    # the block count lands on every side of a chunk boundary.  The
+    # chunked scan's report, counters, final medium and RNG position
+    # must equal the block-at-a-time reference's, heated dots included.
+    chunk = data.draw(st.integers(1, 5), label="chunk")
+    dpb = data.draw(st.integers(4, 48), label="dots_per_block")
+    blocks = data.draw(st.sampled_from(sorted(
+        {1, max(chunk - 1, 1), chunk, chunk + 1, 2 * chunk + 1, 3 * chunk})),
+        label="blocks")
+    sigma = data.draw(st.sampled_from([0.0, 0.2, 0.45]), label="sigma")
+    write_field = data.draw(st.sampled_from([1.0, 1.15, 1.4]),
+                            label="write_field")
+    ecc_word_bits = data.draw(st.integers(1, dpb + 3), label="ecc_word_bits")
+    e_region_dots = data.draw(st.integers(0, dpb + 3), label="e_region_dots")
+    tolerance = data.draw(st.integers(0, 3), label="tolerance")
+    heated = data.draw(st.lists(st.integers(0, blocks * dpb - 1),
+                                max_size=4), label="heated_dots")
+    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    budget = chunk * dpb + data.draw(st.integers(0, dpb - 1), label="slack")
+
+    runs = []
+    for vectorized in (False, True):
+        medium = PatternedMedium(
+            MediumGeometry(cols=dpb, rows=blocks, dots_per_block=dpb),
+            MediumConfig(switching_sigma=sigma, write_field=write_field,
+                         seed=seed))
+        for dot in heated:
+            medium.heat_dot(dot)
+        with mock.patch.object(defects, "_CHUNK_BYTES", budget):
+            report = scan_for_defects(
+                medium, tolerance=tolerance, e_region_dots=e_region_dots,
+                ecc_word_bits=ecc_word_bits, vectorized=vectorized)
+        runs.append((report, medium))
+    (scalar, scalar_medium), (chunked, chunked_medium) = runs
+    assert chunked == scalar
+    assert chunked_medium.counters == scalar_medium.counters
+    assert chunked_medium._rng.bit_generator.state == \
+        scalar_medium._rng.bit_generator.state
+    np.testing.assert_array_equal(chunked_medium._mag, scalar_medium._mag)
+    np.testing.assert_array_equal(chunked_medium._sharpness,
+                                  scalar_medium._sharpness)
 
 
 def test_defective_dots_in_block_matches_scalar_ground_truth():

@@ -12,6 +12,7 @@ from repro.errors import (
     ReadError,
     WriteError,
 )
+from repro.fs.lfs import SeroFS
 from repro.medium.medium import MediumConfig
 
 PAYLOAD = bytes(range(256)) * 2
@@ -152,6 +153,38 @@ def test_load_line_single(small_device):
     assert loaded.line_hash == record.line_hash
 
 
+def test_load_line_registers_exactly_the_line_as_mount_and_scan_do(device):
+    # A 16-block and a 4-block line behind a checkpoint.  load_line
+    # registers 1 << n_blocks_log2 blocks for each, and a remount from
+    # the checkpoint and a scan_lines rebuild reach the same registry.
+    fs = SeroFS.format(device)
+    fs.create("/small", b"s" * 300)
+    fs.heat_file("/small")
+    fs.create("/big", b"b" * 6000)
+    fs.heat_file("/big")
+    fs.checkpoint()
+    lines = [(record.start, record.n_blocks) for record in device.heated_lines]
+    assert sorted(n for _start, n in lines) == [4, 16]
+    expected = {pba: start for start, n in lines
+                for pba in range(start, start + n)}
+
+    def registry(dev):
+        return (dict(dev._lines), dict(dev._block_to_line))
+
+    loaded = device.clone()
+    loaded._lines.clear()
+    loaded._block_to_line.clear()
+    for start, n in lines:
+        assert loaded.load_line(start).n_blocks == n
+    assert loaded._block_to_line == expected
+    assert registry(loaded) == registry(device)
+
+    remounted = SeroFS.mount(SERODevice(device.clone().medium)).device
+    scanned = device.clone()
+    scanned.scan_lines()
+    assert registry(remounted) == registry(scanned) == registry(device)
+
+
 def test_load_line_on_virgin_block_returns_none(small_device):
     assert small_device.load_line(32) is None
 
@@ -187,6 +220,21 @@ def test_heat_refuses_lines_with_bad_blocks():
     line_start = (bad // 4) * 4
     with pytest.raises(BadBlockError):
         device.heat_line(line_start, 4)
+
+
+def test_heat_refuses_a_bad_interior_block_under_a_healthy_head():
+    # Block 32 is neither fragile nor bad, so the head checks pass and
+    # only the bad-block check over the whole line can refuse [32, 40):
+    # its one bad block is interior block 37, and the error names it.
+    device = SERODevice.create(
+        64, medium_config=MediumConfig(switching_sigma=0.1, write_field=1.4,
+                                       seed=1))
+    device.format()
+    assert 32 not in device.fragile_blocks | device.bad_blocks
+    assert [pba for pba in range(32, 40) if pba in device.bad_blocks] == [37]
+    with pytest.raises(BadBlockError, match=r"contains bad block 37$"):
+        device.heat_line(32, 8)
+    assert not device.heated_lines
 
 
 def test_format_after_heating_refused(small_device):
