@@ -56,7 +56,7 @@ from typing import (
     Union,
 )
 
-from ..errors import ConfigurationError, FileExistsError_, FileNotFoundError_
+from ..errors import ConfigurationError, FileNotFoundError_
 from ..fs.inode import FileType
 from ..medium.medium import MediumConfig
 from ..parallel import (
@@ -349,18 +349,6 @@ class FleetStore:
                     paths.append(child)
         return paths
 
-    @staticmethod
-    def _ensure_parents(store: TamperEvidentStore, path: str) -> None:
-        """Create the directory chain ``path`` needs on ``store``."""
-        parts = path.strip("/").split("/")[:-1]
-        prefix = ""
-        for part in parts:
-            prefix = f"{prefix}/{part}"
-            try:
-                store.fs.mkdir(prefix)
-            except FileExistsError_:
-                pass
-
     def migrate_unsealed(self) -> MigrationReport:
         """Background rebalance: restore exact routing after growth.
 
@@ -405,8 +393,7 @@ class FleetStore:
                     sealed_kept += 1
                     continue
                 destination = self.members[target]
-                self._ensure_parents(destination, path)
-                destination.put(path, store.get(path))
+                destination.put(path, store.get(path), make_parents=True)
                 store.delete(path)
                 moved += 1
         routing_exact = sealed_kept == 0

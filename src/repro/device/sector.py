@@ -82,8 +82,8 @@ def encode_frame_run(first_pba: int, payloads: "list[bytes]") -> np.ndarray:
     pass over the joined frame bytes is bit-identical to per-frame
     :func:`encode_frame` calls; returns the concatenated dot pattern.
     """
-    frames = b"".join(_frame_bytes(first_pba + i, payload)
-                      for i, payload in enumerate(payloads))
+    frames = b"".join([_frame_bytes(first_pba + i, payload)
+                       for i, payload in enumerate(payloads)])
     return ecc.encode(frames)
 
 

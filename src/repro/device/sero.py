@@ -49,10 +49,8 @@ from .sector import (
     E_PAYLOAD_BYTES,
     E_REGION_DOTS,
     ElectricalPayload,
-    decode_frame,
     decode_frame_run,
     decode_frame_runs,
-    encode_frame,
     encode_frame_run,
 )
 from .scanner import Scanner
@@ -327,33 +325,45 @@ class SERODevice:
         heated line can still be read magnetically, hence efficiently");
         the electrically written block 0 of a line cannot.
         """
-        self._check_pba(pba)
-        line = self.line_of_block(pba)
-        if line is not None and pba == line.start:
-            raise HeatedBlockError(
-                f"block {pba} is the electrically written hash block of a "
-                "heated line; use ers_block/verify_line")
-        return self._mrs(pba)
+        return self._checked_read_run(pba, 1)[0]
 
-    def _mrs(self, pba: int) -> bytes:
-        start, end = self.geometry.block_span(pba)
-        self.scanner.seek_to_block(pba)
-        self.scanner.transfer(end - start, "mrb")
-        bits = self.medium.read_mag_span(start, end)
-        return decode_frame(bits, expected_pba=pba).payload
+    def read_block_run(self, first: int, count: int) -> List[bytes]:
+        """mrs a run of ``count`` consecutive blocks.
+
+        The checks of :meth:`read_block` apply to every block of the
+        run, before anything is read; on the span engine the run is
+        then read as one medium span (:meth:`_mrs_run`).
+        """
+        return self._checked_read_run(first, count)
+
+    def _checked_read_run(self, first: int, count: int) -> List[bytes]:
+        """The one checked mrs path: range, bad block and heated hash
+        block per block, then :meth:`_mrs_run`."""
+        for pba in range(first, first + count):
+            self._check_pba(pba)
+            line = self.line_of_block(pba)
+            if line is not None and pba == line.start:
+                raise HeatedBlockError(
+                    f"block {pba} is the electrically written hash block "
+                    "of a heated line; use ers_block/verify_line")
+        return self._mrs_run(first, count)
 
     def _mrs_run(self, first: int, count: int) -> List[bytes]:
-        """mrs a run of ``count`` consecutive blocks in one span read.
+        """mrs a run of ``count`` consecutive blocks, unchecked.
 
-        The sled walks the run exactly as ``count`` sequential ``_mrs``
-        calls would (same seeks, same transfer charge), but the medium
-        is read in a single span and decoded per block afterwards —
-        one numpy gather instead of ``count``.
+        On the span engine the sled walks the run exactly as ``count``
+        single-block reads would (same seeks, same transfer charge),
+        but the medium is read in a single span and decoded per block
+        afterwards — one numpy gather instead of ``count``.  The scalar
+        engine reads and decodes block by block.
         """
+        if not self.config.span_engine:
+            return [decode_frame_run(self._mrs_span(pba, 1), pba)[0].payload
+                    for pba in range(first, first + count)]
         if count <= 0:
             return []
-        bits = self._mrs_span(first, count)
-        return [frame.payload for frame in decode_frame_run(bits, first)]
+        return [frame.payload for frame in
+                decode_frame_run(self._mrs_span(first, count), first)]
 
     def _mrs_span(self, first: int, count: int) -> np.ndarray:
         """Charge the sled for an mrs run and read its dots, undecoded.
@@ -370,29 +380,6 @@ class SERODevice:
         self.scanner.transfer(end_dot - start_dot, "mrb")
         return self.medium.read_mag_span(start_dot, end_dot)
 
-    def read_block_run(self, first: int, count: int) -> List[bytes]:
-        """mrs a run of ``count`` consecutive blocks.
-
-        Driver policy checks (range, bad block, heated hash block) are
-        applied per block before anything is read; on the span engine
-        the run is then read as one medium span (:meth:`_mrs_run`).
-        The scalar path, and a run of one, fall back to per-block
-        :meth:`read_block`.
-        """
-        if count <= 0:
-            return []
-        for pba in range(first, first + count):
-            self._check_pba(pba)
-            line = self.line_of_block(pba)
-            if line is not None and pba == line.start:
-                raise HeatedBlockError(
-                    f"block {pba} is the electrically written hash block "
-                    "of a heated line; use ers_block/verify_line")
-        if not self.config.span_engine or count == 1:
-            return [self.read_block(first + offset)
-                    for offset in range(count)]
-        return self._mrs_run(first, count)
-
     def write_block(self, pba: int, payload: bytes) -> None:
         """Magnetic write sector (mws).
 
@@ -400,47 +387,41 @@ class SERODevice:
         ``enforce_write_protect`` is set (driver policy; the medium
         itself cannot refuse).
         """
-        self._check_pba(pba)
-        if self.config.enforce_write_protect and self.is_block_heated(pba):
-            raise HeatedBlockError(
-                f"block {pba} belongs to a heated line and is read-only")
-        self._mws(pba, payload)
-
-    def _mws(self, pba: int, payload: bytes) -> None:
-        bits = encode_frame(pba, payload)
-        start, _end = self.geometry.block_span(pba)
-        self.scanner.seek_to_block(pba)
-        self.scanner.transfer(len(bits), "mwb")
-        self.medium.write_mag_span(start, bits)
+        self._checked_write_run(pba, [payload])
 
     def write_block_run(self, first: int, payloads: Sequence[bytes]) -> None:
         """mws a run of consecutive blocks starting at ``first``.
 
-        Driver policy checks are applied per block; on the span engine
-        the encoded frames are concatenated and written in a single
-        span (the seek/transfer charges match the sequential writes —
-        a run continuation costs no seek).  The scalar path falls back
-        to per-block ``write_block``.
+        The checks of :meth:`write_block` apply to every block of the
+        run, before anything is written; on the span engine the
+        encoded frames are concatenated and written in a single span
+        (the seek/transfer charges match the sequential writes — a run
+        continuation costs no seek).
         """
-        count = len(payloads)
-        if count == 0:
-            return
-        for offset in range(count):
-            pba = first + offset
+        self._checked_write_run(first, payloads)
+
+    def _checked_write_run(self, first: int,
+                           payloads: Sequence[bytes]) -> None:
+        """The one checked mws path: range, bad block and write protect
+        per block, then one span write per run (per block on the scalar
+        engine)."""
+        for pba in range(first, first + len(payloads)):
             self._check_pba(pba)
             if self.config.enforce_write_protect and self.is_block_heated(pba):
                 raise HeatedBlockError(
                     f"block {pba} belongs to a heated line and is read-only")
         if not self.config.span_engine:
-            for offset, payload in enumerate(payloads):
-                self._mws(first + offset, payload)
-            return
-        bits = encode_frame_run(first, list(payloads))
-        start_dot, _ = self.geometry.block_span(first)
-        for pba in range(first, first + count):
-            self.scanner.seek_to_block(pba)  # continuations charge 0
-        self.scanner.transfer(len(bits), "mwb")
-        self.medium.write_mag_span(start_dot, bits)
+            runs = [(first + offset, [payload])
+                    for offset, payload in enumerate(payloads)]
+        else:
+            runs = [(first, payloads)] if payloads else []
+        for run_first, run in runs:
+            bits = encode_frame_run(run_first, run)
+            start_dot, _ = self.geometry.block_span(run_first)
+            for pba in range(run_first, run_first + len(run)):
+                self.scanner.seek_to_block(pba)  # continuations charge 0
+            self.scanner.transfer(len(bits), "mwb")
+            self.medium.write_mag_span(start_dot, bits)
 
     # -- electrical sector operations ----------------------------------------------
 
@@ -484,46 +465,24 @@ class SERODevice:
     def _ers_codes(self, pba: int) -> np.ndarray:
         """ers a block to an array of Manchester cell codes.
 
-        Seeks, reads every cell (with the unused-cell retry policy)
-        and charges the scanner; returns an int8 array of ``E_CELLS``
-        cell codes (``_CODE_*``).
+        Reads every cell (with the unused-cell retry policy), seeks and
+        charges the scanner; returns an int8 array of ``E_CELLS`` cell
+        codes (``_CODE_*``).  The span engine reads through
+        :meth:`_ers_codes_many`, as a batch of one.
         """
-        self._check_pba(pba)
-        start, _end = self.geometry.block_span(pba)
-        self.scanner.seek_to_block(pba)
         rounds = self.config.erb_rounds
         if self.config.span_engine:
-            codes, erb_ops = self._ers_cells_span(start, rounds)
+            codes, erb_ops = self._ers_codes_many([pba])
+            codes, erb_ops = codes[0], int(erb_ops[0])
         else:
+            self._check_pba(pba)
+            start, _end = self.geometry.block_span(pba)
             codes, erb_ops = self._ers_cells_scalar(start, rounds)
+        self.scanner.seek_to_block(pba)
         # one erb costs 1 + 4*rounds bit operations (BitOps.bit_cost)
         self.scanner.transfer(erb_ops, "erb",
                               per_bit=self.timing.t_erb_for(rounds))
         return codes
-
-    def _ers_cells_span(self, start: int,
-                        rounds: int) -> Tuple[np.ndarray, int]:
-        """Span-engine cell read: bulk erb plus vectorized retries."""
-        heated = self.bitops.erb_span(start, start + E_REGION_DOTS, rounds)
-        erb_ops = E_REGION_DOTS
-        first = heated[0::2].copy()
-        second = heated[1::2].copy()
-        unresolved = np.flatnonzero(~first & ~second)
-        for _ in range(self.config.ers_cell_retries):
-            if unresolved.size == 0:
-                break
-            idx = np.empty(2 * unresolved.size, dtype=np.int64)
-            idx[0::2] = start + 2 * unresolved
-            idx[1::2] = idx[0::2] + 1
-            h = self.bitops.erb_at(idx, rounds)
-            erb_ops += int(idx.size)
-            h0 = h[0::2]
-            h1 = h[1::2]
-            first[unresolved] |= h0
-            second[unresolved] |= h1
-            unresolved = unresolved[~(h0 | h1)]
-        codes = (first.astype(np.int8) << 1) | second.astype(np.int8)
-        return codes, erb_ops
 
     def _ers_cells_scalar(self, start: int,
                           rounds: int) -> Tuple[np.ndarray, int]:
@@ -558,7 +517,7 @@ class SERODevice:
         return self._decode_code_rows(self._ers_codes(pba)[None, :])[0]
 
     def _ers_codes_many(self, pbas: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched ``_ers_codes`` over many blocks.
+        """The span engine's ers over many blocks (one for ``_ers_codes``).
 
         Reads every block's electrical region in one bulk erb gather
         and runs the unused-cell retry policy as shared waves across
@@ -568,38 +527,40 @@ class SERODevice:
         caller can charge the scanner in protocol order.
         """
         n = len(pbas)
-        if n == 0:
-            return np.empty((0, E_CELLS), dtype=np.int8), np.zeros(0, np.int64)
-        starts = np.empty(n, dtype=np.int64)
-        for i, pba in enumerate(pbas):
+        starts = []
+        for pba in pbas:
             self._check_pba(pba)
-            starts[i] = self.geometry.block_span(pba)[0]
+            starts.append(self.geometry.block_span(pba)[0])
         rounds = self.config.erb_rounds
         heated = self.bitops.erb_spans(starts, E_REGION_DOTS, rounds)
-        # flat (block-major) cell arrays: a retry wave addresses its
-        # cells by flat index, in the order a row-major scan meets them
-        first = heated[:, 0::2].ravel()
-        second = heated[:, 1::2].ravel()
-        erb_ops = np.full(n, E_REGION_DOTS, dtype=np.int64)
-        unresolved = np.flatnonzero(~first & ~second)
+        # a cell is its two dot verdicts read as one uint16 (0: both U),
+        # flat and block-major, so a retry wave addresses its cells by
+        # flat index in the order a row-major scan meets them
+        cells = heated.view(np.uint16).ravel()
+        unresolved = np.flatnonzero(cells == 0)
+        rows = unresolved // E_CELLS
+        dots = np.asarray(starts, dtype=np.int64)[rows] \
+            + 2 * (unresolved - rows * E_CELLS)  # each cell's first dot
+        waves = []
         for _ in range(self.config.ers_cell_retries):
             if unresolved.size == 0:
                 break
-            rows = unresolved // E_CELLS
-            d0 = starts[rows] + 2 * (unresolved - rows * E_CELLS)
+            waves.append(unresolved)
             idx = np.empty(2 * unresolved.size, dtype=np.int64)
-            idx[0::2] = d0
-            idx[1::2] = d0 + 1
-            h = self.bitops.erb_at(idx, rounds)
-            erb_ops += 2 * np.bincount(rows, minlength=n)
-            h0 = h[0::2]
-            h1 = h[1::2]
+            idx[0::2] = dots
+            idx[1::2] = dots + 1
+            h = self.bitops.erb_at(idx, rounds).view(np.uint16)
             # both dots of an unresolved cell read U so far
-            first[unresolved] = h0
-            second[unresolved] = h1
-            unresolved = unresolved[~(h0 | h1)]
-        codes = (first.astype(np.int8) << 1) | second.astype(np.int8)
-        return codes.reshape(n, E_CELLS), erb_ops
+            cells[unresolved] = h
+            left = h == 0
+            unresolved, dots = unresolved[left], dots[left]
+        retried = np.concatenate(waves) if waves else unresolved[:0]
+        erb_ops = E_REGION_DOTS + 2 * np.bincount(retried // E_CELLS,
+                                                  minlength=n)
+        # 2 * first + second, on int8 views of the bool verdicts
+        codes = heated[:, 0::2].view(np.int8) * 2 \
+            + heated[:, 1::2].view(np.int8)
+        return codes, erb_ops
 
     # -- the heat operation -----------------------------------------------------------
 
@@ -644,7 +605,7 @@ class SERODevice:
                     f"line at {existing.start} (+{existing.n_blocks})")
 
         addresses = self._line_data_addresses(start, n_blocks)
-        blocks = self._read_line_blocks(addresses)
+        blocks = self._mrs_run(start + 1, len(addresses))
         digest = line_hash(addresses, blocks,
                            include_addresses=self.config.include_addresses_in_hash)
         payload = ElectricalPayload(
@@ -708,13 +669,6 @@ class SERODevice:
             return VerificationResult(status=VerifyStatus.UNREADABLE, start=start)
         return self._verify_magnetic(start, meta)
 
-    def _read_line_blocks(self, addresses: List[int]) -> List[bytes]:
-        """mrs a line's (consecutive) data blocks, as one span run on
-        the span engine."""
-        if self.config.span_engine and addresses:
-            return self._mrs_run(addresses[0], len(addresses))
-        return [self._mrs(pba) for pba in addresses]
-
     def _verify_magnetic(self, start: int,
                          meta: ElectricalPayload) -> VerificationResult:
         """Magnetic half of line verification: recompute and compare
@@ -724,7 +678,7 @@ class SERODevice:
             return misplaced
         addresses = self._line_data_addresses(start, 1 << meta.n_blocks_log2)
         try:
-            blocks = self._read_line_blocks(addresses)
+            blocks = self._mrs_run(start + 1, len(addresses))
         except ReadError:
             # a data block no longer decodes: overwritten garbage,
             # electrically destroyed dots, or a bulk erase
@@ -734,11 +688,13 @@ class SERODevice:
     def _misplaced(self, start: int,
                    meta: ElectricalPayload) -> Optional[VerificationResult]:
         """A hash block that names another line start (a copied or
-        forged head), or a line that would end past the medium, is a
-        mismatch before any data is read; discovery never registers
-        it."""
-        if meta.line_start == start and \
-                start + (1 << meta.n_blocks_log2) <= self.total_blocks:
+        forged head), or whose line could not have been heated — under
+        two blocks, not aligned on its length, or ending past the
+        medium (:meth:`_check_line_shape`) — is a mismatch before any
+        data is read; discovery never registers it."""
+        n_blocks = 1 << meta.n_blocks_log2
+        if meta.line_start == start and meta.n_blocks_log2 and \
+                start % n_blocks == 0 and start + n_blocks <= self.total_blocks:
             return None
         return VerificationResult(status=VerifyStatus.HASH_MISMATCH,
                                   start=start, stored_hash=meta.line_hash)
@@ -935,8 +891,9 @@ class SERODevice:
 
         The "fsck style scan ... would definitely recover (albeit
         slowly) all the heated files" of Section 5.2.  Every block is
-        probed electrically; blocks that respond are fully ers-read and
-        parsed.  Returns the recovered records (also re-registered).
+        probed electrically; a block that responds is handed to
+        :meth:`load_line`.  Returns the recovered records (also
+        re-registered).
         """
         recovered: List[LineRecord] = []
         self._lines.clear()
@@ -948,21 +905,11 @@ class SERODevice:
                 continue  # interior of an already recovered line
             if not self.probe_block_electrical(pba):
                 continue
-            payload, tampered, _virgin = self._ers_payload(pba)
-            if payload is None:
-                continue  # tampered or partial: surfaced by verify, not scan
-            try:
-                meta = ElectricalPayload.unpack(payload)
-            except ReadError:
-                continue
-            if self._misplaced(pba, meta) is not None:
-                continue  # surfaced by verify, not registered
-            record = LineRecord(start=meta.line_start,
-                                n_blocks=1 << meta.n_blocks_log2,
-                                line_hash=meta.line_hash,
-                                timestamp=meta.timestamp)
-            self._register(record)
-            recovered.append(record)
+            # tampered, partial or misplaced heads are surfaced by
+            # verify, not registered
+            record = self.load_line(pba)
+            if record is not None:
+                recovered.append(record)
         return recovered
 
     # -- lifecycle ---------------------------------------------------------------------------

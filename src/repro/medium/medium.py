@@ -624,7 +624,7 @@ class PatternedMedium:
         n = self.geometry.total_dots
         # sign bits -> -1/+1 in place on int8 (2 * bit - 1)
         mag = np.unpackbits(state["mag_bits"], count=n).view(np.int8)
-        mag <<= 1
+        mag += mag
         mag -= 1
         sharpness = np.ones(n, dtype=np.float32)
         touched = np.unpackbits(state["touched_bits"], count=n).view(bool)

@@ -210,6 +210,88 @@ def test_format_golden_trace():
     assert _golden_format_trace() == _GOLDEN_FORMAT_SHA256
 
 
+#: SHA-256 of :func:`_golden_discovery_trace`, recorded on the
+#: block-at-a-time discovery scan (one electrical probe per block, a
+#: full ers of each block that responds) before discovery was rebuilt.
+#: Every later scan must reproduce it bit for bit.
+_GOLDEN_DISCOVERY_SHA256 = \
+    "d7127a8d898c30d84552e4c4214853208d20c1f19bdc7f963a16ec868e8e600f"
+
+
+def _golden_discovery_trace() -> str:
+    """Seeded ``scan_lines()`` on a 64- and a 256-block device, each
+    scanned on the span and on the scalar engine (the devices are built
+    on the span engine).  They hold aligned real lines of several
+    sizes, a bad block outside any line, a real line whose head block
+    is marked bad (so its interior is probed), a head with HH cells, a
+    torn head (only its first half of cells burnt) and a copied head
+    that names another line start.  Per run a digest of the recovered
+    registry, the medium counters, the cost account and the RNG
+    state."""
+    import hashlib
+    import json
+
+    from repro.crypto.manchester import encode_bytes
+    from repro.device.sector import E_CELLS, ElectricalPayload
+    from repro.security.attacks import ewb_hash
+
+    cases = [
+        # blocks, seed, real lines, bad, bad head, HH head, torn, copy
+        (64, 3, ((0, 2), (4, 4), (16, 16), (32, 8)), 60, (8, 8),
+         (40, 4), 48, (56, 4)),
+        (256, 5, ((0, 2), (16, 16), (64, 64), (192, 32), (228, 4)), 7,
+         (32, 32), (8, 8), 224, (240, 4)),
+    ]
+    digest = hashlib.sha256()
+    for span_engine in (True, False):
+        for blocks, seed, lines, bad, bad_head, hh_head, torn, copy in cases:
+            device = SERODevice.create(blocks, MediumConfig(seed=seed))
+            data = np.random.default_rng(seed)
+
+            def line(start, n_blocks):
+                for pba in range(start + 1, start + n_blocks):
+                    device.write_block(pba, data.bytes(512))
+                device.heat_line(start, n_blocks, timestamp=start)
+
+            for start, n_blocks in lines + (bad_head, hh_head):
+                line(start, n_blocks)
+            device.bad_blocks.update((bad, bad_head[0]))
+            ewb_hash(device, hh_head[0], n_cells=3)
+            payload = ElectricalPayload(line_start=torn, n_blocks_log2=2,
+                                        line_hash=bytes(32)).pack()
+            pattern = np.asarray(encode_bytes(payload), dtype=bool)
+            pattern[E_CELLS:] = False
+            start_dot = device.geometry.block_span(torn)[0]
+            device.medium.heat_span(start_dot, start_dot + len(pattern),
+                                    pattern)
+            copied = ElectricalPayload(line_start=copy[1],
+                                       n_blocks_log2=2,
+                                       line_hash=bytes(32)).pack()
+            device.ews_block(copy[0], copied)
+
+            device.config.span_engine = span_engine
+            recovered = device.scan_lines()
+            account = device.account
+            digest.update(repr([(r.start, r.n_blocks, r.line_hash.hex(),
+                                 r.timestamp) for r in recovered]).encode())
+            digest.update(repr(sorted(device._block_to_line.items()))
+                          .encode())
+            digest.update(json.dumps(device.medium.counters,
+                                     sort_keys=True).encode())
+            digest.update(account.elapsed.hex().encode())
+            digest.update(repr(sorted(
+                (k, v.hex()) for k, v in account.by_category.items()))
+                .encode())
+            digest.update(repr(sorted(account.op_counts.items())).encode())
+            digest.update(json.dumps(device.medium._rng.bit_generator.state,
+                                     sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_discovery_golden_trace():
+    assert _golden_discovery_trace() == _GOLDEN_DISCOVERY_SHA256
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_chunked_scan_matches_scalar_oracle(data):
@@ -632,17 +714,101 @@ def test_batched_audit_golden_trace():
 
 
 def test_write_block_run_equivalent_to_sequential_writes():
-    run_device = SERODevice.create(16)
-    seq_device = SERODevice.create(16)
-    payloads = [bytes([i]) * 512 for i in range(5)]
-    run_device.write_block_run(2, payloads)
-    for i, payload in enumerate(payloads):
-        seq_device.write_block(2 + i, payload)
-    for i, payload in enumerate(payloads):
-        assert run_device.read_block(2 + i) == payload
-        assert seq_device.read_block(2 + i) == payload
-    assert run_device.medium.counters["mwb"] == \
-        seq_device.medium.counters["mwb"]
+    """A run op is its single-block op repeated, in both directions, on
+    both engines, a run of one included: the same payloads, medium
+    bytes, counters and RNG position (a heated dot in block 3 draws
+    read noise).  A run of one, and any run on the scalar engine, also
+    charges the same cost account and moves the mutation epoch alike;
+    a longer span-engine run charges one transfer for the run.  A
+    refused run names the same block, in the same words, as the single
+    op that refuses it, and touches nothing."""
+    from repro.errors import HeatedBlockError
+
+    def state(device, exact):
+        medium, account = device.medium, device.account
+        common = (medium._mag.tobytes(), dict(medium.counters),
+                  medium._rng.bit_generator.state, dict(account.op_counts))
+        if not exact:
+            return common
+        return common + (medium.mutation_epoch, account.elapsed.hex(),
+                         sorted((k, v.hex())
+                                for k, v in account.by_category.items()))
+
+    for span_engine in (True, False):
+        for first, count in ((2, 1), (2, 5)):
+            exact = count == 1 or not span_engine
+            payloads = [bytes([i]) * 512 for i in range(count)]
+            twins = []
+            for by_run in (True, False):
+                device = SERODevice.create(
+                    16, config=DeviceConfig(span_engine=span_engine))
+                if by_run:
+                    device.write_block_run(first, payloads)
+                else:
+                    for i, payload in enumerate(payloads):
+                        device.write_block(first + i, payload)
+                device.medium.heat_dot(device.geometry.block_span(first)[0]
+                                       + 100)
+                if by_run:
+                    read = device.read_block_run(first, count)
+                else:
+                    read = [device.read_block(first + i)
+                            for i in range(count)]
+                assert read == payloads
+                twins.append(state(device, exact))
+            assert twins[0] == twins[1], (span_engine, count)
+
+        device = SERODevice.create(
+            16, config=DeviceConfig(span_engine=span_engine))
+        for pba in range(9, 16):
+            device.write_block(pba, PAYLOAD)
+        device.heat_line(8, 8)
+        before = state(device, True)
+        for single, runs in (
+                (lambda: device.read_block(8),
+                 (lambda: device.read_block_run(8, 1),
+                  lambda: device.read_block_run(6, 4))),
+                (lambda: device.write_block(8, PAYLOAD),
+                 (lambda: device.write_block_run(8, [PAYLOAD]),
+                  lambda: device.write_block_run(6, [PAYLOAD] * 4)))):
+            with pytest.raises(HeatedBlockError) as want:
+                single()
+            assert "block 8 " in str(want.value)
+            for run in runs:
+                with pytest.raises(HeatedBlockError) as got:
+                    run()
+                assert str(got.value) == str(want.value)
+        assert state(device, True) == before
+
+
+def test_each_policy_check_is_stated_once():
+    # A single-block sector op is the run of one of its run op, so each
+    # HeatedBlockError refusal lives in one checked helper, and one
+    # path (heat, or load_line under scan_lines) registers a line.
+    import ast
+    import inspect
+
+    from repro.device import sero
+
+    tree = ast.parse(inspect.getsource(sero))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef)
+               and node.name == "SERODevice")
+    functions = [fn for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+
+    def sites(predicate):
+        return sorted(fn.name for fn in functions
+                      for node in ast.walk(fn) if predicate(node))
+
+    assert sites(lambda node: isinstance(node, ast.Raise)
+                 and isinstance(node.exc, ast.Call)
+                 and getattr(node.exc.func, "id", None)
+                 == "HeatedBlockError") == \
+        ["_checked_read_run", "_checked_write_run"]
+    assert sites(lambda node: isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "_register") == \
+        ["heat_line", "load_line"]
 
 
 def test_fossil_audit_matches_per_node_verdicts():

@@ -284,3 +284,31 @@ def test_forged_head_overrunning_the_device_is_a_mismatch(device):
     assert [(r.start, r.n_blocks) for r in device.scan_lines()] == \
         [(line.start, line.n_blocks)]
     assert [r.status for r in device.verify_all()] == [VerifyStatus.INTACT]
+
+
+def test_a_misaligned_forged_head_hides_no_real_line(small_device):
+    """A real 8-block line heated at block 8 and a CRC-valid forged head
+    at block 4 claiming ``line_start=4, n_blocks_log2=3``.  Real lines
+    are aligned power-of-two extents of at least two blocks, so the
+    misaligned head is a forgery: discovery skips it and finds the real
+    line (it used to register the forgery and skip blocks 5-11 as its
+    interior), and verifying it reads a mismatch.  A one-block head is
+    refused the same way."""
+    from repro.device.sector import ElectricalPayload
+
+    line = _heated(small_device, start=8, n=8)
+    small_device.ews_block(4, ElectricalPayload(
+        line_start=4, n_blocks_log2=3, line_hash=bytes(32)).pack())
+    small_device.ews_block(20, ElectricalPayload(
+        line_start=20, n_blocks_log2=0, line_hash=bytes(32)).pack())
+    assert [(r.start, r.n_blocks) for r in small_device.scan_lines()] == \
+        [(line.start, line.n_blocks)]
+    assert [(r.start, r.status) for r in small_device.verify_all()] == \
+        [(8, VerifyStatus.INTACT)]
+    assert small_device.load_line(4) is None
+    assert small_device.load_line(20) is None
+    assert [r.status for r in small_device.verify_lines([4, 20, 8])] == \
+        [VerifyStatus.HASH_MISMATCH, VerifyStatus.HASH_MISMATCH,
+         VerifyStatus.INTACT]
+    assert small_device.verify_line(4).status is VerifyStatus.HASH_MISMATCH
+    assert small_device.verify_line(20).status is VerifyStatus.HASH_MISMATCH
