@@ -446,6 +446,7 @@ class TamperEvidentStore:
             mine.medium.__dict__.clear()
             mine.medium.__dict__.update(new.medium.__dict__)
             mine.medium.geometry = geometry
+            mine.medium._mag  # decode a packed snapshot on this thread
             mine.account.__dict__.clear()
             mine.account.__dict__.update(new.account.__dict__)
             scanner_anchors = {"geometry": geometry,

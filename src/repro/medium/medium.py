@@ -584,8 +584,8 @@ class PatternedMedium:
           sharpness threshold (nothing can write a heated dot; see
           :attr:`mutation_epoch` for the three methods that own it) —
           so one packed sign bit per dot plus the sharpness map
-          reconstructs it exactly, and :meth:`__setstate__` re-zeroes
-          the heated dots from the touched values alone;
+          reconstructs it exactly, and the decode re-zeroes the
+          heated dots from the touched values alone;
         * sharpness is exactly 1.0 for every dot never touched by a
           heat pulse; only the touched entries need to travel — as a
           packed touched-dot bitmap (one bit per dot) plus their
@@ -621,27 +621,11 @@ class PatternedMedium:
     def __setstate__(self, state: dict) -> None:
         self.geometry = state["geometry"]
         self.config = state["config"]
-        n = self.geometry.total_dots
-        # sign bits -> -1/+1 in place on int8 (2 * bit - 1)
-        mag = np.unpackbits(state["mag_bits"], count=n).view(np.int8)
-        mag += mag
-        mag -= 1
-        sharpness = np.ones(n, dtype=np.float32)
-        touched = np.unpackbits(state["touched_bits"], count=n).view(bool)
         vals = state["sharp_vals"]
         # Only touched dots can be heated, so the mag == 0 invariant is
         # restored from the travelling values, not a whole-medium compare.
-        if state["sharp_uniform"]:
-            sharpness[touched] = vals[0]
-            if vals[0] < HEATED_SHARPNESS_THRESHOLD:
-                mag[touched] = 0
-        else:
-            sharpness[touched] = vals
-            touched_mag = mag[touched]
-            touched_mag[vals < HEATED_SHARPNESS_THRESHOLD] = 0
-            mag[touched] = touched_mag
-        self._mag = mag
-        self._sharpness = sharpness
+        self._packed = (state["mag_bits"], state["touched_bits"], vals,
+                        vals < HEATED_SHARPNESS_THRESHOLD)
         self._rng = state["rng"]
         self.counters = state["counters"]
         self._mut_epoch = state.get("mut_epoch", 0)
@@ -651,6 +635,27 @@ class PatternedMedium:
         # draw was the seeded generator's first sample, so a fresh
         # generator replays it bit-exactly (see the _k_scale property)
         self._k_scale = None
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Reached only for a name the instance lacks: a restored medium's
+        # arrays, decoded on the thread that first reads them.
+        if name not in ("_mag", "_sharpness") or \
+                "_packed" not in vars(self):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        mag_bits, touched_bits, vals, heated = vars(self).pop("_packed")
+        n = self.geometry.total_dots
+        # sign bits -> -1/+1 in place on int8 (2 * bit - 1)
+        self._mag = mag = np.unpackbits(mag_bits, count=n).view(np.int8)
+        mag += mag
+        mag -= 1
+        self._sharpness = np.ones(n, dtype=np.float32)
+        # indices, not a mask: touched dots are few
+        touched = np.flatnonzero(
+            np.unpackbits(touched_bits, count=n).view(bool))
+        self._sharpness[touched] = vals  # one value or one per dot
+        mag[touched] = np.where(heated, 0, mag[touched])
+        return vars(self)[name]
 
     # -- statistics -------------------------------------------------------------
 

@@ -342,6 +342,45 @@ def test_device_snapshot_decode_allocates_at_most_three_bytes_per_dot():
     assert clone.heated_lines == device.heated_lines
 
 
+def test_a_returned_member_decodes_on_the_thread_that_reads_it():
+    """The rpc client unpickles a returned member on a per-host thread
+    that ends with the pass.  Unpickling keeps the medium packed, so
+    that thread allocates no 5 B/dot arrays; ``adopt_state`` decodes
+    them, exactly, on the thread that folds the pass, so the next
+    object read does not pay the decode."""
+    import pickle
+    import threading
+    import tracemalloc
+
+    from repro import TamperEvidentStore
+
+    store = TamperEvidentStore.create(total_blocks=128)
+    store.put("/a", b"a" * 1500)
+    worker_copy = pickle.loads(pickle.dumps(store, pickle.HIGHEST_PROTOCOL))
+    worker_copy.seal("/a")
+    returned = pickle.dumps(worker_copy, pickle.HIGHEST_PROTOCOL)
+    received = []
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        thread = threading.Thread(
+            target=lambda: received.append(pickle.loads(returned)))
+        thread.start()
+        thread.join(timeout=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not thread.is_alive() and len(received) == 1
+    n = store.device.medium.geometry.total_dots
+    assert (peak - held) / n <= 1.0
+    store.adopt_state(received[0])
+    medium, want = store.device.medium, worker_copy.device.medium
+    assert "_packed" not in vars(medium)
+    assert np.array_equal(medium._mag, want._mag)
+    assert np.array_equal(medium._sharpness, want._sharpness)
+    assert store.verify("/a").intact
+
+
 # ---------------------------------------------------------------------------
 # One owner of "heated": mag == 0 exactly where sharpness fell below the
 # threshold, under any trace of medium operations
