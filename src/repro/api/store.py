@@ -39,6 +39,9 @@ of bare devices.
 from __future__ import annotations
 
 import dataclasses
+import io
+import pickle
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -64,7 +67,7 @@ from ..integrity.evidence import EvidenceBag, EvidenceItem
 from ..integrity.fossil import FossilizedIndex
 from ..integrity.selfsec import AuditLog
 from ..integrity.venti import VentiStore
-from ..medium.medium import MediumConfig
+from ..medium.medium import MediumConfig, MediumDelta
 
 
 # ---------------------------------------------------------------------------
@@ -268,26 +271,107 @@ class EvidenceExport:
     reports: Tuple[VerifyReport, ...]
 
 
+def _roles(store: "TamperEvidentStore"
+           ) -> Tuple[Dict[str, object], Dict[str, object]]:
+    """``(moved, named)``: the objects of ``store``'s graph whose state
+    a patch moves, and those it only points at, by role.  Both keep
+    their identity on the receiving side, so references a caller holds
+    (the store, ``.device``, ``.fs``, ...) stay live.  The named ones
+    are the medium (its arrays travel as a block delta, its RNG,
+    counters and epoch in the :class:`DeviceStatePatch`), the
+    stateless bit operations over it, and the immutable geometry and
+    timing model."""
+    moved: Dict[str, object] = {
+        "store": store, "fs": store.fs, "venti": store.venti,
+        "fossil": store.fossil, "audit_log": store.audit_log}
+    named: Dict[str, object] = {}
+    for role in ("device", "archive_device"):
+        device = getattr(store, role)
+        if device is not None:
+            moved.update({role: device, f"{role}.account": device.account,
+                          f"{role}.scanner": device.scanner})
+            named.update({f"{role}.medium": device.medium,
+                          f"{role}.bitops": device.bitops,
+                          f"{role}.geometry": device.geometry,
+                          f"{role}.timing": device.timing})
+    return {role: obj for role, obj in moved.items()
+            if obj is not None}, named
+
+
+def _anchor(role: str) -> object:
+    """Stands for the receiving store's object in a pickled graph;
+    only :class:`_GraphUnpickler` resolves it."""
+    raise pickle.UnpicklingError(
+        f"a store patch refers to the {role!r} of the store it is "
+        "applied to; only StoreStatePatch.apply resolves it")
+
+
+class _GraphPickler(pickle.Pickler):
+    """Pickles the moved objects' state, writing each anchored object
+    it meets (at any depth) as a reference to its role."""
+
+    def __init__(self, file: io.BytesIO, anchors: Mapping[str, object]):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._roles = {id(obj): role for role, obj in anchors.items()}
+
+    def reducer_override(self, obj: object):
+        role = self._roles.get(id(obj))
+        if role is None:
+            return NotImplemented
+        return _anchor, (role,)
+
+
+class _GraphUnpickler(pickle.Unpickler):
+    def __init__(self, file: io.BytesIO, anchors: Mapping[str, object]):
+        super().__init__(file)
+        self._anchors = anchors
+
+    def find_class(self, module: str, name: str):
+        if module == __name__ and name == _anchor.__name__:
+            return self._anchors.__getitem__
+        return super().find_class(module, name)
+
+
 @dataclass
 class StoreStatePatch:
-    """Read-only-pass state of a whole store, captured portably.
+    """What a pass changed on a store, captured portably.
 
-    Wraps one :class:`~repro.device.sero.DeviceStatePatch` per managed
-    device (primary + optional archive).  A fleet worker running an
-    audit/fsck pass — which never mutates the medium — returns this
-    instead of the full member snapshot; applied to the originating
-    store it reproduces the pass's side effects byte for byte.
+    The one form member state takes across the rpc boundary, in both
+    directions, once a worker holds a pin: a ``run`` request carries
+    the patch the caller's store made since the pin was current, and
+    every reply carries the patch its task made.  Applied to an equal
+    store it leaves that store equal to the one it was cut from, byte
+    for byte, and every object a caller holds keeps its identity.
 
-    The one piece of file-system state such a pass moves is the
-    metadata cache (a deep audit walks the tree): ``fs_meta`` carries
-    its stamp and entries home when the pass filled or flushed it, so
-    the caller's next lookup reads exactly the blocks the worker's
-    would — and is None on the steady pass that found everything cached.
+    * ``device`` / ``archive_device`` — one
+      :class:`~repro.device.sero.DeviceStatePatch` per device: the
+      medium's RNG, counters and mutation epoch, the cost account and
+      the sled.
+    * ``medium`` / ``archive_medium`` — the blocks each medium changed
+      (:meth:`~repro.medium.medium.PatternedMedium.cut_delta`).
+    * ``graph`` — the rest of the store, whole: every moved object's
+      state (the façade, devices, accounts, scanners, file system,
+      arenas and log), pickled with each anchored object as a reference
+      to its role.  A field added to any of those layers travels
+      without being listed anywhere.  The patch's own pickled form
+      deflates it (mostly the metadata cache's zero-padded blocks), so
+      the sending and receiving threads pay that, not the fold.
+
+    :meth:`cut` fills all of them.  :meth:`capture` takes the cheap
+    form a read-only pass (an audit, which leaves the medium as it
+    found it) needs: the device patches, and ``fs_meta``, the file
+    system's metadata cache stamp and entries when the pass filled or
+    flushed it (a deep audit walks the tree), so the caller's next
+    lookup reads exactly the blocks the worker's would.  It is None on
+    the steady pass that found everything cached.
     """
 
     device: "DeviceStatePatch"
     archive_device: Optional["DeviceStatePatch"] = None
     fs_meta: Optional[Tuple[int, Dict[int, bytes]]] = None
+    medium: Optional[MediumDelta] = None
+    archive_medium: Optional[MediumDelta] = None
+    graph: Optional[bytes] = None
 
     @staticmethod
     def fs_meta_mark(store: "TamperEvidentStore") -> Optional[Tuple[int, int]]:
@@ -301,6 +385,7 @@ class StoreStatePatch:
     def capture(cls, store: "TamperEvidentStore",
                 fs_meta_mark: Optional[Tuple[int, int]] = None
                 ) -> "StoreStatePatch":
+        """The read-only-pass form; leaves ``store`` untouched."""
         fs = store.fs
         moved = fs is not None and cls.fs_meta_mark(store) != fs_meta_mark
         return cls(
@@ -309,10 +394,53 @@ class StoreStatePatch:
                             if store.archive_device is not None else None),
             fs_meta=(fs._meta_epoch, dict(fs._meta)) if moved else None)
 
+    @classmethod
+    def cut(cls, store: "TamperEvidentStore") -> "StoreStatePatch":
+        """Everything ``store`` changed since its media were last cut
+        (or unpickled): applied to a copy taken then, it makes that
+        copy equal to ``store``.  Clears the media's dirty marks."""
+        archive = store.archive_device
+        buffer = io.BytesIO()
+        moved, named = _roles(store)
+        _GraphPickler(buffer, {**moved, **named}).dump(
+            {role: vars(obj) for role, obj in moved.items()})
+        return cls(
+            device=store.device.state_patch(),
+            archive_device=(archive.state_patch()
+                            if archive is not None else None),
+            medium=store.device.medium.cut_delta(),
+            archive_medium=(archive.medium.cut_delta()
+                            if archive is not None else None),
+            graph=buffer.getvalue())
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        if self.graph is not None:
+            state["graph"] = zlib.compress(self.graph, 1)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        if state["graph"] is not None:
+            state["graph"] = zlib.decompress(state["graph"])
+        vars(self).update(state)
+
     def apply(self, store: "TamperEvidentStore") -> None:
-        self.device.apply(store.device)
-        if self.archive_device is not None:
-            self.archive_device.apply(store.archive_device)
+        if self.graph is not None:
+            moved, named = _roles(store)
+            states = _GraphUnpickler(io.BytesIO(self.graph),
+                                     {**moved, **named}).load()
+            for role, state in states.items():
+                target = vars(moved[role])
+                target.clear()
+                target.update(state)
+        for device, patch, delta in (
+                (store.device, self.device, self.medium),
+                (store.archive_device, self.archive_device,
+                 self.archive_medium)):
+            if delta is not None:
+                device.medium.apply_delta(delta)
+            if patch is not None:
+                patch.apply(device)
         if self.fs_meta is not None:
             store.fs._meta_epoch, store.fs._meta = self.fs_meta
 
@@ -419,68 +547,6 @@ class TamperEvidentStore:
         return cls(device, SeroFS.mount(device, fs_config), **components)
 
     # -- plumbing ---------------------------------------------------------------
-
-    def adopt_state(self, other: "TamperEvidentStore") -> None:
-        """Absorb ``other``'s state *in place*.
-
-        ``other`` is a state-equivalent copy of this store that lived
-        elsewhere — typically the snapshot a fleet process worker
-        mutated and shipped home.  Every object identity a caller may
-        hold (the store, ``.device``, ``.device.medium``, ``.fs``,
-        ``.venti``, ...) is preserved; only the state moves, so the
-        original graph ends the pass exactly as if it had run the work
-        itself.
-
-        Every component absorbs the whole ``__dict__`` of its
-        counterpart and then re-anchors the references that must keep
-        pointing inside *this* graph — so a field added to any layer
-        later is picked up automatically rather than silently dropped
-        by a hand-maintained copy list.
-        """
-        pairs = [(self.device, other.device)]
-        if self.archive_device is not None and \
-                other.archive_device is not None:
-            pairs.append((self.archive_device, other.archive_device))
-        for mine, new in pairs:
-            geometry = mine.geometry  # the identity the graph keeps
-            mine.medium.__dict__.clear()
-            mine.medium.__dict__.update(new.medium.__dict__)
-            mine.medium.geometry = geometry
-            mine.medium._mag  # decode a packed snapshot on this thread
-            mine.account.__dict__.clear()
-            mine.account.__dict__.update(new.account.__dict__)
-            scanner_anchors = {"geometry": geometry,
-                               "timing": mine.timing,
-                               "account": mine.account}
-            mine.scanner.__dict__.clear()
-            mine.scanner.__dict__.update(new.scanner.__dict__)
-            mine.scanner.__dict__.update(scanner_anchors)
-            device_anchors = {"medium": mine.medium,
-                              "geometry": geometry,
-                              "timing": mine.timing,
-                              "account": mine.account,
-                              "scanner": mine.scanner,
-                              "bitops": mine.bitops}
-            mine.__dict__.clear()
-            mine.__dict__.update(new.__dict__)
-            mine.__dict__.update(device_anchors)
-        for attr, anchor in (("fs", "device"), ("venti", "device"),
-                             ("fossil", "device"), ("audit_log", "fs")):
-            mine_component = getattr(self, attr)
-            new_component = getattr(other, attr)
-            if mine_component is None or new_component is None:
-                continue
-            anchor_obj = getattr(mine_component, anchor)  # original ref
-            mine_component.__dict__.clear()
-            mine_component.__dict__.update(new_component.__dict__)
-            setattr(mine_component, anchor, anchor_obj)
-        store_anchors = {"device": self.device, "fs": self.fs,
-                         "venti": self.venti, "fossil": self.fossil,
-                         "audit_log": self.audit_log,
-                         "archive_device": self.archive_device}
-        self.__dict__.clear()
-        self.__dict__.update(other.__dict__)
-        self.__dict__.update(store_anchors)
 
     def _require_fs(self) -> SeroFS:
         if self.fs is None:

@@ -46,6 +46,9 @@ class Scanner:
         self._x = 0.0
         self._y = 0.0
         self._last_block = None
+        # per-bit time of each transfer kind, resolved once
+        self._per_bit = {"mrb": self.timing.t_mrb, "mwb": self.timing.t_mwb,
+                         "ewb": self.timing.t_ewb, "erb": self.timing.t_erb}
 
     def _field_position(self, pba: int) -> tuple:
         # A block's bits are striped across the probe array, so each
@@ -96,12 +99,7 @@ class Scanner:
                 ``t_erb`` covers only the single-round sequence).
         """
         if per_bit is None:
-            per_bit = {
-                "mrb": self.timing.t_mrb,
-                "mwb": self.timing.t_mwb,
-                "ewb": self.timing.t_ewb,
-                "erb": self.timing.t_erb,
-            }[kind]
+            per_bit = self._per_bit[kind]
         t = self.timing.transfer_time(nbits, per_bit)
         self.account.charge(kind, t, ops=nbits)
         return t

@@ -18,6 +18,7 @@ operation charges it, and benchmarks read per-category totals off it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -61,8 +62,6 @@ class TimingModel:
         probe array."""
         if nbits < 0:
             raise ValueError("nbits must be non-negative")
-        import math
-
         return math.ceil(nbits / self.parallelism) * t_bit
 
     def seek_time(self, distance_m: float) -> float:

@@ -135,6 +135,10 @@ def scan_for_defects(medium: PatternedMedium, tolerance: int = 4,
             _probe_span(medium, start, tiled_a[:width], tiled_b[:width],
                         tiled_erased[:width], mismatch[lo:hi].reshape(-1))
 
+    if not mismatch.any():
+        # a defect-free medium (the default): nothing to classify
+        return DefectScanReport(bad_blocks=set(), fragile_blocks=set(),
+                                defective_dots=0, scanned_blocks=n_blocks)
     failures = mismatch.sum(axis=1)
     # Fragile: any defect among the first e_region_dots of its block.
     fragile = mismatch[:, :max(e_region_dots, 0)].any(axis=1)

@@ -25,6 +25,7 @@ magnetic write, used by investigators and by the bulk-erase analysis.
 from __future__ import annotations
 
 import functools
+import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -158,8 +159,9 @@ class PatternedMedium:
             self._k_scale = None
         # Operation counters (the timing model consumes these).
         self.counters = {"mrb": 0, "mwb": 0, "heat": 0}
-        # See :attr:`mutation_epoch`.
+        # See :attr:`mutation_epoch` and :meth:`cut_delta`.
         self._mut_epoch = 0
+        self._dirty = np.zeros(geometry.total_blocks, dtype=bool)
 
     @property
     def mutation_epoch(self) -> int:
@@ -174,7 +176,8 @@ class PatternedMedium:
         the same stored state.  The remote session layer fingerprints
         it to decide whether a worker-pinned snapshot of this medium is
         still current, and ``SeroFS`` stamps its metadata cache with
-        it.
+        it.  Every bump also marks the blocks the operation may have
+        changed dirty, which is what :meth:`cut_delta` ships.
 
         The epoch's companion invariant is ``_mag == 0`` exactly when a
         dot is heated.  Sharpness is compared with
@@ -273,6 +276,7 @@ class PatternedMedium:
             raise ValueError("bit must be 0 or 1")
         self.counters["mwb"] += 1
         self._mut_epoch += 1
+        self._dirty[index // self.geometry.dots_per_block] = True
         if not self.is_writable(index):
             return
         self._mag[index] = 1 if bit else -1
@@ -291,10 +295,13 @@ class PatternedMedium:
         self._check(index)
         self.counters["heat"] += 1
         self._mut_epoch += 1
+        dpb = self.geometry.dots_per_block
+        self._dirty[index // dpb] = True
         pulse = self.config.pulse
         self._apply_pulse(index, pulse, distance=0.0)
         if self.config.collateral_heating:
             for neighbor in self.geometry.neighbors(index):
+                self._dirty[neighbor // dpb] = True
                 self._apply_pulse(neighbor, pulse,
                                   distance=self.geometry.dot.pitch_x)
 
@@ -320,6 +327,7 @@ class PatternedMedium:
         """
         np.copyto(self._mag, np.int8(-1), where=self._mag != 0)
         self._mut_epoch += 1
+        self._dirty[:] = True
 
     def image_heated(self, indices: Optional[Sequence[int]] = None) -> np.ndarray:
         """Forensic magnetic imaging: the heated map as a bool array.
@@ -394,6 +402,8 @@ class PatternedMedium:
             raise ValueError("bits must be 0 or 1")
         self.counters["mwb"] += len(arr)
         self._mut_epoch += 1
+        dpb = self.geometry.dots_per_block
+        self._dirty[start // dpb:-(-end // dpb)] = True
         span = slice(start, end)
         writable = self._mag[span] != 0
         if self._k_scale is not None:
@@ -445,6 +455,9 @@ class PatternedMedium:
             return
         self.counters["heat"] += int(idx.size)
         self._mut_epoch += 1
+        # heat_span passes ascending indices inside its span
+        dpb = self.geometry.dots_per_block
+        self._dirty[idx[0] // dpb:idx[-1] // dpb + 1] = True
         pulse = self.config.pulse
         temp_c = temperature_at_distance_c(pulse.power_w, 0.0,
                                            self.config.thermal)
@@ -621,14 +634,27 @@ class PatternedMedium:
     def __setstate__(self, state: dict) -> None:
         self.geometry = state["geometry"]
         self.config = state["config"]
+        n = self.geometry.total_dots
+        # sign bits -> -1/+1 in place on int8 (2 * bit - 1)
+        self._mag = mag = np.unpackbits(state["mag_bits"],
+                                        count=n).view(np.int8)
+        mag += mag
+        mag -= 1
+        self._sharpness = np.ones(n, dtype=np.float32)
+        # indices, not a mask: touched dots are few
+        touched = np.flatnonzero(
+            np.unpackbits(state["touched_bits"], count=n).view(bool))
         vals = state["sharp_vals"]
+        self._sharpness[touched] = vals  # one value or one per dot
         # Only touched dots can be heated, so the mag == 0 invariant is
         # restored from the travelling values, not a whole-medium compare.
-        self._packed = (state["mag_bits"], state["touched_bits"], vals,
-                        vals < HEATED_SHARPNESS_THRESHOLD)
+        mag[touched] = np.where(vals < HEATED_SHARPNESS_THRESHOLD, 0,
+                                mag[touched])
         self._rng = state["rng"]
         self.counters = state["counters"]
         self._mut_epoch = state.get("mut_epoch", 0)
+        # a restored medium is in sync with the one it was taken from
+        self._dirty = np.zeros(self.geometry.total_blocks, dtype=bool)
         self._anisotropy = AnisotropyModel(stack=self.config.stack,
                                            dot=self.geometry.dot)
         # regenerated lazily on first access: the construction-time
@@ -636,26 +662,37 @@ class PatternedMedium:
         # generator replays it bit-exactly (see the _k_scale property)
         self._k_scale = None
 
-    def __getattr__(self, name: str) -> np.ndarray:
-        # Reached only for a name the instance lacks: a restored medium's
-        # arrays, decoded on the thread that first reads them.
-        if name not in ("_mag", "_sharpness") or \
-                "_packed" not in vars(self):
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        mag_bits, touched_bits, vals, heated = vars(self).pop("_packed")
-        n = self.geometry.total_dots
-        # sign bits -> -1/+1 in place on int8 (2 * bit - 1)
-        self._mag = mag = np.unpackbits(mag_bits, count=n).view(np.int8)
-        mag += mag
-        mag -= 1
-        self._sharpness = np.ones(n, dtype=np.float32)
-        # indices, not a mask: touched dots are few
-        touched = np.flatnonzero(
-            np.unpackbits(touched_bits, count=n).view(bool))
-        self._sharpness[touched] = vals  # one value or one per dot
-        mag[touched] = np.where(heated, 0, mag[touched])
-        return vars(self)[name]
+    # -- block deltas --------------------------------------------------------------
+
+    def cut_delta(self) -> "MediumDelta":
+        """The dots of every block changed since the last cut, and a
+        clean slate.
+
+        Every operation that bumps :attr:`mutation_epoch` marks the
+        blocks it touched, so a cut holds exactly what a copy of this
+        medium taken at the last cut (or at unpickling) lacks; applying
+        it there with :meth:`apply_delta` makes the two arrays equal.
+        The RNG, the counters and the epoch are not part of it.
+        """
+        blocks = np.flatnonzero(self._dirty)
+        self._dirty[:] = False
+        dpb = self.geometry.dots_per_block
+        return MediumDelta(blocks=blocks,
+                           mag=self._mag.reshape(-1, dpb)[blocks],
+                           sharpness=self._sharpness.reshape(-1, dpb)[blocks])
+
+    def mark_clean(self) -> None:
+        """Drop the dirty marks without cutting them: a copy of this
+        medium taken now needs no delta."""
+        self._dirty[:] = False
+
+    def apply_delta(self, delta: "MediumDelta") -> None:
+        """Write a :meth:`cut_delta` of an equal medium in place.  The
+        blocks are not marked: after the write this medium and the
+        one the delta was cut from agree on them."""
+        dpb = self.geometry.dots_per_block
+        self._mag.reshape(-1, dpb)[delta.blocks] = delta.mag
+        self._sharpness.reshape(-1, dpb)[delta.blocks] = delta.sharpness
 
     # -- statistics -------------------------------------------------------------
 
@@ -667,3 +704,57 @@ class PatternedMedium:
         out = np.where(mag > 0, "1", "0")
         out[mag == 0] = "H"
         return out.tolist()
+
+
+class MediumDelta:
+    """Whole blocks of a medium's two arrays: a :meth:`PatternedMedium.
+    cut_delta`.
+
+    ``blocks`` are the block numbers, ascending; ``mag`` and
+    ``sharpness`` hold one row of ``dots_per_block`` values per block.
+    The pickled form packs them as the medium's snapshot does, one sign
+    bit and one touched bit per dot, then whether each touched dot is
+    heated, all three bitmaps deflated together; and the sharpness of
+    the touched dots, one value when they are all alike.  A seal's
+    blocks travel in well under a bit a dot instead of 5 bytes.
+    """
+
+    __slots__ = ("blocks", "mag", "sharpness")
+
+    def __init__(self, blocks: np.ndarray, mag: np.ndarray,
+                 sharpness: np.ndarray) -> None:
+        self.blocks = blocks
+        self.mag = mag
+        self.sharpness = sharpness
+
+    def __getstate__(self) -> dict:
+        mag = self.mag.ravel()
+        sharpness = self.sharpness.ravel()
+        touched = sharpness != np.float32(1.0)
+        vals = sharpness[touched]
+        # one pulse heats every dot it touches alike: one value travels
+        uniform = bool(vals.size) and bool((vals == vals[0]).all())
+        bits = np.concatenate((np.packbits(mag > 0), np.packbits(touched),
+                               np.packbits(mag[touched] == 0)))
+        return {"blocks": self.blocks, "shape": self.mag.shape,
+                "bits": zlib.compress(bits, 1),
+                "sharp_vals": vals[:1] if uniform else vals}
+
+    def __setstate__(self, state: dict) -> None:
+        shape = state["shape"]
+        n = shape[0] * shape[1]
+        nbytes = -(-n // 8)
+        bits = np.frombuffer(zlib.decompress(state["bits"]), dtype=np.uint8)
+        mag = np.unpackbits(bits[:nbytes], count=n).view(np.int8)
+        mag += mag  # 2 * bit - 1, in place on int8
+        mag -= 1
+        touched = np.flatnonzero(
+            np.unpackbits(bits[nbytes:2 * nbytes], count=n).view(bool))
+        heated = np.unpackbits(bits[2 * nbytes:],
+                               count=touched.size).view(bool)
+        mag[touched[heated]] = 0
+        sharpness = np.ones(n, dtype=np.float32)
+        sharpness[touched] = state["sharp_vals"]  # one value or one per dot
+        self.blocks = state["blocks"]
+        self.mag = mag.reshape(shape)
+        self.sharpness = sharpness.reshape(shape)

@@ -114,7 +114,8 @@ class ExecutionOutcome:
             for the serial executor).
         bytes_out: wire payload bytes sent per remote host this pass
             (empty for the serial executor): snapshot-sized on a cold
-            (pinning) pass, descriptor-sized once pinned.
+            (pinning) pass, patch-sized after a client-side mutation,
+            descriptor-sized once pinned.
         bytes_back: wire payload bytes received per remote host.
         retries: member re-dispatches per *failed* host — ``{addr: n}``
             means ``n`` member tasks had to fail over off ``addr``

@@ -1,13 +1,16 @@
 """Remote RPC fleet executor: fleet members across machines.
 
 The cross-process half of fleet dispatch (``serial`` is the
-in-process half).  A member ships to a worker as a compact pickled
-snapshot (~1.3 MB for the bench fleet, see
-:meth:`repro.medium.medium.PatternedMedium.__getstate__`) and a
-read-only pass sends home a ~1 kB
-:class:`~repro.api.store.StoreStatePatch`.  This module closes the
-loop: the same member tasks, dispatched over TCP to worker daemons on
-other hosts, byte-identical to the ``serial`` reference.
+in-process half).  A member ships to a worker whole only to pin it,
+as a compact pickled snapshot (about 1.3 MB for a sealed 1024-block
+member, see
+:meth:`repro.medium.medium.PatternedMedium.__getstate__`).  After
+that, state crosses in both directions as a
+:class:`~repro.api.store.StoreStatePatch`: the blocks a side changed
+plus the rest of the store, about 12 kB for a seal, or about 1 kB for
+a read-only audit.  This module closes the loop: the same member
+tasks, dispatched over TCP to worker daemons on other hosts,
+byte-identical to the ``serial`` reference.
 
 Four pieces:
 
@@ -32,19 +35,25 @@ Four pieces:
   :func:`serve` refuses to start on it, since no client could share it
   (documented in API.md).
 
-* **sessions** — the ``("run", key, generation, snapshot, verb,
+* **sessions** — the ``("run", key, generation, state, verb,
   kwargs)`` request, the one way a member task
   (:class:`~repro.parallel.executor.MemberTask`) crosses the wire.
-  The first request for a member carries its snapshot, which the
-  worker caches under a ``(client, member)`` key and a client-assigned
-  *generation*; later passes send ``None`` in its place, so only the
-  verb and its arguments travel (see :mod:`repro.parallel.session`).
-  A request without a snapshot that finds no pin of the requested
-  generation (worker restarted, cache evicted, client-side mutation
-  bumped the generation) answers ``("nopin",)`` **without running the
-  task**, so the client resends it once, snapshot attached, on the
-  same connection.  Abandoned pins are bounded by each worker's
-  :data:`PIN_CACHE_CAP` LRU.  A pass *pipelines*: one socket per
+  The first request for a member carries its snapshot in the state
+  slot, which the worker caches under a ``(client, member)`` key and
+  a client-assigned *generation*.  A later pass sends ``None`` there
+  when the caller's store is as the last pass left it.  After a
+  client-side mutation (a ``put``, say) the client moves to the next
+  generation and sends the
+  :class:`~repro.api.store.StoreStatePatch` it cut since the last
+  pass, which the worker applies only onto a pin of exactly the
+  generation before, and only then runs the task (see
+  :mod:`repro.parallel.session`).  A request that finds no such pin
+  (worker restarted, cache evicted, a failed pass moved the
+  generation on) answers ``("nopin",)`` **without applying its patch
+  or running the task**, so the client resends it once, snapshot
+  attached, on the same connection.  Abandoned pins are
+  bounded by each worker's :data:`PIN_CACHE_BYTES` LRU.  A pass
+  *pipelines*: one socket per
   host, every round's frames written by a writer thread while the
   replies drain in order, matched by request id, so N members on one
   host cost ~one round trip plus compute.  Anything but a
@@ -55,12 +64,12 @@ Four pieces:
   owning its frame secret and pin cache; :func:`serve` runs one, as
   ``python -m repro.parallel.remote serve --bind HOST:PORT``.  Each
   connection unpickles ``run`` requests, calls the named store method
-  on the pinned copy, and replies with ``("ok", payload, state)`` or
-  the raised exception.  The worker decides what state comes home: an
-  ``audit`` (which never mutates the medium) sends a
-  :class:`~repro.api.store.StoreStatePatch`, the three mutating verbs
-  send the pinned store itself, and the client folds either into the
-  caller-held store.  A member raising inside a pass travels back as
+  on the pinned copy, and replies with ``("ok", payload, patch)`` or
+  the raised exception.  The patch is what the task made: an
+  ``audit`` (which never mutates the medium) captures the read-only
+  form, the other verbs cut the whole one, and the client folds
+  either with ``patch.apply(store)``, in place, so caller-held
+  references stay live.  A member raising inside a pass travels back as
   the original exception object (plus the remote traceback text), so a
   fleet pass fails with the *same* error type whichever executor
   dispatched it.
@@ -69,10 +78,10 @@ Four pieces:
   a :class:`~repro.parallel.executor.FleetExecutor` that resolves its
   host list lazily at each dispatch (explicit ``hosts=`` argument >
   ``with repro.engine(fleet_hosts=...):`` > ``REPRO_FLEET_HOSTS``),
-  assigns member *i* to the host a
-  :class:`~repro.parallel.ring.HashRing` over the host set owns —
-  deterministic and stable under host lists given in any order — and
-  drives each host's connection from its own thread.  Pass connections
+  places the members with :func:`place_members` (a bounded-load walk
+  of a :class:`~repro.parallel.ring.HashRing` over the host set —
+  balanced, deterministic, and the same for host lists given in any
+  order) and drives each host's connection from its own thread.  Pass connections
   are pooled module-wide (:data:`_POOL`) so repeated passes reuse warm
   sockets; a :func:`ping` probe dials a connection of its own and
   closes it; waiting for a worker to listen is ``ping``'s job, and a
@@ -328,24 +337,41 @@ def recv_frame(sock: socket.socket, *,
 # ---------------------------------------------------------------------------
 # Worker daemon
 
-#: Pins per :class:`WorkerServer`, LRU-capped so an abandoned client
-#: cannot grow a worker without bound; an evicted pin costs the owner
-#: one ``nopin`` round trip and a resend with the snapshot, never a
-#: wrong result.
-PIN_CACHE_CAP = 1024
+#: Resident bytes of the pins one :class:`WorkerServer` keeps, least
+#: recently used evicted first, so an abandoned client cannot grow a
+#: worker without bound; an evicted pin costs its owner one ``nopin``
+#: round trip and a resend with the snapshot, never a wrong result.
+#: About 40 pins of a 1024-block member.
+PIN_CACHE_BYTES = 1 << 30
+
+#: Resident bytes per dot of a decoded medium: int8 magnetisation
+#: plus float32 sharpness.
+_RESIDENT_BYTES_PER_DOT = 5
 
 
-def _run_task(task: MemberTask) -> Tuple:
-    """``("ok", payload, state)`` for ``task`` on its pinned store, or
-    the ``("err", ...)`` reply.  The worker decides what state comes
-    home: an audit never mutates the medium, so its state travels as a
-    :class:`StoreStatePatch`; the other verbs send the store itself."""
+def _pin_bytes(store: Any) -> int:
+    """A pinned store's resident size, estimated from its geometry (a
+    snapshot that is no store counts 0, and fails as its task)."""
+    return _RESIDENT_BYTES_PER_DOT * sum(
+        getattr(getattr(device, "geometry", None), "total_dots", 0)
+        for device in (getattr(store, "device", None),
+                       getattr(store, "archive_device", None)))
+
+
+def _run_task(task: MemberTask,
+              patch: Optional[StoreStatePatch] = None) -> Tuple:
+    """``("ok", payload, patch)`` for ``task`` on its pinned store,
+    once the caller's ``patch`` (if any) is applied there, or the
+    ``("err", ...)`` reply.  An audit never mutates the medium, so it
+    sends home the read-only form; the other verbs cut the whole one."""
     audit = task.verb == "audit"
     try:
+        if patch is not None:
+            patch.apply(task.store)
         mark = StoreStatePatch.fs_meta_mark(task.store) if audit else None
         payload = task()
         state = StoreStatePatch.capture(task.store, mark) if audit \
-            else task.store
+            else StoreStatePatch.cut(task.store)
     except BaseException as exc:  # noqa: BLE001 — shipped to caller
         try:
             portable: Optional[BaseException] = pickle.loads(
@@ -383,8 +409,9 @@ class WorkerServer(socketserver.ThreadingTCPServer):
     """A worker daemon on ``address`` (``(host, port)``; port 0 picks
     a free one) owning its frame key (None: the key the
     ``fleet_secret`` chain resolves now) and its pin cache —
-    ``(client, member) key -> (generation, pinned store)`` — so one
-    process can host several."""
+    ``(client, member) key -> (generation, pinned store, bytes)``,
+    holding at most :data:`PIN_CACHE_BYTES` (and always the newest
+    pin) — so one process can host several."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -393,8 +420,16 @@ class WorkerServer(socketserver.ThreadingTCPServer):
                  secret: Optional[str] = None) -> None:
         super().__init__(address, _WorkerHandler)
         self.secret = _policy.resolve("fleet_secret", secret)[0]
-        self._pins: "OrderedDict[Any, Tuple[int, Any]]" = OrderedDict()
+        self._pins: "OrderedDict[Any, Tuple[int, Any, int]]" = \
+            OrderedDict()
+        self._pinned_bytes = 0
         self._pins_lock = threading.Lock()
+
+    def _drop_pin(self, key: Any) -> None:
+        """Forget ``key``'s pin; the caller holds the pins lock."""
+        entry = self._pins.pop(key, None)
+        if entry is not None:
+            self._pinned_bytes -= entry[2]
 
     def respond(self, verb: Tuple) -> Tuple:
         """The reply to one verb tuple (its envelope already checked);
@@ -407,28 +442,35 @@ class WorkerServer(socketserver.ThreadingTCPServer):
         problem = _malformed_run(verb)
         if problem is not None:
             return _protocol_error(problem)
-        _op, key, generation, snapshot, method, kwargs = verb
+        _op, key, generation, state, method, kwargs = verb
+        # a patch takes the pin of the generation before it to this one
+        patch = state if isinstance(state, StoreStatePatch) else None
         with self._pins_lock:
-            if snapshot is not None:
-                self._pins[key] = (generation, snapshot)
-                self._pins.move_to_end(key)
-                while len(self._pins) > PIN_CACHE_CAP:
-                    self._pins.popitem(last=False)
+            if state is not None and patch is None:
+                self._drop_pin(key)
+                nbytes = _pin_bytes(state)
+                self._pins[key] = (generation, state, nbytes)
+                self._pinned_bytes += nbytes
+                while self._pinned_bytes > PIN_CACHE_BYTES and \
+                        len(self._pins) > 1:
+                    self._drop_pin(next(iter(self._pins)))
             entry = self._pins.get(key)
-            if entry is not None and entry[0] == generation:
+            pinned = None
+            if entry is not None and \
+                    entry[0] == generation - (patch is not None):
+                self._pins[key] = (generation,) + entry[1:]
                 self._pins.move_to_end(key)
                 pinned = entry[1]
-            else:
-                pinned = None
         if pinned is None:
-            # missing or stale pin: the task did NOT run, which is what
-            # makes the client's resend with the snapshot attached safe
+            # missing or stale pin: no patch applied and the task did
+            # NOT run, which makes the client's resend with the
+            # snapshot attached safe
             return ("nopin",)
-        response = _run_task(MemberTask(pinned, method, kwargs))
+        response = _run_task(MemberTask(pinned, method, kwargs), patch)
         if response[0] == "err":
             # the pinned copy may be half-mutated: never serve it again
             with self._pins_lock:
-                self._pins.pop(key, None)
+                self._drop_pin(key)
         return response
 
 
@@ -832,6 +874,31 @@ def usable_hosts(hosts: Sequence[str], *,
 # The executor
 
 
+def place_members(hosts: Sequence[str],
+                  indices: Sequence[int]) -> Dict[int, str]:
+    """Which host runs each of the members ``indices``: consistent
+    hashing with bounded loads (Mirrokni, Thorup and Zadimoghaddam,
+    SODA 2018).
+
+    Every host takes at most ``ceil(len(indices) / len(hosts))``
+    members.  In index order, member *i* takes the first host clockwise
+    of ``"member-i"`` on a :class:`HashRing` over ``hosts`` that is
+    still below that, so the first member always gets its plain ring
+    owner.  A pure function of the host *set*: the ring does not depend
+    on the order hosts are given in.
+    """
+    ring = HashRing(tuple(sorted(hosts)))
+    capacity = -(-len(indices) // len(ring))
+    load = dict.fromkeys(ring.nodes, 0)
+    placement: Dict[int, str] = {}
+    for index in sorted(indices):
+        host = next(host for host in ring.successors(f"member-{index}")
+                    if load[host] < capacity)
+        load[host] += 1
+        placement[index] = host
+    return placement
+
+
 class _TaskPlan:
     """One member task's dispatch plan inside a pass: its position,
     the task, and its store's session."""
@@ -843,11 +910,18 @@ class _TaskPlan:
         self.task = task
         self.session = _session.session_for(task.store)
 
-    def request(self, snapshot: bool) -> Tuple:
-        """The ``run`` request, carrying the store when ``snapshot``."""
+    def request(self, ship: Optional[str]) -> Tuple:
+        """The ``run`` request.  Its state slot holds the store itself
+        when ``ship`` is ``"pin"``, the patch cut since the last pass
+        when it is ``"patch"``, and nothing otherwise."""
         task, sess = self.task, self.session
-        return ("run", sess.key, sess.generation,
-                task.store if snapshot else None, task.verb,
+        state: Any = None
+        if ship == "pin":
+            _session.mark_synced(task.store)
+            state = task.store
+        elif ship == "patch":
+            state = StoreStatePatch.cut(task.store)
+        return ("run", sess.key, sess.generation, state, task.verb,
                 dict(task.kwargs))
 
 
@@ -869,7 +943,7 @@ class RpcExecutor(FleetExecutor):
             ``REPRO_FLEET_TIMEOUT``; default: no deadline).
         retries: failover re-dispatch waves for members whose host
             failed mid-pass.  A failed host folds zero partial state,
-            so its members re-place on a :class:`HashRing` over the
+            so its members re-place (:func:`place_members`) over the
             surviving hosts (exponential backoff + jitter between
             waves) and re-run byte-identically from caller-held state.
             None resolves through the chain
@@ -893,11 +967,11 @@ class RpcExecutor(FleetExecutor):
             secret must hold even though context variables do not
             cross into the executor's per-host threads.
 
-    Member *i* goes to the host that owns ``"member-i"`` on a
-    consistent-hash ring over the host set — a pure function of the
-    canonicalised host list, so every node that knows the same hosts
-    (in any order) computes the same placement, and growing the host
-    list remaps only its ring share of members.  Hosts whose circuit
+    Members are placed by :func:`place_members` — a bounded-load walk
+    of a consistent-hash ring over the host set, so no host takes more
+    than its even share, and a pure function of the canonicalised host
+    list, so every node that knows the same hosts (in any order)
+    computes the same placement.  Hosts whose circuit
     breaker is open (:data:`HEALTH_FAILURE_THRESHOLD` consecutive
     failures) are excluded from the ring until a probation ``ping``
     re-admits them, so a dead host stops receiving work instead of
@@ -977,8 +1051,8 @@ class RpcExecutor(FleetExecutor):
         touched session invalidated on any raise-mode failure.
 
         Failover works per *host round* in bounded waves: wave *k*
-        places every still-pending member on a :class:`HashRing` over
-        the hosts that survived waves ``0..k-1``.  Safe because a host
+        places every still-pending member with :func:`place_members`
+        over the hosts that survived waves ``0..k-1``.  Safe because a host
         whose wire round died folds zero partial state (the fold is
         the client-side ``_fold_result``, which never ran) — the
         caller still holds the only authoritative copy — so its
@@ -1028,11 +1102,10 @@ class RpcExecutor(FleetExecutor):
         wave = 0
 
         while pending and not fatal:
-            ring = HashRing(tuple(live))
+            placement = place_members(live, [p.index for p in pending])
             by_host: "OrderedDict[str, List[_TaskPlan]]" = OrderedDict()
             for plan in pending:
-                addr = ring.lookup(f"member-{plan.index}")
-                by_host.setdefault(addr, []).append(plan)
+                by_host.setdefault(placement[plan.index], []).append(plan)
 
             round_results: Dict[str, Tuple[List, List, int, int]] = {}
             round_errors: Dict[str, RpcConnectionError] = {}
@@ -1159,18 +1232,13 @@ class RpcExecutor(FleetExecutor):
         return outcome
 
     @staticmethod
-    def _fold_result(plan: _TaskPlan, payload: Any, state: Any) -> Any:
-        """Fold a pinned task's returned state into the caller-held
-        store — a read-only pass's :class:`StoreStatePatch` is applied
-        in place, a mutated snapshot absorbed via
-        :meth:`~repro.api.store.TamperEvidentStore.adopt_state` so
-        caller-held references stay live — re-arm the session for the
-        next pass, and return the payload."""
+    def _fold_result(plan: _TaskPlan, payload: Any,
+                     patch: StoreStatePatch) -> Any:
+        """Apply a pinned task's returned patch to the caller-held
+        store, in place, so caller-held references stay live; re-arm
+        the session for the next pass, and return the payload."""
         store = plan.task.store
-        if isinstance(state, StoreStatePatch):
-            state.apply(store)
-        else:
-            store.adopt_state(state)
+        patch.apply(store)
         # worker copy and caller store advanced identically (the
         # byte-identity contract of the patch transport): re-capture
         # the fingerprint so the next pass reuses the pin
@@ -1206,18 +1274,21 @@ class RpcExecutor(FleetExecutor):
                     plans: List[_TaskPlan],
                     secret: Optional[str] = None
                     ) -> Tuple[List, List, int, int]:
-        batch: List[Tuple[_TaskPlan, bool]] = []
+        batch: List[Tuple[_TaskPlan, Optional[str]]] = []
         for plan in plans:
             sess = plan.session
             current = sess.pin_current(addr) and \
-                sess.fingerprint is not None and \
-                sess.fingerprint == _session.store_fingerprint(
-                    plan.task.store)
-            if not current:
-                # new generation: any pin of the old state, on any
-                # worker, must never serve again
-                sess.invalidate()
-            batch.append((plan, not current))
+                sess.fingerprint is not None
+            if current and sess.fingerprint == \
+                    _session.store_fingerprint(plan.task.store):
+                batch.append((plan, None))
+                continue
+            # new generation: any pin of the old state, on any worker,
+            # must never serve again.  A pin of the generation just left
+            # here takes the patch the caller made since; anything else
+            # takes the snapshot.
+            sess.invalidate()
+            batch.append((plan, "patch" if current else "pin"))
 
         counters = {"sent": 0, "received": 0}
         items: List[Tuple[int, Tuple[Any, Any]]] = []
@@ -1235,7 +1306,8 @@ class RpcExecutor(FleetExecutor):
                     f"{exc}") from exc
             counters["sent"] += nbytes
 
-        def recv_one(rid: int, plan: _TaskPlan, shipped: bool) -> None:
+        def recv_one(rid: int, plan: _TaskPlan,
+                     ship: Optional[str]) -> None:
             reply, nbytes = _recv_reply(addr, sock, secret=secret)
             counters["received"] += nbytes
             if not (isinstance(reply, tuple) and len(reply) == 2
@@ -1248,12 +1320,12 @@ class RpcExecutor(FleetExecutor):
             tag = response[0] if isinstance(response, tuple) and response \
                 else None
             if tag == "ok":
-                if shipped:
+                if ship is not None:
                     plan.session.pins[addr] = plan.session.generation
                 items.append((plan.index, response[1:]))
                 return
             if tag == "nopin":
-                if shipped:
+                if ship == "pin":
                     _discard(sock)
                     raise RpcProtocolError(
                         f"worker at {addr} dropped a freshly shipped "
@@ -1268,13 +1340,14 @@ class RpcExecutor(FleetExecutor):
             raise RpcProtocolError(
                 f"unknown reply tag {tag!r} from worker at {addr}")
 
-        def run_round(batch: List[Tuple[_TaskPlan, bool]]) -> None:
+        def run_round(batch: List[Tuple[_TaskPlan, Optional[str]]]
+                      ) -> None:
             send_error: List[BaseException] = []
 
             def pump() -> None:
                 try:
-                    for rid, (plan, shipped) in enumerate(batch):
-                        send_one(rid, plan.request(shipped))
+                    for rid, (plan, ship) in enumerate(batch):
+                        send_one(rid, plan.request(ship))
                 except BaseException as exc:  # noqa: BLE001
                     send_error.append(exc)
                     _discard(sock)  # unblocks the reply reader
@@ -1283,8 +1356,8 @@ class RpcExecutor(FleetExecutor):
                 target=pump, name=f"rpc-writer-{addr}", daemon=True)
             writer.start()
             try:
-                for rid, (plan, shipped) in enumerate(batch):
-                    recv_one(rid, plan, shipped)
+                for rid, (plan, ship) in enumerate(batch):
+                    recv_one(rid, plan, ship)
             finally:
                 writer.join()
             if send_error and not isinstance(
@@ -1294,11 +1367,12 @@ class RpcExecutor(FleetExecutor):
         run_round(batch)
         if nopins:
             # a request missed its pin (worker restarted or evicted
-            # it) without running the task: resend it once, on the
-            # same, still-healthy connection, carrying the snapshot
+            # it, or holds another generation) without applying its
+            # patch or running the task: resend it once, on the same,
+            # still-healthy connection, carrying the snapshot
             for plan in nopins:
                 plan.session.invalidate()
-            run_round([(plan, True) for plan in nopins])
+            run_round([(plan, "pin") for plan in nopins])
         _give_back(addr, sock)
         return (items, member_errors,
                 counters["sent"], counters["received"])

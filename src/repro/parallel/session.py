@@ -1,12 +1,13 @@
 """Client-side member sessions for the ``rpc`` executor.
 
-The executor ships a member's snapshot to its ring-assigned worker
-*once*, on the first ``run`` request that finds no pin there; every
-later pass sends only the task's verb and arguments and folds the
-returned :class:`~repro.api.store.StoreStatePatch` (or, for a mutating
-pass, the returned snapshot) into the caller-held store.  That only
-stays correct if a stale pin is never silently reused, so this module
-keeps the client's books:
+The executor ships a member's snapshot to its worker *once*, on the
+first ``run`` request that finds no pin there.  Every later pass sends
+the task's verb and arguments, plus the
+:class:`~repro.api.store.StoreStatePatch` the caller's store made since
+the last pass when it made one, and folds the patch the worker returns
+into the caller-held store.  That only stays correct if a stale pin is
+never silently reused, and a patch is only ever applied onto the state
+it was cut from, so this module keeps the client's books:
 
 * a :class:`MemberSession` per live member store, holding the wire key
   the worker caches the snapshot under, a monotone **generation**
@@ -18,9 +19,14 @@ keeps the client's books:
   advances (:class:`~repro.device.sero.DeviceStatePatch`: RNG,
   counters, mutation epoch, cost account, sled), the heated-line
   registry, the bad/fragile block sets and the façade's instruction
-  tick.  Any client-side mutation between passes — a direct ``seal``,
-  a migration, an attack helper poking the medium — changes the
-  fingerprint, which forces a re-pin instead of a wrong result.
+  tick.  Any client-side mutation between passes — a direct ``put``
+  or ``seal``, a migration, an attack helper poking the medium —
+  changes the fingerprint, which moves the session to the next
+  generation and makes the next request carry a patch, which a worker
+  applies only onto its pin of the generation just left.  The patch's
+  medium part is the blocks each medium marked dirty since the last
+  sync (:func:`mark_synced` when a snapshot ships, a cut when a patch
+  does).
 
 The invariant the executor maintains: after a successful pinned pass
 *and* fold, the worker's pinned copy and the client's store are
@@ -28,7 +34,8 @@ state-equivalent (the byte-identity contract of the patch transport),
 so the recorded fingerprint is simply re-captured from the client
 store.  On any failure mid-pass the executor calls
 :func:`invalidate`, which bumps the generation — the worker copy may
-have advanced without a client fold and must never serve again.
+have advanced without a client fold, or missed a patch, and must
+never serve again; the next pass ships the whole snapshot.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from typing import Any, Dict, Optional, Tuple
 __all__ = [
     "MemberSession",
     "invalidate",
+    "mark_synced",
     "session_for",
     "store_fingerprint",
 ]
@@ -134,3 +142,11 @@ def invalidate(store: Any) -> None:
         record = _SESSIONS.get(store)
     if record is not None:
         record.invalidate()
+
+
+def mark_synced(store: Any) -> None:
+    """``store`` is about to ship whole: its media's dirty marks, which
+    the next patch would carry, restart from here."""
+    for device in (store.device, store.archive_device):
+        if device is not None:
+            device.medium.mark_clean()

@@ -275,7 +275,7 @@ class _TraceRunner:
         elif kind == "clean":
             # run the LFS cleaner directly on every member — a
             # client-side mutation the rpc session layer must fence
-            # (generation mismatch → automatic re-pin on next ship)
+            # (next generation → the next pass ships it as a patch)
             for member in self.fleet.members:
                 if member.fs is not None:
                     run_cleaner(member.fs, max_segments=1)

@@ -253,6 +253,9 @@ REMOVED: Tuple[Removed, ...] = (
     Removed("_resolve_secret", "16.0", _RESOLVE_KEY),
     Removed("_is_loopback", "16.0",
             "serve refuses a key minted per process on every bind"),
+    # 17.0: a pass ships deltas both ways
+    Removed("adopt_state", "17.0", "StoreStatePatch.apply(store)"),
+    Removed("PIN_CACHE_CAP", "17.0", "PIN_CACHE_BYTES"),
 )
 
 

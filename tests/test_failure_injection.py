@@ -209,15 +209,16 @@ def test_rpc_worker_killed_between_passes_fails_cleanly():
     error, caller-held members keep their pre-pass state, and both the
     member fleet and the surviving worker's pooled connections remain
     usable for a follow-up pass."""
-    from repro.parallel import HashRing, RpcConnectionError, RpcExecutor, \
+    from repro.parallel import RpcConnectionError, RpcExecutor, \
         close_connection_pools, parse_hosts, spawn_local_worker
+    from repro.parallel.remote import place_members
 
     worker_a, worker_b = spawn_local_worker(), spawn_local_worker()
     # kill a worker the ring actually assigned members to (the
     # executor's assignment is a pure function of the host set, so the
     # test can compute it) — the failed pass is then guaranteed
     hosts = parse_hosts([worker_a.address, worker_b.address])
-    victim_addr = HashRing(hosts).lookup("member-0")
+    victim_addr = place_members(hosts, [0])[0]
     victim, survivor = (worker_a, worker_b) \
         if worker_a.address == victim_addr else (worker_b, worker_a)
     try:
@@ -252,12 +253,13 @@ def test_session_worker_kill_and_restart_repins():
     listens on that address again the next pass re-pins from the
     caller-held state and completes byte-identical to the serial twin
     — no RemoteTaskError, no stale pinned state."""
-    from repro.parallel import HashRing, RpcConnectionError, RpcExecutor, \
+    from repro.parallel import RpcConnectionError, RpcExecutor, \
         close_connection_pools, parse_hosts, spawn_local_worker
+    from repro.parallel.remote import place_members
 
     worker_a, worker_b = spawn_local_worker(), spawn_local_worker()
     hosts = parse_hosts([worker_a.address, worker_b.address])
-    victim_addr = HashRing(hosts).lookup("member-0")
+    victim_addr = place_members(hosts, [0])[0]
     victim, survivor = (worker_a, worker_b) \
         if worker_a.address == victim_addr else (worker_b, worker_a)
     replacement = None
@@ -424,13 +426,14 @@ def test_session_failover_with_retries_byte_identical():
     member-0 mid-sequence — the very same pass re-pins the orphaned
     members on the survivor and completes byte-identical to the
     serial twin, RNG continuation included."""
-    from repro.parallel import HashRing, RpcExecutor, \
+    from repro.parallel import RpcExecutor, \
         close_connection_pools, parse_hosts, reset_host_health, \
         spawn_local_worker
+    from repro.parallel.remote import place_members
 
     worker_a, worker_b = spawn_local_worker(), spawn_local_worker()
     hosts = parse_hosts([worker_a.address, worker_b.address])
-    victim_addr = HashRing(hosts).lookup("member-0")
+    victim_addr = place_members(hosts, [0])[0]
     victim, survivor = (worker_a, worker_b) \
         if worker_a.address == victim_addr else (worker_b, worker_a)
     reset_host_health()
@@ -462,20 +465,21 @@ def test_mixed_pass_failover_replaces_both_task_kinds(monkeypatch):
     stores match the serial twin, and nothing from the dead round was
     folded (a double-run audit would advance the RNG twice)."""
     from repro.api.store import AuditReport
-    from repro.parallel import HashRing, MemberTask, RpcExecutor, \
+    from repro.parallel import MemberTask, RpcExecutor, \
         SerialExecutor, close_connection_pools, parse_hosts, \
         reset_host_health, spawn_local_worker
+    from repro.parallel.remote import place_members
     from repro.parallel.session import session_for, store_fingerprint
 
     _export_tests_dir(monkeypatch)
     victim, survivor = spawn_local_worker(), spawn_local_worker()
     hosts = parse_hosts([victim.address, survivor.address])
-    ring = HashRing(hosts)
     on_victim, slots = [], 0
     while len(on_victim) < 3 or slots - len(on_victim) < 2:
-        if ring.lookup(f"member-{slots}") == victim.address:
-            on_victim.append(slots)
         slots += 1
+        placement = place_members(hosts, range(slots))
+        on_victim = [i for i in range(slots)
+                     if placement[i] == victim.address]
     # on the victim, in wire order: two pinned audits whose replies
     # come home, then the task that kills the host
     killer = on_victim[2]
@@ -522,8 +526,9 @@ def test_degrade_mode_yields_partial_report():
     byte-identical to serial, dead-host members appear as typed
     MemberFailure records (in their ``format_devices`` slots and in
     ``last_op.failures``) and their caller-held state is untouched."""
-    from repro.parallel import HashRing, MemberFailure, RpcExecutor, \
+    from repro.parallel import MemberFailure, RpcExecutor, \
         close_connection_pools, reset_host_health
+    from repro.parallel.remote import place_members
 
     stack = contextlib.ExitStack()
     address, _server = stack.enter_context(thread_worker())
@@ -532,8 +537,8 @@ def test_degrade_mode_yields_partial_report():
     try:
         dead, hosts, holder = dead_host_splitting(
             address, [f"member-{i}" for i in range(n)])
-        lost = {i for i in range(n)
-                if HashRing(hosts).lookup(f"member-{i}") == dead}
+        lost = {i for i, host in place_members(hosts, range(n)).items()
+                if host == dead}
         assert lost and len(lost) < n  # the ring split the members
         reset_host_health()
         fleet = device_rack(

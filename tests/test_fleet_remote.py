@@ -576,14 +576,15 @@ def test_session_rng_continuation(workers):
 
 def test_session_reports_wire_traffic(workers):
     """``last_op`` exposes per-host bytes: snapshot-sized while
-    pinning, then orders of magnitude down once pinned."""
+    pinning, a patch after a client-side mutation, then orders of
+    magnitude down once pinned."""
     fleet = device_rack(RpcExecutor(workers), n=2)
     fleet.format_devices()
     pin_bytes = sum(fleet.last_op.bytes_out.values())
     assert set(fleet.last_op.bytes_back) <= set(workers)
     seal_lines(fleet)
-    fleet.audit()  # the client-side seal re-pins: snapshot-sized again
-    assert sum(fleet.last_op.bytes_out.values()) > pin_bytes / 2
+    fleet.audit()  # the client-side seal travels as a patch
+    assert sum(fleet.last_op.bytes_out.values()) < pin_bytes / 10
     fleet.audit()
     steady_bytes = sum(fleet.last_op.bytes_out.values())
     assert pin_bytes > 50 * steady_bytes
@@ -675,14 +676,16 @@ def test_serial_reports_have_no_hosts():
 
 
 def test_evicted_pin_answers_nopin_and_is_resent(monkeypatch):
-    """A worker keeps at most ``PIN_CACHE_CAP`` pins, least recently
-    used out first.  With the cap at 2, the second pass over 3 members
-    finds the first member evicted: it answers ``nopin`` and is resent
-    with its snapshot, which ``last_op.bytes_out`` carries, and the
-    results still equal the serial twin's."""
+    """A worker keeps at most ``PIN_CACHE_BYTES`` of pins, least
+    recently used out first.  With the cap at two members' worth, the
+    second pass over 3 members finds the first member evicted: it
+    answers ``nopin`` and is resent with its snapshot, which
+    ``last_op.bytes_out`` carries, and the results still equal the
+    serial twin's."""
     from repro.parallel.session import session_for
 
-    monkeypatch.setattr(remote_mod, "PIN_CACHE_CAP", 2)
+    member_bytes = remote_mod._pin_bytes(device_rack(n=1).members[0])
+    monkeypatch.setattr(remote_mod, "PIN_CACHE_BYTES", 2 * member_bytes)
     with thread_worker() as (addr, server):
         seen = []
         respond = server.respond
@@ -710,6 +713,147 @@ def test_evicted_pin_answers_nopin_and_is_resent(monkeypatch):
             assert fingerprints(fleet) == fingerprints(twin)
         finally:
             close_connection_pools()
+
+
+def test_pin_cache_counts_resident_bytes():
+    """The pin cache holds pins up to ``PIN_CACHE_BYTES`` of resident
+    medium, least recently used out first, sized from each pin's
+    geometry (5 B/dot, the archive device included); a pin larger than
+    the whole cap still serves, alone."""
+    small = device_rack(n=1, blocks=16).members[0]
+    large = TamperEvidentStore.create(total_blocks=64, archive_blocks=16)
+    assert remote_mod._pin_bytes(small) == 5 * 16 * 4824
+    assert remote_mod._pin_bytes(large) == 5 * (64 + 16) * 4824
+    server = WorkerServer(("127.0.0.1", 0))
+    try:
+        cap = 3 * remote_mod._pin_bytes(small)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(remote_mod, "PIN_CACHE_BYTES", cap)
+            for member in range(3):
+                reply = server.respond(("run", ("c", member), 0, small,
+                                        "audit", {}))
+                assert reply[0] == "ok"
+            # touching member 0 makes member 1 the least recently used
+            assert server.respond(("run", ("c", 0), 0, None, "audit",
+                                   {}))[0] == "ok"
+            server.respond(("run", ("c", 3), 0, small, "audit", {}))
+            assert list(server._pins) == [("c", 2), ("c", 0), ("c", 3)]
+            assert server._pinned_bytes == cap
+            server.respond(("run", ("c", 4), 0, large, "audit", {}))
+            assert list(server._pins) == [("c", 4)]
+            assert server._pinned_bytes == remote_mod._pin_bytes(large)
+            assert server.respond(("run", ("c", 0), 0, None, "audit",
+                                   {})) == ("nopin",)
+    finally:
+        server.server_close()
+
+
+def test_patch_applies_only_onto_the_generation_it_was_cut_from():
+    """A patch request moves a pin from the generation before it to
+    its own; one for any other generation answers ``nopin`` without
+    applying anything, and the client resends the snapshot."""
+    from repro.api.store import StoreStatePatch
+    from repro.parallel.session import mark_synced
+
+    store = device_rack(n=1, blocks=16).members[0]
+    server = WorkerServer(("127.0.0.1", 0))
+    try:
+        mark_synced(store)
+        assert server.respond(("run", ("c", 1), 4, pickle.loads(
+            pickle.dumps(store)), "audit", {}))[0] == "ok"
+        store.device.write_block(3, b"x" * 512)
+        patch = StoreStatePatch.cut(store)
+        for generation in (4, 6, 7):
+            assert server.respond(("run", ("c", 1), generation, patch,
+                                   "audit", {})) == ("nopin",)
+        assert server._pins[("c", 1)][0] == 4
+        reply = server.respond(("run", ("c", 1), 5, patch, "audit", {}))
+        assert reply[0] == "ok" and server._pins[("c", 1)][0] == 5
+        assert server._pins[("c", 1)][1].device.read_block(3) == \
+            b"x" * 512
+    finally:
+        server.server_close()
+
+
+def test_stale_patch_gets_nopin_then_a_full_resend():
+    """A worker whose pin is not of the generation the client's patch
+    was cut from answers ``nopin``; the client resends that member's
+    snapshot on the same connection, and the pass still equals the
+    serial twin's."""
+    from repro.parallel.session import session_for
+
+    with thread_worker() as (addr, server):
+        seen = []
+        respond = server.respond
+
+        def recording(verb):
+            reply = respond(verb)
+            state = verb[3]
+            kind = None if state is None else type(state).__name__
+            seen.append((verb[1], kind, reply[0]))
+            return reply
+
+        server.respond = recording
+        try:
+            fleet = device_rack(RpcExecutor([addr]), n=2)
+            twin = device_rack("serial", n=2)
+            assert fleet.format_devices() == twin.format_devices()
+            first, second = (session_for(m).key for m in fleet.members)
+            generation, pinned, nbytes = server._pins[first]
+            server._pins[first] = (generation + 7, pinned, nbytes)
+            for rack in (fleet, twin):
+                seal_lines(rack)
+            del seen[:]
+            assert fleet.audit() == twin.audit()
+            assert seen == [(first, "StoreStatePatch", "nopin"),
+                            (second, "StoreStatePatch", "ok"),
+                            (first, "TamperEvidentStore", "ok")]
+            assert fingerprints(fleet) == fingerprints(twin)
+            assert fleet.audit(deep=True) == twin.audit(deep=True)
+            assert fingerprints(fleet) == fingerprints(twin)
+        finally:
+            close_connection_pools()
+
+
+def test_a_pass_after_a_client_side_put_ships_a_patch_both_ways(workers):
+    """After a client-side ``put`` the next ``seal_many`` sends each
+    member's patch, not its snapshot, and takes a patch back: both
+    directions stay under a tenth of the cold pin, and the members
+    still equal the serial twin's."""
+    serial, paths = object_rack("serial")
+    remote, _ = object_rack(RpcExecutor(workers))
+    serial.audit()
+    remote.audit()
+    cold = sum(remote.last_op.bytes_out.values())
+    for fleet in (serial, remote):
+        for path in paths:
+            fleet.put(path, path.encode() * 40, overwrite=True)
+    assert remote.seal_many(paths) == serial.seal_many(paths)
+    assert sum(remote.last_op.bytes_out.values()) < cold / 10
+    assert sum(remote.last_op.bytes_back.values()) < cold / 10
+    assert fingerprints(remote) == fingerprints(serial)
+    assert remote.audit(deep=True) == serial.audit(deep=True)
+    assert fingerprints(remote) == fingerprints(serial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_hosts=st.integers(2, 6), n_members=st.integers(1, 32),
+       order=st.randoms(use_true_random=False))
+def test_placement_is_balanced_and_independent_of_host_order(
+        n_hosts, n_members, order):
+    """No host takes more than ``ceil(members / hosts)``, member 0 has
+    its plain ring owner, and the hosts' order changes nothing."""
+    hosts = [f"10.0.0.{i}:{7100 + i}" for i in range(n_hosts)]
+    placement = remote_mod.place_members(hosts, range(n_members))
+    capacity = -(-n_members // n_hosts)
+    assert sorted(placement) == list(range(n_members))
+    assert max(list(placement.values()).count(h) for h in hosts) \
+        <= capacity
+    assert placement[0] == HashRing(hosts).lookup("member-0")
+    shuffled = list(hosts)
+    order.shuffle(shuffled)
+    assert remote_mod.place_members(shuffled, range(n_members)) == \
+        placement
 
 
 # -- connection pooling --------------------------------------------------------
@@ -1088,8 +1232,7 @@ def test_failover_members_replace_on_surviving_hosts():
 
     worker_a, worker_b = spawn_local_worker(), spawn_local_worker()
     hosts = parse_hosts([worker_a.address, worker_b.address])
-    ring = HashRing(hosts)
-    victim_addr = ring.lookup("member-0")
+    victim_addr = remote_mod.place_members(hosts, [0])[0]
     victim = worker_a if worker_a.address == victim_addr else worker_b
     reset_host_health()
     try:
@@ -1104,8 +1247,9 @@ def test_failover_members_replace_on_surviving_hosts():
         assert fleet.audit() == serial.audit()
         # the failed host was charged one re-dispatch per member the
         # ring had placed on it
-        lost = sum(ring.lookup(f"member-{i}") == victim_addr
-                   for i in range(fleet.member_count))
+        placement = remote_mod.place_members(
+            hosts, range(fleet.member_count))
+        lost = sum(host == victim_addr for host in placement.values())
         assert lost >= 1
         assert fleet.last_op.retries == {victim_addr: lost}
         assert objects.seal_many(paths) == twin_objects.seal_many(paths)

@@ -228,7 +228,8 @@ def test_degraded_pass_surfaces_as_207_with_typed_failures(monkeypatch):
     """Kill a fleet host out from under the gateway: seal_many and
     audit answer 207, surviving slots byte-identical to the serial
     twin, failed slots decoding to MemberFailure records."""
-    from repro.parallel import HashRing, reset_host_health
+    from repro.parallel import reset_host_health
+    from repro.parallel.remote import place_members
 
     n = 4
     stack = contextlib.ExitStack()
@@ -237,8 +238,8 @@ def test_degraded_pass_surfaces_as_207_with_typed_failures(monkeypatch):
     try:
         dead, hosts, holder = dead_host_splitting(
             address, [f"member-{i}" for i in range(n)])
-        lost = {i for i in range(n)
-                if HashRing(hosts).lookup(f"member-{i}") == dead}
+        lost = {i for i, host in place_members(hosts, range(n)).items()
+                if host == dead}
         reset_host_health()
         fleet = FleetStore.create(n, CONFIG)
         twin = FleetStore.create(n, CONFIG, executor="serial")

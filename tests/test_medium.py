@@ -171,6 +171,59 @@ def test_only_the_invariant_owners_compare_sharpness_to_the_threshold():
     assert naming == {"_apply_pulse", "_heat_many", "__setstate__"}
 
 
+def test_every_epoch_bump_marks_its_blocks_dirty():
+    # a patch ships exactly the dirty blocks, so an operation that bumps
+    # the mutation epoch without marking would change dots no patch
+    # carries
+    import ast
+    import inspect
+
+    from repro.medium import medium as medium_module
+
+    def is_self_attr(node, name):
+        return isinstance(node, ast.Attribute) and node.attr == name \
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+
+    tree = ast.parse(inspect.getsource(medium_module))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef)
+               and node.name == "PatternedMedium")
+    bumping, marking = set(), set()
+    for fn in cls.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.AugAssign) \
+                    and is_self_attr(node.target, "_mut_epoch"):
+                bumping.add(fn.name)
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Subscript)
+                    and is_self_attr(target.value, "_dirty")
+                    for target in node.targets):
+                marking.add(fn.name)
+    assert bumping == {"write_mag", "heat_dot", "bulk_erase",
+                       "write_mag_span", "_heat_many"}
+    assert bumping <= marking
+
+
+def test_cut_delta_holds_the_blocks_an_operation_touched():
+    geom = MediumGeometry(cols=64, rows=4, dots_per_block=16)
+    medium = PatternedMedium(geom, MediumConfig(collateral_heating=True))
+    assert medium.cut_delta().blocks.size == 0
+    medium.write_mag(17, 1)
+    medium.write_mag_span(40, [1] * 30)
+    # a collateral pulse reaches the dots one row up and down: blocks
+    # 4 and 12 besides the heated dot's own block 8
+    medium.heat_dot(128 + 5)
+    delta = medium.cut_delta()
+    assert delta.blocks.tolist() == [1, 2, 3, 4, 8, 12]
+    assert np.array_equal(delta.mag, medium._mag.reshape(-1, 16)[
+        delta.blocks])
+    assert medium.cut_delta().blocks.size == 0
+    medium.bulk_erase()
+    assert medium.cut_delta().blocks.size == geom.total_blocks
+
+
 def test_medium_builds_no_int64_plus_minus_one_temporaries():
     # np.where(mask, 1, -1) allocates a whole-medium int64 array; the
     # medium writes its +/-1 magnetisation in int8 instead

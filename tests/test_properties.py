@@ -342,43 +342,117 @@ def test_device_snapshot_decode_allocates_at_most_three_bytes_per_dot():
     assert clone.heated_lines == device.heated_lines
 
 
-def test_a_returned_member_decodes_on_the_thread_that_reads_it():
-    """The rpc client unpickles a returned member on a per-host thread
-    that ends with the pass.  Unpickling keeps the medium packed, so
-    that thread allocates no 5 B/dot arrays; ``adopt_state`` decodes
-    them, exactly, on the thread that folds the pass, so the next
-    object read does not pay the decode."""
+_PATCH_BASE = {}
+
+
+def _patch_base_blob():
+    """A small store with an archive arena, pickled once: each example
+    starts from an unpickled copy, as a worker's pin does."""
     import pickle
-    import threading
-    import tracemalloc
 
     from repro import TamperEvidentStore
 
-    store = TamperEvidentStore.create(total_blocks=128)
-    store.put("/a", b"a" * 1500)
-    worker_copy = pickle.loads(pickle.dumps(store, pickle.HIGHEST_PROTOCOL))
-    worker_copy.seal("/a")
-    returned = pickle.dumps(worker_copy, pickle.HIGHEST_PROTOCOL)
-    received = []
-    tracemalloc.start()
+    if not _PATCH_BASE:
+        store = TamperEvidentStore.create(total_blocks=96, archive_blocks=32)
+        store.put("/seed", b"s" * 700)
+        store.seal("/seed")
+        _PATCH_BASE["blob"] = pickle.dumps(store, pickle.HIGHEST_PROTOCOL)
+    return _PATCH_BASE["blob"]
+
+
+_store_ops = st.one_of(
+    st.tuples(st.just("put"), st.integers(0, 3), st.integers(0, 1500)),
+    st.tuples(st.just("seal"), st.integers(0, 3)),
+    st.tuples(st.just("delete"), st.integers(0, 3)),
+    st.tuples(st.just("get"), st.integers(0, 3)),
+    st.tuples(st.just("verify"), st.integers(0, 3)),
+    st.tuples(st.just("audit"), st.booleans()),
+    st.tuples(st.just("archive"), st.integers(0, 1), st.integers(1, 900)),
+    st.tuples(st.just("heat_dot"), st.integers(0, 2**31 - 1)),
+    st.tuples(st.just("write_block"), st.integers(0, 2**31 - 1)),
+)
+
+
+def _run_store_op(store, op):
+    from repro.device.sero import BLOCK_SIZE
+    from repro.errors import ReproError
+
+    kind, *args = op
+    path = f"/obj-{args[0]}" if kind in (
+        "put", "seal", "delete", "get", "verify") else None
     try:
-        held = tracemalloc.get_traced_memory()[0]
-        thread = threading.Thread(
-            target=lambda: received.append(pickle.loads(returned)))
-        thread.start()
-        thread.join(timeout=60)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert not thread.is_alive() and len(received) == 1
-    n = store.device.medium.geometry.total_dots
-    assert (peak - held) / n <= 1.0
-    store.adopt_state(received[0])
-    medium, want = store.device.medium, worker_copy.device.medium
-    assert "_packed" not in vars(medium)
-    assert np.array_equal(medium._mag, want._mag)
-    assert np.array_equal(medium._sharpness, want._sharpness)
-    assert store.verify("/a").intact
+        if kind == "put":
+            store.put(path, bytes([args[1] % 251]) * args[1], overwrite=True)
+        elif kind in ("seal", "delete", "get", "verify"):
+            getattr(store, kind)(path)
+        elif kind == "audit":
+            store.audit(deep=args[0])
+        elif kind == "archive":
+            store.archive(f"a{args[0]}", b"%d" % args[1] * 3)
+        elif kind == "heat_dot":  # a probe heats one dot anywhere
+            medium = store.archive_device.medium if args[0] % 2 \
+                else store.device.medium
+            medium.heat_dot(args[0] % medium.geometry.total_dots)
+        else:  # a raw sector write below the file system
+            device = store.device
+            device.write_block(args[0] % device.total_blocks,
+                               bytes([args[0] % 256]) * BLOCK_SIZE)
+    except ReproError:
+        pass  # a refused op may still have moved state: the patch carries it
+
+
+def _assert_same_store(a, b):
+    from repro.parallel.session import store_fingerprint
+
+    for mine, theirs in ((a.device, b.device),
+                         (a.archive_device, b.archive_device)):
+        assert np.array_equal(mine.medium._mag, theirs.medium._mag)
+        assert np.array_equal(mine.medium._sharpness,
+                              theirs.medium._sharpness)
+        assert mine.medium._rng.bit_generator.state == \
+            theirs.medium._rng.bit_generator.state
+        assert mine.medium.counters == theirs.medium.counters
+    assert store_fingerprint(a) == store_fingerprint(b)
+    assert a.fs.imap == b.fs.imap and a.fs._meta == b.fs._meta
+    assert a.receipts == b.receipts and a.archives == b.archives
+
+
+@settings(max_examples=25, deadline=None)
+@given(ops=st.lists(_store_ops, max_size=10),
+       back=st.lists(_store_ops, max_size=6))
+def test_store_patch_carries_any_trace(ops, back):
+    """``apply(cut(a -> b), a) == b``: a copy taken at the last sync,
+    patched with what a random trace of store, device and medium
+    operations made, equals the traced store — media bytes of both
+    devices, RNG state, counters, file-system tables and the
+    fingerprint — and keeps its object identities.  The patch then
+    goes the other way, as a worker's reply does, and both copies
+    continue the same random sequence."""
+    import pickle
+
+    from repro.api.store import StoreStatePatch
+
+    blob = _patch_base_blob()
+    a, b = pickle.loads(blob), pickle.loads(blob)
+    held = (b.device, b.device.medium, b.fs, b.archive_device, b.venti)
+    for op in ops:
+        _run_store_op(a, op)
+    patch = StoreStatePatch.cut(a)
+    pickle.loads(pickle.dumps(patch, pickle.HIGHEST_PROTOCOL)).apply(b)
+    _assert_same_store(a, b)
+    assert (b.device, b.device.medium, b.fs, b.archive_device,
+            b.venti) == held
+    assert b.fs.device is b.device and b.venti.device is b.archive_device
+    assert b.device.scanner.account is b.device.account
+
+    for op in back:
+        _run_store_op(b, op)
+    pickle.loads(pickle.dumps(StoreStatePatch.cut(b),
+                              pickle.HIGHEST_PROTOCOL)).apply(a)
+    _assert_same_store(a, b)
+    for store in (a, b):
+        _run_store_op(store, ("audit", True))
+    _assert_same_store(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ from repro.api.fleet import FleetStore
 from repro.api.store import AuditReport, TamperEvidentStore
 from repro.device.sero import BLOCK_SIZE, SERODevice
 from repro.medium.medium import MediumConfig
-from repro.parallel import HashRing, parse_hosts
-from repro.parallel.remote import WorkerServer
+from repro.parallel import parse_hosts
+from repro.parallel.remote import WorkerServer, place_members
 from repro.parallel.session import store_fingerprint
 
 _PAYLOAD = bytes(range(256)) * (BLOCK_SIZE // 256)
@@ -119,23 +119,24 @@ def thread_worker(*, secret=None):
 
 def dead_host_splitting(live_addr, member_keys):
     """``(dead, hosts, holder)``: an address nothing listens on, chosen
-    so the ring over ``(live, dead)`` places at least one member on
-    each host (the live worker's port is dynamic, so the split must be
-    searched).  ``holder`` is the socket bound to the dead port and
-    never put in ``listen``: connects are refused and, for as long as
-    the caller keeps it open, nobody else (the next spawned worker
-    included) can be handed the port — close it in a ``finally``.
+    so the placement over ``(live, dead)`` puts at least one of the
+    ``member-<i>`` keys on each host (the live worker's port is
+    dynamic, so the split must be searched).  ``holder`` is the socket
+    bound to the dead port and never put in ``listen``: connects are
+    refused and, for as long as the caller keeps it open, nobody else
+    (the next spawned worker included) can be handed the port — close
+    it in a ``finally``.
 
-    Every unprivileged port is a candidate, in random order: for some
-    live ports only a few in a hundred split two members, so a bounded
-    number of draws would sometimes find none."""
+    Every unprivileged port is a candidate, in random order: the
+    placement is balanced, so with two or more members the first free
+    port splits them."""
     for port in random.sample(range(1024, 65536), 65536 - 1024):
         dead = f"127.0.0.1:{port}"
         if dead == live_addr:
             continue
         hosts = parse_hosts([live_addr, dead])
-        ring = HashRing(hosts)
-        if {ring.lookup(k) for k in member_keys} != set(hosts):
+        indices = [int(key.rpartition("-")[2]) for key in member_keys]
+        if set(place_members(hosts, indices).values()) != set(hosts):
             continue
         holder = socket.socket()
         try:
