@@ -251,7 +251,9 @@ class SERODevice:
     def clone(self) -> "SERODevice":
         """A deep, state-identical snapshot of this device.
 
-        Round-trips through the compact pickled form (see
+        Round-trips through the compact pickled form, in which the
+        medium is one :class:`~repro.medium.medium.MediumDelta` over
+        every block (see
         :meth:`repro.medium.medium.PatternedMedium.__getstate__`): the
         clone carries the same medium state, RNG position, bad-block
         map, line registry, scanner position and cost account, so it

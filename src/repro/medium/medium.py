@@ -181,10 +181,10 @@ class PatternedMedium:
 
         The epoch's companion invariant is ``_mag == 0`` exactly when a
         dot is heated.  Sharpness is compared with
-        ``HEATED_SHARPNESS_THRESHOLD`` only in the three methods that
-        establish it (``_apply_pulse``, ``_heat_many``,
-        ``__setstate__``); every other method reads ``_mag == 0`` as
-        "heated".
+        ``HEATED_SHARPNESS_THRESHOLD`` only in the two methods that
+        establish it, the heat pulses (``_apply_pulse``,
+        ``_heat_many``); every other method, the snapshot decode
+        included, reads ``_mag == 0`` as "heated".
         """
         return self._mut_epoch
 
@@ -210,6 +210,11 @@ class PatternedMedium:
     @_k_scale.setter
     def _k_scale(self, value: Optional[np.ndarray]) -> None:
         self._k_scale_cache = value
+
+    @property
+    def resident_bytes(self) -> int:
+        """Bytes the medium's two dot arrays hold in memory."""
+        return self._mag.nbytes + self._sharpness.nbytes
 
     # -- classification ------------------------------------------------------
 
@@ -586,73 +591,37 @@ class PatternedMedium:
     # -- snapshot transport ------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Compact pickled form: the medium as a *snapshot*, not a dump.
-
-        A fleet's rpc executor ships member state to workers when it
-        pins them, so the pickled size is a real throughput knob.  Three observations make the snapshot ~10x smaller than
-        the raw arrays:
-
-        * magnetisation is ternary with an invariant — a dot's
-          magnetisation is 0 exactly when it is heated below the
-          sharpness threshold (nothing can write a heated dot; see
-          :attr:`mutation_epoch` for the three methods that own it) —
-          so one packed sign bit per dot plus the sharpness map
-          reconstructs it exactly, and the decode re-zeroes the
-          heated dots from the touched values alone;
-        * sharpness is exactly 1.0 for every dot never touched by a
-          heat pulse; only the touched entries need to travel — as a
-          packed touched-dot bitmap (one bit per dot) plus their
-          float32 values.  And because every dot is normally heated
-          exactly once by the same pulse, those values are usually
-          *one* repeated float, which then travels as a single scalar
-          (media with collateral or repeated heating fall back to the
-          full value array);
-        * the fabrication k-scale is the *first* draw of the seeded
-          RNG, so it regenerates bit-exactly from the config instead
-          of travelling (the anisotropy model is likewise derived
-          state).
+        """The header plus a :class:`MediumDelta` over every block, the
+        one encoding of a medium's dots.
 
         The live RNG travels by value, so a restored medium continues
-        the exact random sequence — per-member results stay
-        byte-identical to the serial pass.
+        the exact random sequence.  The fabrication k-scale does not
+        travel: it is the seeded RNG's first draw and regenerates
+        bit-exactly from the config (the anisotropy model is derived
+        state too).
         """
-        touched = self._sharpness != np.float32(1.0)
-        vals = self._sharpness[touched]
-        uniform = bool(vals.size) and bool((vals == vals[0]).all())
+        dpb = self.geometry.dots_per_block
         return {
             "geometry": self.geometry,
             "config": self.config,
             "rng": self._rng,
             "counters": self.counters,
             "mut_epoch": self._mut_epoch,
-            "mag_bits": np.packbits(self._mag > 0),
-            "touched_bits": np.packbits(touched),
-            "sharp_vals": vals[:1] if uniform else vals,
-            "sharp_uniform": uniform,
+            "dots": MediumDelta(np.arange(self.geometry.total_blocks),
+                                self._mag.reshape(-1, dpb),
+                                self._sharpness.reshape(-1, dpb)),
         }
 
     def __setstate__(self, state: dict) -> None:
         self.geometry = state["geometry"]
         self.config = state["config"]
-        n = self.geometry.total_dots
-        # sign bits -> -1/+1 in place on int8 (2 * bit - 1)
-        self._mag = mag = np.unpackbits(state["mag_bits"],
-                                        count=n).view(np.int8)
-        mag += mag
-        mag -= 1
-        self._sharpness = np.ones(n, dtype=np.float32)
-        # indices, not a mask: touched dots are few
-        touched = np.flatnonzero(
-            np.unpackbits(state["touched_bits"], count=n).view(bool))
-        vals = state["sharp_vals"]
-        self._sharpness[touched] = vals  # one value or one per dot
-        # Only touched dots can be heated, so the mag == 0 invariant is
-        # restored from the travelling values, not a whole-medium compare.
-        mag[touched] = np.where(vals < HEATED_SHARPNESS_THRESHOLD, 0,
-                                mag[touched])
+        dots = state["dots"]
+        # the decoded arrays become the medium's own, not a copy of them
+        self._mag = dots.mag.reshape(-1)
+        self._sharpness = dots.sharpness.reshape(-1)
         self._rng = state["rng"]
         self.counters = state["counters"]
-        self._mut_epoch = state.get("mut_epoch", 0)
+        self._mut_epoch = state["mut_epoch"]
         # a restored medium is in sync with the one it was taken from
         self._dirty = np.zeros(self.geometry.total_blocks, dtype=bool)
         self._anisotropy = AnisotropyModel(stack=self.config.stack,
@@ -708,15 +677,20 @@ class PatternedMedium:
 
 class MediumDelta:
     """Whole blocks of a medium's two arrays: a :meth:`PatternedMedium.
-    cut_delta`.
+    cut_delta`, or every block of a pickled medium.
 
     ``blocks`` are the block numbers, ascending; ``mag`` and
     ``sharpness`` hold one row of ``dots_per_block`` values per block.
-    The pickled form packs them as the medium's snapshot does, one sign
+    This is the one place a medium's dots are encoded for travel.  A
+    dot is 0, 1 or heated (Fig 2), and sharpness is exactly 1.0 on
+    every dot no heat pulse touched, so the pickled form is one sign
     bit and one touched bit per dot, then whether each touched dot is
     heated, all three bitmaps deflated together; and the sharpness of
-    the touched dots, one value when they are all alike.  A seal's
-    blocks travel in well under a bit a dot instead of 5 bytes.
+    the touched dots, one value when they are all alike, as they are
+    when one pulse heated them.  Heated dots travel as bits, so the
+    decode never re-derives them from sharpness.  A seal's blocks
+    travel in well under a bit a dot instead of 5 bytes, and a sealed
+    1024-block medium in about 30 kB.
     """
 
     __slots__ = ("blocks", "mag", "sharpness")
@@ -731,11 +705,12 @@ class MediumDelta:
         mag = self.mag.ravel()
         sharpness = self.sharpness.ravel()
         touched = sharpness != np.float32(1.0)
-        vals = sharpness[touched]
+        at = np.flatnonzero(touched)  # few: gather by index, not by mask
+        vals = sharpness[at]
         # one pulse heats every dot it touches alike: one value travels
         uniform = bool(vals.size) and bool((vals == vals[0]).all())
         bits = np.concatenate((np.packbits(mag > 0), np.packbits(touched),
-                               np.packbits(mag[touched] == 0)))
+                               np.packbits(mag[at] == 0)))
         return {"blocks": self.blocks, "shape": self.mag.shape,
                 "bits": zlib.compress(bits, 1),
                 "sharp_vals": vals[:1] if uniform else vals}

@@ -2,9 +2,9 @@
 
 The cross-process half of fleet dispatch (``serial`` is the
 in-process half).  A member ships to a worker whole only to pin it,
-as a compact pickled snapshot (about 1.3 MB for a sealed 1024-block
-member, see
-:meth:`repro.medium.medium.PatternedMedium.__getstate__`).  After
+as a compact pickled snapshot (about 90 kB for a sealed 1024-block
+member: the medium travels as one
+:class:`~repro.medium.medium.MediumDelta` over every block).  After
 that, state crosses in both directions as a
 :class:`~repro.api.store.StoreStatePatch`: the blocks a side changed
 plus the rest of the store, about 12 kB for a seal, or about 1 kB for
@@ -157,7 +157,7 @@ _DIGEST_BYTES = 32
 #: on the header's length before a body byte is read; the body itself
 #: arrives in chunks, so a receiver holds only the bytes that were
 #: actually sent, never the length a header merely promises.
-#: Generous: a bench member snapshot is ~1.3 MB.
+#: Generous: a bench member snapshot is about 90 kB.
 MAX_FRAME_BYTES = 1 << 30
 
 #: Seconds :func:`ping` sleeps between round trips to a worker that is
@@ -344,16 +344,12 @@ def recv_frame(sock: socket.socket, *,
 #: About 40 pins of a 1024-block member.
 PIN_CACHE_BYTES = 1 << 30
 
-#: Resident bytes per dot of a decoded medium: int8 magnetisation
-#: plus float32 sharpness.
-_RESIDENT_BYTES_PER_DOT = 5
-
 
 def _pin_bytes(store: Any) -> int:
-    """A pinned store's resident size, estimated from its geometry (a
+    """A pinned store's resident size, its media's dot arrays (a
     snapshot that is no store counts 0, and fails as its task)."""
-    return _RESIDENT_BYTES_PER_DOT * sum(
-        getattr(getattr(device, "geometry", None), "total_dots", 0)
+    return sum(
+        getattr(getattr(device, "medium", None), "resident_bytes", 0)
         for device in (getattr(store, "device", None),
                        getattr(store, "archive_device", None)))
 

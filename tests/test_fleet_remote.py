@@ -574,20 +574,40 @@ def test_session_rng_continuation(workers):
     assert fingerprints(serial) == fingerprints(pinned)
 
 
-def test_session_reports_wire_traffic(workers):
-    """``last_op`` exposes per-host bytes: snapshot-sized while
-    pinning, a patch after a client-side mutation, then orders of
-    magnitude down once pinned."""
+def _record_ships(monkeypatch):
+    """The ``ship`` of every ``run`` request this process sends:
+    ``"pin"``, ``"patch"`` or None, in no particular order across
+    hosts."""
+    ships = []
+    request = remote_mod._TaskPlan.request
+
+    def recording(plan, ship):
+        ships.append(ship)
+        return request(plan, ship)
+
+    monkeypatch.setattr(remote_mod._TaskPlan, "request", recording)
+    return ships
+
+
+def test_session_reports_wire_traffic(workers, monkeypatch):
+    """Each request ships the form its member needs: the snapshot
+    while pinning, a patch after a client-side mutation, then nothing
+    once pinned, and ``last_op`` exposes the per-host bytes: a steady
+    pass sends under a tenth of a patch pass."""
+    ships = _record_ships(monkeypatch)
     fleet = device_rack(RpcExecutor(workers), n=2)
     fleet.format_devices()
-    pin_bytes = sum(fleet.last_op.bytes_out.values())
+    assert ships == ["pin"] * 2
     assert set(fleet.last_op.bytes_back) <= set(workers)
     seal_lines(fleet)
+    ships.clear()
     fleet.audit()  # the client-side seal travels as a patch
-    assert sum(fleet.last_op.bytes_out.values()) < pin_bytes / 10
+    assert ships == ["patch"] * 2
+    patch_bytes = sum(fleet.last_op.bytes_out.values())
+    ships.clear()
     fleet.audit()
-    steady_bytes = sum(fleet.last_op.bytes_out.values())
-    assert pin_bytes > 50 * steady_bytes
+    assert ships == [None] * 2
+    assert sum(fleet.last_op.bytes_out.values()) < patch_bytes / 10
 
 
 def test_session_fleet_store_surface(workers):
@@ -815,22 +835,21 @@ def test_stale_patch_gets_nopin_then_a_full_resend():
             close_connection_pools()
 
 
-def test_a_pass_after_a_client_side_put_ships_a_patch_both_ways(workers):
-    """After a client-side ``put`` the next ``seal_many`` sends each
-    member's patch, not its snapshot, and takes a patch back: both
-    directions stay under a tenth of the cold pin, and the members
-    still equal the serial twin's."""
+def test_a_pass_after_a_client_side_put_ships_a_patch_both_ways(
+        workers, monkeypatch):
+    """After a client-side ``put`` the next ``seal_many`` sends every
+    member its patch, never its snapshot, and folds the patch each
+    reply carries: the members still equal the serial twin's."""
     serial, paths = object_rack("serial")
     remote, _ = object_rack(RpcExecutor(workers))
     serial.audit()
     remote.audit()
-    cold = sum(remote.last_op.bytes_out.values())
+    ships = _record_ships(monkeypatch)
     for fleet in (serial, remote):
         for path in paths:
             fleet.put(path, path.encode() * 40, overwrite=True)
     assert remote.seal_many(paths) == serial.seal_many(paths)
-    assert sum(remote.last_op.bytes_out.values()) < cold / 10
-    assert sum(remote.last_op.bytes_back.values()) < cold / 10
+    assert ships == ["patch"] * len(remote.members)
     assert fingerprints(remote) == fingerprints(serial)
     assert remote.audit(deep=True) == serial.audit(deep=True)
     assert fingerprints(remote) == fingerprints(serial)

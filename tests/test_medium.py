@@ -153,7 +153,8 @@ def test_operation_counters(medium):
 
 def test_only_the_invariant_owners_compare_sharpness_to_the_threshold():
     # mag == 0 is "heated" everywhere else; sharpness decides it only
-    # where sharpness changes (a pulse) or arrives (a snapshot decode).
+    # where sharpness changes, in a heat pulse.  A snapshot decode reads
+    # the heated bits its MediumDelta carries.
     import ast
     import inspect
 
@@ -168,7 +169,33 @@ def test_only_the_invariant_owners_compare_sharpness_to_the_threshold():
         and any(isinstance(node, ast.Name)
                 and node.id == "HEATED_SHARPNESS_THRESHOLD"
                 for node in ast.walk(fn))}
-    assert naming == {"_apply_pulse", "_heat_many", "__setstate__"}
+    assert naming == {"_apply_pulse", "_heat_many"}
+
+
+def test_only_medium_delta_packs_bits():
+    # one encoder and one decoder for a medium's dots: a second packing
+    # must not grow back beside MediumDelta.  The erb tables unpack a
+    # 256-entry byte table, not a medium.
+    import ast
+    import inspect
+
+    from repro.medium import medium as medium_module
+
+    tree = ast.parse(inspect.getsource(medium_module))
+    callers = {"packbits": set(), "unpackbits": set(), "zlib": set()}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)):
+                continue
+            if node.func.value.id == "zlib":
+                callers["zlib"].add(top.name)
+            elif node.func.attr in ("packbits", "unpackbits"):
+                callers[node.func.attr].add(top.name)
+    assert callers == {"packbits": {"MediumDelta"},
+                       "unpackbits": {"MediumDelta", "_erb_outcome_tables"},
+                       "zlib": {"MediumDelta"}}
 
 
 def test_every_epoch_bump_marks_its_blocks_dirty():

@@ -342,6 +342,23 @@ def test_device_snapshot_decode_allocates_at_most_three_bytes_per_dot():
     assert clone.heated_lines == device.heated_lines
 
 
+def test_a_sealed_member_pickles_to_at_most_150_kb():
+    """The medium travels as one deflated :class:`MediumDelta` over
+    every block, so a cold pin of a sealed 1024-block member is about
+    90 kB, not the 1.3 MB of its undeflated bitmaps."""
+    import pickle
+
+    from repro import TamperEvidentStore
+
+    store = TamperEvidentStore.create(total_blocks=1024)
+    paths = [f"/obj{i:02d}" for i in range(30)]
+    for path in paths:
+        store.put(path, path.encode() * 200)
+    for path in paths[:15]:
+        store.seal(path)
+    assert len(pickle.dumps(store, pickle.HIGHEST_PROTOCOL)) <= 150_000
+
+
 _PATCH_BASE = {}
 
 
