@@ -7,11 +7,13 @@ media fail as isolated dot errors (a defective or disturbed dot), so a
 single-error-correcting, double-error-detecting Hamming code over
 64-bit words — the classic DRAM/disk-header choice — is appropriate.
 
-The codec is vectorised with numpy: codewords are packed to nine bytes
-and both parity checks fall out of one XOR over nine gathers from a
-per-byte table built at import; decoding gathers each packed byte's
-data bits and check contribution from one such table, so whole blocks
-(or a whole audit's frames) decode in a handful of array operations.
+The codec is vectorised with numpy over tables built at import.
+Codewords are packed to nine bytes.  Encoding gathers each data byte's
+packed codeword bits and check contribution from one table, XORs a
+word's eight gathers, and adds the parity bits its check byte implies
+from a second table; decoding gathers each packed byte's data bits and
+check contribution from one such table, so whole blocks (or a whole
+audit's frames) encode and decode in a handful of array operations.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ DATA_BYTES = DATA_BITS // 8
 #: Position 0 holds the overall parity bit.
 _PARITY_POSITIONS = np.asarray([1, 2, 4, 8, 16, 32, 64], dtype=np.int64)
 _DATA_POSITIONS = np.setdiff1d(np.arange(1, CODE_BITS), _PARITY_POSITIONS)
-_PARITY_SHIFTS = np.arange(7, dtype=np.uint8)
 CODE_BYTES = CODE_BITS // 8
 
 
@@ -58,7 +59,6 @@ def _build_check_table() -> np.ndarray:
 
 
 _CHECK_TABLE = _build_check_table()
-_BYTE_INDEX = np.arange(CODE_BYTES)
 
 
 def _build_decode_table() -> np.ndarray:
@@ -93,39 +93,61 @@ _DECODE_TABLE = _build_decode_table()
 _DECODE_OFFSETS = np.arange(CODE_BYTES, dtype=np.intp) << 8
 
 
-def _checks(code: np.ndarray) -> np.ndarray:
-    """Per-word check byte of an (nwords, 72) bit matrix: Hamming
-    syndrome in the low 7 bits, overall parity in bit 7."""
-    packed = np.packbits(code, axis=1)
-    return np.bitwise_xor.reduce(_CHECK_TABLE[_BYTE_INDEX, packed], axis=1)
+def _build_encode_tables() -> Tuple[np.ndarray, np.ndarray]:
+    """Per-data-byte encode table and per-check-byte parity table.
+
+    Entry ``[j, v]`` of the first describes data byte ``j`` of a word
+    holding value ``v``, as 16 bytes (two ``uint64`` lanes): bytes 0–8
+    hold its bits placed at their codeword data positions, packed
+    MSB-first, and byte 9 its check-table contribution.  The bytes of a
+    word touch disjoint positions, so XOR-ing its eight entries gives
+    its packed data bits and, in byte 9, the check byte of the word
+    with its parity positions still zero.  With those positions zero
+    the Hamming syndrome *is* the Hamming parity (parity ``i`` sits at
+    position ``2**i``), so the second table, keyed by that check byte,
+    holds the packed parity bits it implies: the seven Hamming bits,
+    and at position 0 the overall parity, which also covers them.
+    """
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    data = np.zeros((DATA_BYTES, 256, 16), dtype=np.uint8)
+    for i, pos in enumerate(_DATA_POSITIONS):
+        j, k = divmod(i, 8)
+        data[j, :, pos >> 3] |= bits[:, k] * np.uint8(0x80 >> (pos & 7))
+        data[j, :, 9] ^= bits[:, k] * np.uint8(pos | 0x80)
+    check = np.arange(256)
+    parity = np.zeros((256, 16), dtype=np.uint8)
+    hamming_ones = np.zeros(256, dtype=np.int64)
+    for i, pos in enumerate(_PARITY_POSITIONS):
+        bit = (check >> i) & 1
+        parity[:, pos >> 3] |= (bit * (0x80 >> (pos & 7))).astype(np.uint8)
+        hamming_ones += bit
+    parity[:, 0] |= ((((check >> 7) ^ hamming_ones) & 1) << 7).astype(np.uint8)
+    return (data.view(np.uint64).reshape(DATA_BYTES * 256, 2),
+            parity.view(np.uint64))
 
 
-def _bytes_to_words(data: bytes) -> np.ndarray:
-    """Unpack bytes into an (nwords, 64) bit matrix, MSB-first."""
-    if len(data) % DATA_BYTES:
-        raise ValueError("payload must be a multiple of 8 bytes")
-    raw = np.frombuffer(data, dtype=np.uint8)
-    bits = np.unpackbits(raw)
-    return bits.reshape(-1, DATA_BITS)
+_ENCODE_TABLE, _PARITY_TABLE = _build_encode_tables()
+_ENCODE_OFFSETS = (np.arange(DATA_BYTES, dtype=np.intp) << 8)[:, None]
 
 
 def encode(data: bytes) -> np.ndarray:
     """Encode ``data`` (multiple of 8 bytes) into a flat bit array.
 
     Returns a uint8 array of length ``len(data)//8 * 72`` laid out as
-    consecutive 72-bit codewords.
+    consecutive 72-bit codewords.  One gather per data byte from the
+    encode table, XOR-ed lane by lane, then one gather of the parity
+    bits by check byte; the packed words unpack to the dots.
     """
-    words = _bytes_to_words(data)
-    code = np.zeros((words.shape[0], CODE_BITS), dtype=np.uint8)
-    code[:, _DATA_POSITIONS] = words
-    # with the parity positions still zero the syndrome of the data
-    # bits *is* the Hamming parity (parity j sits at position 2**j),
-    # and setting it leaves bit 7 one XOR short of the overall parity
-    checks = _checks(code)
-    hamming = (checks[:, None] >> _PARITY_SHIFTS) & 1  # (nwords, 7)
-    code[:, _PARITY_POSITIONS] = hamming
-    code[:, 0] = (checks >> 7) ^ (hamming.sum(axis=1) & 1)
-    return code.reshape(-1)
+    if len(data) % DATA_BYTES:
+        raise ValueError("payload must be a multiple of 8 bytes")
+    raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, DATA_BYTES)
+    lanes = _ENCODE_TABLE.take(raw.T + _ENCODE_OFFSETS, axis=0)
+    word = lanes[0] ^ lanes[1]  # (nwords, 2) uint64
+    for lane in lanes[2:]:
+        word ^= lane
+    packed = word.view(np.uint8)
+    word ^= _PARITY_TABLE.take(packed[:, 9], axis=0)
+    return np.unpackbits(packed[:, :CODE_BYTES], axis=1).reshape(-1)
 
 
 class ECCResult:

@@ -354,10 +354,10 @@ class SERODevice:
         """mrs a run of ``count`` consecutive blocks, unchecked.
 
         On the span engine the sled walks the run exactly as ``count``
-        single-block reads would (same seeks, same transfer charge),
-        but the medium is read in a single span and decoded per block
-        afterwards — one numpy gather instead of ``count``.  The scalar
-        engine reads and decodes block by block.
+        single-block reads would (same seeks), the run is charged one
+        transfer, and the medium is read in a single span and decoded
+        in one ECC pass — one numpy gather instead of ``count``.  The
+        scalar engine reads and decodes block by block.
         """
         if not self.config.span_engine:
             return [decode_frame_run(self._mrs_span(pba, 1), pba)[0].payload
@@ -371,9 +371,11 @@ class SERODevice:
         """Charge the sled for an mrs run and read its dots, undecoded.
 
         The one magnetic read path of :meth:`_mrs_run` and the batched
-        audit: seeks block by block (continuations charge 0), one
-        transfer charge, one medium span read — whose heated dots draw
-        their read noise here, in call order.
+        audit, and so of every file-system run (``SeroFS`` reads each
+        extent of a file with one :meth:`read_block_run`): seeks block
+        by block (continuations charge 0), one transfer charge, one
+        medium span read — whose heated dots draw their read noise
+        here, once per span, in call order.
         """
         start_dot, _ = self.geometry.block_span(first)
         _, end_dot = self.geometry.block_span(first + count - 1)

@@ -21,11 +21,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from ..device.sero import SERODevice, VerificationResult, VerifyStatus
 from ..errors import ReadError
 from .inode import FileType, Inode, unpack_pointer_block
+from .lfs import ROOT_INO, SeroFS, read_pointers
 from .segment import BlockState
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..api.store import TamperEvidentStore
-    from .lfs import SeroFS
 
 
 def _as_device(target) -> SERODevice:
@@ -42,8 +42,6 @@ def _as_device(target) -> SERODevice:
 
 def _as_fs(target) -> "SeroFS":
     """Accept a :class:`SeroFS` or a façade carrying one."""
-    from .lfs import SeroFS
-
     if isinstance(target, SeroFS):
         return target
     inner = getattr(target, "fs", None)
@@ -96,28 +94,6 @@ class DeepScanReport:
                    if f.verification.status is VerifyStatus.INTACT)
 
 
-def _pointer_runs(pointers: List[int]) -> List[tuple]:
-    """Group ``pointers`` (in order) into ``(first, count)`` runs of
-    consecutive PBAs — log-structured writes lay file blocks out
-    sequentially inside the line, so a recovered file is typically one
-    or two runs."""
-    runs: List[tuple] = []
-    for pba in pointers:
-        if runs and pba == runs[-1][0] + runs[-1][1]:
-            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-        else:
-            runs.append((pba, 1))
-    return runs
-
-
-def _read_pointers(device: SERODevice, pointers: List[int]) -> List[bytes]:
-    """The payloads behind ``pointers``, read run by run."""
-    chunks: List[bytes] = []
-    for first, count in _pointer_runs(pointers):
-        chunks.extend(device.read_block_run(first, count))
-    return chunks
-
-
 def deep_scan(device: "SERODevice | TamperEvidentStore") -> DeepScanReport:
     """Recover all heated files straight from the medium.
 
@@ -153,7 +129,7 @@ def deep_scan(device: "SERODevice | TamperEvidentStore") -> DeepScanReport:
             for ipba in inode.indirect:
                 pointers.extend(unpack_pointer_block(device.read_block(ipba)))
             pointers = pointers[:inode.n_blocks]
-            chunks = _read_pointers(device, pointers)
+            chunks = read_pointers(device, pointers)
             data = b"".join(chunks)[:inode.size]
         except ReadError:
             data = None
@@ -232,8 +208,6 @@ def fsck(fs: "SeroFS | TamperEvidentStore",
 
 def _walk_tree(fs: "SeroFS", report: FsckReport) -> set:
     """Collect inodes reachable from the root directory."""
-    from .lfs import ROOT_INO
-
     reachable = set()
     stack = [ROOT_INO]
     while stack:

@@ -25,7 +25,7 @@ Section 4.1 paper check shows the difference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..device.sector import BLOCK_SIZE
 from ..device.sero import LineRecord, SERODevice, VerificationResult
@@ -54,6 +54,30 @@ from .layout import Checkpoint, Superblock
 from .segment import INDIRECT_FBN, BlockState, SegmentTable
 
 ROOT_INO = 1
+
+
+def read_pointers(device: SERODevice, pointers: Sequence[int]) -> List[bytes]:
+    """The payloads behind ``pointers``, in order, read run by run.
+
+    The pointers split into maximal ascending runs of consecutive
+    PBAs, and each run is one
+    :meth:`~repro.device.sero.SERODevice.read_block_run`: one medium
+    span and one ECC decode per run on the span engine (a per-block
+    loop on a ``DeviceConfig(span_engine=False)`` device).  The log
+    lays a file out in order, so a file is typically one run.
+    """
+    chunks: List[bytes] = []
+    first, count = 0, 0
+    for pba in pointers:
+        if count and pba == first + count:
+            count += 1
+            continue
+        if count:
+            chunks.extend(device.read_block_run(first, count))
+        first, count = pba, 1
+    if count:
+        chunks.extend(device.read_block_run(first, count))
+    return chunks
 
 
 @dataclass
@@ -149,7 +173,7 @@ class SeroFS:
                         checkpoint_start=1,
                         checkpoint_blocks=cp_region // 2)
         fs = cls(device, sb, config)
-        fs._dev_write(0, sb.pack())
+        fs._dev_write(0, [sb.pack()])
         fs.next_ino = ROOT_INO
         root = fs._allocate_inode(FileType.DIRECTORY, name_hint="/")
         fs._write_file_blocks(root, pack_entries({}))
@@ -186,9 +210,8 @@ class SeroFS:
                 nblocks = (total + BLOCK_SIZE - 1) // BLOCK_SIZE
                 if nblocks > self.sb.checkpoint_blocks:
                     continue
-                payloads = [first]
-                for pba in range(start + 1, start + nblocks):
-                    payloads.append(self.device.read_block(pba))
+                payloads = [first] + self.device.read_block_run(
+                    start + 1, nblocks - 1)
                 candidate = Checkpoint.from_blocks(payloads)
             except ReadError:
                 continue
@@ -234,9 +257,7 @@ class SeroFS:
                         tick=self.tick, imap=dict(self.imap),
                         heated_lines=heated)
         blocks = cp.to_blocks(self.sb.checkpoint_blocks)
-        start = self._checkpoint_region(self._generation % 2)
-        for offset, payload in enumerate(blocks):
-            self._dev_write(start + offset, payload)
+        self._dev_write(self._checkpoint_region(self._generation % 2), blocks)
 
     # -- allocation -----------------------------------------------------------------
 
@@ -317,15 +338,20 @@ class SeroFS:
             payload = self._meta[pba] = self.device.read_block(pba)
         return payload
 
-    def _dev_write(self, pba: int, payload: bytes) -> None:
-        """Every magnetic write of the file system goes through here:
-        the block's cached payload is dropped and the cache, synced
-        before the write so it vouches for nothing foreign, is stamped
-        past it.  A sector write touches only its own block's dots, so
-        no other entry can have gone stale."""
+    def _dev_write(self, first: int, payloads: Sequence[bytes]) -> None:
+        """Every magnetic write of the file system goes through here, as
+        one run of consecutive blocks from ``first`` (a single block is
+        a run of one): one
+        :meth:`~repro.device.sero.SERODevice.write_block_run`, so one
+        ECC encode, one medium span and one transfer charge per run.
+        The written blocks' cached payloads are dropped and the cache,
+        synced before the write so it vouches for nothing foreign, is
+        stamped past it.  A sector write touches only its own blocks'
+        dots, so no other entry can have gone stale."""
         self._meta_sync()
-        self.device.write_block(pba, payload)
-        self._meta.pop(pba, None)
+        self.device.write_block_run(first, payloads)
+        for pba in range(first, first + len(payloads)):
+            self._meta.pop(pba, None)
         self._meta_epoch = self.device.medium.mutation_epoch
 
     def _read_inode_at(self, pba: int) -> Inode:
@@ -355,6 +381,15 @@ class SeroFS:
     def _write_data_blocks(self, ino: int, data: bytes) -> Tuple[List[int], List[int]]:
         """Append ``data`` to the log; returns (data_pbas, indirect_pbas).
 
+        Blocks are allocated one at a time, in file order (data, then
+        indirect), and each is marked LIVE as it is allocated.  Their
+        payloads are buffered while the allocations stay contiguous and
+        written as one run: before a block that does not continue the
+        run, before an allocation that may start the cleaner (which
+        must never meet a LIVE block with no frame yet), and at the
+        end.  The device sees the blocks of the per-block loop, in its
+        order, so seeks, placement and stored bytes are the same.
+
         All-or-nothing: if allocation fails part-way the blocks written
         so far are rolled back to DEAD (reclaimable) so nothing leaks —
         the caller's old file version is still fully live.
@@ -362,25 +397,40 @@ class SeroFS:
         n_blocks = (len(data) + BLOCK_SIZE - 1) // BLOCK_SIZE
         pbas: List[int] = []
         indirect_pbas: List[int] = []
+        run: List[bytes] = []  # buffered payloads of run_first onwards
+        run_first = 0
+
+        def flush() -> None:
+            if run:
+                self._dev_write(run_first, run)
+                del run[:]
+
+        def append(payload: bytes, fbn: int, out: List[int]) -> None:
+            nonlocal run_first
+            pba = self._try_alloc_block()
+            if pba is None:
+                flush()  # _alloc_block may start the cleaner
+                pba = self._alloc_block()
+            elif run and pba != run_first + len(run):
+                flush()
+            if not run:
+                run_first = pba
+            self.table.mark_live(pba, ino, fbn=fbn)
+            self._touch_segment(pba)
+            out.append(pba)
+            run.append(payload)
+            self._stats["blocks_written"] += 1
+
         try:
             for fbn in range(n_blocks):
                 chunk = data[fbn * BLOCK_SIZE:(fbn + 1) * BLOCK_SIZE]
-                chunk += b"\x00" * (BLOCK_SIZE - len(chunk))
-                pba = self._alloc_block()
-                self._dev_write(pba, chunk)
-                self.table.mark_live(pba, ino, fbn=fbn)
-                self._touch_segment(pba)
-                pbas.append(pba)
-                self._stats["blocks_written"] += 1
+                append(chunk + b"\x00" * (BLOCK_SIZE - len(chunk)), fbn, pbas)
             overflow = pbas[N_DIRECT:]
             for i in range(0, len(overflow), POINTERS_PER_INDIRECT):
-                chunk_ptrs = overflow[i:i + POINTERS_PER_INDIRECT]
-                pba = self._alloc_block()
-                self._dev_write(pba, pack_pointer_block(chunk_ptrs))
-                self.table.mark_live(pba, ino, fbn=INDIRECT_FBN)
-                self._touch_segment(pba)
-                indirect_pbas.append(pba)
-                self._stats["blocks_written"] += 1
+                append(pack_pointer_block(
+                    overflow[i:i + POINTERS_PER_INDIRECT]),
+                    INDIRECT_FBN, indirect_pbas)
+            flush()
         except NoSpaceError:
             for pba in pbas + indirect_pbas:
                 if self.table.state(pba) is BlockState.LIVE:
@@ -392,7 +442,7 @@ class SeroFS:
         """Append an inode block; updates the imap; returns its PBA."""
         old = self.imap.get(inode.ino)
         pba = self._alloc_block()
-        self._dev_write(pba, inode.pack())
+        self._dev_write(pba, [inode.pack()])
         self.table.mark_live(pba, inode.ino, is_inode=True)
         self._touch_segment(pba)
         self.imap[inode.ino] = pba
@@ -466,9 +516,17 @@ class SeroFS:
         return parent, parts[-1]
 
     def _read_content(self, inode: Inode) -> bytes:
+        """A file's bytes, its data blocks read run by run
+        (:func:`read_pointers`).
+
+        On the span engine the heated dots of a run draw their read
+        noise once per run, as
+        :meth:`~repro.device.sero.SERODevice.verify_line` does, so after
+        a read of *tampered* data the medium RNG may stand elsewhere
+        than a per-block read would leave it.  Untampered data blocks
+        hold no heated dot and draw nothing."""
         pointers, _ = self._load_pointers(inode)
-        chunks = [self.device.read_block(pba) for pba in pointers]
-        return b"".join(chunks)[:inode.size]
+        return b"".join(read_pointers(self.device, pointers))[:inode.size]
 
     def _dir_entries(self, inode: Inode) -> Dict[str, Tuple[FileType, int]]:
         pointers, _ = self._load_pointers(inode)
@@ -662,26 +720,31 @@ class SeroFS:
         indirect_pbas = [start + 2 + i for i in range(n_indirect)]
         inode_pba = start + 1
 
-        for i, pba in enumerate(data_pbas):
-            chunk = data[i * BLOCK_SIZE:(i + 1) * BLOCK_SIZE]
-            chunk += b"\x00" * (BLOCK_SIZE - len(chunk))
-            self._dev_write(pba, chunk)
-            self._stats["blocks_written"] += 1
-        for i, pba in enumerate(indirect_pbas):
-            ptrs = data_pbas[N_DIRECT + i * POINTERS_PER_INDIRECT:
-                             N_DIRECT + (i + 1) * POINTERS_PER_INDIRECT]
-            self._dev_write(pba, pack_pointer_block(ptrs))
-            self._stats["blocks_written"] += 1
-        new_inode = Inode(ino=ino, ftype=inode.ftype,
-                          link_count=inode.link_count, size=len(data),
-                          mtime=self.tick, name_hint=inode.name_hint,
-                          direct=data_pbas[:N_DIRECT],
-                          indirect=indirect_pbas, flags=inode.flags)
-        self._dev_write(inode_pba, new_inode.pack())
-        self._stats["blocks_written"] += 1
-        for pba in range(start + 1 + payload_blocks, start + line_len):
-            self._dev_write(pba, b"\x00" * BLOCK_SIZE)
-            self._stats["blocks_written"] += 1
+        # one run each, in the order (and so with the seeks) of the
+        # per-block writes: data, indirect blocks, inode, padding
+        padded = data + b"\x00" * (n_data * BLOCK_SIZE - len(data))
+        runs: List[Tuple[int, List[bytes]]] = [
+            (start + 2 + n_indirect,
+             [padded[i * BLOCK_SIZE:(i + 1) * BLOCK_SIZE]
+              for i in range(n_data)]),
+            (start + 2,
+             [pack_pointer_block(
+                 data_pbas[N_DIRECT + i * POINTERS_PER_INDIRECT:
+                           N_DIRECT + (i + 1) * POINTERS_PER_INDIRECT])
+              for i in range(n_indirect)]),
+            (inode_pba,
+             [Inode(ino=ino, ftype=inode.ftype,
+                    link_count=inode.link_count, size=len(data),
+                    mtime=self.tick, name_hint=inode.name_hint,
+                    direct=data_pbas[:N_DIRECT],
+                    indirect=indirect_pbas, flags=inode.flags).pack()]),
+            (start + 1 + payload_blocks,
+             [b"\x00" * BLOCK_SIZE] * (line_len - 1 - payload_blocks)),
+        ]
+        for first, payloads in runs:
+            if payloads:
+                self._dev_write(first, payloads)
+                self._stats["blocks_written"] += len(payloads)
 
         record = self.device.heat_line(start, line_len, timestamp=timestamp)
         if not self.device.medium.config.collateral_heating:

@@ -114,6 +114,7 @@ Failure semantics (the fault-injection contract):
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import hmac
 import os
@@ -870,6 +871,13 @@ def usable_hosts(hosts: Sequence[str], *,
 # The executor
 
 
+@functools.lru_cache(maxsize=64)
+def _placement_ring(hosts: Tuple[str, ...]) -> HashRing:
+    """The :class:`HashRing` over one sorted host tuple, built once (a
+    ring hashes ``replicas`` points per host).  Callers only walk it."""
+    return HashRing(hosts)
+
+
 def place_members(hosts: Sequence[str],
                   indices: Sequence[int]) -> Dict[int, str]:
     """Which host runs each of the members ``indices``: consistent
@@ -881,9 +889,9 @@ def place_members(hosts: Sequence[str],
     of ``"member-i"`` on a :class:`HashRing` over ``hosts`` that is
     still below that, so the first member always gets its plain ring
     owner.  A pure function of the host *set*: the ring does not depend
-    on the order hosts are given in.
+    on the order hosts are given in, and is built once per host set.
     """
-    ring = HashRing(tuple(sorted(hosts)))
+    ring = _placement_ring(tuple(sorted(hosts)))
     capacity = -(-len(indices) // len(ring))
     load = dict.fromkeys(ring.nodes, 0)
     placement: Dict[int, str] = {}

@@ -272,6 +272,29 @@ def test_ring_errors():
         HashRing().lookup("key")
 
 
+def test_place_members_builds_one_ring_per_host_set(monkeypatch):
+    """Placement is a function of the host set, whatever the order the
+    hosts come in, and a repeated set reuses its ring."""
+    import itertools
+
+    from repro.parallel import remote
+
+    hosts = ("10.0.0.7:7001", "10.0.0.8:7002", "10.0.0.9:7003")
+    built = []
+    monkeypatch.setattr(remote, "HashRing",
+                        lambda nodes: built.append(nodes) or HashRing(nodes))
+    remote._placement_ring.cache_clear()
+    first = remote.place_members(hosts, range(7))
+    for order in itertools.permutations(hosts):
+        assert remote.place_members(order, range(7)) == first
+        assert remote.place_members(order, [5, 2]) == \
+            remote.place_members(hosts, [2, 5])
+    assert built == [tuple(sorted(hosts))]
+    remote._placement_ring.cache_clear()  # a fresh ring places alike
+    assert remote.place_members(hosts[::-1], range(7)) == first
+    assert len(built) == 2
+
+
 # -- FleetStore ----------------------------------------------------------------
 
 
