@@ -85,6 +85,22 @@ class Scanner:
         self.account.charge("seek", seek)
         return seek
 
+    def seek_to_run(self, first: int, count: int) -> float:
+        """Move the sled through the run of ``count`` blocks from
+        ``first``; returns the seek time charged.
+
+        Exactly :meth:`seek_to_block` over each block of the run: the
+        seek to ``first``, then continuations, which charge nothing and
+        leave the sled on the run's last block.
+        """
+        if count <= 0:
+            return 0.0
+        seek = self.seek_to_block(first)
+        if count > 1:
+            self._last_block = last = first + count - 1
+            self._x, self._y = self._field_position(last)
+        return seek
+
     def transfer(self, nbits: int, kind: str,
                  per_bit: Optional[float] = None) -> float:
         """Charge a transfer of ``nbits`` of the given kind.

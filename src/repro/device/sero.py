@@ -372,15 +372,14 @@ class SERODevice:
 
         The one magnetic read path of :meth:`_mrs_run` and the batched
         audit, and so of every file-system run (``SeroFS`` reads each
-        extent of a file with one :meth:`read_block_run`): seeks block
-        by block (continuations charge 0), one transfer charge, one
+        extent of a file with one :meth:`read_block_run`): one run seek
+        (continuations charge 0), one transfer charge, one
         medium span read — whose heated dots draw their read noise
         here, once per span, in call order.
         """
         start_dot, _ = self.geometry.block_span(first)
         _, end_dot = self.geometry.block_span(first + count - 1)
-        for pba in range(first, first + count):
-            self.scanner.seek_to_block(pba)
+        self.scanner.seek_to_run(first, count)
         self.scanner.transfer(end_dot - start_dot, "mrb")
         return self.medium.read_mag_span(start_dot, end_dot)
 
@@ -422,8 +421,7 @@ class SERODevice:
         for run_first, run in runs:
             bits = encode_frame_run(run_first, run)
             start_dot, _ = self.geometry.block_span(run_first)
-            for pba in range(run_first, run_first + len(run)):
-                self.scanner.seek_to_block(pba)  # continuations charge 0
+            self.scanner.seek_to_run(run_first, len(run))
             self.scanner.transfer(len(bits), "mwb")
             self.medium.write_mag_span(start_dot, bits)
 
@@ -458,8 +456,11 @@ class SERODevice:
         an otherwise written block is most likely a misread.
 
         Runs on the vectorized span engine unless
-        ``config.span_engine`` selects the scalar reference protocol;
-        verdicts, retry policy and cost accounting are identical.
+        ``config.span_engine`` selects the scalar reference protocol.
+        The two give the same verdicts under the same retry policy, but
+        not the same draws: the scalar loop reads cell by cell and the
+        span engine in bulk waves, so after a heat their
+        ``medium.counters``, RNG position and erb charge differ.
         """
         codes = self._ers_codes(pba)
         states = [_CODE_TO_STATE[c] for c in codes]

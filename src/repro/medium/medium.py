@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -104,29 +104,44 @@ def _k_scale_for(seed: int, sigma: float, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _erb_outcome_tables(
-        n_verifies: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lookup tables for one heated dot's ``n_verifies <= 8``
-    verification reads, packed by ``passes @ weights`` into the low
-    ``n_verifies`` bits of one byte, first read highest.
-
-    Returns ``(weights, fail, verifies)``; per packed byte, ``fail``
-    says whether some read failed (the erb verdict "H") and
-    ``verifies`` how many verification reads the scalar sequence made
-    before it stopped: up to and including the first failure, or all
-    of them.  One table gather replaces an ``any`` and an ``argmax``
-    along a short axis.
+def _erb_outcome_tables(n_verifies: int) -> np.ndarray:
+    """How many verification reads the scalar sequence makes for one
+    heated dot, per byte of its ``n_verifies <= 8`` reads packed by
+    :func:`_pack_reads`: up to and including the first failure, or
+    all of them.  One table gather replaces an ``any`` and an
+    ``argmax`` along a short axis.
     """
-    weights = (1 << np.arange(n_verifies - 1, -1, -1)).astype(np.uint8)
     passes = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
                            axis=1)[:, 8 - n_verifies:]
     fails = passes == 0
-    fail = fails.any(axis=1)
-    first_fail = np.where(fail, fails.argmax(axis=1), n_verifies)
+    first_fail = np.where(fails.any(axis=1), fails.argmax(axis=1),
+                          n_verifies)
     verifies = np.minimum(first_fail + 1, n_verifies).astype(np.int64)
-    for table in (weights, fail, verifies):
-        table.setflags(write=False)  # shared by every caller
-    return weights, fail, verifies
+    verifies.setflags(write=False)  # shared by every caller
+    return verifies
+
+
+def _pack_reads(passes: np.ndarray) -> np.ndarray:
+    """Each row of 0/1 ``passes`` (``width <= 8`` reads) as one byte
+    holding its reads in the low ``width`` bits, first read highest.
+
+    A row, zero-padded to ``size`` = 2, 4 or 8 bytes, is one
+    little-endian word whose read ``i`` sits at bit ``8*i``; times
+    ``sum(2**(9*j))`` it lands at bit ``8*(size-1) + size-1-i``, and no
+    other product reaches those bits or carries into them, so a shift
+    and a mask finish the pack.
+    """
+    n_rows, width = passes.shape
+    size = next(size for size in (2, 4, 8) if size >= width)
+    if size != width:
+        padded = np.zeros((n_rows, size), dtype=np.uint8)
+        padded[:, :width] = passes
+        passes = padded
+    word = np.dtype(f"<u{size}")
+    packed = passes.view(word).reshape(n_rows) \
+        * word.type(sum(1 << (9 * j) for j in range(size)))
+    packed >>= word.type(8 * (size - 1) + size - width)
+    return packed.astype(np.uint8) & np.uint8((1 << width) - 1)
 
 
 class PatternedMedium:
@@ -387,7 +402,7 @@ class PatternedMedium:
             raise DotAddressError("dot span out of range")
         self.counters["mrb"] += end - start
         mag = self._mag[start:end]
-        bits = (mag > 0).astype(np.uint8)
+        bits = (mag > 0).view(np.uint8)
         heated = mag == 0
         if heated.any():
             noise = self._rng.integers(0, 2, size=int(heated.sum()),
@@ -544,8 +559,8 @@ class PatternedMedium:
         # A defective (unwritable, unheated) dot fails the very first
         # verification: the inverse write latches nothing and the
         # stored bit reads back unchanged.  So the verdict starts as
-        # "unwritable", and heated dots get theirs from the draw below
-        # (``np.place``: the i-th heated dot takes the i-th draw's).
+        # "unwritable", and a heated dot keeps its "H" unless every
+        # one of its draws below passes (about 1 in 4**rounds does).
         if k_scale is None:
             hit = heated.copy()
             n_defective = 0
@@ -570,12 +585,12 @@ class PatternedMedium:
             passes = self._rng.integers(
                 0, 2, size=(n_heated, n_verifies), dtype=np.uint8)
             if n_verifies <= 8:
-                weights, fail_table, verifies_table = \
-                    _erb_outcome_tables(n_verifies)
-                packed = passes @ weights
+                packed = _pack_reads(passes)
                 total_verifies += int(
-                    np.bincount(packed, minlength=256) @ verifies_table)
-                np.place(hit, heated, fail_table[packed])
+                    np.bincount(packed, minlength=256)
+                    @ _erb_outcome_tables(n_verifies))
+                passed = packed == (1 << n_verifies) - 1
+                hit[np.flatnonzero(heated)[passed]] = False
             else:
                 fails = passes == 0
                 any_fail = fails.any(axis=1)

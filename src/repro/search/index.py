@@ -43,8 +43,8 @@ from .query import (
     SearchResult,
     as_query,
     assemble_result,
-    doc_terms,
     normalize,
+    tokenize,
 )
 
 _JOURNAL_SEED = hashlib.sha256(b"repro-search-journal").digest()
@@ -148,7 +148,7 @@ class EvidenceIndex:
         self._value_postings: Dict[Tuple[str, str], Set[str]] = {}
         self._term_postings: Dict[str, Set[str]] = {}
         self._doc_terms: Dict[str, Dict[str, int]] = {}
-        self._doc_values: Dict[str, List[Tuple[str, str]]] = {}
+        self._doc_values: Dict[str, Dict[str, str]] = {}
         # (member index, line_start) → doc id, so audit verdicts find
         # the object document their receipt sealed.
         self._line_to_doc: Dict[Tuple[int, int], str] = {}
@@ -403,34 +403,58 @@ class EvidenceIndex:
 
     def _set_doc(self, doc_id: str,
                  fields: Dict[str, object]) -> None:
-        self._drop_doc(doc_id)
-        self.documents[doc_id] = fields
-        values = [(name, normalize(value))
-                  for name, value in fields.items()]
+        """Make ``fields`` the document ``doc_id``, moving only the
+        postings of fields whose normalised value changed.
+
+        A field's terms are ``tokenize(normalize(value))``, so equal
+        normalised values post the same terms and the diff is exact
+        (values compare normalised: ``True == 1`` but ``"true" !=
+        "1"``).  ``fields`` must be a new dict, never the one stored:
+        a caller may still hold the old document.
+        """
+        old_values = self._doc_values.get(doc_id, {})
+        values = {name: normalize(value) for name, value in fields.items()}
+        counts = self._doc_terms.setdefault(doc_id, {})
+        for name, old in old_values.items():
+            if values.get(name) == old:
+                continue
+            self._unpost(self._value_postings, (name, old), doc_id)
+            for token in tokenize(old):
+                left = counts[token] - 1
+                if left:
+                    counts[token] = left
+                else:
+                    del counts[token]
+                    self._unpost(self._term_postings, token, doc_id)
+        for name, value in values.items():
+            if old_values.get(name) == value:
+                continue
+            self._value_postings.setdefault((name, value), set()).add(doc_id)
+            for token in tokenize(value):
+                if token in counts:
+                    counts[token] += 1
+                else:
+                    counts[token] = 1
+                    self._term_postings.setdefault(token, set()).add(doc_id)
         self._doc_values[doc_id] = values
-        for key in values:
-            self._value_postings.setdefault(key, set()).add(doc_id)
-        counts = doc_terms(fields)
-        self._doc_terms[doc_id] = counts
-        for token in counts:
-            self._term_postings.setdefault(token, set()).add(doc_id)
+        self.documents[doc_id] = fields
 
     def _drop_doc(self, doc_id: str) -> None:
+        """The :meth:`_set_doc` update to an empty document, which
+        then leaves the index."""
         if doc_id not in self.documents:
             return
-        for key in self._doc_values.pop(doc_id, ()):
-            postings = self._value_postings.get(key)
-            if postings is not None:
-                postings.discard(doc_id)
-                if not postings:
-                    del self._value_postings[key]
-        for token in self._doc_terms.pop(doc_id, ()):
-            postings = self._term_postings.get(token)
-            if postings is not None:
-                postings.discard(doc_id)
-                if not postings:
-                    del self._term_postings[token]
+        self._set_doc(doc_id, {})
         del self.documents[doc_id]
+        del self._doc_values[doc_id]
+        del self._doc_terms[doc_id]
+
+    @staticmethod
+    def _unpost(postings: Dict, key, doc_id: str) -> None:
+        docs = postings[key]
+        docs.discard(doc_id)
+        if not docs:
+            del postings[key]
 
     # -- search -----------------------------------------------------------
 

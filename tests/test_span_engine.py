@@ -385,6 +385,72 @@ def test_seek_random_access_charges_expected_time():
     assert scanner.account.by_category["seek"] == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("prior", [None, "same", "adjacent", "far"])
+@pytest.mark.parametrize("first,count", [(5, 0), (5, 1), (5, 2), (20, 8),
+                                         (56, 8)])
+def test_run_seek_is_the_per_block_loop(prior, first, count):
+    """From any sled state, one run seek charges what a seek per block
+    of the run charges and leaves the sled where the loop leaves it."""
+    run, loop = _scanner(), _scanner()
+    before = {None: None, "same": first, "adjacent": first - 1,
+              "far": (first + 31) % 64}[prior]
+    for scanner in (run, loop):
+        if before is not None:
+            scanner.seek_to_block(before)
+    charged = run.seek_to_run(first, count)
+    looped = sum(loop.seek_to_block(pba)
+                 for pba in range(first, first + count))
+    assert charged == looped
+    assert run.account.by_category == loop.account.by_category
+    assert run.account.op_counts == loop.account.op_counts
+    assert (run._last_block, run._x, run._y) == \
+        (loop._last_block, loop._x, loop._y)
+
+
+def _record_seeks(device, log):
+    """Log each ``_mrs_span`` and ``write_block_run`` call the device
+    makes as ``(verb, first, seeks)``, where ``seeks`` counts the
+    outermost scanner seek calls made inside it."""
+    scanner = device.scanner
+    seeks = [0]
+    depth = [0]
+    for verb in ("seek_to_block", "seek_to_run"):
+        def seek(*args, _real=getattr(scanner, verb)):
+            seeks[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return _real(*args)
+            finally:
+                depth[0] -= 1
+        setattr(scanner, verb, seek)
+    for verb in ("_mrs_span", "write_block_run"):
+        def call(first, *rest, _verb=verb, _real=getattr(device, verb)):
+            seeks[0] = 0
+            result = _real(first, *rest)
+            log.append((_verb, first, seeks[0]))
+            return result
+        setattr(device, verb, call)
+
+
+def test_one_seek_call_per_run_read_and_run_write():
+    """``write_block_run``, ``read_block_run``, a seal's read-back and
+    the batched audit's data spans each move the sled with one seek
+    call, however long the run."""
+    device = SERODevice.create(64)
+    log = []
+    _record_seeks(device, log)
+    for start in (8, 16):
+        device.write_block_run(start + 1, [bytes([start]) * 512] * 7)
+        device.heat_line(start, 8, timestamp=start)
+    device.read_block_run(9, 7)
+    assert [r.status for r in device.verify_lines([8, 16])] == \
+        [VerifyStatus.INTACT] * 2
+    assert log == [("write_block_run", 9, 1), ("_mrs_span", 9, 1),
+                   ("write_block_run", 17, 1), ("_mrs_span", 17, 1),
+                   ("_mrs_span", 9, 1),
+                   ("_mrs_span", 9, 1), ("_mrs_span", 17, 1)]
+
+
 # -- crypto scalar<->vectorized equivalence -----------------------------------
 
 
