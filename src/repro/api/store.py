@@ -572,19 +572,14 @@ class TamperEvidentStore:
         """Store (or with ``overwrite`` replace) one WMRM object.
 
         ``make_parents`` creates the missing directory chain first
-        (``mkdir -p``), the grain service callers like the HTTP
-        gateway need — a tenant writing ``/invoices/2026/q3`` should
-        not have to issue three mkdirs over the wire.
+        (``mkdir -p``, :meth:`~repro.fs.lfs.SeroFS.makedirs`), the grain
+        service callers like the HTTP gateway need — a tenant writing
+        ``/invoices/2026/q3`` should not have to issue three mkdirs
+        over the wire.
         """
         fs = self._require_fs()
         if make_parents:
-            prefix = ""
-            for part in path.strip("/").split("/")[:-1]:
-                prefix = f"{prefix}/{part}"
-                try:
-                    fs.mkdir(prefix)
-                except FileExistsError_:
-                    pass
+            fs.makedirs("/" + "/".join(path.strip("/").split("/")[:-1]))
         self._record("put", path, str(len(data)))
         try:
             stat = fs.create(path, data)

@@ -148,10 +148,12 @@ class SeroFS:
         self._cleaning = False
         self._stats = {"blocks_written": 0, "blocks_cleaned": 0,
                        "cleaner_runs": 0, "lines_heated": 0}
-        # Decoded payloads of inode and directory blocks by PBA, valid
-        # only while the medium's mutation epoch equals the stamp.
-        # Payload bytes, never parsed objects: callers mutate the
-        # Inode/entries a lookup hands back.  Data blocks never enter.
+        # Payloads of inode and directory blocks by PBA, valid only
+        # while the medium's mutation epoch equals the stamp: filled by
+        # the reads of _read_meta and, write-through, by this file
+        # system's own writes of such blocks (_dev_write).  Payload
+        # bytes, never parsed objects: callers mutate the Inode/entries
+        # a lookup hands back.  Data blocks never enter.
         self._meta: Dict[int, bytes] = {}
         self._meta_epoch = -1
 
@@ -331,27 +333,42 @@ class SeroFS:
 
     def _read_meta(self, pba: int) -> bytes:
         """Payload of an inode or directory block, read from the medium
-        at most once per epoch stamp."""
+        at most once per epoch stamp, and not at all when this file
+        system wrote it under the current stamp (:meth:`_dev_write`
+        kept what it wrote)."""
         self._meta_sync()
         payload = self._meta.get(pba)
         if payload is None:
             payload = self._meta[pba] = self.device.read_block(pba)
         return payload
 
-    def _dev_write(self, first: int, payloads: Sequence[bytes]) -> None:
+    def _dev_write(self, first: int, payloads: Sequence[bytes],
+                   keep: bool = False) -> None:
         """Every magnetic write of the file system goes through here, as
         one run of consecutive blocks from ``first`` (a single block is
         a run of one): one
         :meth:`~repro.device.sero.SERODevice.write_block_run`, so one
         ECC encode, one medium span and one transfer charge per run.
-        The written blocks' cached payloads are dropped and the cache,
-        synced before the write so it vouches for nothing foreign, is
-        stamped past it.  A sector write touches only its own blocks'
-        dots, so no other entry can have gone stale."""
+
+        The cache, synced before the write so it vouches for nothing
+        foreign, is stamped past it, and the write goes through it:
+        with ``keep`` (inode and directory blocks) each block's entry
+        becomes the payload written, which is what the medium reads
+        back, unless a dot of the run is heated (it reads as noise);
+        otherwise the written blocks' entries are dropped.  A sector
+        write touches only its own blocks' dots, so no other entry can
+        have gone stale."""
         self._meta_sync()
         self.device.write_block_run(first, payloads)
-        for pba in range(first, first + len(payloads)):
-            self._meta.pop(pba, None)
+        if keep:
+            start, _ = self.device.geometry.block_span(first)
+            end = start + len(payloads) * self.device.geometry.dots_per_block
+            keep = bool(self.device.medium._mag[start:end].all())
+        for pba, payload in enumerate(payloads, first):
+            if keep:
+                self._meta[pba] = payload
+            else:
+                self._meta.pop(pba, None)
         self._meta_epoch = self.device.medium.mutation_epoch
 
     def _read_inode_at(self, pba: int) -> Inode:
@@ -378,8 +395,10 @@ class SeroFS:
             if self.table.state(pba) is BlockState.LIVE:
                 self.table.mark_dead(pba)
 
-    def _write_data_blocks(self, ino: int, data: bytes) -> Tuple[List[int], List[int]]:
+    def _write_data_blocks(self, ino: int, data: bytes, keep: bool = False
+                           ) -> Tuple[List[int], List[int]]:
         """Append ``data`` to the log; returns (data_pbas, indirect_pbas).
+        ``keep`` (a directory's blocks) is :meth:`_dev_write`'s.
 
         Blocks are allocated one at a time, in file order (data, then
         indirect), and each is marked LIVE as it is allocated.  Their
@@ -402,7 +421,7 @@ class SeroFS:
 
         def flush() -> None:
             if run:
-                self._dev_write(run_first, run)
+                self._dev_write(run_first, run, keep)
                 del run[:]
 
         def append(payload: bytes, fbn: int, out: List[int]) -> None:
@@ -442,7 +461,7 @@ class SeroFS:
         """Append an inode block; updates the imap; returns its PBA."""
         old = self.imap.get(inode.ino)
         pba = self._alloc_block()
-        self._dev_write(pba, [inode.pack()])
+        self._dev_write(pba, [inode.pack()], keep=True)
         self.table.mark_live(pba, inode.ino, is_inode=True)
         self._touch_segment(pba)
         self.imap[inode.ino] = pba
@@ -467,7 +486,8 @@ class SeroFS:
                 old_inode = self._read_inode(inode.ino)
             except (FileNotFoundError_, ReadError):
                 old_inode = None
-        pbas, indirect = self._write_data_blocks(inode.ino, data)
+        pbas, indirect = self._write_data_blocks(
+            inode.ino, data, keep=inode.ftype is FileType.DIRECTORY)
         inode.size = len(data)
         inode.direct = pbas[:N_DIRECT]
         inode.indirect = indirect
@@ -542,6 +562,18 @@ class SeroFS:
 
     # -- public API -------------------------------------------------------------------------
 
+    def _new_entry(self, parent: Inode,
+                   entries: Dict[str, Tuple[FileType, int]], name: str,
+                   ftype: FileType, data: bytes) -> Inode:
+        """Write a new file or directory and enter it as ``name`` into
+        ``parent``, whose current entries are ``entries``; returns the
+        new inode as written."""
+        inode = self._allocate_inode(ftype, name_hint=name)
+        self._write_file_blocks(inode, data)
+        entries[name] = (ftype, inode.ino)
+        self._update_dir(parent, entries)
+        return inode
+
     def create(self, path: str, data: bytes = b"") -> FileStat:
         """Create a regular file with ``data``."""
         self.tick += 1
@@ -549,11 +581,8 @@ class SeroFS:
         entries = self._dir_entries(parent)
         if name in entries:
             raise FileExistsError_(f"file exists: {path!r}")
-        inode = self._allocate_inode(FileType.REGULAR, name_hint=name)
-        self._write_file_blocks(inode, data)
-        entries[name] = (FileType.REGULAR, inode.ino)
-        self._update_dir(parent, entries)
-        return self.stat(path)
+        inode = self._new_entry(parent, entries, name, FileType.REGULAR, data)
+        return self._stat_of(path, inode.ino, inode)
 
     def mkdir(self, path: str) -> FileStat:
         """Create a directory."""
@@ -562,11 +591,35 @@ class SeroFS:
         entries = self._dir_entries(parent)
         if name in entries:
             raise FileExistsError_(f"file exists: {path!r}")
-        inode = self._allocate_inode(FileType.DIRECTORY, name_hint=name)
-        self._write_file_blocks(inode, pack_entries({}))
-        entries[name] = (FileType.DIRECTORY, inode.ino)
-        self._update_dir(parent, entries)
-        return self.stat(path)
+        inode = self._new_entry(parent, entries, name, FileType.DIRECTORY,
+                                pack_entries({}))
+        return self._stat_of(path, inode.ino, inode)
+
+    def makedirs(self, path: str) -> None:
+        """Create every missing directory of ``path`` (``mkdir -p``) in
+        one walk from the root: the deepest existing ancestor is
+        resolved once and only the missing tail below it is created,
+        parent first, each new directory advancing :attr:`tick` by one.
+        A path that exists advances nothing and writes nothing; an
+        existing non-directory on it is a
+        :class:`~repro.errors.NotADirectoryError_`."""
+        parts = split_path(path)
+        inode = self._read_inode(ROOT_INO)
+        for depth, part in enumerate(parts):
+            entries = self._dir_entries(inode)
+            if part not in entries:
+                break
+            inode = self._read_inode(entries[part][1])
+            if inode.ftype is not FileType.DIRECTORY:
+                prefix = "/" + "/".join(parts[:depth + 1])
+                raise NotADirectoryError_(f"{prefix!r} is not a directory")
+        else:
+            return
+        for name in parts[depth:]:
+            self.tick += 1
+            inode = self._new_entry(inode, entries, name, FileType.DIRECTORY,
+                                    pack_entries({}))
+            entries = {}
 
     def write(self, path: str, data: bytes) -> FileStat:
         """Replace the contents of an existing regular file."""
@@ -577,7 +630,7 @@ class SeroFS:
         if self.is_ino_heated(ino):
             raise ImmutableFileError(f"{path!r} is heated and immutable")
         self._write_file_blocks(inode, data)
-        return self.stat(path)
+        return self._stat_of(path, ino, inode)
 
     def append(self, path: str, data: bytes) -> FileStat:
         """Append ``data`` to an existing regular file."""
@@ -664,11 +717,13 @@ class SeroFS:
 
     def stat(self, path: str) -> FileStat:
         """Metadata of a file or directory."""
-        ino, inode = self._lookup(path)
-        heated = self.is_ino_heated(ino)
+        return self._stat_of(path, *self._lookup(path))
+
+    def _stat_of(self, path: str, ino: int, inode: Inode) -> FileStat:
+        """:meth:`stat` of ``path`` from its inode, already in hand."""
         return FileStat(path=path, ino=ino, ftype=inode.ftype,
                         size=inode.size, link_count=inode.link_count,
-                        mtime=inode.mtime, heated=heated,
+                        mtime=inode.mtime, heated=self.is_ino_heated(ino),
                         line_start=self.line_of_ino.get(ino))
 
     def is_ino_heated(self, ino: int) -> bool:

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 from http import HTTPStatus
@@ -648,6 +649,14 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
                  app: GatewayApp) -> None:
         super().__init__(address, _GatewayHandler)
         self.app = app
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        """A peer that resets or drops its connection mid-request is
+        not a server fault: the connection is closed without a word.
+        Anything else is reported as socketserver reports it."""
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return
+        super().handle_error(request, client_address)
 
 
 class GatewayServer:

@@ -2,6 +2,8 @@
 equivalence with the pre-façade entry points, batch grain, arenas."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.store import (
     AuditReport,
@@ -18,8 +20,13 @@ from repro.errors import (
     ImmutableFileError,
     IntegrityError,
     NoSpaceError,
+    NotADirectoryError_,
+    ReproError,
 )
+from repro.fs.fsck import fsck
+from repro.fs.inode import FileType
 from repro.fs.lfs import SeroFS
+from repro.medium.medium import MediumConfig
 
 
 @pytest.fixture
@@ -53,6 +60,166 @@ def test_delete_and_list(store):
     assert store.list("/") == ["x", "y"]
     store.delete("/x")
     assert store.list("/") == ["y"]
+
+
+# -- make_parents: one walk, and ticks only for what it creates ---------------
+
+
+def _small_store(total_blocks=256):
+    # a defect-free medium needs no format scan
+    return TamperEvidentStore.create(
+        total_blocks=total_blocks, format_scan=False,
+        medium_config=MediumConfig(seed=5))
+
+
+def _count_mkdirs(store, monkeypatch):
+    calls = []
+    real = store.fs.mkdir
+    monkeypatch.setattr(store.fs, "mkdir",
+                        lambda path: calls.append(path) or real(path))
+    return calls
+
+
+def _record_written_blocks(store, monkeypatch):
+    written = []
+    real = store.device.write_block_run
+
+    def recorder(first, payloads):
+        written.extend(range(first, first + len(payloads)))
+        return real(first, payloads)
+    monkeypatch.setattr(store.device, "write_block_run", recorder)
+    return written
+
+
+def _file_blocks(fs, ino):
+    pointers, indirect = fs._load_pointers(fs._read_inode(ino))
+    return {fs.imap[ino], *pointers, *indirect}
+
+
+def test_put_into_an_existing_deep_path_ticks_once(monkeypatch):
+    store = _small_store()
+    fs = store.fs
+    store.put("/a/b/c/d/one", b"first", make_parents=True)
+    tick, imap = fs.tick, dict(fs.imap)
+    mkdirs = _count_mkdirs(store, monkeypatch)
+    written = _record_written_blocks(store, monkeypatch)
+
+    info = store.put("/a/b/c/d/two", b"second", make_parents=True)
+
+    assert fs.tick == tick + 1 == info.mtime
+    assert mkdirs == []
+    parent = fs._lookup("/a/b/c/d")[0]
+    # of the directories only the parent moved; the file is new
+    assert {ino for ino in fs.imap if imap.get(ino) != fs.imap[ino]} == \
+        {parent, info.ino}
+    assert set(written) == _file_blocks(fs, parent) | \
+        _file_blocks(fs, info.ino)
+
+
+def test_put_creates_exactly_the_missing_parents_in_order(monkeypatch):
+    store = _small_store()
+    fs = store.fs
+    store.put("/a/b/x", b"x", make_parents=True)
+    tick, inos = fs.tick, set(fs.imap)
+    mkdirs = _count_mkdirs(store, monkeypatch)
+
+    info = store.put("/a/b/c/d/e/f", b"f", make_parents=True)
+
+    assert mkdirs == []
+    # three directories and the file, each one tick, parent first
+    assert fs.tick == tick + 4
+    created = [fs._lookup(path)[0]
+               for path in ("/a/b/c", "/a/b/c/d", "/a/b/c/d/e")]
+    assert set(fs.imap) - inos == {*created, info.ino}
+    assert created + [info.ino] == sorted(created + [info.ino])
+    assert all(fs.stat(path).ftype is FileType.DIRECTORY
+               for path in ("/a/b/c", "/a/b/c/d", "/a/b/c/d/e"))
+    assert store.list("/a/b") == ["c", "x"]
+    assert store.list("/a/b/c") == ["d"]
+    assert store.list("/a/b/c/d") == ["e"]
+    assert store.list("/a/b/c/d/e") == ["f"]
+
+
+def test_put_through_a_file_is_not_a_directory():
+    store = _small_store()
+    store.put("/a/f", b"file", make_parents=True)
+    for path in ("/a/f/x", "/a/f/x/y"):
+        tick = store.fs.tick
+        with pytest.raises(NotADirectoryError_):
+            store.put(path, b"y", make_parents=True)
+        assert store.fs.tick == tick
+    assert store.list("/a") == ["f"]
+    assert store.get("/a/f") == b"file"
+
+
+_TREE = ("/a", "/a/b", "/a/b/c", "/a/b/c/d", "/a/x", "/b/a/b", "/b/c")
+
+
+def _mkdirs_then_put(store, path, data):
+    """The reference: one ``mkdir`` per prefix, existing ones skipped."""
+    prefix = ""
+    for part in path.strip("/").split("/")[:-1]:
+        prefix = f"{prefix}/{part}"
+        try:
+            store.fs.mkdir(prefix)
+        except FileExistsError_:
+            pass
+    return store.put(path, data, overwrite=True)
+
+
+def _observe(fn, *args):
+    """A call's error, or the part of its result no tick reaches: the
+    ticks stamp inodes, and so line hashes, and age the cleaner's
+    segments, and so may move where it puts things."""
+    try:
+        value = fn(*args)
+    except ReproError as exc:
+        return type(exc).__name__
+    if isinstance(value, ObjectInfo):
+        return (value.path, value.ino, value.size, value.sealed)
+    return (value.path, value.n_blocks)
+
+
+def _tree(store, path="/"):
+    """Every directory's listing and every file's bytes under ``path``."""
+    out = {}
+    for name in store.list(path):
+        child = f"{path.rstrip('/')}/{name}"
+        if store.fs.stat(child).ftype is FileType.DIRECTORY:
+            out[child] = _tree(store, child)
+        else:
+            out[child] = store.get(child)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(st.just("put"), st.sampled_from(_TREE),
+              st.integers(0, 3000)),
+    st.tuples(st.just("seal"), st.sampled_from(_TREE))),
+    min_size=1, max_size=16))
+def test_make_parents_put_equals_mkdirs_then_put(trace):
+    """Up to inode ``mtime``s (a failed ``mkdir`` ticks, the walk does
+    not), the walk is the per-prefix ``mkdir`` loop: the same results
+    and errors, the same tree and bytes, the same ``fsck``."""
+    walked, looped = _small_store(128), _small_store(128)
+    for op in trace:
+        if op[0] == "put":
+            data = bytes([op[2] % 251]) * op[2]
+            assert _observe(lambda: walked.put(
+                op[1], data, overwrite=True, make_parents=True)) == \
+                _observe(_mkdirs_then_put, looped, op[1], data), op
+        else:
+            assert _observe(walked.seal, op[1]) == \
+                _observe(looped.seal, op[1]), op
+    assert _tree(walked) == _tree(looped)
+
+    def checked(store):
+        report = fsck(store)
+        return (report.errors, report.warnings,
+                sorted(result.status.name for result
+                       in report.heated_verifications.values()))
+    assert checked(walked) == checked(looped)
 
 
 # -- sealing ------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.errors import (
 )
 from repro.fs.lfs import SeroFS
 from repro.medium.medium import MediumConfig
+from repro.security.attacks import ewb_data
 
 PAYLOAD = bytes(range(256)) * 2
 
@@ -90,6 +91,41 @@ def test_line_alignment_enforced(small_device):
         small_device.heat_line(0, 1)  # no data blocks
     with pytest.raises(AlignmentError):
         small_device.heat_line(60, 8)  # past the end (64-block device)
+
+
+def _device_state(device):
+    """Everything a refused or finished line operation could move."""
+    medium, account = device.medium, device.account
+    return (medium._mag.tobytes(), medium._sharpness.tobytes(),
+            dict(medium.counters), medium._rng.bit_generator.state,
+            account.elapsed, dict(account.by_category))
+
+
+def test_a_line_past_the_end_is_refused_before_anything_moves(small_device):
+    _heated(small_device, start=0, n=4)
+    before = _device_state(small_device)
+    # aligned on their own length, so only the end-of-medium check
+    # stands between them and the device
+    for start, n_blocks in ((64, 2), (64, 64), (0, 128)):
+        with pytest.raises(AlignmentError, match="past end of medium"):
+            small_device.heat_line(start, n_blocks)
+        assert _device_state(small_device) == before, (start, n_blocks)
+
+
+def test_verify_stops_at_the_first_tampered_electrical_read(small_device):
+    """HH cells in a line's hash block are tampering, not a misread:
+    ``verify_line`` must not spend its retries re-reading them.  Its
+    erb charge, counters and RNG draws equal those of a device, on the
+    same engine, that has no retries to spend."""
+    once = SERODevice.create(64, config=DeviceConfig(
+        span_engine=small_device.config.span_engine, verify_retries=0))
+    assert small_device.config.verify_retries > 0
+    for device in (small_device, once):
+        _heated(device, start=0, n=4)
+        ewb_data(device, 0, target_offset=0)
+        assert device.verify_line(0).status is VerifyStatus.CELL_TAMPERED
+        assert device.account.by_category["erb"] > 0
+    assert _device_state(small_device) == _device_state(once)
 
 
 def test_overlapping_line_rejected(small_device):

@@ -1,5 +1,11 @@
 """The epoch-stamped metadata cache of ``SeroFS``.
 
+The cache fills two ways: a read of an inode or directory block keeps
+what it read, and a write of one keeps what it wrote (write-through:
+a block with no heated dot reads back exactly its payload), so a put
+reads back nothing it just wrote.  Data blocks never enter, and any
+write the file system did not make itself empties it.
+
 The cache may only ever save device reads: every result, exception,
 stored byte and random draw must be what a file system without it
 produces.  So most tests here run the same operations on two
@@ -100,12 +106,34 @@ def test_a_put_keeps_the_path_it_walked():
     store = _deep_store()
     before = _mrb(store)
     store.put(f"{DEEP}/three", b"x" * 100)
-    # only what the put itself just wrote is read back (by its closing
-    # stat): the parent's new inode and content block, the file's inode
-    assert _mrb(store) - before == 3 * DOTS_PER_BLOCK
+    # the walk finds the whole path cached (the put that made it kept
+    # what it wrote), and the stat comes from the inode just written:
+    # nothing is read back
+    assert _mrb(store) - before == 0
     before = _mrb(store)
     assert store.get(f"{DEEP}/three") == b"x" * 100
+    # the new inode and the parent's new blocks were kept as written:
+    # only the file's one data block is read
     assert _mrb(store) - before == 1 * DOTS_PER_BLOCK
+
+
+def test_a_write_over_a_heated_dot_is_not_kept():
+    """A heated dot reads as noise, so a block that holds one does not
+    read back as the payload written over it: the write drops it from
+    the cache and its first read pays the device, as a cold one does."""
+    store = _store()
+    fs = store.fs
+    pba = fs._try_alloc_block()  # where the log writes next
+    start, _ = store.device.geometry.block_span(pba)
+    store.device.medium.heat_dot(start + 100)
+    store.put("/empty", b"")  # no data block: its inode lands at pba
+    ino = fs.next_ino - 1
+    assert fs.imap[ino] == pba
+    assert pba not in fs._meta
+    assert fs._meta  # the root's new blocks were kept
+    before = _mrb(store)
+    assert store.info("/empty").size == 0
+    assert _mrb(store) - before == DOTS_PER_BLOCK
 
 
 def test_data_blocks_are_never_cached():

@@ -30,6 +30,8 @@ import contextlib
 import io
 import json
 import socket
+import struct
+import threading
 
 import pytest
 
@@ -534,6 +536,32 @@ def test_parser_rejections_are_typed_json_and_close(stack, request_bytes,
     client = GatewayClient(server.address, "acme-rw", tenant="acme")
     assert client.healthz()
     client.close()
+
+
+def test_a_peer_reset_leaves_stderr_quiet(stack, capfd, monkeypatch):
+    """A client that sends half a request line and resets the
+    connection reaches the server's error hook, which drops it without
+    a traceback on stderr."""
+    server, _fleet, _twin = stack
+    httpd = server._httpd
+    handled = threading.Event()
+    real = httpd.handle_error
+
+    def handle_error(request, client_address):
+        try:
+            real(request, client_address)
+        finally:
+            handled.set()
+    monkeypatch.setattr(httpd, "handle_error", handle_error)
+    host, port = server.address.rsplit(":", 1)
+    sock = socket.create_connection((host, int(port)), timeout=5.0)
+    sock.sendall(b"GET /v1/hea")
+    # linger 0: close sends a reset, not a FIN
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                    struct.pack("ii", 1, 0))
+    sock.close()
+    assert handled.wait(5.0)
+    assert capfd.readouterr().err == ""
 
 
 class _RecordingWriter:
