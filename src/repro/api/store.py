@@ -62,7 +62,7 @@ from ..errors import (
     IntegrityError,
     ReadError,
 )
-from ..fs.lfs import FileStat, FSConfig, SeroFS
+from ..fs.lfs import META_FIELDS, FileStat, FSConfig, MetaDelta, SeroFS
 from ..integrity.evidence import EvidenceBag, EvidenceItem
 from ..integrity.fossil import FossilizedIndex
 from ..integrity.selfsec import AuditLog
@@ -339,9 +339,10 @@ class StoreStatePatch:
     The one form member state takes across the rpc boundary, in both
     directions, once a worker holds a pin: a ``run`` request carries
     the patch the caller's store made since the pin was current, and
-    every reply carries the patch its task made.  Applied to an equal
-    store it leaves that store equal to the one it was cut from, byte
-    for byte, and every object a caller holds keeps its identity.
+    every reply carries the patch its task made.  Applied to a store
+    equal to this one at its last sync point (a pin, a cut, an apply)
+    it leaves that store equal to the one it was cut from, byte for
+    byte, and every object a caller holds keeps its identity.
 
     * ``device`` / ``archive_device`` — one
       :class:`~repro.device.sero.DeviceStatePatch` per device: the
@@ -349,65 +350,62 @@ class StoreStatePatch:
       the sled.
     * ``medium`` / ``archive_medium`` — the blocks each medium changed
       (:meth:`~repro.medium.medium.PatternedMedium.cut_delta`).
-    * ``graph`` — the rest of the store, whole: every moved object's
-      state (the façade, devices, accounts, scanners, file system,
-      arenas and log), pickled with each anchored object as a reference
-      to its role.  A field added to any of those layers travels
-      without being listed anywhere.  The patch's own pickled form
-      deflates it (mostly the metadata cache's zero-padded blocks), so
-      the sending and receiving threads pay that, not the fold.
+    * ``meta`` — the file system's metadata cache entries that changed
+      since the last sync point, and the ones it dropped
+      (:meth:`~repro.fs.lfs.SeroFS.cut_meta`); None when none did.
+    * ``graph`` — the state of every other moved object (the façade,
+      devices, accounts, scanners, file system, arenas and log),
+      pickled with each anchored object as a reference to its role.  A
+      field added to any of those layers travels without being listed
+      anywhere.
 
     :meth:`cut` fills all of them.  :meth:`capture` takes the cheap
     form a read-only pass (an audit, which leaves the medium as it
-    found it) needs: the device patches, and ``fs_meta``, the file
-    system's metadata cache stamp and entries when the pass filled or
-    flushed it (a deep audit walks the tree), so the caller's next
-    lookup reads exactly the blocks the worker's would.  It is None on
-    the steady pass that found everything cached.
+    found it) needs: the device patches and ``meta``, so the caller's
+    next lookup reads exactly the blocks the worker's would (a deep
+    audit walks the tree; the steady pass that found everything cached
+    carries no entries).  The patch's own pickled form deflates the
+    graph and the cache entries as one stream, so the sending and
+    receiving threads pay that, not the fold.
     """
 
     device: "DeviceStatePatch"
     archive_device: Optional["DeviceStatePatch"] = None
-    fs_meta: Optional[Tuple[int, Dict[int, bytes]]] = None
+    meta: Optional[MetaDelta] = None
     medium: Optional[MediumDelta] = None
     archive_medium: Optional[MediumDelta] = None
     graph: Optional[bytes] = None
 
-    @staticmethod
-    def fs_meta_mark(store: "TamperEvidentStore") -> Optional[Tuple[int, int]]:
-        """Token taken before a pass; :meth:`capture` compares it.  Under
-        one stamp a read-only pass can only add entries and a flush
-        moves the stamp, so (stamp, size) moves iff the cache did."""
-        fs = store.fs
-        return None if fs is None else (fs._meta_epoch, len(fs._meta))
-
     @classmethod
-    def capture(cls, store: "TamperEvidentStore",
-                fs_meta_mark: Optional[Tuple[int, int]] = None
-                ) -> "StoreStatePatch":
-        """The read-only-pass form; leaves ``store`` untouched."""
-        fs = store.fs
-        moved = fs is not None and cls.fs_meta_mark(store) != fs_meta_mark
+    def capture(cls, store: "TamperEvidentStore") -> "StoreStatePatch":
+        """The read-only-pass form; it moves only the cache's sync
+        point."""
         return cls(
             device=store.device.state_patch(),
             archive_device=(store.archive_device.state_patch()
                             if store.archive_device is not None else None),
-            fs_meta=(fs._meta_epoch, dict(fs._meta)) if moved else None)
+            meta=store.fs.cut_meta() if store.fs is not None else None)
 
     @classmethod
     def cut(cls, store: "TamperEvidentStore") -> "StoreStatePatch":
-        """Everything ``store`` changed since its media were last cut
-        (or unpickled): applied to a copy taken then, it makes that
-        copy equal to ``store``.  Clears the media's dirty marks."""
+        """Everything ``store`` changed since its last sync point:
+        applied to a copy taken then, it makes that copy equal to
+        ``store``.  Clears the media's dirty marks and makes now the
+        cache's sync point."""
         archive = store.archive_device
         buffer = io.BytesIO()
         moved, named = _roles(store)
-        _GraphPickler(buffer, {**moved, **named}).dump(
-            {role: vars(obj) for role, obj in moved.items()})
+        states = {role: vars(obj) for role, obj in moved.items()}
+        if "fs" in states:
+            states["fs"] = {name: value
+                            for name, value in states["fs"].items()
+                            if name not in META_FIELDS}
+        _GraphPickler(buffer, {**moved, **named}).dump(states)
         return cls(
             device=store.device.state_patch(),
             archive_device=(archive.state_patch()
                             if archive is not None else None),
+            meta=store.fs.cut_meta() if store.fs is not None else None,
             medium=store.device.medium.cut_delta(),
             archive_medium=(archive.medium.cut_delta()
                             if archive is not None else None),
@@ -415,24 +413,44 @@ class StoreStatePatch:
 
     def __getstate__(self) -> dict:
         state = dict(vars(self))
-        if self.graph is not None:
-            state["graph"] = zlib.compress(self.graph, 1)
+        graph, meta = state.pop("graph"), state.pop("meta")
+        state["packed"] = None if graph is None and meta is None \
+            else zlib.compress(pickle.dumps((graph, meta),
+                                            pickle.HIGHEST_PROTOCOL), 1)
         return state
 
     def __setstate__(self, state: dict) -> None:
-        if state["graph"] is not None:
-            state["graph"] = zlib.decompress(state["graph"])
+        packed = state.pop("packed")
+        state["graph"], state["meta"] = (None, None) if packed is None \
+            else pickle.loads(zlib.decompress(packed))
         vars(self).update(state)
 
-    def apply(self, store: "TamperEvidentStore") -> None:
-        if self.graph is not None:
-            moved, named = _roles(store)
-            states = _GraphUnpickler(io.BytesIO(self.graph),
-                                     {**moved, **named}).load()
+    def decode(self, store: "TamperEvidentStore"
+               ) -> Optional[Dict[str, dict]]:
+        """The graph's states by role, its references resolved to
+        ``store``'s objects; nothing of ``store`` changes, so a caller
+        may decode while another thread still works."""
+        if self.graph is None:
+            return None
+        moved, named = _roles(store)
+        return _GraphUnpickler(io.BytesIO(self.graph),
+                               {**moved, **named}).load()
+
+    def apply(self, store: "TamperEvidentStore",
+              states: Optional[Dict[str, dict]] = None) -> None:
+        """Install the patch on ``store``; ``states`` is this patch's
+        :meth:`decode` for ``store``, when taken already."""
+        if states is None:
+            states = self.decode(store)
+        if states:
+            moved, _named = _roles(store)
             for role, state in states.items():
                 target = vars(moved[role])
+                kept = {name: target[name] for name in META_FIELDS} \
+                    if role == "fs" else {}
                 target.clear()
                 target.update(state)
+                target.update(kept)
         for device, patch, delta in (
                 (store.device, self.device, self.medium),
                 (store.archive_device, self.archive_device,
@@ -441,8 +459,8 @@ class StoreStatePatch:
                 device.medium.apply_delta(delta)
             if patch is not None:
                 patch.apply(device)
-        if self.fs_meta is not None:
-            store.fs._meta_epoch, store.fs._meta = self.fs_meta
+        if store.fs is not None:
+            store.fs.apply_meta(self.meta)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,14 @@ from .segment import INDIRECT_FBN, BlockState, SegmentTable
 
 ROOT_INO = 1
 
+#: :meth:`SeroFS.cut_meta`'s form: the cache's stamp, the entries that
+#: changed and the PBAs it dropped since the last sync point.
+MetaDelta = Tuple[int, Dict[int, bytes], List[int]]
+
+#: The fields of the metadata cache: a store patch leaves them out of
+#: the pickled file-system state and carries :meth:`SeroFS.cut_meta`.
+META_FIELDS = ("_meta", "_meta_epoch", "_meta_base")
+
 
 def read_pointers(device: SERODevice, pointers: Sequence[int]) -> List[bytes]:
     """The payloads behind ``pointers``, in order, read run by run.
@@ -156,6 +164,19 @@ class SeroFS:
         # a lookup hands back.  Data blocks never enter.
         self._meta: Dict[int, bytes] = {}
         self._meta_epoch = -1
+        # (stamp, entries) at the last sync point with a copy of this
+        # file system in another process: what cut_meta diffs against
+        self._meta_base: Tuple[int, Dict[int, bytes]] = (-1, {})
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        del state["_meta_base"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        # an unpickled copy is in sync with the one it was taken from
+        self.mark_meta_synced()
 
     # -- construction -----------------------------------------------------------
 
@@ -370,6 +391,40 @@ class SeroFS:
             else:
                 self._meta.pop(pba, None)
         self._meta_epoch = self.device.medium.mutation_epoch
+
+    # -- the metadata cache across processes ---------------------------------------
+
+    def mark_meta_synced(self) -> None:
+        """A copy of this file system taken now needs no cache delta:
+        :meth:`cut_meta` diffs against the cache as it is here."""
+        self._meta_base = (self._meta_epoch, dict(self._meta))
+
+    def cut_meta(self) -> Optional[MetaDelta]:
+        """What the metadata cache changed since the last sync point
+        (:meth:`mark_meta_synced`, a cut, an apply or unpickling), as
+        ``(stamp, changed entries, dropped PBAs)``, or None when nothing
+        did; the next cut diffs against the cache as it is now.
+        Applied with :meth:`apply_meta` to a copy taken at that sync
+        point, it makes that copy's cache equal to this one."""
+        epoch, base = self._meta_base
+        meta = self._meta
+        if epoch == self._meta_epoch and meta == base:
+            return None  # the steady audit: one C-level compare
+        changed = {pba: payload for pba, payload in meta.items()
+                   if base.get(pba) != payload}
+        dropped = [pba for pba in base if pba not in meta]
+        self.mark_meta_synced()
+        return self._meta_epoch, changed, dropped
+
+    def apply_meta(self, delta: Optional[MetaDelta]) -> None:
+        """Install a :meth:`cut_meta` of an equal file system (None is
+        the empty delta); this cache then is the sync point."""
+        if delta is not None:
+            self._meta_epoch, changed, dropped = delta
+            for pba in dropped:
+                self._meta.pop(pba, None)
+            self._meta.update(changed)
+        self.mark_meta_synced()
 
     def _read_inode_at(self, pba: int) -> Inode:
         return Inode.unpack(self._read_meta(pba))
@@ -798,7 +853,7 @@ class SeroFS:
         ]
         for first, payloads in runs:
             if payloads:
-                self._dev_write(first, payloads)
+                self._dev_write(first, payloads, keep=first == inode_pba)
                 self._stats["blocks_written"] += len(payloads)
 
         record = self.device.heat_line(start, line_len, timestamp=timestamp)

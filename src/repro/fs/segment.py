@@ -123,6 +123,27 @@ class SegmentTable:
         for pba in range(reserved_prefix):
             self.set_state(pba, BlockState.RESERVED)
 
+    # -- pickling ------------------------------------------------------------
+
+    def __getstate__(self) -> dict:
+        """Owners and segments as flat tuples: a store patch pickles the
+        table on every rpc seal pass, and hundreds of small dataclass
+        instances each cost a reduce call there.  The block states stay
+        a list of the (memoised) enum members."""
+        state = dict(vars(self))
+        state["_owners"] = [(pba, info.ino, info.fbn, info.is_inode)
+                            for pba, info in self._owners.items()]
+        state["segments"] = [
+            (seg.index, seg.start, seg.size, seg.live, seg.dead,
+             seg.heated, seg.reserved, seg.mtime) for seg in self.segments]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state["_owners"] = {pba: BlockInfo(ino, fbn, is_inode)
+                            for pba, ino, fbn, is_inode in state["_owners"]}
+        state["segments"] = [Segment(*row) for row in state["segments"]]
+        vars(self).update(state)
+
     # -- single block ------------------------------------------------------
 
     def state(self, pba: int) -> BlockState:

@@ -6,11 +6,12 @@ as a compact pickled snapshot (about 90 kB for a sealed 1024-block
 member: the medium travels as one
 :class:`~repro.medium.medium.MediumDelta` over every block).  After
 that, state crosses in both directions as a
-:class:`~repro.api.store.StoreStatePatch`: the blocks a side changed
-plus the rest of the store, about 12 kB for a seal, or about 1 kB for
-a read-only audit.  This module closes the loop: the same member
-tasks, dispatched over TCP to worker daemons on other hosts,
-byte-identical to the ``serial`` reference.
+:class:`~repro.api.store.StoreStatePatch`: the blocks and metadata
+cache entries a side changed plus the rest of the store's tables,
+about 7 kB for a seal, or under 1 kB for a read-only audit.  This
+module closes the loop: the same member tasks, dispatched over TCP to
+worker daemons on other hosts, byte-identical to the ``serial``
+reference.
 
 Four pieces:
 
@@ -67,9 +68,10 @@ Four pieces:
   on the pinned copy, and replies with ``("ok", payload, patch)`` or
   the raised exception.  The patch is what the task made: an
   ``audit`` (which never mutates the medium) captures the read-only
-  form, the other verbs cut the whole one, and the client folds
-  either with ``patch.apply(store)``, in place, so caller-held
-  references stay live.  A member raising inside a pass travels back as
+  form, the other verbs cut the whole one, and the client decodes
+  each reply's patch as it arrives and folds it with
+  ``patch.apply(store, states)``, in place, so caller-held references
+  stay live.  A member raising inside a pass travels back as
   the original exception object (plus the remote traceback text), so a
   fleet pass fails with the *same* error type whichever executor
   dispatched it.
@@ -361,14 +363,12 @@ def _run_task(task: MemberTask,
     once the caller's ``patch`` (if any) is applied there, or the
     ``("err", ...)`` reply.  An audit never mutates the medium, so it
     sends home the read-only form; the other verbs cut the whole one."""
-    audit = task.verb == "audit"
     try:
         if patch is not None:
             patch.apply(task.store)
-        mark = StoreStatePatch.fs_meta_mark(task.store) if audit else None
         payload = task()
-        state = StoreStatePatch.capture(task.store, mark) if audit \
-            else StoreStatePatch.cut(task.store)
+        state = StoreStatePatch.capture(task.store) \
+            if task.verb == "audit" else StoreStatePatch.cut(task.store)
     except BaseException as exc:  # noqa: BLE001 — shipped to caller
         try:
             portable: Optional[BaseException] = pickle.loads(
@@ -1237,12 +1237,14 @@ class RpcExecutor(FleetExecutor):
 
     @staticmethod
     def _fold_result(plan: _TaskPlan, payload: Any,
-                     patch: StoreStatePatch) -> Any:
-        """Apply a pinned task's returned patch to the caller-held
-        store, in place, so caller-held references stay live; re-arm
-        the session for the next pass, and return the payload."""
+                     patch: StoreStatePatch,
+                     states: Optional[Dict[str, dict]]) -> Any:
+        """Apply a pinned task's returned patch (its graph already
+        decoded into ``states``) to the caller-held store, in place, so
+        caller-held references stay live; re-arm the session for the
+        next pass, and return the payload."""
         store = plan.task.store
-        patch.apply(store)
+        patch.apply(store, states)
         # worker copy and caller store advanced identically (the
         # byte-identity contract of the patch transport): re-capture
         # the fingerprint so the next pass reuses the pin
@@ -1295,7 +1297,7 @@ class RpcExecutor(FleetExecutor):
             batch.append((plan, "patch" if current else "pin"))
 
         counters = {"sent": 0, "received": 0}
-        items: List[Tuple[int, Tuple[Any, Any]]] = []
+        items: List[Tuple[int, Tuple[Any, Any, Any]]] = []
         member_errors: List[Tuple[_TaskPlan, BaseException]] = []
         nopins: List[_TaskPlan] = []
 
@@ -1326,7 +1328,11 @@ class RpcExecutor(FleetExecutor):
             if tag == "ok":
                 if ship is not None:
                     plan.session.pins[addr] = plan.session.generation
-                items.append((plan.index, response[1:]))
+                payload, patch = response[1:]
+                # decoded here, while other hosts still compute; the
+                # fold only installs it, and a failed pass drops it
+                items.append((plan.index, (payload, patch,
+                                           patch.decode(plan.task.store))))
                 return
             if tag == "nopin":
                 if ship == "pin":

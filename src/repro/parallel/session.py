@@ -145,8 +145,11 @@ def invalidate(store: Any) -> None:
 
 
 def mark_synced(store: Any) -> None:
-    """``store`` is about to ship whole: its media's dirty marks, which
-    the next patch would carry, restart from here."""
+    """``store`` is about to ship whole: its media's dirty marks and its
+    metadata cache's changes, which the next patch would carry, restart
+    from here."""
     for device in (store.device, store.archive_device):
         if device is not None:
             device.medium.mark_clean()
+    if store.fs is not None:
+        store.fs.mark_meta_synced()

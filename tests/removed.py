@@ -256,6 +256,11 @@ REMOVED: Tuple[Removed, ...] = (
     # 17.0: a pass ships deltas both ways
     Removed("adopt_state", "17.0", "StoreStatePatch.apply(store)"),
     Removed("PIN_CACHE_CAP", "17.0", "PIN_CACHE_BYTES"),
+    # 18.0: a patch carries the metadata cache entries that changed
+    Removed("fs_meta_mark", "18.0",
+            "StoreStatePatch.capture(store), which diffs the cache itself"),
+    Removed("fs_meta", "18.0", "StoreStatePatch.meta",
+            "repro.api.store.StoreStatePatch"),
 )
 
 

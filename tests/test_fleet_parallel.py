@@ -107,6 +107,8 @@ def test_unknown_env_executor_is_ignored(monkeypatch):
 def test_max_workers_env(monkeypatch):
     """8.0: ``REPRO_FLEET_WORKERS`` names nothing — a stale export
     changes neither the policy picture nor the pass."""
+    # the pass runs on the default executor, whatever the shell exports
+    monkeypatch.delenv("REPRO_FLEET_EXECUTOR", raising=False)
     keys = set(api.describe_policy())
     monkeypatch.setenv("REPRO_FLEET_WORKERS", "3")
     assert set(api.describe_policy()) == keys

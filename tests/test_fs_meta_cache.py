@@ -240,22 +240,32 @@ def test_read_only_pass_brings_the_cache_it_filled_home(workers):
     assert fingerprints(serial) == fingerprints(remote)
 
     member = remote.members[0]
-    mark = StoreStatePatch.fs_meta_mark(member)
+    StoreStatePatch.capture(member)
     member.audit(deep=True)
-    assert StoreStatePatch.capture(member, mark).fs_meta is None
+    assert StoreStatePatch.capture(member).meta is None
+    StoreStatePatch.capture(_cold(member))
+    member.audit(deep=True)
+    epoch, changed, dropped = StoreStatePatch.capture(member).meta
+    assert changed and changed == member.fs._meta and not dropped
+    assert epoch == member.fs._meta_epoch
 
 
 def test_scalar_engine_audit_flushes_the_cache_every_time():
     """The scalar engine's electrical read inverts and restores dot by
     dot and so bumps the epoch: there every audit flushes the cache
-    and the patch always carries the refill."""
+    and the patch always carries the new stamp."""
     store = _store(device_config=DeviceConfig(span_engine=False))
     store.put(f"{DEEP}/one", PAYLOAD, make_parents=True)
     store.seal(f"{DEEP}/one")
     store.audit(deep=True)
-    mark = StoreStatePatch.fs_meta_mark(store)
+    synced = (store.fs._meta_epoch, dict(store.fs._meta))
+    StoreStatePatch.capture(store)
     store.audit(deep=True)
-    assert StoreStatePatch.capture(store, mark).fs_meta is not None
+    epoch, changed, dropped = StoreStatePatch.capture(store).meta
+    # the flush moved the stamp; the refill read back the same bytes,
+    # and only what differs travels
+    assert epoch == store.fs._meta_epoch != synced[0]
+    assert store.fs._meta == synced[1] and not changed and not dropped
 
 
 # -- (iv) twin traces ---------------------------------------------------------------
@@ -425,9 +435,9 @@ def test_a_seal_keeps_the_cache_unless_heat_can_spill(collateral):
     before = _mrb(store)
     assert store.get("/a/b") == PAYLOAD
     reads = (_mrb(store) - before) // DOTS_PER_BLOCK
-    # kept: only the sealed copy's new inode and the data are read;
-    # flushed: the whole path again
-    assert reads == (2 * 2 + 1 + 4 if collateral else 1 + 4)
+    # kept: only the data are read (the seal kept the sealed copy's
+    # new inode it wrote); flushed: the whole path again
+    assert reads == (2 * 2 + 1 + 4 if collateral else 4)
 
 
 def test_own_write_never_vouches_for_a_foreign_one():

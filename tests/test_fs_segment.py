@@ -107,3 +107,30 @@ def test_iter_segments_skips_fully_reserved(table):
     indices = [seg.index for seg in table.iter_segments()]
     assert 0 not in indices
     assert len(indices) == 7
+
+
+def test_pickle_round_trip_is_flat(table):
+    """A store patch pickles the table on every rpc seal pass: owners
+    and segments travel as plain tuples, and come back as the same
+    records, states and aggregates."""
+    import pickle
+
+    table.mark_live(9, ino=2, fbn=0, is_inode=True)
+    table.mark_live(10, ino=2, fbn=3)
+    table.mark_live(11, ino=3, fbn=0)
+    table.mark_dead(11)
+    table.mark_heated(16)
+    table.segment_of(10).mtime = 7
+    blob = pickle.dumps(table, pickle.HIGHEST_PROTOCOL)
+    assert b"BlockInfo" not in blob and b"Segment\x94" not in blob
+    copy = pickle.loads(blob)
+    assert copy._states == table._states
+    assert all(state is BlockState(state.value) for state in copy._states)
+    assert copy._owners == table._owners
+    assert copy.owner(9) == BlockInfo(ino=2, fbn=0, is_inode=True)
+    assert copy.segments == table.segments
+    assert copy.counts() == table.counts()
+    assert copy.free_blocks() == table.free_blocks()
+    assert copy.dead_blocks() == table.dead_blocks()
+    copy.mark_live(12, ino=4)
+    assert table.state(12) is BlockState.FREE

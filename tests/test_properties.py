@@ -472,6 +472,91 @@ def test_store_patch_carries_any_trace(ops, back):
     _assert_same_store(a, b)
 
 
+def test_store_patch_after_a_probe_heat_and_a_seal():
+    """A dot heated under the file system flushes its metadata cache,
+    and the seal then refills it: the copy's cache must come out equal
+    although neither side's cache is the one it was unpickled with."""
+    import pickle
+
+    from repro.api.store import StoreStatePatch
+
+    blob = _patch_base_blob()
+    a, b = pickle.loads(blob), pickle.loads(blob)
+    for op in (("heat_dot", 0), ("seal", 0)):
+        _run_store_op(a, op)
+    pickle.loads(pickle.dumps(StoreStatePatch.cut(a),
+                              pickle.HIGHEST_PROTOCOL)).apply(b)
+    _assert_same_store(a, b)
+    assert a.fs._meta_epoch == b.fs._meta_epoch
+
+
+def test_a_cut_right_after_a_sync_carries_no_cache_entries():
+    import pickle
+
+    from repro.api.store import StoreStatePatch
+    from repro.parallel.session import mark_synced
+
+    store = pickle.loads(_patch_base_blob())
+    assert StoreStatePatch.cut(store).meta is None  # unpickled: in sync
+    store.put("/obj-1", b"x" * 900)
+    assert store.get("/seed") == b"s" * 700
+    assert StoreStatePatch.cut(store).meta is not None
+    assert StoreStatePatch.cut(store).meta is None
+    store.put("/obj-2", b"y" * 40)
+    mark_synced(store)  # a pin ships the store whole
+    copy = pickle.loads(pickle.dumps(store, pickle.HIGHEST_PROTOCOL))
+    assert StoreStatePatch.cut(store).meta is None
+    assert StoreStatePatch.capture(store).meta is None
+    store.put("/obj-3", b"z" * 40)
+    patch = StoreStatePatch.cut(store)
+    assert patch.meta is not None
+    patch.apply(copy)
+    assert StoreStatePatch.cut(copy).meta is None  # an apply syncs too
+    assert copy.fs._meta == store.fs._meta
+
+
+def _assert_same_cache_and_table(a, b):
+    assert a.fs._meta == b.fs._meta
+    assert a.fs._meta_epoch == b.fs._meta_epoch
+    assert a.fs.table._states == b.fs.table._states
+    assert a.fs.table._owners == b.fs.table._owners
+    assert a.fs.table.segments == b.fs.table.segments
+
+
+@settings(max_examples=25, deadline=None)
+@given(before=st.lists(_store_ops, max_size=6),
+       legs=st.lists(st.lists(_store_ops, max_size=5), min_size=3,
+                     max_size=3))
+def test_pin_then_alternating_cuts_keep_cache_and_table_equal(before, legs):
+    """The rpc session's sequence: the client pins a copy on a worker
+    (:func:`mark_synced`, then the store ships whole), then client,
+    worker and client again each run operations and send the other
+    side the patch they cut.  Every cut diffs the metadata cache
+    against the last sync point, so both sides' cache and segment
+    table stay equal after each fold."""
+    import pickle
+
+    from repro.api.store import StoreStatePatch
+    from repro.parallel.session import mark_synced
+
+    client = pickle.loads(_patch_base_blob())
+    for op in before:
+        _run_store_op(client, op)
+    mark_synced(client)
+    worker = pickle.loads(pickle.dumps(client, pickle.HIGHEST_PROTOCOL))
+    _assert_same_cache_and_table(client, worker)
+    for leg, (mine, theirs) in enumerate(((client, worker),
+                                          (worker, client),
+                                          (client, worker))):
+        for op in legs[leg]:
+            _run_store_op(mine, op)
+        patch = StoreStatePatch.cut(mine)
+        pickle.loads(pickle.dumps(patch, pickle.HIGHEST_PROTOCOL)) \
+            .apply(theirs)
+        _assert_same_cache_and_table(client, worker)
+        _assert_same_store(client, worker)
+
+
 # ---------------------------------------------------------------------------
 # One owner of "heated": mag == 0 exactly where sharpness fell below the
 # threshold, under any trace of medium operations
