@@ -410,10 +410,12 @@ class FleetStore:
         — only once the fleet has grown — the fallback scan (an object
         written before a rebalance may live off its current route; a
         never-grown fleet routes exactly, so no other member is ever
-        read).  The walk is lock-step: it holds at most one member lock
-        at any moment (deadlock-free regardless of probe order) and
-        returns with the found member's lock *held*.  Caller holds the
-        shared gate and releases the member lock."""
+        read).  A probe reads only the directory entry, never the
+        object's inode, so a smashed inode cannot hide its holder from
+        a verify.  The walk is lock-step: it holds at most one member
+        lock at any moment (deadlock-free regardless of probe order)
+        and returns with the found member's lock *held*.  Caller holds
+        the shared gate and releases the member lock."""
         primary = self.route(path)
         order = [primary]
         if self._grown:
@@ -424,7 +426,7 @@ class FleetStore:
                 continue
             self._locks.acquire_member(index)
             try:
-                store.info(path)
+                store.fs._lookup_ino(path)
                 return index, store
             except FileNotFoundError_:
                 self._locks.release_member(index)
@@ -434,14 +436,21 @@ class FleetStore:
         raise FileNotFoundError_(f"no fleet member holds {path!r}")
 
     @contextmanager
-    def _held_holder(self, path: str
+    def _held_holder(self, path: str, *, probe: bool = True
                      ) -> Iterator[Tuple[int, TamperEvidentStore]]:
-        """Shared gate + the holding member's lock, for one read-grain
-        operation on ``path``."""
+        """Shared gate + the holding member's lock, for one
+        object-grain operation on ``path``.  A read verb passes
+        ``probe=False``: it logs nothing, so where routing is exact (a
+        never-grown fleet) it goes straight to the routed member, and
+        a missing path is that member's own error."""
         with self._locks.shared():
-            index, store = self._acquire_holder(path)
+            if probe or self._grown:
+                index, _store = self._acquire_holder(path)
+            else:
+                index = self.route(path)
+                self._locks.acquire_member(index)
             try:
-                yield index, store
+                yield index, self.members[index]
             finally:
                 self._locks.release_member(index)
 
@@ -520,7 +529,7 @@ class FleetStore:
 
     def get(self, path: str) -> bytes:
         """Read one object (fallback scan after rebalances)."""
-        with self._held_holder(path) as (_index, store):
+        with self._held_holder(path, probe=False) as (_index, store):
             return store.get(path)
 
     def delete(self, path: str) -> None:
@@ -532,7 +541,7 @@ class FleetStore:
 
     def info(self, path: str) -> ObjectInfo:
         """Metadata of one object."""
-        with self._held_holder(path) as (_index, store):
+        with self._held_holder(path, probe=False) as (_index, store):
             return store.info(path)
 
     # -- the write-once operation -------------------------------------------------
@@ -600,7 +609,7 @@ class FleetStore:
 
     def verify(self, path: str) -> VerifyReport:
         """Verify one sealed object on the member that holds it."""
-        with self._held_holder(path) as (_index, store):
+        with self._held_holder(path, probe=False) as (_index, store):
             return store.verify(path)
 
     def audit(self, *, deep: bool = False) -> AuditReport:

@@ -279,12 +279,12 @@ def _roles(store: "TamperEvidentStore"
     (the store, ``.device``, ``.fs``, ...) stay live.  The named ones
     are the medium (its arrays travel as a block delta, its RNG,
     counters and epoch in the :class:`DeviceStatePatch`), the
-    stateless bit operations over it, and the immutable geometry and
-    timing model."""
+    stateless bit operations over it, and the immutable configuration,
+    geometry and timing model."""
     moved: Dict[str, object] = {
         "store": store, "fs": store.fs, "venti": store.venti,
         "fossil": store.fossil, "audit_log": store.audit_log}
-    named: Dict[str, object] = {}
+    named: Dict[str, object] = {"store.config": store.config}
     for role in ("device", "archive_device"):
         device = getattr(store, role)
         if device is not None:
@@ -721,7 +721,7 @@ class TamperEvidentStore:
                 if start in labels:
                     continue
                 try:
-                    hint = self.fs._read_inode(ino).name_hint
+                    hint = self.fs._inode_of(ino).name_hint
                 except (FileNotFoundError_, ReadError):
                     hint = "?"
                 labels[start] = f"{ino}:{hint}"

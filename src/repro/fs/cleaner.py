@@ -109,7 +109,7 @@ def clean_segment(fs: "SeroFS", victim: Segment) -> int:
     needed = 0
     for ino in owners:
         try:
-            inode = fs._read_inode(ino)
+            inode = fs._inode_of(ino)
         except (FileNotFoundError_, ReadError):
             continue
         if fs.is_ino_heated(ino):

@@ -170,7 +170,7 @@ def fsck(fs: "SeroFS | TamperEvidentStore",
     reachable = _walk_tree(fs, report)
     for ino, inode_pba in sorted(fs.imap.items()):
         try:
-            inode = fs._read_inode_at(inode_pba)
+            inode = fs._inode_at(inode_pba)
         except ReadError as exc:
             report.errors.append(f"inode {ino}: unreadable at {inode_pba}: {exc}")
             continue
@@ -216,14 +216,14 @@ def _walk_tree(fs: "SeroFS", report: FsckReport) -> set:
             continue
         reachable.add(ino)
         try:
-            inode = fs._read_inode(ino)
+            inode = fs._inode_of(ino)
         except Exception as exc:  # surfaced as error; keep walking
             report.errors.append(f"directory walk: inode {ino}: {exc}")
             continue
         if inode.ftype is not FileType.DIRECTORY:
             continue
         try:
-            entries = fs._dir_entries(inode)
+            entries = fs._entries_of(inode)
         except ReadError as exc:
             report.errors.append(f"directory {ino}: unreadable: {exc}")
             continue

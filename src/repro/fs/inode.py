@@ -96,6 +96,14 @@ class Inode:
         """Number of data blocks the file occupies."""
         return (self.size + BLOCK_SIZE - 1) // BLOCK_SIZE
 
+    def copy(self) -> "Inode":
+        """An equal inode whose pointer lists are its own, for a caller
+        that mutates what it was handed."""
+        twin = object.__new__(type(self))
+        vars(twin).update(vars(self), direct=list(self.direct),
+                          indirect=list(self.indirect))
+        return twin
+
     def pack(self) -> bytes:
         """Serialise to one 512-byte block payload."""
         if len(self.direct) > N_DIRECT:

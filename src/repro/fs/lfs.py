@@ -25,6 +25,7 @@ Section 4.1 paper check shows the difference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..device.sector import BLOCK_SIZE
@@ -59,9 +60,13 @@ ROOT_INO = 1
 #: changed and the PBAs it dropped since the last sync point.
 MetaDelta = Tuple[int, Dict[int, bytes], List[int]]
 
-#: The fields of the metadata cache: a store patch leaves them out of
-#: the pickled file-system state and carries :meth:`SeroFS.cut_meta`.
-META_FIELDS = ("_meta", "_meta_epoch", "_meta_base")
+#: The fields of the metadata cache, decoded forms included: a store
+#: patch leaves them out of the pickled file-system state and carries
+#: :meth:`SeroFS.cut_meta`.
+META_FIELDS = ("_meta", "_meta_epoch", "_meta_base", "_inodes", "_dirs")
+
+#: A directory's decoded entries: ``{name: (ftype, ino)}``.
+Entries = Dict[str, Tuple[FileType, int]]
 
 
 def read_pointers(device: SERODevice, pointers: Sequence[int]) -> List[bytes]:
@@ -159,22 +164,35 @@ class SeroFS:
         # Payloads of inode and directory blocks by PBA, valid only
         # while the medium's mutation epoch equals the stamp: filled by
         # the reads of _read_meta and, write-through, by this file
-        # system's own writes of such blocks (_dev_write).  Payload
-        # bytes, never parsed objects: callers mutate the Inode/entries
-        # a lookup hands back.  Data blocks never enter.
+        # system's own writes of such blocks (_dev_write).  Data blocks
+        # never enter.
         self._meta: Dict[int, bytes] = {}
         self._meta_epoch = -1
         # (stamp, entries) at the last sync point with a copy of this
         # file system in another process: what cut_meta diffs against
         self._meta_base: Tuple[int, Dict[int, bytes]] = (-1, {})
+        self._drop_decoded()
+
+    def _drop_decoded(self) -> None:
+        """Forget every decoded form (_inode_at, _entries_of).  Each is
+        kept with the payload object(s) it was decoded from and served
+        only while _meta still holds those very objects, so whatever
+        drops or replaces a payload retires its decoded form too: they
+        need no rule of their own, and no copy ever carries them."""
+        # inode block PBA -> (payload, Inode)
+        self._inodes: Dict[int, Tuple[bytes, Inode]] = {}
+        # first content PBA -> (payloads, size, entries)
+        self._dirs: Dict[int, Tuple[List[bytes], int, Entries]] = {}
 
     def __getstate__(self) -> dict:
         state = dict(vars(self))
-        del state["_meta_base"]
+        for name in ("_meta_base", "_inodes", "_dirs"):
+            del state[name]
         return state
 
     def __setstate__(self, state: dict) -> None:
         vars(self).update(state)
+        self._drop_decoded()
         # an unpickled copy is in sync with the one it was taken from
         self.mark_meta_synced()
 
@@ -257,7 +275,7 @@ class SeroFS:
                 continue
         # rebuild block ownership by walking the inodes
         for ino, inode_pba in self.imap.items():
-            inode = self._read_inode_at(inode_pba)
+            inode = self._inode_at(inode_pba)
             if self.table.state(inode_pba) is BlockState.FREE:
                 self.table.mark_live(inode_pba, ino, is_inode=True)
             pointers, indirect_pbas = self._load_pointers(inode)
@@ -426,14 +444,25 @@ class SeroFS:
             self._meta.update(changed)
         self.mark_meta_synced()
 
-    def _read_inode_at(self, pba: int) -> Inode:
-        return Inode.unpack(self._read_meta(pba))
+    def _inode_at(self, pba: int) -> Inode:
+        """The inode in block ``pba``, decoded once per cached payload.
+        Shared: never mutate it (:meth:`_read_inode` hands out a
+        copy)."""
+        payload = self._read_meta(pba)
+        hit = self._inodes.get(pba)
+        if hit is None or hit[0] is not payload:
+            hit = self._inodes[pba] = (payload, Inode.unpack(payload))
+        return hit[1]
 
-    def _read_inode(self, ino: int) -> Inode:
+    def _inode_of(self, ino: int) -> Inode:
+        """Inode ``ino``, shared like :meth:`_inode_at`'s."""
         pba = self.imap.get(ino)
         if pba is None:
             raise FileNotFoundError_(f"inode {ino} does not exist")
-        return self._read_inode_at(pba)
+        return self._inode_at(pba)
+
+    def _read_inode(self, ino: int) -> Inode:
+        return self._inode_of(ino).copy()
 
     def _load_pointers(self, inode: Inode) -> Tuple[List[int], List[int]]:
         """All data-block PBAs of a file, plus its indirect-block PBAs."""
@@ -538,7 +567,7 @@ class SeroFS:
         old_inode: Optional[Inode] = None
         if self.imap.get(inode.ino) is not None:
             try:
-                old_inode = self._read_inode(inode.ino)
+                old_inode = self._inode_of(inode.ino)
             except (FileNotFoundError_, ReadError):
                 old_inode = None
         pbas, indirect = self._write_data_blocks(
@@ -563,32 +592,42 @@ class SeroFS:
 
     # -- path resolution -----------------------------------------------------------------
 
-    def _lookup(self, path: str) -> Tuple[int, Inode]:
-        """Resolve ``path`` to (ino, inode)."""
-        parts = split_path(path)
+    def _walk(self, path: str) -> Tuple[int, Inode]:
+        """Resolve ``path`` to (ino, inode), the inode shared
+        (:meth:`_inode_at`)."""
         ino = ROOT_INO
-        inode = self._read_inode(ino)
-        for part in parts:
+        inode = self._inode_of(ino)
+        for part in split_path(path):
             if inode.ftype is not FileType.DIRECTORY:
                 raise NotADirectoryError_(f"{part!r} reached via non-directory")
-            entries = self._dir_entries(inode)
+            entries = self._entries_of(inode)
             if part not in entries:
                 raise FileNotFoundError_(f"no such file: {path!r}")
             _ftype, ino = entries[part]
-            inode = self._read_inode(ino)
+            inode = self._inode_of(ino)
         return ino, inode
 
-    def _lookup_parent(self, path: str) -> Tuple[Inode, str]:
+    def _lookup(self, path: str) -> Tuple[int, Inode]:
+        """Resolve ``path`` to (ino, inode), the inode the caller's."""
+        ino, inode = self._walk(path)
+        return ino, inode.copy()
+
+    def _walk_parent(self, path: str) -> Tuple[Inode, str]:
         """Resolve the parent directory of ``path``; returns
-        (parent_inode, basename)."""
+        (parent_inode, basename), the inode shared."""
         parts = split_path(path)
         if not parts:
             raise FileSystemError("the root directory has no parent")
         parent_path = "/" + "/".join(parts[:-1])
-        _ino, parent = self._lookup(parent_path)
+        _ino, parent = self._walk(parent_path)
         if parent.ftype is not FileType.DIRECTORY:
             raise NotADirectoryError_(f"{parent_path!r} is not a directory")
         return parent, parts[-1]
+
+    def _lookup_parent(self, path: str) -> Tuple[Inode, str]:
+        """:meth:`_walk_parent`, the inode the caller's."""
+        parent, name = self._walk_parent(path)
+        return parent.copy(), name
 
     def _read_content(self, inode: Inode) -> bytes:
         """A file's bytes, its data blocks read run by run
@@ -603,13 +642,28 @@ class SeroFS:
         pointers, _ = self._load_pointers(inode)
         return b"".join(read_pointers(self.device, pointers))[:inode.size]
 
-    def _dir_entries(self, inode: Inode) -> Dict[str, Tuple[FileType, int]]:
+    def _entries_of(self, inode: Inode) -> Entries:
+        """The entries of directory ``inode``, decoded once per cached
+        content: reused while _meta holds the very payloads they were
+        decoded from, in order, and the size is the same.  Shared:
+        never mutate them (:meth:`_dir_entries` hands out a copy)."""
         pointers, _ = self._load_pointers(inode)
-        content = b"".join(self._read_meta(pba) for pba in pointers)
-        return unpack_entries(content[:inode.size])
+        payloads = [self._read_meta(pba) for pba in pointers]
+        hit = self._dirs.get(pointers[0]) if pointers else None
+        if hit is not None and hit[1] == inode.size and \
+                len(hit[0]) == len(payloads) and \
+                all(map(is_, hit[0], payloads)):
+            return hit[2]
+        entries = unpack_entries(b"".join(payloads)[:inode.size])
+        if pointers:
+            self._dirs[pointers[0]] = (payloads, inode.size, entries)
+        return entries
+
+    def _dir_entries(self, inode: Inode) -> Entries:
+        return dict(self._entries_of(inode))
 
     def _update_dir(self, dir_inode: Inode,
-                    entries: Dict[str, Tuple[FileType, int]]) -> None:
+                    entries: Entries) -> None:
         if self.is_ino_heated(dir_inode.ino):
             raise ImmutableFileError(
                 f"directory inode {dir_inode.ino} is heated and immutable")
@@ -618,7 +672,7 @@ class SeroFS:
     # -- public API -------------------------------------------------------------------------
 
     def _new_entry(self, parent: Inode,
-                   entries: Dict[str, Tuple[FileType, int]], name: str,
+                   entries: Entries, name: str,
                    ftype: FileType, data: bytes) -> Inode:
         """Write a new file or directory and enter it as ``name`` into
         ``parent``, whose current entries are ``entries``; returns the
@@ -659,17 +713,18 @@ class SeroFS:
         existing non-directory on it is a
         :class:`~repro.errors.NotADirectoryError_`."""
         parts = split_path(path)
-        inode = self._read_inode(ROOT_INO)
+        inode = self._inode_of(ROOT_INO)
         for depth, part in enumerate(parts):
-            entries = self._dir_entries(inode)
+            entries = self._entries_of(inode)
             if part not in entries:
                 break
-            inode = self._read_inode(entries[part][1])
+            inode = self._inode_of(entries[part][1])
             if inode.ftype is not FileType.DIRECTORY:
                 prefix = "/" + "/".join(parts[:depth + 1])
                 raise NotADirectoryError_(f"{prefix!r} is not a directory")
         else:
             return
+        inode, entries = inode.copy(), dict(entries)
         for name in parts[depth:]:
             self.tick += 1
             inode = self._new_entry(inode, entries, name, FileType.DIRECTORY,
@@ -695,17 +750,17 @@ class SeroFS:
     def read(self, path: str) -> bytes:
         """Read a whole file (works for heated files too — their data
         blocks are still read magnetically)."""
-        _ino, inode = self._lookup(path)
+        _ino, inode = self._walk(path)
         if inode.ftype is not FileType.REGULAR:
             raise FileSystemError(f"not a regular file: {path!r}")
         return self._read_content(inode)
 
     def listdir(self, path: str) -> List[str]:
         """Names inside a directory."""
-        _ino, inode = self._lookup(path)
+        _ino, inode = self._walk(path)
         if inode.ftype is not FileType.DIRECTORY:
             raise NotADirectoryError_(f"not a directory: {path!r}")
-        return sorted(self._dir_entries(inode))
+        return sorted(self._entries_of(inode))
 
     def unlink(self, path: str) -> None:
         """Remove a file (refused for heated files: the link count
@@ -733,12 +788,12 @@ class SeroFS:
     def rmdir(self, path: str) -> None:
         """Remove an empty directory."""
         self.tick += 1
-        ino, inode = self._lookup(path)
+        ino, inode = self._walk(path)
         if inode.ftype is not FileType.DIRECTORY:
             raise NotADirectoryError_(f"not a directory: {path!r}")
         if ino == ROOT_INO:
             raise FileSystemError("cannot remove the root directory")
-        if self._dir_entries(inode):
+        if self._entries_of(inode):
             raise DirectoryNotEmptyError(f"directory not empty: {path!r}")
         if self.is_ino_heated(ino):
             raise ImmutableFileError(f"{path!r} is heated and immutable")
@@ -772,7 +827,7 @@ class SeroFS:
 
     def stat(self, path: str) -> FileStat:
         """Metadata of a file or directory."""
-        return self._stat_of(path, *self._lookup(path))
+        return self._stat_of(path, *self._walk(path))
 
     def _stat_of(self, path: str, ino: int, inode: Inode) -> FileStat:
         """:meth:`stat` of ``path`` from its inode, already in hand."""
@@ -799,7 +854,7 @@ class SeroFS:
         self.tick += 1
         if timestamp is None:
             timestamp = self.tick
-        ino, inode = self._lookup(path)
+        ino, inode = self._walk(path)
         if self.is_ino_heated(ino):
             raise ImmutableFileError(f"{path!r} is already heated")
         data = self._read_content(inode)
@@ -904,11 +959,10 @@ class SeroFS:
         """Resolve ``path`` to its inode number without parsing the
         final inode — verification must work even when an attacker has
         destroyed the inode block itself."""
-        parts = split_path(path)
-        if not parts:
+        if not split_path(path):
             return ROOT_INO
-        parent, name = self._lookup_parent(path)
-        entries = self._dir_entries(parent)
+        parent, name = self._walk_parent(path)
+        entries = self._entries_of(parent)
         if name not in entries:
             raise FileNotFoundError_(f"no such file: {path!r}")
         _ftype, ino = entries[name]
@@ -932,8 +986,7 @@ class SeroFS:
         out = {}
         for ino, start in self.line_of_ino.items():
             try:
-                inode = self._read_inode(ino)
-                label = f"{ino}:{inode.name_hint}"
+                label = f"{ino}:{self._inode_of(ino).name_hint}"
             except (FileNotFoundError_, ReadError):
                 label = f"{ino}:?"
             out[label] = self.device.verify_line(start)

@@ -455,3 +455,147 @@ def test_cache_is_not_part_of_the_store_fingerprint():
     before = store_fingerprint(store)
     _cold(store)
     assert store_fingerprint(store) == before
+
+
+# -- (vi) decoded forms ------------------------------------------------------------
+#
+# Beside each cached payload the file system keeps its decoded form (an
+# Inode, a directory's entries), served only while the cache holds the
+# very payload object(s) it was decoded from.  Like the raw cache, they
+# may only save work: a twin that drops them before every call, its
+# raw cache kept, must see the same results, errors, stored bytes,
+# draws and counters.
+
+
+def _drop_decoded(store):
+    store.fs._drop_decoded()
+    return store
+
+
+def _result(fn, *args):
+    """Value or error, of any type: a tampered directory may fail to
+    decode in more ways than the library's own errors."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return (type(exc).__name__, str(exc))
+
+
+_FS_PATHS = _NAMES + ("/", "/d0", "/d0/s", "/d1", "/nowhere/f")
+_DECODED_OPS = st.one_of(
+    _OPS,
+    st.tuples(st.sampled_from(("stat", "read", "listdir", "verify_file",
+                               "lookup", "lookup_ino")),
+              st.sampled_from(_FS_PATHS)),
+    st.tuples(st.just("heat"), st.sampled_from(_NAMES)),
+    st.tuples(st.just("patch")),
+)
+
+
+def _apply_decoded(store, op):
+    import pickle
+
+    kind = op[0]
+    fs = store.fs
+    if kind == "lookup":
+        return fs._lookup(op[1])
+    if kind == "lookup_ino":
+        return fs._lookup_ino(op[1])
+    if kind in ("stat", "read", "listdir", "verify_file"):
+        return getattr(fs, kind)(op[1])
+    if kind == "heat":
+        return fs.heat_file(op[1])
+    if kind == "patch":
+        # adopt its own cut as a worker's reply is adopted: every
+        # changed cache entry comes back as a new, equal payload object
+        # (apply_meta), every other graph object by value
+        patch = StoreStatePatch.cut(store)
+        return pickle.loads(pickle.dumps(patch)).apply(store)
+    return _apply(store, op)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_DECODED_OPS, min_size=1, max_size=24))
+def test_decoded_forms_change_nothing_a_twin_without_them_sees(trace):
+    warm, twin = _store(96, seed=9), _store(96, seed=9)
+    for op in trace:
+        if op[0] == "tamper" and warm.fs._meta:
+            held = sorted(warm.fs._meta)
+            op = ("tamper", held[op[1] % len(held)])
+        assert _result(_apply_decoded, warm, op) == \
+            _result(_apply_decoded, _drop_decoded(twin), op), op
+        assert warm.fs._meta == twin.fs._meta, op
+    assert warm.fs.imap == twin.fs.imap
+    assert warm.device.medium.counters == twin.device.medium.counters
+    _same_medium(warm, twin)
+
+
+def test_a_second_walk_decodes_nothing(monkeypatch):
+    import repro.fs.lfs as lfs
+
+    store = _deep_store()
+    decoded = []
+    entries, inode = lfs.unpack_entries, lfs.Inode.unpack
+    monkeypatch.setattr(lfs, "unpack_entries", lambda payload: (
+        decoded.append("directory"), entries(payload))[1])
+    monkeypatch.setattr(lfs.Inode, "unpack", staticmethod(lambda payload: (
+        decoded.append("inode"), inode(payload))[1]))
+    _cold(store)
+    assert store.get(f"{DEEP}/one") == PAYLOAD
+    assert decoded.count("inode") == 7 and decoded.count("directory") == 6
+    del decoded[:]
+    assert store.get(f"{DEEP}/one") == PAYLOAD
+    assert store.info(f"{DEEP}/two").size == len(PAYLOAD)
+    assert store.list(DEEP) == ["one", "two"]
+    assert decoded == ["inode"]  # /two's inode, first met here
+    # a payload the cache drops takes its decoded form with it
+    store.device.medium.write_mag_span(0, [0])
+    del decoded[:]
+    assert store.get(f"{DEEP}/one") == PAYLOAD
+    assert decoded.count("inode") == 7
+
+
+def test_what_a_caller_is_handed_is_its_own():
+    """Writers mutate the inodes and entries a lookup hands back, so
+    nothing handed out may be the shared decoded form."""
+    store = _deep_store()
+    fs = store.fs
+    one = f"{DEEP}/one"
+    before = (fs.stat(one), fs.read(one), fs.listdir(DEEP),
+              fs._lookup(one), fs._lookup(DEEP))
+    assert fs._inodes and fs._dirs  # warm
+    ino, inode = fs._lookup(one)
+    handed = [inode, fs._read_inode(ino), fs._lookup_parent(one)[0],
+              fs._lookup(DEEP)[1]]
+    for twin in handed:
+        twin.size += 1
+        twin.link_count = 9
+        twin.ftype = type(twin.ftype)(3 - twin.ftype)
+        twin.direct.append(7)
+        twin.direct[0] = 5
+        twin.indirect.append(3)
+    entries = fs._dir_entries(fs._lookup(DEEP)[1])
+    entries["forged"] = entries.pop("two")
+    entries.clear()
+    assert (fs.stat(one), fs.read(one), fs.listdir(DEEP),
+            fs._lookup(one), fs._lookup(DEEP)) == before
+
+
+def test_decoded_forms_never_travel():
+    """A pickled file system, a pin and a patch are the same bytes
+    whether the decoded forms are warm or cold."""
+    import pickle
+
+    warm, cold = _deep_store(), _deep_store()
+    for store in (warm, cold):
+        store.seal(f"{DEEP}/one")
+        assert store.get(f"{DEEP}/two") == PAYLOAD[::-1]
+        store.info(f"{DEEP}/one")
+    assert warm.fs._inodes and warm.fs._dirs
+    _drop_decoded(cold)
+    assert pickle.dumps(warm.fs, 5) == pickle.dumps(cold.fs, 5)
+    assert pickle.dumps(warm, 5) == pickle.dumps(cold, 5)  # a pin
+    assert pickle.dumps(StoreStatePatch.cut(warm), 5) == \
+        pickle.dumps(StoreStatePatch.cut(cold), 5)
+    assert warm.fs._inodes  # a cut keeps them where they are
+    assert not pickle.loads(pickle.dumps(warm)).fs._inodes

@@ -251,6 +251,39 @@ def test_cut_delta_holds_the_blocks_an_operation_touched():
     assert medium.cut_delta().blocks.size == geom.total_blocks
 
 
+def test_a_run_of_blocks_travels_as_its_range():
+    """A pickled medium carries every block, and a run of consecutive
+    blocks travels as (first, count), not as one int64 per block: a
+    sealed 1024-block medium pickled to 29 071 B when its block list
+    travelled raw (8 kB of it the list), and to about 21 kB now."""
+    import pickle
+
+    from repro import TamperEvidentStore
+    from repro.medium.medium import MediumDelta
+
+    store = TamperEvidentStore.create(total_blocks=1024)
+    paths = [f"/obj{i:02d}" for i in range(30)]
+    for path in paths:
+        store.put(path, path.encode() * 200)
+    for path in paths[:15]:
+        store.seal(path)
+    medium = store.device.medium
+    assert len(pickle.dumps(medium, pickle.HIGHEST_PROTOCOL)) <= 21_500
+    dots = medium.__getstate__()["dots"]
+    assert dots.__getstate__()["blocks"] == (0, 1024)
+    # a cut of a run and a cut of nothing go the same way; a gapped
+    # cut keeps its list
+    for blocks in ([5, 6, 7], [], [1, 2, 4]):
+        delta = MediumDelta(np.array(blocks, dtype=np.intp),
+                            medium._mag.reshape(1024, -1)[blocks],
+                            medium._sharpness.reshape(1024, -1)[blocks])
+        back = pickle.loads(pickle.dumps(delta))
+        assert back.blocks.dtype == delta.blocks.dtype
+        assert back.blocks.tolist() == blocks
+        assert isinstance(delta.__getstate__()["blocks"], tuple) == \
+            (blocks != [1, 2, 4])
+
+
 def test_medium_builds_no_int64_plus_minus_one_temporaries():
     # np.where(mask, 1, -1) allocates a whole-medium int64 array; the
     # medium writes its +/-1 magnetisation in int8 instead

@@ -434,6 +434,24 @@ def _assert_same_store(a, b):
     assert a.receipts == b.receipts and a.archives == b.archives
 
 
+def test_store_patch_graph_anchors_the_store_config():
+    """The frozen ``StoreConfig`` is anchored like the geometry: a cut
+    names it instead of pickling it, and the receiving store keeps its
+    own (equal) one."""
+    import pickle
+
+    from repro.api.store import StoreConfig, StoreStatePatch
+
+    a, b = pickle.loads(_patch_base_blob()), pickle.loads(_patch_base_blob())
+    config = b.config
+    a.put("/obj-0", b"x" * 700)
+    patch = StoreStatePatch.cut(a)
+    assert StoreConfig.__name__.encode() not in patch.graph
+    pickle.loads(pickle.dumps(patch, pickle.HIGHEST_PROTOCOL)).apply(b)
+    assert b.config is config and b.config == a.config
+    assert b.fs.stat("/obj-0") == a.fs.stat("/obj-0")
+
+
 @settings(max_examples=25, deadline=None)
 @given(ops=st.lists(_store_ops, max_size=10),
        back=st.lists(_store_ops, max_size=6))
