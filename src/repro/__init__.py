@@ -54,7 +54,7 @@ façades nor the gateway, search or fleet machinery.
 
 from importlib import import_module
 
-__version__ = "18.0.0"
+__version__ = "19.0.0"
 
 #: Public name -> the module that defines it.
 _EXPORTS = {

@@ -405,74 +405,45 @@ class FleetStore:
 
     # -- footprint locking -------------------------------------------------------
 
-    def _acquire_holder(self, path: str) -> Tuple[int, TamperEvidentStore]:
-        """Member actually holding ``path``: primary route first, then
-        — only once the fleet has grown — the fallback scan (an object
-        written before a rebalance may live off its current route; a
-        never-grown fleet routes exactly, so no other member is ever
-        read).  A probe reads only the directory entry, never the
-        object's inode, so a smashed inode cannot hide its holder from
-        a verify.  The walk is lock-step: it holds at most one member
-        lock at any moment (deadlock-free regardless of probe order)
-        and returns with the found member's lock *held*.  Caller holds
-        the shared gate and releases the member lock."""
+    def _acquire_holder(self, path: str) -> int:
+        """Lock the member an object verb on ``path`` runs on and
+        return its index: the routed member, except on a fleet that
+        has grown, where an object written before a rebalance may live
+        off its current route.  There the members are probed in turn,
+        primary route first, and a probe that finds the path keeps that
+        member; when none does, the routed member takes the verb and
+        creates the object or raises its own ``FileNotFoundError_``.
+        A probe reads only the directory entry, never the object's
+        inode, so a smashed inode cannot hide its holder from a
+        verify.  The walk is lock-step: it holds at most one member
+        lock at any moment (deadlock-free regardless of probe order).
+        Caller holds the shared gate and releases the member lock."""
         primary = self.route(path)
-        order = [primary]
         if self._grown:
-            order += [i for i in range(len(self.members)) if i != primary]
-        for index in order:
-            store = self.members[index]
-            if store.fs is None:
-                continue
-            self._locks.acquire_member(index)
-            try:
-                store.fs._lookup_ino(path)
-                return index, store
-            except FileNotFoundError_:
-                self._locks.release_member(index)
-            except BaseException:
-                self._locks.release_member(index)
-                raise
-        raise FileNotFoundError_(f"no fleet member holds {path!r}")
-
-    @contextmanager
-    def _held_holder(self, path: str, *, probe: bool = True
-                     ) -> Iterator[Tuple[int, TamperEvidentStore]]:
-        """Shared gate + the holding member's lock, for one
-        object-grain operation on ``path``.  A read verb passes
-        ``probe=False``: it logs nothing, so where routing is exact (a
-        never-grown fleet) it goes straight to the routed member, and
-        a missing path is that member's own error."""
-        with self._locks.shared():
-            if probe or self._grown:
-                index, _store = self._acquire_holder(path)
-            else:
-                index = self.route(path)
+            for index in [primary] + [i for i in range(len(self.members))
+                                      if i != primary]:
+                store = self.members[index]
+                if store.fs is None:
+                    continue
                 self._locks.acquire_member(index)
-            try:
-                yield index, self.members[index]
-            finally:
-                self._locks.release_member(index)
-
-    @contextmanager
-    def _held_write_target(self, path: str
-                           ) -> Iterator[Tuple[int, TamperEvidentStore]]:
-        """Shared gate + the lock of the member a write to ``path``
-        must land on: wherever the object already lives (so a
-        post-growth write never forks a second divergent copy off its
-        pre-rebalance home), else the routed member.  On a never-grown
-        fleet this is the routed member directly — no fallback
-        probes."""
-        with self._locks.shared():
-            index: Optional[int] = None
-            if self._grown:
                 try:
-                    index, _store = self._acquire_holder(path)
+                    store.fs._lookup_ino(path)
+                    return index
                 except FileNotFoundError_:
-                    index = None
-            if index is None:
-                index = self.route(path)
-                self._locks.acquire_member(index)
+                    self._locks.release_member(index)
+                except BaseException:
+                    self._locks.release_member(index)
+                    raise
+        self._locks.acquire_member(primary)
+        return primary
+
+    @contextmanager
+    def _held_holder(self, path: str
+                     ) -> Iterator[Tuple[int, TamperEvidentStore]]:
+        """Shared gate + the lock of the member that holds ``path``
+        (:meth:`_acquire_holder`), for one object-grain operation."""
+        with self._locks.shared():
+            index = self._acquire_holder(path)
             try:
                 yield index, self.members[index]
             finally:
@@ -520,7 +491,7 @@ class FleetStore:
         """Store one object on its owning (or, when new, routed)
         member.  ``make_parents`` creates the directory chain on that
         member first, like :meth:`TamperEvidentStore.put`."""
-        with self._held_write_target(path) as (index, store):
+        with self._held_holder(path) as (index, store):
             info = store.put(path, data, overwrite=overwrite,
                              make_parents=make_parents)
         if self._indexer is not None:
@@ -529,7 +500,7 @@ class FleetStore:
 
     def get(self, path: str) -> bytes:
         """Read one object (fallback scan after rebalances)."""
-        with self._held_holder(path, probe=False) as (_index, store):
+        with self._held_holder(path) as (_index, store):
             return store.get(path)
 
     def delete(self, path: str) -> None:
@@ -541,7 +512,7 @@ class FleetStore:
 
     def info(self, path: str) -> ObjectInfo:
         """Metadata of one object."""
-        with self._held_holder(path, probe=False) as (_index, store):
+        with self._held_holder(path) as (_index, store):
             return store.info(path)
 
     # -- the write-once operation -------------------------------------------------
@@ -574,13 +545,8 @@ class FleetStore:
         with self._locks.shared():
             groups: Dict[int, List[str]] = {}
             for path in paths:
-                # exact routing while the fleet has never grown — the
-                # charged probe is only needed after a rebalance
-                if not self._grown:
-                    index = self.route(path)
-                else:
-                    index, _store = self._acquire_holder(path)
-                    self._locks.release_member(index)
+                index = self._acquire_holder(path)
+                self._locks.release_member(index)
                 groups.setdefault(index, []).append(path)
             member_indices = sorted(groups)
             order = self._locks.acquire_ascending(member_indices)
@@ -609,7 +575,7 @@ class FleetStore:
 
     def verify(self, path: str) -> VerifyReport:
         """Verify one sealed object on the member that holds it."""
-        with self._held_holder(path, probe=False) as (_index, store):
+        with self._held_holder(path) as (_index, store):
             return store.verify(path)
 
     def audit(self, *, deep: bool = False) -> AuditReport:

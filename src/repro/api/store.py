@@ -717,14 +717,15 @@ class TamperEvidentStore:
             receipt.line_start: path
             for path, receipt in self._receipts.items()}
         if self.fs is not None:
-            for ino, start in self.fs.line_of_ino.items():
-                if start in labels:
+            for ino, pba in self.fs.imap.items():
+                line = self.device.line_of_block(pba)
+                if line is None or line.start in labels:
                     continue
                 try:
                     hint = self.fs._inode_of(ino).name_hint
                 except (FileNotFoundError_, ReadError):
                     hint = "?"
-                labels[start] = f"{ino}:{hint}"
+                labels[line.start] = f"{ino}:{hint}"
         return labels
 
     # -- forensics ----------------------------------------------------------------

@@ -233,6 +233,9 @@ class SERODevice:
         self.fragile_blocks: set = set()
         self._lines: Dict[int, LineRecord] = {}
         self._block_to_line: Dict[int, int] = {}
+        #: well-formed heads the last :meth:`scan_lines` found holding
+        #: another head, in start order; none is registered
+        self.line_conflicts: Tuple[LineRecord, ...] = ()
 
     # -- construction ----------------------------------------------------------
 
@@ -833,8 +836,10 @@ class SERODevice:
         return rows
 
     def verify_all(self) -> List[VerificationResult]:
-        """Verify every registered line (audit sweep, batched)."""
-        return self.verify_lines([rec.start for rec in self.heated_lines])
+        """Verify every registered line and every conflicting head
+        (audit sweep, batched), in start order."""
+        return self.verify_lines(sorted(
+            [*self._lines, *(rec.start for rec in self.line_conflicts)]))
 
     # -- discovery (fsck support) -----------------------------------------------------------
 
@@ -870,13 +875,11 @@ class SERODevice:
                               per_bit=self.timing.t_erb_for(rounds))
         return heated
 
-    def load_line(self, start: int) -> Optional[LineRecord]:
-        """Re-register one heated line from its block 0.
-
-        Used at mount time when a checkpoint remembers where lines are:
-        a single ers read per line instead of a whole-medium scan.
-        Returns None when the block does not hold a valid line head.
-        """
+    def _read_head(self, start: int) -> Optional[LineRecord]:
+        """The line that block ``start``'s electrical payload describes,
+        or None when it holds no well-formed head (unreadable, failing
+        its CRC, or misplaced: see :meth:`_misplaced`).  Registers
+        nothing."""
         payload, _tampered, _virgin = self._ers_payload(start)
         if payload is None:
             return None
@@ -886,35 +889,55 @@ class SERODevice:
             return None
         if self._misplaced(start, meta) is not None:
             return None
-        record = LineRecord(start=start, n_blocks=1 << meta.n_blocks_log2,
-                            line_hash=meta.line_hash, timestamp=meta.timestamp)
-        self._register(record)
+        return LineRecord(start=start, n_blocks=1 << meta.n_blocks_log2,
+                          line_hash=meta.line_hash, timestamp=meta.timestamp)
+
+    def load_line(self, start: int) -> Optional[LineRecord]:
+        """Register the one line whose head is block ``start``: a single
+        ers read, with no look at any other block, so nothing checks
+        that the line holds no other head (:meth:`scan_lines` does).
+        Returns None when the block does not hold a well-formed head.
+        """
+        record = self._read_head(start)
+        if record is not None:
+            self._register(record)
         return record
 
     def scan_lines(self) -> List[LineRecord]:
-        """Rebuild the line registry by scanning the whole medium.
+        """Rebuild the line registry from the medium alone: the "fsck
+        style scan ... would definitely recover (albeit slowly) all the
+        heated files" of Section 5.2, and how
+        :meth:`repro.fs.lfs.SeroFS.mount` finds lines.
 
-        The "fsck style scan ... would definitely recover (albeit
-        slowly) all the heated files" of Section 5.2.  Every block is
-        probed electrically; a block that responds is handed to
-        :meth:`load_line`.  Returns the recovered records (also
-        re-registered).
+        First every block that is not bad, line interiors included, is
+        probed electrically and read as a head; then each well-formed
+        head is registered unless its extent holds another head.  Such
+        a head is a conflict (:attr:`line_conflicts`): it covers another
+        head's heated block, so :meth:`verify_all` can never read it
+        ``INTACT``.  Returns the registered records, in start order.
         """
-        recovered: List[LineRecord] = []
         self._lines.clear()
         self._block_to_line.clear()
+        heads: List[LineRecord] = []
         for pba in range(self.total_blocks):
-            if pba in self.bad_blocks:
-                continue
-            if pba in self._block_to_line:
-                continue  # interior of an already recovered line
-            if not self.probe_block_electrical(pba):
+            if pba in self.bad_blocks or not self.probe_block_electrical(pba):
                 continue
             # tampered, partial or misplaced heads are surfaced by
             # verify, not registered
-            record = self.load_line(pba)
-            if record is not None:
-                recovered.append(record)
+            head = self._read_head(pba)
+            if head is not None:
+                heads.append(head)
+        recovered: List[LineRecord] = []
+        conflicts: List[LineRecord] = []
+        for head, after in zip(heads, heads[1:] + [None]):
+            # aligned claims nest or are disjoint, so a head holds
+            # another exactly when the next one starts inside it
+            if after is not None and after.start < head.start + head.n_blocks:
+                conflicts.append(head)
+            else:
+                self._register(head)
+                recovered.append(head)
+        self.line_conflicts = tuple(conflicts)
         return recovered
 
     # -- lifecycle ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..device.sero import SERODevice, VerificationResult, VerifyStatus
-from ..errors import ReadError
+from ..errors import DeviceError
 from .inode import FileType, Inode, unpack_pointer_block
 from .lfs import ROOT_INO, SeroFS, read_pointers
 from .segment import BlockState
@@ -76,6 +76,8 @@ class RecoveredFile:
 class DeepScanReport:
     """Outcome of a forensic deep scan.
 
+    ``conflicts`` holds the verdicts on the heads whose extent holds
+    another head (``SERODevice.line_conflicts``); none reads INTACT.
     ``blocks_scanned`` and ``device_seconds`` expose the cost of the
     Section 5.2 "albeit slowly" caveat, which the whole-medium
     electrical probe dominates.
@@ -83,6 +85,7 @@ class DeepScanReport:
 
     recovered: List[RecoveredFile] = field(default_factory=list)
     tampered_lines: List[VerificationResult] = field(default_factory=list)
+    conflicts: List[VerificationResult] = field(default_factory=list)
     unparseable_lines: List[int] = field(default_factory=list)
     blocks_scanned: int = 0
     device_seconds: float = 0.0
@@ -113,14 +116,15 @@ def deep_scan(device: "SERODevice | TamperEvidentStore") -> DeepScanReport:
     report = DeepScanReport(blocks_scanned=device.total_blocks)
     elapsed_before = device.account.elapsed
     records = device.scan_lines()
-    verifications = device.verify_lines([rec.start for rec in records])
+    verifications = device.verify_lines(
+        [rec.start for rec in records + list(device.line_conflicts)])
+    report.conflicts = verifications[len(records):]
+    report.tampered_lines = [v for v in verifications if v.tamper_evident]
     for record, verification in zip(records, verifications):
-        if verification.tamper_evident:
-            report.tampered_lines.append(verification)
         inode_pba = record.start + 1
         try:
             inode = Inode.unpack(device.read_block(inode_pba))
-        except ReadError:
+        except DeviceError:
             report.unparseable_lines.append(record.start)
             continue
         data: Optional[bytes] = None
@@ -131,7 +135,7 @@ def deep_scan(device: "SERODevice | TamperEvidentStore") -> DeepScanReport:
             pointers = pointers[:inode.n_blocks]
             chunks = read_pointers(device, pointers)
             data = b"".join(chunks)[:inode.size]
-        except ReadError:
+        except DeviceError:  # a forged inode's pointers: nothing to read
             data = None
         report.recovered.append(RecoveredFile(
             line_start=record.start, ino=inode.ino,
@@ -162,8 +166,9 @@ def fsck(fs: "SeroFS | TamperEvidentStore",
     Checks that every imap entry parses as the right inode, that every
     file block is accounted LIVE or HEATED in the segment table, that
     the directory tree reaches every inode, and (optionally) that every
-    heated line verifies INTACT.  Accepts a :class:`SeroFS` or a
-    :class:`~repro.api.store.TamperEvidentStore`.
+    heated line verifies INTACT; a head that holds another head
+    (``device.line_conflicts``) is always an error.  Accepts a
+    :class:`SeroFS` or a :class:`~repro.api.store.TamperEvidentStore`.
     """
     fs = _as_fs(fs)
     report = FsckReport()
@@ -171,7 +176,7 @@ def fsck(fs: "SeroFS | TamperEvidentStore",
     for ino, inode_pba in sorted(fs.imap.items()):
         try:
             inode = fs._inode_at(inode_pba)
-        except ReadError as exc:
+        except DeviceError as exc:
             report.errors.append(f"inode {ino}: unreadable at {inode_pba}: {exc}")
             continue
         if inode.ino != ino:
@@ -187,7 +192,7 @@ def fsck(fs: "SeroFS | TamperEvidentStore",
                 f"inode {ino}: inode block {inode_pba} is {state.value}")
         try:
             pointers, indirect = fs._load_pointers(inode)
-        except ReadError as exc:
+        except DeviceError as exc:
             report.errors.append(f"inode {ino}: pointer read failed: {exc}")
             continue
         for pba in pointers + indirect:
@@ -196,13 +201,16 @@ def fsck(fs: "SeroFS | TamperEvidentStore",
                 report.errors.append(
                     f"inode {ino}: block {pba} is {state.value}")
     if verify_lines:
-        records = fs.device.heated_lines
-        results = fs.device.verify_lines([rec.start for rec in records])
-        for record, result in zip(records, results):
-            report.heated_verifications[record.start] = result
-            if result.tamper_evident:
+        conflicts = {rec.start for rec in fs.device.line_conflicts}
+        for result in fs.device.verify_all():
+            report.heated_verifications[result.start] = result
+            if result.start in conflicts:
                 report.errors.append(
-                    f"heated line {record.start}: {result.status.value}")
+                    f"line head {result.start} claims another line's "
+                    f"head: {result.status.value}")
+            elif result.tamper_evident:
+                report.errors.append(
+                    f"heated line {result.start}: {result.status.value}")
     return report
 
 
@@ -224,7 +232,7 @@ def _walk_tree(fs: "SeroFS", report: FsckReport) -> set:
             continue
         try:
             entries = fs._entries_of(inode)
-        except ReadError as exc:
+        except DeviceError as exc:
             report.errors.append(f"directory {ino}: unreadable: {exc}")
             continue
         for _name, (_ftype, child) in entries.items():

@@ -6,10 +6,11 @@ The first segment(s) of the device are reserved:
 * the remaining reserved blocks form two alternating checkpoint
   copies; a crash during checkpointing never loses both.
 
-A checkpoint persists only what cannot be rebuilt cheaply: the inode
-map, the allocator cursors and the heated-line extents.  Block
-ownership (live/dead) is reconstructed at mount by walking the inodes
-— stale magnetic frames left in unaccounted blocks are simply
+A checkpoint persists only the inode map and the allocator cursors.
+What is sealed is never copied here: a heated line describes itself
+on the medium, and mount finds every line by scanning for its head.
+Block ownership (live/dead) is reconstructed at mount by walking the
+inodes — stale magnetic frames left in unaccounted blocks are simply
 overwritten later, which is safe because every frame carries its own
 physical address and CRC.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..crypto.crc import crc32
 from ..device.sector import BLOCK_SIZE
@@ -75,14 +76,12 @@ class Checkpoint:
         next_ino: next inode number to allocate.
         tick: FS logical clock at checkpoint time.
         imap: inode number -> PBA of the inode block.
-        heated_lines: (start, n_blocks) of every heated line.
     """
 
     generation: int
     next_ino: int
     tick: int
     imap: Dict[int, int] = field(default_factory=dict)
-    heated_lines: List[Tuple[int, int]] = field(default_factory=list)
 
     _MAGIC = b"SEROCKPT"
 
@@ -93,9 +92,6 @@ class Checkpoint:
         parts.append(struct.pack(">I", len(self.imap)))
         for ino, pba in sorted(self.imap.items()):
             parts.append(struct.pack(">QQ", ino, pba))
-        parts.append(struct.pack(">I", len(self.heated_lines)))
-        for start, n_blocks in sorted(self.heated_lines):
-            parts.append(struct.pack(">QQ", start, n_blocks))
         body = b"".join(parts)
         return struct.pack(">I", len(body)) + body + struct.pack(">I", crc32(body))
 
@@ -123,15 +119,8 @@ class Checkpoint:
             ino, pba = struct.unpack_from(">QQ", body, offset)
             offset += 16
             imap[ino] = pba
-        (n,) = struct.unpack_from(">I", body, offset)
-        offset += 4
-        heated = []
-        for _ in range(n):
-            start, n_blocks = struct.unpack_from(">QQ", body, offset)
-            offset += 16
-            heated.append((start, n_blocks))
         return cls(generation=generation, next_ino=next_ino, tick=tick,
-                   imap=imap, heated_lines=heated)
+                   imap=imap)
 
     def to_blocks(self, capacity_blocks: int) -> List[bytes]:
         """Split into 512-byte block payloads; raise when it overflows

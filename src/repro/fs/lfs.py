@@ -153,7 +153,6 @@ class SeroFS:
             if self.table.state(pba) is BlockState.FREE:
                 self.table.set_state(pba, BlockState.RESERVED)
         self.imap: Dict[int, int] = {}
-        self.line_of_ino: Dict[int, int] = {}
         self.next_ino = ROOT_INO
         self.tick = 0
         self._generation = 0
@@ -224,7 +223,8 @@ class SeroFS:
     @classmethod
     def mount(cls, device: SERODevice,
               config: Optional[FSConfig] = None) -> "SeroFS":
-        """Open an existing file system from its checkpoint."""
+        """Open an existing file system: its checkpoint, and the lines
+        the medium holds (see :meth:`_restore`)."""
         sb = Superblock.unpack(device.read_block(0))
         config = config or FSConfig()
         config.segment_blocks = sb.segment_blocks
@@ -265,14 +265,14 @@ class SeroFS:
         self.next_ino = checkpoint.next_ino
         self.tick = checkpoint.tick
         self.imap = dict(checkpoint.imap)
-        # re-register heated lines on the device (one ers each)
-        for start, n_blocks in checkpoint.heated_lines:
-            record = self.device.load_line(start)
-            for pba in range(start, start + n_blocks):
-                if self.table.state(pba) is not BlockState.HEATED:
-                    self.table.mark_heated(pba)
-            if record is None:
-                continue
+        # the medium is the one record of what is sealed: rebuild the
+        # device's line registry from it, and never allocate a block of
+        # a line or one that holds a conflicting head
+        for record in self.device.scan_lines():
+            for pba in range(record.start, record.start + record.n_blocks):
+                self.table.mark_heated(pba)
+        for record in self.device.line_conflicts:
+            self.table.mark_heated(record.start)
         # rebuild block ownership by walking the inodes
         for ino, inode_pba in self.imap.items():
             inode = self._inode_at(inode_pba)
@@ -285,18 +285,14 @@ class SeroFS:
             for fbn, pba in enumerate(pointers):
                 if self.table.state(pba) is BlockState.FREE:
                     self.table.mark_live(pba, ino, fbn=fbn)
-            if self.device.is_block_heated(inode_pba):
-                self.line_of_ino[ino] = self.device.line_of_block(inode_pba).start
 
     # -- checkpointing ------------------------------------------------------------
 
     def checkpoint(self) -> None:
         """Write a checkpoint to the older of the two copies."""
         self._generation += 1
-        heated = [(rec.start, rec.n_blocks) for rec in self.device.heated_lines]
         cp = Checkpoint(generation=self._generation, next_ino=self.next_ino,
-                        tick=self.tick, imap=dict(self.imap),
-                        heated_lines=heated)
+                        tick=self.tick, imap=dict(self.imap))
         blocks = cp.to_blocks(self.sb.checkpoint_blocks)
         self._dev_write(self._checkpoint_region(self._generation % 2), blocks)
 
@@ -831,10 +827,11 @@ class SeroFS:
 
     def _stat_of(self, path: str, ino: int, inode: Inode) -> FileStat:
         """:meth:`stat` of ``path`` from its inode, already in hand."""
+        line = self.device.line_of_block(self.imap[ino])
         return FileStat(path=path, ino=ino, ftype=inode.ftype,
                         size=inode.size, link_count=inode.link_count,
-                        mtime=inode.mtime, heated=self.is_ino_heated(ino),
-                        line_start=self.line_of_ino.get(ino))
+                        mtime=inode.mtime, heated=line is not None,
+                        line_start=None if line is None else line.start)
 
     def is_ino_heated(self, ino: int) -> bool:
         """True when the file's inode lies inside a heated line."""
@@ -926,7 +923,6 @@ class SeroFS:
         for pba in range(start, start + line_len):
             self.table.mark_heated(pba)
         self.imap[ino] = inode_pba
-        self.line_of_ino[ino] = start
         self._stats["lines_heated"] += 1
         return record
 
@@ -976,20 +972,24 @@ class SeroFS:
         evidence — verification still runs and reports the mismatch.
         """
         ino = self._lookup_ino(path)
-        start = self.line_of_ino.get(ino)
-        if start is None:
+        pba = self.imap.get(ino)
+        line = None if pba is None else self.device.line_of_block(pba)
+        if line is None:
             raise FileSystemError(f"{path!r} is not heated")
-        return self.device.verify_line(start)
+        return self.device.verify_line(line.start)
 
     def verify_all_files(self) -> Dict[str, VerificationResult]:
         """Verify every heated file; keys are ``ino:name_hint``."""
         out = {}
-        for ino, start in self.line_of_ino.items():
+        for ino, pba in self.imap.items():
+            line = self.device.line_of_block(pba)
+            if line is None:
+                continue
             try:
                 label = f"{ino}:{self._inode_of(ino).name_hint}"
             except (FileNotFoundError_, ReadError):
                 label = f"{ino}:?"
-            out[label] = self.device.verify_line(start)
+            out[label] = self.device.verify_line(line.start)
         return out
 
     # -- statistics -------------------------------------------------------------------------------

@@ -261,6 +261,11 @@ REMOVED: Tuple[Removed, ...] = (
             "StoreStatePatch.capture(store), which diffs the cache itself"),
     Removed("fs_meta", "18.0", "StoreStatePatch.meta",
             "repro.api.store.StoreStatePatch"),
+    # 19.0: the medium is the one record of what is sealed
+    Removed("line_of_ino", "19.0",
+            "stat(path).line_start / device.line_of_block(pba)"),
+    Removed("heated_lines", "19.0", "mount rediscovers lines",
+            "repro.fs.layout.Checkpoint"),
 )
 
 

@@ -1,6 +1,8 @@
 """TamperEvidentStore façade tests: typed request/response objects,
 equivalence with the pre-façade entry points, batch grain, arenas."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from repro.errors import (
 from repro.fs.fsck import fsck
 from repro.fs.inode import FileType
 from repro.fs.lfs import SeroFS
+from repro.fs.segment import BlockState
 from repro.medium.medium import MediumConfig
 
 
@@ -443,6 +446,101 @@ def test_mount_reopens_filesystem():
     reopened = TamperEvidentStore.mount(store.device)
     assert reopened.get("/persist") == b"payload " * 64
     assert reopened.audit().clean
+
+
+# -- remount: the medium is the one record of what is sealed ------------------------
+
+
+def _sealed_store(total_blocks, paths=("/a", "/b")):
+    """A store with each of ``paths`` put (3000 B) and sealed, and its
+    checkpoint as format left it: it lists no line."""
+    store = TamperEvidentStore.create(total_blocks=total_blocks)
+    for path in paths:
+        store.put(path, path.encode() * 1500)
+        store.seal(path)
+    return store
+
+
+def _remount(store, over):
+    """Mount ``store``'s medium again: on a fresh device over a pickled
+    copy of the medium, or on the live device itself."""
+    device = store.device if over == "live" else \
+        SERODevice(pickle.loads(pickle.dumps(store.device.medium)))
+    return TamperEvidentStore.mount(device)
+
+
+def _lines(store):
+    return [(rec.start, rec.n_blocks) for rec in store.device.heated_lines]
+
+
+@pytest.fixture(params=["copy", "live"])
+def over(request):
+    return request.param
+
+
+def test_mount_registers_every_sealed_line(over):
+    store = _sealed_store(256)
+    sealed = _lines(store)
+    mounted = _remount(store, over)
+    assert _lines(mounted) == sealed
+    assert {mounted.fs.table.state(pba) for start, n in sealed
+            for pba in range(start, start + n)} == {BlockState.HEATED}
+    report = mounted.audit()
+    assert [(r.line_start, r.status) for r in report.reports] == \
+        [(start, VerifyStatus.INTACT) for start, _n in sealed]
+
+
+def test_puts_after_mount_run_until_the_device_is_full(over):
+    """No sealed block is handed out again: the puts end at
+    ``NoSpaceError``, never at a ``ReadError`` of an overwritten line
+    or a ``HeatedBlockError`` of a write into one."""
+    store = _sealed_store(256)
+    mounted = _remount(store, over)
+    with pytest.raises(NoSpaceError):
+        for i in range(200):
+            mounted.put(f"/p{i}", b"x" * 2000)
+    assert [r.status for r in mounted.audit().reports] == \
+        [VerifyStatus.INTACT] * 2
+
+
+def test_puts_after_mount_write_no_block_of_a_line(over, monkeypatch):
+    store = _sealed_store(1024, ("/a", "/b", "/c"))
+    mounted = _remount(store, over)
+    written = _record_written_blocks(mounted, monkeypatch)
+    for i in range(100):
+        mounted.put(f"/p{i % 10}", bytes([i]) * 6000, overwrite=True)
+    line_blocks = {pba for start, n in _lines(mounted)
+                   for pba in range(start, start + n)}
+    assert len(line_blocks) == 24
+    assert not line_blocks & set(written)
+    assert mounted.audit().clean
+
+
+def test_a_forged_head_burned_before_a_remount_hides_no_line(over,
+                                                            monkeypatch):
+    """An aligned, CRC-valid head at 224 claiming 32 blocks holds the
+    sealed lines at 240 and 248.  Mount registers both, keeps the
+    forgery as a conflict that audits as tampering, and never
+    allocates a block of either line nor the forged head."""
+    from repro.device.sector import ElectricalPayload
+
+    store = _sealed_store(256)
+    assert _lines(store) == [(240, 8), (248, 8)]
+    store.device.ews_block(224, ElectricalPayload(
+        line_start=224, n_blocks_log2=5, line_hash=bytes(32)).pack())
+    mounted = _remount(store, over)
+    assert _lines(mounted) == [(240, 8), (248, 8)]
+    assert [r.start for r in mounted.device.line_conflicts] == [224]
+    verdicts = {r.line_start: r.status for r in mounted.audit().reports}
+    assert verdicts[240] is verdicts[248] is VerifyStatus.INTACT
+    assert verdicts[224] is not VerifyStatus.INTACT
+    assert any("line head 224 " in e for e in fsck(mounted.fs).errors)
+    written = _record_written_blocks(mounted, monkeypatch)
+    with pytest.raises(NoSpaceError):
+        for i in range(200):
+            mounted.put(f"/p{i}", b"x" * 2000)
+    assert not {224, *range(240, 256)} & set(written)
+    assert written
 
 
 # -- per-store engine: an explicit DeviceConfig, nothing ambient --------------------

@@ -113,8 +113,8 @@ def test_storage_layer_import_loads_no_upper_layer():
     assert not upper, upper
 
 
-def test_version_is_v18():
-    assert repro.__version__ == "18.0.0"
+def test_version_is_v19():
+    assert repro.__version__ == "19.0.0"
 
 
 @pytest.mark.parametrize("row", REMOVED, ids=row_id)

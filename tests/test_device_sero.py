@@ -1,8 +1,10 @@
 """SERODevice tests: the Section 3 sector/heat/verify contract."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.device.sector import BLOCK_SIZE, E_PAYLOAD_BYTES
+from repro.device.sector import BLOCK_SIZE, E_PAYLOAD_BYTES, ElectricalPayload
 from repro.device.sero import DeviceConfig, SERODevice, VerifyStatus
 from repro.errors import (
     AlignmentError,
@@ -12,6 +14,7 @@ from repro.errors import (
     ReadError,
     WriteError,
 )
+from repro.fs.fsck import deep_scan, fsck
 from repro.fs.lfs import SeroFS
 from repro.medium.medium import MediumConfig
 from repro.security.attacks import ewb_data
@@ -190,9 +193,9 @@ def test_load_line_single(small_device):
 
 
 def test_load_line_registers_exactly_the_line_as_mount_and_scan_do(device):
-    # A 16-block and a 4-block line behind a checkpoint.  load_line
-    # registers 1 << n_blocks_log2 blocks for each, and a remount from
-    # the checkpoint and a scan_lines rebuild reach the same registry.
+    # A 16-block and a 4-block line.  load_line registers
+    # 1 << n_blocks_log2 blocks for each, and a remount and a scan_lines
+    # rebuild (the discovery mount runs) reach the same registry.
     fs = SeroFS.format(device)
     fs.create("/small", b"s" * 300)
     fs.heat_file("/small")
@@ -308,8 +311,6 @@ def test_forged_head_overrunning_the_device_is_a_mismatch(device):
     claims a 256-block line: the line would end at block 383, past the
     medium.  Verification reads it as a mismatch (it used to raise an
     address error out of every audit), and discovery skips it."""
-    from repro.device.sector import ElectricalPayload
-
     line = _heated(device, start=0, n=4)
     device.ews_block(128, ElectricalPayload(
         line_start=128, n_blocks_log2=8, line_hash=bytes(32)).pack())
@@ -330,8 +331,6 @@ def test_a_misaligned_forged_head_hides_no_real_line(small_device):
     line (it used to register the forgery and skip blocks 5-11 as its
     interior), and verifying it reads a mismatch.  A one-block head is
     refused the same way."""
-    from repro.device.sector import ElectricalPayload
-
     line = _heated(small_device, start=8, n=8)
     small_device.ews_block(4, ElectricalPayload(
         line_start=4, n_blocks_log2=3, line_hash=bytes(32)).pack())
@@ -348,3 +347,139 @@ def test_a_misaligned_forged_head_hides_no_real_line(small_device):
          VerifyStatus.INTACT]
     assert small_device.verify_line(4).status is VerifyStatus.HASH_MISMATCH
     assert small_device.verify_line(20).status is VerifyStatus.HASH_MISMATCH
+
+
+def _forge_head(device, start, n_blocks_log2):
+    """Burn a CRC-valid head at ``start`` claiming ``2**n_blocks_log2``
+    blocks under a hash no content has: one electrical write."""
+    device.ews_block(start, ElectricalPayload(
+        line_start=start, n_blocks_log2=n_blocks_log2,
+        line_hash=bytes(range(32))).pack())
+
+
+def test_a_containing_forged_head_hides_no_real_line(small_device):
+    """An aligned, CRC-valid forged head at block 0 claiming 16 blocks
+    over a real 8-block line at block 8.  Discovery used to register
+    the forgery and skip blocks 1-15 as its interior, so the real line
+    vanished from the registry.  Now the real line is registered, and
+    the head that contains it is a conflict: verified, never
+    ``INTACT``, and reported by the deep scan."""
+    line = _heated(small_device, start=8, n=8)
+    _forge_head(small_device, 0, 4)
+    assert [(r.start, r.n_blocks) for r in small_device.scan_lines()] == \
+        [(line.start, line.n_blocks)]
+    assert [(r.start, r.n_blocks) for r in small_device.line_conflicts] == \
+        [(0, 16)]
+    assert small_device.line_of_block(3) is None
+    assert small_device.line_of_block(9).start == 8
+    verdicts = {r.start: r.status for r in small_device.verify_all()}
+    assert verdicts[8] is VerifyStatus.INTACT
+    assert verdicts[0] is not VerifyStatus.INTACT
+    report = deep_scan(small_device)
+    assert report.unparseable_lines == [8]  # its block 1 is no inode
+    assert [r.start for r in report.conflicts] == [0]
+    assert [r.start for r in report.tampered_lines] == [0]
+
+
+def test_nested_forged_heads_keep_only_the_innermost(small_device):
+    """Heads at 0 (+32), 16 (+16) and 16's interior line at 24 (+8):
+    only the head that contains no other head is registered."""
+    line = _heated(small_device, start=24, n=8)
+    _forge_head(small_device, 0, 5)
+    _forge_head(small_device, 16, 4)
+    assert [r.start for r in small_device.scan_lines()] == [line.start]
+    assert [r.start for r in small_device.line_conflicts] == [0, 16]
+    assert [(r.start, r.status is VerifyStatus.INTACT)
+            for r in small_device.verify_all()] == \
+        [(0, False), (16, False), (24, True)]
+
+
+def test_a_rescan_forgets_old_conflicts(small_device):
+    _heated(small_device, start=8, n=8)
+    _forge_head(small_device, 0, 4)
+    small_device.scan_lines()
+    assert [r.start for r in small_device.line_conflicts] == [0]
+    small_device.bad_blocks.add(0)  # the next scan skips the forged head
+    assert [r.start for r in small_device.scan_lines()] == [8]
+    assert small_device.line_conflicts == ()
+
+
+_FORGE_BLOCKS = 64
+
+
+def _real_lines(drawn):
+    """Aligned lines from drawn ``(size, block)`` pairs: each at the
+    aligned start at or below ``block``, skipping any that overlaps a
+    line already placed."""
+    lines, used = [], set()
+    for size, block in drawn:
+        start = block // size * size
+        extent = set(range(start, start + size))
+        if not extent & used:
+            lines.append((start, size))
+            used |= extent
+    return sorted(lines)
+
+
+def test_no_forged_head_steers_discovery(small_device):
+    """ROADMAP 23(b)'s property on 64-block devices: real aligned lines,
+    then k CRC-valid forged heads at any start with any size that fits,
+    aligned or not.  Every real line the forger did not overwrite is
+    registered and verifies INTACT, every forged head reads otherwise,
+    no registered line holds another head, and nothing raises out of
+    scan_lines, verify_all, deep_scan or fsck.  The devices run on
+    ``small_device``'s engine, so ``test_device_scalar.py`` re-collects
+    this on the scalar one."""
+    span_engine = small_device.config.span_engine
+
+    # the scalar engine pays per dot, so its run draws fewer devices
+    @settings(max_examples=25 if span_engine else 6, deadline=None)
+    @given(drawn=st.lists(st.tuples(st.sampled_from([2, 4, 8, 16]),
+                                    st.integers(0, _FORGE_BLOCKS - 1)),
+                          max_size=5),
+           claims=st.lists(st.tuples(st.integers(0, _FORGE_BLOCKS - 1),
+                                     st.integers(1, 6), st.booleans()),
+                           min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 16))
+    def check(drawn, claims, seed):
+        device = SERODevice.create(
+            _FORGE_BLOCKS, MediumConfig(seed=seed),
+            config=DeviceConfig(span_engine=span_engine))
+        fs = SeroFS.format(device)
+        lines = _real_lines(drawn)
+        for start, n in lines:
+            for pba in range(start + 1, start + n):
+                device.write_block(pba, bytes([start]) * BLOCK_SIZE)
+            device.heat_line(start, n)
+        forged = {}
+        for block, log2, aligned in claims:
+            # an aligned claim is the one that can contain a real line
+            start = block >> log2 << log2 if aligned else block
+            if start + (1 << log2) > _FORGE_BLOCKS:
+                log2 = max((_FORGE_BLOCKS - start).bit_length() - 1, 1)
+            forged.setdefault(start, log2)
+        for start, log2 in forged.items():
+            _forge_head(device, start, log2)
+
+        registered = {r.start: r.n_blocks for r in device.scan_lines()}
+        heads = sorted(registered) + [r.start for r in device.line_conflicts]
+        for start, n in registered.items():
+            assert not [h for h in heads if start < h < start + n]
+        verdicts = {r.start: r.status for r in device.verify_all()}
+        for start, n in lines:
+            if any(start <= f < start + n for f in forged):
+                continue  # the forger wrote over this line
+            assert registered.get(start) == n
+            assert verdicts[start] is VerifyStatus.INTACT
+        for start in forged:
+            assert device.verify_line(start).status is not VerifyStatus.INTACT
+            if start in verdicts:
+                assert verdicts[start] is not VerifyStatus.INTACT
+        report = deep_scan(device)
+        assert {f.line_start for f in report.recovered} | \
+            set(report.unparseable_lines) == set(registered)
+        errors = fsck(fs).errors
+        for record in device.line_conflicts:
+            assert any(f"line head {record.start} " in e for e in errors)
+
+    check()

@@ -359,6 +359,26 @@ def test_fleet_store_growth_keeps_objects_reachable(rack):
         fleet.get("/never-stored")
 
 
+@pytest.mark.parametrize("grown", [False, True], ids=["exact", "grown"])
+def test_a_verb_on_a_missing_path_is_the_routed_members_own(grown):
+    """One holder rule for every object verb: where no member holds the
+    path, the routed member takes the verb, so it logs the instruction
+    and raises its own error, as a lone store does."""
+    fleet = FleetStore.create(2, total_blocks=192, seed=3, audit_log=True)
+    if grown:
+        fleet.add_member(TamperEvidentStore.create(total_blocks=192,
+                                                   audit_log=True))
+    for verb in (fleet.seal, fleet.delete):
+        with pytest.raises(FileNotFoundError_,
+                           match="no such file: '/missing'"):
+            verb("/missing")
+    routed = fleet.route("/missing")
+    assert [[record for _tick, record in member.history()]
+            for member in fleet.members] == \
+        [[b"seal /missing", b"delete /missing"] if i == routed else []
+         for i in range(len(fleet.members))]
+
+
 def test_fleet_store_sharded_evidence_and_archive():
     fleet = FleetStore.create(2, total_blocks=192, archive_blocks=64,
                               seed=90)

@@ -33,21 +33,18 @@ def test_superblock_magic():
 
 def test_checkpoint_roundtrip():
     cp = Checkpoint(generation=9, next_ino=42, tick=100,
-                    imap={1: 10, 2: 20, 77: 99},
-                    heated_lines=[(32, 8), (48, 16)])
+                    imap={1: 10, 2: 20, 77: 99})
     out = Checkpoint.unpack(cp.pack())
     assert out.generation == 9
     assert out.next_ino == 42
     assert out.tick == 100
     assert out.imap == cp.imap
-    assert out.heated_lines == cp.heated_lines
 
 
 def test_checkpoint_empty_maps():
     cp = Checkpoint(generation=1, next_ino=2, tick=0)
     out = Checkpoint.unpack(cp.pack())
     assert out.imap == {}
-    assert out.heated_lines == []
 
 
 def test_checkpoint_crc_detects_corruption():

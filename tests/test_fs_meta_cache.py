@@ -321,7 +321,7 @@ def test_cached_and_uncached_twins_agree(trace):
         assert _outcome(_apply, cached, op) == \
             _outcome(_apply, _cold(twin), op), op
     assert cached.fs.imap == twin.fs.imap
-    assert cached.fs.line_of_ino == twin.fs.line_of_ino
+    assert cached.device.heated_lines == twin.device.heated_lines
     _same_medium(cached, twin)
 
 

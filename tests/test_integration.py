@@ -26,7 +26,7 @@ def test_full_lifecycle_database_audit():
     # business continues: the live table keeps changing
     db.put(3, b"UPDATED")
     # a dishonest insider rewrites the snapshot's blocks raw
-    line_start = fs.line_of_ino[fs.stat("/db/snapshot-q1-audit").ino]
+    line_start = fs.stat("/db/snapshot-q1-audit").line_start
     attacks.mwb_data(device, line_start)
     # the auditor's sweep finds it
     assert db.verify_snapshot("q1-audit").status is VerifyStatus.HASH_MISMATCH
